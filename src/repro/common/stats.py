@@ -35,8 +35,14 @@ class Counters:
             counts[name] = counts.get(name, 0) + value
 
     def as_dict(self):
-        """Return a snapshot copy of all counters."""
-        return dict(self._counts)
+        """Return a snapshot copy of all counters, keys sorted.
+
+        First-touch order is an accident of execution (a spin site that
+        flushes its wait count once per episode inserts the key later than
+        one that counted per probe); everything that serialises or
+        iterates a bag goes through here, so artifacts never depend on it.
+        """
+        return dict(sorted(self._counts.items()))
 
     def __getitem__(self, name):
         return self._counts.get(name, 0)

@@ -502,7 +502,10 @@ class Device:
         ``live_warps`` names every stuck resident warp; ``sms`` adds the
         per-SM queue and cycle state so a diagnosis can distinguish
         "starved in queue" (pending blocks never admitted) from "stuck
-        resident" (admitted warps not retiring).
+        resident" (admitted warps not retiring).  ``polling`` maps each
+        word a lane stepper is spinning on to the lanes spinning on it
+        (those lanes are stepping, not ``waiting``: a livelock report
+        names the lock its lanes never got).
         """
         live_warps = []
         sm_states = []
@@ -523,6 +526,7 @@ class Device:
                         "warp": warp.warp_id,
                         "live_lanes": warp.live,
                         "waiting": dict(warp.waiting),
+                        "polling": warp.settle_polling(),
                     }
                 )
         return {"live_warps": live_warps, "sms": sm_states}

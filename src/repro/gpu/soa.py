@@ -25,15 +25,14 @@ Both tiers are exact: the property tests in
 and assert identical cycle charges, and the golden-cycle fixtures pin that
 the tiered fold reproduces the seed simulator bit-for-bit.
 
-NumPy is a pinned dependency (pyproject.toml), but the import is gated so
-a stripped-down environment can still run every sub-threshold geometry:
-without NumPy the scalar tier simply handles all sizes.
+NumPy is a pinned dependency (pyproject.toml), but it is imported only on
+first use of the vector tier or of :class:`LaneArrays`: no harness geometry
+reaches :data:`VECTOR_THRESHOLD`, and the import is ~120 ms and ~14 MiB
+that every CLI start and every pool worker would otherwise pay.  Without
+NumPy installed the scalar tier simply handles all sizes.
 """
 
-try:  # gated: the scalar tier covers everything when NumPy is absent
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only in stripped envs
-    _np = None
+import importlib.util
 
 #: Group size at which the fold switches from the scalar tier to NumPy.
 #: Below this, set/dict folds beat ``np.unique``/``np.bincount`` because
@@ -43,7 +42,7 @@ except ImportError:  # pragma: no cover - exercised only in stripped envs
 #: tier, only genuinely wide batches pay the conversion.
 VECTOR_THRESHOLD = 512
 
-_HAVE_NUMPY = _np is not None
+_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def have_numpy():
@@ -58,9 +57,11 @@ def distinct_lines(addrs, line_words):
     addresses collapse into per-line memory transactions.
     """
     if _HAVE_NUMPY and len(addrs) >= VECTOR_THRESHOLD:
+        import numpy as np
+
         return int(
-            _np.unique(_np.floor_divide(_np.asarray(addrs, dtype=_np.int64),
-                                        line_words)).size
+            np.unique(np.floor_divide(np.asarray(addrs, dtype=np.int64),
+                                      line_words)).size
         )
     return len({addr // line_words for addr in addrs})
 
@@ -70,8 +71,10 @@ def max_multiplicity(addrs):
     together with the distinct-address count, as ``(max_count, distinct)``."""
     n = len(addrs)
     if _HAVE_NUMPY and n >= VECTOR_THRESHOLD:
-        counts = _np.unique(_np.asarray(addrs, dtype=_np.int64),
-                            return_counts=True)[1]
+        import numpy as np
+
+        counts = np.unique(np.asarray(addrs, dtype=np.int64),
+                           return_counts=True)[1]
         return int(counts.max()), int(counts.size)
     multiplicity = {}
     get = multiplicity.get
@@ -83,9 +86,11 @@ def max_multiplicity(addrs):
 def max_bank_conflicts(addrs, banks):
     """Deepest same-bank pileup of one shared-memory instruction."""
     if _HAVE_NUMPY and len(addrs) >= VECTOR_THRESHOLD:
+        import numpy as np
+
         return int(
-            _np.bincount(_np.mod(_np.asarray(addrs, dtype=_np.int64), banks),
-                         minlength=1).max()
+            np.bincount(np.mod(np.asarray(addrs, dtype=np.int64), banks),
+                        minlength=1).max()
         )
     per_bank = {}
     get = per_bank.get
@@ -116,11 +121,13 @@ class LaneArrays:
         cycles = [lane.tc.cycles_total for lane in lanes]
         in_tx = [lane.tc.cycles_in_tx for lane in lanes]
         if _HAVE_NUMPY:
-            self.lane_id = _np.asarray(ids, dtype=_np.int32)
-            self.active = _np.asarray(active, dtype=bool)
-            self.pc = _np.asarray(pc, dtype=_np.int64)
-            self.cycles = _np.asarray(cycles, dtype=_np.int64)
-            self.in_tx = _np.asarray(in_tx, dtype=_np.int64)
+            import numpy as np
+
+            self.lane_id = np.asarray(ids, dtype=np.int32)
+            self.active = np.asarray(active, dtype=bool)
+            self.pc = np.asarray(pc, dtype=np.int64)
+            self.cycles = np.asarray(cycles, dtype=np.int64)
+            self.in_tx = np.asarray(in_tx, dtype=np.int64)
         else:  # pragma: no cover - stripped envs
             self.lane_id = ids
             self.active = active

@@ -28,6 +28,7 @@ from repro.gpu.events import OpKind, Phase
 _READ = OpKind.READ
 _WRITE = OpKind.WRITE
 _L2_READ = OpKind.L2_READ
+_ATOMIC = OpKind.ATOMIC
 
 
 class ThreadCtx:
@@ -298,11 +299,42 @@ class ThreadCtx:
         words[addr] = value
 
     def atomic_cas(self, addr, expected, new, phase=Phase.NATIVE):
-        """Atomic compare-and-swap; returns the old value."""
+        """Atomic compare-and-swap; returns the old value.
+
+        Inlined like the loads and stores above (``_account`` plus
+        ``GlobalMemory.atomic_cas``): lock acquisition — the spinlock
+        baselines' every hand-over, EGPGV's encounter-time locks, the
+        sequence-lock commit — is a CAS per contending lane per attempt.
+        """
+        words = self._words
         if self._check_bounds and not 0 <= addr < self._words_len:
             self.mem.check(addr)  # raises with region diagnostics
-        self._account(OpKind.ATOMIC, addr, phase, self._atomic_latency)
-        return self.mem.atomic_cas(addr, expected, new)
+        warp = self.warp
+        warp.step_nops += 1
+        if _ATOMIC is warp.step_kind and phase is warp.step_phase:
+            warp.step_cur.append(addr)
+        else:
+            groups = warp.step_groups
+            tag = (_ATOMIC, phase)
+            bucket = groups.get(tag)
+            if bucket is None:
+                groups[tag] = bucket = [addr]
+            else:
+                bucket.append(addr)
+            warp.step_kind = _ATOMIC
+            warp.step_phase = phase
+            warp.step_cur = bucket
+        cycles = self._atomic_latency
+        phase_map = self._phase_map
+        if phase in phase_map:
+            phase_map[phase] += cycles
+        else:
+            phase_map[phase] = cycles
+        self.cycles_total += cycles
+        old = words[addr]
+        if old == expected:
+            words[addr] = new
+        return old
 
     def atomic_or(self, addr, value, phase=Phase.NATIVE):
         """Atomic bitwise-or; returns the old value (Algorithm 3 line 39)."""

@@ -24,6 +24,7 @@ throughput cost (DESIGN.md section 4):
 from repro.gpu.errors import GpuError
 from repro.gpu.events import OpKind
 from repro.gpu.soa import LaneArrays, distinct_lines, max_bank_conflicts, max_multiplicity
+from repro.gpu.steppers import LaneStepper
 from repro.gpu.thread import ThreadCtx
 
 # cost-fold loop constants (module-level loads are cheaper than attributes)
@@ -46,14 +47,22 @@ LOCKSTEP_PROTOCOL_HINT = (
 
 
 class Lane:
-    """One SIMT lane: a kernel generator plus its thread context."""
+    """One SIMT lane: a kernel generator plus its thread context.
 
-    __slots__ = ("gen", "tc", "done")
+    ``resume`` is what the warp calls in this lane's turn: ``gen_next``,
+    the generator's bound ``__next__``, or the ``step`` of the lane stepper
+    (:mod:`repro.gpu.steppers`) the generator last yielded, which is then
+    also held as ``stepper``.  Swapping that one attribute is all it costs
+    to move a lane into or out of a poll loop.
+    """
+
+    __slots__ = ("gen_next", "tc", "done", "resume", "stepper")
 
     def __init__(self, gen, tc):
-        self.gen = gen
+        self.gen_next = self.resume = gen.__next__
         self.tc = tc
         self.done = False
+        self.stepper = None
 
 
 class Warp:
@@ -88,6 +97,15 @@ class Warp:
         "reconv_gen",
         "shared",
         "steps",
+        # quiet-step state (see step()): the global word array, how many
+        # live lanes are fast steppers about to issue a pure L2 probe, a
+        # cache of what they watch (None after any lane started or stopped
+        # polling), and how many whole-warp steps were answered without
+        # visiting a lane
+        "words",
+        "polling",
+        "watch",
+        "quiet_steps",
         # cost-model constants hoisted at construction time
         "_strict",
         "_line_words",
@@ -101,7 +119,7 @@ class Warp:
         "_fence_cost",
     )
 
-    def __init__(self, warp_id, block, config):
+    def __init__(self, warp_id, block, config, words=()):
         self.warp_id = warp_id
         self.block = block
         self.config = config
@@ -120,6 +138,10 @@ class Warp:
         self.reconv_gen = 0
         self.shared = {}
         self.steps = 0
+        self.words = words
+        self.polling = 0
+        self.watch = None
+        self.quiet_steps = 0
         costs = config.costs
         self._strict = config.strict_lockstep
         self._line_words = config.line_words
@@ -136,12 +158,9 @@ class Warp:
         """Register a lane; called by the device during launch."""
         lane = Lane(gen, tc)
         self.lanes.append(lane)
-        # the stepper iterates (resume, lane) pairs, where resume is the
-        # generator's bound __next__: unpacking plus a direct call is
-        # cheaper than per-lane attribute loads and the ``next`` builtin
-        # dispatch, and retired lanes are dropped from this list so
-        # long-lived divergent warps don't re-scan them
-        self.active.append((gen.__next__, lane))
+        # retired lanes are dropped from ``active`` so long-lived
+        # divergent warps don't re-scan them
+        self.active.append(lane)
         self.live += 1
 
     @property
@@ -159,7 +178,33 @@ class Warp:
         how many lanes retired, and the memory transactions it generated
         (returned directly so the scheduler's issue loop does not need an
         attribute load per step).
+
+        A lane that yields a :class:`~repro.gpu.steppers.LaneStepper` is
+        driven through ``stepper.step()`` from the next step on, in its
+        ordinary lane-order turn, until the stepper hands it back.
+
+        *Quiet steps.*  When every live lane is a fast stepper whose next
+        step is a pure L2 probe, and every distinct watched word still has
+        its mask bits set, no lane is visited: nothing in the warp can
+        write this step, so one check per distinct word equals the
+        in-order probes, all of which fail.  The step costs one issue plus
+        one L2 read per distinct phase, generates no memory transaction,
+        and each stepper charges the probe's latency when it next settles
+        (it reads ``quiet_steps``).
         """
+        polling = self.polling
+        if polling and polling == self.live:
+            watch = self.watch
+            if watch is None:
+                watch = self.watch = self._build_watch()
+            words = self.words
+            for addr, mask in watch[0]:
+                if not words[addr] & mask:
+                    break
+            else:
+                self.quiet_steps += 1
+                self.steps += 1
+                return watch[1], 0, 0
         self.step_nops = 0
         # a None kind can never match a recorded kind, so resetting it alone
         # invalidates the cached (kind, phase, bucket) triple
@@ -172,13 +217,16 @@ class Warp:
         strict = self._strict
         finished = 0
         prev_nops = 0
-        for resume, lane in self.active:
+        for lane in self.active:
             # ops-per-resumption is derived from the warp-level record count
             # (step_nops) rather than a per-lane counter: every record-path
-            # op bumps step_nops exactly once, so the delta across next() is
-            # the lane's op count without a per-lane store + per-op increment
+            # op bumps step_nops exactly once, so the delta across the call
+            # is the lane's op count without a per-lane store + per-op
+            # increment.  (Load, then call: CPython specializes a slot's
+            # attribute load but not the method-call form ``lane.resume()``.)
+            resume = lane.resume
             try:
-                resume()
+                stepper = resume()
             except StopIteration:
                 tc = lane.tc
                 lane.done = True
@@ -195,6 +243,15 @@ class Warp:
                         % (tc.lane_id, self.warp_id, ops, LOCKSTEP_PROTOCOL_HINT)
                     )
                 continue
+            if stepper is not None:
+                if not isinstance(stepper, LaneStepper):
+                    raise GpuError(
+                        "lane %d of warp %d yielded %r; a kernel yields None "
+                        "or a lane stepper: %s"
+                        % (lane.tc.lane_id, self.warp_id, stepper,
+                           LOCKSTEP_PROTOCOL_HINT)
+                    )
+                stepper.bind(lane)
             nops = self.step_nops
             ops = nops - prev_nops
             prev_nops = nops
@@ -210,7 +267,7 @@ class Warp:
                     % (lane.tc.lane_id, self.warp_id, ops, LOCKSTEP_PROTOCOL_HINT)
                 )
         if finished:
-            self.active = [entry for entry in self.active if not entry[1].done]
+            self.active = [lane for lane in self.active if not lane.done]
         if self.waiting:
             self._maybe_reconverge()
         self.steps += 1
@@ -309,9 +366,31 @@ class Warp:
             return self._fence_cost
         return 0
 
+    def _build_watch(self):
+        """``(distinct (addr, mask) pairs, quiet-step cost)`` of a warp
+        whose live lanes are all polling: one issue plus one L2 read per
+        distinct phase, the fold of one L2 group per phase."""
+        steppers = [lane.stepper for lane in self.active]
+        pairs = list({(stepper.addr, stepper.mask) for stepper in steppers})
+        phases = len({stepper.phase for stepper in steppers})
+        return pairs, phases * (self._issue_cost + self._l2_read_cost)
+
+    def settle_polling(self):
+        """Settle the deferred charges of every stepper-driven lane and
+        return ``{watched address: [lane ids]}`` — what each such lane is
+        polling, for diagnostics."""
+        polling = {}
+        for lane in self.active:
+            stepper = lane.stepper
+            if stepper is not None:
+                stepper.settle()
+                polling.setdefault(stepper.addr, []).append(lane.tc.lane_id)
+        return polling
+
     def lane_snapshot(self):
         """Struct-of-arrays view of this warp's per-lane state
         (:class:`repro.gpu.soa.LaneArrays`), materialized on demand."""
+        self.settle_polling()
         return LaneArrays(self)
 
 
@@ -378,7 +457,7 @@ def build_block(index, block_threads, first_tid, mem, config, kernel, args, atta
     warp_size = config.warp_size
     num_warps = (block_threads + warp_size - 1) // warp_size
     for warp_idx in range(num_warps):
-        warp = Warp(index * num_warps + warp_idx, block, config)
+        warp = Warp(index * num_warps + warp_idx, block, config, mem.words)
         lanes_in_warp = min(warp_size, block_threads - warp_idx * warp_size)
         for lane_id in range(lanes_in_warp):
             tid = first_tid + warp_idx * warp_size + lane_id

@@ -10,6 +10,7 @@ memory; ``is_opaque`` stays True.
 """
 
 from repro.gpu.events import Phase
+from repro.gpu.steppers import TtasAcquire
 from repro.stm.runtime.base import TmRuntime, TxThread
 
 
@@ -42,6 +43,7 @@ class CglTx(TxThread):
         super().__init__(runtime, tc)
         self._reads = []
         self._writes = {}
+        self._acquire = TtasAcquire(tc)
 
     def read_entries(self):
         return self._reads
@@ -58,31 +60,15 @@ class CglTx(TxThread):
         self._writes = {}
         stats_add = runtime.stats.add
         stats_add("begins")
-        lock_addr = runtime.lock_addr
-        gread_l2 = tc.gread_l2
-        locks_phase = Phase.LOCKS
-        # Spin-loop counters batch into locals and flush once after the
-        # lock is acquired: same totals, no per-iteration counter traffic.
-        spin_reads = 0
-        acquire_failures = 0
-        while True:
-            # Test-and-test-and-set: spin on a plain read, CAS only when the
-            # lock looks free (keeps the atomic unit from serializing every
-            # spinning lane every cycle).
-            if gread_l2(lock_addr, locks_phase):
-                yield
-                spin_reads += 1
-                continue
-            yield
-            observed = tc.atomic_cas(lock_addr, 0, 1, locks_phase)
-            yield
-            if observed == 0:
-                if spin_reads:
-                    stats_add("lock_spin_reads", spin_reads)
-                if acquire_failures:
-                    stats_add("lock_acquire_failures", acquire_failures)
-                return
-            acquire_failures += 1
+        # Test-and-test-and-set, run by the warp (repro.gpu.steppers): spin
+        # on a plain read, CAS only when the lock looks free (keeps the
+        # atomic unit from serializing every spinning lane every cycle).
+        acquire = self._acquire
+        yield acquire.arm(runtime.lock_addr, Phase.LOCKS)
+        if acquire.spins:
+            stats_add("lock_spin_reads", acquire.spins)
+        if acquire.failures:
+            stats_add("lock_acquire_failures", acquire.failures)
 
     def tx_read(self, addr):
         tc = self.tc

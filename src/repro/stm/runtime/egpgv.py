@@ -23,6 +23,7 @@ because it does not support per-thread transactions".
 
 from repro.common.rng import Xorshift32, thread_seed
 from repro.gpu.events import Phase
+from repro.gpu.steppers import PollUntil
 from repro.stm.clock import GlobalClock
 from repro.stm.errors import EgpgvCapacityError
 from repro.stm.runtime.base import TmRuntime, TxThread
@@ -113,6 +114,7 @@ class EgpgvTx(TxThread):
         # patterns still break up.
         self._backoff_rng = Xorshift32(thread_seed(0xE69, tc.tid))
         self._consecutive_aborts = 0
+        self._slot_wait = PollUntil(tc)
 
     def read_entries(self):
         return self.reads.entries
@@ -142,11 +144,11 @@ class EgpgvTx(TxThread):
             queue.append(tc.tid)
             self._queued = True
         queue = tc.block.shared[self._QUEUE_KEY]
-        flag_addr = runtime.block_flags + tc.block.index
-        while queue[0] != tc.tid:
+        if queue[0] != tc.tid:
             # poll the block's slot flag while block-mates transact
-            tc.gread_l2(flag_addr, Phase.INIT)
-            yield
+            yield self._slot_wait.arm(
+                queue, tc.tid, runtime.block_flags + tc.block.index, Phase.INIT
+            )
         tc.work(runtime.object_overhead, Phase.INIT)
         yield
         tc.local_op(Phase.INIT, count=2)

@@ -24,6 +24,7 @@ really do collide in the same step — the behaviour the sorting exists for.
 
 from repro.common.rng import Xorshift32, thread_seed
 from repro.gpu.events import Phase
+from repro.gpu.steppers import PollL2
 from repro.stm.bloom import BloomFilter
 from repro.stm.clock import GlobalClock
 from repro.stm.locklog import LockLog
@@ -102,6 +103,8 @@ class LockSortingTx(TxThread):
         self._failed_lock = None
         self._backoff_rng = Xorshift32(thread_seed(0x57A, tc.tid))
         self._consecutive_aborts = 0
+        # waits for a version lock's lock bit to clear run inside the warp
+        self._unlocked = PollL2(tc)
 
     # ------------------------------------------------------------------
     # History accessors (oracle input)
@@ -193,23 +196,16 @@ class LockSortingTx(TxThread):
         self.reads.append(tc, addr, value, Phase.BUFFERING)
         tc.fence(Phase.CONSISTENCY)
         yield
-        # consistency checking (lines 27-33): wait out committing lockers,
-        # then compare the stripe version against the snapshot.  The lock
-        # address is loop-invariant and the wait counter batches into a
-        # local (flushed once): the spin body is the contended-read hot
-        # path.  ``word & 1`` is the inlined lock bit (versionlock.is_locked).
-        lock_addr = runtime.lock_table.lock_addr_for(addr)
-        gread_l2 = tc.gread_l2
-        consistency_phase = Phase.CONSISTENCY
-        waits = 0
-        while True:
-            word = gread_l2(lock_addr, consistency_phase)
-            yield
-            if not word & 1:
-                break
-            waits += 1
-        if waits:
-            runtime.stats.add("read_waits_on_lock", waits)
+        # consistency checking (lines 27-33): wait out committing lockers
+        # (bit 0 is the lock bit, versionlock.is_locked), then compare the
+        # stripe version against the snapshot
+        unlocked = self._unlocked
+        yield unlocked.arm(
+            runtime.lock_table.lock_addr_for(addr), 1, Phase.CONSISTENCY
+        )
+        if unlocked.waits:
+            runtime.stats.add("read_waits_on_lock", unlocked.waits)
+        word = unlocked.word
         version = word >> 1
         if version > self.snapshot:
             if runtime.use_vbv:
@@ -283,16 +279,12 @@ class LockSortingTx(TxThread):
         return True
 
     def _wait_lock_free(self, lock_id):
-        """Spin until global lock ``lock_id`` is released.  Bounded: locks
-        are only held by committing transactions, which finish."""
-        gread_l2 = self.tc.gread_l2
-        lock_addr = self.runtime.lock_table.lock_addr(lock_id)
-        locks_phase = Phase.LOCKS
-        while True:
-            word = gread_l2(lock_addr, locks_phase)
-            yield
-            if not word & 1:  # inlined versionlock.is_locked
-                return
+        """Spin until global lock ``lock_id`` is released; ``yield`` the
+        result.  Bounded: locks are only held by committing transactions,
+        which finish."""
+        return self._unlocked.arm(
+            self.runtime.lock_table.lock_addr(lock_id), 1, Phase.LOCKS
+        )
 
     def _acquire_phase(self):
         """Lock-acquisition strategy: sorted acquisition with bounded
@@ -321,7 +313,7 @@ class LockSortingTx(TxThread):
             # Retry after the holder — typically a committing warp-mate —
             # finishes: locks are only held during commit, so the wait is
             # bounded.
-            yield from self._wait_lock_free(self._failed_lock)
+            yield self._wait_lock_free(self._failed_lock)
 
     def _release_locks(self):
         """Release every held lock, restoring its pre-acquisition word

@@ -15,6 +15,7 @@ transactions" (Figure 2) and flattens in the thread-scaling study
 """
 
 from repro.gpu.events import Phase
+from repro.gpu.steppers import PollL2
 from repro.stm.bloom import BloomFilter
 from repro.stm.runtime.base import TmRuntime, TxThread
 from repro.stm.rwset import LogCosting, ReadSet, WriteSet
@@ -51,6 +52,8 @@ class VbvTx(TxThread):
         self.writes = WriteSet(costing)
         self.bloom = BloomFilter(bits=runtime.bloom_bits)
         self.snapshot = 0
+        # waits for an even sequence word run inside the warp
+        self._even = PollL2(tc)
 
     def read_entries(self):
         return self.reads.entries
@@ -70,25 +73,13 @@ class VbvTx(TxThread):
         runtime.stats.add("begins")
         tc.local_op(Phase.INIT, count=3)
         # spin until the sequence is even (no writer mid-commit)
-        while True:
-            seq = tc.gread_l2(runtime.seq_addr, Phase.INIT)
-            yield
-            if seq & 1 == 0:
-                break
-            runtime.stats.add("begin_waits")
-        self.snapshot = seq
+        even = self._even
+        yield even.arm(runtime.seq_addr, 1, Phase.INIT)
+        if even.waits:
+            runtime.stats.add("begin_waits", even.waits)
+        self.snapshot = even.word
         tc.fence(Phase.INIT)
         yield
-
-    def _wait_even(self):
-        """Spin until the sequence word is even; return it."""
-        tc = self.tc
-        runtime = self.runtime
-        while True:
-            seq = tc.gread_l2(runtime.seq_addr, Phase.CONSISTENCY)
-            yield
-            if seq & 1 == 0:
-                return seq
 
     def _validate(self):
         """Value-based validation of the entire read-set (incremental
@@ -120,7 +111,8 @@ class VbvTx(TxThread):
             # The world moved: wait out any committer, revalidate, extend
             # the snapshot, and re-read.
             if seq & 1:
-                seq = yield from self._wait_even()
+                yield self._even.arm(runtime.seq_addr, 1, Phase.CONSISTENCY)
+                seq = self._even.word
             consistent = yield from self._validate()
             consistent = self._filter_validation("read", consistent)
             if not consistent:
@@ -159,7 +151,8 @@ class VbvTx(TxThread):
             runtime.stats.add("seqlock_cas_failures")
             seq = observed
             if seq & 1:
-                seq = yield from self._wait_even()
+                yield self._even.arm(runtime.seq_addr, 1, Phase.CONSISTENCY)
+                seq = self._even.word
             consistent = yield from self._validate()
             consistent = self._filter_validation("commit", consistent)
             if not consistent:

@@ -4,16 +4,18 @@
 subclass that mirrors every latency charge into a timeline thread track.
 The base class keeps its manually-inlined hot paths untouched — the
 zero-cost-when-disabled guarantee — so this subclass re-implements
-``gread``/``gread_l2``/``gwrite`` as straightforward wrappers around the
-(overridden) ``_account``.  Simulated costs are *data*, not wall-clock, so
-the slower wrappers produce bit-identical cycle counts; the golden-cycle
-and telemetry-equivalence tests pin that.
+``gread``/``gread_l2``/``gwrite``/``atomic_cas`` as straightforward
+wrappers around the (overridden) ``_account``.  Simulated costs are
+*data*, not wall-clock, so the slower wrappers produce bit-identical cycle
+counts; the golden-cycle and telemetry-equivalence tests pin that.
 
 Coverage argument: ``cycles_total`` only ever advances through ``charge``,
 ``_account``, the inlined bodies of ``gread``/``gread_l2``/``gwrite``/
-``work``/``local_op``, and nothing else — all overridden here — so the
-timeline sees every charged cycle and the Figure 5 breakdown re-derived
-from the trace equals ``KernelResult.phases`` exactly.
+``atomic_cas``/``work``/``local_op``, and nothing else — all overridden
+here — so the timeline sees every charged cycle and the Figure 5 breakdown
+re-derived from the trace equals ``KernelResult.phases`` exactly.  (Lane
+steppers, :mod:`repro.gpu.steppers`, run in exact mode on this context:
+every probe is one of the calls above.)
 """
 
 from repro.gpu.events import OpKind, Phase
@@ -64,6 +66,12 @@ class TelemetryThreadCtx(ThreadCtx):
             self.mem.check(addr)
         self._account(OpKind.WRITE, addr, phase, self._mem_latency)
         self._words[addr] = value
+
+    def atomic_cas(self, addr, expected, new, phase=Phase.NATIVE):
+        if self._check_bounds:
+            self.mem.check(addr)
+        self._account(OpKind.ATOMIC, addr, phase, self._atomic_latency)
+        return self.mem.atomic_cas(addr, expected, new)
 
     def work(self, cycles, phase=Phase.NATIVE):
         start = self.cycles_total

@@ -32,6 +32,17 @@ class TestCounters:
         d["x"] = 99
         assert c["x"] == 1
 
+    def test_as_dict_order_ignores_first_touch(self):
+        """Serialised bags must not depend on which counter a run happened
+        to bump first (a site that flushes once per spin episode inserts
+        its key later than one counting per probe)."""
+        early, late = Counters(), Counters()
+        for name in ("begin_waits", "commits", "aborts"):
+            early.add(name)
+        for name in ("commits", "aborts", "begin_waits"):
+            late.add(name)
+        assert list(early.as_dict()) == list(late.as_dict()) == sorted(early.as_dict())
+
     def test_repr_sorted(self):
         c = Counters()
         c.add("b")

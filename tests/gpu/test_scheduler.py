@@ -150,6 +150,11 @@ class TestWatchdog:
         assert state["warp"] == 0
         assert state["live_lanes"] == 2
         assert state["waiting"] == {0: "rendezvous"}
+        # neither lane is driven by a lane stepper (reconverge waits and
+        # plain loops are generator code); tests/gpu/test_lane_steppers.py
+        # covers the populated form
+        assert state["polling"] == {}
+        assert set(state) == {"sm", "warp", "live_lanes", "waiting", "polling"}
 
     def test_overshoot_bounded_by_one_turn_quota(self):
         """The per-issue watchdog check bounds overshoot to one turn quota,

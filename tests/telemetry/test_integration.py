@@ -59,6 +59,16 @@ class TestFigure5Rederivation:
             for phase in derived:
                 assert expected.get(phase, 0.0) > 0.0
 
+    @pytest.mark.parametrize("variant", ["cgl", "vbv", "egpgv"])
+    def test_spin_runtimes_rederive_exactly(self, variant):
+        """The serialising baselines charge through CAS and through lane
+        steppers (exact mode here: every probe is a mirrored ``gread_l2``),
+        neither of which the lock-sorting runtimes above exercise."""
+        _plain, traced, tel = run_pair("ra", variant)
+        expected = traced.kernel_results[0].phases.as_dict()
+        derived = tel.timeline.phase_cycles(launch=0)
+        assert {p: c for p, c in expected.items() if c} == derived
+
     def test_phase_cycles_are_integer_exact(self):
         _plain, traced, tel = run_pair("ra", "hv-sorting")
         expected = traced.kernel_results[0].phases.as_dict()
