@@ -5,9 +5,9 @@ number in a table is traceable back to the exact tree that produced it —
 the reproducibility discipline the experiment database exists for
 (ROADMAP: "every perf claim becomes a regenerable, hash-pinned
 artifact").  The snapshot is deliberately **hostname-free**: it names the
-git commit, the interpreter, package versions and the repo-relevant
-environment knobs, but nothing that identifies the machine or user, so
-artifacts can be published as-is.
+git commit, the interpreter and the repo-relevant environment knobs, but
+nothing that identifies the machine or user, so artifacts can be
+published as-is.
 """
 
 import os
@@ -16,7 +16,7 @@ import sys
 
 #: environment variables that change what a run computes or how it is
 #: scheduled — the only ones worth recording (and safe to publish)
-TRACKED_ENV = ("REPRO_JOBS", "REPRO_SM_SHARDS", "REPRO_EXPDB", "PYTHONHASHSEED")
+TRACKED_ENV = ("REPRO_JOBS", "REPRO_EXPDB", "PYTHONHASHSEED")
 
 
 def _git(args, cwd=None):
@@ -49,24 +49,13 @@ def git_info(cwd=None):
     return {"sha": sha, "dirty": None if status is None else bool(status)}
 
 
-def package_versions():
-    """Versions of the packages that can change simulated results."""
-    versions = {}
-    try:
-        import numpy
-
-        versions["numpy"] = getattr(numpy, "__version__", None)
-    except Exception:  # noqa: BLE001 - numpy is optional (gated import)
-        versions["numpy"] = None
-    return versions
-
-
 def provenance_snapshot(cwd=None):
     """The full provenance record stored with every experiment-DB run.
 
-    Plain JSON-able data: git identity, interpreter + package versions, a
-    coarse (hostname-free) platform summary, and the tracked environment
-    variables that were set.
+    Plain JSON-able data: git identity, interpreter version, a coarse
+    (hostname-free) platform summary, and the tracked environment
+    variables that were set.  The package has no third-party runtime
+    dependency, so there are no package versions to record.
     """
     import platform
 
@@ -74,7 +63,6 @@ def provenance_snapshot(cwd=None):
         "git": git_info(cwd=cwd),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "packages": package_versions(),
         "platform": {
             "system": platform.system(),
             "machine": platform.machine(),

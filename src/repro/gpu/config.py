@@ -83,13 +83,6 @@ class GpuConfig:
     # (attached to the KernelResult as ``schedule_trace``), so the exact
     # interleaving can be serialized and replayed.
     record_schedule: bool = False
-    # Sharded-SM execution: partition the SMs of one launch across this
-    # many worker threads (0 = sequential issue loops).  Turn order is
-    # sequenced to match sequential execution exactly, so results are
-    # bit-identical either way (see repro.gpu.shards and
-    # docs/simulator.md).  The REPRO_SM_SHARDS environment variable
-    # overrides this field at launch time.
-    sm_shards: int = 0
     # Multi-device topology: with devices > 1 the launcher built by
     # repro.gpu.make_device is a repro.multigpu MultiDevice — num_sms is
     # then the per-device SM count, link_model a spec accepted by
@@ -119,8 +112,6 @@ class GpuConfig:
             raise ValueError("SM residency limits must be >= 1")
         if self.warp_steps_per_turn < 1:
             raise ValueError("warp_steps_per_turn must be >= 1")
-        if self.sm_shards < 0:
-            raise ValueError("sm_shards must be >= 0")
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
         interleave = self.device_interleave_words

@@ -11,10 +11,12 @@ The scheduling model mirrors how a Fermi-class GPU executes a kernel grid:
   policies explore other interleavings of the same kernel);
 * kernel time is the maximum SM time (SMs run in parallel).
 
-Every launch can capture its issue trace into a
-:class:`~repro.sched.trace.ScheduleTrace` (``record_schedule=True``), from
-which a :class:`~repro.sched.trace.ReplayPolicy` re-executes the identical
-schedule — the record/replay substrate of the interleaving fuzzer
+Every launch — single- or multi-device, bare or instrumented — issues
+through one loop, :meth:`Device._issue`.  Every launch can capture its
+issue trace into a :class:`~repro.sched.trace.ScheduleTrace`
+(``record_schedule=True``), from which a
+:class:`~repro.sched.trace.ReplayPolicy` re-executes the identical schedule
+— the record/replay substrate of the interleaving fuzzer
 (:mod:`repro.sched.fuzz`).
 
 A global watchdog bounds the total number of warp steps, checked after
@@ -25,74 +27,25 @@ the paper's section 2.2 catalogues — surface as
 of hanging the host.
 """
 
-import os
-import sys
 from collections import deque
 
 from repro.gpu.config import GpuConfig
 from repro.gpu.errors import LaunchError, LivelockError, ProgressError
 from repro.gpu.kernel import KernelResult
 from repro.gpu.memory import GlobalMemory
+from repro.gpu.thread import ThreadCtx
 from repro.gpu.warp import build_block
 from repro.sched.policy import RoundRobin, make_policy
 from repro.sched.trace import ScheduleTrace
 
 
-def resolve_sm_shards(config):
-    """Worker-thread count for sharded-SM execution of one launch.
-
-    The ``REPRO_SM_SHARDS`` environment variable overrides the config's
-    ``sm_shards`` field (``0``/unset keeps the sequential issue loops).
-    The result is capped at the device's SM count — more workers than SMs
-    would only add idle sequencer turns.
-    """
-    env = os.environ.get("REPRO_SM_SHARDS")
-    if env is not None and env.strip() != "":
-        try:
-            shards = int(env)
-        except ValueError:
-            raise LaunchError(
-                "REPRO_SM_SHARDS must be an integer, got %r" % env
-            ) from None
-    else:
-        shards = getattr(config, "sm_shards", 0)
-    if shards < 0:
-        raise LaunchError("sm_shards must be >= 0, got %d" % shards)
-    return min(shards, config.num_sms)
-
-
-# sharded execution bypass (injector/sanitizer armed): stderr note emitted
-# at most once per process; the telemetry counter counts every launch
-_BYPASS_NOTED = False
-
-
-def note_shards_bypassed(tel):
-    """Sharded-SM execution was requested but must fall back to sequential.
-
-    Fault-injection / sanitizer runs hook the sequential issue loop, so a
-    launch with both sharding *and* an armed instrument runs sequentially.
-    That used to happen silently — a sharded perf campaign with a
-    sanitizer armed would quietly measure the sequential loops.  Now every
-    bypassed launch bumps the ``gpu.shards.bypassed`` counter (when a
-    telemetry session is attached) and the first one per process says so
-    on stderr.
-    """
-    global _BYPASS_NOTED
-    if tel is not None:
-        tel.registry.add("gpu.shards.bypassed")
-    if not _BYPASS_NOTED:
-        _BYPASS_NOTED = True
-        print(
-            "repro: sharded-SM execution bypassed (fault injector or "
-            "sanitizer armed); launches run on the sequential issue loops",
-            file=sys.stderr,
-        )
-
-
 class _Sm:
     """One streaming multiprocessor: a queue of blocks and resident warps."""
 
-    __slots__ = ("index", "pending", "resident_warps", "resident_blocks", "cycles", "next_warp")
+    __slots__ = (
+        "index", "pending", "resident_warps", "resident_blocks", "cycles",
+        "mem_txns", "next_warp",
+    )
 
     def __init__(self, index):
         self.index = index
@@ -100,6 +53,7 @@ class _Sm:
         self.resident_warps = []
         self.resident_blocks = 0
         self.cycles = 0
+        self.mem_txns = 0
         self.next_warp = 0
 
     def refill(self, config):
@@ -146,6 +100,11 @@ class Device:
         self.launch_count = 0
         self.launched_cycles = 0
 
+    @property
+    def total_sms(self):
+        """SMs one launch schedules over."""
+        return self.config.num_sms
+
     def launch(self, kernel, grid_blocks, block_threads, args=(), attach=None,
                smem_words=0, policy=None, record_schedule=None):
         """Run ``kernel`` over ``grid_blocks`` x ``block_threads`` threads.
@@ -170,32 +129,30 @@ class Device:
                 % (grid_blocks, block_threads)
             )
         config = self.config
+        num_sms = self.total_sms
+        kernel_name = getattr(kernel, "__name__", str(kernel))
         tel = self.telemetry
-        ctx_factory = None
+        ctx_cls, extra = ThreadCtx, ()
         if tel is not None:
-            tel.begin_launch(getattr(kernel, "__name__", str(kernel)), config.num_sms)
+            tel.begin_launch(kernel_name, num_sms)
             if tel.timeline is not None:
                 # imported lazily: the simulator core stays import-light for
                 # the (default) untelemetered runs
                 from repro.telemetry.ctx import TelemetryThreadCtx
 
-                def ctx_factory(tid, lane_id, warp, block, mem, cfg):
-                    return TelemetryThreadCtx(tid, lane_id, warp, block, mem, cfg, tel)
-
+                ctx_cls, extra = TelemetryThreadCtx, (tel,)
         injector = self.fault_injector
         sanitizer = self.sanitizer
         if injector is not None or sanitizer is not None:
-            if ctx_factory is not None:
+            if extra:
                 raise LaunchError(
                     "fault injection / sanitizing cannot be combined with a "
                     "telemetry timeline: both own the thread-context factory"
                 )
             from repro.faults.ctx import InstrumentedThreadCtx
 
-            def ctx_factory(tid, lane_id, warp, block, mem, cfg):
-                return InstrumentedThreadCtx(
-                    tid, lane_id, warp, block, mem, cfg, injector, sanitizer
-                )
+            ctx_cls, extra = InstrumentedThreadCtx, (injector, sanitizer)
+        ctx_factory = self._ctx_factory(ctx_cls, extra)
 
         blocks = []
         for index in range(grid_blocks):
@@ -207,9 +164,9 @@ class Device:
                 )
             )
 
-        sms = [_Sm(i) for i in range(config.num_sms)]
+        sms = [_Sm(i) for i in range(num_sms)]
         for index, block in enumerate(blocks):
-            sms[index % config.num_sms].pending.append(block)
+            sms[index % num_sms].pending.append(block)
 
         policy = make_policy(config.scheduler if policy is None else policy)
         if record_schedule is None:
@@ -219,121 +176,56 @@ class Device:
             spec = policy.spec()
             trace = ScheduleTrace(policy=spec if isinstance(spec, str) else policy.name)
 
-        shards = resolve_sm_shards(config)
-        if shards > 1 and (injector is not None or sanitizer is not None):
-            # fault-injection / sanitizer runs keep the sequential loop —
-            # those instruments hook it directly.  Loudly: a counter per
-            # bypassed launch plus a once-per-process stderr note.
-            note_shards_bypassed(tel)
-            shards = 0
-        if shards > 1 and len(sms) > 1:
-            # sharded-SM execution: SMs are partitioned across worker
-            # threads, with per-turn sequencing that preserves the
-            # sequential issue order exactly (see repro.gpu.shards)
-            from repro.gpu.shards import issue_sharded
+        policy.reset(config)
+        total_steps = self._issue(sms, policy, trace, tel)
 
-            policy.reset(config)
-            total_steps, total_mem_txns = issue_sharded(
-                self, sms, config, policy, trace, tel, shards
-            )
-        elif tel is None and injector is None and type(policy) is RoundRobin:
-            # (an armed injector takes the generic path so its scheduler
-            # hook — warp-stall windows — sees every issue decision)
-            # the common case keeps the tight loop: no per-issue virtual
-            # calls, bit-identical to the pre-policy scheduler; recording
-            # rides along as a plain list append per turn
-            total_steps, total_mem_txns = self._issue_round_robin(sms, config, trace)
-        else:
-            # telemetry-enabled launches take the generic loop, which is
-            # cost-equivalent to the fast path under RoundRobin (pinned by
-            # the golden-cycle and replay-determinism tests)
-            policy.reset(config)
-            total_steps, total_mem_txns = self._issue_with_policy(
-                sms, config, policy, trace, tel
-            )
-
-        result = self._collect(kernel, blocks, sms, total_steps, total_mem_txns, config)
+        result = self._collect(kernel_name, blocks, sms, total_steps)
         if tel is not None:
-            tel.publish_kernel(result, sms)
+            self._publish(tel, result, sms)
         if trace is not None:
-            trace.meta.update(
-                kernel=result.kernel_name,
-                cycles=result.cycles,
-                steps=result.steps,
-                mem_txns=result.mem_txns,
-                num_sms=config.num_sms,
-                warp_size=config.warp_size,
-                warp_steps_per_turn=config.warp_steps_per_turn,
-            )
+            trace.meta.update(self._trace_meta(result))
             result.schedule_trace = trace
         self.launch_count += 1
         self.launched_cycles += result.cycles
         return result
 
-    def _issue_round_robin(self, sms, config, trace=None):
-        """Fast path: fixed round-robin issue, optionally recorded.
+    def _ctx_factory(self, ctx_cls, extra):
+        """The thread-context constructor ``build_block`` calls: ``ctx_cls``
+        with the :class:`ThreadCtx` signature plus the ``extra`` arguments
+        its instrument needs."""
+        if not extra:
+            return ctx_cls
 
-        Recording is one list append per turn — cheap enough that the
-        record/replay benchmark path shares the tight loop (the recorded
-        decisions are pinned identical to the generic policy path by the
-        trace-replay tests).
+        def ctx_factory(tid, lane_id, warp, block, mem, cfg):
+            return ctx_cls(tid, lane_id, warp, block, mem, cfg, *extra)
+
+        return ctx_factory
+
+    def _issue(self, sms, policy, trace, tel):
+        """Issue every resident warp to completion; returns the step total.
+
+        One round visits the still-busy SMs in index order, one turn each:
+        the policy picks a resident warp and a step quota, the warp is
+        issued up to that many steps, and the decision is recorded.  Round
+        robin — the default, and the hottest loop in the simulator — is
+        specialised once per launch: its selection, quota and cursor update
+        run inline, exactly as :class:`~repro.sched.policy.RoundRobin`
+        would compute them, instead of as three method calls per turn.
+
+        An armed fault injector may redirect each decision (warp-stall
+        windows); ``tel`` observes every turn and never influences one.
         """
-        total_steps = 0
-        total_mem_txns = 0
+        config = self.config
         max_steps = config.max_steps
-        steps_per_turn = config.warp_steps_per_turn
-        record = trace.decisions.append if trace is not None else None
+        record = trace.record if trace is not None else None
+        injector = self.fault_injector
+        rr = type(policy) is RoundRobin
+        quota = config.warp_steps_per_turn
+        total_steps = 0
         active_sms = [sm for sm in sms if sm.busy()]
-        # The steps-per-turn == 1 round robin (the default, and the hottest
-        # loop in the simulator) gets its own copy of the issue loop so the
-        # quota branch is decided once per launch, not once per turn.  Both
-        # loops rebuild the active list only on the (rare) rounds where an
-        # SM actually went idle, not afresh every round.
-        if steps_per_turn == 1:
-            while active_sms:
-                drained = False
-                for sm in active_sms:
-                    if sm.pending:
-                        sm.refill(config)
-                    warps = sm.resident_warps
-                    if not warps:
-                        if not sm.pending:
-                            drained = True
-                        continue
-                    next_warp = sm.next_warp
-                    if next_warp >= len(warps):
-                        next_warp = 0
-                    warp = warps[next_warp]
-                    block = warp.block
-                    cost, finished, mem_txns = warp.step()
-                    sm.cycles += cost
-                    total_mem_txns += mem_txns
-                    total_steps += 1
-                    if finished:
-                        block.lanes_finished(finished)
-                    elif block.barrier_waiting:
-                        block.maybe_release_barrier()
-                    if record is not None:
-                        record([sm.index, warp.warp_id, 1])
-                    if warp.live == 0:
-                        # retire the warp; the block is done once its
-                        # live-lane count reaches zero
-                        warps.pop(next_warp)
-                        sm.next_warp = next_warp
-                        if block.live_lanes == 0:
-                            sm.resident_blocks -= 1
-                        if not warps and not sm.pending:
-                            drained = True
-                    else:
-                        sm.next_warp = next_warp + 1
-                    # watchdog, checked per issued turn: a livelocked kernel
-                    # overshoots max_steps by at most one turn quota
-                    if total_steps > max_steps:
-                        raise self._watchdog_error(total_steps, sms)
-                if drained:
-                    active_sms = [sm for sm in active_sms if sm.busy()]
-            return total_steps, total_mem_txns
         while active_sms:
+            # the active list is rebuilt only on the (rare) rounds where an
+            # SM actually drained, not afresh every round
             drained = False
             for sm in active_sms:
                 if sm.pending:
@@ -343,101 +235,42 @@ class Device:
                     if not sm.pending:
                         drained = True
                     continue
-                next_warp = sm.next_warp
-                if next_warp >= len(warps):
-                    next_warp = 0
-                warp = warps[next_warp]
-                block = warp.block
-                # issue the selected warp for the configured number of
-                # consecutive steps (larger quotas approximate a
-                # greedy-then-oldest scheduler)
-                issued = 0
-                for _turn in range(steps_per_turn):
-                    cost, finished, mem_txns = warp.step()
-                    sm.cycles += cost
-                    total_mem_txns += mem_txns
-                    total_steps += 1
-                    issued += 1
-                    if finished:
-                        block.lanes_finished(finished)
-                    elif block.barrier_waiting:
-                        block.maybe_release_barrier()
-                    if warp.live == 0:
-                        break
-                if record is not None:
-                    record([sm.index, warp.warp_id, issued])
-                if warp.live == 0:
-                    # retire the warp; the block is done once its live-lane
-                    # count (maintained by lanes_finished) reaches zero
-                    warps.pop(next_warp)
-                    sm.next_warp = next_warp
-                    if block.live_lanes == 0:
-                        sm.resident_blocks -= 1
+                if rr:
+                    index = sm.next_warp
+                    if index >= len(warps):
+                        index = 0
                 else:
-                    sm.next_warp = next_warp + 1
-                if not warps and not sm.pending:
-                    drained = True
-                # watchdog, checked per issued turn: a livelocked kernel
-                # overshoots max_steps by at most one turn quota
-                if total_steps > max_steps:
-                    raise self._watchdog_error(total_steps, sms)
-            if drained:
-                active_sms = [sm for sm in active_sms if sm.busy()]
-        return total_steps, total_mem_txns
-
-    def _issue_with_policy(self, sms, config, policy, trace, tel=None):
-        """Generic path: delegate warp selection to ``policy``.
-
-        Cost-equivalent to :meth:`_issue_round_robin` for the same
-        sequence of decisions — the replay-determinism property the
-        record/replay tests pin.  ``tel`` (a telemetry session) observes
-        every issued turn; it never influences scheduling decisions.
-        """
-        total_steps = 0
-        total_mem_txns = 0
-        max_steps = config.max_steps
-        record = trace.record if trace is not None else None
-        injector = self.fault_injector
-        active_sms = [sm for sm in sms if sm.busy()]
-        while active_sms:
-            still_active = []
-            add_active = still_active.append
-            for sm in active_sms:
-                if sm.pending:
-                    sm.refill(config)
-                warps = sm.resident_warps
-                if not warps:
-                    if sm.pending:
-                        add_active(sm)
-                    continue
-                index = policy.select(sm)
-                if not 0 <= index < len(warps):
-                    raise LaunchError(
-                        "scheduling policy %r selected warp index %r of %d "
-                        "resident warps on SM %d"
-                        % (policy.name, index, len(warps), sm.index)
-                    )
+                    index = policy.select(sm)
+                    if not 0 <= index < len(warps):
+                        raise LaunchError(
+                            "scheduling policy %r selected warp index %r of %d "
+                            "resident warps on SM %d"
+                            % (policy.name, index, len(warps), sm.index)
+                        )
                 if injector is not None:
                     # warp-stall faults: may redirect the decision to
                     # another resident warp inside an armed window
                     index = injector.select_index(sm.index, warps, index)
                 warp = warps[index]
                 block = warp.block
-                quota = policy.quota(sm, warp)
+                if not rr:
+                    quota = policy.quota(sm, warp)
+                turn_start = sm.cycles
+                # a bare counter, not range(quota): no iterator per turn
+                # (every turn issues at least one step)
                 issued = 0
-                turn_start = sm.cycles if tel is not None else 0
-                for _turn in range(quota):
+                while True:
                     cost, finished, mem_txns = warp.step()
                     sm.cycles += cost
-                    total_mem_txns += mem_txns
-                    total_steps += 1
+                    sm.mem_txns += mem_txns
                     issued += 1
                     if finished:
                         block.lanes_finished(finished)
                     elif block.barrier_waiting:
                         block.maybe_release_barrier()
-                    if warp.live == 0:
+                    if issued >= quota or warp.live == 0:
                         break
+                total_steps += issued
                 if record is not None:
                     record(sm.index, warp.warp_id, issued)
                 if tel is not None:
@@ -447,12 +280,19 @@ class Device:
                     )
                 retired = warp.live == 0
                 if retired:
+                    # the block is done once its live-lane count
+                    # (maintained by lanes_finished) reaches zero
                     warps.pop(index)
                     if block.live_lanes == 0:
                         sm.resident_blocks -= 1
-                policy.issued(sm, index, retired)
-                if warps or sm.pending:
-                    add_active(sm)
+                    if not warps and not sm.pending:
+                        drained = True
+                if rr:
+                    sm.next_warp = index if retired else index + 1
+                else:
+                    policy.issued(sm, index, retired)
+                # watchdog, checked per issued turn: a livelocked kernel
+                # overshoots max_steps by at most one turn quota
                 if total_steps > max_steps:
                     error = self._watchdog_error(total_steps, sms)
                     if tel is not None:
@@ -461,8 +301,9 @@ class Device:
                     # *causes* a livelock is itself the repro artifact
                     error.schedule_trace = trace
                     raise error
-            active_sms = still_active
-        return total_steps, total_mem_txns
+            if drained:
+                active_sms = [sm for sm in active_sms if sm.busy()]
+        return total_steps
 
     def _watchdog_error(self, total_steps, sms):
         """Build the watchdog error, classifying livelock vs deadlock.
@@ -531,25 +372,49 @@ class Device:
                 )
         return {"live_warps": live_warps, "sms": sm_states}
 
-    @staticmethod
-    def _collect(kernel, blocks, sms, total_steps, total_mem_txns, config):
-        # Roofline: kernel time is bounded below by DRAM throughput — the
-        # SMs cannot collectively retire memory transactions faster than the
-        # memory system serves them.
-        bandwidth_cycles = total_mem_txns * config.costs.dram_txn_cost
+    def _roofline(self, sms):
+        """``(kernel cycles, bandwidth cycles, per-device cycles)``.
+
+        Kernel time is bounded below by DRAM throughput — the SMs cannot
+        collectively retire memory transactions faster than the memory
+        system serves them.  One device has no per-device domains (None).
+        """
+        bandwidth_cycles = sum(sm.mem_txns for sm in sms) * self.config.costs.dram_txn_cost
+        return max(max(sm.cycles for sm in sms), bandwidth_cycles), bandwidth_cycles, None
+
+    def _collect(self, kernel_name, blocks, sms, total_steps):
+        cycles, bandwidth_cycles, device_cycles = self._roofline(sms)
         result = KernelResult(
-            kernel_name=getattr(kernel, "__name__", str(kernel)),
-            cycles=max(max(sm.cycles for sm in sms), bandwidth_cycles),
+            kernel_name=kernel_name,
+            cycles=cycles,
             sm_cycles=[sm.cycles for sm in sms],
             steps=total_steps,
         )
-        result.mem_txns = total_mem_txns
+        result.mem_txns = sum(sm.mem_txns for sm in sms)
         result.bandwidth_cycles = bandwidth_cycles
+        result.device_cycles = device_cycles
         for block in blocks:
             for warp in block.warps:
                 for tc in warp.lane_ctxs:
                     result.absorb_thread(tc)
         return result
+
+    def _publish(self, tel, result, sms):
+        """Report one finished launch to the telemetry session."""
+        tel.publish_kernel(result, sms)
+
+    def _trace_meta(self, result):
+        """Identifying context stored with a recorded schedule trace."""
+        config = self.config
+        return dict(
+            kernel=result.kernel_name,
+            cycles=result.cycles,
+            steps=result.steps,
+            mem_txns=result.mem_txns,
+            num_sms=self.total_sms,
+            warp_size=config.warp_size,
+            warp_steps_per_turn=config.warp_steps_per_turn,
+        )
 
 
 def make_device(config=None, telemetry=None):

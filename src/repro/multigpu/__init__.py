@@ -7,9 +7,9 @@ joined by an inter-device link cost model, with the global address space
 data — partitioned across devices by a deterministic home-device
 function.  Cross-device reads, lock acquires and commit write-backs are
 charged link costs by the accounting contexts of :mod:`repro.multigpu.ctx`
-and serialized through the per-epoch sequencer of
-:mod:`repro.multigpu.sequencer`, so multi-device runs stay bit-identical
-and replayable like everything else in the repo.
+and ordered by the device scheduler's one issue loop, which visits every
+device's SMs in global index order, so multi-device runs stay
+bit-identical and replayable like everything else in the repo.
 
 Entry points: ``repro.gpu.make_device`` builds a
 :class:`~repro.multigpu.device.MultiDevice` whenever ``GpuConfig.devices

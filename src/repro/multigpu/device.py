@@ -1,13 +1,21 @@
 """The multi-device launcher: N simulated GPUs, one deterministic launch.
 
 :class:`MultiDevice` extends :class:`~repro.gpu.scheduler.Device` to a
-topology of ``config.devices`` GPUs with ``config.num_sms`` SMs each.
-Blocks distribute round-robin over the *global* SM list (so block ``i``
-runs on device ``(i % total_sms) // num_sms``), every thread context is
-wrapped by the multi-GPU accounting mixin (:mod:`repro.multigpu.ctx`),
-and issue runs through the per-epoch sequencer
-(:mod:`repro.multigpu.sequencer`) — bit-identical between the sequential
-and token-ring-sharded executors.
+topology of ``config.devices`` GPUs with ``config.num_sms`` SMs each.  It
+keeps :meth:`Device.launch <repro.gpu.scheduler.Device.launch>` and its one
+issue loop, and overrides only what differs:
+
+* the SM count — blocks distribute round-robin over the *global* SM list
+  (device ``d`` owns indices ``[d*num_sms, (d+1)*num_sms)``, so block ``i``
+  runs on device ``(i % total_sms) // num_sms``), and one issue round
+  visits the SMs of every device in global index order.  Every
+  cross-device effect (a remote read, a remote lock CAS, a remote commit
+  write-back) happens inside some turn, so the inter-device message order
+  is a pure function of the schedule: deterministic and replayable from a
+  recorded trace;
+* the thread context — whichever class the launch chose is wrapped by the
+  multi-GPU accounting mixin (:mod:`repro.multigpu.ctx`);
+* the roofline, the telemetry publication and the trace metadata, below.
 
 Cycle domains: each device has its own DRAM roofline, so kernel time is
 ``max`` over devices of ``max(device SM cycles, device mem_txns *
@@ -24,19 +32,17 @@ gains the ``devices`` axis without a conditional of its own.
 
 from repro.gpu.config import GpuConfig
 from repro.gpu.errors import LaunchError
-from repro.gpu.kernel import KernelResult
-from repro.gpu.scheduler import Device, _Sm, note_shards_bypassed, resolve_sm_shards
-from repro.gpu.thread import ThreadCtx
-from repro.gpu.warp import build_block
+from repro.gpu.scheduler import Device
 from repro.multigpu.ctx import make_multigpu_ctx
-from repro.multigpu.sequencer import issue_epochs, issue_epochs_sharded
 from repro.multigpu.topology import Topology
-from repro.sched.policy import make_policy
-from repro.sched.trace import ScheduleTrace
 
 
 class MultiDevice(Device):
-    """A topology of simulated GPUs behind the single-device interface."""
+    """A topology of simulated GPUs behind the single-device interface.
+
+    Launch results additionally carry ``device_cycles`` (per-device cycle
+    domains) and the merged ``mg.*`` traffic counters.
+    """
 
     def __init__(self, config=None, telemetry=None):
         super().__init__(config or GpuConfig(devices=2), telemetry)
@@ -55,145 +61,38 @@ class MultiDevice(Device):
     def total_sms(self):
         return self.config.num_sms * self.config.devices
 
-    def launch(self, kernel, grid_blocks, block_threads, args=(), attach=None,
-               smem_words=0, policy=None, record_schedule=None):
-        """Run ``kernel`` across all devices of the topology.
-
-        Same contract as :meth:`Device.launch`; the result additionally
-        carries ``device_cycles`` (per-device cycle domains) and the
-        merged ``mg.*`` traffic counters.
-        """
-        if grid_blocks < 1 or block_threads < 1:
-            raise LaunchError(
-                "launch geometry must be positive, got grid=%d block=%d"
-                % (grid_blocks, block_threads)
-            )
-        config = self.config
-        num_sms = config.num_sms
-        total_sms = num_sms * config.devices
+    def _ctx_factory(self, ctx_cls, extra):
+        mg_cls = make_multigpu_ctx(ctx_cls)
         topology = self.topology
-        tel = self.telemetry
-
-        base_cls = ThreadCtx
-        extra = ()
-        if tel is not None:
-            tel.begin_launch(getattr(kernel, "__name__", str(kernel)), total_sms)
-            if tel.timeline is not None:
-                from repro.telemetry.ctx import TelemetryThreadCtx
-
-                base_cls = TelemetryThreadCtx
-                extra = (tel,)
-        injector = self.fault_injector
-        sanitizer = self.sanitizer
-        if injector is not None or sanitizer is not None:
-            if base_cls is not ThreadCtx:
-                raise LaunchError(
-                    "fault injection / sanitizing cannot be combined with a "
-                    "telemetry timeline: both own the thread-context factory"
-                )
-            from repro.faults.ctx import InstrumentedThreadCtx
-
-            base_cls = InstrumentedThreadCtx
-            extra = (injector, sanitizer)
-        mg_cls = make_multigpu_ctx(base_cls)
+        num_sms = self.config.num_sms
+        total_sms = self.total_sms
 
         def ctx_factory(tid, lane_id, warp, block, mem, cfg):
             tc = mg_cls(tid, lane_id, warp, block, mem, cfg, *extra)
             tc._mg_init(topology, (block.index % total_sms) // num_sms)
             return tc
 
-        blocks = []
-        for index in range(grid_blocks):
-            first_tid = index * block_threads
-            blocks.append(
-                build_block(
-                    index, block_threads, first_tid, self.mem, config, kernel,
-                    args, attach, smem_words=smem_words, ctx_factory=ctx_factory
-                )
-            )
+        return ctx_factory
 
-        sms = [_Sm(i) for i in range(total_sms)]
-        for index, block in enumerate(blocks):
-            sms[index % total_sms].pending.append(block)
-
-        policy = make_policy(config.scheduler if policy is None else policy)
-        if record_schedule is None:
-            record_schedule = config.record_schedule
-        trace = None
-        if record_schedule:
-            spec = policy.spec()
-            trace = ScheduleTrace(policy=spec if isinstance(spec, str) else policy.name)
-
-        shards = resolve_sm_shards(config)
-        if shards > 1 and (injector is not None or sanitizer is not None):
-            note_shards_bypassed(tel)
-            shards = 0
-        sm_mem_txns = [0] * total_sms
-        policy.reset(config)
-        if shards > 1 and total_sms > 1:
-            total_steps, total_mem_txns = issue_epochs_sharded(
-                self, sms, config, policy, trace, tel, sm_mem_txns, shards
-            )
-        else:
-            total_steps, total_mem_txns = issue_epochs(
-                self, sms, config, policy, trace, tel, sm_mem_txns
-            )
-
-        result = self._collect_multi(
-            kernel, blocks, sms, total_steps, total_mem_txns, config, sm_mem_txns
-        )
-        if tel is not None:
-            tel.publish_kernel(result, sms)
-            self._publish_multigpu(tel, result)
-        if trace is not None:
-            trace.meta.update(
-                kernel=result.kernel_name,
-                cycles=result.cycles,
-                steps=result.steps,
-                mem_txns=result.mem_txns,
-                num_sms=total_sms,
-                devices=config.devices,
-                warp_size=config.warp_size,
-                warp_steps_per_turn=config.warp_steps_per_turn,
-            )
-            result.schedule_trace = trace
-        self.launch_count += 1
-        self.launched_cycles += result.cycles
-        return result
-
-    def _collect_multi(self, kernel, blocks, sms, total_steps, total_mem_txns,
-                       config, sm_mem_txns):
-        num_sms = config.num_sms
-        dram = config.costs.dram_txn_cost
+    def _roofline(self, sms):
+        # each device serves only its own SMs' traffic: the roofline that
+        # could bind the launch is the busiest device's memory system
+        num_sms = self.config.num_sms
+        dram = self.config.costs.dram_txn_cost
         device_cycles = []
-        for d in range(config.devices):
-            lo = d * num_sms
-            hi = lo + num_sms
-            device_txns = sum(sm_mem_txns[lo:hi])
-            sm_max = max(sm.cycles for sm in sms[lo:hi])
-            device_cycles.append(max(sm_max, device_txns * dram))
-        result = KernelResult(
-            kernel_name=getattr(kernel, "__name__", str(kernel)),
-            cycles=max(device_cycles),
-            sm_cycles=[sm.cycles for sm in sms],
-            steps=total_steps,
-        )
-        result.mem_txns = total_mem_txns
-        # the roofline that could bind the launch: the busiest device's
-        # memory system (each device serves only its own SMs' traffic)
-        result.bandwidth_cycles = max(
-            sum(sm_mem_txns[d * num_sms:(d + 1) * num_sms]) * dram
-            for d in range(config.devices)
-        )
-        result.device_cycles = device_cycles
-        for block in blocks:
-            for warp in block.warps:
-                for tc in warp.lane_ctxs:
-                    result.absorb_thread(tc)
-        return result
+        bandwidth_cycles = 0
+        for lo in range(0, len(sms), num_sms):
+            device_sms = sms[lo:lo + num_sms]
+            device_bandwidth = sum(sm.mem_txns for sm in device_sms) * dram
+            bandwidth_cycles = max(bandwidth_cycles, device_bandwidth)
+            device_cycles.append(
+                max(max(sm.cycles for sm in device_sms), device_bandwidth)
+            )
+        return max(device_cycles), bandwidth_cycles, device_cycles
 
-    def _publish_multigpu(self, tel, result):
+    def _publish(self, tel, result, sms):
         """Per-device tracks + multigpu.* traffic metrics."""
+        super()._publish(tel, result, sms)
         registry = tel.registry
         for d, cycles in enumerate(result.device_cycles):
             registry.set_gauge("multigpu.d%d.cycles" % d, cycles)
@@ -202,3 +101,8 @@ class MultiDevice(Device):
             if name.startswith("mg."):
                 registry.add("multigpu." + name[3:], value)
         registry.set_gauge("multigpu.devices", self.config.devices)
+
+    def _trace_meta(self, result):
+        meta = super()._trace_meta(result)
+        meta["devices"] = self.config.devices
+        return meta

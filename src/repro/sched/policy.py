@@ -77,9 +77,11 @@ class RoundRobin(SchedulingPolicy):
     """Fine-grained round robin — the device's historical default.
 
     Reproduces the pre-policy scheduler decision-for-decision: the per-SM
-    cursor lives in ``sm.next_warp`` exactly as before, so the generic
-    policy-driven issue loop and the scheduler's tight fast path are
-    interchangeable (and the golden-cycle fixtures pin that they are).
+    cursor lives in ``sm.next_warp`` exactly as before.  The device's issue
+    loop runs this policy's selection, quota and cursor update inline when
+    the launch's policy is exactly this class (a subclass goes through the
+    method calls); ``tests/sched/test_policy.py`` pins that both branches
+    issue the same schedule.
     """
 
     name = "rr"

@@ -1,5 +1,6 @@
 """SweepRecorder: fingerprints, run keys, journal↔DB consistency."""
 
+import os
 import subprocess
 import sys
 
@@ -103,6 +104,29 @@ class TestSweepRecorder:
         recorder = SweepRecorder(str(tmp_path / "e.sqlite"), "x")
         with pytest.raises(RuntimeError):
             recorder.add_artifacts([str(tmp_path / "nope.txt")])
+
+    def test_simulating_and_recording_never_import_numpy(self, tmp_path):
+        """The package has no third-party runtime dependency: a simulated
+        run plus a recorded sweep (provenance included) load no NumPy.
+        Checked in a fresh interpreter, since test plugins may import it."""
+        code = (
+            "import sys\n"
+            "from repro.expdb.recorder import SweepRecorder\n"
+            "from repro.harness.configs import test_workload_params, unit_gpu\n"
+            "from repro.harness.runner import run_workload\n"
+            "from repro.workloads import make_workload\n"
+            "run_workload(make_workload('ra', **test_workload_params('ra')),\n"
+            "             'optimized', unit_gpu(), num_locks=64)\n"
+            "SweepRecorder(sys.argv[1], 'probe')([], [], None)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "e.sqlite")],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_add_artifacts_hashes_and_attaches(self, tmp_path):
         artifact = tmp_path / "out.txt"

@@ -196,6 +196,25 @@ class TestWatchdog:
         # SeededRandom quotas are bounded by its max_turn (default 4)
         assert max_steps < exc.value.steps <= max_steps + 4
 
+    def test_livelock_keeps_the_partial_schedule_trace(self):
+        """A recorded launch that trips the watchdog carries the schedule
+        that caused it — under round robin as under any other policy — and
+        that trace accounts for every step the watchdog counted."""
+        for policy in ("rr", "random:1"):
+            dev = Device(small_config(max_steps=200))
+            flag = dev.mem.alloc(1)
+
+            def kernel(tc, flag):
+                while not tc.gread_l2(flag):  # never set: spins forever
+                    yield
+
+            with pytest.raises(LivelockError) as exc:
+                dev.launch(kernel, 2, 8, args=(flag,), policy=policy,
+                           record_schedule=True)
+            trace = exc.value.schedule_trace
+            assert trace is not None and len(trace) > 0, policy
+            assert trace.total_steps() == exc.value.steps, policy
+
     def test_snapshot_reports_per_sm_state(self):
         """The snapshot's ``sms`` section distinguishes blocks starved in
         the queue from admitted warps that are stuck resident."""

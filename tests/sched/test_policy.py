@@ -1,8 +1,11 @@
 """Scheduling policies: spec parsing, selection behaviour, device wiring."""
 
+import dataclasses
+
 import pytest
 
-from repro.gpu import Device, GpuConfig
+from repro.faults import FaultPlan
+from repro.gpu import Device, GpuConfig, make_device
 from repro.gpu.config import small_config
 from repro.gpu.errors import LaunchError
 from repro.sched.policy import (
@@ -192,22 +195,47 @@ class TestSelectionBehaviour:
         assert Adversarial._locks_held(warp) == 0
 
 
+def mixed_kernel(tc, base, rounds):
+    # uneven trip counts retire warps at different turns; scattered reads
+    # and contended atomics give every turn a memory-transaction charge
+    for i in range(rounds + tc.tid % 3):
+        tc.gread(base + (tc.tid * 7 + i) % 64)
+        yield
+        tc.atomic_inc(base + tc.tid % 4)
+        yield
+
+
 class TestDeviceWiring:
-    def test_recorded_round_robin_matches_fast_path(self):
-        """The generic policy-driven loop is cost-identical to the tight
-        round-robin fast path for the same decisions."""
-        fast = Device(small_config()).launch(spin_kernel, 4, 8, args=(5,))
-        recorded = Device(small_config()).launch(
-            spin_kernel, 4, 8, args=(5,), record_schedule=True
-        )
-        assert recorded.cycles == fast.cycles
-        assert recorded.steps == fast.steps
-        assert fast.schedule_trace is None
-        trace = recorded.schedule_trace
-        assert trace is not None and len(trace) > 0
+    @pytest.mark.parametrize("armed", [False, True], ids=["bare", "injector"])
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_rr_branch_matches_policy_replay(self, devices, armed):
+        """The issue loop's inline round-robin branch and its policy branch
+        issue the same schedule at the same cost: a ReplayPolicy re-issuing
+        an rr launch's own trace reproduces it exactly, on one device and
+        on a two-device topology, with and without an armed (empty) fault
+        injector hooking every decision."""
+
+        def launch(**kwargs):
+            device = make_device(dataclasses.replace(small_config(), devices=devices))
+            base = device.mem.alloc(64)
+            if armed:
+                FaultPlan([]).arm(device)
+            return device.launch(mixed_kernel, 5, 12, args=(base, 3), **kwargs)
+
+        rr = launch(policy="rr", record_schedule=True)
+        trace = rr.schedule_trace
         assert trace.policy == "rr"
-        assert trace.total_steps() == recorded.steps
-        assert trace.meta["cycles"] == recorded.cycles
+        assert trace.total_steps() == rr.steps
+        assert trace.meta["cycles"] == rr.cycles
+        replay = launch(policy=trace.replay_policy(), record_schedule=True)
+        assert replay.schedule_trace.decisions == trace.decisions
+        assert replay.cycles == rr.cycles
+        assert replay.steps == rr.steps
+        assert replay.mem_txns == rr.mem_txns > 0
+        if devices == 2:
+            assert rr.device_cycles is not None
+            assert replay.device_cycles == rr.device_cycles
+        assert launch().schedule_trace is None
 
     def test_config_scheduler_spec_drives_launch(self):
         config = small_config()

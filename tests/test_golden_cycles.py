@@ -66,22 +66,3 @@ class TestGoldenCycles:
                 "simulator (determinism violation, or an intentional "
                 "cost-model change that must recapture the fixture)" % variant
             )
-
-    def test_sharded_sm_execution_reproduces_seed_counts_exactly(self, monkeypatch):
-        """Sharded-SM issue must be bit-identical to the sequential loops.
-
-        The token-ring executor (:mod:`repro.gpu.shards`) serializes worker
-        turns into the sequential issue order, so every golden count —
-        cycles, steps, memory transactions — must match the seed fixture
-        exactly, not approximately.
-        """
-        monkeypatch.setenv("REPRO_SM_SHARDS", "2")
-        with open(FIXTURE) as handle:
-            golden = json.load(handle)
-        params = golden["params"]
-        for variant in ("cgl",) + experiments.FIG2_VARIANTS:
-            measured = _measure(golden["workload"], params, variant)
-            assert measured == golden["variants"][variant], (
-                "sharded-SM execution drifted from the sequential golden "
-                "counts for variant %r (turn-ring ordering bug)" % variant
-            )
