@@ -16,11 +16,14 @@ Layers:
   seeded, deterministic trigger points; :class:`FaultInjector` is the armed
   form a :class:`~repro.gpu.scheduler.Device` consults.  Zero cost when no
   plan is armed (the golden-cycle tests pin bit-identical cycles).
-* :mod:`repro.faults.ctx` — :class:`InstrumentedThreadCtx`, the thread
-  context that routes every globally-visible operation past the injector
-  and the sanitizer (same pattern as the telemetry context).
 * :mod:`repro.faults.sanitizer` — :class:`StmSanitizer`, the online
   invariant checker speaking the TxTracer event protocol.
+
+The injectors and the sanitizer are *probes* of
+:class:`~repro.gpu.thread.ProbedThreadCtx`: each implements the seams it
+needs (``read``/``write``/``atomic``/``event``) itself, so they combine
+with each other, with the telemetry timeline and with multi-device link
+accounting on one launch.
 * :mod:`repro.faults.mutants` — the seeded-bug corpus, applied as
   reversible patches to any runtime instance.
 * :mod:`repro.faults.campaign` — the mutant x checker efficacy matrix,
@@ -43,7 +46,6 @@ from repro.faults.byzantine import (
 )
 from repro.faults.byzcampaign import render_byz_matrix, run_byz_campaign
 from repro.faults.campaign import run_campaign, render_matrix
-from repro.faults.ctx import InstrumentedThreadCtx
 from repro.faults.mutants import MUTANTS, Mutant, MutantRuntimeFactory
 from repro.faults.plan import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from repro.faults.sanitizer import SanitizerViolation, StmSanitizer
@@ -57,7 +59,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "InstrumentedThreadCtx",
     "MUTANTS",
     "Mutant",
     "MutantRuntimeFactory",

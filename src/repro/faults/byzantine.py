@@ -34,10 +34,11 @@ Like :class:`~repro.faults.plan.FaultPlan`, a :class:`ByzantinePlan` is
 seeded purely by the deterministic operation order — armed runs replay
 bit-identically — and costs nothing while disarmed (an unarmed device
 uses the base thread context untouched).  :class:`ByzantineInjector`
-implements the full :class:`~repro.faults.plan.FaultInjector` hook
-protocol, so it installs through the same ``device.fault_injector`` seam
-and composes with the sanitizer, telemetry, and the multi-GPU context
-mixin unchanged.
+installs through the same ``device.fault_injector`` seam as a
+:class:`~repro.faults.plan.FaultInjector` and is, like it, a probe of
+every thread context (:class:`~repro.gpu.thread.ProbedThreadCtx`), so it
+composes with the sanitizer, the telemetry timeline and multi-device
+link accounting unchanged.
 
 Containment vocabulary (measured by :mod:`repro.faults.byzcampaign`):
 
@@ -49,7 +50,7 @@ Containment vocabulary (measured by :mod:`repro.faults.byzcampaign`):
   (``StmSanitizer.first_violations``).
 """
 
-from repro.faults.plan import DROPPED, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.gpu.events import Phase
 
 #: The byzantine behavior vocabulary (the ``behavior`` field of a spec).
@@ -246,14 +247,15 @@ class _ByzArmed:
 
 
 class ByzantineInjector:
-    """The armed form of a plan: implements the ``FaultInjector`` hook
-    protocol plus the validation and abort seams.
+    """The armed form of a plan: a thread-context probe (the ``write``,
+    ``atomic`` and ``event`` seams) plus the runtime's validation seam
+    and the scheduler's ``select_index``.
 
     All decisions are deterministic functions of the simulated operation
     order, so armed runs replay bit-identically.  ``now`` is kept current
-    by :class:`~repro.faults.ctx.InstrumentedThreadCtx` (the issuing
-    lane's ``cycles_total``), and every fired entry carries the cycle of
-    the lying action — the campaign's detection-latency zero point.
+    by the seams (the issuing lane's ``cycles_total``), and every fired
+    entry carries the cycle of the lying action — the campaign's
+    detection-latency zero point.
     """
 
     def __init__(self, specs, mem):
@@ -263,7 +265,7 @@ class ByzantineInjector:
         #: data addresses the adversary mutated outside any transaction
         #: (stale replays) — final-state divergence there is *its* fault
         self.byz_addrs = set()
-        #: simulated-cycle witness of the issuing lane (set by the ctx)
+        #: simulated-cycle witness of the issuing lane (set by the seams)
         self.now = 0
         self._lie = []
         self._torn = []
@@ -338,18 +340,17 @@ class ByzantineInjector:
         return None
 
     # ------------------------------------------------------------------
-    # FaultInjector hook protocol
+    # Thread-context probe seams
     # ------------------------------------------------------------------
-    def filter_read(self, tid, addr, value):
-        return value
-
-    def filter_write(self, tid, addr, value, old):
+    def write(self, tc, addr, phase, value, old):
+        self.now = tc.cycles_total
+        tid = tc.tid
         for armed in self._hoard:
             if armed.spec.is_byz(tid) and self._is_release(addr, value) \
                     and armed.take(tid):
                 self._log(armed, tid, addr,
                           "hoarded: dropped release store of %d" % value)
-                return DROPPED
+                return None
         for armed in self._torn:
             if armed.spec.is_byz(tid):
                 torn = self._tear(addr, value, armed.spec.param)
@@ -359,14 +360,13 @@ class ByzantineInjector:
                     return torn
         return value
 
-    def intercept_cas(self, tid, addr, old, expected, new):
-        return None
-
-    def intercept_or(self, tid, addr, old, value):
-        return None
-
-    def intercept_add(self, tid, addr, old, value):
-        if self._poison and addr in self._clock_addrs:
+    def atomic(self, tc, op, addr, phase, a, b):
+        """``clock_poison``: the lane's clock increment rolls the clock
+        back instead."""
+        self.now = tc.cycles_total
+        if op == "add" and self._poison and addr in self._clock_addrs:
+            tid = tc.tid
+            old = self._mem.words[addr]
             for armed in self._poison:
                 if armed.spec.is_byz(tid) and armed.take(tid):
                     spec = armed.spec
@@ -380,6 +380,12 @@ class ByzantineInjector:
                     # the lane still believes its increment succeeded
                     return old
         return None
+
+    def event(self, tc, name, phase):
+        """``stale_replay``: an aborting lane replays its stale
+        write-buffer."""
+        if name == "abort" and self._replay:
+            self._replay_writes(tc)
 
     def select_index(self, sm_index, warps, index):
         return index
@@ -402,11 +408,8 @@ class ByzantineInjector:
                 return True
         return verdict
 
-    def on_tx_abort(self, ctx):
-        """Abort-window seam: replay the lane's stale write-buffer."""
-        if not self._replay:
-            return
-        stm = getattr(ctx, "stm", None)
+    def _replay_writes(self, ctx):
+        stm = ctx.stm
         if stm is None:
             return
         entries = stm.write_entries()
@@ -424,11 +427,12 @@ class ByzantineInjector:
                 # mutates memory directly (adversary stores cost nothing)
                 # while still announcing itself to the sanitizer as the
                 # unlocked commit-phase stores it semantically is.
-                sanitizer = ctx._sanitizer
+                sanitizer = stm.runtime.sanitizer
                 words = self._mem.words
                 for addr, value in writes:
                     if sanitizer is not None:
-                        sanitizer.on_write(tid, addr, value, Phase.COMMIT)
+                        sanitizer.write(ctx, addr, Phase.COMMIT, value,
+                                        words[addr])
                     words[addr] = value
                     self.byz_addrs.add(addr)
                 self._log(armed, tid, writes[0][0],

@@ -40,6 +40,7 @@ device), modelling a hostile *remote* accelerator.
 """
 
 from repro.faults.byzantine import BYZ_BEHAVIORS, ByzantinePlan
+from repro.gpu.config import GpuConfig
 from repro.harness.parallel import run_jobs
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 
@@ -57,16 +58,15 @@ CLASSIFICATIONS = ("immune", "contained", "detected", "escaped", "error")
 def device_lane_tids(grid, block, device, devices, num_sms):
     """Lane-0 tids of every launch block homed on ``device``.
 
-    Mirrors the multi-device launcher's round-robin block placement
-    (:mod:`repro.multigpu.device`): block ``i`` runs on device
-    ``(i % (devices * num_sms)) // num_sms``.  Used to pin the byzantine
-    lanes to one (remote) accelerator.
+    Uses the multi-device launcher's block placement
+    (:meth:`GpuConfig.device_of <repro.gpu.config.GpuConfig.device_of>`).
+    Used to pin the byzantine lanes to one (remote) accelerator.
     """
-    total_sms = devices * num_sms
+    placement = GpuConfig(num_sms=num_sms, devices=devices)
     return tuple(
         index * block
         for index in range(grid)
-        if (index % total_sms) // num_sms == device
+        if placement.device_of(index) == device
     )
 
 

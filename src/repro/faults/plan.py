@@ -28,9 +28,10 @@ Fault kinds and the seams they model:
 
 The plan is *armed* onto a device (:meth:`FaultPlan.arm`), which resolves
 region names to address ranges and installs a :class:`FaultInjector` as
-``device.fault_injector``.  An armed device routes thread construction
-through :class:`~repro.faults.ctx.InstrumentedThreadCtx` and takes the
-generic issue path; an unarmed device pays nothing.
+``device.fault_injector``.  The injector is a thread-context probe
+(:class:`~repro.gpu.thread.ProbedThreadCtx`): an armed device gives every
+thread a probed context with the injector last in its probe tuple, after
+any timeline, sanitizer or link probe; an unarmed device pays nothing.
 """
 
 FAULT_KINDS = (
@@ -43,10 +44,10 @@ FAULT_KINDS = (
     "warp_stall",
 )
 
-#: sentinel returned by :meth:`FaultInjector.filter_write` for a dropped store
-DROPPED = object()
-
 _MEMORY_KINDS = frozenset(FAULT_KINDS) - {"warp_stall"}
+
+#: atomic op -> the fault kind that can fake it
+_ATOMIC_FAULTS = {"cas": "cas_fail", "or": "cas_fail", "add": "clock_skew"}
 
 
 class FaultSpec:
@@ -207,10 +208,10 @@ class _Armed:
 class FaultInjector:
     """The armed form of a plan: per-category fault lists plus counters.
 
-    Consulted by :class:`~repro.faults.ctx.InstrumentedThreadCtx` on every
-    globally-visible operation and by the scheduler's generic issue loop on
-    every warp selection.  All methods are deterministic functions of the
-    simulated operation order, so armed runs replay bit-identically.
+    A probe of every thread context (the ``read``/``write``/``atomic``
+    seams) and consulted by the scheduler's issue loop on every warp
+    selection.  All methods are deterministic functions of the simulated
+    operation order, so armed runs replay bit-identically.
     """
 
     def __init__(self, specs, mem):
@@ -221,7 +222,7 @@ class FaultInjector:
         #: chronological log of fired faults (dicts; test/CLI evidence)
         self.fired = []
         #: simulated-cycle witness of the issuing lane, kept current by
-        #: the instrumented context (detection-latency zero point)
+        #: the write/atomic seams (detection-latency zero point)
         self.now = 0
         for spec in specs:
             ranges = self._resolve(spec, mem)
@@ -235,7 +236,7 @@ class FaultInjector:
             else:  # warp_stall
                 self._stalls.append(armed)
         # previous-value shadow for stale reads, maintained only when a
-        # stale_read spec is armed (filter_write records the old word)
+        # stale_read spec is armed (the write seam records the old word)
         self._track_prev = bool(self._reads)
         self._prev = {}
         self._decisions = {}  # sm index -> issue decisions seen
@@ -271,10 +272,11 @@ class FaultInjector:
         })
 
     # ------------------------------------------------------------------
-    # Memory hooks (called by InstrumentedThreadCtx)
+    # Thread-context probe seams
     # ------------------------------------------------------------------
-    def filter_read(self, tid, addr, value):
+    def read(self, tc, addr, value):
         """Possibly replace a read value (stale_read)."""
+        tid = tc.tid
         for armed in self._reads:
             spec = armed.spec
             if spec.tid is not None and spec.tid != tid:
@@ -289,11 +291,13 @@ class FaultInjector:
                 return stale
         return value
 
-    def filter_write(self, tid, addr, value, old):
-        """Possibly alter or drop a write; returns the value to store or
-        :data:`DROPPED`.  Also maintains the stale-read shadow."""
+    def write(self, tc, addr, phase, value, old):
+        """Possibly alter or drop (``None``) a write; also maintains the
+        stale-read shadow."""
+        self.now = tc.cycles_total
         if self._track_prev:
             self._prev[addr] = old
+        tid = tc.tid
         for armed in self._writes:
             spec = armed.spec
             if spec.tid is not None and spec.tid != tid:
@@ -307,11 +311,11 @@ class FaultInjector:
                     continue
                 if armed.take():
                     self._log(armed, tid, addr, "release of %d dropped" % value)
-                    return DROPPED
+                    return None
             elif armed.take():
                 if spec.kind == "dropped_write":
                     self._log(armed, tid, addr, "store of %d dropped" % value)
-                    return DROPPED
+                    return None
                 mask = spec.param if spec.param is not None else 0xFFFF
                 torn = (value & mask) | (old & ~mask)
                 self._log(
@@ -321,54 +325,39 @@ class FaultInjector:
                 return torn
         return value
 
-    def intercept_cas(self, tid, addr, old, expected, new):
-        """Spurious CAS failure: when the CAS would have succeeded, report
-        a conflicting value and perform no mutation.  Returns the value to
-        hand the caller, or None to perform the real CAS."""
+    def atomic(self, tc, op, addr, phase, a, b):
+        """``cas_fail``: a CAS (``op`` ``cas``) or lock ``atomicOr``
+        (``or``) that would have succeeded reports a conflicting value and
+        performs no mutation.  ``clock_skew``: an ``atomicAdd`` skips its
+        increment and returns the stale value.  Returns the faked result,
+        or None to perform the real atomic."""
+        self.now = tc.cycles_total
+        kind = _ATOMIC_FAULTS.get(op)
+        if kind is None:
+            return None
+        tid = tc.tid
+        old = tc.mem.words[addr]
         for armed in self._atomics:
             spec = armed.spec
-            if spec.kind != "cas_fail":
-                continue
-            if spec.tid is not None and spec.tid != tid:
-                continue
-            if not armed.matches_addr(addr) or old != expected:
-                continue
-            if armed.take():
-                self._log(armed, tid, addr, "CAS(%d -> %d) spuriously failed"
-                          % (expected, new))
-                return old + 1
-        return None
-
-    def intercept_or(self, tid, addr, old, value):
-        """Spurious lock-acquire failure for ``atomicOr(lock, LOCKED_BIT)``:
-        when the lock was free, report it locked and perform no mutation."""
-        for armed in self._atomics:
-            spec = armed.spec
-            if spec.kind != "cas_fail":
-                continue
-            if spec.tid is not None and spec.tid != tid:
-                continue
-            if not armed.matches_addr(addr) or old & value:
-                continue
-            if armed.take():
-                self._log(armed, tid, addr, "atomicOr(0x%x) spuriously failed" % value)
-                return old | value
-        return None
-
-    def intercept_add(self, tid, addr, old, value):
-        """Non-monotonic tick: skip the increment, return the stale value.
-        Returns the value to hand the caller, or None for the real add."""
-        for armed in self._atomics:
-            spec = armed.spec
-            if spec.kind != "clock_skew":
+            if spec.kind != kind:
                 continue
             if spec.tid is not None and spec.tid != tid:
                 continue
             if not armed.matches_addr(addr):
                 continue
-            if armed.take():
+            if op == "cas":
+                if old == a and armed.take():
+                    self._log(armed, tid, addr, "CAS(%d -> %d) spuriously failed"
+                              % (a, b))
+                    return old + 1
+            elif op == "or":
+                if not old & a and armed.take():
+                    self._log(armed, tid, addr,
+                              "atomicOr(0x%x) spuriously failed" % a)
+                    return old | a
+            elif armed.take():
                 self._log(armed, tid, addr, "tick by %d skipped (stale %d)"
-                          % (value, old))
+                          % (a, old))
                 return old
         return None
 
@@ -409,16 +398,12 @@ class FaultInjector:
         return index
 
     # ------------------------------------------------------------------
-    # Byzantine seams (no-ops here; ByzantineInjector overrides)
+    # Byzantine seam (a no-op here; ByzantineInjector overrides)
     # ------------------------------------------------------------------
     def filter_validation(self, tx, stage, verdict):
         """Validation seam consulted by ``TxThread._filter_validation``;
         crash/protocol faults never lie about verdicts."""
         return verdict
-
-    def on_tx_abort(self, ctx):
-        """Abort-window seam raised by ``InstrumentedThreadCtx``."""
-        return None
 
     # ------------------------------------------------------------------
     # Reporting

@@ -5,10 +5,10 @@
 * the :class:`~repro.stm.trace.TxTracer` event protocol (``on_commit`` /
   ``on_abort``), fed by :meth:`repro.stm.runtime.base.TmRuntime.note_commit`
   when the runtime's ``sanitizer`` attribute is set;
-* per-operation probes from :class:`~repro.faults.ctx
-  .InstrumentedThreadCtx` (``on_write``/``on_atomic``/``on_fence``/
-  ``on_tx_window``) plus the ``tx_read`` probe every write-buffering
-  runtime raises through :meth:`TxThread._note_real_read`;
+* the ``write``/``atomic``/``event`` seams of every
+  :class:`~repro.gpu.thread.ProbedThreadCtx` (the sanitizer is one of its
+  probes) plus the ``tx_read`` probe every write-buffering runtime raises
+  through :meth:`TxThread._note_real_read`;
 * host-side metadata inspection at kernel exit
   (:meth:`check_kernel_exit`).
 
@@ -63,7 +63,7 @@ class SanitizerViolation:
     """One detected invariant violation (structured, JSON-friendly).
 
     ``cycle`` is the issuing lane's simulated-cycle witness at detection
-    time (the ``now`` the instrumented context keeps current); exit-sweep
+    time (the ``now`` every probe seam keeps current); exit-sweep
     violations carry the last witnessed cycle."""
 
     __slots__ = ("check", "tid", "addr", "detail", "cycle")
@@ -112,7 +112,7 @@ class StmSanitizer:
         self._total_commits = 0
         self._versions_seen = set()
         self._pending_fence = set()
-        #: simulated-cycle witness (set by the instrumented context)
+        #: simulated-cycle witness (set by every event and probe seam)
         self.now = 0
         #: check name -> cycle of its first violation (detection latency)
         self.first_violations = {}
@@ -123,9 +123,8 @@ class StmSanitizer:
     def bind(self, runtime):
         """Attach to ``runtime``: capture its metadata locations, set
         ``runtime.sanitizer`` so commit/abort/read events flow here, and
-        install this checker on the runtime's device so launches route
-        thread construction through the instrumented context.  Returns
-        ``self``."""
+        install this checker on the runtime's device so every launch gives
+        its threads this checker as a probe.  Returns ``self``."""
         self.runtime = runtime
         runtime.sanitizer = self
         runtime.device.sanitizer = self
@@ -215,19 +214,36 @@ class StmSanitizer:
             self._versions_seen.add(version)
 
     def on_abort(self, tx, reason):
-        # aborts carry no invariant of their own; the tx-window event
+        # aborts carry no invariant of their own; the abort event seam
         # (below) clears the per-thread fence state
         pass
 
     # ------------------------------------------------------------------
-    # Per-operation probes (fed by InstrumentedThreadCtx)
+    # Thread-context probe seams
     # ------------------------------------------------------------------
-    def on_write(self, tid, addr, value, phase):
+    def write(self, tc, addr, phase, value, old):
+        self.now = tc.cycles_total
         if phase is Phase.LOCKS:
-            self._check_metadata_publish(tid, addr, value)
-            return
-        if phase is not Phase.COMMIT:
-            return
+            self._check_metadata_publish(tc.tid, addr, value)
+        elif phase is Phase.COMMIT:
+            self._check_writeback(tc.tid, addr)
+        return value
+
+    def atomic(self, tc, op, addr, phase, a, b):
+        self.now = tc.cycles_total
+        if phase is Phase.LOCKS:
+            self._pending_fence.add(tc.tid)
+
+    def event(self, tc, name, phase):
+        self.now = tc.cycles_total
+        # a commit-phase fence, or any attempt boundary, resets the
+        # fence-ordering state
+        if name != "fence" or phase is Phase.COMMIT:
+            self._pending_fence.discard(tc.tid)
+
+    def _check_writeback(self, tid, addr):
+        """``missing_fence`` and ``unlocked_write`` for one commit-phase
+        store."""
         if tid in self._pending_fence:
             self._pending_fence.discard(tid)  # flag once per attempt
             self._violate(
@@ -294,18 +310,6 @@ class StmSanitizer:
                 "torn_version", tid, addr,
                 "coarse-grain lock release stored %d (must store 0)" % value,
             )
-
-    def on_atomic(self, tid, addr, phase):
-        if phase is Phase.LOCKS:
-            self._pending_fence.add(tid)
-
-    def on_fence(self, tid, phase):
-        if phase is Phase.COMMIT:
-            self._pending_fence.discard(tid)
-
-    def on_tx_window(self, tid, event):
-        # any attempt boundary resets the fence-ordering state
-        self._pending_fence.discard(tid)
 
     # ------------------------------------------------------------------
     # tx_read probe (raised by TxThread._note_real_read)

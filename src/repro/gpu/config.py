@@ -121,6 +121,13 @@ class GpuConfig:
                 % interleave
             )
 
+    def device_of(self, block_index):
+        """The device block ``block_index`` runs on: blocks go round-robin
+        over the global SM list, device ``d`` owning SMs ``[d*num_sms,
+        (d+1)*num_sms)`` (always 0 on one device)."""
+        num_sms = self.num_sms
+        return (block_index % (num_sms * self.devices)) // num_sms
+
 
 def small_config(warp_size=4, num_sms=2, max_steps=2_000_000):
     """A small geometry used throughout the unit tests."""

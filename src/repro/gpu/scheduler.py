@@ -33,7 +33,7 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.errors import LaunchError, LivelockError, ProgressError
 from repro.gpu.kernel import KernelResult
 from repro.gpu.memory import GlobalMemory
-from repro.gpu.thread import ThreadCtx
+from repro.gpu.thread import ProbedThreadCtx, probe_seams
 from repro.gpu.warp import build_block
 from repro.sched.policy import RoundRobin, make_policy
 from repro.sched.trace import ScheduleTrace
@@ -80,10 +80,13 @@ class Device:
 
     ``telemetry`` attaches a :class:`~repro.telemetry.session.Telemetry`
     session: every launch then reports per-SM/kernel/memory metrics into
-    its registry and, when the session records a timeline, routes thread
-    construction through the telemetry thread context so per-cycle phase
-    slices land on the trace.  With ``telemetry=None`` (the default) no
-    telemetry code runs anywhere on the issue or accounting hot paths.
+    its registry and, when the session records a timeline, gives every
+    thread a timeline probe so per-cycle phase slices land on the trace.
+    Instruments — timeline, ``sanitizer``, ``fault_injector`` — combine
+    freely: each adds a probe to every
+    :class:`~repro.gpu.thread.ProbedThreadCtx`.  With none of them (the
+    default) threads get the bare :class:`~repro.gpu.thread.ThreadCtx`
+    and no instrument code runs on the issue or accounting hot paths.
     """
 
     def __init__(self, config=None, telemetry=None):
@@ -132,27 +135,20 @@ class Device:
         num_sms = self.total_sms
         kernel_name = getattr(kernel, "__name__", str(kernel))
         tel = self.telemetry
-        ctx_cls, extra = ThreadCtx, ()
         if tel is not None:
             tel.begin_launch(kernel_name, num_sms)
-            if tel.timeline is not None:
-                # imported lazily: the simulator core stays import-light for
-                # the (default) untelemetered runs
-                from repro.telemetry.ctx import TelemetryThreadCtx
+        makers = self._probe_makers()
+        ctx_factory = None
+        if makers:
+            seams = {}  # probe tuple -> its seams; shared probes repeat
 
-                ctx_cls, extra = TelemetryThreadCtx, (tel,)
-        injector = self.fault_injector
-        sanitizer = self.sanitizer
-        if injector is not None or sanitizer is not None:
-            if extra:
-                raise LaunchError(
-                    "fault injection / sanitizing cannot be combined with a "
-                    "telemetry timeline: both own the thread-context factory"
-                )
-            from repro.faults.ctx import InstrumentedThreadCtx
-
-            ctx_cls, extra = InstrumentedThreadCtx, (injector, sanitizer)
-        ctx_factory = self._ctx_factory(ctx_cls, extra)
+            def ctx_factory(tid, lane_id, warp, block, mem, cfg):
+                probes = tuple([make(tid, block) for make in makers])
+                found = seams.get(probes)
+                if found is None:
+                    found = seams[probes] = probe_seams(probes)
+                return ProbedThreadCtx(tid, lane_id, warp, block, mem, cfg,
+                                       probes, found)
 
         blocks = []
         for index in range(grid_blocks):
@@ -189,17 +185,18 @@ class Device:
         self.launched_cycles += result.cycles
         return result
 
-    def _ctx_factory(self, ctx_cls, extra):
-        """The thread-context constructor ``build_block`` calls: ``ctx_cls``
-        with the :class:`ThreadCtx` signature plus the ``extra`` arguments
-        its instrument needs."""
-        if not extra:
-            return ctx_cls
-
-        def ctx_factory(tid, lane_id, warp, block, mem, cfg):
-            return ctx_cls(tid, lane_id, warp, block, mem, cfg, *extra)
-
-        return ctx_factory
+    def _probe_makers(self):
+        """Ordered ``(tid, block) -> probe`` makers for one launch's thread
+        contexts: the timeline, then the sanitizer, then the fault injector
+        (last: its intercepts short-circuit).  None: bare contexts."""
+        makers = []
+        tel = self.telemetry
+        if tel is not None and tel.timeline is not None:
+            makers.append(tel.thread_probe)
+        for probe in (self.sanitizer, self.fault_injector):
+            if probe is not None:
+                makers.append(lambda tid, block, probe=probe: probe)
+        return makers
 
     def _issue(self, sms, policy, trace, tel):
         """Issue every resident warp to completion; returns the step total.

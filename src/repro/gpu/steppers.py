@@ -24,15 +24,17 @@ boundary), else the stepper itself, which the warp then *polls*.  A
 polling lane is still stepping, not parked: a word that never clears
 stays a livelock at the exact step count of the plain loop.
 
-Two modes, one call-site form.  On a plain :class:`ThreadCtx` a stepper is
-**fast**: the probe is recorded inline, its latency charge is deferred and
-settled in one multiplication at hand-back (nothing can observe a polling
-lane's phase map in between — it runs no code, and ``lane_snapshot()`` and
-the watchdog snapshot settle first), and the lane counts toward the warp's
-quiet-step test (see ``Warp.step``).  On any context that intercepts
-per-op accounting (telemetry, fault/sanitizer, multi-GPU) it is **exact**:
-every probe is a real ``tc.gread_l2`` / ``tc.atomic_cas`` call, charged
-immediately and seen by every hook, and the lane never counts as quiet.
+Two modes, one call-site form.  On a context without instrument probes
+(``not tc.probes``: a plain :class:`~repro.gpu.thread.ThreadCtx`) a
+stepper is **fast**: the probe is recorded inline, its latency charge is
+deferred and settled in one multiplication at hand-back (nothing can
+observe a polling lane's phase map in between — it runs no code, and
+``lane_snapshot()`` and the watchdog snapshot settle first), and the lane
+counts toward the warp's quiet-step test (see ``Warp.step``).  On a
+:class:`~repro.gpu.thread.ProbedThreadCtx` (timeline, sanitizer, fault
+injector, multi-device link) it is **exact**: every probe is a real
+``tc.gread_l2`` / ``tc.atomic_cas`` call, charged immediately and seen by
+every probe, and the lane never counts as quiet.
 
 Writing a new stepper: subclass :class:`LaneStepper`; perform at most one
 globally-visible operation per ``step()``; call ``_hand_back()`` when the
@@ -44,7 +46,6 @@ fails as long as ``word & mask`` is non-zero.
 """
 
 from repro.gpu.events import OpKind
-from repro.gpu.thread import ThreadCtx
 
 _L2_READ = OpKind.L2_READ
 
@@ -85,7 +86,7 @@ class LaneStepper:
             # fast steppers count toward the warp's quiet-step test while
             # their next step is a pure probe (TtasAcquire: except when it
             # is the CAS)
-            self.fast = self._polls = type(tc) is ThreadCtx
+            self.fast = self._polls = not tc.probes
             self._step = self.step
             self._own = 0
         self.addr = addr

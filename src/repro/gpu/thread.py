@@ -17,6 +17,12 @@ The context also performs two kinds of cycle accounting:
   paper's Figure 5 single-thread execution-time breakdown.  Costs charged
   inside a transaction are kept in a window so that, on abort, they can be
   reclassified to the "aborted" phase like the paper does.
+
+Instruments — the telemetry timeline, the STM sanitizer, fault injectors,
+multi-device link accounting — never subclass the bare context, whose hot
+paths are inlined by hand.  They are *probes* of :class:`ProbedThreadCtx`,
+which shows every charge, global operation and fence/transaction-window
+event to an ordered tuple of them; any combination can observe one launch.
 """
 
 from repro.common.stats import Counters, PhaseCycles
@@ -33,6 +39,9 @@ _ATOMIC = OpKind.ATOMIC
 
 class ThreadCtx:
     """Execution context of one simulated GPU thread (one warp lane)."""
+
+    #: no instrument observes a bare context (see :class:`ProbedThreadCtx`)
+    probes = ()
 
     __slots__ = (
         "tid",
@@ -478,3 +487,279 @@ class ThreadCtx:
         block.barrier_waiting += 1
         while block.barrier_gen == generation:
             yield
+
+
+def _each(hooks):
+    def each(*args):
+        for hook in hooks:
+            hook(*args)
+    return each
+
+
+def _piped(hooks):
+    def piped(tc, addr, value):
+        for hook in hooks:
+            value = hook(tc, addr, value)
+        return value
+    return piped
+
+
+def _stored(hooks):
+    def stored(tc, addr, phase, value, old):
+        for hook in hooks:
+            value = hook(tc, addr, phase, value, old)
+            if value is None:
+                return None
+        return value
+    return stored
+
+
+def _first(hooks):
+    def first(tc, op, addr, phase, a, b):
+        for hook in hooks:
+            faked = hook(tc, op, addr, phase, a, b)
+            if faked is not None:
+                return faked
+        return None
+    return first
+
+
+#: the seams in ProbedThreadCtx slot order, each with how several probes
+#: implementing it are chained
+_SEAMS = (("charge", _each), ("before", _each), ("read", _piped),
+          ("write", _stored), ("atomic", _first), ("event", _each))
+
+
+def probe_seams(probes):
+    """Each seam of ``probes`` as one optional callable: None when no probe
+    implements it, that probe's own bound method when one does, a chain
+    when several do (a per-op loop would tax every single-probe launch).
+    Depends only on ``probes``: a launcher computes it once per distinct
+    tuple."""
+    seams = []
+    for name, chain in _SEAMS:
+        hooks = [getattr(probe, name) for probe in probes if hasattr(probe, name)]
+        if not hooks:
+            seams.append(None)
+        else:
+            seams.append(hooks[0] if len(hooks) == 1 else chain(tuple(hooks)))
+    return tuple(seams)
+
+
+class ProbedThreadCtx(ThreadCtx):
+    """A :class:`ThreadCtx` shown to an ordered tuple of probes.
+
+    A probe implements any subset of six seams (``seams`` is
+    :func:`probe_seams` of ``probes``):
+
+    * ``charge(phase, start, cycles)`` — every latency charge;
+    * ``before(tc, kind, addr, phase)`` — before a global operation;
+    * ``read(tc, addr, value) -> value`` — a global load's result;
+    * ``write(tc, addr, phase, value, old) -> value`` — a global store
+      (``None`` drops it);
+    * ``atomic(tc, op, addr, phase, a, b) -> faked result or None`` — an
+      atomic (``op`` is ``cas``/``or``/``add``/``sub``/``exch``; ``a, b``
+      are ``expected, new`` for ``cas``, else ``value, None``); the first
+      non-None result is returned without performing the atomic;
+    * ``event(tc, name, phase)`` — ``fence``, and the transaction-window
+      ``begin``/``commit``/``abort`` (``phase`` None).
+
+    Each operation is written once — pre-op seam, bounds check,
+    ``_account``, post-op seam — so a probe sees every operation by
+    construction.  Probes observe the cost model without changing it: a
+    probed launch whose probes fake nothing has the bare launch's cycles,
+    steps and memory transactions.  Probe order is the launcher's: link,
+    timeline, sanitizer, injector (last, because its intercepts
+    short-circuit).
+    """
+
+    __slots__ = ("probes", "_on_charge", "_before", "_on_read", "_on_write",
+                 "_on_atomic", "_on_event")
+
+    def __init__(self, tid, lane_id, warp, block, mem, config, probes, seams):
+        ThreadCtx.__init__(self, tid, lane_id, warp, block, mem, config)
+        self.probes = probes
+        (self._on_charge, self._before, self._on_read, self._on_write,
+         self._on_atomic, self._on_event) = seams
+
+    # ------------------------------------------------------------------
+    # Cost accounting (the base bodies plus the charge seam)
+    # ------------------------------------------------------------------
+    def charge(self, phase, cycles):
+        start = self.cycles_total
+        phase_map = self._phase_map
+        if phase in phase_map:
+            phase_map[phase] += cycles
+        else:
+            phase_map[phase] = cycles
+        self.cycles_total = start + cycles
+        hook = self._on_charge
+        if hook is not None:
+            hook(phase, start, cycles)
+
+    def _account(self, kind, addr, phase, cycles):
+        warp = self.warp
+        warp.step_nops += 1
+        if kind is warp.step_kind and phase is warp.step_phase:
+            warp.step_cur.append(addr)
+        else:
+            groups = warp.step_groups
+            tag = (kind, phase)
+            bucket = groups.get(tag)
+            if bucket is None:
+                groups[tag] = bucket = [addr]
+            else:
+                bucket.append(addr)
+            warp.step_kind = kind
+            warp.step_phase = phase
+            warp.step_cur = bucket
+        start = self.cycles_total
+        phase_map = self._phase_map
+        if phase in phase_map:
+            phase_map[phase] += cycles
+        else:
+            phase_map[phase] = cycles
+        self.cycles_total = start + cycles
+        hook = self._on_charge
+        if hook is not None:
+            hook(phase, start, cycles)
+
+    def local_op(self, phase=Phase.BUFFERING, count=1):
+        cycles = self._local_meta_cost * count
+        start = self.cycles_total
+        phase_map = self._phase_map
+        if phase in phase_map:
+            phase_map[phase] += cycles
+        else:
+            phase_map[phase] = cycles
+        self.cycles_total = start + cycles
+        hook = self._on_charge
+        if hook is not None:
+            hook(phase, start, cycles)
+
+    def work(self, cycles, phase=Phase.NATIVE):
+        start = self.cycles_total
+        phase_map = self._phase_map
+        if phase in phase_map:
+            phase_map[phase] += cycles
+        else:
+            phase_map[phase] = cycles
+        self.cycles_total = start + cycles
+        hook = self._on_charge
+        if hook is not None:
+            hook(phase, start, cycles)
+        warp = self.warp
+        if cycles > warp.step_work:
+            warp.step_work = cycles
+
+    # ------------------------------------------------------------------
+    # Globally-visible operations
+    # ------------------------------------------------------------------
+    def gread(self, addr, phase=Phase.NATIVE):
+        before = self._before
+        if before is not None:
+            before(self, _READ, addr, phase)
+        if self._check_bounds and not 0 <= addr < self._words_len:
+            self.mem.check(addr)
+        self._account(_READ, addr, phase, self._mem_latency)
+        value = self._words[addr]
+        hook = self._on_read
+        return value if hook is None else hook(self, addr, value)
+
+    def gread_l2(self, addr, phase=Phase.NATIVE):
+        before = self._before
+        if before is not None:
+            before(self, _L2_READ, addr, phase)
+        if self._check_bounds and not 0 <= addr < self._words_len:
+            self.mem.check(addr)
+        self._account(_L2_READ, addr, phase, self._l2_read_latency)
+        value = self._words[addr]
+        hook = self._on_read
+        return value if hook is None else hook(self, addr, value)
+
+    def gwrite(self, addr, value, phase=Phase.NATIVE):
+        before = self._before
+        if before is not None:
+            before(self, _WRITE, addr, phase)
+        if self._check_bounds and not 0 <= addr < self._words_len:
+            self.mem.check(addr)
+        self._account(_WRITE, addr, phase, self._mem_latency)
+        hook = self._on_write
+        if hook is not None:
+            value = hook(self, addr, phase, value, self._words[addr])
+            if value is None:
+                return
+        self._words[addr] = value
+
+    def atomic_cas(self, addr, expected, new, phase=Phase.NATIVE):
+        before = self._before
+        if before is not None:
+            before(self, _ATOMIC, addr, phase)
+        if self._check_bounds and not 0 <= addr < self._words_len:
+            self.mem.check(addr)
+        self._account(_ATOMIC, addr, phase, self._atomic_latency)
+        hook = self._on_atomic
+        if hook is not None:
+            faked = hook(self, "cas", addr, phase, expected, new)
+            if faked is not None:
+                return faked
+        words = self._words
+        old = words[addr]
+        if old == expected:
+            words[addr] = new
+        return old
+
+    def _rmw(self, op, addr, value, phase, apply):
+        """A read-modify-write atomic other than CAS; ``apply`` is the
+        matching :class:`~repro.gpu.memory.GlobalMemory` method."""
+        before = self._before
+        if before is not None:
+            before(self, _ATOMIC, addr, phase)
+        if self._check_bounds and not 0 <= addr < self._words_len:
+            self.mem.check(addr)
+        self._account(_ATOMIC, addr, phase, self._atomic_latency)
+        hook = self._on_atomic
+        if hook is not None:
+            faked = hook(self, op, addr, phase, value, None)
+            if faked is not None:
+                return faked
+        return apply(addr, value)
+
+    def atomic_or(self, addr, value, phase=Phase.NATIVE):
+        return self._rmw("or", addr, value, phase, self.mem.atomic_or)
+
+    def atomic_add(self, addr, value, phase=Phase.NATIVE):
+        return self._rmw("add", addr, value, phase, self.mem.atomic_add)
+
+    def atomic_sub(self, addr, value, phase=Phase.NATIVE):
+        return self._rmw("sub", addr, value, phase, self.mem.atomic_sub)
+
+    def atomic_exch(self, addr, value, phase=Phase.NATIVE):
+        return self._rmw("exch", addr, value, phase, self.mem.atomic_exch)
+
+    # ------------------------------------------------------------------
+    # Fences and transaction windows
+    # ------------------------------------------------------------------
+    def fence(self, phase=Phase.NATIVE):
+        ThreadCtx.fence(self, phase)
+        hook = self._on_event
+        if hook is not None:
+            hook(self, "fence", phase)
+
+    def tx_window_begin(self):
+        ThreadCtx.tx_window_begin(self)
+        hook = self._on_event
+        if hook is not None:
+            hook(self, "begin", None)
+
+    def tx_window_commit(self):
+        ThreadCtx.tx_window_commit(self)
+        hook = self._on_event
+        if hook is not None:
+            hook(self, "commit", None)
+
+    def tx_window_abort(self):
+        ThreadCtx.tx_window_abort(self)
+        hook = self._on_event
+        if hook is not None:
+            hook(self, "abort", None)

@@ -447,10 +447,10 @@ def build_block(index, block_threads, first_tid, mem, config, kernel, args, atta
                 smem_words=0, ctx_factory=None):
     """Construct the warps and lane generators of one thread block.
 
-    ``ctx_factory`` substitutes the thread-context class (same constructor
-    signature as :class:`ThreadCtx`); the telemetry layer injects its
-    charge-mirroring subclass this way instead of instrumenting the
-    ThreadCtx hot paths.
+    ``ctx_factory`` substitutes the thread-context constructor (same
+    signature as :class:`ThreadCtx`); the launcher passes one that builds
+    a :class:`~repro.gpu.thread.ProbedThreadCtx` when an instrument is
+    attached, so the bare hot paths stay uninstrumented.
     """
     make_ctx = ThreadCtx if ctx_factory is None else ctx_factory
     block = BlockState(index, block_threads, smem_words)

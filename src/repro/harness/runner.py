@@ -105,9 +105,9 @@ def run_workload(
     (a :class:`~repro.faults.plan.FaultPlan`, or an iterable of
     ``FaultSpec.parse`` strings — the form :class:`~repro.harness.parallel.
     JobSpec` carries across process boundaries) is armed on the device
-    after workload setup so region-relative fault addresses resolve.
-    Neither can be combined with a timeline-recording telemetry session
-    (both own the thread-context factory).
+    after workload setup so region-relative fault addresses resolve.  All
+    three combine on one run: each is a probe of every thread context
+    (:class:`~repro.gpu.thread.ProbedThreadCtx`).
     """
     if fault_plan is not None:
         # imported lazily: the harness must stay importable without the

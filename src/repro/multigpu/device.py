@@ -7,14 +7,15 @@ issue loop, and overrides only what differs:
 
 * the SM count — blocks distribute round-robin over the *global* SM list
   (device ``d`` owns indices ``[d*num_sms, (d+1)*num_sms)``, so block ``i``
-  runs on device ``(i % total_sms) // num_sms``), and one issue round
+  runs on device ``config.device_of(i)``), and one issue round
   visits the SMs of every device in global index order.  Every
   cross-device effect (a remote read, a remote lock CAS, a remote commit
   write-back) happens inside some turn, so the inter-device message order
   is a pure function of the schedule: deterministic and replayable from a
   recorded trace;
-* the thread context — whichever class the launch chose is wrapped by the
-  multi-GPU accounting mixin (:mod:`repro.multigpu.ctx`);
+* the probes — every thread's probe tuple starts with its device's
+  :class:`~repro.multigpu.link.LinkProbe`, which charges remote accesses
+  their link cost, ahead of whatever instruments the launch also carries;
 * the roofline, the telemetry publication and the trace metadata, below.
 
 Cycle domains: each device has its own DRAM roofline, so kernel time is
@@ -33,7 +34,7 @@ gains the ``devices`` axis without a conditional of its own.
 from repro.gpu.config import GpuConfig
 from repro.gpu.errors import LaunchError
 from repro.gpu.scheduler import Device
-from repro.multigpu.ctx import make_multigpu_ctx
+from repro.multigpu.link import LinkProbe
 from repro.multigpu.topology import Topology
 
 
@@ -53,26 +54,25 @@ class MultiDevice(Device):
                 "(use repro.gpu.make_device to pick the launcher)"
                 % config.devices
             )
-        self.topology = Topology(
+        self.topology = topology = Topology(
             config.devices, config.link_model, config.device_interleave_words
         )
+        self.links = [LinkProbe(topology, d) for d in range(config.devices)]
 
     @property
     def total_sms(self):
         return self.config.num_sms * self.config.devices
 
-    def _ctx_factory(self, ctx_cls, extra):
-        mg_cls = make_multigpu_ctx(ctx_cls)
-        topology = self.topology
-        num_sms = self.config.num_sms
-        total_sms = self.total_sms
+    def _probe_makers(self):
+        # the link probe goes first: its charge is part of the operation
+        # every later probe observes
+        links = self.links
+        device_of = self.config.device_of
 
-        def ctx_factory(tid, lane_id, warp, block, mem, cfg):
-            tc = mg_cls(tid, lane_id, warp, block, mem, cfg, *extra)
-            tc._mg_init(topology, (block.index % total_sms) // num_sms)
-            return tc
+        def link(tid, block):
+            return links[device_of(block.index)]
 
-        return ctx_factory
+        return [link] + super()._probe_makers()
 
     def _roofline(self, sms):
         # each device serves only its own SMs' traffic: the roofline that

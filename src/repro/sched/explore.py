@@ -130,6 +130,25 @@ class ScheduleOutcome:
         )
 
 
+class _Tee:
+    """Feeds one runtime's commit/abort events to two TxTracer-protocol
+    observers: the outcome's ledger and the telemetry session."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+
+    def on_commit(self, tx, version):
+        self.first.on_commit(tx, version)
+        self.second.on_commit(tx, version)
+
+    def on_abort(self, tx, reason):
+        self.first.on_abort(tx, reason)
+        self.second.on_abort(tx, reason)
+
+
 def run_under_schedule(
     workload_name,
     params,
@@ -208,7 +227,7 @@ def run_under_schedule(
     factory = runtime_factory or make_runtime
     runtime = factory(variant, device, stm_config)
     tracer = TxTracer(capacity=ledger_capacity)
-    runtime.tracer = tracer
+    runtime.tracer = tracer if telemetry is None else _Tee(tracer, telemetry)
 
     sanitizer = None
     if sanitize:

@@ -5,6 +5,10 @@ See ``docs/observability.md`` for the metric naming scheme, the timeline
 format, and how to open traces in Perfetto.  The layer is strictly opt-in:
 with no :class:`Telemetry` session attached, the simulator's hot paths are
 untouched (``tests/test_golden_cycles.py`` pins bit-identical cycles).
+The timeline is recorded by one probe per thread
+(:meth:`Telemetry.thread_probe`, a :class:`~repro.gpu.thread
+.ProbedThreadCtx` probe), so it combines with the sanitizer, fault
+injection and multi-device runs.
 
 Quick start::
 

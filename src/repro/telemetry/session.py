@@ -11,12 +11,48 @@ It also speaks the :class:`~repro.stm.trace.TxTracer` protocol
 versions reach the timeline: every runtime calls ``note_abort(reason, tx)``
 *before* ``tc.tx_window_abort()`` (and ``note_commit`` before
 ``tx_window_commit``), so the session stashes the reason/version per thread
-and the :class:`~repro.telemetry.ctx.TelemetryThreadCtx` window hooks pop
-it for the attempt slice's args.
+and each thread's timeline probe pops it for the attempt slice's args.
+
+The timeline probe (:meth:`Telemetry.thread_probe`) is one of the
+:class:`~repro.gpu.thread.ProbedThreadCtx` probes: its ``charge`` seam is
+the thread track's own ``charge``, so the Figure 5 breakdown re-derived
+from the trace sees every charged cycle by construction — whichever other
+probes (sanitizer, injector, multi-device link) share the launch.
 """
 
+from repro.gpu.events import Phase
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.timeline import TimelineRecorder
+
+
+class _TimelineProbe:
+    """One thread's timeline probe: charges, lock acquisitions, fences and
+    transaction attempts, mirrored onto its track."""
+
+    __slots__ = ("charge", "_track", "_session")
+
+    def __init__(self, session, track):
+        self.charge = track.charge
+        self._track = track
+        self._session = session
+
+    def atomic(self, tc, op, addr, phase, a, b):
+        if phase is Phase.LOCKS:
+            self._track.instant("lock_acquire", tc.cycles_total, {"addr": addr})
+
+    def event(self, tc, name, phase):
+        track = self._track
+        now = tc.cycles_total
+        if name == "fence":
+            track.instant("fence", now, {"phase": phase})
+        elif name == "begin":
+            track.tx_begin(now)
+        elif name == "commit":
+            track.tx_end(now, "commit",
+                         version=self._session.pop_commit_version(tc.tid))
+        else:
+            track.tx_end(now, "abort",
+                         reason=self._session.pop_abort_reason(tc.tid))
 
 
 class Telemetry:
@@ -53,6 +89,11 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Scheduler hooks
     # ------------------------------------------------------------------
+    def thread_probe(self, tid, block):
+        """The launcher's probe maker: ``tid``'s timeline probe in the
+        current launch."""
+        return _TimelineProbe(self, self.timeline.track(tid))
+
     def begin_launch(self, kernel_name, num_sms):
         self.registry.add("kernel.launches")
         if self.timeline is not None:

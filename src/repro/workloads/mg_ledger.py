@@ -128,7 +128,7 @@ class MultiGpuLedger(Workload):
         remote_threshold = int(round(self.remote_frac * 4294967296.0))
 
         def mg(tc):
-            dev = getattr(tc, "mg_device", 0)
+            dev = tc.config.device_of(tc.block.index)
             local_bucket = buckets[dev]
             local_sampler = samplers[dev]
             counters = tc.counters

@@ -1,12 +1,20 @@
 """Per-kind fault semantics, armed-device routing, and zero-cost disarming."""
 
+import itertools
+
 import pytest
 
+from repro.faults.byzantine import ByzantinePlan
 from repro.faults.plan import FaultPlan
+from repro.faults.sanitizer import StmSanitizer
 from repro.gpu import Device
 from repro.gpu.config import small_config
-from repro.gpu.errors import LaunchError
+from repro.harness import configs
+from repro.harness.runner import run_workload
 from repro.sched.explore import run_under_schedule
+from repro.telemetry import Telemetry
+from repro.telemetry.validate import validate_file
+from repro.workloads import make_workload
 
 PARAMS = dict(array_size=64, grid=2, block=16, txs_per_thread=2, actions_per_tx=2)
 
@@ -172,19 +180,70 @@ class TestIntegration:
         # spurious CAS failures are tolerated by the protocol: retried
         assert outcome.failure is None
 
-    def test_injection_cannot_combine_with_timeline_telemetry(self):
-        from repro.telemetry import Telemetry
+INSTRUMENTS = ("timeline", "sanitizer", "injector")
 
-        dev = Device(small_config(warp_size=1), telemetry=Telemetry(timeline=True))
-        data = dev.mem.alloc(4, "data")
-        FaultPlan(["dropped_write:region=data"]).arm(dev)
 
-        def kernel(tc):
-            tc.gwrite(data, 1)
-            yield
+def instrumented_run(devices, instruments):
+    """ra/hv-sorting at test geometry with ``instruments`` attached (the
+    injector is an armed-empty plan): (cycles, steps, mem_txns), the run,
+    the telemetry session and the sanitizer."""
+    gpu = configs.unit_gpu()
+    gpu.devices = devices
+    tel = Telemetry(timeline=True) if "timeline" in instruments else None
+    sanitizer = StmSanitizer() if "sanitizer" in instruments else None
+    run = run_workload(
+        make_workload("ra", **configs.test_workload_params("ra")),
+        "hv-sorting", gpu, telemetry=tel, sanitizer=sanitizer,
+        fault_plan=FaultPlan([]) if "injector" in instruments else None,
+    )
+    counts = (run.cycles, sum(k.steps for k in run.kernel_results),
+              sum(k.mem_txns for k in run.kernel_results))
+    return counts, run, tel, sanitizer
 
-        with pytest.raises(LaunchError, match="thread-context factory"):
-            dev.launch(kernel, 1, 1)
+
+class TestInstrumentsCompose:
+    """Every instrument is a thread-context probe, so any combination runs
+    on one launch — and observes the cost model without changing it."""
+
+    @pytest.mark.parametrize("devices", [1, 2])
+    @pytest.mark.parametrize(
+        "instruments",
+        list(itertools.combinations(INSTRUMENTS, 2)) + [INSTRUMENTS],
+        ids="+".join,
+    )
+    def test_combination_matches_bare_run(self, devices, instruments):
+        bare, _, _, _ = instrumented_run(devices, ())
+        counts, run, tel, sanitizer = instrumented_run(devices, instruments)
+        assert counts == bare
+        if tel is not None:
+            for launch, kernel in enumerate(run.kernel_results):
+                assert (tel.timeline.phase_fractions(launch=launch)
+                        == kernel.phases.fractions())
+        if sanitizer is not None:
+            assert sanitizer.ok, sanitizer.report()
+
+    def test_firing_byzantine_cell_is_unchanged_by_a_timeline(self, tmp_path):
+        def cell(telemetry):
+            return run_under_schedule(
+                "cns", dict(objects=4, grid=4, block=16), "hv-sorting",
+                sanitize=True, exit_checks_on_failure=True,
+                # lane 0 of both blocks on device 1 (explore geometry:
+                # 2 SMs per device, blocks round-robin over 4 SMs)
+                fault_plan=ByzantinePlan(["torn_publish:tids=32+48"]),
+                gpu_overrides=dict(devices=2, link_model="uniform:60",
+                                   max_steps=400_000),
+                telemetry=telemetry,
+            )
+
+        plain = cell(None)
+        tel = Telemetry(timeline=True)
+        traced = cell(tel)
+        assert plain.fired and "torn_version" in plain.first_violations
+        assert traced.first_violations == plain.first_violations
+        assert traced.fired == plain.fired
+        assert traced.cycles == plain.cycles
+        path = tel.write_timeline(str(tmp_path / "byz.trace.json"))
+        assert "valid Chrome trace" in validate_file(path)
 
 
 class TestZeroCostDisarmed:

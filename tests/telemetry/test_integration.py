@@ -8,6 +8,7 @@ from repro.gpu.config import GpuConfig
 from repro.harness import configs
 from repro.harness.parallel import JobSpec, merge_job_metrics, run_jobs
 from repro.harness.runner import run_workload
+from repro.sched.explore import run_under_schedule
 from repro.telemetry import MetricRegistry, Telemetry
 from repro.telemetry.validate import validate_chrome_trace
 from repro.workloads import make_workload
@@ -106,6 +107,26 @@ class TestTimelineContent:
         gauges = tel.registry.gauges_dict()
         assert gauges["stm.hv_sorting.lock_table.num_locks"] > 0
         assert gauges["mem.words"] > 0
+
+    def test_scheduled_run_feeds_session_tx_events(self):
+        """run_under_schedule keeps its own commit/abort ledger; the
+        session must still see every commit and abort."""
+        tel = Telemetry(timeline=True)
+        outcome = run_under_schedule(
+            "ra", configs.test_workload_params("ra"), "hv-sorting",
+            gpu=configs.unit_gpu(), telemetry=tel,
+        )
+        assert outcome.ok and outcome.aborts > 0
+        tx = [e for e in tel.timeline.events() if e.get("cat") == "tx"]
+        commits = [e for e in tx if e["args"]["outcome"] == "commit"]
+        aborts = [e for e in tx if e["args"]["outcome"] == "abort"]
+        assert len(commits) == outcome.commits
+        assert all("version" in e["args"] for e in commits)
+        assert aborts and all(e["args"]["reason"] for e in aborts)
+        histograms = tel.registry.as_dict()["histograms"]
+        assert histograms["stm.tx.read_set"]["count"] == outcome.commits
+        assert "stm.tx.write_set" in histograms
+        assert outcome.ledger_rows  # the outcome's own ledger still fills
 
 
 class TestWatchdogSnapshot:
