@@ -83,7 +83,7 @@ def build_record(experiment, specs=(), results=(), metrics=None,
     specs = list(specs)
     results = list(results)
     fingerprints = [spec_fingerprint(spec) for spec in specs]
-    spec_keys = [repr(getattr(spec, "key", None)) for spec in specs]
+    spec_keys = [repr(spec.key) for spec in specs]
 
     merged = _merged_metrics(results, metrics)
 
@@ -92,7 +92,7 @@ def build_record(experiment, specs=(), results=(), metrics=None,
     cells = {}
     jobs_failed = 0
     for spec, result in zip(specs, results):
-        key = str(getattr(spec, "key", None))
+        key = str(spec.key)
         failure = getattr(result, "failure", None)
         if getattr(result, "failed", False):
             jobs_failed += 1

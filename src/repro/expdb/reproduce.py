@@ -172,14 +172,10 @@ def main(argv=None):
         )
     except ValueError as exc:
         parser.error(str(exc))
-    if failures:
-        print("%d job(s) failed across the bundle:" % len(failures),
-              file=sys.stderr)
-        for name, failure in failures:
-            print("  %s %r: %s" % (name, failure.key, failure.brief()),
-                  file=sys.stderr)
-        return 1
-    return 0
+    from repro.harness.sweep import print_failures
+
+    print_failures(failures, "the bundle")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -27,13 +27,15 @@ accounting on one launch.
 * :mod:`repro.faults.mutants` — the seeded-bug corpus, applied as
   reversible patches to any runtime instance.
 * :mod:`repro.faults.campaign` — the mutant x checker efficacy matrix,
-  driven through :func:`repro.harness.parallel.run_jobs`.
+  :class:`~repro.faults.campaign.CampaignJob` cells on the shared sweep
+  layer (:mod:`repro.harness.sweep`).
 * :mod:`repro.faults.byzantine` — :class:`ByzantinePlan`, the adversarial
   extension: designated lanes that *lie* (in validation, in published
   metadata, in replayed versions) while the runtime stays correct.
 * :mod:`repro.faults.byzcampaign` — the behavior x variant resilience
-  matrix (containment, blast radius, detection latency); the
-  ``python -m repro byz`` driver.
+  matrix (containment, blast radius, detection latency) of
+  :class:`~repro.faults.byzcampaign.ByzJob` cells on the same sweep
+  layer; the ``python -m repro byz`` driver.
 
 See ``docs/fault_injection.md`` for the full tour.
 """

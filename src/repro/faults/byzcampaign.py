@@ -30,9 +30,9 @@ Alongside the armed cells, every variant runs once *disarmed* under the
 sanitizer: the matrix is only ``ok`` when no cell escaped **and** every
 baseline stayed clean, so detection cannot "win" by flagging everything.
 
-Jobs fan out through :func:`repro.harness.parallel.run_jobs` — the same
-supervised pool, checkpoint journal, and experiment-database recorder
-the efficacy campaign uses — so ``python -m repro byz`` supports
+Cells run through the shared sweep layer (:mod:`repro.harness.sweep`) —
+the same supervised pool, checkpoint journal, and experiment-database
+recorder every sweep uses — so ``python -m repro byz`` supports
 ``--jobs``/``--retries``/``--timeout``/``--resume``/``--expdb``.  With
 ``--devices N`` the whole campaign runs on a multi-device topology and
 the byzantine lanes are pinned to ``--byz-device`` (default: the last
@@ -41,7 +41,14 @@ device), modelling a hostile *remote* accelerator.
 
 from repro.faults.byzantine import BYZ_BEHAVIORS, ByzantinePlan
 from repro.gpu.config import GpuConfig
-from repro.harness.parallel import run_jobs
+from repro.harness.parallel import Cell, capture, cell
+from repro.harness.sweep import (
+    SweepCommand,
+    add_sweep_flags,
+    check_names,
+    csv_or_all,
+    run_sweep,
+)
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 
 #: every runtime the campaign covers by default: the paper's seven plus
@@ -80,86 +87,55 @@ def default_spec_text(behavior, block, *, tids=None):
     return "%s:stride=%d,offset=0" % (behavior, block)
 
 
-class ByzJob:
+@cell
+class ByzJob(Cell):
     """One (behavior-or-baseline, variant) campaign cell.
 
-    Plain picklable data — instances cross the process-pool boundary of
-    :func:`repro.harness.parallel.run_jobs`, and ``__slots__`` is the
-    journal fingerprint.  ``behavior`` is ``None`` for a disarmed
-    baseline; ``spec_text`` then stays empty.
+    ``behavior`` is ``None`` for a disarmed baseline; ``spec_text`` then
+    stays empty.  ``key`` defaults to ``behavior/variant`` (``baseline/
+    variant``).  The device's one injector slot belongs to the
+    adversary, so the kind has no fault seam for ``fault_plan``.
     """
 
-    __slots__ = ("behavior", "variant", "workload", "params", "spec_text",
-                 "devices", "link_latency", "num_locks")
+    behavior: str
+    variant: str
+    workload: str
+    params: dict
+    spec_text: str
+    devices: int = 1
+    link_latency: int = 40
+    num_locks: int = 16
+    key: object = None
+    gpu_overrides: dict = None
+    fault_plan: list = None
 
-    def __init__(self, behavior, variant, workload, params, spec_text,
-                 devices=1, link_latency=40, num_locks=16):
-        self.behavior = behavior
-        self.variant = variant
-        self.workload = workload
-        self.params = dict(params)
-        self.spec_text = spec_text
-        self.devices = devices
-        self.link_latency = link_latency
-        self.num_locks = num_locks
-
-    def __repr__(self):
-        return "ByzJob(%s/%s on %s)" % (
-            self.behavior or "baseline", self.variant, self.workload,
-        )
+    faultable = False
+    key_fields = ("behavior", "variant")
 
 
-def execute_byz_job(job):
-    """Run one byzantine cell; returns a plain result dict, never raises.
-
-    An unexpected exception lands as ``classification="error"`` with
-    ``error`` set — an error cell counts as an escapee, so a crashed
-    worker cannot silently read as "contained".
-    """
+def _attack(job, _telemetry):
     # imported here, not at module top: repro.faults must stay importable
     # without dragging in the whole scheduling/workload stack
     from repro.sched.explore import run_under_schedule
 
-    result = {
-        "behavior": job.behavior,
-        "variant": job.variant,
-        "workload": job.workload,
-        "spec": job.spec_text,
-        "devices": job.devices,
-        "classification": None,
-        "detected_by": None,
-        "detection_latency": None,
-        "blast_radius": None,
-        "fired": 0,
-        "first_fired_cycle": None,
-        "failure": None,
-        "detail": None,
-        "checks": [],
-        "attribution": None,
-        "error": None,
-    }
+    result = _cell(job)
     plan = ByzantinePlan([job.spec_text]) if job.spec_text else None
-    gpu_overrides = dict(max_steps=MAX_STEPS)
+    gpu_overrides = {"max_steps": MAX_STEPS}
     if job.devices > 1:
         gpu_overrides["devices"] = job.devices
         gpu_overrides["link_model"] = "uniform:%d" % job.link_latency
-    try:
-        outcome = run_under_schedule(
-            job.workload,
-            job.params,
-            job.variant,
-            policy="rr",
-            num_locks=job.num_locks,
-            sanitize=True,
-            fault_plan=plan,
-            exit_checks_on_failure=plan is not None,
-            gpu_overrides=gpu_overrides,
-        )
-    except Exception as exc:  # noqa: BLE001 - worker must never raise
-        result["error"] = "%s: %s" % (type(exc).__name__, exc)
-        result["classification"] = "error"
-        return result
-
+    gpu_overrides.update(job.gpu_overrides or {})
+    outcome = run_under_schedule(
+        job.workload,
+        job.params,
+        job.variant,
+        policy="rr",
+        num_locks=job.num_locks,
+        sanitize=True,
+        fault_plan=plan,
+        exit_checks_on_failure=plan is not None,
+        gpu_overrides=gpu_overrides,
+    )
     result["fired"] = len(outcome.fired)
     if outcome.fired:
         result["first_fired_cycle"] = outcome.fired[0]["cycle"]
@@ -181,6 +157,35 @@ def execute_byz_job(job):
         result["detection_latency"] = max(0, latency)
     result["classification"] = _classify(job, result)
     return result
+
+
+def _cell(job):
+    """A matrix cell with no evidence yet."""
+    return {
+        "behavior": job.behavior,
+        "variant": job.variant,
+        "workload": job.workload,
+        "spec": job.spec_text,
+        "devices": job.devices,
+        "classification": None,
+        "detected_by": None,
+        "detection_latency": None,
+        "blast_radius": None,
+        "fired": 0,
+        "first_fired_cycle": None,
+        "failure": None,
+        "detail": None,
+        "checks": [],
+        "attribution": None,
+        "error": None,
+    }
+
+
+def execute_byz_job(job):
+    """Run one byzantine cell; its ``JobResult.run`` is the matrix cell.
+    A failed cell folds in as an ``error`` escapee (see
+    :func:`_error_cell`), so a crash never reads as "contained"."""
+    return capture(job, _attack)
 
 
 def _classify(job, result):
@@ -235,39 +240,26 @@ def run_byz_campaign(
     byz_device=None,
     num_sms=2,
     num_locks=16,
-    supervise=None,
-    journal=None,
-    metrics=None,
-    recorder=None,
+    **sweep
 ):
-    """Run the behavior x variant campaign; returns the resilience matrix.
+    """Run the behavior x variant campaign; returns a
+    :class:`~repro.harness.sweep.SweepReport` whose summary is the
+    resilience matrix.
 
     ``behaviors`` defaults to the full vocabulary
     (:data:`~repro.faults.byzantine.BYZ_BEHAVIORS`), ``variants`` to
     every registered runtime, ``params`` to the workload's unit-test
-    geometry.  ``supervise``/``journal``/``metrics``/``recorder`` route
-    the cells through the supervised pool exactly like the mutant
-    campaign; results are bit-identical across ``jobs`` widths and
-    journal resume because :func:`~repro.harness.parallel.run_jobs`
-    preserves spec order.
+    geometry.  ``sweep`` (``supervise``/``journal``/``metrics``/
+    ``recorder``) goes to :func:`~repro.harness.sweep.run_sweep`; the
+    matrix is bit-identical across ``jobs`` widths and journal resume.
 
     The matrix's ``ok`` is True iff no armed cell escaped and every
     disarmed baseline stayed clean; ``escapees`` names the offenders.
     """
     behaviors = list(behaviors) if behaviors is not None else list(BYZ_BEHAVIORS)
-    unknown = [b for b in behaviors if b not in BYZ_BEHAVIORS]
-    if unknown:
-        raise ValueError(
-            "unknown behavior(s) %s; vocabulary: %s"
-            % (", ".join(unknown), ", ".join(BYZ_BEHAVIORS))
-        )
+    check_names(behaviors, BYZ_BEHAVIORS, "behavior")
     variants = list(variants) if variants is not None else list(ALL_VARIANTS)
-    unknown = [v for v in variants if v not in ALL_VARIANTS]
-    if unknown:
-        raise ValueError(
-            "unknown variant(s) %s; available: %s"
-            % (", ".join(unknown), ", ".join(ALL_VARIANTS))
-        )
+    check_names(variants, ALL_VARIANTS, "variant")
     if params is None:
         from repro.harness.configs import test_workload_params
 
@@ -278,53 +270,48 @@ def run_byz_campaign(
         raise ValueError("byz_device %d outside topology of %d device(s)"
                          % (byz_device, devices))
 
-    specs = _byz_jobs(behaviors, variants, workload, params, devices,
-                      link_latency, byz_device, num_sms, num_locks)
-    results = run_jobs(
-        specs, jobs=jobs, executor=execute_byz_job,
-        supervise=supervise, journal=journal, metrics=metrics,
-        recorder=recorder,
+    def summarize(specs, results):
+        matrix = {
+            "workload": workload,
+            "behaviors": behaviors,
+            "variants": variants,
+            "devices": devices,
+            "byz_device": byz_device if devices > 1 else None,
+            "cells": {behavior: {} for behavior in behaviors},
+            "baselines": {},
+            "escapees": [],
+            "ok": True,
+        }
+        for spec, result in zip(specs, results):
+            cell = _error_cell(spec, result) if result.failed else result.run
+            if spec.behavior is None:
+                matrix["baselines"][spec.variant] = cell
+                if cell["classification"] != "contained":
+                    matrix["ok"] = False
+                    matrix["escapees"].append(spec.key)
+            else:
+                matrix["cells"][spec.behavior][spec.variant] = cell
+                if cell["classification"] in ("escaped", "error"):
+                    matrix["ok"] = False
+                    matrix["escapees"].append(spec.key)
+        return matrix
+
+    return run_sweep(
+        _byz_jobs(behaviors, variants, workload, params, devices,
+                  link_latency, byz_device, num_sms, num_locks),
+        execute_byz_job, summarize,
+        lambda report: render_byz_matrix(report.summary),
+        ("byz_matrix.json", None), jobs=jobs, **sweep
     )
 
-    matrix = {
-        "workload": workload,
-        "behaviors": behaviors,
-        "variants": variants,
-        "devices": devices,
-        "byz_device": byz_device if devices > 1 else None,
-        "cells": {behavior: {} for behavior in behaviors},
-        "baselines": {},
-        "escapees": [],
-        "ok": True,
-    }
-    for spec, result in zip(specs, results):
-        if not isinstance(result, dict):
-            # a supervised campaign can yield a structured JobResult
-            # failure (wall timeout, lost worker) in place of the
-            # executor's dict; fold it in as an error cell so it lands
-            # in ``escapees`` instead of vanishing into the pool
-            brief = getattr(result, "brief_error", None)
-            detail = brief() if brief is not None else repr(result)
-            result = {
-                "behavior": spec.behavior,
-                "variant": spec.variant,
-                "classification": "error",
-                "error": detail,
-                "detail": detail,
-            }
-        if spec.behavior is None:
-            matrix["baselines"][spec.variant] = result
-            if result["classification"] != "contained":
-                matrix["ok"] = False
-                matrix["escapees"].append("baseline/%s" % spec.variant)
-        else:
-            matrix["cells"][spec.behavior][spec.variant] = result
-            if result["classification"] in ("escaped", "error"):
-                matrix["ok"] = False
-                matrix["escapees"].append(
-                    "%s/%s" % (spec.behavior, spec.variant)
-                )
-    return matrix
+
+def _error_cell(job, result):
+    """The matrix cell of a cell that failed instead of reporting."""
+    failure = result.as_failure()
+    cell = _cell(job)
+    cell["classification"] = "error"
+    cell["error"] = "%s: %s" % (failure.exception, failure.message)
+    return cell
 
 
 _CELL_MARK = {
@@ -420,125 +407,34 @@ def build_parser():
         "--link", type=int, default=40, metavar="CYCLES",
         help="inter-device link latency in cycles (default: 40)",
     )
-    pool_group = parser.add_argument_group("execution")
-    pool_group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the campaign (default: 1)",
-    )
-    pool_group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry transient cell failures up to N times with backoff",
-    )
-    pool_group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout (needs --jobs > 1)",
-    )
-    pool_group.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="checkpoint journal: completed cells are recorded at PATH "
-        "and served back bit-identically on re-run",
-    )
-    artifact_group = parser.add_argument_group("artifacts")
-    artifact_group.add_argument(
-        "--out", default="byz-artifacts", metavar="DIR",
-        help="artifact directory (default: byz-artifacts)",
-    )
-    artifact_group.add_argument(
-        "--metrics", action="store_true",
-        help="also write the merged telemetry registry to DIR/metrics.json",
-    )
-    artifact_group.add_argument(
-        "--expdb", default=None, metavar="PATH",
-        help="record the campaign (fingerprints, metrics, artifact "
-        "hashes) in the experiment database at PATH ('default' for "
-        "$REPRO_EXPDB or expdb/experiments.sqlite)",
-    )
+    add_sweep_flags(parser, "byz-artifacts")
     return parser
 
 
-def _csv_or_all(text, universe, flag, parser):
-    if text.strip() == "all":
-        return list(universe)
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        parser.error("%s expects at least one name" % flag)
-    for name in names:
-        if name not in universe:
-            parser.error("unknown %s %r; expected one of %s or 'all'"
-                         % (flag.lstrip("-").rstrip("s"), name,
-                            ", ".join(universe)))
-    return names
-
-
 def main(argv=None):
-    import os
-    import time
-
     parser = build_parser()
     args = parser.parse_args(argv)
-    behaviors = _csv_or_all(args.behaviors, BYZ_BEHAVIORS, "--behaviors",
-                            parser)
-    variants = _csv_or_all(args.variants, ALL_VARIANTS, "--variants", parser)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    behaviors = csv_or_all(args.behaviors, BYZ_BEHAVIORS, "--behaviors",
+                           parser)
+    variants = csv_or_all(args.variants, ALL_VARIANTS, "--variants", parser)
     if args.devices < 1:
         parser.error("--devices must be >= 1")
     if args.link < 0:
         parser.error("--link must be >= 0")
 
-    supervise = None
-    if args.retries is not None or args.timeout is not None:
-        from repro.harness.supervisor import SupervisorConfig
-
-        supervise = SupervisorConfig()
-        if args.retries is not None:
-            supervise.max_retries = args.retries
-        if args.timeout is not None:
-            supervise.wall_timeout = args.timeout
-
-    registry = None
-    if args.metrics:
-        from repro.telemetry import MetricRegistry
-
-        registry = MetricRegistry()
-
-    recorder = None
-    if args.expdb:
-        from repro.expdb import SweepRecorder, default_db_path
-
-        db_path = default_db_path() if args.expdb == "default" else args.expdb
-        recorder = SweepRecorder(
-            db_path, "byz-campaign",
-            summary={"workload": args.workload, "devices": args.devices},
-        )
-
-    started = time.time()
-    matrix = run_byz_campaign(
-        behaviors=behaviors, variants=variants, workload=args.workload,
-        jobs=args.jobs, devices=args.devices, link_latency=args.link,
-        byz_device=args.byz_device, supervise=supervise,
-        journal=args.resume, metrics=registry, recorder=recorder,
+    command = SweepCommand(
+        args, "byz-campaign",
+        summary={"workload": args.workload, "devices": args.devices},
     )
-    print(render_byz_matrix(matrix))
-
-    from repro.common.fsio import atomic_write_json
-
-    os.makedirs(args.out, exist_ok=True)
-    matrix_path = os.path.join(args.out, "byz_matrix.json")
-    atomic_write_json(matrix_path, matrix)
-    print("[matrix -> %s]" % matrix_path)
-    if registry is not None:
-        metrics_path = os.path.join(args.out, "metrics.json")
-        registry.write_json(metrics_path)
-        print("[metrics -> %s]" % metrics_path)
-    if recorder is not None and recorder.run_id is not None:
-        recorder.add_artifacts([matrix_path])
-        print("[expdb run %d (%s)]"
-              % (recorder.run_id, recorder.run_key[:12]))
-    print("[byz %d behavior(s) x %d variant(s) in %.1fs, jobs=%d]"
-          % (len(behaviors), len(variants), time.time() - started,
-             args.jobs))
-    return 0 if matrix["ok"] else 1
+    report = run_byz_campaign(
+        behaviors=behaviors, variants=variants, workload=args.workload,
+        devices=args.devices, link_latency=args.link,
+        byz_device=args.byz_device, **command.run_kwargs
+    )
+    return command.finish(
+        report, "byz %d behavior(s) x %d variant(s)"
+        % (len(behaviors), len(variants)),
+    )
 
 
 if __name__ == "__main__":

@@ -23,14 +23,15 @@ under every checker: the matrix is only ``ok`` when all mutants are caught
 **and** all baselines stay clean, so a checker cannot "win" by flagging
 everything.
 
-Jobs fan out through :func:`repro.harness.parallel.run_jobs`;
+Jobs run through the shared sweep layer (:mod:`repro.harness.sweep`);
 :func:`execute_campaign_job` is the module-level executor that pickles into
 worker processes.  The ``inject`` CLI target (``python -m repro.harness
 inject``) drives :func:`run_campaign` and writes the JSON matrix.
 """
 
 from repro.faults.mutants import MUTANTS, MutantRuntimeFactory
-from repro.harness.parallel import run_jobs
+from repro.harness.parallel import Cell, capture, cell
+from repro.harness.sweep import check_names, run_sweep
 
 CHECKERS = ("oracle", "sanitizer", "fuzzer")
 
@@ -52,45 +53,90 @@ BASE_PARAMS = dict(
 MAX_STEPS = 120_000
 
 
-class CampaignJob:
+@cell
+class CampaignJob(Cell):
     """One (mutant-or-baseline, variant, checker) unit of campaign work.
 
-    Plain picklable data — instances cross the process-pool boundary of
-    :func:`repro.harness.parallel.run_jobs`.  ``mutant`` is ``None`` for a
-    clean-baseline job.
+    ``mutant`` is ``None`` for a clean-baseline job; ``key`` defaults to
+    ``mutant/variant/checker`` (``baseline/...``).  The fuzzer checker
+    runs :func:`~repro.sched.fuzz.fuzz_schedules`, which has no seam for
+    ``fault_plan``; the oracle and sanitizer checkers arm it.
     """
 
-    __slots__ = ("mutant", "variant", "checker", "workload", "params", "seeds")
+    mutant: str
+    variant: str
+    checker: str
+    workload: str
+    params: dict
+    seeds: int
+    key: object = None
+    gpu_overrides: dict = None
+    fault_plan: list = None
 
-    def __init__(self, mutant, variant, checker, workload, params, seeds):
-        self.mutant = mutant
-        self.variant = variant
-        self.checker = checker
-        self.workload = workload
-        self.params = dict(params)
-        self.seeds = seeds
+    key_fields = ("mutant", "variant", "checker")
 
-    def __repr__(self):
-        return "CampaignJob(%s/%s via %s)" % (
-            self.mutant or "baseline", self.variant, self.checker,
-        )
+    @property
+    def faultable(self):
+        return self.checker != "fuzzer"
 
 
-def execute_campaign_job(job):
-    """Run one campaign job; returns a plain result dict, never raises.
-
-    An unexpected exception is reported as ``detected=True`` with
-    ``error`` set: on a mutant a crash still counts as "caught", and on a
-    baseline it poisons the matrix's ``ok`` so the problem surfaces
-    instead of disappearing into a worker process.
-    """
+def _check(job, _telemetry):
     # imported here, not at module top: repro.faults must stay importable
     # without dragging in the whole scheduling/workload stack
     from repro.sched.explore import run_under_schedule
     from repro.sched.fuzz import fuzz_schedules
 
     factory = MutantRuntimeFactory(job.mutant) if job.mutant else None
-    result = {
+    gpu_overrides = dict({"max_steps": MAX_STEPS}, **(job.gpu_overrides or {}))
+    result = _cell(job)
+    if job.checker == "fuzzer":
+        report = fuzz_schedules(
+            job.workload,
+            job.params,
+            job.variant,
+            seeds=job.seeds,
+            jobs=1,
+            shrink=False,
+            gpu_overrides=gpu_overrides,
+            runtime_factory=factory,
+        )
+        result["detected"] = report.found_violation
+        if report.failures:
+            first = report.failures[0].outcome
+            result["detail"] = "%s: %s" % (
+                first.failure, (first.detail or "").splitlines()[0],
+            )
+            result["livelock"] = first.livelock
+        return result
+    outcome = run_under_schedule(
+        job.workload,
+        job.params,
+        job.variant,
+        policy="rr",
+        sanitize=job.checker == "sanitizer",
+        gpu_overrides=gpu_overrides,
+        runtime_factory=factory,
+        fault_plan=job.fault_plan,
+    )
+    if job.checker == "sanitizer":
+        result["detected"] = (
+            bool(outcome.violations) or outcome.failure is not None
+        )
+    else:
+        result["detected"] = outcome.failure is not None
+    if outcome.failure is not None:
+        result["detail"] = "%s: %s" % (
+            outcome.failure, (outcome.detail or "").splitlines()[0],
+        )
+    elif outcome.violations:
+        result["detail"] = "%(check)s: %(detail)s" % outcome.violations[0]
+    result["livelock"] = outcome.livelock
+    return result
+
+
+def _cell(job):
+    """A matrix cell with no evidence yet."""
+    return {
         "mutant": job.mutant,
         "variant": job.variant,
         "checker": job.checker,
@@ -99,53 +145,23 @@ def execute_campaign_job(job):
         "livelock": False,
         "error": None,
     }
-    try:
-        if job.checker == "fuzzer":
-            report = fuzz_schedules(
-                job.workload,
-                job.params,
-                job.variant,
-                seeds=job.seeds,
-                jobs=1,
-                shrink=False,
-                gpu_overrides=dict(max_steps=MAX_STEPS),
-                runtime_factory=factory,
-            )
-            result["detected"] = report.found_violation
-            if report.failures:
-                first = report.failures[0].outcome
-                result["detail"] = "%s: %s" % (
-                    first.failure, (first.detail or "").splitlines()[0],
-                )
-                result["livelock"] = first.livelock
-        else:
-            outcome = run_under_schedule(
-                job.workload,
-                job.params,
-                job.variant,
-                policy="rr",
-                sanitize=job.checker == "sanitizer",
-                gpu_overrides=dict(max_steps=MAX_STEPS),
-                runtime_factory=factory,
-            )
-            if job.checker == "sanitizer":
-                result["detected"] = (
-                    bool(outcome.violations) or outcome.failure is not None
-                )
-            else:
-                result["detected"] = outcome.failure is not None
-            if outcome.failure is not None:
-                result["detail"] = "%s: %s" % (
-                    outcome.failure, (outcome.detail or "").splitlines()[0],
-                )
-            elif outcome.violations:
-                result["detail"] = "%(check)s: %(detail)s" % outcome.violations[0]
-            result["livelock"] = outcome.livelock
-    except Exception as exc:  # noqa: BLE001 - worker must never raise
-        result["detected"] = True
-        result["error"] = "%s: %s" % (type(exc).__name__, exc)
-        result["detail"] = result["error"]
-    return result
+
+
+def execute_campaign_job(job):
+    """Run one campaign job; its ``JobResult.run`` is the matrix cell.
+    A failed job folds in as an error cell (see :func:`_error_cell`)."""
+    return capture(job, _check)
+
+
+def _error_cell(job, result):
+    """The matrix cell of a job that failed instead of reporting: never a
+    mutant caught, and on a baseline it poisons the matrix's ``ok``."""
+    failure = result.as_failure()
+    cell = _cell(job)
+    cell["detected"] = True
+    cell["error"] = cell["detail"] = "%s: %s" % (failure.exception,
+                                                 failure.message)
+    return cell
 
 
 def _campaign_jobs(names, checkers, workload, seeds, include_baselines):
@@ -180,101 +196,73 @@ def run_campaign(
     workload="ra",
     include_baselines=True,
     seeds=2,
-    supervise=None,
-    journal=None,
-    metrics=None,
-    recorder=None,
+    **sweep
 ):
-    """Run the mutant x checker campaign; returns the efficacy matrix dict.
+    """Run the mutant x checker campaign; returns a
+    :class:`~repro.harness.sweep.SweepReport` whose summary is the
+    efficacy matrix.
 
     ``mutants`` is an iterable of mutant names (default: the whole corpus);
     ``checkers`` any subset of :data:`CHECKERS`; ``jobs`` the process-pool
-    width handed to :func:`~repro.harness.parallel.run_jobs`; ``seeds`` the
-    per-fuzzer-job schedule count.  ``supervise``/``journal``/``metrics``
-    route the campaign through the supervision layer (timeouts, retries,
-    checkpoint/resume; see docs/resilience.md) — ``CampaignJob`` exposes
-    its state through ``__slots__``, so journal fingerprints cover every
-    field of the job.
+    width; ``seeds`` the per-fuzzer-job schedule count.  ``sweep``
+    (``supervise``/``journal``/``metrics``/``recorder``) goes to
+    :func:`~repro.harness.sweep.run_sweep` (timeouts, retries,
+    checkpoint/resume, the experiment DB; see docs/resilience.md).
 
     The matrix's ``ok`` is True iff every mutant was detected by at least
     one checker on at least one of its variants **and** every baseline
     stayed clean.
     """
     names = list(mutants) if mutants is not None else sorted(MUTANTS)
-    unknown = [n for n in names if n not in MUTANTS]
-    if unknown:
-        raise ValueError(
-            "unknown mutant(s) %s; corpus has: %s"
-            % (", ".join(unknown), ", ".join(sorted(MUTANTS)))
-        )
+    check_names(names, sorted(MUTANTS), "mutant")
     checkers = list(checkers)
-    unknown = [c for c in checkers if c not in CHECKERS]
-    if unknown:
-        raise ValueError(
-            "unknown checker(s) %s; available: %s"
-            % (", ".join(unknown), ", ".join(CHECKERS))
-        )
+    check_names(checkers, CHECKERS, "checker")
 
-    specs = _campaign_jobs(names, checkers, workload, seeds, include_baselines)
-    results = run_jobs(
-        specs, jobs=jobs, executor=execute_campaign_job,
-        supervise=supervise, journal=journal, metrics=metrics,
-        recorder=recorder,
-    )
-
-    matrix = {
-        "workload": workload,
-        "checkers": checkers,
-        "mutants": {},
-        "baselines": {},
-        "ok": True,
-    }
-    for name in names:
-        mutant = MUTANTS[name]
-        matrix["mutants"][name] = {
-            "description": mutant.description,
-            "variants": list(mutant.variants),
-            "expected": list(mutant.expected),
-            "results": {},
-            "detected": False,
+    def summarize(specs, results):
+        matrix = {
+            "workload": workload,
+            "checkers": checkers,
+            "mutants": {},
+            "baselines": {},
+            "ok": True,
         }
-    for spec, result in zip(specs, results):
-        if not isinstance(result, dict):
-            # a supervised campaign can yield a structured JobResult
-            # failure (wall timeout, lost worker) in place of the
-            # executor's dict; fold it in as an error cell — detected
-            # with error set, so a mutant is not silently "caught" and a
-            # baseline poisons ``ok`` instead of hiding the problem
-            brief = getattr(result, "brief_error", None)
-            detail = brief() if brief is not None else repr(result)
-            result = {
-                "mutant": spec.mutant,
-                "variant": spec.variant,
-                "checker": spec.checker,
-                "detected": True,
-                "detail": detail,
-                "livelock": False,
-                "error": detail,
+        for name in names:
+            mutant = MUTANTS[name]
+            matrix["mutants"][name] = {
+                "description": mutant.description,
+                "variants": list(mutant.variants),
+                "expected": list(mutant.expected),
+                "results": {},
+                "detected": False,
             }
-        if spec.mutant is None:
-            cell = matrix["baselines"].setdefault(spec.variant, {})
-            cell[spec.checker] = result
-            if result["detected"]:
-                matrix["ok"] = False
-        else:
-            entry = matrix["mutants"][spec.mutant]
-            cell = entry["results"].setdefault(spec.variant, {})
-            cell[spec.checker] = result
-            if result["detected"] and not result["error"]:
-                entry["detected"] = True
-    # escapees: mutants no checker caught, named explicitly in the JSON
-    # artifact so a red campaign says *which* bug got away, not just "NO"
-    matrix["escapees"] = [
-        name for name in names if not matrix["mutants"][name]["detected"]
-    ]
-    if matrix["escapees"]:
-        matrix["ok"] = False
-    return matrix
+        for spec, result in zip(specs, results):
+            cell = _error_cell(spec, result) if result.failed else result.run
+            if spec.mutant is None:
+                matrix["baselines"].setdefault(spec.variant, {})[
+                    spec.checker] = cell
+                if cell["detected"]:
+                    matrix["ok"] = False
+            else:
+                entry = matrix["mutants"][spec.mutant]
+                entry["results"].setdefault(spec.variant, {})[
+                    spec.checker] = cell
+                if cell["detected"] and not cell["error"]:
+                    entry["detected"] = True
+        # escapees: mutants no checker caught, named explicitly in the JSON
+        # artifact so a red campaign says *which* bug got away, not just "NO"
+        matrix["escapees"] = [
+            name for name in names if not matrix["mutants"][name]["detected"]
+        ]
+        if matrix["escapees"]:
+            matrix["ok"] = False
+        return matrix
+
+    return run_sweep(
+        _campaign_jobs(names, checkers, workload, seeds, include_baselines),
+        execute_campaign_job, summarize,
+        lambda report: render_matrix(report.summary),
+        ("efficacy_matrix.json", None), jobs=jobs, **sweep
+    )
 
 
 def render_matrix(matrix):

@@ -74,7 +74,8 @@ The ``chaos`` target (:mod:`repro.harness.chaos`) is the supervision
 layer's own proving ground: a supervised happy-path sweep, a sweep with
 injected worker failures (error, SIGKILL, hang, armed fault), and a
 kill-and-resume round-trip, each checked bit-identical against an
-unsupervised reference run.  Exit code 1 when any phase fails.
+unsupervised reference run; ``--timeout`` is its hung-worker reaping
+deadline (default 20 s).  Exit code 1 when any phase fails.
 """
 
 import argparse
@@ -85,6 +86,14 @@ import time
 from repro.harness import configs, experiments
 from repro.harness.parallel import default_jobs
 from repro.harness.profiling import maybe_profile
+from repro.harness.sweep import (
+    SweepCommand,
+    add_sweep_flags,
+    csv,
+    print_failures,
+    recorder_for,
+    supervision,
+)
 
 TARGETS = {
     "table1": experiments.table1,
@@ -145,63 +154,25 @@ def run_fuzz(args, jobs):
     return 1 if failed else 0
 
 
-def _supervision_kwargs(args, target=None, multi_target=False):
-    """Supervision kwargs for a sweep, or ``{}`` when no flag asked for it.
-
-    Only non-empty when ``--retries``/``--timeout``/``--resume`` was
-    given: the figure drivers (and their test stubs) keep their original
-    signatures on the unsupervised path.  With multiple targets sharing
-    one ``--resume`` path, each target journals to ``PATH.<target>``.
-    """
-    kwargs = {}
-    if args.retries is not None or args.timeout is not None:
-        from repro.harness.supervisor import SupervisorConfig
-
-        config = SupervisorConfig()
-        if args.retries is not None:
-            config.max_retries = args.retries
-        if args.timeout is not None:
-            config.wall_timeout = args.timeout
-        kwargs["supervise"] = config
-    if args.resume:
-        path = args.resume
-        if multi_target and target:
-            path = "%s.%s" % (path, target)
-        kwargs["journal"] = path
-    return kwargs
-
-
 def run_inject(args, jobs):
     """Drive the mutant-efficacy campaign; returns an exit code."""
     # imported here: the figure targets must not pay for the faults stack
-    from repro.common.fsio import atomic_write_json
-    from repro.faults.campaign import run_campaign, render_matrix
+    from repro.faults.campaign import run_campaign
 
-    mutants = None
-    if args.mutants != "all":
-        mutants = [name.strip() for name in args.mutants.split(",") if name.strip()]
-    checkers = [c.strip() for c in args.checkers.split(",") if c.strip()]
-    out_dir = args.out or "fault-artifacts"
-    os.makedirs(out_dir, exist_ok=True)
-    seeds = args.seeds if args.seeds is not None else 2
-
-    started = time.time()
-    matrix = run_campaign(
-        mutants=mutants,
-        checkers=checkers,
-        jobs=jobs,
+    command = SweepCommand(args, "inject")
+    report = run_campaign(
+        mutants=None if args.mutants == "all" else csv(args.mutants),
+        checkers=csv(args.checkers),
         workload=args.workload,
         include_baselines=not args.no_baselines,
-        seeds=seeds,
-        **_supervision_kwargs(args)
+        seeds=args.seeds if args.seeds is not None else 2,
+        **command.run_kwargs
     )
-    print(render_matrix(matrix))
-    matrix_path = os.path.join(out_dir, "efficacy_matrix.json")
-    atomic_write_json(matrix_path, matrix)
-    print("[matrix -> %s]" % matrix_path)
-    print("[inject %d mutant(s) x %d checker(s) in %.1fs, jobs=%d]"
-          % (len(matrix["mutants"]), len(checkers), time.time() - started, jobs))
-    return 0 if matrix["ok"] else 1
+    return command.finish(
+        report, "inject %d mutant(s) x %d checker(s)"
+        % (len(report.summary["mutants"]), len(report.summary["checkers"])),
+        out_dir=args.out or "fault-artifacts",
+    )
 
 
 def run_chaos(args, jobs):
@@ -356,10 +327,6 @@ def main(argv=None):
         "--quick", action="store_true", help="scaled-down geometry for a fast pass"
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the sweep (default: $REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="print a cProfile summary of each target (driving process only)",
     )
@@ -367,16 +334,7 @@ def main(argv=None):
         "--profile-out", default=None, metavar="FILE",
         help="dump the raw cProfile data to FILE (loadable with pstats.Stats)",
     )
-    parser.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write the merged telemetry metric registry as JSON to FILE",
-    )
-    parser.add_argument(
-        "--expdb", default=None, metavar="PATH",
-        help="record each figure/table sweep (spec fingerprints, merged "
-        "metrics, failure taxonomy, provenance) in the experiment database "
-        "at PATH ('default' for $REPRO_EXPDB or expdb/experiments.sqlite)",
-    )
+    add_sweep_flags(parser, None, jobs_default=None, metrics_file=True)
     fuzz_group = parser.add_argument_group("fuzz target")
     fuzz_group.add_argument(
         "--workload", default="ra",
@@ -397,12 +355,6 @@ def main(argv=None):
         help="policy template(s) to fuzz with; repeatable "
         "(default: random + adversarial)",
     )
-    fuzz_group.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="artifact directory: failing schedules for fuzz, timeline "
-        "traces for trace (default: trace-artifacts), efficacy matrix "
-        "for inject (default: fault-artifacts)",
-    )
     fault_group = parser.add_argument_group("inject / sanitize targets")
     fault_group.add_argument(
         "--mutants", default="all", metavar="NAMES",
@@ -421,27 +373,8 @@ def main(argv=None):
         "--fault", action="append", metavar="SPEC",
         help="sanitize: fault spec 'kind:key=value,...' to inject; repeatable",
     )
-    resilience_group = parser.add_argument_group("resilience (supervision)")
-    resilience_group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry transient job failures up to N times with backoff "
-        "(routes the sweep through the supervisor)",
-    )
-    resilience_group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock timeout; the worker is killed and the "
-        "attempt retried as transient (needs --jobs > 1); for chaos: "
-        "the hung-worker reaping deadline (default 20)",
-    )
-    resilience_group.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="checkpoint journal: completed jobs are recorded at PATH and "
-        "skipped on re-run ('all' journals to PATH.<target>)",
-    )
     args = parser.parse_args(argv)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.experiment is not None and args.target != "trace":
         parser.error("the experiment argument only applies to the trace target")
 
@@ -463,17 +396,20 @@ def main(argv=None):
         registry = MetricRegistry()
     names = sorted(TARGETS) if args.target == "all" else [args.target]
     failures = []
+    supervise = supervision(args)
     for name in names:
         started = time.time()
-        extra = _supervision_kwargs(args, target=name,
-                                    multi_target=len(names) > 1)
-        recorder = None
-        if args.expdb:
-            from repro.expdb import SweepRecorder, default_db_path
-
-            db_path = (default_db_path() if args.expdb == "default"
-                       else args.expdb)
-            recorder = SweepRecorder(db_path, name)
+        # only the flags given reach the driver, so drivers (and their
+        # test stubs) keep their plain signatures on the unsupervised
+        # path; targets sharing one --resume journal to PATH.<target>
+        extra = {}
+        if supervise is not None:
+            extra["supervise"] = supervise
+        if args.resume:
+            extra["journal"] = (args.resume if len(names) == 1
+                                else "%s.%s" % (args.resume, name))
+        recorder = recorder_for(args, name)
+        if recorder is not None:
             extra["recorder"] = recorder
         with maybe_profile(args.profile, out_path=args.profile_out):
             result = TARGETS[name](quick=args.quick, jobs=jobs,
@@ -490,14 +426,8 @@ def main(argv=None):
     if registry is not None:
         registry.write_json(args.metrics)
         print("[metrics -> %s]" % args.metrics)
-    if failures:
-        print("%d job(s) failed across %s:"
-              % (len(failures), ", ".join(names)), file=sys.stderr)
-        for name, failure in failures:
-            print("  %s %r: %s" % (name, failure.key, failure.brief()),
-                  file=sys.stderr)
-        return 1
-    return 0
+    print_failures(failures, ", ".join(names))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,15 +6,16 @@ ASCII table the benchmark harness prints.  Scaled geometries are documented
 in :mod:`repro.harness.configs`; EXPERIMENTS.md records paper-vs-measured.
 
 Each driver builds its sweep as a list of :class:`~repro.harness.parallel.
-JobSpec` descriptions and hands them to :func:`~repro.harness.parallel.
-run_jobs`, so any figure can fan out over worker processes (``jobs=N`` /
+JobSpec` cells and hands them to :func:`~repro.harness.sweep.run_sweep`,
+so any figure can fan out over worker processes (``jobs=N`` /
 ``REPRO_JOBS``) without changing its results: runs are independent, results
 are filed by spec key, and assembly order is fixed by the spec list.
 """
 
 from repro.gpu.events import Phase
 from repro.harness import configs
-from repro.harness.parallel import JobSpec, merge_job_metrics, run_jobs
+from repro.harness.parallel import JobSpec
+from repro.harness.sweep import failures_of, run_sweep
 from repro.harness.report import render_breakdown, render_series, render_table
 from repro.workloads import make_workload
 
@@ -71,22 +72,12 @@ class SweepOutcomes(dict):
 
     def __init__(self, results):
         super().__init__((out.key, out) for out in results)
-        self.failures = []
-        for out in results:
-            if getattr(out, "failed", False):
-                failure = out.failure
-                if failure is None:
-                    from repro.harness.parallel import JobFailure
-
-                    failure = JobFailure(out.key, "error", "Error",
-                                         out.brief_error() or "unknown",
-                                         traceback=out.error)
-                self.failures.append(failure)
+        self.failures = failures_of(results)
 
     def run(self, key):
         """The job's ``RunResult``, or ``None`` when the job failed."""
         out = self[key]
-        if getattr(out, "failed", False):
+        if out.failed:
             return None
         return out.run
 
@@ -102,32 +93,23 @@ def _failures_note(failures):
     return "\n".join(lines)
 
 
-def _sweep(specs, jobs, metrics=None, timeline_dir=None, supervise=None,
-           journal=None, recorder=None):
+def _sweep(specs, jobs, metrics=None, timeline_dir=None, **sweep):
     """Run a sweep's spec list and key the results by spec key.
 
     ``metrics`` (a :class:`~repro.telemetry.MetricRegistry`) turns on
     per-worker telemetry and merges every worker's registry into it —
     the sweeps' single integration point with the telemetry layer.
     ``timeline_dir`` additionally records one Chrome-trace file per run.
-    ``supervise``/``journal`` route the sweep through the supervision
-    layer (timeouts, retry, checkpoint/resume — see docs/resilience.md);
-    the supervisor's ``supervisor.*`` counters land in ``metrics``.
-    ``recorder`` (a :class:`~repro.expdb.recorder.SweepRecorder`) records
-    the finished sweep in the experiment database.
+    ``sweep`` (``supervise``/``journal``/``recorder``) goes to
+    :func:`~repro.harness.sweep.run_sweep` (timeouts, retry,
+    checkpoint/resume, the experiment DB — see docs/resilience.md).
     """
     if metrics is not None or timeline_dir is not None:
         for spec in specs:
             spec.telemetry = True
             spec.timeline_dir = timeline_dir
-    if supervise is not None or journal is not None:
-        results = run_jobs(specs, jobs, supervise=supervise, journal=journal,
-                           metrics=metrics, recorder=recorder)
-    else:
-        results = run_jobs(specs, jobs, recorder=recorder)
-    if metrics is not None:
-        merge_job_metrics(results, into=metrics)
-    return SweepOutcomes(results)
+    return SweepOutcomes(
+        run_sweep(specs, jobs=jobs, metrics=metrics, **sweep).results)
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +142,7 @@ class Fig2Result:
         ) + _failures_note(self.failures)
 
 
-def fig2(quick=False, jobs=None, metrics=None, timeline_dir=None,
-         supervise=None, journal=None, recorder=None):
+def fig2(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
     """Speedup of every STM variant over CGL on the five workloads."""
     specs = []
     for name in FIG2_WORKLOADS:
@@ -182,8 +163,7 @@ def fig2(quick=False, jobs=None, metrics=None, timeline_dir=None,
                     allow_crash=True,
                 )
             )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result = Fig2Result()
     result.failures = outcomes.failures
@@ -247,7 +227,7 @@ FIG3_VARIANTS = ("egpgv", "vbv", "tbv-sorting", "hv-backoff", "hv-sorting", "opt
 
 def fig3(workload_name="ra", thread_counts=(8, 32, 128, 512, 2048), total_txs=2048,
          quick=False, jobs=None, metrics=None, timeline_dir=None,
-         supervise=None, journal=None, recorder=None):
+         **sweep):
     """Fixed total work split over a swept number of threads.
 
     Reproduces: EGPGV crashes early (static per-block metadata), VBV
@@ -271,8 +251,7 @@ def fig3(workload_name="ra", thread_counts=(8, 32, 128, 512, 2048), total_txs=20
                     allow_crash=True,
                 )
             )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result = Fig3Result(workload_name, list(thread_counts))
     result.failures = outcomes.failures
@@ -349,9 +328,7 @@ def fig4(
     jobs=None,
     metrics=None,
     timeline_dir=None,
-    supervise=None,
-    journal=None,
-    recorder=None,
+    **sweep
 ):
     """EigenBench sweep: HV vs TBV across shared-data and lock-table sizes.
 
@@ -381,8 +358,7 @@ def fig4(
                             variant, num_locks=locks,
                         )
                     )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result = Fig4Result(list(shared_sizes), list(lock_sizes), list(thread_counts))
     result.failures = outcomes.failures
@@ -429,8 +405,7 @@ class Fig5Result:
         ) + _failures_note(self.failures)
 
 
-def fig5(quick=False, jobs=None, metrics=None, timeline_dir=None,
-         supervise=None, journal=None, recorder=None):
+def fig5(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
     """Phase breakdown of GN-1, GN-2, LB and KM under STM-Optimized.
 
     Paper shape: GN-2 dominated by STM overhead (init/buffering); LB and KM
@@ -442,8 +417,7 @@ def fig5(quick=False, jobs=None, metrics=None, timeline_dir=None,
         JobSpec(name, name, _params(name, quick), "optimized")
         for name in ("gn", "lb", "km")
     ]
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result = Fig5Result()
     result.failures = outcomes.failures
@@ -485,15 +459,13 @@ class Table1Result:
         ) + _failures_note(self.failures)
 
 
-def table1(quick=False, jobs=None, metrics=None, timeline_dir=None,
-           supervise=None, journal=None, recorder=None):
+def table1(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
     """Measure the Table 1 columns for every workload under hv-sorting."""
     names = ("ra", "ht", "eb", "lb", "gn", "km")
     specs = [
         JobSpec(name, name, _params(name, quick), "hv-sorting") for name in names
     ]
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result = Table1Result()
     result.failures = outcomes.failures
@@ -587,8 +559,7 @@ class AblationResult:
         ) + _failures_note(self.failures)
 
 
-def ablations(quick=False, jobs=None, metrics=None, timeline_dir=None,
-              supervise=None, journal=None, recorder=None):
+def ablations(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
     """Isolate the paper's design decisions one at a time."""
     from repro.gpu import Device, ProgressError
     from repro.gpu.config import GpuConfig
@@ -654,8 +625,7 @@ def ablations(quick=False, jobs=None, metrics=None, timeline_dir=None,
                 gpu_overrides=dict(warp_steps_per_turn=turn),
             )
         )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result.failures = outcomes.failures
     for label in ("flat", "hashed"):
@@ -692,8 +662,7 @@ def ablations(quick=False, jobs=None, metrics=None, timeline_dir=None,
     return result
 
 
-def table2(quick=False, jobs=None, metrics=None, timeline_dir=None,
-           supervise=None, journal=None, recorder=None):
+def table2(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
     """Sweep launch geometries per workload; report the optimum."""
     sweeps = {
         "ra": [(8, 32), (16, 32), (16, 64), (32, 32)],
@@ -718,8 +687,7 @@ def table2(quick=False, jobs=None, metrics=None, timeline_dir=None,
                     stm_overrides=configs.egpgv_capacity(),
                 )
             )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir,
-                      supervise=supervise, journal=journal, recorder=recorder)
+    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
     result = Table2Result()
     result.failures = outcomes.failures

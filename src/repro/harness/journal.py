@@ -4,7 +4,7 @@ A sweep of hundreds of independent runs can die hours in — OOM killer,
 pre-empted CI runner, an operator's ^C — and without a checkpoint every
 completed job is lost with it.  The journal is the supervision layer's
 durable record: one line per finished :class:`~repro.harness.parallel.
-JobSpec`, written *as each job completes*, so a sweep resumed against the
+Cell`, written *as each job completes*, so a sweep resumed against the
 same journal re-runs only the jobs that never finished and merges to
 output bit-identical to an uninterrupted run.
 
@@ -65,8 +65,8 @@ def spec_fingerprint(spec):
     """Deterministic content hash of a job spec (hex sha256).
 
     Works for any spec object exposing ``__getstate__`` or ``__slots__``
-    (:class:`~repro.harness.parallel.JobSpec`, the fault campaign's
-    ``CampaignJob``, the fuzzer's seeds).  Values that are not JSON types
+    — every sweep kind's :class:`~repro.harness.parallel.Cell`, whose
+    state is exactly its declared fields.  Values that are not JSON types
     fall back to ``repr``, which is stable for the plain-data specs the
     harness uses.
     """

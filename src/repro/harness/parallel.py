@@ -7,14 +7,16 @@ results do not depend on execution order.  That makes the sweeps trivially
 parallel across *processes* (the simulator is pure Python, so threads would
 serialize on the GIL).
 
-The unit of work is a :class:`JobSpec` — a picklable, declarative
-description of one run (workload name + constructor params, STM variant,
-lock-table size, config overrides).  A worker process rebuilds the workload
-and device from the spec, runs it, and ships back a :class:`JobResult`.
-Exceptions inside a worker (``ProgressError`` watchdog trips,
-``EgpgvCapacityError`` past the crash-tolerant paths, verification failures)
-are captured into the result instead of killing the pool, so one diverging
-design point cannot take down a whole sweep.
+The unit of work is a :class:`Cell` — a picklable, declarative dataclass
+describing one run.  Every sweep kind declares one (:class:`JobSpec` for
+the figures: workload name + constructor params, STM variant, lock-table
+size, config overrides; the service, multi-device, byzantine, mutant and
+fuzz kinds declare theirs next to their executors).  A worker process
+rebuilds the run from the cell inside :func:`capture` and ships back a
+:class:`JobResult`.  Exceptions inside a worker (``ProgressError``
+watchdog trips, ``EgpgvCapacityError`` past the crash-tolerant paths,
+verification failures) are captured into the result instead of killing
+the pool, so one diverging design point cannot take down a whole sweep.
 
 ``run_jobs(specs, jobs=n)`` preserves spec order in its result list, so a
 sweep assembled from the results is bit-identical to the serial run no
@@ -26,6 +28,7 @@ The worker count comes from, in order: the ``jobs`` argument, the
 ``REPRO_JOBS`` environment variable, else 1.
 """
 
+import dataclasses
 import os
 import pickle
 import re
@@ -143,7 +146,69 @@ def default_jobs():
         )
 
 
-class JobSpec:
+class Cell:
+    """The one sweep-cell protocol: plain, picklable, fingerprintable data.
+
+    A sweep kind declares its cell once, as a :func:`cell` dataclass
+    subclassing this; state, ``clone`` and ``repr`` are shared.  Every
+    kind's fields include ``key`` (files the result, names the cell to a
+    :class:`~repro.harness.supervisor.ChaosPlan` and the experiment DB),
+    ``gpu_overrides`` (``GpuConfig`` attribute overrides, where the
+    supervisor overlays its cycle budget) and ``fault_plan`` (a list of
+    ``FaultSpec.parse`` strings armed on the cell's device, where chaos
+    ``fault`` events land).  The state — what the journal fingerprints —
+    is exactly the declared fields.
+
+    On construction an optional dict/list field (default ``None``) is
+    copied, and stored as ``None`` when empty; a required dict field is
+    copied.  So a clone never aliases the original's containers.  A kind
+    naming ``key_fields`` lets ``key`` default to those fields joined by
+    ``/`` (``None`` reads ``baseline``).
+    """
+
+    #: capture settings for kinds that record no telemetry; kinds that do
+    #: declare them as fields
+    telemetry = False
+    timeline_dir = None
+    #: False for kinds whose executor has no seam to arm ``fault_plan``
+    faultable = True
+    key_fields = ()
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            optional = field.default is None
+            if isinstance(value, dict):
+                value = dict(value) if value or not optional else None
+            elif optional and isinstance(value, (list, tuple)):
+                value = list(value) if value else None
+            setattr(self, field.name, value)
+        if self.key is None and self.key_fields:
+            self.key = "/".join(
+                "baseline" if getattr(self, name) is None
+                else str(getattr(self, name)) for name in self.key_fields
+            )
+
+    def __getstate__(self):
+        return {field.name: getattr(self, field.name)
+                for field in dataclasses.fields(self)}
+
+    def clone(self, **updates):
+        """A copy with ``updates`` applied (supervision overlays cycle
+        budgets and chaos fault plans this way, never mutating the
+        caller's cell list)."""
+        return dataclasses.replace(self, **updates)
+
+    def __repr__(self):
+        return "%s(%r, %s)" % (type(self).__name__, self.key, self.variant)
+
+
+#: the decorator every :class:`Cell` kind is declared with
+cell = dataclasses.dataclass(repr=False, eq=False)
+
+
+@cell
+class JobSpec(Cell):
     """A picklable description of one ``run_workload`` call.
 
     ``key`` is an arbitrary (picklable) tag the sweep uses to file the
@@ -161,71 +226,18 @@ class JobSpec:
     telemetry) and sets ``JobResult.trace_path``.
     """
 
-    __slots__ = (
-        "key",
-        "workload",
-        "params",
-        "variant",
-        "num_locks",
-        "stm_overrides",
-        "gpu_overrides",
-        "verify",
-        "allow_crash",
-        "telemetry",
-        "timeline_dir",
-        "fault_plan",
-    )
-
-    def __init__(self, key, workload, params, variant,
-                 num_locks=configs.DEFAULT_NUM_LOCKS, stm_overrides=None,
-                 gpu_overrides=None, verify=True, allow_crash=False,
-                 telemetry=False, timeline_dir=None, fault_plan=None):
-        self.key = key
-        self.workload = workload
-        self.params = dict(params)
-        self.variant = variant
-        self.num_locks = num_locks
-        self.stm_overrides = dict(stm_overrides) if stm_overrides else None
-        self.gpu_overrides = dict(gpu_overrides) if gpu_overrides else None
-        self.verify = verify
-        self.allow_crash = allow_crash
-        self.telemetry = telemetry
-        self.timeline_dir = timeline_dir
-        # a list of fault-spec strings (FaultSpec.parse syntax) armed on
-        # the worker's device — carried as plain data so the spec pickles
-        # and fingerprints without importing the faults package
-        self.fault_plan = list(fault_plan) if fault_plan else None
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        # defaults first: states pickled before a slot existed stay valid
-        self.telemetry = False
-        self.timeline_dir = None
-        self.fault_plan = None
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def clone(self, **updates):
-        """A deep-enough copy with ``updates`` applied (supervision uses
-        this to overlay cycle budgets and chaos fault plans without
-        mutating the caller's spec list)."""
-        state = self.__getstate__()
-        state.update(updates)
-        spec = JobSpec.__new__(JobSpec)
-        spec.__setstate__(state)
-        spec.params = dict(spec.params)
-        if spec.stm_overrides is not None:
-            spec.stm_overrides = dict(spec.stm_overrides)
-        if spec.gpu_overrides is not None:
-            spec.gpu_overrides = dict(spec.gpu_overrides)
-        if spec.fault_plan is not None:
-            spec.fault_plan = list(spec.fault_plan)
-        return spec
-
-    def __repr__(self):
-        return "JobSpec(%r, %s/%s)" % (self.key, self.workload, self.variant)
+    key: object
+    workload: str
+    params: dict
+    variant: str
+    num_locks: int = configs.DEFAULT_NUM_LOCKS
+    stm_overrides: dict = None
+    gpu_overrides: dict = None
+    verify: bool = True
+    allow_crash: bool = False
+    telemetry: bool = False
+    timeline_dir: str = None
+    fault_plan: list = None
 
 
 class JobResult:
@@ -260,9 +272,27 @@ class JobResult:
         for slot, value in state.items():
             setattr(self, slot, value)
 
+    @classmethod
+    def from_exception(cls, key, exc):
+        """A failed result for ``exc``, raised while handling it."""
+        tb = traceback.format_exc()
+        return cls(key, error=tb,
+                   failure=JobFailure.from_exception(key, exc, tb=tb))
+
     @property
     def failed(self):
         return self.error is not None
+
+    def as_failure(self):
+        """The structured :class:`JobFailure` of a failed result (built
+        from the traceback when only that was kept), else ``None``."""
+        if not self.failed:
+            return None
+        if self.failure is not None:
+            return self.failure
+        return JobFailure(self.key, "error", "Error",
+                          self.brief_error() or "unknown failure",
+                          traceback=self.error)
 
     def brief_error(self):
         """One-line description of the failure (structured when possible)."""
@@ -291,10 +321,16 @@ def _slug(key):
     return re.sub(r"[^A-Za-z0-9._-]+", "_", str(key)).strip("_") or "job"
 
 
-def execute_job(spec):
-    """Run one spec in the current process; never raises.
+def capture(spec, body):
+    """Run ``body(spec, telemetry)`` as one cell; never raises.
 
-    Module-level (not a closure) so it pickles for ProcessPoolExecutor.
+    The one executor wrapper every sweep kind shares: the body's return
+    value becomes ``JobResult.run``; an exception becomes a failed
+    ``JobResult`` with its :class:`JobFailure`.  ``spec.telemetry`` (or a
+    ``timeline_dir``) opens a fresh :class:`~repro.telemetry.Telemetry`
+    session for the body, whose registry ships back as
+    ``JobResult.metrics``; ``timeline_dir`` also writes the run's
+    Chrome-trace timeline there and sets ``JobResult.trace_path``.
     """
     tel = None
     if spec.telemetry or spec.timeline_dir is not None:
@@ -307,32 +343,12 @@ def execute_job(spec):
             },
         )
     try:
-        gpu = configs.bench_gpu()
-        if spec.gpu_overrides:
-            for attr, value in spec.gpu_overrides.items():
-                if not hasattr(gpu, attr):
-                    raise ValueError("unknown GpuConfig attribute %r" % attr)
-                setattr(gpu, attr, value)
-        run = run_workload(
-            make_workload(spec.workload, **spec.params),
-            spec.variant,
-            gpu,
-            num_locks=spec.num_locks,
-            stm_overrides=spec.stm_overrides,
-            verify=spec.verify,
-            allow_crash=spec.allow_crash,
-            telemetry=tel,
-            fault_plan=spec.fault_plan,
-        )
-        result = JobResult(spec.key, run=run)
-    except Exception as exc:
-        result = JobResult(
-            spec.key,
-            error=traceback.format_exc(),
-            failure=JobFailure.from_exception(
-                spec.key, exc, tb=traceback.format_exc()
-            ),
-        )
+        if spec.fault_plan and not spec.faultable:
+            raise ValueError("%s cells have no fault seam; cannot arm %r"
+                             % (type(spec).__name__, spec.fault_plan))
+        result = JobResult(spec.key, run=body(spec, tel))
+    except Exception as exc:  # noqa: BLE001 - captured per cell
+        result = JobResult.from_exception(spec.key, exc)
     if tel is not None:
         result.metrics = tel.registry.as_dict()
         if spec.timeline_dir is not None and tel.timeline is not None:
@@ -343,6 +359,38 @@ def execute_job(spec):
             tel.write_timeline(path)
             result.trace_path = path
     return result
+
+
+def bench_gpu(overrides=None):
+    """:func:`configs.bench_gpu` with ``GpuConfig`` attribute overrides."""
+    gpu = configs.bench_gpu()
+    for attr, value in (overrides or {}).items():
+        if not hasattr(gpu, attr):
+            raise ValueError("unknown GpuConfig attribute %r" % attr)
+        setattr(gpu, attr, value)
+    return gpu
+
+
+def _run_job(spec, telemetry):
+    return run_workload(
+        make_workload(spec.workload, **spec.params),
+        spec.variant,
+        bench_gpu(spec.gpu_overrides),
+        num_locks=spec.num_locks,
+        stm_overrides=spec.stm_overrides,
+        verify=spec.verify,
+        allow_crash=spec.allow_crash,
+        telemetry=telemetry,
+        fault_plan=spec.fault_plan,
+    )
+
+
+def execute_job(spec):
+    """Run one :class:`JobSpec` in the current process; never raises.
+
+    Module-level (not a closure) so it pickles for ProcessPoolExecutor.
+    """
+    return capture(spec, _run_job)
 
 
 def merge_job_metrics(results, into=None):
@@ -367,7 +415,7 @@ def _pool_error_result(spec, exc):
     A bare ``PicklingError`` escaping ``pool.map`` used to abort the whole
     sweep without saying which spec carried the unpicklable kernel arg (or
     produced the unpicklable result).  Each pool failure now becomes a
-    :class:`JobFailure` naming the offending :class:`JobSpec`.
+    :class:`JobFailure` naming the offending cell.
     """
     category, transient = classify_exception(exc)
     if "pickle" in type(exc).__name__.lower() or "pickle" in str(exc).lower():
@@ -375,13 +423,13 @@ def _pool_error_result(spec, exc):
         transient = False
     message = (
         "job %r (%r) failed in the process pool: %s: %s"
-        % (getattr(spec, "key", spec), spec, type(exc).__name__, exc)
+        % (spec.key, spec, type(exc).__name__, exc)
     )
     failure = JobFailure(
-        getattr(spec, "key", None), category, type(exc).__name__, message,
+        spec.key, category, type(exc).__name__, message,
         traceback=traceback.format_exc(), transient=transient,
     )
-    return JobResult(getattr(spec, "key", None), error=message, failure=failure)
+    return JobResult(spec.key, error=message, failure=failure)
 
 
 def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,

@@ -41,10 +41,10 @@ The supervisor never touches the unsupervised path: ``run_jobs`` without
 supervision arguments does not import this module.
 """
 
+import dataclasses
 import os
 import signal
 import time
-import traceback
 
 from repro.harness.journal import SweepJournal, spec_fingerprint
 from repro.harness.parallel import (
@@ -62,6 +62,7 @@ _PROCESS_ONLY_CHAOS = ("sigkill", "hang")
 CHAOS_KINDS = ("error", "sigkill", "hang", "fault")
 
 
+@dataclasses.dataclass
 class SupervisorConfig:
     """Tuning knobs for :func:`run_supervised`; plain picklable data.
 
@@ -76,26 +77,13 @@ class SupervisorConfig:
     runs, but de-synchronized across jobs.
     """
 
-    __slots__ = (
-        "wall_timeout",
-        "cycle_budget",
-        "max_retries",
-        "backoff_base",
-        "backoff_cap",
-        "jitter",
-        "poll_interval",
-    )
-
-    def __init__(self, wall_timeout=None, cycle_budget=None, max_retries=2,
-                 backoff_base=0.25, backoff_cap=8.0, jitter=0.5,
-                 poll_interval=0.05):
-        self.wall_timeout = wall_timeout
-        self.cycle_budget = cycle_budget
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.jitter = jitter
-        self.poll_interval = poll_interval
+    wall_timeout: float = None
+    cycle_budget: int = None
+    max_retries: int = 2
+    backoff_base: float = 0.25
+    backoff_cap: float = 8.0
+    jitter: float = 0.5
+    poll_interval: float = 0.05
 
     def backoff_delay(self, fingerprint, attempts):
         """Delay before the next attempt, given ``attempts`` already made."""
@@ -109,12 +97,8 @@ class SupervisorConfig:
             delay += delay * self.jitter * ((seed % 1024) / 1024.0)
         return delay
 
-    def __repr__(self):
-        return ("SupervisorConfig(wall_timeout=%r, cycle_budget=%r, "
-                "max_retries=%d)" % (
-                    self.wall_timeout, self.cycle_budget, self.max_retries))
 
-
+@dataclasses.dataclass
 class ChaosEvent:
     """One planned misbehaviour for a job: *what* goes wrong and *when*.
 
@@ -135,24 +119,20 @@ class ChaosEvent:
       the sweep's merged output bit-identical.
     """
 
-    __slots__ = ("kind", "attempts", "faults", "gpu_overrides", "hang_seconds")
+    kind: str
+    attempts: tuple = (0,)
+    faults: list = None
+    gpu_overrides: dict = None
+    hang_seconds: float = 3600.0
 
-    def __init__(self, kind, attempts=(0,), faults=None, gpu_overrides=None,
-                 hang_seconds=3600.0):
-        if kind not in CHAOS_KINDS:
+    def __post_init__(self):
+        if self.kind not in CHAOS_KINDS:
             raise ValueError("unknown chaos kind %r (one of %s)"
-                             % (kind, ", ".join(CHAOS_KINDS)))
-        self.kind = kind
-        self.attempts = tuple(attempts)
-        self.faults = list(faults) if faults else None
-        self.gpu_overrides = dict(gpu_overrides) if gpu_overrides else None
-        self.hang_seconds = hang_seconds
+                             % (self.kind, ", ".join(CHAOS_KINDS)))
+        self.attempts = tuple(self.attempts)
 
     def fires_on(self, attempt):
         return attempt in self.attempts
-
-    def __repr__(self):
-        return "ChaosEvent(%r, attempts=%r)" % (self.kind, self.attempts)
 
 
 class ChaosPlan:
@@ -173,13 +153,26 @@ class ChaosPlan:
                 return event
         return None
 
-    def needs_processes(self):
-        """True when any event must run against a killable worker."""
-        return any(
-            event.kind in _PROCESS_ONLY_CHAOS
-            for events in self.events.values()
-            for event in events
-        )
+    def check(self, specs, serial):
+        """Reject, before any attempt, a plan this sweep cannot honour:
+        sigkill/hang events without killable workers (``serial``), and
+        ``fault`` events on cells whose kind has no fault seam."""
+        if serial and any(event.kind in _PROCESS_ONLY_CHAOS
+                          for events in self.events.values()
+                          for event in events):
+            raise ValueError(
+                "chaos plan includes sigkill/hang events; they need worker "
+                "processes (jobs > 1) or they would kill/hang this process"
+            )
+        for spec in specs:
+            if spec.faultable:
+                continue
+            if any(event.kind == "fault"
+                   for event in self.events.get(spec.key, ())):
+                raise ValueError(
+                    "chaos fault event on %r: %s cells have no fault seam"
+                    % (spec.key, type(spec).__name__)
+                )
 
     def __len__(self):
         return sum(len(events) for events in self.events.values())
@@ -205,11 +198,6 @@ def _apply_chaos(event, executor, spec, attempt):
             % (spec.key, event.hang_seconds)
         )
     # kind == "fault": run with the fault plan armed, then discard
-    if not hasattr(spec, "clone"):
-        raise TransientJobError(
-            "chaos: fault injection needs a JobSpec-like spec with clone(); "
-            "%r has none" % (spec,)
-        )
     updates = {}
     if event.faults:
         combined = list(spec.fault_plan or []) + list(event.faults)
@@ -230,27 +218,17 @@ def _apply_chaos(event, executor, spec, attempt):
     )
 
 
-def _attempt_failure(spec, exc):
-    key = getattr(spec, "key", None)
-    tb = traceback.format_exc()
-    return JobResult(
-        key,
-        error=tb,
-        failure=JobFailure.from_exception(key, exc, tb=tb),
-    )
-
-
 def run_attempt(executor, spec, chaos, attempt):
     """One attempt of one job, chaos applied; returns a result, never
     raises.  Shared by the serial path and the worker-process entry."""
     try:
         if chaos is not None:
-            event = chaos.for_job(getattr(spec, "key", None), attempt)
+            event = chaos.for_job(spec.key, attempt)
             if event is not None:
                 _apply_chaos(event, executor, spec, attempt)
         return executor(spec)
     except Exception as exc:  # noqa: BLE001 - captured into the result
-        return _attempt_failure(spec, exc)
+        return JobResult.from_exception(spec.key, exc)
 
 
 def _worker_entry(conn, executor, spec, chaos, attempt):
@@ -269,17 +247,11 @@ def _worker_entry(conn, executor, spec, chaos, attempt):
 def _failure_of(result):
     """The structured failure of a result, or ``None`` on success.
 
-    Custom executors may return bare payloads (tuples, fuzz outcomes)
-    with no ``failed`` notion — those count as successes.
+    The fuzzer's executor returns bare ``ScheduleOutcome`` payloads with
+    no ``failed`` notion — those count as successes.
     """
-    if isinstance(result, JobResult) and result.failed:
-        if result.failure is not None:
-            return result.failure
-        return JobFailure(
-            result.key, "error", "Error",
-            result.brief_error() or "unknown failure",
-            traceback=result.error,
-        )
+    if isinstance(result, JobResult):
+        return result.as_failure()
     return None
 
 
@@ -333,9 +305,7 @@ class _Supervisor:
                 self.count("timeouts.cycle")
         self.results[job.index] = result
         if self.journal is not None:
-            self.journal.record(
-                job.fingerprint, getattr(job.spec, "key", None), result
-            )
+            self.journal.record(job.fingerprint, job.spec.key, result)
 
     def should_retry(self, job, failure):
         return failure.transient and job.attempts <= self.config.max_retries
@@ -388,7 +358,7 @@ def _reap(sup, record, result, failure, queue):
 
 
 def _supervisor_timeout_result(job, category, detail):
-    key = getattr(job.spec, "key", None)
+    key = job.spec.key
     message = "job %r %s: %s" % (key, category, detail)
     failure = JobFailure(key, category, "SupervisorTimeout"
                          if category == "timeout" else "WorkerLost",
@@ -517,18 +487,15 @@ def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,
         journal = own_journal = SweepJournal(journal)
 
     serial = jobs <= 1
-    if serial and chaos is not None and chaos.needs_processes():
-        raise ValueError(
-            "chaos plan includes sigkill/hang events; they need worker "
-            "processes (jobs > 1) or they would kill/hang this process"
-        )
+    if chaos is not None:
+        chaos.check(specs, serial)
 
     # overlay the cycle budget *before* fingerprinting, so a journal
     # written under one budget is not resumed under another
     effective = []
     for spec in specs:
-        if config.cycle_budget is not None and hasattr(spec, "clone"):
-            overrides = dict(getattr(spec, "gpu_overrides", None) or {})
+        if config.cycle_budget is not None:
+            overrides = dict(spec.gpu_overrides or {})
             overrides.setdefault("max_steps", config.cycle_budget)
             spec = spec.clone(gpu_overrides=overrides)
         effective.append(spec)

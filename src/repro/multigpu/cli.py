@@ -3,36 +3,21 @@
 Maps which STM variants survive cross-shard commits as the remote-access
 fraction and the inter-device link latency grow
 (:mod:`repro.multigpu.sweep`), writing the survival-map artifacts under
-``--out``.  ``--retries``/``--timeout``/``--resume`` route the sweep
-through the supervised pool, mirroring ``python -m repro service``.
+``--out``.  The execution and artifact flags are the shared sweep
+front-end of :mod:`repro.harness.sweep`.
 """
 
 import argparse
-import os
 import sys
-import time
 
-from repro.multigpu.sweep import (
-    DEFAULT_OUT_DIR,
-    run_multigpu_sweep,
-    write_mg_artifacts,
+from repro.harness.sweep import (
+    SweepCommand,
+    add_sweep_flags,
+    csv_or_all,
+    number_list,
 )
+from repro.multigpu.sweep import DEFAULT_OUT_DIR, run_multigpu_sweep
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
-
-
-def _csv(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _number_list(values, flag, parser, cast=float):
-    out = []
-    for value in values:
-        for part in _csv(value):
-            try:
-                out.append(cast(part))
-            except ValueError:
-                parser.error("%s expects numbers, got %r" % (flag, part))
-    return tuple(out)
 
 
 def build_parser():
@@ -95,66 +80,19 @@ def build_parser():
         help="watchdog budget per cell in warp steps (default: 400000); "
         "cells that trip it become livelock/deadlock map entries",
     )
-    pool_group = parser.add_argument_group("execution")
-    pool_group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (default: 1)",
-    )
-    pool_group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry transient cell failures up to N times with backoff",
-    )
-    pool_group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout (needs --jobs > 1)",
-    )
-    pool_group.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="checkpoint journal: completed cells are recorded at PATH and "
-        "served back bit-identically on re-run",
-    )
-    artifact_group = parser.add_argument_group("artifacts")
-    artifact_group.add_argument(
-        "--out", default=DEFAULT_OUT_DIR, metavar="DIR",
-        help="artifact directory (default: %s)" % DEFAULT_OUT_DIR,
-    )
-    artifact_group.add_argument(
-        "--metrics", action="store_true",
-        help="also write the merged telemetry registry to DIR/metrics.json",
-    )
-    artifact_group.add_argument(
-        "--expdb", default=None, metavar="PATH",
-        help="record the sweep (fingerprints, metrics, artifact hashes) "
-        "in the experiment database at PATH ('default' for $REPRO_EXPDB "
-        "or expdb/experiments.sqlite)",
-    )
+    add_sweep_flags(parser, DEFAULT_OUT_DIR)
     return parser
-
-
-def _resolve_variants(text, parser):
-    known = STM_VARIANTS + EXTENSION_VARIANTS
-    if text.strip() == "all":
-        return known
-    variants = _csv(text)
-    if not variants:
-        parser.error("--variants expects at least one variant name")
-    for name in variants:
-        if name not in known:
-            parser.error(
-                "unknown STM variant %r; expected one of %s or 'all'"
-                % (name, ", ".join(known))
-            )
-    return variants
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    variants = _resolve_variants(args.variants, parser)
-    remote_fracs = _number_list(
+    variants = csv_or_all(args.variants, STM_VARIANTS + EXTENSION_VARIANTS,
+                          "--variants", parser)
+    remote_fracs = number_list(
         args.remote_frac or ["0,0.3,0.6"], "--remote-frac", parser
     )
-    latencies = _number_list(
+    latencies = number_list(
         args.link_latency or ["40,160"], "--link-latency", parser, cast=int
     )
     if any(not 0.0 <= frac <= 1.0 for frac in remote_fracs):
@@ -164,64 +102,17 @@ def main(argv=None):
     if args.devices < 2:
         parser.error("--devices must be >= 2 (the single-device story is "
                      "the rest of the harness)")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
-    supervise = None
-    if args.retries is not None or args.timeout is not None:
-        from repro.harness.supervisor import SupervisorConfig
-
-        supervise = SupervisorConfig()
-        if args.retries is not None:
-            supervise.max_retries = args.retries
-        if args.timeout is not None:
-            supervise.wall_timeout = args.timeout
-
-    registry = None
-    if args.metrics:
-        from repro.telemetry import MetricRegistry
-
-        registry = MetricRegistry()
-
-    recorder = None
-    if args.expdb:
-        from repro.expdb import SweepRecorder, default_db_path
-
-        db_path = default_db_path() if args.expdb == "default" else args.expdb
-        recorder = SweepRecorder(
-            db_path, "multigpu-survival", seed=args.seed,
-            summary={"devices": args.devices},
-        )
-
-    started = time.time()
+    command = SweepCommand(args, "multigpu-survival", seed=args.seed,
+                           summary={"devices": args.devices})
     report = run_multigpu_sweep(
         variants, remote_fracs, latencies, devices=args.devices,
         skew=args.skew, shard_skew=args.shard_skew, seed=args.seed,
         num_accounts=args.accounts, grid=args.grid, block=args.block,
-        txs_per_thread=args.txs, max_steps=args.max_steps, jobs=args.jobs,
-        supervise=supervise, journal=args.resume, metrics=registry,
-        recorder=recorder,
+        txs_per_thread=args.txs, max_steps=args.max_steps,
+        **command.run_kwargs
     )
-    print(report.render())
-    summary_path, map_path = write_mg_artifacts(report, args.out)
-    print("[survival map -> %s, %s]" % (summary_path, map_path))
-    if registry is not None:
-        metrics_path = os.path.join(args.out, "metrics.json")
-        registry.write_json(metrics_path)
-        print("[metrics -> %s]" % metrics_path)
-    if recorder is not None and recorder.run_id is not None:
-        recorder.add_artifacts([summary_path, map_path])
-        print("[expdb run %d (%s) -> %s]"
-              % (recorder.run_id, recorder.run_key[:12], recorder.db
-                 if isinstance(recorder.db, str) else recorder.db.path))
-    print("[multigpu sweep: %d cell(s) in %.1fs, jobs=%d]"
-          % (len(report.specs), time.time() - started, args.jobs))
-    if not report.ok:
-        print("%d cell(s) failed:" % len(report.failures), file=sys.stderr)
-        for failure in report.failures:
-            print("  %r: %s" % (failure.key, failure.brief()), file=sys.stderr)
-        return 1
-    return 0
+    return command.finish(report, "multigpu sweep")
 
 
 if __name__ == "__main__":

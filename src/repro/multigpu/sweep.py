@@ -16,16 +16,14 @@ classifies the outcome:
 The per-variant outcome grid is the *survival map*
 (``survival_map.json`` + a rendered ``survival_map.txt``), the
 multi-GPU analogue of the service layer's collapse-knee artifacts.
-Cells fan out through the supervised pool exactly like every other
-sweep: journaled, resumable, bit-identical on replay.
+Cells run through the shared sweep layer (:mod:`repro.harness.sweep`)
+exactly like every other sweep: journaled, resumable, bit-identical on
+replay.
 """
 
-import time
-
-from repro.common.fsio import atomic_write_json
-from repro.harness.parallel import JobFailure, JobResult, run_jobs
+from repro.harness.parallel import Cell, capture, cell
+from repro.harness.sweep import failed_cell, run_sweep
 from repro.sched.explore import explore_gpu, run_under_schedule
-from repro.telemetry import Telemetry
 
 #: default artifact directory of the ``multigpu`` CLI target
 DEFAULT_OUT_DIR = "multigpu-artifacts"
@@ -41,67 +39,29 @@ OUTCOME_LETTERS = {
 }
 
 
-class MgJobSpec:
+@cell
+class MgJobSpec(Cell):
     """One survival-map cell: picklable, journal-fingerprintable."""
 
-    __slots__ = (
-        "key",
-        "variant",
-        "remote_frac",
-        "link_latency",
-        "devices",
-        "skew",
-        "shard_skew",
-        "seed",
-        "num_accounts",
-        "grid",
-        "block",
-        "txs_per_thread",
-        "num_locks",
-        "max_steps",
-        "telemetry",
-    )
+    key: object
+    variant: str
+    remote_frac: float
+    link_latency: int
+    devices: int = 2
+    skew: float = 0.6
+    shard_skew: float = 0.0
+    seed: int = 2026
+    num_accounts: int = 256
+    grid: int = 4
+    block: int = 16
+    txs_per_thread: int = 2
+    num_locks: int = 64
+    max_steps: int = 400_000
+    telemetry: bool = False
+    gpu_overrides: dict = None
+    fault_plan: list = None
 
-    def __init__(self, key, variant, remote_frac, link_latency, devices=2,
-                 skew=0.6, shard_skew=0.0, seed=2026, num_accounts=256,
-                 grid=4, block=16, txs_per_thread=2, num_locks=64,
-                 max_steps=400_000, telemetry=False):
-        self.key = key
-        self.variant = variant
-        self.remote_frac = remote_frac
-        self.link_latency = link_latency
-        self.devices = devices
-        self.skew = skew
-        self.shard_skew = shard_skew
-        self.seed = seed
-        self.num_accounts = num_accounts
-        self.grid = grid
-        self.block = block
-        self.txs_per_thread = txs_per_thread
-        self.num_locks = num_locks
-        self.max_steps = max_steps
-        self.telemetry = telemetry
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        self.telemetry = False
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def clone(self, **updates):
-        state = self.__getstate__()
-        state.update(updates)
-        spec = MgJobSpec.__new__(MgJobSpec)
-        spec.__setstate__(state)
-        return spec
-
-    def __repr__(self):
-        return "MgJobSpec(%r, %s rf=%s lat=%s devices=%d)" % (
-            self.key, self.variant, self.remote_frac, self.link_latency,
-            self.devices,
-        )
+    workload = "mg"
 
 
 def classify_outcome(outcome):
@@ -113,100 +73,78 @@ def classify_outcome(outcome):
     return outcome.failure  # "serializability" | "sanitizer"
 
 
+def _survive(spec, telemetry):
+    outcome = run_under_schedule(
+        "mg",
+        dict(
+            num_accounts=spec.num_accounts,
+            grid=spec.grid,
+            block=spec.block,
+            txs_per_thread=spec.txs_per_thread,
+            skew=spec.skew,
+            shard_skew=spec.shard_skew,
+            remote_frac=spec.remote_frac,
+            seed=spec.seed,
+        ),
+        spec.variant,
+        num_locks=spec.num_locks,
+        stm_overrides=dict(
+            egpgv_max_blocks=spec.grid,
+            egpgv_max_threads_per_block=spec.block,
+        ),
+        gpu=explore_gpu(max_steps=spec.max_steps, warp_size=8),
+        gpu_overrides=dict(
+            {"devices": spec.devices,
+             "link_model": "uniform:%d" % spec.link_latency},
+            **(spec.gpu_overrides or {})
+        ),
+        record=False,
+        sanitize=True,
+        fault_plan=spec.fault_plan,
+        telemetry=telemetry,
+    )
+    counters = outcome.counters
+    return {
+        "key": spec.key,
+        "variant": spec.variant,
+        "remote_frac": spec.remote_frac,
+        "link_latency": spec.link_latency,
+        "devices": spec.devices,
+        "outcome": classify_outcome(outcome),
+        "commits": outcome.commits,
+        "aborts": outcome.aborts,
+        "abort_rate": round(
+            outcome.aborts / (outcome.commits + outcome.aborts), 6
+        ) if outcome.commits + outcome.aborts else 0.0,
+        "cycles": outcome.cycles,
+        "steps": outcome.steps,
+        "checked": outcome.checked,
+        "violations": len(outcome.violations),
+        "remote_txs": counters.get("mg.tx.remote", 0),
+        "local_txs": counters.get("mg.tx.local", 0),
+        "remote_ops": counters.get("mg.remote.read", 0)
+        + counters.get("mg.remote.write", 0)
+        + counters.get("mg.remote.atomic", 0),
+        "link_cycles": counters.get("mg.link.cycles", 0),
+    }
+
+
 def execute_mg_job(spec):
-    """Run one survival cell in the current process; never raises.
-
-    Module-level so it pickles into the supervised pool's workers.  A
-    watchdog trip is *data* (a livelock/deadlock cell), not a job
-    failure — only unexpected exceptions fail the cell.
-    """
-    import traceback
-
-    tel = Telemetry() if spec.telemetry else None
-    try:
-        outcome = run_under_schedule(
-            "mg",
-            dict(
-                num_accounts=spec.num_accounts,
-                grid=spec.grid,
-                block=spec.block,
-                txs_per_thread=spec.txs_per_thread,
-                skew=spec.skew,
-                shard_skew=spec.shard_skew,
-                remote_frac=spec.remote_frac,
-                seed=spec.seed,
-            ),
-            spec.variant,
-            num_locks=spec.num_locks,
-            stm_overrides=dict(
-                egpgv_max_blocks=spec.grid,
-                egpgv_max_threads_per_block=spec.block,
-            ),
-            gpu=explore_gpu(max_steps=spec.max_steps, warp_size=8),
-            gpu_overrides={
-                "devices": spec.devices,
-                "link_model": "uniform:%d" % spec.link_latency,
-            },
-            record=False,
-            sanitize=True,
-            telemetry=tel,
-        )
-        counters = outcome.counters
-        cell = {
-            "key": spec.key,
-            "variant": spec.variant,
-            "remote_frac": spec.remote_frac,
-            "link_latency": spec.link_latency,
-            "devices": spec.devices,
-            "outcome": classify_outcome(outcome),
-            "commits": outcome.commits,
-            "aborts": outcome.aborts,
-            "abort_rate": round(
-                outcome.aborts / (outcome.commits + outcome.aborts), 6
-            ) if outcome.commits + outcome.aborts else 0.0,
-            "cycles": outcome.cycles,
-            "steps": outcome.steps,
-            "checked": outcome.checked,
-            "violations": len(outcome.violations),
-            "remote_txs": counters.get("mg.tx.remote", 0),
-            "local_txs": counters.get("mg.tx.local", 0),
-            "remote_ops": counters.get("mg.remote.read", 0)
-            + counters.get("mg.remote.write", 0)
-            + counters.get("mg.remote.atomic", 0),
-            "link_cycles": counters.get("mg.link.cycles", 0),
-        }
-        result = JobResult(spec.key, run=cell)
-    except Exception as exc:  # noqa: BLE001 - captured per job
-        result = JobResult(
-            spec.key,
-            error=traceback.format_exc(),
-            failure=JobFailure.from_exception(
-                spec.key, exc, tb=traceback.format_exc()
-            ),
-        )
-    if tel is not None:
-        result.metrics = tel.registry.as_dict()
-    return result
+    """Run one survival cell; never raises.  A watchdog trip is *data* (a
+    livelock/deadlock cell), not a job failure."""
+    return capture(spec, _survive)
 
 
-def build_mg_specs(variants, remote_fracs, link_latencies, devices=2,
-                   skew=0.6, shard_skew=0.0, seed=2026, num_accounts=256,
-                   grid=4, block=16, txs_per_thread=2, num_locks=64,
-                   max_steps=400_000, telemetry=False):
-    """The sweep's cell grid, ordered variant-major (deterministic)."""
-    specs = []
-    for variant in variants:
-        for remote_frac in remote_fracs:
-            for latency in link_latencies:
-                key = "%s/rf%g/lat%d" % (variant, remote_frac, latency)
-                specs.append(MgJobSpec(
-                    key, variant, remote_frac, latency, devices=devices,
-                    skew=skew, shard_skew=shard_skew, seed=seed,
-                    num_accounts=num_accounts, grid=grid, block=block,
-                    txs_per_thread=txs_per_thread, num_locks=num_locks,
-                    max_steps=max_steps, telemetry=telemetry,
-                ))
-    return specs
+def build_mg_specs(variants, remote_fracs, link_latencies, **fields):
+    """The sweep's cell grid, ordered variant-major (deterministic);
+    ``fields`` are the :class:`MgJobSpec` fields every cell shares."""
+    return [
+        MgJobSpec("%s/rf%g/lat%d" % (variant, frac, latency), variant, frac,
+                  latency, **fields)
+        for variant in variants
+        for frac in remote_fracs
+        for latency in link_latencies
+    ]
 
 
 def render_survival_map(summary):
@@ -245,99 +183,43 @@ def render_survival_map(summary):
     return "\n".join(lines) + "\n"
 
 
-class MgSweepReport:
-    """Results of one survival sweep: cells in spec order + failures."""
-
-    def __init__(self, specs, results, summary, wall_seconds):
-        self.specs = specs
-        self.results = results
-        self.summary = summary
-        self.wall_seconds = wall_seconds
-        self.failures = [r.failure for r in results if r.failed and r.failure]
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def render(self):
-        return render_survival_map(self.summary)
+#: the shared cell fields the survival-map summary states
+SUMMARY_FIELDS = ("devices", "seed", "skew", "shard_skew", "num_accounts",
+                  "grid", "block", "txs_per_thread", "max_steps")
 
 
-def run_multigpu_sweep(variants, remote_fracs, link_latencies, devices=2,
-                       skew=0.6, shard_skew=0.0, seed=2026,
-                       num_accounts=256, grid=4, block=16, txs_per_thread=2,
-                       num_locks=64, max_steps=400_000, jobs=None,
+def run_multigpu_sweep(variants, remote_fracs, link_latencies, jobs=None,
                        supervise=None, journal=None, metrics=None,
-                       recorder=None):
-    """Run the survival sweep; returns a :class:`MgSweepReport`.
+                       recorder=None, **fields):
+    """Run the survival sweep; returns a
+    :class:`~repro.harness.sweep.SweepReport` rendering the survival map.
 
-    Same pool contract as the service sweep: ``supervise``/``journal``
-    route cells through the supervision layer, ``metrics`` merges worker
-    registries, ``recorder`` records the run in the experiment DB.
+    ``fields`` are the :class:`MgJobSpec` fields every cell shares; the
+    rest go to :func:`~repro.harness.sweep.run_sweep`, and a ``metrics``
+    registry also turns on per-cell telemetry.
     """
-    specs = build_mg_specs(
-        variants, remote_fracs, link_latencies, devices=devices, skew=skew,
-        shard_skew=shard_skew, seed=seed, num_accounts=num_accounts,
-        grid=grid, block=block, txs_per_thread=txs_per_thread,
-        num_locks=num_locks, max_steps=max_steps,
-        telemetry=metrics is not None,
-    )
-    started = time.perf_counter()
-    results = run_jobs(
-        specs, jobs=jobs, executor=execute_mg_job,
+    proto = MgJobSpec(None, None, None, None, **fields)
+
+    def summarize(specs, results):
+        summary = {name: getattr(proto, name) for name in SUMMARY_FIELDS}
+        summary.update(
+            experiment="multigpu-survival",
+            variants=list(variants),
+            remote_fracs=list(remote_fracs),
+            link_latencies=list(link_latencies),
+            cells=[
+                failed_cell(spec, result) if result.failed else result.run
+                for spec, result in zip(specs, results)
+            ],
+        )
+        return summary
+
+    return run_sweep(
+        build_mg_specs(variants, remote_fracs, link_latencies,
+                       telemetry=metrics is not None, **fields),
+        execute_mg_job, summarize,
+        lambda report: render_survival_map(report.summary),
+        ("survival_map.json", "survival_map.txt"), jobs=jobs,
         supervise=supervise, journal=journal, metrics=metrics,
         recorder=recorder,
     )
-    wall = time.perf_counter() - started
-    if metrics is not None:
-        from repro.harness.parallel import merge_job_metrics
-
-        merge_job_metrics(results, into=metrics)
-
-    summary = {
-        "experiment": "multigpu-survival",
-        "devices": devices,
-        "seed": seed,
-        "skew": skew,
-        "shard_skew": shard_skew,
-        "num_accounts": num_accounts,
-        "grid": grid,
-        "block": block,
-        "txs_per_thread": txs_per_thread,
-        "max_steps": max_steps,
-        "variants": list(variants),
-        "remote_fracs": list(remote_fracs),
-        "link_latencies": list(link_latencies),
-        "cells": [
-            (result.run if not result.failed
-             else {"key": spec.key, "failed": True,
-                   "failure": result.brief_error()})
-            for spec, result in zip(specs, results)
-        ],
-    }
-    return MgSweepReport(specs, results, summary, wall)
-
-
-def write_mg_artifacts(report, out_dir):
-    """Write survival_map.json/.txt + run_info.json; returns their paths.
-
-    The summary and rendered map are deterministic; wall-clock numbers
-    and the provenance snapshot go to ``run_info.json`` so reruns diff
-    clean.
-    """
-    import os
-
-    from repro.common.fsio import atomic_write_text
-    from repro.expdb.provenance import provenance_snapshot
-
-    os.makedirs(out_dir, exist_ok=True)
-    summary_path = os.path.join(out_dir, "survival_map.json")
-    atomic_write_json(summary_path, report.summary)
-    map_path = os.path.join(out_dir, "survival_map.txt")
-    atomic_write_text(map_path, report.render())
-    run_info = {
-        "wall_seconds": round(report.wall_seconds, 3),
-        "provenance": provenance_snapshot(),
-    }
-    atomic_write_json(os.path.join(out_dir, "run_info.json"), run_info)
-    return summary_path, map_path

@@ -22,7 +22,7 @@ import os
 import traceback
 
 from repro.common.fsio import atomic_open, atomic_write_json
-from repro.harness.parallel import run_jobs
+from repro.harness.parallel import Cell, cell, run_jobs
 from repro.sched.explore import ScheduleOutcome, run_under_schedule
 
 #: policy templates whose spec incorporates the fuzz seed
@@ -32,46 +32,29 @@ SEEDED_TEMPLATES = ("random", "adversarial")
 DEFAULT_TEMPLATES = ("random", "adversarial")
 
 
-class FuzzJobSpec:
-    """Picklable description of one fuzz run (one policy spec)."""
+@cell
+class FuzzJobSpec(Cell):
+    """Picklable description of one fuzz run (one policy spec).
 
-    __slots__ = (
-        "seed",
-        "policy",
-        "workload",
-        "params",
-        "variant",
-        "num_locks",
-        "stm_overrides",
-        "gpu_overrides",
-        "runtime_factory",
-    )
+    ``runtime_factory`` is a module-level callable ``(variant, device,
+    stm_config) -> runtime``, or ``None`` for
+    :func:`repro.stm.make_runtime`; it must be picklable for jobs > 1.
+    ``key`` defaults to ``workload/variant/policy``.
+    """
 
-    def __init__(self, seed, policy, workload, params, variant, num_locks=16,
-                 stm_overrides=None, gpu_overrides=None, runtime_factory=None):
-        self.seed = seed
-        self.policy = policy
-        self.workload = workload
-        self.params = dict(params)
-        self.variant = variant
-        self.num_locks = num_locks
-        self.stm_overrides = dict(stm_overrides) if stm_overrides else None
-        self.gpu_overrides = dict(gpu_overrides) if gpu_overrides else None
-        # module-level callable (variant, device, stm_config) -> runtime, or
-        # None for repro.stm.make_runtime; must be picklable for jobs > 1
-        self.runtime_factory = runtime_factory
+    seed: int
+    policy: object
+    workload: str
+    params: dict
+    variant: str
+    num_locks: int = 16
+    stm_overrides: dict = None
+    gpu_overrides: dict = None
+    runtime_factory: object = None
+    key: object = None
+    fault_plan: list = None
 
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def __repr__(self):
-        return "FuzzJobSpec(%s/%s policy=%r)" % (
-            self.workload, self.variant, self.policy
-        )
+    key_fields = ("workload", "variant", "policy")
 
 
 def execute_fuzz_job(spec):
@@ -86,6 +69,7 @@ def execute_fuzz_job(spec):
             stm_overrides=spec.stm_overrides,
             gpu_overrides=spec.gpu_overrides,
             runtime_factory=spec.runtime_factory,
+            fault_plan=spec.fault_plan,
         )
     except Exception:
         outcome = ScheduleOutcome(spec.workload, spec.variant, spec.policy)

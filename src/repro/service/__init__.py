@@ -14,7 +14,8 @@ measurable, reproducible quantity per STM variant:
   launches and timestamps every request (arrival → enqueue → launch →
   commit) in simulated cycles;
 * :mod:`repro.service.sweep` — the offered-load × variant × skew
-  benchmark driver under the supervised pool;
+  benchmark driver on the shared sweep layer
+  (:mod:`repro.harness.sweep`);
 * :mod:`repro.service.cli` — the ``python -m repro service`` entry point.
 
 See ``docs/service.md`` for the architecture and methodology.
@@ -35,7 +36,6 @@ from repro.service.sweep import (
     build_specs,
     execute_service_job,
     run_service_sweep,
-    write_artifacts,
 )
 
 __all__ = [
@@ -54,5 +54,4 @@ __all__ = [
     "percentile",
     "run_service_sweep",
     "summarize",
-    "write_artifacts",
 ]

@@ -4,36 +4,26 @@ Sweeps offered load × STM variant × contention skew through
 :func:`repro.service.sweep.run_service_sweep` and writes the artifacts
 (deterministic ``service_summary.json``, wall-clock ``run_info.json``,
 optional merged metrics and per-cell Chrome-trace timelines) under
-``--out``.  ``--retries``/``--timeout``/``--resume`` route the sweep
-through the supervised pool, mirroring ``python -m repro.harness``.
+``--out``.  The execution and artifact flags are the shared sweep
+front-end of :mod:`repro.harness.sweep`.
 """
 
 import argparse
 import os
 import sys
-import time
 
+from repro.harness.sweep import (
+    SweepCommand,
+    add_sweep_flags,
+    csv_or_all,
+    number_list,
+)
 from repro.service.arrivals import ARRIVAL_KINDS
-from repro.service.sweep import DEFAULT_OUT_DIR, run_service_sweep, write_artifacts
+from repro.service.sweep import DEFAULT_OUT_DIR, run_service_sweep
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 
 #: arrival modes the CLI accepts: the open-loop processes + closed-loop
 MODES = ARRIVAL_KINDS + ("closed",)
-
-
-def _csv(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _float_list(values, flag, parser):
-    out = []
-    for value in values:
-        for part in _csv(value):
-            try:
-                out.append(float(part))
-            except ValueError:
-                parser.error("%s expects numbers, got %r" % (flag, part))
-    return tuple(out)
 
 
 def build_parser():
@@ -118,77 +108,23 @@ def build_parser():
         "--think-cycles", type=int, default=2000, metavar="CYCLES",
         help="mean client think time between requests (default: 2000)",
     )
-    pool_group = parser.add_argument_group("execution")
-    pool_group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (default: 1)",
-    )
-    pool_group.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="retry transient cell failures up to N times with backoff",
-    )
-    pool_group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout (needs --jobs > 1)",
-    )
-    pool_group.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="checkpoint journal: completed cells are recorded at PATH and "
-        "served back bit-identically on re-run",
-    )
-    artifact_group = parser.add_argument_group("artifacts")
-    artifact_group.add_argument(
-        "--out", default=DEFAULT_OUT_DIR, metavar="DIR",
-        help="artifact directory (default: %s)" % DEFAULT_OUT_DIR,
-    )
-    artifact_group.add_argument(
-        "--metrics", action="store_true",
-        help="also write the merged telemetry registry to DIR/metrics.json",
-    )
-    artifact_group.add_argument(
-        "--timeline", action="store_true",
-        help="also record a Chrome-trace timeline per cell under "
-        "DIR/timelines/",
-    )
-    artifact_group.add_argument(
-        "--expdb", default=None, metavar="PATH",
-        help="record the sweep (fingerprints, metrics, artifact hashes) "
-        "in the experiment database at PATH ('default' for $REPRO_EXPDB "
-        "or expdb/experiments.sqlite)",
-    )
+    add_sweep_flags(parser, DEFAULT_OUT_DIR, timeline=True)
     return parser
-
-
-def _resolve_variants(text, parser):
-    known = STM_VARIANTS + EXTENSION_VARIANTS
-    if text.strip() == "all":
-        return known
-    variants = _csv(text)
-    if not variants:
-        parser.error("--variants expects at least one variant name")
-    for name in variants:
-        if name not in known:
-            parser.error(
-                "unknown STM variant %r; expected one of %s or 'all'"
-                % (name, ", ".join(known))
-            )
-    return variants
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    variants = _resolve_variants(args.variants, parser)
-    loads = _float_list(args.load or ["2"], "--load", parser)
-    skews = _float_list(args.skew or ["0.8"], "--skew", parser)
+    variants = csv_or_all(args.variants, STM_VARIANTS + EXTENSION_VARIANTS,
+                          "--variants", parser)
+    loads = number_list(args.load or ["2"], "--load", parser)
+    skews = number_list(args.skew or ["0.8"], "--skew", parser)
     if any(load <= 0 for load in loads):
         parser.error("--load rates must be positive")
     if any(skew < 0 for skew in skews):
         parser.error("--skew must be >= 0")
     if args.duration_cycles < 1:
         parser.error("--duration-cycles must be >= 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.devices < 1:
         parser.error("--devices must be >= 1")
 
@@ -197,76 +133,26 @@ def main(argv=None):
         gpu_overrides = {"devices": args.devices}
         if args.link is not None:
             gpu_overrides["link_model"] = args.link
+    service_overrides = {
+        field: getattr(args, field)
+        for field in ("batch_size", "batch_deadline", "queue_capacity",
+                      "admission_rate", "admission_burst")
+        if getattr(args, field) is not None
+    }
 
-    service_overrides = {}
-    for flag, field in (
-        ("batch_size", "batch_size"),
-        ("batch_deadline", "batch_deadline"),
-        ("queue_capacity", "queue_capacity"),
-        ("admission_rate", "admission_rate"),
-        ("admission_burst", "admission_burst"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            service_overrides[field] = value
-
-    supervise = None
-    if args.retries is not None or args.timeout is not None:
-        from repro.harness.supervisor import SupervisorConfig
-
-        supervise = SupervisorConfig()
-        if args.retries is not None:
-            supervise.max_retries = args.retries
-        if args.timeout is not None:
-            supervise.wall_timeout = args.timeout
-
-    registry = None
-    if args.metrics:
-        from repro.telemetry import MetricRegistry
-
-        registry = MetricRegistry()
-    timeline_dir = os.path.join(args.out, "timelines") if args.timeline else None
-
-    recorder = None
-    if args.expdb:
-        from repro.expdb import SweepRecorder, default_db_path
-
-        db_path = default_db_path() if args.expdb == "default" else args.expdb
-        recorder = SweepRecorder(
-            db_path, "ledger-service", seed=args.seed,
-            summary={"arrival": args.arrival},
-        )
-
-    started = time.time()
+    command = SweepCommand(args, "ledger-service", seed=args.seed,
+                           summary={"arrival": args.arrival})
     report = run_service_sweep(
         variants, loads, skews=skews, arrival=args.arrival, seed=args.seed,
         duration_cycles=args.duration_cycles, num_accounts=args.accounts,
         clients=args.clients, think_mean=args.think_cycles,
         service_overrides=service_overrides or None,
-        gpu_overrides=gpu_overrides, jobs=args.jobs,
-        supervise=supervise, journal=args.resume, metrics=registry,
-        timeline_dir=timeline_dir, recorder=recorder,
+        gpu_overrides=gpu_overrides,
+        timeline_dir=(os.path.join(args.out, "timelines")
+                      if args.timeline else None),
+        **command.run_kwargs
     )
-    print(report.render())
-    summary_path = write_artifacts(report, args.out)
-    print("[summary -> %s]" % summary_path)
-    if registry is not None:
-        metrics_path = os.path.join(args.out, "metrics.json")
-        registry.write_json(metrics_path)
-        print("[metrics -> %s]" % metrics_path)
-    if recorder is not None and recorder.run_id is not None:
-        recorder.add_artifacts([summary_path])
-        print("[expdb run %d (%s) -> %s]"
-              % (recorder.run_id, recorder.run_key[:12], recorder.db
-                 if isinstance(recorder.db, str) else recorder.db.path))
-    print("[service sweep: %d cell(s) in %.1fs, jobs=%d]"
-          % (len(report.specs), time.time() - started, args.jobs))
-    if not report.ok:
-        print("%d cell(s) failed:" % len(report.failures), file=sys.stderr)
-        for failure in report.failures:
-            print("  %r: %s" % (failure.key, failure.brief()), file=sys.stderr)
-        return 1
-    return 0
+    return command.finish(report, "service sweep")
 
 
 if __name__ == "__main__":

@@ -246,13 +246,6 @@ class ServiceOutcome:
         for slot in self.__slots__:
             setattr(self, slot, None)
 
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot in self.__slots__:
-            setattr(self, slot, state.get(slot))
-
     def as_summary(self):
         """The deterministic summary block of this cell (JSON-able)."""
         kcycles = self.duration_cycles / 1000.0

@@ -2,111 +2,78 @@
 
 Each cell of the sweep is one :class:`ServiceJobSpec` — a picklable,
 fingerprintable description of one open- or closed-loop service run.  The
-cells fan out through :func:`repro.harness.parallel.run_jobs` with
-:func:`execute_service_job` as the executor, which routes them through the
-supervised pool (per-attempt timeouts, retry with backoff) and the sweep
-journal (checkpoint/resume) exactly like the figure sweeps: a sweep killed
-mid-run and resumed against the same journal converges to a byte-identical
-summary artifact, because every cell's outcome is a deterministic function
-of its spec.
+cells run through :func:`repro.harness.sweep.run_sweep` with
+:func:`execute_service_job` as the executor, so they get the supervised
+pool, the journal and the experiment-DB recorder exactly like every other
+sweep (docs/resilience.md, "The sweep layer"): a sweep killed mid-run and
+resumed against the same journal converges to a byte-identical summary
+artifact, because every cell's outcome is a deterministic function of its
+spec.
 
-Artifacts (all crash-consistent via :mod:`repro.common.fsio`):
-
-* ``service_summary.json`` — the deterministic per-cell metrics
-  (throughput, goodput, shed counts, abort rate, latency percentiles in
-  simulated cycles) keyed and ordered by spec;
-* ``run_info.json`` — wall-clock diagnostics (per-cell seconds, total
-  sweep seconds), kept *out* of the summary so reruns stay bit-identical;
-* ``metrics.json`` — the merged telemetry registry when requested;
-* per-cell Chrome-trace timelines when a timeline directory is given.
+The deterministic artifact is ``service_summary.json`` — per-cell
+throughput, goodput, shed counts, abort rate and latency percentiles in
+simulated cycles, keyed and ordered by spec; wall-clock numbers go to
+``run_info.json`` (see :func:`repro.harness.sweep.write_artifacts`).
 """
 
-import time
-
-from repro.common.fsio import atomic_write_json
-from repro.harness import configs
-from repro.harness.parallel import JobFailure, JobResult, run_jobs
+from repro.harness.parallel import Cell, bench_gpu, capture, cell
+from repro.harness.sweep import failed_cell, run_sweep
 from repro.service.server import LedgerService, ServiceConfig
-from repro.telemetry import Telemetry
 
 #: default artifact directory of the ``service`` CLI target
 DEFAULT_OUT_DIR = "service-artifacts"
 
 
-class ServiceJobSpec:
-    """One service cell: picklable, journal-fingerprintable, clonable.
+@cell
+class ServiceJobSpec(Cell):
+    """One service cell.  ``LedgerService`` has no fault seam, so a
+    ``fault_plan`` (or a chaos ``fault`` event) is rejected."""
 
-    The same contract as :class:`~repro.harness.parallel.JobSpec`
-    (``key``, ``__getstate__``/``__setstate__``, ``clone``) so the
-    supervisor, chaos layer and journal treat it interchangeably.
-    """
+    key: object
+    variant: str
+    load: float
+    skew: float = 0.8
+    arrival: str = "poisson"
+    seed: int = 7
+    duration_cycles: int = 50_000
+    num_accounts: int = 4096
+    clients: int = 64
+    think_mean: int = 2000
+    service_overrides: dict = None
+    stm_overrides: dict = None
+    gpu_overrides: dict = None
+    telemetry: bool = False
+    timeline_dir: str = None
+    verify: bool = True
+    fault_plan: list = None
 
-    __slots__ = (
-        "key",
-        "variant",
-        "arrival",
-        "load",
-        "skew",
-        "seed",
-        "duration_cycles",
-        "num_accounts",
-        "clients",
-        "think_mean",
-        "service_overrides",
-        "stm_overrides",
-        "gpu_overrides",
-        "telemetry",
-        "timeline_dir",
-        "verify",
+    workload = "lg-service"
+    faultable = False
+
+
+def _serve(spec, telemetry):
+    service = LedgerService(
+        spec.variant,
+        num_accounts=spec.num_accounts,
+        skew=spec.skew,
+        gpu_config=bench_gpu(spec.gpu_overrides),
+        service_config=ServiceConfig.from_dict(spec.service_overrides),
+        stm_overrides=spec.stm_overrides,
+        telemetry=telemetry,
     )
-
-    def __init__(self, key, variant, load, skew=0.8, arrival="poisson",
-                 seed=7, duration_cycles=50_000, num_accounts=4096,
-                 clients=64, think_mean=2000, service_overrides=None,
-                 stm_overrides=None, gpu_overrides=None, telemetry=False,
-                 timeline_dir=None, verify=True):
-        self.key = key
-        self.variant = variant
-        self.arrival = arrival
-        self.load = load
-        self.skew = skew
-        self.seed = seed
-        self.duration_cycles = duration_cycles
-        self.num_accounts = num_accounts
-        self.clients = clients
-        self.think_mean = think_mean
-        self.service_overrides = dict(service_overrides) if service_overrides else None
-        self.stm_overrides = dict(stm_overrides) if stm_overrides else None
-        self.gpu_overrides = dict(gpu_overrides) if gpu_overrides else None
-        self.telemetry = telemetry
-        self.timeline_dir = timeline_dir
-        self.verify = verify
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        self.telemetry = False
-        self.timeline_dir = None
-        self.verify = True
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def clone(self, **updates):
-        state = self.__getstate__()
-        state.update(updates)
-        spec = ServiceJobSpec.__new__(ServiceJobSpec)
-        spec.__setstate__(state)
-        for slot in ("service_overrides", "stm_overrides", "gpu_overrides"):
-            value = getattr(spec, slot)
-            if value is not None:
-                setattr(spec, slot, dict(value))
-        return spec
-
-    def __repr__(self):
-        return "ServiceJobSpec(%r, %s %s load=%s skew=%s)" % (
-            self.key, self.variant, self.arrival, self.load, self.skew
+    if spec.arrival == "closed":
+        source = service.closed_loop_source(
+            spec.clients, spec.seed, spec.think_mean, spec.duration_cycles
         )
+    else:
+        source = service.open_loop_source(
+            spec.arrival, spec.seed, spec.load, spec.duration_cycles
+        )
+    outcome = service.run(source, spec.duration_cycles, verify=spec.verify)
+    outcome.arrival = spec.arrival
+    outcome.load = spec.load
+    outcome.seed = spec.seed
+    return outcome
 
 
 def execute_service_job(spec):
@@ -114,216 +81,88 @@ def execute_service_job(spec):
 
     Module-level so it pickles into the supervised pool's workers.
     """
-    import traceback
-
-    tel = None
-    if spec.telemetry or spec.timeline_dir is not None:
-        tel = Telemetry(
-            timeline=spec.timeline_dir is not None,
-            meta={
-                "job": str(spec.key),
-                "workload": "lg-service",
-                "variant": spec.variant,
-            },
-        )
-    try:
-        gpu = configs.bench_gpu()
-        for attr, value in (spec.gpu_overrides or {}).items():
-            if not hasattr(gpu, attr):
-                raise ValueError("unknown GpuConfig attribute %r" % attr)
-            setattr(gpu, attr, value)
-        service = LedgerService(
-            spec.variant,
-            num_accounts=spec.num_accounts,
-            skew=spec.skew,
-            gpu_config=gpu,
-            service_config=ServiceConfig.from_dict(spec.service_overrides),
-            stm_overrides=spec.stm_overrides,
-            telemetry=tel,
-        )
-        if spec.arrival == "closed":
-            source = service.closed_loop_source(
-                spec.clients, spec.seed, spec.think_mean, spec.duration_cycles
-            )
-        else:
-            source = service.open_loop_source(
-                spec.arrival, spec.seed, spec.load, spec.duration_cycles
-            )
-        outcome = service.run(source, spec.duration_cycles, verify=spec.verify)
-        outcome.arrival = spec.arrival
-        outcome.load = spec.load
-        outcome.seed = spec.seed
-        result = JobResult(spec.key, run=outcome)
-    except Exception as exc:  # noqa: BLE001 - captured per job
-        result = JobResult(
-            spec.key,
-            error=traceback.format_exc(),
-            failure=JobFailure.from_exception(
-                spec.key, exc, tb=traceback.format_exc()
-            ),
-        )
-    if tel is not None:
-        result.metrics = tel.registry.as_dict()
-        if spec.timeline_dir is not None and tel.timeline is not None:
-            import os
-
-            from repro.harness.parallel import _slug
-
-            os.makedirs(spec.timeline_dir, exist_ok=True)
-            path = os.path.join(
-                spec.timeline_dir, "%s.trace.json" % _slug(spec.key)
-            )
-            tel.write_timeline(path)
-            result.trace_path = path
-    return result
+    return capture(spec, _serve)
 
 
-def build_specs(variants, loads, skews, arrival="poisson", seed=7,
-                duration_cycles=50_000, num_accounts=4096, clients=64,
-                think_mean=2000, service_overrides=None, stm_overrides=None,
-                gpu_overrides=None, telemetry=False, timeline_dir=None):
-    """The sweep's cell grid, ordered variant-major (deterministic).
+def build_specs(variants, loads, skews, **fields):
+    """The sweep's cell grid, ordered variant-major (deterministic);
+    ``fields`` are the :class:`ServiceJobSpec` fields every cell shares.
 
     Closed-loop cells have no offered-load axis (arrivals are completion-
     driven), so the grid collapses to variants × skews with the client
     count in the key instead.
     """
+    proto = ServiceJobSpec(None, None, None, **fields)
+    closed = proto.arrival == "closed"
     specs = []
-    if arrival == "closed":
-        loads = (None,)
     for variant in variants:
         for skew in skews:
-            for load in loads:
-                if arrival == "closed":
-                    key = "%s/closed/clients%d/skew%g" % (variant, clients, skew)
+            for load in (None,) if closed else loads:
+                if closed:
+                    key = "%s/closed/clients%d/skew%g" % (
+                        variant, proto.clients, skew)
                 else:
-                    key = "%s/%s/load%g/skew%g" % (variant, arrival, load, skew)
-                specs.append(ServiceJobSpec(
-                    key, variant, load, skew=skew, arrival=arrival, seed=seed,
-                    duration_cycles=duration_cycles, num_accounts=num_accounts,
-                    clients=clients, think_mean=think_mean,
-                    service_overrides=service_overrides,
-                    stm_overrides=stm_overrides, gpu_overrides=gpu_overrides,
-                    telemetry=telemetry, timeline_dir=timeline_dir,
-                ))
+                    key = "%s/%s/load%g/skew%g" % (
+                        variant, proto.arrival, load, skew)
+                specs.append(proto.clone(key=key, variant=variant, load=load,
+                                         skew=skew))
     return specs
 
 
-class ServiceSweepReport:
-    """Results of one sweep: outcomes in spec order + failures."""
-
-    def __init__(self, specs, results, summary, wall_seconds):
-        self.specs = specs
-        self.results = results
-        self.summary = summary
-        self.wall_seconds = wall_seconds
-        self.failures = [r.failure for r in results if r.failed and r.failure]
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def render(self):
-        lines = [
-            "ledger service sweep: %d cell(s)" % len(self.specs),
-            "  %-34s %9s %9s %7s %7s %8s %8s %8s"
-            % ("cell", "offered", "goodput", "shed", "abort%", "p50", "p95", "p99"),
-        ]
-        for spec, result in zip(self.specs, self.results):
-            if result.failed:
-                lines.append("  %-34s FAILED: %s" % (spec.key, result.brief_error()))
-                continue
-            cell = result.run.as_summary()
-            shed = cell["shed"]["admission"] + cell["shed"]["queue_full"]
-            latency = cell["latency_cycles"]
-            lines.append(
-                "  %-34s %9d %9.3f %7d %6.1f%% %8s %8s %8s"
-                % (
-                    spec.key, cell["offered"], cell["goodput_per_kcycle"],
-                    shed, 100 * cell["abort_rate"], latency["p50"],
-                    latency["p95"], latency["p99"],
-                )
+def render_service_sweep(report):
+    """The per-cell offered/goodput/shed/abort/latency table."""
+    lines = [
+        "ledger service sweep: %d cell(s)" % len(report.specs),
+        "  %-34s %9s %9s %7s %7s %8s %8s %8s"
+        % ("cell", "offered", "goodput", "shed", "abort%", "p50", "p95", "p99"),
+    ]
+    for spec, result in zip(report.specs, report.results):
+        if result.failed:
+            lines.append("  %-34s FAILED: %s" % (spec.key, result.brief_error()))
+            continue
+        cell = result.run.as_summary()
+        shed = cell["shed"]["admission"] + cell["shed"]["queue_full"]
+        latency = cell["latency_cycles"]
+        lines.append(
+            "  %-34s %9d %9.3f %7d %6.1f%% %8s %8s %8s"
+            % (
+                spec.key, cell["offered"], cell["goodput_per_kcycle"],
+                shed, 100 * cell["abort_rate"], latency["p50"],
+                latency["p95"], latency["p99"],
             )
-        return "\n".join(lines)
+        )
+    return "\n".join(lines)
 
 
-def run_service_sweep(variants, loads, skews=(0.8,), arrival="poisson",
-                      seed=7, duration_cycles=50_000, num_accounts=4096,
-                      clients=64, think_mean=2000, service_overrides=None,
-                      stm_overrides=None, gpu_overrides=None, jobs=None,
+def run_service_sweep(variants, loads, skews=(0.8,), jobs=None,
                       supervise=None, journal=None, metrics=None,
-                      timeline_dir=None, recorder=None):
-    """Run the full sweep; returns a :class:`ServiceSweepReport`.
+                      recorder=None, **fields):
+    """Run the full sweep; returns a :class:`~repro.harness.sweep.SweepReport`.
 
-    ``supervise``/``journal`` route the cells through the supervision
-    layer (see :mod:`repro.harness.supervisor`); ``metrics`` (a
-    ``MetricRegistry``) turns on per-cell telemetry and merges the
-    worker registries into it.  ``recorder`` (a
-    :class:`~repro.expdb.recorder.SweepRecorder`) records the sweep in
-    the experiment database.
+    ``fields`` are the :class:`ServiceJobSpec` fields every cell shares;
+    the rest go to :func:`~repro.harness.sweep.run_sweep`, and a
+    ``metrics`` registry also turns on per-cell telemetry.
     """
-    specs = build_specs(
-        variants, loads, skews, arrival=arrival, seed=seed,
-        duration_cycles=duration_cycles, num_accounts=num_accounts,
-        clients=clients, think_mean=think_mean,
-        service_overrides=service_overrides, stm_overrides=stm_overrides,
-        gpu_overrides=gpu_overrides, telemetry=metrics is not None,
-        timeline_dir=timeline_dir,
+    proto = ServiceJobSpec(None, None, None, **fields)
+
+    def summarize(specs, results):
+        return {
+            "experiment": "ledger-service",
+            "arrival": proto.arrival,
+            "seed": proto.seed,
+            "duration_cycles": proto.duration_cycles,
+            "num_accounts": proto.num_accounts,
+            "cells": [
+                failed_cell(spec, result) if result.failed
+                else result.run.as_summary()
+                for spec, result in zip(specs, results)
+            ],
+        }
+
+    return run_sweep(
+        build_specs(variants, loads, skews, telemetry=metrics is not None,
+                    **fields),
+        execute_service_job, summarize, render_service_sweep,
+        ("service_summary.json", None), jobs=jobs, supervise=supervise,
+        journal=journal, metrics=metrics, recorder=recorder,
     )
-    started = time.perf_counter()
-    results = run_jobs(
-        specs, jobs=jobs, executor=execute_service_job,
-        supervise=supervise, journal=journal, metrics=metrics,
-        recorder=recorder,
-    )
-    wall = time.perf_counter() - started
-    if metrics is not None:
-        from repro.harness.parallel import merge_job_metrics
-
-        merge_job_metrics(results, into=metrics)
-
-    summary = {
-        "experiment": "ledger-service",
-        "arrival": arrival,
-        "seed": seed,
-        "duration_cycles": duration_cycles,
-        "num_accounts": num_accounts,
-        "cells": [
-            (result.run.as_summary() if not result.failed
-             else {"key": spec.key, "failed": True,
-                   "failure": result.brief_error()})
-            for spec, result in zip(specs, results)
-        ],
-    }
-    return ServiceSweepReport(specs, results, summary, wall)
-
-
-def write_artifacts(report, out_dir):
-    """Write the summary + wall-clock info under ``out_dir``; returns the
-    summary path.  The summary is deterministic; ``run_info.json`` holds
-    everything wall-clock and machine-specific — including the run's
-    provenance snapshot (git SHA + dirty flag, interpreter and package
-    versions; see :mod:`repro.expdb.provenance`) — so reruns diff clean."""
-    import os
-
-    from repro.expdb.provenance import provenance_snapshot
-
-    os.makedirs(out_dir, exist_ok=True)
-    summary_path = os.path.join(out_dir, "service_summary.json")
-    atomic_write_json(summary_path, report.summary)
-    run_info = {
-        "wall_seconds": round(report.wall_seconds, 3),
-        "provenance": provenance_snapshot(),
-        "cells": {
-            spec.key: {
-                "wall_seconds": (
-                    round(result.run.wall_seconds, 6)
-                    if not result.failed and result.run.wall_seconds is not None
-                    else None
-                )
-            }
-            for spec, result in zip(report.specs, report.results)
-        },
-    }
-    atomic_write_json(os.path.join(out_dir, "run_info.json"), run_info)
-    return summary_path

@@ -16,7 +16,7 @@ FAST = dict(behaviors=["lie_validation", "lock_hoard"],
 
 @pytest.fixture(scope="module")
 def small_matrix():
-    return run_byz_campaign(**FAST)
+    return run_byz_campaign(**FAST).summary
 
 
 class TestMatrixShape:
@@ -65,20 +65,10 @@ class TestMatrixShape:
 
 class TestDeterminism:
     def test_bit_identical_across_jobs(self, small_matrix):
-        wide = run_byz_campaign(jobs=2, **FAST)
+        wide = run_byz_campaign(jobs=2, **FAST).summary
         assert json.dumps(wide, sort_keys=True) == json.dumps(
             small_matrix, sort_keys=True
         )
-
-    def test_bit_identical_across_journal_resume(self, small_matrix,
-                                                 tmp_path):
-        journal = str(tmp_path / "byz.journal")
-        first = run_byz_campaign(journal=journal, **FAST)
-        assert os.path.exists(journal)
-        resumed = run_byz_campaign(journal=journal, **FAST)
-        dump = lambda m: json.dumps(m, sort_keys=True)  # noqa: E731
-        assert dump(first) == dump(small_matrix)
-        assert dump(resumed) == dump(small_matrix)
 
 
 class TestMultiDevice:
@@ -92,7 +82,7 @@ class TestMultiDevice:
         matrix = run_byz_campaign(
             behaviors=["torn_publish"], variants=["hv-sorting"],
             devices=2, params=dict(objects=4, grid=4, block=16),
-        )
+        ).summary
         cell = matrix["cells"]["torn_publish"]["hv-sorting"]
         assert matrix["byz_device"] == 1
         # the remote liar's spec pins the lanes that live on device 1

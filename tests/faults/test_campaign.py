@@ -7,6 +7,7 @@ import pytest
 from repro.faults.campaign import (
     CHECKERS,
     CampaignJob,
+    _error_cell,
     execute_campaign_job,
     render_matrix,
     run_campaign,
@@ -17,7 +18,8 @@ FAST_MUTANTS = ["clock-stuck", "missing-writeback-fence"]
 
 @pytest.fixture(scope="module")
 def sanitizer_matrix():
-    return run_campaign(mutants=FAST_MUTANTS, checkers=("sanitizer",), jobs=1)
+    return run_campaign(mutants=FAST_MUTANTS, checkers=("sanitizer",),
+                        jobs=1).summary
 
 
 class TestRunCampaign:
@@ -44,7 +46,7 @@ class TestRunCampaign:
     def test_parallel_equals_serial(self, sanitizer_matrix):
         parallel = run_campaign(
             mutants=FAST_MUTANTS, checkers=("sanitizer",), jobs=2,
-        )
+        ).summary
         assert parallel == sanitizer_matrix
 
     def test_matrix_is_json_serializable(self, sanitizer_matrix):
@@ -84,14 +86,17 @@ class TestExecuteCampaignJob:
             seeds=2,
         )
         result = execute_campaign_job(job)
-        assert result["error"] is None
-        assert result["detected"] is True
+        assert not result.failed
+        assert result.run["error"] is None
+        assert result.run["detected"] is True
 
     def test_worker_never_raises(self):
         job = CampaignJob(None, "vbv", "oracle", "no-such-workload", {}, 1)
         result = execute_campaign_job(job)
-        assert result["error"] is not None
-        assert result["detected"] is True  # poisons ok instead of vanishing
+        assert result.failed
+        cell = _error_cell(job, result)
+        assert "no-such-workload" in cell["error"]
+        assert cell["detected"] is True  # poisons ok instead of vanishing
 
     def test_job_is_picklable(self):
         import pickle
@@ -172,7 +177,7 @@ class TestEscapees:
     def test_uncaught_mutant_fails_matrix_by_name(self, monkeypatch):
         self._benign(monkeypatch)
         matrix = run_campaign(mutants=["benign-noop"], checkers=("oracle",),
-                              jobs=1, include_baselines=False)
+                              jobs=1, include_baselines=False).summary
         assert matrix["ok"] is False
         assert matrix["escapees"] == ["benign-noop"]
         assert "ESCAPEES: benign-noop" in render_matrix(matrix)

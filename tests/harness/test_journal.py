@@ -30,6 +30,20 @@ class TestFingerprint:
         spec = _spec()
         assert spec_fingerprint(spec.clone()) == spec_fingerprint(spec)
 
+    def test_figure_fingerprints_are_pinned(self):
+        """Figure fingerprints key every journal, expdb run_key and
+        reproduce manifest; these literals must never move."""
+        from repro.harness import experiments
+
+        params = experiments._params("ra", True)
+        assert spec_fingerprint(JobSpec(("ra", "cgl"), "ra", params, "cgl")) \
+            == "19895ef1915d2f83a15a5811e8a74a49b0dea4d2a17c298a5b219b80584ab86a"
+        assert spec_fingerprint(JobSpec(
+            ("ra", "optimized"), "ra", params, "optimized",
+            stm_overrides={"egpgv_max_blocks": 4}, allow_crash=True,
+            fault_plan=["cas_fail:count=1"],
+        )) == "8e9bd46c2024b6426b40224c167d0a0f2237c060f92a59b5b28f849b16a3fc8c"
+
     def test_works_for_any_slots_object(self):
         class Slotted:
             __slots__ = ("a", "b")

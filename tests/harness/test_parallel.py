@@ -1,5 +1,6 @@
 """The process-parallel job harness: specs, ordering, crash capture."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -26,8 +27,9 @@ class TestJobSpec:
                         gpu_overrides=dict(max_steps=100000), verify=False,
                         allow_crash=True)
         clone = pickle.loads(pickle.dumps(spec))
-        for slot in JobSpec.__slots__:
-            assert getattr(clone, slot) == getattr(spec, slot), slot
+        for field in dataclasses.fields(JobSpec):
+            assert getattr(clone, field.name) == getattr(spec, field.name), \
+                field.name
 
     def test_params_copied_not_aliased(self):
         params = configs.test_workload_params("ra")

@@ -30,13 +30,6 @@ class TestSpecs:
         again = build_mg_specs(("cgl", "vbv"), (0.0, 0.5), (40, 160))
         assert [s.key for s in again] == keys
 
-    def test_spec_pickles_roundtrip(self):
-        import pickle
-
-        spec = build_mg_specs(("vbv",), (0.3,), (40,))[0]
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone.__getstate__() == spec.__getstate__()
-
 
 class TestClassification:
     def test_commit_cell(self):
@@ -154,18 +147,6 @@ class TestCli:
         artifacts = db.run_artifacts(run["id"])
         names = {os.path.basename(a["path"]) for a in artifacts}
         assert names == {"survival_map.json", "survival_map.txt"}
-
-    def test_journal_resume_replays_identically(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
-        first = self.run_cli(tmp_path, "j1",
-                             extra=["--resume", journal, "--variants", "vbv"])
-        second = self.run_cli(tmp_path, "j2",
-                              extra=["--resume", journal, "--variants", "vbv"])
-        with open(os.path.join(first, "survival_map.json"), "rb") as fh:
-            first_bytes = fh.read()
-        with open(os.path.join(second, "survival_map.json"), "rb") as fh:
-            second_bytes = fh.read()
-        assert first_bytes == second_bytes
 
     def test_rejects_bad_flags(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,5 @@
 """Sweep driver: determinism, supervision routing, journal-resume."""
 
-import pickle
-
 from repro.harness.journal import SweepJournal
 from repro.service.sweep import (
     ServiceJobSpec,
@@ -16,16 +14,6 @@ def quick_kwargs(**overrides):
                   service_overrides={"num_locks": 64})
     kwargs.update(overrides)
     return kwargs
-
-
-def test_spec_pickles_and_clones():
-    spec = ServiceJobSpec("k", "vbv", 2.0, service_overrides={"batch_size": 8})
-    clone = spec.clone()
-    assert clone.__getstate__() == spec.__getstate__()
-    clone.service_overrides["batch_size"] = 16
-    assert spec.service_overrides["batch_size"] == 8  # deep enough copy
-    revived = pickle.loads(pickle.dumps(spec))
-    assert revived.__getstate__() == spec.__getstate__()
 
 
 def test_build_specs_grid_is_deterministic():
