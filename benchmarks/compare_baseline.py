@@ -2,7 +2,7 @@
 """Compare simulator throughput (steps/sec) against a committed baseline.
 
 Runs a small fixed set of (workload, variant) configurations through
-``run_under_schedule``, measures warp-steps per wall-clock second (best
+``run_workload`` in capture mode on the exploration geometry, measures warp-steps per wall-clock second (best
 of ``--repeat`` runs), and compares against ``benchmarks/baseline.json``:
 
 * a drop of more than ``--threshold`` (default 20%) is a REGRESSION and
@@ -49,15 +49,18 @@ CASES = [
 
 def measure(workload, variant, repeat, gpu_overrides=None):
     from repro.harness import configs
-    from repro.sched.explore import run_under_schedule
+    from repro.harness.runner import run_workload
+    from repro.workloads import make_workload
 
     params = configs.test_workload_params(workload)
     best = None
     steps = None
     for _ in range(repeat):
         start = time.perf_counter()
-        outcome = run_under_schedule(workload, params, variant,
-                                     gpu_overrides=gpu_overrides)
+        outcome = run_workload(
+            make_workload(workload, **params), variant,
+            configs.override_gpu(configs.explore_gpu(), gpu_overrides),
+            "rr", num_locks=16, capture=True, record=True)
         elapsed = time.perf_counter() - start
         if outcome.failure is not None:
             raise SystemExit(

@@ -10,8 +10,9 @@ trust points.  The behavior vocabulary (``BYZ_BEHAVIORS``):
 ``lie_validation``
     report a clean read-set the lane knows is stale: every failing
     validation verdict (TBV/VBV, read-time or commit-time) is flipped to
-    "consistent" through the :meth:`~repro.stm.runtime.base.TxThread
-    ._filter_validation` seam, so the lane commits doomed transactions.
+    "consistent" through the runtime observer slot's ``filter_validation``
+    seam (:mod:`repro.stm.trace`), so the lane commits doomed
+    transactions.
 ``torn_publish``
     publish torn lock/version metadata mid-commit: release stores to the
     version-lock table get garbage version bits, the VBV sequence lock
@@ -38,7 +39,8 @@ installs through the same ``device.fault_injector`` seam as a
 :class:`~repro.faults.plan.FaultInjector` and is, like it, a probe of
 every thread context (:class:`~repro.gpu.thread.ProbedThreadCtx`), so it
 composes with the sanitizer, the telemetry timeline and multi-device
-link accounting unchanged.
+link accounting unchanged; it also joins the runtime's observer slot for
+the validation seam.
 
 Containment vocabulary (measured by :mod:`repro.faults.byzcampaign`):
 
@@ -189,9 +191,9 @@ class ByzantinePlan(FaultPlan):
     """An unarmed bag of :class:`ByzantineSpec`; picklable, reusable.
 
     Subclasses :class:`~repro.faults.plan.FaultPlan` so every existing
-    ``fault_plan=`` seam (``run_under_schedule``, the harness job specs)
-    accepts it unchanged; :meth:`arm` installs a
-    :class:`ByzantineInjector` instead of a ``FaultInjector``.
+    ``fault_plan=`` seam (``run_workload``, the sweep cells) accepts it
+    unchanged; :meth:`arm` installs a :class:`ByzantineInjector` instead
+    of a ``FaultInjector``.
     """
 
     def __init__(self, specs=()):
@@ -208,8 +210,9 @@ class ByzantinePlan(FaultPlan):
     def arm(self, device):
         """Install a :class:`ByzantineInjector` on ``device``; arm after
         workload setup and runtime creation so the metadata regions (lock
-        table, clock, sequence lock) already exist.  Returns the
-        injector."""
+        table, clock, sequence lock) already exist, then add the injector
+        to the runtime's observer slot (``runtime.observe``) for its
+        validation seam.  Returns the injector."""
         injector = ByzantineInjector(self.specs, device.mem)
         device.fault_injector = injector
         return injector
@@ -248,8 +251,8 @@ class _ByzArmed:
 
 class ByzantineInjector:
     """The armed form of a plan: a thread-context probe (the ``write``,
-    ``atomic`` and ``event`` seams) plus the runtime's validation seam
-    and the scheduler's ``select_index``.
+    ``atomic`` and ``event`` seams), a runtime observer (the
+    ``filter_validation`` seam) and the scheduler's ``select_index``.
 
     All decisions are deterministic functions of the simulated operation
     order, so armed runs replay bit-identically.  ``now`` is kept current
@@ -394,8 +397,8 @@ class ByzantineInjector:
     # Byzantine-only seams
     # ------------------------------------------------------------------
     def filter_validation(self, tx, stage, verdict):
-        """The runtime validation seam (:meth:`TxThread._filter_validation`):
-        flip a failing verdict when the lane lies at this opportunity."""
+        """The runtime observer's validation seam: flip a failing verdict
+        when the lane lies at this opportunity."""
         if verdict or not self._lie:
             return verdict
         tid = tx.tc.tid
@@ -427,7 +430,7 @@ class ByzantineInjector:
                 # mutates memory directly (adversary stores cost nothing)
                 # while still announcing itself to the sanitizer as the
                 # unlocked commit-phase stores it semantically is.
-                sanitizer = stm.runtime.sanitizer
+                sanitizer = stm.runtime.device.sanitizer
                 words = self._mem.words
                 for addr, value in writes:
                     if sanitizer is not None:

@@ -116,7 +116,10 @@ class ByzJob(Cell):
 def _attack(job, _telemetry):
     # imported here, not at module top: repro.faults must stay importable
     # without dragging in the whole scheduling/workload stack
-    from repro.sched.explore import run_under_schedule
+    from repro.faults.sanitizer import StmSanitizer
+    from repro.harness import configs
+    from repro.harness.runner import run_workload
+    from repro.workloads import make_workload
 
     result = _cell(job)
     plan = ByzantinePlan([job.spec_text]) if job.spec_text else None
@@ -125,16 +128,15 @@ def _attack(job, _telemetry):
         gpu_overrides["devices"] = job.devices
         gpu_overrides["link_model"] = "uniform:%d" % job.link_latency
     gpu_overrides.update(job.gpu_overrides or {})
-    outcome = run_under_schedule(
-        job.workload,
-        job.params,
+    outcome = run_workload(
+        make_workload(job.workload, **job.params),
         job.variant,
-        policy="rr",
+        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
+        "rr",
         num_locks=job.num_locks,
-        sanitize=True,
+        capture=True,
+        sanitizer=StmSanitizer(),
         fault_plan=plan,
-        exit_checks_on_failure=plan is not None,
-        gpu_overrides=gpu_overrides,
     )
     result["fired"] = len(outcome.fired)
     if outcome.fired:

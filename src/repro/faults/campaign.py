@@ -6,8 +6,8 @@ evidence the ISSUE asks for: each seeded protocol bug is detected by at
 least one of
 
 ``oracle``
-    one round-robin run through :func:`repro.sched.explore
-    .run_under_schedule`; detection = any recorded failure (a strict-
+    one round-robin run through :func:`repro.harness.runner.run_workload`
+    in capture mode; detection = any recorded failure (a strict-
     serializability violation, or a watchdog trip when the bug destroys
     progress instead of safety).
 ``sanitizer``
@@ -83,8 +83,11 @@ class CampaignJob(Cell):
 def _check(job, _telemetry):
     # imported here, not at module top: repro.faults must stay importable
     # without dragging in the whole scheduling/workload stack
-    from repro.sched.explore import run_under_schedule
+    from repro.faults.sanitizer import StmSanitizer
+    from repro.harness import configs
+    from repro.harness.runner import run_workload
     from repro.sched.fuzz import fuzz_schedules
+    from repro.workloads import make_workload
 
     factory = MutantRuntimeFactory(job.mutant) if job.mutant else None
     gpu_overrides = dict({"max_steps": MAX_STEPS}, **(job.gpu_overrides or {}))
@@ -108,14 +111,15 @@ def _check(job, _telemetry):
             )
             result["livelock"] = first.livelock
         return result
-    outcome = run_under_schedule(
-        job.workload,
-        job.params,
+    outcome = run_workload(
+        make_workload(job.workload, **job.params),
         job.variant,
-        policy="rr",
-        sanitize=job.checker == "sanitizer",
-        gpu_overrides=gpu_overrides,
+        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
+        "rr",
+        num_locks=16,
+        capture=True,
         runtime_factory=factory,
+        sanitizer=StmSanitizer() if job.checker == "sanitizer" else None,
         fault_plan=job.fault_plan,
     )
     if job.checker == "sanitizer":

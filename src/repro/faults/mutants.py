@@ -106,8 +106,8 @@ class Mutant:
 
 
 class MutantRuntimeFactory:
-    """Picklable ``runtime_factory`` for :func:`repro.sched.explore
-    .run_under_schedule` / the fuzzer: builds the variant's runtime and
+    """Picklable ``runtime_factory`` for :func:`repro.harness.runner
+    .run_workload` / the fuzzer: builds the variant's runtime and
     applies one mutant by name (resolved in the worker process)."""
 
     def __init__(self, mutant_name):

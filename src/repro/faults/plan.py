@@ -398,14 +398,6 @@ class FaultInjector:
         return index
 
     # ------------------------------------------------------------------
-    # Byzantine seam (a no-op here; ByzantineInjector overrides)
-    # ------------------------------------------------------------------
-    def filter_validation(self, tx, stage, verdict):
-        """Validation seam consulted by ``TxThread._filter_validation``;
-        crash/protocol faults never lie about verdicts."""
-        return verdict
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def fired_count(self, kind=None):

@@ -2,13 +2,14 @@
 
 :class:`StmSanitizer` watches one runtime's execution from three angles:
 
-* the :class:`~repro.stm.trace.TxTracer` event protocol (``on_commit`` /
-  ``on_abort``), fed by :meth:`repro.stm.runtime.base.TmRuntime.note_commit`
-  when the runtime's ``sanitizer`` attribute is set;
+* the runtime's observer slot (:mod:`repro.stm.trace`): the sanitizer
+  joins ``runtime.tracer`` and implements its ``on_commit``,
+  ``on_abort`` and ``on_tx_read`` seams (the last raised by every
+  write-buffering runtime's read barrier through
+  :meth:`TxThread._note_real_read`);
 * the ``write``/``atomic``/``event`` seams of every
   :class:`~repro.gpu.thread.ProbedThreadCtx` (the sanitizer is one of its
-  probes) plus the ``tx_read`` probe every write-buffering runtime raises
-  through :meth:`TxThread._note_real_read`;
+  probes);
 * host-side metadata inspection at kernel exit
   (:meth:`check_kernel_exit`).
 
@@ -121,12 +122,13 @@ class StmSanitizer:
     # Binding
     # ------------------------------------------------------------------
     def bind(self, runtime):
-        """Attach to ``runtime``: capture its metadata locations, set
-        ``runtime.sanitizer`` so commit/abort/read events flow here, and
-        install this checker on the runtime's device so every launch gives
-        its threads this checker as a probe.  Returns ``self``."""
+        """Attach to ``runtime``: capture its metadata locations, join the
+        runtime's observer slot (after any observer already there) so
+        commit/abort/read events flow here, and install this checker on
+        the runtime's device so every launch gives its threads this
+        checker as a probe.  Returns ``self``."""
         self.runtime = runtime
-        runtime.sanitizer = self
+        runtime.observe(self)
         runtime.device.sanitizer = self
         self._mem = runtime.mem
         lock_table = getattr(runtime, "lock_table", None)
@@ -312,7 +314,7 @@ class StmSanitizer:
             )
 
     # ------------------------------------------------------------------
-    # tx_read probe (raised by TxThread._note_real_read)
+    # tx_read seam (raised by TxThread._note_real_read)
     # ------------------------------------------------------------------
     def on_tx_read(self, tx, addr):
         self.now = tx.tc.cycles_total

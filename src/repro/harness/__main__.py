@@ -193,18 +193,23 @@ def run_chaos(args, jobs):
 
 def run_sanitize(args):
     """Run workloads under the online sanitizer; returns an exit code."""
-    from repro.sched.explore import run_under_schedule
+    from repro.faults.sanitizer import StmSanitizer
+    from repro.harness.runner import run_workload
     from repro.stm import STM_VARIANTS
+    from repro.workloads import make_workload
 
     variants = STM_VARIANTS if args.variant == "all" else [args.variant]
     params = configs.test_workload_params(args.workload)
     failed = False
     for variant in variants:
-        outcome = run_under_schedule(
-            args.workload,
-            params,
+        outcome = run_workload(
+            make_workload(args.workload, **params),
             variant,
-            sanitize=True,
+            configs.explore_gpu(),
+            "rr",
+            num_locks=16,
+            capture=True,
+            sanitizer=StmSanitizer(),
             fault_plan=args.fault or None,
         )
         status = "clean" if outcome.ok else "FAIL[%s]" % outcome.failure

@@ -26,6 +26,36 @@ def bench_gpu():
     return paper_gpu()
 
 
+def explore_gpu(max_steps=2_000_000, **overrides):
+    """Small, strict geometry used for schedule exploration.
+
+    Few warps per SM keeps every interleaving decision consequential (a
+    14-SM, 48-warp device dilutes any single decision's effect), and the
+    tight watchdog turns schedule-induced livelock into a fast, structured
+    failure instead of a long spin.
+    """
+    params = dict(
+        warp_size=4,
+        num_sms=2,
+        max_steps=max_steps,
+        strict_lockstep=True,
+        check_bounds=True,
+    )
+    params.update(overrides)
+    return GpuConfig(**params)
+
+
+def override_gpu(gpu, overrides):
+    """Apply a cell's plain-data ``GpuConfig`` attribute ``overrides``
+    (e.g. ``{"warp_steps_per_turn": 8}``) to ``gpu`` in place; returns
+    ``gpu``."""
+    for attr, value in (overrides or {}).items():
+        if not hasattr(gpu, attr):
+            raise ValueError("unknown GpuConfig attribute %r" % attr)
+        setattr(gpu, attr, value)
+    return gpu
+
+
 def unit_gpu(max_steps=8_000_000):
     """Small device for workload unit tests."""
     return GpuConfig(
@@ -44,9 +74,11 @@ def unit_gpu(max_steps=8_000_000):
 def bench_workload_params(name):
     """Benchmark-scale parameters (paper geometry / ~1024).
 
-    Shared-data sizes follow the paper's Table 1 relationships: RA 8 Ki and
-    LB ~1.75 Ki exceed the 1 Ki lock table (HV pays off); HT/GN/KM stay at
-    or below it (TBV suffices); KM's shared data is tiny and hot.
+    Shared-data sizes keep the paper's Table 1 ratios against the 8 Ki
+    lock table (:data:`DEFAULT_NUM_LOCKS`): RA's 64 Ki-word array (8 words
+    per lock) and LB's 120 x 120 grid (~1.75 cells per lock) exceed it
+    (HV pays off); HT's 8 Ki buckets and GN's 4 Ki table stay at or below
+    it (TBV suffices); KM's shared data is tiny and hot.
     """
     if name == "ra":
         # shared / locks = 8, as in the paper (8M / 1M)

@@ -361,21 +361,11 @@ def capture(spec, body):
     return result
 
 
-def bench_gpu(overrides=None):
-    """:func:`configs.bench_gpu` with ``GpuConfig`` attribute overrides."""
-    gpu = configs.bench_gpu()
-    for attr, value in (overrides or {}).items():
-        if not hasattr(gpu, attr):
-            raise ValueError("unknown GpuConfig attribute %r" % attr)
-        setattr(gpu, attr, value)
-    return gpu
-
-
 def _run_job(spec, telemetry):
     return run_workload(
         make_workload(spec.workload, **spec.params),
         spec.variant,
-        bench_gpu(spec.gpu_overrides),
+        configs.override_gpu(configs.bench_gpu(), spec.gpu_overrides),
         num_locks=spec.num_locks,
         stm_overrides=spec.stm_overrides,
         verify=spec.verify,

@@ -247,8 +247,8 @@ def _worker_entry(conn, executor, spec, chaos, attempt):
 def _failure_of(result):
     """The structured failure of a result, or ``None`` on success.
 
-    The fuzzer's executor returns bare ``ScheduleOutcome`` payloads with
-    no ``failed`` notion — those count as successes.
+    The fuzzer's executor returns bare ``RunResult`` payloads with no
+    ``failed`` notion — those count as successes.
     """
     if isinstance(result, JobResult):
         return result.as_failure()

@@ -21,9 +21,11 @@ exactly like every other sweep: journaled, resumable, bit-identical on
 replay.
 """
 
+from repro.harness import configs
 from repro.harness.parallel import Cell, capture, cell
+from repro.harness.runner import run_workload
 from repro.harness.sweep import failed_cell, run_sweep
-from repro.sched.explore import explore_gpu, run_under_schedule
+from repro.workloads import make_workload
 
 #: default artifact directory of the ``multigpu`` CLI target
 DEFAULT_OUT_DIR = "multigpu-artifacts"
@@ -65,7 +67,8 @@ class MgJobSpec(Cell):
 
 
 def classify_outcome(outcome):
-    """Map a :class:`~repro.sched.explore.ScheduleOutcome` to a cell kind."""
+    """Map a captured :class:`~repro.harness.runner.RunResult` to a cell
+    kind."""
     if outcome.failure is None:
         return "commit"
     if outcome.failure == "progress":
@@ -74,9 +77,15 @@ def classify_outcome(outcome):
 
 
 def _survive(spec, telemetry):
-    outcome = run_under_schedule(
-        "mg",
-        dict(
+    # imported here: the faults package must not load with the CLI
+    from repro.faults.sanitizer import StmSanitizer
+
+    gpu = configs.explore_gpu(max_steps=spec.max_steps, warp_size=8,
+                              devices=spec.devices,
+                              link_model="uniform:%d" % spec.link_latency)
+    outcome = run_workload(
+        make_workload(
+            "mg",
             num_accounts=spec.num_accounts,
             grid=spec.grid,
             block=spec.block,
@@ -87,21 +96,17 @@ def _survive(spec, telemetry):
             seed=spec.seed,
         ),
         spec.variant,
+        configs.override_gpu(gpu, spec.gpu_overrides),
+        "rr",
         num_locks=spec.num_locks,
         stm_overrides=dict(
             egpgv_max_blocks=spec.grid,
             egpgv_max_threads_per_block=spec.block,
         ),
-        gpu=explore_gpu(max_steps=spec.max_steps, warp_size=8),
-        gpu_overrides=dict(
-            {"devices": spec.devices,
-             "link_model": "uniform:%d" % spec.link_latency},
-            **(spec.gpu_overrides or {})
-        ),
-        record=False,
-        sanitize=True,
-        fault_plan=spec.fault_plan,
+        capture=True,
         telemetry=telemetry,
+        sanitizer=StmSanitizer(),
+        fault_plan=spec.fault_plan,
     )
     counters = outcome.counters
     return {
@@ -113,9 +118,7 @@ def _survive(spec, telemetry):
         "outcome": classify_outcome(outcome),
         "commits": outcome.commits,
         "aborts": outcome.aborts,
-        "abort_rate": round(
-            outcome.aborts / (outcome.commits + outcome.aborts), 6
-        ) if outcome.commits + outcome.aborts else 0.0,
+        "abort_rate": round(outcome.abort_rate, 6),
         "cycles": outcome.cycles,
         "steps": outcome.steps,
         "checked": outcome.checked,

@@ -11,16 +11,15 @@ space:
 * :mod:`repro.sched.trace` — :class:`ScheduleTrace` record/replay: any
   launch's issue trace serializes to JSON and re-executes deterministically
   through a :class:`ReplayPolicy`;
-* :mod:`repro.sched.explore` — run one (workload, runtime) pair under a
-  chosen schedule with full observability (oracle check, transaction
-  ledger, recorded traces);
 * :mod:`repro.sched.fuzz` — the interleaving fuzzer: N seeded schedules
-  per (workload, runtime) pair, strict-serializability oracle on every
-  history, delta-debugging shrinker producing a minimal failing schedule.
+  per (workload, runtime) pair, each a capture-mode
+  :func:`~repro.harness.runner.run_workload` (oracle check, transaction
+  ledger, recorded traces), and a delta-debugging shrinker producing a
+  minimal failing schedule.
 
-``explore`` and ``fuzz`` pull in the workload and harness layers; import
-them as submodules (``from repro.sched import fuzz``) so that the GPU
-scheduler's dependency on :mod:`repro.sched.policy` stays feather-light.
+``fuzz`` pulls in the workload and harness layers; import it as a
+submodule (``from repro.sched import fuzz``) so that the GPU scheduler's
+dependency on :mod:`repro.sched.policy` stays feather-light.
 """
 
 from repro.sched.policy import (

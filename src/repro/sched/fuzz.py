@@ -22,8 +22,10 @@ import os
 import traceback
 
 from repro.common.fsio import atomic_open, atomic_write_json
+from repro.harness import configs
 from repro.harness.parallel import Cell, cell, run_jobs
-from repro.sched.explore import ScheduleOutcome, run_under_schedule
+from repro.harness.runner import RunResult, run_workload
+from repro.workloads import make_workload
 
 #: policy templates whose spec incorporates the fuzz seed
 SEEDED_TEMPLATES = ("random", "adversarial")
@@ -57,22 +59,37 @@ class FuzzJobSpec(Cell):
     key_fields = ("workload", "variant", "policy")
 
 
+def _explore(workload, params, variant, policy, gpu_overrides=None,
+             **kwargs):
+    """One captured run of ``workload`` on :func:`configs.explore_gpu`
+    (with ``gpu_overrides``); ``kwargs`` go to :func:`run_workload`."""
+    return run_workload(
+        make_workload(workload, **params),
+        variant,
+        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
+        policy,
+        capture=True,
+        **kwargs
+    )
+
+
 def execute_fuzz_job(spec):
     """Run one fuzz spec; never raises (run_jobs executor contract)."""
     try:
-        return run_under_schedule(
+        return _explore(
             spec.workload,
             spec.params,
             spec.variant,
-            policy=spec.policy,
+            spec.policy,
+            spec.gpu_overrides,
             num_locks=spec.num_locks,
             stm_overrides=spec.stm_overrides,
-            gpu_overrides=spec.gpu_overrides,
+            record=True,
             runtime_factory=spec.runtime_factory,
             fault_plan=spec.fault_plan,
         )
     except Exception:
-        outcome = ScheduleOutcome(spec.workload, spec.variant, spec.policy)
+        outcome = RunResult(spec.workload, spec.variant, spec.policy)
         outcome.failure = "error"
         outcome.detail = traceback.format_exc()
         return outcome
@@ -211,11 +228,10 @@ def unflatten_decisions(flat, num_launches):
     return per_launch
 
 
-def shrink_failure(failure, workload, params, variant, *, budget=160,
-                   num_locks=16, stm_overrides=None, gpu_overrides=None,
-                   runtime_factory=None):
+def shrink_failure(failure, budget=160):
     """Delta-debug a failing schedule down to a minimal failing one.
 
+    Replays re-run ``failure.spec``'s workload, variant and geometry.
     Flattens the recorded traces (all launches) into one decision list and
     ddmin-minimizes it under "replay still fails".  ``budget`` bounds the
     number of replay probes.  Returns ``(minimal_flat_decisions,
@@ -225,6 +241,7 @@ def shrink_failure(failure, workload, params, variant, *, budget=160,
     reproduces under plain round-robin fallback).
     """
     outcome = failure.outcome
+    spec = failure.spec
     num_launches = max(1, len(outcome.traces))
     flat = outcome.decisions()
     evals = [0]
@@ -234,11 +251,11 @@ def shrink_failure(failure, workload, params, variant, *, budget=160,
             {"type": "replay", "decisions": decisions}
             for decisions in unflatten_decisions(candidate, num_launches)
         ]
-        return run_under_schedule(
-            workload, params, variant, policy=policies,
-            num_locks=num_locks, stm_overrides=stm_overrides,
-            gpu_overrides=gpu_overrides, runtime_factory=runtime_factory,
-            record=False,
+        return _explore(
+            spec.workload, spec.params, spec.variant, policies,
+            spec.gpu_overrides, num_locks=spec.num_locks,
+            stm_overrides=spec.stm_overrides,
+            runtime_factory=spec.runtime_factory,
         )
 
     def still_fails(candidate):
@@ -356,12 +373,7 @@ def fuzz_schedules(
                 failure.shrunk_decisions,
                 failure.shrunk_outcome,
                 failure.shrink_evals,
-            ) = shrink_failure(
-                failure, workload, params, variant,
-                budget=shrink_budget, num_locks=num_locks,
-                stm_overrides=stm_overrides, gpu_overrides=gpu_overrides,
-                runtime_factory=runtime_factory,
-            )
+            ) = shrink_failure(failure, shrink_budget)
         if artifact_dir:
             tag = "fuzz_%s_%s_%s" % (
                 workload, variant, str(outcome.policy).replace(":", "-")

@@ -16,7 +16,8 @@ simulated cycles, keyed and ordered by spec; wall-clock numbers go to
 ``run_info.json`` (see :func:`repro.harness.sweep.write_artifacts`).
 """
 
-from repro.harness.parallel import Cell, bench_gpu, capture, cell
+from repro.harness import configs
+from repro.harness.parallel import Cell, capture, cell
 from repro.harness.sweep import failed_cell, run_sweep
 from repro.service.server import LedgerService, ServiceConfig
 
@@ -56,7 +57,8 @@ def _serve(spec, telemetry):
         spec.variant,
         num_accounts=spec.num_accounts,
         skew=spec.skew,
-        gpu_config=bench_gpu(spec.gpu_overrides),
+        gpu_config=configs.override_gpu(configs.bench_gpu(),
+                                        spec.gpu_overrides),
         service_config=ServiceConfig.from_dict(spec.service_overrides),
         stm_overrides=spec.stm_overrides,
         telemetry=telemetry,

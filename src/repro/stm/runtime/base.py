@@ -27,6 +27,7 @@ serializability oracle (:mod:`repro.stm.oracle`) replays in tests.
 """
 
 from repro.common.stats import Counters
+from repro.stm.trace import observer_seams
 
 
 class CommitRecord:
@@ -66,11 +67,31 @@ class TmRuntime:
         self.record_history = record_history
         self.history = []
         self.threads = []
-        # optional TxTracer (repro.stm.trace): commit/abort event stream
         self.tracer = None
-        # optional StmSanitizer (repro.faults.sanitizer): online invariant
-        # checker fed the same commit/abort events plus read-barrier probes
-        self.sanitizer = None
+
+    @property
+    def tracer(self):
+        """The runtime's one observer slot (see :mod:`repro.stm.trace`):
+        ``None``, one observer, or a tuple of observers called in order."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, observer):
+        # the seams are resolved here, once, so an unobserved commit,
+        # abort or real read pays one ``is None`` test
+        self._tracer = observer
+        (self._on_commit, self._on_abort, self._on_tx_read,
+         self._filter_validation) = observer_seams(observer)
+
+    def observe(self, observer):
+        """Add ``observer`` to the slot after any already there."""
+        current = self._tracer
+        if current is None:
+            self.tracer = observer
+        elif isinstance(current, tuple):
+            self.tracer = current + (observer,)
+        else:
+            self.tracer = (current, observer)
 
     def attach(self, tc):
         """Install this runtime's per-thread transaction state on ``tc``.
@@ -90,10 +111,9 @@ class TmRuntime:
     # ------------------------------------------------------------------
     def note_commit(self, tx, version=None):
         self.stats.add("commits")
-        if self.tracer is not None:
-            self.tracer.on_commit(tx, version)
-        if self.sanitizer is not None:
-            self.sanitizer.on_commit(tx, version)
+        on_commit = self._on_commit
+        if on_commit is not None:
+            on_commit(tx, version)
         if self.record_history:
             self.history.append(
                 CommitRecord(
@@ -107,10 +127,9 @@ class TmRuntime:
     def note_abort(self, reason, tx=None):
         self.stats.add("aborts")
         self.stats.add("aborts.%s" % reason)
-        if self.tracer is not None and tx is not None:
-            self.tracer.on_abort(tx, reason)
-        if self.sanitizer is not None and tx is not None:
-            self.sanitizer.on_abort(tx, reason)
+        on_abort = self._on_abort
+        if on_abort is not None and tx is not None:
+            on_abort(tx, reason)
 
     def abort_rate(self):
         """Aborted attempts / started attempts."""
@@ -178,29 +197,28 @@ class TxThread:
         return ()
 
     def _note_real_read(self, addr):
-        """Tell the sanitizer a *real* global read served this tx_read.
+        """Tell the runtime's observers a *real* global read served this
+        tx_read (the ``on_tx_read`` seam).
 
         Write-buffering runtimes call this right after the global read of
-        their read barrier (never on the write-set fast path); the
-        sanitizer flags reads that should have been served from the
-        transaction's own write buffer.  No-op without a sanitizer.
+        their read barrier (never on the write-set fast path), so an
+        observer can flag reads that should have been served from the
+        transaction's own write buffer.
         """
-        sanitizer = self.runtime.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_tx_read(self, addr)
+        on_tx_read = self.runtime._on_tx_read
+        if on_tx_read is not None:
+            on_tx_read(self, addr)
 
     def _filter_validation(self, stage, verdict):
-        """The byzantine validation seam: every read-set validation
-        verdict (TBV/VBV, at ``stage`` "read", "precommit" or "commit")
-        passes through here before the runtime acts on it.  An armed
-        :class:`~repro.faults.byzantine.ByzantineInjector` may flip a
-        failing verdict for a lying lane; crash/protocol injectors and
-        disarmed devices leave it untouched.  Passing verdicts short-
-        circuit — honest fast paths pay one truth test.
+        """The validation seam: every failing read-set validation verdict
+        (TBV/VBV, at ``stage`` "read", "precommit" or "commit") passes
+        through the observers' ``filter_validation`` before the runtime
+        acts on it, and an observer may flip it.  Passing verdicts
+        short-circuit — honest fast paths pay one truth test.
         """
         if verdict:
             return verdict
-        injector = self.runtime.device.fault_injector
-        if injector is None:
+        seam = self.runtime._filter_validation
+        if seam is None:
             return verdict
-        return injector.filter_validation(self, stage, verdict)
+        return seam(self, stage, verdict)

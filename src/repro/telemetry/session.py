@@ -6,12 +6,14 @@ It owns the :class:`~repro.telemetry.registry.MetricRegistry` every layer
 reports into and, when timeline recording is requested, a
 :class:`~repro.telemetry.timeline.TimelineRecorder`.
 
-It also speaks the :class:`~repro.stm.trace.TxTracer` protocol
-(``on_commit`` / ``on_abort``), which is how abort reasons and commit
-versions reach the timeline: every runtime calls ``note_abort(reason, tx)``
-*before* ``tc.tx_window_abort()`` (and ``note_commit`` before
-``tx_window_commit``), so the session stashes the reason/version per thread
-and each thread's timeline probe pops it for the attempt slice's args.
+It is also a runtime observer (:mod:`repro.stm.trace`): ``run_workload``
+adds it to the runtime's one ``tracer`` slot, and its ``on_commit`` /
+``on_abort`` seams are how read/write-set sizes reach the registry and
+abort reasons and commit versions reach the timeline.  Every runtime
+calls ``note_abort(reason, tx)`` *before* ``tc.tx_window_abort()`` (and
+``note_commit`` before ``tx_window_commit``), so the session stashes the
+reason/version per thread and each thread's timeline probe pops it for
+the attempt slice's args.
 
 The timeline probe (:meth:`Telemetry.thread_probe`) is one of the
 :class:`~repro.gpu.thread.ProbedThreadCtx` probes: its ``charge`` seam is
@@ -67,7 +69,7 @@ class Telemetry:
         self._commit_versions = {}
 
     # ------------------------------------------------------------------
-    # TxTracer protocol (installed as runtime.tracer by run_workload)
+    # runtime observer seams (run_workload adds the session to the slot)
     # ------------------------------------------------------------------
     def on_commit(self, tx, version):
         registry = self.registry

@@ -82,14 +82,14 @@ class TestArmedFaultDetection:
         import time
 
         from repro.harness import configs
-        from repro.sched.explore import run_under_schedule
+        from tests.helpers import explore
 
         params = configs.test_workload_params("ra")
 
         def measure(fault_plan=None):
             start = time.perf_counter()
-            outcome = run_under_schedule("ra", params, "hv-sorting",
-                                         fault_plan=fault_plan)
+            outcome = explore("ra", params, "hv-sorting",
+                              fault_plan=fault_plan)
             elapsed = time.perf_counter() - start
             assert outcome.failure is None
             return outcome.steps, outcome.steps / elapsed

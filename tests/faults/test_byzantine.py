@@ -9,7 +9,8 @@ from repro.faults.byzantine import (
     ByzantinePlan,
     ByzantineSpec,
 )
-from repro.sched.explore import run_under_schedule
+
+from tests.helpers import explore
 
 RA = dict(array_size=256, grid=2, block=16, txs_per_thread=2,
           actions_per_tx=2)
@@ -18,9 +19,8 @@ CNS = dict(objects=4, grid=2, block=16)
 
 def run(workload, params, variant, plan, **kwargs):
     kwargs.setdefault("gpu_overrides", dict(max_steps=400_000))
-    return run_under_schedule(
-        workload, params, variant, policy="rr", sanitize=True,
-        fault_plan=plan, exit_checks_on_failure=plan is not None, **kwargs,
+    return explore(
+        workload, params, variant, sanitize=True, fault_plan=plan, **kwargs,
     )
 
 
@@ -175,8 +175,7 @@ class TestBehaviors:
     def test_armed_runs_replay_bit_identically(self):
         outs = [
             run("cns", CNS, "hv-sorting",
-                ByzantinePlan(["torn_publish:tids=0+3"]),
-                capture_memory=True)
+                ByzantinePlan(["torn_publish:tids=0+3"]))
             for _ in range(2)
         ]
         assert outs[0].fired == outs[1].fired
@@ -185,9 +184,8 @@ class TestBehaviors:
         assert outs[0].violations == outs[1].violations
 
     def test_empty_plan_is_cost_neutral(self):
-        plain = run("cns", CNS, "hv-sorting", None, capture_memory=True)
-        armed = run("cns", CNS, "hv-sorting", ByzantinePlan([]),
-                    capture_memory=True)
+        plain = run("cns", CNS, "hv-sorting", None)
+        armed = run("cns", CNS, "hv-sorting", ByzantinePlan([]))
         assert plain.failure is None and armed.failure is None
         assert plain.cycles == armed.cycles
         assert plain.final_words == armed.final_words

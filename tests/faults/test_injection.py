@@ -11,10 +11,11 @@ from repro.gpu import Device
 from repro.gpu.config import small_config
 from repro.harness import configs
 from repro.harness.runner import run_workload
-from repro.sched.explore import run_under_schedule
 from repro.telemetry import Telemetry
 from repro.telemetry.validate import validate_file
 from repro.workloads import make_workload
+
+from tests.helpers import explore
 
 PARAMS = dict(array_size=64, grid=2, block=16, txs_per_thread=2, actions_per_tx=2)
 
@@ -171,8 +172,8 @@ class TestWarpStall:
 
 
 class TestIntegration:
-    def test_faults_flow_through_run_under_schedule(self):
-        outcome = run_under_schedule(
+    def test_faults_flow_through_a_captured_run(self):
+        outcome = explore(
             "ra", PARAMS, "hv-sorting",
             fault_plan=["cas_fail:region=g_lockTab,count=3"],
         )
@@ -224,9 +225,9 @@ class TestInstrumentsCompose:
 
     def test_firing_byzantine_cell_is_unchanged_by_a_timeline(self, tmp_path):
         def cell(telemetry):
-            return run_under_schedule(
+            return explore(
                 "cns", dict(objects=4, grid=4, block=16), "hv-sorting",
-                sanitize=True, exit_checks_on_failure=True,
+                sanitize=True,
                 # lane 0 of both blocks on device 1 (explore geometry:
                 # 2 SMs per device, blocks round-robin over 4 SMs)
                 fault_plan=ByzantinePlan(["torn_publish:tids=32+48"]),
@@ -273,8 +274,8 @@ class TestZeroCostDisarmed:
     def test_armed_empty_plan_matches_unarmed_cycles(self):
         """The injector's presence (generic issue path + instrumented
         contexts) must be cost-neutral in simulated time."""
-        baseline = run_under_schedule("ra", PARAMS, "hv-sorting")
-        armed = run_under_schedule("ra", PARAMS, "hv-sorting", fault_plan=FaultPlan())
+        baseline = explore("ra", PARAMS, "hv-sorting")
+        armed = explore("ra", PARAMS, "hv-sorting", fault_plan=FaultPlan())
         assert armed.cycles == baseline.cycles
         assert armed.steps == baseline.steps
         assert armed.fired == []

@@ -7,8 +7,10 @@ import pytest
 from repro.faults.campaign import CHECKERS
 from repro.faults.mutants import MUTANTS, MutantRuntimeFactory
 from repro.gpu import Device
-from repro.sched.explore import explore_gpu, run_under_schedule
+from repro.harness.configs import explore_gpu
 from repro.stm import STM_VARIANTS, EXTENSION_VARIANTS, StmConfig, make_runtime
+
+from tests.helpers import explore
 
 PARAMS = dict(array_size=64, grid=2, block=16, txs_per_thread=2, actions_per_tx=2)
 ALL_VARIANTS = set(STM_VARIANTS) | set(EXTENSION_VARIANTS)
@@ -84,7 +86,7 @@ class TestApplyRevert:
                     mutant.revert(runtime)
                 return runtime
 
-            return run_under_schedule(
+            return explore(
                 "ra", PARAMS, "hv-sorting", runtime_factory=factory,
             )
 
@@ -114,7 +116,7 @@ def _mutated_outcome(name, variant, sanitize):
     mutant = MUTANTS[name]
     params = dict(PARAMS)
     params.update(mutant.workload_params)
-    return run_under_schedule(
+    return explore(
         "ra", params, variant,
         sanitize=sanitize,
         gpu_overrides=dict(STEPS),

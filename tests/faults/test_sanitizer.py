@@ -4,8 +4,10 @@ import pytest
 
 from repro.faults.sanitizer import StmSanitizer
 from repro.gpu import Device
-from repro.sched.explore import explore_gpu, run_under_schedule
+from repro.harness.configs import explore_gpu
 from repro.stm import STM_VARIANTS, EXTENSION_VARIANTS, StmConfig, make_runtime
+
+from tests.helpers import explore
 
 PARAMS = dict(array_size=64, grid=2, block=16, txs_per_thread=2, actions_per_tx=2)
 ALL_VARIANTS = tuple(STM_VARIANTS) + tuple(EXTENSION_VARIANTS)
@@ -14,13 +16,13 @@ ALL_VARIANTS = tuple(STM_VARIANTS) + tuple(EXTENSION_VARIANTS)
 class TestNoFalsePositives:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_clean_runtime_stays_clean(self, variant):
-        outcome = run_under_schedule("ra", PARAMS, variant, sanitize=True)
+        outcome = explore("ra", PARAMS, variant, sanitize=True)
         assert outcome.failure is None
         assert outcome.violations == []
 
     @pytest.mark.parametrize("variant", ("hv-sorting", "vbv", "egpgv"))
     def test_clean_under_adversarial_schedule(self, variant):
-        outcome = run_under_schedule(
+        outcome = explore(
             "ra", PARAMS, variant, policy="adversarial:3", sanitize=True,
         )
         assert outcome.failure is None
@@ -32,8 +34,8 @@ class TestCostNeutrality:
     def test_sanitized_cycles_match_unsanitized(self, variant):
         """The instrumented context must charge exactly the base costs:
         watching a run may not change its simulated timing."""
-        plain = run_under_schedule("ra", PARAMS, variant)
-        watched = run_under_schedule("ra", PARAMS, variant, sanitize=True)
+        plain = explore("ra", PARAMS, variant)
+        watched = explore("ra", PARAMS, variant, sanitize=True)
         assert watched.cycles == plain.cycles
         assert watched.steps == plain.steps
         assert watched.commits == plain.commits
@@ -42,7 +44,7 @@ class TestCostNeutrality:
 
 class TestDetection:
     def test_clock_skew_fault_is_flagged(self):
-        outcome = run_under_schedule(
+        outcome = explore(
             "ra", PARAMS, "hv-backoff",
             sanitize=True,
             fault_plan=["clock_skew:region=g_clock,count=2"],
@@ -54,7 +56,7 @@ class TestDetection:
         # tearing the release store's low bit rolls the sequence back to
         # its pre-commit value: the next writer reuses the commit version
         # and the exit seq/commit-count comparison disagrees
-        outcome = run_under_schedule(
+        outcome = explore(
             "ra", PARAMS, "vbv",
             sanitize=True,
             fault_plan=["torn_write:region=g_seqlock,param=1,count=1"],
@@ -91,7 +93,7 @@ class TestExitChecks:
         config = StmConfig(num_locks=16, shared_data_size=64)
         runtime = make_runtime(variant, device, config)
         sanitizer = StmSanitizer().bind(runtime)
-        assert runtime.sanitizer is sanitizer
+        assert runtime.tracer is sanitizer
         assert device.sanitizer is sanitizer
         return device, runtime, sanitizer
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.harness import configs
 from repro.harness.__main__ import TARGETS, main
 from repro.telemetry.validate import validate_chrome_trace, validate_metrics
 
@@ -68,6 +69,19 @@ class TestCli:
         with open(os.path.join(out, "metrics.json")) as handle:
             assert validate_metrics(json.load(handle)) > 0
         assert "artifacts in" in capsys.readouterr().out
+
+    def test_trace_workload_uses_the_figures_lock_table(self, tmp_path,
+                                                        capsys):
+        """A single-workload trace runs on the lock table every figure
+        cell uses, so its words-per-lock ratio matches the figures'."""
+        out = os.path.join(str(tmp_path), "artifacts")
+        assert main([
+            "trace", "ra", "--quick", "--variant", "hv-sorting", "--out", out,
+        ]) == 0
+        with open(os.path.join(out, "metrics.json")) as handle:
+            gauges = json.load(handle)["gauges"]
+        assert (gauges["stm.hv_sorting.lock_table.num_locks"]
+                == configs.DEFAULT_NUM_LOCKS)
 
     @pytest.mark.slow
     def test_trace_figure_sweep_writes_per_run_traces(self, tmp_path, capsys):

@@ -2,28 +2,64 @@
 
 import pytest
 
+from repro.gpu.errors import LivelockError
 from repro.harness.configs import (
     bench_workload_params,
     egpgv_workload_params,
+    explore_gpu,
     test_workload_params as tiny_params,
     unit_gpu,
 )
 from repro.harness.runner import run_workload
+from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 from repro.stm.errors import EgpgvCapacityError
 from repro.workloads import make_workload
 
 
-class TestRunWorkload:
-    def test_result_fields_populated(self):
-        workload = make_workload("ra", **tiny_params("ra"))
-        result = run_workload(workload, "hv-sorting", unit_gpu(), num_locks=64)
-        assert result.workload == "ra"
-        assert result.variant == "hv-sorting"
-        assert result.cycles > 0
-        assert result.commits == workload.expected_commits()
-        assert 0 <= result.tx_time_fraction <= 1
-        assert not result.crashed
+class TestRaiseAndCaptureAgree:
+    """Raise mode (the figures) and capture mode (exploration) are one run
+    path: on the same geometry under round robin they must observe the
+    same run — the same cycles, steps, commits and aborts and an
+    oracle-clean history, or, for the section 2.2 strawman that
+    livelocks, the same watchdog trip raised in one mode and recorded in
+    the other."""
 
+    @pytest.mark.parametrize("variant", STM_VARIANTS + EXTENSION_VARIANTS)
+    def test_modes_agree(self, variant):
+        def run(capture):
+            workload = make_workload("ra", **tiny_params("ra"))
+            result = run_workload(
+                workload, variant, explore_gpu(max_steps=200_000), "rr",
+                num_locks=16, check_oracle=True, capture=capture,
+            )
+            return workload, result
+
+        _, captured = run(True)
+        if variant == "hv-unsorted-nobackoff":
+            with pytest.raises(LivelockError) as raised:
+                run(False)
+            assert (captured.failure, captured.livelock) == ("progress", True)
+            assert captured.steps == raised.value.steps
+            return
+        workload, raised = run(False)
+        assert captured.ok, captured.detail
+        assert raised.ok
+        for result in (raised, captured):
+            assert result.workload == "ra"
+            assert result.variant == variant
+            assert result.policy == "rr"
+            assert result.checked > 0, "the oracle must replay the history"
+            assert result.commits == workload.expected_commits()
+            assert 0 <= result.tx_time_fraction <= 1
+        assert raised.cycles > 0
+        assert (captured.cycles, captured.steps, captured.commits,
+                captured.aborts) == (raised.cycles, raised.steps,
+                                     raised.commits, raised.aborts)
+        assert captured.checked == raised.checked
+        assert captured.ledger_rows and not raised.ledger_rows
+
+
+class TestRunWorkload:
     def test_commit_count_mismatch_detected(self):
         workload = make_workload("ra", **tiny_params("ra"))
         workload.expected_commits = lambda: 999999  # sabotage

@@ -12,11 +12,13 @@ from repro.gpu import make_device
 from repro.gpu.config import GpuConfig
 from repro.gpu.errors import LaunchError
 from repro.gpu.scheduler import Device
+from repro.harness.configs import explore_gpu
 from repro.harness.configs import test_workload_params as workload_params
 from repro.multigpu.device import MultiDevice
-from repro.sched.explore import explore_gpu, run_under_schedule
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 from repro.telemetry import Telemetry
+
+from tests.helpers import explore
 
 MG_PARAMS = workload_params("mg")
 
@@ -26,7 +28,7 @@ def run_mg(variant="optimized", sanitize=True, telemetry=None, **overrides):
     params.update(overrides.pop("params", {}))
     gpu_overrides = {"devices": 2, "link_model": "switched:40,120"}
     gpu_overrides.update(overrides.pop("gpu_overrides", {}))
-    return run_under_schedule(
+    return explore(
         "mg", params, variant,
         num_locks=64,
         stm_overrides=dict(egpgv_max_blocks=params["grid"],
@@ -34,7 +36,6 @@ def run_mg(variant="optimized", sanitize=True, telemetry=None, **overrides):
         gpu=explore_gpu(max_steps=400_000, warp_size=8),
         gpu_overrides=gpu_overrides,
         record=False,
-        capture_memory=True,
         sanitize=sanitize,
         telemetry=telemetry,
         **overrides,

@@ -6,9 +6,10 @@ import pytest
 
 from repro.gpu import Device
 from repro.gpu.config import small_config
-from repro.sched.explore import replay_outcome, run_under_schedule
 from repro.sched.trace import ReplayPolicy, ScheduleTrace
 from repro.harness import configs
+
+from tests.helpers import explore
 
 #: (policy spec, STM variant) grid for the replay-determinism property:
 #: seeded and deterministic policies crossed with lock-based, hierarchical
@@ -165,12 +166,10 @@ class TestReplayDeterminismProperty:
     @pytest.mark.parametrize("policy,variant", PROPERTY_GRID)
     def test_replay_reproduces_run(self, policy, variant):
         params = configs.test_workload_params("ra")
-        outcome = run_under_schedule(
-            "ra", params, variant, policy=policy, capture_memory=True
-        )
+        outcome = explore("ra", params, variant, policy)
         assert outcome.ok, outcome.detail
         assert outcome.traces, "recording must capture every launch"
-        replay = replay_outcome(outcome, "ra", params, variant, capture_memory=True)
+        replay = explore("ra", params, variant, outcome.replay_policies())
         assert replay.ok, replay.detail
         assert replay.cycles == outcome.cycles
         assert replay.steps == outcome.steps
@@ -180,9 +179,8 @@ class TestReplayDeterminismProperty:
     def test_distinct_seeds_explore_distinct_schedules(self):
         params = configs.test_workload_params("ra")
         traces = [
-            run_under_schedule(
-                "ra", params, "hv-sorting", policy="random:%d" % seed
-            ).traces[0]["decisions"]
+            explore("ra", params, "hv-sorting", "random:%d" % seed)
+            .traces[0]["decisions"]
             for seed in (1, 2)
         ]
         assert traces[0] != traces[1]

@@ -2,7 +2,7 @@
 
 import os
 
-from repro.stm.trace import TxEvent, TxTracer
+from repro.stm.trace import TxEvent, TxTracer, observer_seams
 from tests.stm.helpers import counter_kernel, make_stm_device
 
 
@@ -143,3 +143,82 @@ class TestTracer:
         assert isinstance(event, TxEvent)
         assert "abort:validation" in repr(event)
         assert event.reads == 1 and event.writes == 1
+
+
+class _Recorder:
+    """An observer implementing every seam, logging calls into ``log``."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def on_commit(self, tx, version):
+        self.log.append((self.name, "commit"))
+
+    def on_abort(self, tx, reason):
+        self.log.append((self.name, "abort"))
+
+    def on_tx_read(self, tx, addr):
+        self.log.append((self.name, "read"))
+
+    def filter_validation(self, tx, stage, verdict):
+        self.log.append((self.name, "filter"))
+        return verdict
+
+
+class TestObserverSlot:
+    def test_empty_slot_resolves_no_seams(self):
+        assert observer_seams(None) == (None, None, None, None)
+
+    def test_one_observer_seams_are_its_bound_methods(self):
+        tracer = TxTracer()
+        on_commit, on_abort, on_tx_read, filter_validation = \
+            observer_seams(tracer)
+        assert on_commit == tracer.on_commit
+        assert on_abort == tracer.on_abort
+        assert on_tx_read is None and filter_validation is None
+
+    def test_observe_appends_and_fans_out_in_slot_order(self):
+        log = []
+        first, second = _Recorder("first", log), _Recorder("second", log)
+        _device, runtime, _data, _ = make_stm_device("hv-sorting")
+        runtime.tracer = first
+        runtime.observe(second)
+        assert runtime.tracer == (first, second)
+        on_commit, _, on_tx_read, filter_validation = observer_seams(
+            runtime.tracer)
+        on_commit(None, 1)
+        on_tx_read(None, 0)
+        assert filter_validation(None, "read", False) is False
+        assert log == [("first", "commit"), ("second", "commit"),
+                       ("first", "read"), ("second", "read"),
+                       ("first", "filter"), ("second", "filter")]
+
+    def test_filter_validation_chains_verdicts(self):
+        class Liar:
+            def filter_validation(self, tx, stage, verdict):
+                return True
+
+        log = []
+        after = _Recorder("after", log)
+        seams = observer_seams((Liar(), after))
+        assert seams[3](None, "commit", False) is True
+        assert log == [("after", "filter")]
+        # the liar implements no other seam: the recorder's is used bare
+        assert seams[0] == after.on_commit
+
+    def test_tracer_and_sanitizer_share_the_slot(self):
+        """``runtime.tracer = x`` then ``sanitizer.bind(runtime)``: both
+        observers see every commit and abort, tracer first."""
+        from repro.faults.sanitizer import StmSanitizer
+
+        device, runtime, data, _ = make_stm_device("hv-sorting", data_size=4)
+        tracer = TxTracer()
+        runtime.tracer = tracer
+        sanitizer = StmSanitizer().bind(runtime)
+        assert runtime.tracer == (tracer, sanitizer)
+        device.launch(counter_kernel(data, 3), 1, 8, attach=runtime.attach)
+        assert len(tracer.commits()) == runtime.stats["commits"]
+        assert len(tracer.aborts()) == runtime.stats["aborts"]
+        assert sanitizer._total_commits == runtime.stats["commits"]
+        assert sanitizer.ok, sanitizer.report()

@@ -8,10 +8,11 @@ from repro.gpu.config import GpuConfig
 from repro.harness import configs
 from repro.harness.parallel import JobSpec, merge_job_metrics, run_jobs
 from repro.harness.runner import run_workload
-from repro.sched.explore import run_under_schedule
 from repro.telemetry import MetricRegistry, Telemetry
 from repro.telemetry.validate import validate_chrome_trace
 from repro.workloads import make_workload
+
+from tests.helpers import explore
 
 
 def run_pair(workload, variant):
@@ -109,10 +110,11 @@ class TestTimelineContent:
         assert gauges["mem.words"] > 0
 
     def test_scheduled_run_feeds_session_tx_events(self):
-        """run_under_schedule keeps its own commit/abort ledger; the
-        session must still see every commit and abort."""
+        """A captured run keeps its own commit/abort ledger in the
+        observer slot; the session must still see every commit and
+        abort."""
         tel = Telemetry(timeline=True)
-        outcome = run_under_schedule(
+        outcome = explore(
             "ra", configs.test_workload_params("ra"), "hv-sorting",
             gpu=configs.unit_gpu(), telemetry=tel,
         )
