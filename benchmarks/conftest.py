@@ -39,7 +39,7 @@ def save_artifact(results_dir, name, rendered, data=None):
     """Write a rendered table/figure to benchmarks/results/<name>.txt.
 
     When ``data`` is given, a machine-readable ``<name>.json`` is written
-    next to the rendering so perf trajectories can be diffed across PRs
+    next to the rendering so results can be diffed across changes
     without parsing ASCII tables.
     """
     path = os.path.join(results_dir, "%s.txt" % name)

@@ -10,14 +10,18 @@ hash-pinned record.  Three layers:
   recorded run carrying the sweep's spec fingerprints (the same sha256
   hashes the journal resumes against), merged telemetry metrics, the
   failure taxonomy, and SHA-256s of every emitted artifact;
-* :mod:`repro.expdb.observatory` — the history-aware perf observatory:
-  per-case steps/sec time series with rolling-window regression verdicts
-  in place of a single pinned baseline point.
+* :mod:`repro.expdb.recorder` — builds those rows from a finished sweep.
 
 ``python -m repro db`` (:mod:`repro.expdb.cli`) queries, diffs and
 reports; ``python -m repro reproduce`` (:mod:`repro.expdb.reproduce`)
 regenerates every figure/table through the supervised pool and records
 the whole bundle.
+
+The database records what a sweep computed, not how fast the simulator
+ran.  Simulator performance has one ruler: ``python3 perfbench/run.py``,
+whose workloads and metrics ``BENCHMARK.json`` declares and whose paired
+parent-vs-change protocol is the "Noise" section of
+``perfbench/README.md``.
 """
 
 from repro.expdb.db import DEFAULT_DB_ENV, ExperimentDB, RunRecord, default_db_path

@@ -8,7 +8,6 @@ Subcommands::
     show        show one run (by id, run_key prefix, or "last")
     diff        metric/failure/spec deltas between two runs (bit-stable)
     report      markdown dashboard over the whole database
-    trajectory  the perf observatory's markdown trajectory report
     verify      re-hash a run's artifacts; non-zero exit on mismatch
 
 Every subcommand takes ``--db PATH`` (default: ``$REPRO_EXPDB`` or
@@ -23,11 +22,6 @@ import json
 import sys
 
 from repro.expdb.db import ExperimentDB, RunRecord, default_db_path
-from repro.expdb.observatory import (
-    DEFAULT_TOLERANCE,
-    DEFAULT_WINDOW,
-    trajectory_report,
-)
 from repro.expdb.provenance import provenance_snapshot
 from repro.expdb.recorder import hash_file
 
@@ -245,7 +239,7 @@ def cmd_diff(db, args):
     return 0
 
 
-def render_report(db, window=DEFAULT_WINDOW, tolerance=DEFAULT_TOLERANCE):
+def render_report(db):
     """The ``db report`` markdown dashboard, as text."""
     lines = ["# Experiment database report", ""]
     lines.append("Database: `%s`" % db.path)
@@ -292,26 +286,11 @@ def render_report(db, window=DEFAULT_WINDOW, tolerance=DEFAULT_TOLERANCE):
                         artifact["path"], artifact["sha256"][:16],
                         artifact["bytes"]
                     ))
-    if db.perf_cases():
-        lines.append("")
-        lines.append(trajectory_report(db, window=window,
-                                       tolerance=tolerance).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
 def cmd_report(db, args):
-    text = render_report(db, window=args.window, tolerance=args.tolerance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print("wrote %s" % args.out)
-    else:
-        print(text, end="")
-    return 0
-
-
-def cmd_trajectory(db, args):
-    text = trajectory_report(db, window=args.window, tolerance=args.tolerance)
+    text = render_report(db)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -387,15 +366,7 @@ def build_parser():
 
     p = sub.add_parser("report", help="markdown dashboard")
     p.add_argument("--out", default=None)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("trajectory", help="perf trajectory report")
-    p.add_argument("--out", default=None)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("verify", help="re-hash a run's artifacts")
     p.add_argument("ref", help="run id, run_key prefix, or 'last'")

@@ -22,10 +22,14 @@ Schema (one database file, created on first open):
     timeout/worker-lost/oom/unpicklable/error);
 ``artifacts``
     SHA-256 + byte size of every artifact the run emitted, so a file on
-    disk is verifiable against the run that claims to have produced it;
-``perf_samples``
-    the perf observatory's per-case steps/sec time series
-    (:mod:`repro.expdb.observatory`).
+    disk is verifiable against the run that claims to have produced it.
+
+The simulator's own wall-clock performance is not recorded here:
+``python3 perfbench/run.py`` measures it (workloads and metrics declared
+in ``BENCHMARK.json``, the paired protocol in ``perfbench/README.md``,
+"Noise").  A database written by an older build may still hold a table
+of per-case steps/sec samples; nothing reads it, and it does not change
+the schema version.
 
 Everything stored is plain data; reads return dicts.  Timestamps are
 recorded (UTC ISO-8601) but kept out of every deterministic surface —
@@ -94,13 +98,6 @@ CREATE TABLE IF NOT EXISTS artifacts (
     bytes  INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_artifacts_run ON artifacts (run_id);
-CREATE TABLE IF NOT EXISTS perf_samples (
-    run_id        INTEGER NOT NULL REFERENCES runs (id),
-    case_name     TEXT NOT NULL,
-    steps         INTEGER NOT NULL,
-    steps_per_sec REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_perf_case ON perf_samples (case_name);
 """
 
 
@@ -124,22 +121,19 @@ class RunRecord:
     (``spec_keys`` the human-readable reprs riding along); ``metrics`` a
     ``{"counters": {...}, "gauges": {...}}``-shaped dict
     (:meth:`MetricRegistry.as_dict` form, histograms tolerated and
-    flattened); ``artifacts`` an iterable of ``(path, sha256, bytes)``;
-    ``perf_samples`` of ``(case_name, steps, steps_per_sec)``.
+    flattened); ``artifacts`` an iterable of ``(path, sha256, bytes)``.
     """
 
     __slots__ = (
         "experiment", "run_key", "provenance", "seed", "jobs_total",
         "jobs_failed", "wall_seconds", "sim_cycles", "summary",
         "fingerprints", "spec_keys", "metrics", "failures", "artifacts",
-        "perf_samples",
     )
 
     def __init__(self, experiment, run_key, provenance=None, seed=None,
                  jobs_total=None, jobs_failed=None, wall_seconds=None,
                  sim_cycles=None, summary=None, fingerprints=(),
-                 spec_keys=(), metrics=None, failures=None, artifacts=(),
-                 perf_samples=()):
+                 spec_keys=(), metrics=None, failures=None, artifacts=()):
         self.experiment = experiment
         self.run_key = run_key
         self.provenance = provenance if provenance is not None else {}
@@ -154,7 +148,6 @@ class RunRecord:
         self.metrics = metrics
         self.failures = dict(failures) if failures else {}
         self.artifacts = list(artifacts)
-        self.perf_samples = list(perf_samples)
 
     def __repr__(self):
         return "RunRecord(%s, %s..., %d spec(s))" % (
@@ -268,11 +261,6 @@ class ExperimentDB:
             "INSERT INTO artifacts (run_id, path, sha256, bytes)"
             " VALUES (?, ?, ?, ?)",
             [(run_id,) + tuple(entry) for entry in record.artifacts],
-        )
-        self._conn.executemany(
-            "INSERT INTO perf_samples (run_id, case_name, steps,"
-            " steps_per_sec) VALUES (?, ?, ?, ?)",
-            [(run_id,) + tuple(sample) for sample in record.perf_samples],
         )
         self._conn.commit()
         return run_id
@@ -391,23 +379,6 @@ class ExperimentDB:
             for row in self._conn.execute(
                 "SELECT experiment, COUNT(*) AS n FROM runs"
                 " GROUP BY experiment ORDER BY experiment"
-            )
-        ]
-
-    def perf_window(self, case_name, limit):
-        """The newest ``limit`` perf samples for a case, oldest first."""
-        rows = self._conn.execute(
-            "SELECT run_id, steps, steps_per_sec FROM perf_samples"
-            " WHERE case_name = ? ORDER BY rowid DESC LIMIT ?",
-            (case_name, int(limit)),
-        ).fetchall()
-        return [dict(row) for row in reversed(rows)]
-
-    def perf_cases(self):
-        return [
-            row["case_name"]
-            for row in self._conn.execute(
-                "SELECT DISTINCT case_name FROM perf_samples ORDER BY case_name"
             )
         ]
 

@@ -68,7 +68,7 @@ def _cell_summary(run):
 
 def build_record(experiment, specs=(), results=(), metrics=None,
                  provenance=None, seed=None, wall_seconds=None,
-                 summary=None, artifacts=(), perf_samples=()):
+                 summary=None, artifacts=()):
     """Assemble a :class:`~repro.expdb.db.RunRecord` from sweep output.
 
     ``metrics`` is a :class:`~repro.telemetry.MetricRegistry`, its
@@ -136,7 +136,6 @@ def build_record(experiment, specs=(), results=(), metrics=None,
         metrics=merged,
         failures=failures,
         artifacts=hashed,
-        perf_samples=perf_samples,
     )
 
 

@@ -11,7 +11,7 @@ A PATH may be a file, a directory (every ``*.json`` under it,
 recursively), or a glob pattern — so a whole artifact tree validates in
 one invocation.  Validation stops at the **first** invalid file with
 exit code 1; exit code 0 means every file validated.  CI's
-telemetry-smoke job runs this over the artifacts it uploads.
+smokes job runs this over the telemetry artifacts it uploads.
 """
 
 import glob

@@ -89,18 +89,6 @@ class TestReport:
         assert "# Experiment database report" in text
         assert "sweep" in text
 
-    def test_trajectory_subcommand(self, tmp_path, capsys):
-        from repro.expdb.observatory import record_perf_run
-
-        db_path = str(tmp_path / "e.sqlite")
-        with ExperimentDB(db_path) as db:
-            record_perf_run(
-                db, {"ra/cgl": {"steps": 10, "steps_per_sec": 5.0}},
-                provenance={},
-            )
-        assert main(["--db", db_path, "trajectory"]) == 0
-        assert "ra/cgl" in capsys.readouterr().out
-
 
 class TestDispatcher:
     def test_python_m_repro_db_routes_here(self, tmp_path, capsys):

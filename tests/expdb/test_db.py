@@ -23,7 +23,6 @@ class TestRoundtrip:
             metrics={"counters": {"jobs": 4}, "gauges": {"rate": 2.5}},
             failures={"livelock": 1},
             artifacts=[("out.txt", "d" * 64, 17)],
-            perf_samples=[("ra/cgl", 4228, 1000.0)],
         ))
         row = db.resolve(str(run_id))
         assert row["experiment"] == "exp"
@@ -44,9 +43,6 @@ class TestRoundtrip:
             {"path": "out.txt", "sha256": "d" * 64, "bytes": 17}
         ]
         assert db.run_summary(run_id) == {"cells": {"ra": {"cycles": 10}}}
-        assert db.perf_window("ra/cgl", 8) == [
-            {"run_id": run_id, "steps": 4228, "steps_per_sec": 1000.0}
-        ]
         db.close()
 
     def test_reopen_sees_data(self, tmp_path):
@@ -76,6 +72,44 @@ class TestRoundtrip:
             db.record_run(_record(run_key="ac" + "0" * 62))
             with pytest.raises(KeyError):
                 db.resolve("a")
+
+
+class TestOlderDatabases:
+    def test_leftover_perf_samples_table_is_ignored(self, tmp_path, capsys):
+        """Builds before the experiment DB stopped recording perf samples
+        created a ``perf_samples`` table at the same schema version; such
+        a database must still open, query and report."""
+        import sqlite3
+
+        from repro.__main__ import main
+
+        path = str(tmp_path / "old.sqlite")
+        with ExperimentDB(path) as db:
+            db.record_run(_record(experiment="legacy"))
+        conn = sqlite3.connect(path)
+        conn.executescript("""
+            CREATE TABLE perf_samples (
+                run_id        INTEGER NOT NULL REFERENCES runs (id),
+                case_name     TEXT NOT NULL,
+                steps         INTEGER NOT NULL,
+                steps_per_sec REAL NOT NULL
+            );
+            CREATE INDEX idx_perf_case ON perf_samples (case_name);
+            INSERT INTO perf_samples VALUES (1, 'ra/cgl', 4228, 1000.0);
+        """)
+        conn.commit()
+        conn.close()
+
+        with ExperimentDB(path) as db:
+            assert db.experiments() == [("legacy", 1)]
+        assert main(["db", "--db", path, "query"]) == 0
+        assert main(["db", "--db", path, "report"]) == 0
+        out = capsys.readouterr().out
+        assert "legacy" in out
+        assert "ra/cgl" not in out
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM perf_samples").fetchone() == (1,)
+        conn.close()
 
 
 class TestFlattenMetrics:

@@ -126,7 +126,7 @@ def _mutated_outcome(name, variant, sanitize):
 
 class TestEfficacy:
     """Representative per-checker detections (the full 13-mutant matrix is
-    the ``inject`` CLI target / CI's sanitizer-smoke job)."""
+    the ``inject`` CLI target / CI's smokes job)."""
 
     def test_oracle_catches_skipped_revalidation(self):
         outcome = _mutated_outcome("skip-revalidation", "hv-sorting", False)

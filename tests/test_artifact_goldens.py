@@ -32,7 +32,7 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 
 #: (run name, CLI argv after ``python -m``, artifacts it must write); the
 #: argv mirrors the matching CI job (`expdb-smoke`, `sweep-smoke`,
-#: `sanitizer-smoke`), with ``{out}`` the run's output directory
+#: `smokes`), with ``{out}`` the run's output directory
 RUNS = (
     ("reproduce",
      ["repro", "reproduce", "--smoke", "--jobs", "2", "--out", "{out}",

@@ -15,6 +15,8 @@ the change out loudly in the PR.
 import json
 import os
 
+import pytest
+
 from repro.harness import configs, experiments
 from repro.harness.runner import run_workload
 from repro.workloads import make_workload
@@ -66,3 +68,32 @@ class TestGoldenCycles:
                 "simulator (determinism violation, or an intentional "
                 "cost-model change that must recapture the fixture)" % variant
             )
+
+
+# Exact warp-step counts of five capture-mode runs at the exploration
+# geometry, including the only 2-device pin in tier-1.  Steps are
+# simulated, so they must match on every machine and every Python.
+EXPLORE_STEPS = [
+    ("ra", "hv-sorting", None, 4119),
+    ("ra", "vbv", None, 5437),
+    ("ra", "cgl", None, 4228),
+    ("ht", "optimized", None, 6725),
+    ("mg", "optimized", {"devices": 2, "link_model": "uniform:60"}, 5566),
+]
+
+
+@pytest.mark.parametrize(
+    "workload_name,variant,gpu_overrides,steps", EXPLORE_STEPS,
+    ids=["%s%s/%s" % (w, "-2dev" if o else "", v)
+         for w, v, o, _ in EXPLORE_STEPS],
+)
+def test_explore_geometry_step_counts(workload_name, variant, gpu_overrides,
+                                      steps):
+    outcome = run_workload(
+        make_workload(workload_name, **configs.test_workload_params(workload_name)),
+        variant,
+        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
+        "rr", num_locks=16, capture=True,
+    )
+    assert outcome.failure is None
+    assert outcome.steps == steps
