@@ -19,43 +19,82 @@ that should catch each bug; the efficacy matrix
 (:mod:`repro.faults.campaign`) proves every mutant is caught by at least
 one and that the unmutated runtimes stay clean.
 
-Buggy method bodies are deliberate near-copies of the originals with the
-seeded defect marked by a ``# BUG:`` comment — a mutant must preserve
-everything else (costs, stats, yields) so detection is attributable to
-the defect, not to collateral drift.
+A buggy method is an *edit of the live one*, never a copy: each mutant
+lists ``edits`` of ``(method, old snippet, new snippet)``, and the new
+snippet carries the seeded defect's ``# BUG:`` comment.  The method is
+rebuilt from the source of the transaction class's live method, so a
+mutant keeps everything else (costs, stats, yields, observer seams) and
+detection is attributable to the defect alone.  Every ``old`` snippet
+must occur in that source exactly once; a runtime refactor that moves
+one fails loudly instead of leaving a stale mutant behind.
 """
 
+import inspect
+import sys
+import textwrap
 import types
 
-from repro.gpu.events import Phase
 from repro.stm.locklog import EncounterOrderLog
-from repro.stm.runtime.locksorting import LockSortingTx
-from repro.stm.versionlock import is_locked
 
 
 class Mutant:
     """One reversible seeded protocol bug.
 
-    ``tx_patches`` maps method names to replacement functions bound onto
-    every transaction thread the mutated runtime creates; ``init_patch``
-    (``f(runtime, tx)``) mutates freshly-created thread state;
-    ``runtime_attrs`` overrides runtime attributes for the mutant's
-    lifetime; ``workload_params`` are campaign workload-parameter
+    ``edits`` are ``(method, old, new)`` source edits of the transaction
+    thread's live methods (several may edit one method, applied in
+    order); ``init_patch`` (``f(runtime, tx)``) mutates freshly-created
+    thread state; ``runtime_attrs`` overrides runtime attributes for the
+    mutant's lifetime; ``workload_params`` are campaign workload-parameter
     overrides that raise the collision density a data race needs to
     manifest.
     """
 
-    def __init__(self, name, variants, description, expected,
-                 tx_patches=None, init_patch=None, runtime_attrs=None,
-                 workload_params=None):
+    def __init__(self, name, variants, description, expected, edits=(),
+                 init_patch=None, runtime_attrs=None, workload_params=None):
         self.name = name
         self.variants = tuple(variants)
         self.description = description
         self.expected = tuple(expected)
-        self.tx_patches = dict(tx_patches or {})
+        self.edits = tuple(edits)
         self.init_patch = init_patch
         self.runtime_attrs = dict(runtime_attrs or {})
         self.workload_params = dict(workload_params or {})
+        # transaction class -> {method name: edited function}
+        self._methods = {}
+
+    def methods(self, tx_class):
+        """The edited methods for threads of ``tx_class``, by name.
+
+        Each method is resolved on ``tx_class`` (so inherited methods are
+        edited where they are defined), its source edited, and the result
+        compiled in the defining module's globals; built once per class.
+        Raises ``ValueError`` when an ``old`` snippet does not occur in the
+        source exactly once.
+        """
+        methods = self._methods.get(tx_class)
+        if methods is None:
+            sources = {}
+            for method, old, new in self.edits:
+                if method not in sources:
+                    sources[method] = inspect.getsource(
+                        getattr(tx_class, method))
+                count = sources[method].count(old)
+                if count != 1:
+                    raise ValueError(
+                        "mutant %r: edit of %s.%s matches its source %d "
+                        "times, not once" % (
+                            self.name, tx_class.__name__, method, count))
+                sources[method] = sources[method].replace(old, new)
+            methods = {}
+            for method, source in sources.items():
+                module = sys.modules[getattr(tx_class, method).__module__]
+                namespace = {}
+                exec(compile(textwrap.dedent(source),
+                             "<mutant %s>" % self.name, "exec"),
+                     vars(module), namespace)
+                methods[method] = namespace[method]
+            self._methods[tx_class] = methods
+        return methods
 
     def apply(self, runtime):
         """Install this mutant on ``runtime`` (instance-level only)."""
@@ -69,12 +108,11 @@ class Mutant:
                 % (self.name, "/".join(self.variants), runtime.name)
             )
         original_make = runtime.make_thread
-        patches = self.tx_patches
         init_patch = self.init_patch
 
         def make_mutated_thread(tc):
             tx = original_make(tc)
-            for method_name, func in patches.items():
+            for method_name, func in self.methods(type(tx)).items():
                 setattr(tx, method_name, types.MethodType(func, tx))
             if init_patch is not None:
                 init_patch(runtime, tx)
@@ -124,301 +162,23 @@ class MutantRuntimeFactory:
         return "MutantRuntimeFactory(%r)" % (self.mutant_name,)
 
 
-# ======================================================================
-# Patched method bodies.  Near-copies of the originals; the seeded
-# defect is the line(s) marked "# BUG:".
-# ======================================================================
-
-def _postvalidation_always_true(self, version):
-    # BUG: hierarchical re-validation replaced by blind acceptance — the
-    # read-set is never re-checked by value, so stale reads survive.
-    self.snapshot = version
-    return True
-    yield  # pragma: no cover - generator marker
-
-
-def _get_locks_ignore_tbv(self):
-    ok = yield from LockSortingTx._get_locks_and_tbv(self)
-    if ok:
-        # BUG: discard the timestamp-based validation verdict gathered
-        # while locking; commit proceeds as if every stripe were fresh.
-        self.pass_tbv = True
-    return ok
-
-
-def _read_ignore_staleness(self, addr):
-    # Near-copy of LockSortingTx.tx_read for the pure-TBV variant.
-    tc = self.tc
-    runtime = self.runtime
-    runtime.stats.add("tx_reads")
-    if self.bloom.might_contain(addr):
-        tc.local_op(Phase.BUFFERING)
-        if addr in self.writes:
-            return self.writes.get(addr)
-    value = tc.gread(addr, Phase.NATIVE)
-    yield
-    self._note_real_read(addr)
-    self.reads.append(tc, addr, value, Phase.BUFFERING)
-    tc.fence(Phase.CONSISTENCY)
-    yield
-    while True:
-        word = tc.gread_l2(runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY)
-        yield
-        if not is_locked(word):
-            break
-        runtime.stats.add("read_waits_on_lock")
-    # BUG: the version-vs-snapshot staleness check (Algorithm 3 line 31)
-    # is gone — a read of a stripe committed after our snapshot passes.
-    self.locklog.insert(runtime.lock_table.index_of(addr), read=True)
-    tc.local_op(Phase.BUFFERING)
-    return value
-
-
 def _install_unsorted_locklog(runtime, tx):
     # BUG: the encounter-order log drops the paper's global acquisition
     # order; crossed lockstep transactions retry forever (section 2.2).
     tx.locklog = EncounterOrderLog(runtime.lock_table.num_locks)
 
 
-def _vbv_begin_ignores_writers(self):
-    # Near-copy of VbvTx.tx_begin.
-    tc = self.tc
-    runtime = self.runtime
-    tc.tx_window_begin()
-    self.reads.clear()
-    self.writes.clear()
-    self.bloom.clear()
-    self.is_opaque = True
-    runtime.stats.add("begins")
-    tc.local_op(Phase.INIT, count=3)
-    # BUG: no spin until the sequence is even — an odd (writer-mid-commit)
-    # sequence becomes the snapshot, so reads during the writeback window
-    # look "consistent" and a commit CAS can steal an odd sequence.
-    seq = tc.gread_l2(runtime.seq_addr, Phase.INIT)
-    yield
-    self.snapshot = seq
-    tc.fence(Phase.INIT)
-    yield
-
-
-def _commit_without_writeback_fence(self):
-    # Near-copy of LockSortingTx.tx_commit.
-    tc = self.tc
-    runtime = self.runtime
-    if not self.writes:
-        runtime.note_commit(self, version=self.snapshot)
-        tc.tx_window_commit()
-        return True
-        yield  # pragma: no cover - generator marker
-
-    acquired = yield from self._acquire_phase()
-    if not acquired:
-        return False
-
-    if not self.pass_tbv:
-        if runtime.use_vbv:
-            valid = yield from self._vbv(Phase.COMMIT)
-        else:
-            valid = False
-        if valid:
-            runtime.stats.add("hv_commit_saves")
-        else:
-            yield from self._release_locks()
-            return (yield from self._abort("validation"))
-
-    # BUG: the pre-writeback threadfence (Algorithm 3 line 79) is gone —
-    # lock acquisitions are not ordered before the data writebacks.
-    for addr, value in self.writes.items():
-        tc.gwrite(addr, value, Phase.COMMIT)
-        yield
-    tc.fence(Phase.COMMIT)
-    yield
-    version = tc.atomic_inc(runtime.clock.addr, Phase.COMMIT) + 1
-    yield
-    yield from self._release_and_update_locks(version)
-    self._consecutive_aborts = 0
-    runtime.note_commit(self, version=version)
-    tc.tx_window_commit()
-    return True
-
-
-def _release_forgets_last_lock(self, version):
-    # Near-copy of LockSortingTx._release_and_update_locks.
-    tc = self.tc
-    lock_table = self.runtime.lock_table
-    entries = list(self.locklog)
-    # BUG: the final logged lock is never released; it stays locked
-    # forever and every later transaction touching its stripe hangs.
-    for entry in entries[:-1]:
-        if entry.write:
-            new_word = version << 1
-        else:
-            new_word = self._held[entry.lock_id]
-        tc.gwrite(lock_table.lock_addr(entry.lock_id), new_word, Phase.LOCKS)
-        yield
-    self._held.clear()
-
-
-def _release_without_version_update(self, version):
-    # Near-copy of LockSortingTx._release_and_update_locks.
-    tc = self.tc
-    lock_table = self.runtime.lock_table
-    for entry in self.locklog:
-        # BUG: written stripes get their *old* word back instead of the
-        # new version — the lock table never learns about the commit, so
-        # later timestamp validations pass on stale data.
-        new_word = self._held[entry.lock_id]
-        tc.gwrite(lock_table.lock_addr(entry.lock_id), new_word, Phase.LOCKS)
-        yield
-    self._held.clear()
-
-
-def _write_through_dirty(self, addr, value):
-    # Near-copy of LockSortingTx.tx_write.
-    tc = self.tc
-    runtime = self.runtime
-    runtime.stats.add("tx_writes")
-    self.writes.put(tc, addr, value, Phase.BUFFERING)
-    self.bloom.add(addr)
-    self.locklog.insert(runtime.lock_table.index_of(addr), write=True)
-    tc.local_op(Phase.BUFFERING)
-    # BUG: the speculative value also lands in global memory at encounter
-    # time, unlocked — other transactions read uncommitted state and an
-    # abort leaves the dirty value behind.
-    tc.gwrite(addr, value, Phase.NATIVE)
-    yield
-
-
-def _read_skips_own_writes(self, addr):
-    # Near-copy of LockSortingTx.tx_read.
-    tc = self.tc
-    runtime = self.runtime
-    runtime.stats.add("tx_reads")
-    # BUG: the write-set lookup (Algorithm 3 line 22) is gone — a read
-    # after an own buffered write returns the stale global value.
-    value = tc.gread(addr, Phase.NATIVE)
-    yield
-    self._note_real_read(addr)
-    self.reads.append(tc, addr, value, Phase.BUFFERING)
-    tc.fence(Phase.CONSISTENCY)
-    yield
-    while True:
-        word = tc.gread_l2(runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY)
-        yield
-        if not is_locked(word):
-            break
-        runtime.stats.add("read_waits_on_lock")
-    version = word >> 1
-    if version > self.snapshot:
-        if runtime.use_vbv:
-            consistent = yield from self._post_validation(version)
-            if consistent:
-                runtime.stats.add("hv_read_saves")
-        else:
-            consistent = False
-        if not consistent:
-            self.is_opaque = False
-            runtime.stats.add("postvalidation_failures")
-    self.locklog.insert(runtime.lock_table.index_of(addr), read=True)
-    tc.local_op(Phase.BUFFERING)
-    return value
-
-
-def _cgl_begin_without_lock(self):
-    # Near-copy of CglTx.tx_begin.
-    tc = self.tc
-    runtime = self.runtime
-    tc.tx_window_begin()
-    self._reads = []
-    self._writes = {}
-    runtime.stats.add("begins")
-    # BUG: the critical section starts without acquiring the global lock;
-    # every "atomic" section on the device now runs concurrently.
-    tc.local_op(Phase.LOCKS)
-    yield
-
-
-def _commit_with_stuck_clock(self):
-    # Near-copy of LockSortingTx.tx_commit (inherited by STM-HV-Backoff).
-    tc = self.tc
-    runtime = self.runtime
-    if not self.writes:
-        runtime.note_commit(self, version=self.snapshot)
-        tc.tx_window_commit()
-        return True
-        yield  # pragma: no cover - generator marker
-
-    acquired = yield from self._acquire_phase()
-    if not acquired:
-        return False
-
-    if not self.pass_tbv:
-        if runtime.use_vbv:
-            valid = yield from self._vbv(Phase.COMMIT)
-        else:
-            valid = False
-        if valid:
-            runtime.stats.add("hv_commit_saves")
-        else:
-            yield from self._release_locks()
-            return (yield from self._abort("validation"))
-
-    tc.fence(Phase.COMMIT)
-    yield
-    for addr, value in self.writes.items():
-        tc.gwrite(addr, value, Phase.COMMIT)
-        yield
-    tc.fence(Phase.COMMIT)
-    yield
-    # BUG: the global clock is read, never atomically advanced — every
-    # concurrent writer publishes the same "new" version and snapshots
-    # stop moving.
-    version = tc.gread_l2(runtime.clock.addr, Phase.COMMIT) + 1
-    yield
-    yield from self._release_and_update_locks(version)
-    self._consecutive_aborts = 0
-    runtime.note_commit(self, version=version)
-    tc.tx_window_commit()
-    return True
-
-
-def _egpgv_commit_release_first(self):
-    # Near-copy of EgpgvTx.tx_commit.
-    tc = self.tc
-    runtime = self.runtime
-    tc.work(runtime.object_overhead, Phase.COMMIT)
-    yield
-    tc.fence(Phase.COMMIT)
-    yield
-    # BUG: every encounter-time lock is released *before* the buffered
-    # writes reach memory — the two-phase-locking write-back happens
-    # entirely unprotected.
-    yield from self._release_all()
-    for addr, value in self.writes.items():
-        tc.gwrite(addr, value, Phase.COMMIT)
-        yield
-    tc.fence(Phase.COMMIT)
-    yield
-    version = tc.atomic_inc(runtime.clock.addr, Phase.COMMIT) + 1
-    yield
-    self._leave_queue()
-    self._consecutive_aborts = 0
-    runtime.note_commit(self, version=version)
-    tc.tx_window_commit()
-    return True
-
-
-def _vbv_validate_always_true(self):
-    # BUG: NOrec's value-based validation replaced by blind acceptance —
-    # snapshot extensions keep stale reads without ever re-checking them.
-    self.runtime.stats.add("validations")
-    return True
-    yield  # pragma: no cover - generator marker
-
-
 # ======================================================================
-# The corpus
+# The corpus.  Snippets match the live source from their first character
+# (indentation is left in place); each new snippet marks its defect with
+# "# BUG:".
 # ======================================================================
+
+#: the commit-time TBV verdict thrown away (both TBV mutants)
+_DISCARD_TBV_VERDICT = (
+    "_get_locks_and_tbv", "return True",
+    "self.pass_tbv = True  # BUG: TBV verdict discarded\n        return True",
+)
 
 MUTANTS = {
     mutant.name: mutant
@@ -430,10 +190,10 @@ MUTANTS = {
                         "blindly reports consistency and commit-time TBV "
                         "verdicts are discarded",
             expected=("oracle", "fuzzer"),
-            tx_patches={
-                "_post_validation": _postvalidation_always_true,
-                "_get_locks_and_tbv": _get_locks_ignore_tbv,
-            },
+            edits=[("_post_validation", "while True:",
+                    "return True  # BUG: stale reads never re-checked\n"
+                    "        while True:"),
+                   _DISCARD_TBV_VERDICT],
             workload_params={"array_size": 16},
         ),
         Mutant(
@@ -442,10 +202,9 @@ MUTANTS = {
             description="pure-TBV variant ignores stale stripe versions at "
                         "read time and discards the commit-time TBV verdict",
             expected=("oracle", "fuzzer"),
-            tx_patches={
-                "tx_read": _read_ignore_staleness,
-                "_get_locks_and_tbv": _get_locks_ignore_tbv,
-            },
+            edits=[("tx_read", "if version > self.snapshot:",
+                    "if False:  # BUG: no staleness check (Alg. 3 line 31)"),
+                   _DISCARD_TBV_VERDICT],
             workload_params={"array_size": 16},
         ),
         Mutant(
@@ -466,7 +225,10 @@ MUTANTS = {
                         "value: reads during writeback validate and a commit "
                         "CAS can steal the held sequence lock",
             expected=("fuzzer",),
-            tx_patches={"tx_begin": _vbv_begin_ignores_writers},
+            edits=[("tx_begin",
+                    "yield even.arm(runtime.seq_addr, 1, Phase.INIT)",
+                    "yield even.arm(runtime.seq_addr, 0, Phase.INIT)"
+                    "  # BUG: mask 0, an odd sequence is snapshotted")],
             workload_params={
                 "array_size": 4,
                 "txs_per_thread": 4,
@@ -479,7 +241,9 @@ MUTANTS = {
             description="NOrec value-based validation blindly passes, so "
                         "snapshot extensions keep stale read sets",
             expected=("oracle", "fuzzer"),
-            tx_patches={"_validate": _vbv_validate_always_true},
+            edits=[("_validate", "for addr, logged in self.reads:",
+                    "return True  # BUG: stale reads never re-checked\n"
+                    "        for addr, logged in self.reads:")],
             workload_params={"array_size": 8},
         ),
         Mutant(
@@ -488,7 +252,9 @@ MUTANTS = {
             description="the threadfence between lock acquisition and data "
                         "writeback (Algorithm 3 line 79) is removed",
             expected=("sanitizer",),
-            tx_patches={"tx_commit": _commit_without_writeback_fence},
+            edits=[("tx_commit",
+                    "tc.fence(Phase.COMMIT)\n        yield\n        gwrite",
+                    "# BUG: no fence before the writeback\n        gwrite")],
         ),
         Mutant(
             "lost-lock-release",
@@ -496,7 +262,8 @@ MUTANTS = {
             description="the last acquired version-lock is never released: "
                         "its stripe stays locked for the rest of the kernel",
             expected=("sanitizer", "oracle"),
-            tx_patches={"_release_and_update_locks": _release_forgets_last_lock},
+            edits=[("_release_and_update_locks", "in self.locklog:",
+                    "in list(self.locklog)[:-1]:  # BUG: last lock kept")],
         ),
         Mutant(
             "forgotten-version-update",
@@ -504,7 +271,9 @@ MUTANTS = {
             description="released locks keep their pre-commit version word, "
                         "so timestamp validation never sees new commits",
             expected=("oracle", "fuzzer"),
-            tx_patches={"_release_and_update_locks": _release_without_version_update},
+            edits=[("_release_and_update_locks",
+                    "new_word = new_version_word",
+                    "new_word = held[entry.lock_id]  # BUG: old version")],
             workload_params={"array_size": 16},
         ),
         Mutant(
@@ -513,7 +282,9 @@ MUTANTS = {
             description="speculative writes also land in global memory at "
                         "encounter time, unlocked and unrecoverable on abort",
             expected=("oracle",),
-            tx_patches={"tx_write": _write_through_dirty},
+            edits=[("tx_write", "return\n",
+                    "tc.gwrite(addr, value, Phase.NATIVE)  # BUG: unlocked\n"
+                    "        yield\n        return\n")],
             workload_params={"array_size": 16},
         ),
         Mutant(
@@ -522,8 +293,9 @@ MUTANTS = {
             description="the write-set lookup in the read barrier is gone: "
                         "reads after own buffered writes return stale global "
                         "values",
-            expected=("sanitizer", "oracle"),
-            tx_patches={"tx_read": _read_skips_own_writes},
+            expected=("sanitizer",),
+            edits=[("tx_read", "if self.bloom.might_contain(addr):",
+                    "if False:  # BUG: own writes never looked up")],
             workload_params={"array_size": 4, "actions_per_tx": 8},
         ),
         Mutant(
@@ -532,7 +304,10 @@ MUTANTS = {
             description="CGL critical sections start without acquiring the "
                         "global lock: all sections run concurrently",
             expected=("oracle",),
-            tx_patches={"tx_begin": _cgl_begin_without_lock},
+            edits=[("tx_begin",
+                    "yield acquire.arm(runtime.lock_addr, Phase.LOCKS)",
+                    "tc.local_op(Phase.LOCKS)  # BUG: the lock is never taken"
+                    "\n        yield\n        return")],
             workload_params={"array_size": 4},
         ),
         Mutant(
@@ -542,7 +317,9 @@ MUTANTS = {
                         "advancing it: versions repeat and the clock never "
                         "moves",
             expected=("sanitizer",),
-            tx_patches={"tx_commit": _commit_with_stuck_clock},
+            edits=[("tx_commit", "version = tc.atomic_inc(",
+                    "# BUG: the clock is read, never advanced\n"
+                    "        version = tc.gread_l2(")],
         ),
         Mutant(
             "egpgv-release-before-writeback",
@@ -550,7 +327,12 @@ MUTANTS = {
             description="EGPGV releases its encounter-time locks before the "
                         "buffered writes reach memory",
             expected=("sanitizer",),
-            tx_patches={"tx_commit": _egpgv_commit_release_first},
+            edits=[("tx_commit", "yield\n        for addr",
+                    "yield\n        yield from self._release_all()"
+                    "  # BUG: before the writeback\n        for addr"),
+                   ("tx_commit",
+                    "yield from self._release_all()\n        self._leave",
+                    "self._leave")],
         ),
     )
 }

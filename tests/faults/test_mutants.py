@@ -1,20 +1,22 @@
-"""The seeded-bug corpus: reversibility, pickling, and per-mutant efficacy."""
+"""The seeded-bug corpus: reversibility, pickling, edits of the live
+runtime, pinned outcomes and per-mutant efficacy."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
-from repro.faults.campaign import CHECKERS
-from repro.faults.mutants import MUTANTS, MutantRuntimeFactory
+from repro.faults.campaign import (
+    BASE_PARAMS, CHECKERS, MAX_STEPS, run_campaign,
+)
+from repro.faults.mutants import MUTANTS, Mutant, MutantRuntimeFactory
 from repro.gpu import Device
 from repro.harness.configs import explore_gpu
 from repro.stm import STM_VARIANTS, EXTENSION_VARIANTS, StmConfig, make_runtime
 
 from tests.helpers import explore
 
-PARAMS = dict(array_size=64, grid=2, block=16, txs_per_thread=2, actions_per_tx=2)
 ALL_VARIANTS = set(STM_VARIANTS) | set(EXTENSION_VARIANTS)
-STEPS = dict(max_steps=120_000)
 
 
 class TestCorpusConsistency:
@@ -87,13 +89,60 @@ class TestApplyRevert:
                 return runtime
 
             return explore(
-                "ra", PARAMS, "hv-sorting", runtime_factory=factory,
+                "ra", BASE_PARAMS, "hv-sorting", runtime_factory=factory,
             )
 
         clean, reverted = run(False), run(True)
         assert reverted.failure is None
         assert reverted.cycles == clean.cycles
         assert reverted.commits == clean.commits
+
+
+def _tx_class(variant):
+    """The transaction class ``variant``'s runtime builds, found without a
+    launch: a thread's constructor only keeps its context and tid."""
+    return type(_fresh_runtime(variant).make_thread(SimpleNamespace(tid=0)))
+
+
+def _semantics(func):
+    code = func.__code__
+    return code.co_code, code.co_consts, code.co_names
+
+
+MUTANT_VARIANTS = sorted(
+    (name, variant)
+    for name, mutant in MUTANTS.items() for variant in mutant.variants
+)
+
+
+class TestEdits:
+    """Every edit still matches the live runtime source exactly once."""
+
+    @pytest.mark.parametrize(
+        "name,variant", MUTANT_VARIANTS,
+        ids=["/".join(pair) for pair in MUTANT_VARIANTS],
+    )
+    def test_edits_build_against_live_methods(self, name, variant):
+        mutant = MUTANTS[name]
+        tx_class = _tx_class(variant)
+        methods = mutant.methods(tx_class)
+        assert set(methods) == {method for method, _old, _new in mutant.edits}
+        for method, func in methods.items():
+            # each edit changes what runs, not just comments
+            assert _semantics(func) != _semantics(getattr(tx_class, method))
+
+    @pytest.mark.parametrize("old,count", [
+        ("no such statement", 0),
+        ("tc.fence(Phase.COMMIT)", 2),
+    ])
+    def test_snippet_must_match_exactly_once(self, old, count):
+        mutant = Mutant("bad-edit", ("hv-sorting",), "", ("oracle",),
+                        edits=[("tx_commit", old, "pass")])
+        with pytest.raises(ValueError) as info:
+            mutant.methods(_tx_class("hv-sorting"))
+        message = str(info.value)
+        assert "'bad-edit'" in message and ".tx_commit" in message, message
+        assert "%d times" % count in message, message
 
 
 class TestFactory:
@@ -112,29 +161,98 @@ class TestFactory:
             )
 
 
-def _mutated_outcome(name, variant, sanitize):
-    mutant = MUTANTS[name]
-    params = dict(PARAMS)
-    params.update(mutant.workload_params)
+def _mutated_outcome(name, variant, sanitize=False):
+    """One round-robin ``ra`` run of a mutant at the campaign's geometry."""
     return explore(
-        "ra", params, variant,
+        "ra", dict(BASE_PARAMS, **MUTANTS[name].workload_params), variant,
         sanitize=sanitize,
-        gpu_overrides=dict(STEPS),
+        gpu_overrides={"max_steps": MAX_STEPS},
         runtime_factory=MutantRuntimeFactory(name),
     )
 
 
+#: (mutant, variant) -> (cycles, steps, commits, aborts, failure) of one
+#: round-robin ``ra`` run at the campaign's geometry: the corpus's
+#: simulated behaviour, pinned so a rewrite of how mutants are built
+#: cannot move it
+CORPUS_OUTCOMES = {
+    ("cgl-no-lock", "cgl"): (3328, 200, 64, 0, "serializability"),
+    ("clock-stuck", "hv-backoff"): (104089, 3891, 64, 35, "serializability"),
+    ("dirty-writes", "hv-sorting"): (274474, 7810, 64, 390, "serializability"),
+    ("egpgv-release-before-writeback", "egpgv"):
+        (66016, 4410, 64, 0, "serializability"),
+    ("forgotten-version-update", "hv-sorting"):
+        (92086, 2889, 64, 32, "serializability"),
+    ("lost-lock-release", "hv-sorting"): (0, 120001, 8, 13, "progress"),
+    ("missing-writeback-fence", "optimized"): (158360, 4759, 64, 174, None),
+    ("read-own-write-incoherence", "hv-sorting"):
+        (826222, 31887, 64, 1194, None),
+    ("skip-revalidation", "hv-sorting"):
+        (92086, 2889, 64, 32, "serializability"),
+    ("skip-revalidation", "hv-adaptive"):
+        (101011, 3050, 64, 36, "serializability"),
+    ("skip-tbv-validation", "tbv-sorting"):
+        (92086, 2889, 64, 32, "serializability"),
+    ("unsorted-lock-acquisition", "hv-sorting"):
+        (0, 120001, 2, 39, "progress"),
+    ("vbv-skip-validation", "vbv"): (57562, 3311, 64, 0, "serializability"),
+    ("vbv-snapshot-off-by-one", "vbv"): (227036, 13381, 128, 2178, None),
+}
+
+
+def test_corpus_outcomes_cover_every_mutant_variant():
+    assert sorted(CORPUS_OUTCOMES) == MUTANT_VARIANTS
+
+
+@pytest.mark.parametrize(
+    "name,variant", MUTANT_VARIANTS,
+    ids=["/".join(pair) for pair in MUTANT_VARIANTS],
+)
+def test_corpus_outcome_is_pinned(name, variant):
+    outcome = _mutated_outcome(name, variant)
+    assert (outcome.cycles, outcome.steps, outcome.commits, outcome.aborts,
+            outcome.failure) == CORPUS_OUTCOMES[name, variant]
+
+
+class _ValidationCounter:
+    """Observer that counts failing validation verdicts per stage."""
+
+    def __init__(self):
+        self.stages = {}
+
+    def filter_validation(self, tx, stage, verdict):
+        self.stages[stage] = self.stages.get(stage, 0) + 1
+        return verdict
+
+
+@pytest.mark.parametrize("name,variant,commits,aborts", [
+    ("missing-writeback-fence", "optimized", 64, 880),
+    ("clock-stuck", "hv-backoff", 64, 127),
+])
+def test_mutated_commit_keeps_the_validation_seam(name, variant, commits,
+                                                  aborts):
+    """A mutant differs from the live runtime by its seeded bug only: the
+    mutated commit still routes its validation verdict through the
+    observers' ``filter_validation`` seam."""
+    counter = _ValidationCounter()
+
+    def factory(variant, device, stm_config):
+        runtime = MutantRuntimeFactory(name)(variant, device, stm_config)
+        runtime.observe(counter)
+        return runtime
+
+    outcome = explore(
+        "ra", dict(array_size=16, grid=2, block=16, txs_per_thread=2,
+                   actions_per_tx=4),
+        variant, runtime_factory=factory,
+    )
+    assert counter.stages.get("commit", 0) > 0, counter.stages
+    assert (outcome.commits, outcome.aborts) == (commits, aborts)
+
+
 class TestEfficacy:
-    """Representative per-checker detections (the full 13-mutant matrix is
-    the ``inject`` CLI target / CI's smokes job)."""
-
-    def test_oracle_catches_skipped_revalidation(self):
-        outcome = _mutated_outcome("skip-revalidation", "hv-sorting", False)
-        assert outcome.failure is not None
-
-    def test_oracle_catches_vbv_skipped_validation(self):
-        outcome = _mutated_outcome("vbv-skip-validation", "vbv", False)
-        assert outcome.failure is not None
+    """Sanitizer detections pinned by check name; every (mutant, expected
+    checker) pair is held by ``test_expected_checker_catches_mutant``."""
 
     def test_sanitizer_catches_missing_writeback_fence(self):
         outcome = _mutated_outcome("missing-writeback-fence", "optimized", True)
@@ -156,6 +274,21 @@ class TestEfficacy:
         )
         assert any(v["check"] == "unlocked_write" for v in outcome.violations)
 
-    def test_lost_lock_release_destroys_progress_or_leaks(self):
-        outcome = _mutated_outcome("lost-lock-release", "hv-sorting", True)
-        assert outcome.failure is not None
+
+EXPECTED_PAIRS = [
+    (name, checker)
+    for name, mutant in sorted(MUTANTS.items()) for checker in mutant.expected
+]
+
+
+@pytest.mark.parametrize(
+    "name,checker", EXPECTED_PAIRS,
+    ids=["/".join(pair) for pair in EXPECTED_PAIRS],
+)
+def test_expected_checker_catches_mutant(name, checker):
+    """``Mutant.expected`` is a claim: each checker it names catches the
+    mutant on at least one of its variants."""
+    report = run_campaign(mutants=[name], checkers=[checker],
+                          include_baselines=False)
+    entry = report.summary["mutants"][name]
+    assert entry["detected"], entry["results"]

@@ -5,12 +5,11 @@ Every CI sweep smoke writes a deterministic JSON (or text) artifact:
 the reproduce bundle's ``manifest.json`` (which itself holds the SHA-256
 of each rendered ``*.txt`` table), the ledger service's
 ``service_summary.json``, the multi-device ``survival_map.{json,txt}``,
-the byzantine ``byz_matrix.json`` on one and on two devices, and the
-3-mutant ``efficacy_matrix.json``.  This test regenerates each one with
-CI's exact arguments and compares its SHA-256 against
-``tests/goldens/artifacts.json``, so a refactor that claims "nothing
-changed" is checked by the suite instead of by hand against a copy of
-its parent.
+the byzantine ``byz_matrix.json`` on one and on two devices, and a
+3-mutant ``efficacy_matrix.json``.  This test regenerates each one and
+compares its SHA-256 against ``tests/goldens/artifacts.json``, so a
+refactor that claims "nothing changed" is checked by the suite instead
+of by hand against a copy of its parent.
 
 If an intentional behaviour change moves an artifact, regenerate the
 ledger and say so in the change description::
@@ -30,9 +29,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 LEDGER = os.path.join(HERE, "goldens", "artifacts.json")
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
-#: (run name, CLI argv after ``python -m``, artifacts it must write); the
-#: argv mirrors the matching CI job (`expdb-smoke`, `sweep-smoke`,
-#: `smokes`), with ``{out}`` the run's output directory
+#: (run name, CLI argv after ``python -m``, artifacts it must write), with
+#: ``{out}`` the run's output directory; the sweep argv mirror the
+#: matching CI job (`expdb-smoke`, `sweep-smoke`), while ``inject`` keeps
+#: a 3-mutant, 2-checker slice of the campaign `smokes` runs in full
 RUNS = (
     ("reproduce",
      ["repro", "reproduce", "--smoke", "--jobs", "2", "--out", "{out}",
