@@ -13,7 +13,9 @@ run of the same specs:
    the worker, hang past the wall timeout, run with an armed
    ``warp_stall`` fault and a tight cycle budget).  Every job must
    still converge to the reference result via retry, and the
-   ``supervisor.*`` counters must account for each injected failure.
+   ``supervisor.*`` counters must account for each injected failure —
+   including the worker processes: the warm pool starts ``workers``
+   once and replaces exactly two (the SIGKILLed and the hung one).
 3. **kill-and-resume** — a child process runs the sweep serially with a
    journal and SIGKILLs *itself* partway through; the parent resumes
    from the journal and must produce results (and merged telemetry)
@@ -176,25 +178,32 @@ def _phase_worker_chaos(report, reference, specs, jobs, wall_timeout):
         wall_timeout=wall_timeout, max_retries=2,
         backoff_base=0.01, backoff_cap=0.05,
     )
+    workers = min(max(2, jobs), len(specs))
     results = run_supervised(
-        specs, jobs=max(2, jobs), config=config, chaos=plan, metrics=registry,
+        specs, jobs=workers, config=config, chaos=plan, metrics=registry,
     )
     bad = _diff(reference, results)
     counters = registry.as_dict()["counters"]
     retries = counters.get("supervisor.retries", 0)
+    # the pool starts its warm workers once; only the SIGKILLed and the
+    # hung worker are replaced
+    started = counters.get("supervisor.workers.started", 0)
     accounted = (
         retries >= len(plan)
         and counters.get("supervisor.jobs.succeeded") == len(specs)
         and counters.get("supervisor.timeouts.wall", 0) >= 1
         and counters.get("supervisor.failures.worker-lost", 0) == 0
+        and started == workers + 2
     )
     report.add(
         "worker chaos",
         not bad and accounted,
         "results diverge for %s" % bad if bad else
         "%d injected failures retried to clean convergence "
-        "(%d retries, %d wall timeout(s))"
-        % (len(plan), retries, counters.get("supervisor.timeouts.wall", 0)),
+        "(%d retries, %d wall timeout(s), %d worker processes for %d "
+        "workers, expected %d)"
+        % (len(plan), retries, counters.get("supervisor.timeouts.wall", 0),
+           started, workers, workers + 2),
     )
 
 

@@ -378,7 +378,7 @@ def _run_job(spec, telemetry):
 def execute_job(spec):
     """Run one :class:`JobSpec` in the current process; never raises.
 
-    Module-level (not a closure) so it pickles for ProcessPoolExecutor.
+    Module-level (not a closure) so it pickles into worker processes.
     """
     return capture(spec, _run_job)
 
@@ -399,29 +399,6 @@ def merge_job_metrics(results, into=None):
     return merged
 
 
-def _pool_error_result(spec, exc):
-    """A structured failure for a job the *pool machinery* lost.
-
-    A bare ``PicklingError`` escaping ``pool.map`` used to abort the whole
-    sweep without saying which spec carried the unpicklable kernel arg (or
-    produced the unpicklable result).  Each pool failure now becomes a
-    :class:`JobFailure` naming the offending cell.
-    """
-    category, transient = classify_exception(exc)
-    if "pickle" in type(exc).__name__.lower() or "pickle" in str(exc).lower():
-        category = "unpicklable"
-        transient = False
-    message = (
-        "job %r (%r) failed in the process pool: %s: %s"
-        % (spec.key, spec, type(exc).__name__, exc)
-    )
-    failure = JobFailure(
-        spec.key, category, type(exc).__name__, message,
-        traceback=traceback.format_exc(), transient=transient,
-    )
-    return JobResult(spec.key, error=message, failure=failure)
-
-
 def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
              chaos=None, metrics=None, recorder=None):
     """Execute ``specs``; return the executor's results in spec order.
@@ -433,9 +410,16 @@ def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
     a module-level callable so it pickles into worker processes.
 
     ``jobs=1`` (or a single spec) runs serially in-process with no
-    executor pool.  With ``jobs > 1`` the specs fan out over a
-    ``ProcessPoolExecutor``; ordering, and therefore every figure built
-    from the results, is identical either way.
+    worker processes.  With ``jobs > 1`` the specs fan out over the
+    supervisor's warm pool (:func:`repro.harness.supervisor.run_pool`):
+    ``min(jobs, len(specs))`` long-lived workers, one attempt per spec
+    and no deadline.  A worker runs many specs, so per-process state an
+    executor keeps (caches, counters) persists across the specs one
+    worker runs.  A spec or result that cannot cross the worker pipe
+    fails that spec alone as ``unpicklable``; a worker that dies fails
+    its spec as ``worker-lost`` and is replaced.  Ordering, and
+    therefore every figure built from the results, is identical either
+    way.
 
     ``supervise`` (a :class:`~repro.harness.supervisor.SupervisorConfig`
     or a kwargs dict for one), ``journal`` (a path or
@@ -443,9 +427,9 @@ def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
     :class:`~repro.harness.supervisor.ChaosPlan`) route execution through
     :func:`repro.harness.supervisor.run_supervised` — per-job timeouts,
     bounded retry with backoff, checkpoint/resume.  All three default to
-    ``None``: the happy path below runs exactly as before, with no
-    supervision machinery on it.  ``metrics`` (a ``MetricRegistry``)
-    receives the ``supervisor.*`` counters when supervision is active.
+    ``None``: no retries, journal or counters on the happy path.
+    ``metrics`` (a ``MetricRegistry``) receives the ``supervisor.*``
+    counters when supervision is active.
 
     ``recorder`` — a callable ``(specs, results, metrics)``, typically a
     :class:`~repro.expdb.recorder.SweepRecorder` — is invoked exactly
@@ -469,27 +453,12 @@ def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
         jobs = default_jobs()
     if jobs <= 1 or len(specs) <= 1:
         results = [executor(spec) for spec in specs]
-        if recorder is not None:
-            recorder(specs, results, metrics)
-        return results
-    # imported lazily: the serial path must work even where process
-    # spawning is unavailable (sandboxes, some CI runners)
-    from concurrent.futures import ProcessPoolExecutor
+    else:
+        # imported lazily: the serial path must work even where process
+        # spawning is unavailable (sandboxes, some CI runners)
+        from repro.harness.supervisor import run_pool
 
-    workers = min(jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # one submit per spec (equivalent to pool.map with chunksize 1,
-        # which kept long and short runs from being glued to one worker)
-        # so a pool-level failure — an unpicklable kernel arg in a spec,
-        # an unpicklable object in a result — is attributable to its job
-        # instead of aborting the whole sweep
-        futures = [pool.submit(executor, spec) for spec in specs]
-        results = []
-        for spec, future in zip(specs, futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - captured per job
-                results.append(_pool_error_result(spec, exc))
+        results = run_pool(specs, jobs, executor)
     if recorder is not None:
         recorder(specs, results, metrics)
     return results

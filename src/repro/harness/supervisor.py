@@ -7,8 +7,9 @@ campaign actually meets:
 
 * **wall-clock timeouts** — a worker that stops making wall-clock
   progress (infinite loop outside the simulator, chaos-injected hang) is
-  SIGKILLed at ``wall_timeout`` seconds and the attempt classified
-  ``timeout`` (transient: the same spec normally finishes in time);
+  SIGKILLed at ``wall_timeout`` seconds, replaced, and the attempt
+  classified ``timeout`` (transient: the same spec normally finishes in
+  time);
 * **simulated-cycle timeouts** — ``cycle_budget`` overlays ``max_steps``
   on every spec's GPU config, so the scheduler's own watchdog trips
   inside the worker and its :class:`~repro.gpu.errors.LivelockError` /
@@ -37,20 +38,24 @@ successes, wall and cycle timeouts, failures by category) with the exact
 arithmetic ``first_attempt_successes + retries + failures-after-retry``
 accounting the acceptance tests pin down.
 
-The supervisor never touches the unsupervised path: ``run_jobs`` without
-supervision arguments does not import this module.
+Process mode runs on a pool of warm worker processes (:func:`_run_pool`),
+which ``run_jobs`` without supervision arguments also uses at
+``jobs > 1`` (:func:`run_pool`: one attempt per spec, nothing else).
+Serial ``run_jobs`` does not import this module.
 """
 
 import dataclasses
 import os
 import signal
 import time
+import traceback
 
 from repro.harness.journal import SweepJournal, spec_fingerprint
 from repro.harness.parallel import (
     JobFailure,
     JobResult,
     TransientJobError,
+    classify_exception,
     default_jobs,
     execute_job,
 )
@@ -83,7 +88,6 @@ class SupervisorConfig:
     backoff_base: float = 0.25
     backoff_cap: float = 8.0
     jitter: float = 0.5
-    poll_interval: float = 0.05
 
     def backoff_delay(self, fingerprint, attempts):
         """Delay before the next attempt, given ``attempts`` already made."""
@@ -231,17 +235,41 @@ def run_attempt(executor, spec, chaos, attempt):
         return JobResult.from_exception(spec.key, exc)
 
 
-def _worker_entry(conn, executor, spec, chaos, attempt):
-    """Worker-process main: run the attempt, ship the result back."""
-    result = run_attempt(executor, spec, chaos, attempt)
-    try:
-        conn.send(result)
-    except Exception as exc:  # noqa: BLE001 - unpicklable result
-        from repro.harness.parallel import _pool_error_result
+def _pipe_error_result(spec, exc):
+    """A structured failure for a spec that cannot be sent to a worker,
+    or whose result cannot be sent back: a :class:`JobFailure` naming the
+    offending cell, so its siblings run on."""
+    category, transient = classify_exception(exc)
+    if "pickle" in type(exc).__name__.lower() or "pickle" in str(exc).lower():
+        category = "unpicklable"
+        transient = False
+    message = (
+        "job %r (%r) failed in the process pool: %s: %s"
+        % (spec.key, spec, type(exc).__name__, exc)
+    )
+    failure = JobFailure(
+        spec.key, category, type(exc).__name__, message,
+        traceback=traceback.format_exc(), transient=transient,
+    )
+    return JobResult(spec.key, error=message, failure=failure)
 
-        conn.send(_pool_error_result(spec, exc))
-    finally:
-        conn.close()
+
+def _worker_main(conn, executor, chaos):
+    """Warm-worker main: run ``(spec, attempt)`` tasks off the pipe and
+    ship each result back, until the parent sends ``None``."""
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if task is None:
+            return
+        spec, attempt = task
+        result = run_attempt(executor, spec, chaos, attempt)
+        try:
+            conn.send(result)
+        except Exception as exc:  # noqa: BLE001 - unpicklable result
+            conn.send(_pipe_error_result(spec, exc))
 
 
 def _failure_of(result):
@@ -328,122 +356,190 @@ def _run_serial(sup, pending):
             sup.sleep(sup.backoff(job))
 
 
-def _launch(sup, job, ctx):
-    """Start one worker process for the job's next attempt."""
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    sup.start_attempt(job)
-    proc = ctx.Process(
-        target=_worker_entry,
-        args=(child_conn, sup.executor, job.spec, sup.chaos, job.attempts - 1),
-        daemon=True,
-    )
-    proc.start()
-    child_conn.close()
-    deadline = None
-    if sup.config.wall_timeout is not None:
-        deadline = time.monotonic() + sup.config.wall_timeout
-    return {"job": job, "proc": proc, "conn": parent_conn, "deadline": deadline}
+class _Worker:
+    """A warm worker process, the parent's end of its duplex pipe, and
+    the job it runs (``job is None`` while idle)."""
+
+    __slots__ = ("proc", "conn", "job", "deadline")
+
+    def __init__(self, proc, conn):
+        self.proc = proc
+        self.conn = conn
+        self.job = None
+        self.deadline = None
 
 
-def _reap(sup, record, result, failure, queue):
-    """Handle a finished attempt: retry (requeue with backoff) or finish."""
-    job = record["job"]
-    record["conn"].close()
-    record["proc"].join()
-    if failure is not None and sup.should_retry(job, failure):
-        job.not_before = time.monotonic() + sup.backoff(job)
-        queue.append(job)
-    else:
-        sup.finish(job, result, failure)
+class _Pool:
+    """The parent's side of the warm workers: every live one, the idle
+    ones, and the busy ones keyed by their pipe end."""
 
+    def __init__(self, sup, queue):
+        import multiprocessing as mp
 
-def _supervisor_timeout_result(job, category, detail):
-    key = job.spec.key
-    message = "job %r %s: %s" % (key, category, detail)
-    failure = JobFailure(key, category, "SupervisorTimeout"
-                         if category == "timeout" else "WorkerLost",
-                         message, attempts=job.attempts, transient=True)
-    return JobResult(key, error=message, failure=failure), failure
+        self.sup = sup
+        self.queue = queue
+        self.ctx = mp.get_context()
+        self.live = []
+        self.idle = []
+        self.busy = {}
+
+    def spawn(self):
+        """Start one warm worker; the executor and chaos plan ride along as
+        process arguments, so the worker's copy persists across its tasks."""
+        parent_conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.sup.executor, self.sup.chaos), daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self.sup.count("workers.started")
+        worker = _Worker(proc, parent_conn)
+        self.live.append(worker)
+        self.idle.append(worker)
+
+    def settle(self, job, result, failure):
+        """Handle a finished attempt: retry (requeue with backoff) or finish."""
+        if failure is not None and self.sup.should_retry(job, failure):
+            job.not_before = time.monotonic() + self.sup.backoff(job)
+            self.queue.append(job)
+        else:
+            self.sup.finish(job, result, failure)
+
+    def dispatch(self, job):
+        """Hand the job's next attempt to an idle worker."""
+        worker = self.idle.pop()
+        self.sup.start_attempt(job)
+        worker.job = job
+        try:
+            worker.conn.send((job.spec, job.attempts - 1))
+        except OSError:
+            self.replace(worker, "worker-lost")  # died while idle
+            return
+        except Exception as exc:  # noqa: BLE001 - unpicklable spec
+            worker.job = None
+            self.idle.append(worker)
+            result = _pipe_error_result(job.spec, exc)
+            self.settle(job, result, result.failure)
+            return
+        if self.sup.config.wall_timeout is not None:
+            worker.deadline = time.monotonic() + self.sup.config.wall_timeout
+        self.busy[worker.conn] = worker
+
+    def receive(self, worker):
+        """Collect a busy worker's result, or its EOF if it died."""
+        del self.busy[worker.conn]
+        try:
+            result = worker.conn.recv()
+        except (EOFError, OSError):
+            self.replace(worker, "worker-lost")
+            return
+        job, worker.job = worker.job, None
+        self.idle.append(worker)
+        self.settle(job, result, _failure_of(result))
+
+    def replace(self, worker, category):
+        """SIGKILL (a no-op on a dead process) and reap a worker, fail its
+        attempt as ``category``, and start a fresh worker while the sweep
+        has work left."""
+        self.busy.pop(worker.conn, None)
+        worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+        self.live.remove(worker)
+        job = worker.job
+        if category == "timeout":
+            self.sup.count("timeouts.wall")
+            detail = ("exceeded wall_timeout=%.1fs; worker SIGKILLed"
+                      % self.sup.config.wall_timeout)
+            exception = "SupervisorTimeout"
+        else:
+            detail = ("worker died without a result (exitcode %r)"
+                      % worker.proc.exitcode)
+            exception = "WorkerLost"
+        message = "job %r %s: %s" % (job.spec.key, category, detail)
+        failure = JobFailure(job.spec.key, category, exception, message,
+                             attempts=job.attempts, transient=True)
+        self.settle(job, JobResult(job.spec.key, error=message,
+                                   failure=failure), failure)
+        if self.queue or self.busy:
+            self.spawn()
+
+    def shutdown(self, clean):
+        """Stop every worker.  After a clean sweep all are idle and are
+        asked to exit; after an exception one may be mid-message, so all
+        are killed."""
+        for worker in self.live:
+            if not clean:
+                worker.proc.kill()
+                continue
+            try:
+                worker.conn.send(None)
+            except OSError:  # died while idle
+                pass
+        for worker in self.live:
+            worker.proc.join()
+            worker.conn.close()
 
 
 def _run_pool(sup, pending, workers):
-    """Process-mode execution: one worker process per attempt, bounded
-    concurrency, wall-clock deadlines, dead-worker detection."""
+    """Process-mode execution on ``workers`` warm worker processes.
+
+    The parent blocks in ``multiprocessing.connection.wait`` on the busy
+    workers' pipes until a result (or a dead worker's EOF) arrives, a
+    wall deadline passes, or — only while a worker sits idle — a queued
+    retry's backoff gate opens.  A worker is SIGKILLed only on its wall
+    timeout; a killed or dead worker is replaced while work remains.
+    """
     import multiprocessing.connection as mpc
-    import multiprocessing as mp
 
-    ctx = mp.get_context()
     queue = list(pending)
-    running = []
-
-    while queue or running:
-        now = time.monotonic()
-        # launch every eligible job while worker slots are free
-        launched = True
-        while launched and len(running) < workers:
-            launched = False
-            for i, job in enumerate(queue):
-                if job.not_before <= now:
-                    del queue[i]
-                    running.append(_launch(sup, job, ctx))
-                    launched = True
+    pool = _Pool(sup, queue)
+    clean = False
+    try:
+        for _ in range(workers):
+            pool.spawn()
+        while queue or pool.busy:
+            now = time.monotonic()
+            for job in [job for job in queue if job.not_before <= now]:
+                if not pool.idle:
                     break
-        if not running:
-            # everything queued is backing off; sleep to the nearest gate
-            gate = min(job.not_before for job in queue)
-            sup.sleep(max(0.0, gate - time.monotonic()))
-            continue
+                queue.remove(job)
+                pool.dispatch(job)
+            if not pool.busy:
+                if queue:
+                    # everything queued is backing off: sleep to the gate
+                    gate = min(job.not_before for job in queue)
+                    sup.sleep(max(0.0, gate - time.monotonic()))
+                continue
 
-        # wait for a result, a death, or the nearest deadline
-        wait_until = now + sup.config.poll_interval
-        for record in running:
-            if record["deadline"] is not None:
-                wait_until = min(wait_until, record["deadline"])
-        for job in queue:
-            wait_until = min(wait_until, job.not_before)
-        mpc.wait(
-            [record["conn"] for record in running],
-            timeout=max(0.0, wait_until - time.monotonic()),
-        )
+            deadlines = [worker.deadline for worker in pool.busy.values()
+                         if worker.deadline is not None]
+            if pool.idle and queue:
+                deadlines.append(min(job.not_before for job in queue))
+            timeout = None
+            if deadlines:
+                timeout = max(0.0, min(deadlines) - time.monotonic())
+            for conn in mpc.wait(list(pool.busy), timeout):
+                pool.receive(pool.busy[conn])
+            now = time.monotonic()
+            for worker in list(pool.busy.values()):
+                if worker.deadline is not None and now >= worker.deadline:
+                    pool.replace(worker, "timeout")
+        clean = True
+    finally:
+        pool.shutdown(clean)
 
-        now = time.monotonic()
-        still_running = []
-        for record in running:
-            job = record["job"]
-            try:
-                has_result = record["conn"].poll()
-            except (OSError, ValueError):
-                has_result = False
-            if has_result:
-                try:
-                    result = record["conn"].recv()
-                except (EOFError, OSError):
-                    # died between poll() and recv(): treat as lost below
-                    has_result = False
-            if has_result:
-                _reap(sup, record, result, _failure_of(result), queue)
-                continue
-            if record["deadline"] is not None and now >= record["deadline"]:
-                record["proc"].kill()
-                record["proc"].join()
-                sup.count("timeouts.wall")
-                result, failure = _supervisor_timeout_result(
-                    job, "timeout",
-                    "exceeded wall_timeout=%.1fs; worker SIGKILLed"
-                    % sup.config.wall_timeout,
-                )
-                _reap(sup, record, result, failure, queue)
-                continue
-            if not record["proc"].is_alive():
-                exitcode = record["proc"].exitcode
-                result, failure = _supervisor_timeout_result(
-                    job, "worker-lost",
-                    "worker died without a result (exitcode %r)" % exitcode,
-                )
-                _reap(sup, record, result, failure, queue)
-                continue
-            still_running.append(record)
-        running = still_running
+
+def run_pool(specs, jobs, executor):
+    """``run_jobs``' unsupervised ``jobs > 1`` path: the same warm pool,
+    one attempt per spec, no deadline, no journal, no counters kept."""
+    sup = _Supervisor(SupervisorConfig(max_retries=0), None, None, executor,
+                      MetricRegistry(), time.sleep)
+    sup.results = [None] * len(specs)
+    _run_pool(sup, [_Job(index, spec, None) for index, spec in enumerate(specs)],
+              min(jobs, len(specs)))
+    return sup.results
 
 
 def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,
@@ -467,9 +563,12 @@ def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,
 
     ``jobs <= 1`` runs attempts in-process (no wall timeouts, and chaos
     kinds that kill or hang the worker are rejected — they would take the
-    caller down with them); ``jobs > 1`` runs each attempt in its own
-    ``multiprocessing.Process`` so timeouts and chaos kills reap only
-    that attempt.
+    caller down with them).  ``jobs > 1`` runs attempts on
+    ``min(jobs, pending jobs)`` warm worker processes: each worker runs
+    many attempts, so per-process state the executor keeps persists
+    across the attempts one worker runs.  A timeout or a chaos kill
+    costs only that attempt and its worker, which is replaced
+    (``supervisor.workers.started`` counts every worker started).
     """
     specs = list(specs)
     if executor is None:

@@ -1,10 +1,14 @@
 """The process-parallel job harness: specs, ordering, crash capture."""
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness import configs
 from repro.harness.parallel import (
     JobSpec,
@@ -152,3 +156,20 @@ class TestPoolFailures:
             assert result.failed
             assert result.failure.category == "unpicklable"
             assert "%r" % result.key in result.failure.message
+
+
+class TestImportLaziness:
+    def test_cli_and_run_jobs_import_no_process_machinery(self):
+        # a fresh interpreter: this one has long since imported them all
+        code = (
+            "import sys, repro.harness.parallel, repro.__main__\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent') "
+            "or m == 'repro.harness.supervisor'))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

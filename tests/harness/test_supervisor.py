@@ -1,5 +1,9 @@
 """Supervision layer: retry/backoff, timeouts, chaos, checkpoint/resume."""
 
+import multiprocessing
+import multiprocessing.connection
+import os
+
 import pytest
 
 from repro.harness import configs
@@ -40,6 +44,20 @@ def _explode(spec):
 def _lambda_executor(spec):
     """Module-level executor whose result cannot cross the worker pipe."""
     return lambda: spec.key
+
+
+def _pid_executor(spec):
+    """Module-level executor reporting which process ran the attempt."""
+    return os.getpid()
+
+
+class _ExplodingJournal(SweepJournal):
+    """A journal whose second record raises: the parent dies mid-sweep."""
+
+    def record(self, fingerprint, key, result):
+        if self.load():
+            raise RuntimeError("journal disk full")
+        super().record(fingerprint, key, result)
 
 
 class TestHappyPath:
@@ -294,7 +312,11 @@ class TestProcessMode:
         )
         assert not any(r.failed for r in results)
         assert [r.run.cycles for r in results] == [r.run.cycles for r in plain]
-        assert _counters(registry)["supervisor.retries"] >= 1
+        counters = _counters(registry)
+        assert counters["supervisor.retries"] >= 1
+        # the warm pool replaces exactly the one killed worker
+        assert counters["supervisor.workers.started"] == 2 + 1
+        assert "supervisor.failures.worker-lost" not in counters
 
     def test_hung_worker_is_reaped_at_wall_timeout(self):
         specs = [_ra_spec("sleeper")]
@@ -310,6 +332,8 @@ class TestProcessMode:
         counters = _counters(registry)
         assert counters["supervisor.timeouts.wall"] == 1
         assert counters["supervisor.retries"] == 1
+        # one worker for the one job, plus the hung one's replacement
+        assert counters["supervisor.workers.started"] == 1 + 1
 
     def test_unpicklable_result_is_terminal_not_retried(self):
         registry = MetricRegistry()
@@ -333,3 +357,50 @@ class TestProcessMode:
         pooled = run_supervised(specs, jobs=2)
         assert [r.key for r in pooled] == [r.key for r in serial]
         assert [r.run.cycles for r in pooled] == [r.run.cycles for r in serial]
+
+    def test_one_warm_worker_serves_several_attempts(self):
+        specs = [_ra_spec(i) for i in range(6)]
+        registry = MetricRegistry()
+        pids = run_supervised(specs, jobs=2, executor=_pid_executor,
+                              metrics=registry)
+        assert len(set(pids)) <= 2 < len(pids)
+        assert os.getpid() not in pids
+        assert _counters(registry)["supervisor.workers.started"] == 2
+        assert multiprocessing.active_children() == []
+
+    def test_unretried_sigkill_is_worker_lost(self):
+        registry = MetricRegistry()
+        results = run_supervised(
+            [_ra_spec("victim")], jobs=2,
+            config=SupervisorConfig(max_retries=0),
+            chaos=ChaosPlan().add("victim", "sigkill"), metrics=registry,
+        )
+        assert results[0].failure.category == "worker-lost"
+        counters = _counters(registry)
+        assert counters["supervisor.failures.worker-lost"] == 1
+        # no work left: the dead worker is not replaced
+        assert counters["supervisor.workers.started"] == 1
+
+    def test_no_children_survive_a_parent_exception(self, tmp_path):
+        journal = _ExplodingJournal(str(tmp_path / "sweep.journal"))
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_supervised([_ra_spec(i) for i in range(4)], jobs=2,
+                           journal=journal)
+        journal.close()
+        assert multiprocessing.active_children() == []
+
+    def test_parent_blocks_instead_of_polling(self, monkeypatch):
+        # queued jobs must not turn the parent's wait into a zero-timeout
+        # spin that takes a core from the workers
+        calls = []
+        real_wait = multiprocessing.connection.wait
+
+        def counting_wait(*args, **kwargs):
+            calls.append(args)
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", counting_wait)
+        specs = [_ra_spec(i) for i in range(8)]
+        results = run_supervised(specs, jobs=2, config=SupervisorConfig())
+        assert not any(r.failed for r in results)
+        assert len(calls) <= 4 * len(specs)
