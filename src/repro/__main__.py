@@ -20,7 +20,8 @@ _SUBCOMMANDS = (
      "byzantine-lane resilience campaign: adversarial behaviors x STM "
      "variants, containment and detection-latency matrix"),
     ("db", "repro.expdb.cli",
-     "query the experiment database: runs, diffs, perf trajectories"),
+     "query the experiment database: runs, diffs, reports, artifact "
+     "re-hashing"),
     ("reproduce", "repro.expdb.reproduce",
      "regenerate the full artifact bundle and record it in the "
      "experiment database"),
@@ -40,7 +41,8 @@ _HARNESS_TARGETS = (
     ("trace", "record a Chrome-trace timeline + metrics for one run"),
     ("fuzz", "fuzz schedule interleavings against the serializability "
              "oracle"),
-    ("inject", "run workloads under an armed fault-injection plan"),
+    ("inject", "mutant-efficacy campaign: seeded protocol bugs x "
+               "checkers"),
     ("sanitize", "run workloads with the online STM sanitizer armed"),
     ("chaos", "supervised sweep under injected worker-level chaos"),
 )

@@ -40,19 +40,6 @@ class Xorshift32:
             raise ValueError("randrange bound must be positive")
         return self.next_u32() % n
 
-    def rand_bool(self):
-        """Return a uniform boolean."""
-        return bool(self.next_u32() & 1)
-
-    def fork(self, stream_id):
-        """Derive an independent generator for a sub-stream.
-
-        Used to give every simulated thread its own sequence from one
-        workload-level seed.
-        """
-        mixed = (self.state * 0x85EBCA6B + stream_id * 0xC2B2AE35 + 1) & _MASK32
-        return Xorshift32(mixed)
-
 
 def thread_seed(base_seed, tid):
     """Stable per-thread seed derivation used by all workloads."""

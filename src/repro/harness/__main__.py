@@ -23,9 +23,10 @@ Usage::
 
 ``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans the
 independent runs of each sweep out over N worker processes; results are
-identical to a serial run.  ``--profile`` prints a cProfile summary of the
-driving process after each target (use with ``--jobs 1``);
-``--profile-out FILE`` dumps the raw profile for ``pstats``/snakeviz.
+identical to a serial run.  To profile the driving process, run the
+module under cProfile with ``--jobs 1``::
+
+    python -m cProfile -o run.prof -m repro.harness fig2 --quick --jobs 1
 
 ``--metrics FILE`` writes the run's merged telemetry registry (counters,
 gauges, histograms; see :mod:`repro.telemetry`) as JSON.  On figure/table
@@ -85,7 +86,6 @@ import time
 
 from repro.harness import configs, experiments
 from repro.harness.parallel import default_jobs
-from repro.harness.profiling import maybe_profile
 from repro.harness.sweep import (
     SweepCommand,
     add_sweep_flags,
@@ -285,16 +285,14 @@ def run_trace(args, jobs, parser):
     started = time.time()
     if args.experiment in TARGETS:
         registry = MetricRegistry()
-        with maybe_profile(args.profile, out_path=args.profile_out):
-            result = TARGETS[args.experiment](
-                quick=args.quick, jobs=jobs,
-                metrics=registry, timeline_dir=out_dir,
-            )
+        result = TARGETS[args.experiment](
+            quick=args.quick, jobs=jobs,
+            metrics=registry, timeline_dir=out_dir,
+        )
         print(result.render())
         registry.write_json(metrics_path)
     elif args.experiment in TRACE_WORKLOADS:
-        with maybe_profile(args.profile, out_path=args.profile_out):
-            telemetry = _trace_workload(args, out_dir)
+        telemetry = _trace_workload(args, out_dir)
         telemetry.write_metrics(metrics_path)
     else:
         parser.error(
@@ -313,7 +311,8 @@ def run_trace(args, jobs, parser):
     return _validate_artifacts(artifacts)
 
 
-def main(argv=None):
+def build_parser():
+    """The harness CLI's argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the paper's evaluation tables and figures, "
@@ -330,14 +329,6 @@ def main(argv=None):
     )
     parser.add_argument(
         "--quick", action="store_true", help="scaled-down geometry for a fast pass"
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print a cProfile summary of each target (driving process only)",
-    )
-    parser.add_argument(
-        "--profile-out", default=None, metavar="FILE",
-        help="dump the raw cProfile data to FILE (loadable with pstats.Stats)",
     )
     add_sweep_flags(parser, None, jobs_default=None, metrics_file=True)
     fuzz_group = parser.add_argument_group("fuzz target")
@@ -378,6 +369,11 @@ def main(argv=None):
         "--fault", action="append", metavar="SPEC",
         help="sanitize: fault spec 'kind:key=value,...' to inject; repeatable",
     )
+    return parser
+
+
+def main(argv=None):
+    parser = build_parser()
     args = parser.parse_args(argv)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.experiment is not None and args.target != "trace":
@@ -416,9 +412,8 @@ def main(argv=None):
         recorder = recorder_for(args, name)
         if recorder is not None:
             extra["recorder"] = recorder
-        with maybe_profile(args.profile, out_path=args.profile_out):
-            result = TARGETS[name](quick=args.quick, jobs=jobs,
-                                   metrics=registry, **extra)
+        result = TARGETS[name](quick=args.quick, jobs=jobs,
+                               metrics=registry, **extra)
         print(result.render())
         print("[%s regenerated in %.1fs, jobs=%d]" % (name, time.time() - started, jobs))
         if recorder is not None and recorder.run_id is not None:

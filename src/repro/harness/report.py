@@ -47,7 +47,3 @@ def render_breakdown(title, phase_names, rows):
             [name] + ["%5.1f%%" % (100.0 * fractions.get(p, 0.0)) for p in phase_names]
         )
     return render_table(title, headers, table_rows)
-
-
-def percent(value):
-    return "%.1f%%" % (100.0 * value)

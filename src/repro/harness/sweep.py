@@ -140,6 +140,20 @@ def _worker_count(text):
     return value
 
 
+def _retry_count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("--retries must be >= 0")
+    return value
+
+
+def _timeout_seconds(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("--timeout must be > 0")
+    return value
+
+
 def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
                     timeline=False):
     """Add the execution and artifact flag groups every sweep CLI shares.
@@ -155,12 +169,12 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
         % ("$REPRO_JOBS or 1" if jobs_default is None else jobs_default),
     )
     execution.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_retry_count, default=None, metavar="N",
         help="retry transient cell failures up to N times with backoff "
         "(routes the sweep through the supervisor)",
     )
     execution.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_timeout_seconds, default=None, metavar="SECONDS",
         help="per-cell wall-clock timeout; the worker is killed and the "
         "attempt retried as transient (needs --jobs > 1)",
     )

@@ -126,18 +126,6 @@ class Topology:
         """All-destination latency tuple for ``src`` (hot-path cache)."""
         return self._rows[src]
 
-    def device_words(self, base, size):
-        """Words of region ``[base, base+size)`` homed on each device."""
-        counts = [0] * self.devices
-        interleave = self.interleave_words
-        addr = base
-        end = base + size
-        while addr < end:
-            line_end = min(end, (addr // interleave + 1) * interleave)
-            counts[self.home_of(addr)] += line_end - addr
-            addr = line_end
-        return counts
-
     def describe(self):
         """JSON-friendly summary (survival-map / run_info provenance)."""
         link = self.link_model

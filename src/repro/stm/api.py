@@ -65,9 +65,7 @@ class StmConfig:
     stripe_words: int = 1
     shared_data_size: int = 0
     lock_log_buckets: int = 16
-    bloom_bits: int = 64
     max_lock_attempts: int = 16
-    precommit_vbv: bool = False
     coalesced_logs: bool = True
     record_history: bool = False
     # EGPGV static capacities
@@ -87,9 +85,7 @@ def make_runtime(name, device, config=None):
         num_locks=config.num_locks,
         stripe_words=config.stripe_words,
         lock_log_buckets=config.lock_log_buckets,
-        bloom_bits=config.bloom_bits,
         max_lock_attempts=config.max_lock_attempts,
-        precommit_vbv=config.precommit_vbv,
         coalesced_logs=config.coalesced_logs,
         record_history=config.record_history,
     )
@@ -108,7 +104,6 @@ def make_runtime(name, device, config=None):
     if name == "vbv":
         return VbvRuntime(
             device,
-            bloom_bits=config.bloom_bits,
             coalesced_logs=config.coalesced_logs,
             record_history=config.record_history,
         )
@@ -117,17 +112,11 @@ def make_runtime(name, device, config=None):
     if name == "hv-sorting":
         return LockSortingRuntime(device, use_vbv=True, **common)
     if name == "hv-backoff":
-        common.pop("precommit_vbv")
-        return HvBackoffRuntime(
-            device, precommit_vbv=config.precommit_vbv, **common
-        )
+        return HvBackoffRuntime(device, **common)
     if name == "hv-adaptive":
         from repro.stm.runtime.adaptive import HvAdaptiveRuntime
 
-        common.pop("precommit_vbv")
-        return HvAdaptiveRuntime(
-            device, precommit_vbv=config.precommit_vbv, **common
-        )
+        return HvAdaptiveRuntime(device, **common)
     if name in ("unsorted", "hv-unsorted-nobackoff"):
         from repro.stm.runtime.unsorted import UnsortedNoBackoffRuntime
 

@@ -6,6 +6,9 @@ filter so the common miss is answered without scanning the log.  The filter
 is thread-local metadata, so membership tests cost only local cycles.
 """
 
+#: Filter width: one 64-bit word per transaction.
+BLOOM_BITS = 64
+
 _MIX1 = 0x9E3779B1
 _MIX2 = 0x85EBCA77
 
@@ -15,7 +18,7 @@ class BloomFilter:
 
     __slots__ = ("bits", "num_hashes", "word")
 
-    def __init__(self, bits=64, num_hashes=2):
+    def __init__(self, bits=BLOOM_BITS, num_hashes=2):
         if bits < 1:
             raise ValueError("bits must be >= 1")
         if num_hashes < 1:

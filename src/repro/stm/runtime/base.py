@@ -211,10 +211,10 @@ class TxThread:
 
     def _filter_validation(self, stage, verdict):
         """The validation seam: every failing read-set validation verdict
-        (TBV/VBV, at ``stage`` "read", "precommit" or "commit") passes
-        through the observers' ``filter_validation`` before the runtime
-        acts on it, and an observer may flip it.  Passing verdicts
-        short-circuit — honest fast paths pay one truth test.
+        (TBV/VBV, at ``stage`` "read" or "commit") passes through the
+        observers' ``filter_validation`` before the runtime acts on it, and
+        an observer may flip it.  Passing verdicts short-circuit — honest
+        fast paths pay one truth test.
         """
         if verdict:
             return verdict

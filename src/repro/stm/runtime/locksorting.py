@@ -43,9 +43,7 @@ class LockSortingRuntime(TmRuntime):
         stripe_words=1,
         use_vbv=True,
         lock_log_buckets=16,
-        bloom_bits=64,
         max_lock_attempts=16,
-        precommit_vbv=False,
         coalesced_logs=True,
         record_history=False,
         abort_jitter=0,
@@ -55,9 +53,7 @@ class LockSortingRuntime(TmRuntime):
         self.clock = GlobalClock(device.mem)
         self.use_vbv = use_vbv
         self.lock_log_buckets = lock_log_buckets
-        self.bloom_bits = bloom_bits
         self.max_lock_attempts = max_lock_attempts
-        self.precommit_vbv = precommit_vbv
         self.coalesced_logs = coalesced_logs
         # Post-abort restart jitter (steps).  Zero for the sorted variants:
         # the global lock order makes livelock impossible by construction.
@@ -92,7 +88,7 @@ class LockSortingTx(TxThread):
         costing = LogCosting(coalesced=runtime.coalesced_logs)
         self.reads = ReadSet(costing)
         self.writes = WriteSet(costing)
-        self.bloom = BloomFilter(bits=runtime.bloom_bits)
+        self.bloom = BloomFilter()
         self.locklog = LockLog(
             runtime.lock_table.num_locks, num_buckets=runtime.lock_log_buckets
         )
@@ -295,13 +291,6 @@ class LockSortingTx(TxThread):
         runtime = self.runtime
         attempts = 0
         while True:
-            if runtime.use_vbv and runtime.precommit_vbv:
-                # Optional pre-locking VBV (line 71): filter doomed
-                # transactions before they contend for locks.
-                valid = yield from self._vbv(Phase.COMMIT)
-                valid = self._filter_validation("precommit", valid)
-                if not valid:
-                    return (yield from self._abort("validation"))
             acquired = yield from self._get_locks_and_tbv()
             if acquired:
                 return True

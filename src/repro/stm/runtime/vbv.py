@@ -16,7 +16,7 @@ transactions" (Figure 2) and flattens in the thread-scaling study
 
 from repro.gpu.events import Phase
 from repro.gpu.steppers import PollL2
-from repro.stm.bloom import BloomFilter
+from repro.stm.bloom import BLOOM_BITS, BloomFilter
 from repro.stm.runtime.base import TmRuntime, TxThread
 from repro.stm.rwset import LogCosting, ReadSet, WriteSet
 
@@ -26,10 +26,9 @@ class VbvRuntime(TmRuntime):
 
     name = "vbv"
 
-    def __init__(self, device, bloom_bits=64, coalesced_logs=True, record_history=False):
+    def __init__(self, device, coalesced_logs=True, record_history=False):
         super().__init__(device, record_history)
         self.seq_addr = device.mem.alloc(1, "g_seqlock")
-        self.bloom_bits = bloom_bits
         self.coalesced_logs = coalesced_logs
 
     def make_thread(self, tc):
@@ -38,7 +37,7 @@ class VbvRuntime(TmRuntime):
     def metric_gauges(self):
         gauges = super().metric_gauges()
         gauges["seqlock"] = self.mem.read(self.seq_addr)
-        gauges["bloom_bits"] = self.bloom_bits
+        gauges["bloom_bits"] = BLOOM_BITS
         return gauges
 
 
@@ -50,7 +49,7 @@ class VbvTx(TxThread):
         costing = LogCosting(coalesced=runtime.coalesced_logs)
         self.reads = ReadSet(costing)
         self.writes = WriteSet(costing)
-        self.bloom = BloomFilter(bits=runtime.bloom_bits)
+        self.bloom = BloomFilter()
         self.snapshot = 0
         # waits for an even sequence word run inside the warp
         self._even = PollL2(tc)

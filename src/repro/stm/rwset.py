@@ -18,7 +18,7 @@ from repro.gpu.events import Phase
 
 
 class LogCosting:
-    """Cost policy for read-/write-set bookkeeping, shared per warp."""
+    """Cost policy for read-/write-set bookkeeping (coalesced or scattered)."""
 
     __slots__ = ("coalesced",)
 
@@ -31,15 +31,6 @@ class LogCosting:
             tc.local_op(phase)
         else:
             tc.scattered_meta_ops(1, phase)
-
-    def charge_scan(self, tc, entries, phase=Phase.CONSISTENCY):
-        """Charge a scan over ``entries`` log entries (e.g. VBV bookkeeping)."""
-        if entries <= 0:
-            return
-        if self.coalesced:
-            tc.local_op(phase, count=entries)
-        else:
-            tc.scattered_meta_ops(entries, phase)
 
 
 class ReadSet:
@@ -103,17 +94,3 @@ class WriteSet:
 
     def items(self):
         return self.values.items()
-
-
-def make_warp_costing(tc, coalesced=True):
-    """Return the warp-shared :class:`LogCosting`, creating it on first use.
-
-    All transactions of a warp share one costing object, mirroring the
-    merged physical layout of their logs.
-    """
-    shared = tc.warp.shared
-    costing = shared.get("log_costing")
-    if costing is None:
-        costing = LogCosting(coalesced=coalesced)
-        shared["log_costing"] = costing
-    return costing

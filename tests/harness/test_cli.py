@@ -46,6 +46,21 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fuzz", "--jobs", "0"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--timeout", "0"], ["--timeout", "-1"], ["--timeout", "nan"],
+        ["--retries", "-3"],
+    ])
+    def test_bad_timeout_or_retries_is_a_usage_error(self, flags, monkeypatch):
+        from repro.harness import __main__ as cli
+
+        def must_not_run(**kwargs):
+            raise AssertionError("a bad flag must stop the CLI before the sweep")
+
+        monkeypatch.setitem(cli.TARGETS, "fig5", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--quick", "--jobs", "2"] + flags)
+        assert exc.value.code == 2
+
     def test_experiment_argument_requires_trace_target(self):
         with pytest.raises(SystemExit):
             main(["fig2", "ra"])
@@ -127,23 +142,6 @@ class TestCli:
             data = json.load(handle)
         assert data["counters"]["fuzz.ra.hv_sorting.schedules"] > 0
         assert data["counters"]["fuzz.ra.hv_sorting.failures"] == 0
-
-    def test_profile_out_writes_dump(self, tmp_path, capsys, monkeypatch):
-        from repro.harness import __main__ as cli
-
-        class StubResult:
-            def render(self):
-                return "stub"
-
-        def stub_target(quick=False, jobs=None, metrics=None, timeline_dir=None):
-            return StubResult()
-
-        monkeypatch.setitem(cli.TARGETS, "fig2", stub_target)
-        path = os.path.join(str(tmp_path), "run.prof")
-        assert main(["fig2", "--quick", "--profile-out", path]) == 0
-        import pstats
-
-        pstats.Stats(path)  # loadable raw dump
 
 
 class TestResilienceFlags:

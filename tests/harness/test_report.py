@@ -1,6 +1,6 @@
 """ASCII report renderer tests."""
 
-from repro.harness.report import percent, render_breakdown, render_series, render_table
+from repro.harness.report import render_breakdown, render_series, render_table
 
 
 class TestRenderTable:
@@ -36,7 +36,3 @@ class TestRenderBreakdown:
     def test_missing_phase_zero(self):
         out = render_breakdown("B", ("native", "commit"), [("k", {"native": 1.0})])
         assert " 0.0%" in out
-
-
-def test_percent():
-    assert percent(0.125) == "12.5%"

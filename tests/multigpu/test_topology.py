@@ -34,22 +34,6 @@ class TestHomeOf:
         with pytest.raises(ValueError):
             Topology(0)
 
-    def test_device_words_partition_the_space(self):
-        topo = Topology(4, interleave_words=16)
-        counts = topo.device_words(0, 1000)
-        assert sum(counts) == 1000
-        for device in range(4):
-            brute = sum(1 for a in range(1000) if topo.home_of(a) == device)
-            assert counts[device] == brute
-
-    def test_device_words_offset_region(self):
-        topo = Topology(2, interleave_words=8)
-        counts = topo.device_words(13, 50)
-        assert sum(counts) == 50
-        brute = [sum(1 for a in range(13, 63) if topo.home_of(a) == d)
-                 for d in range(2)]
-        assert counts == brute
-
 
 class TestLinkModel:
     def test_same_device_is_free(self):

@@ -3,7 +3,7 @@
 from repro.gpu import Device
 from repro.gpu.config import small_config
 from repro.gpu.events import Phase
-from repro.stm.rwset import LogCosting, ReadSet, WriteSet, make_warp_costing
+from repro.stm.rwset import LogCosting, ReadSet, WriteSet
 
 
 def run_one_thread(kernel):
@@ -94,29 +94,3 @@ class TestCoalescedCosting:
             < scattered_result.phases.as_dict()[Phase.BUFFERING]
         )
 
-    def test_charge_scan_zero_entries_free(self):
-        def kernel(tc, base):
-            costing = LogCosting(False)
-            before = tc.phase_cycles.total()
-            costing.charge_scan(tc, 0)
-            assert tc.phase_cycles.total() == before
-            yield
-
-        run_one_thread(kernel)
-
-    def test_warp_costing_shared_within_warp(self):
-        dev = Device(small_config(warp_size=4, num_sms=1))
-        seen = []
-
-        def kernel(tc):
-            costing = make_warp_costing(tc, coalesced=True)
-            seen.append((tc.warp.warp_id, id(costing)))
-            yield
-
-        dev.launch(kernel, 1, 8)  # two warps of 4
-        by_warp = {}
-        for warp_id, costing_id in seen:
-            by_warp.setdefault(warp_id, set()).add(costing_id)
-        for ids in by_warp.values():
-            assert len(ids) == 1  # one costing object per warp
-        assert len(set.union(*by_warp.values())) == len(by_warp)

@@ -43,13 +43,6 @@ class TestExamples:
         assert "total balance conserved" in out
         assert "vs CGL" in out
 
-    @pytest.mark.slow
-    def test_concurrency_tuning(self, capsys):
-        load_example("concurrency_tuning").main()
-        out = capsys.readouterr().out
-        assert "chosen" in out
-        assert "tx trace" in out
-
     def test_histogram(self, capsys):
         load_example("histogram").main()
         out = capsys.readouterr().out
