@@ -8,12 +8,13 @@
 4. The lock-acquisition abort threshold (section 4.3's practical note).
 """
 
-from repro.harness import experiments
+from repro.harness.experiments import run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_ablations(benchmark, results_dir):
-    result = benchmark.pedantic(experiments.ablations, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure, args=("ablations",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "ablations", rendered,
                   data=dict(sorting=result.sorting, locklog=result.locklog,

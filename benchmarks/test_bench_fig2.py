@@ -6,19 +6,20 @@ constrained by block-granularity concurrency; KM gains nothing from STM;
 GN is the biggest winner.
 """
 
-from repro.harness import experiments
+from repro.harness.experiments import FIG2_WORKLOADS, run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_fig2_overall_speedup(benchmark, results_dir):
-    result = benchmark.pedantic(experiments.fig2, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure, args=("fig2",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "fig2", rendered,
                   data=dict(speedups=result.speedups, cycles=result.cycles))
     print("\n" + rendered)
 
     speedups = result.speedups
-    for workload in experiments.FIG2_WORKLOADS:
+    for workload in FIG2_WORKLOADS:
         benchmark.extra_info[workload] = {
             variant: (None if value is None else round(value, 2))
             for variant, value in speedups[workload].items()

@@ -5,14 +5,13 @@ per-block metadata); STM-VBV does not scale (single global sequence lock);
 the lock-table variants scale well.
 """
 
-from repro.harness import experiments
+from repro.harness.experiments import FIG3_VARIANTS, run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_fig3_thread_scaling(benchmark, results_dir):
-    result = benchmark.pedantic(
-        experiments.fig3, kwargs=dict(workload_name="ra"), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_figure, args=("fig3",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "fig3", rendered,
                   data=dict(workload=result.workload,
@@ -20,7 +19,7 @@ def test_fig3_thread_scaling(benchmark, results_dir):
                             cycles=result.cycles))
     print("\n" + rendered)
 
-    for variant in experiments.FIG3_VARIANTS:
+    for variant in FIG3_VARIANTS:
         benchmark.extra_info[variant] = [
             None if value is None else round(value, 2)
             for value in result.normalized(variant)

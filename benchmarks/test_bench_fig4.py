@@ -7,12 +7,13 @@ while HV reaches near-optimal performance with few locks, and HV's abort
 rate stays well below TBV's.
 """
 
-from repro.harness import experiments
+from repro.harness.experiments import run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_fig4_hv_vs_tbv(benchmark, results_dir):
-    result = benchmark.pedantic(experiments.fig4, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure, args=("fig4",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "fig4", rendered,
                   data=dict(shared_sizes=result.shared_sizes,

@@ -7,12 +7,13 @@ KM loses a visible share to aborted transactions.
 """
 
 from repro.gpu.events import Phase
-from repro.harness import experiments
+from repro.harness.experiments import run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_fig5_breakdown(benchmark, results_dir):
-    result = benchmark.pedantic(experiments.fig5, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure, args=("fig5",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "fig5", rendered, data=dict(rows=result.rows))
     print("\n" + rendered)

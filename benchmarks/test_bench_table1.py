@@ -7,12 +7,14 @@ transactional; RA and LB are the workloads whose shared data exceeds the
 version-lock table.
 """
 
-from repro.harness import configs, experiments
+from repro.harness import configs
+from repro.harness.experiments import run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_table1_characteristics(benchmark, results_dir):
-    result = benchmark.pedantic(experiments.table1, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure, args=("table1",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "table1", rendered, data=dict(rows=result.rows))
     print("\n" + rendered)

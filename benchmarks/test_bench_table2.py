@@ -5,12 +5,13 @@ each workload (e.g. KM cannot fill the device because of its conflict
 rate).  We sweep geometries and report our scaled optimum.
 """
 
-from repro.harness import experiments
+from repro.harness.experiments import run_figure
 from benchmarks.conftest import save_artifact
 
 
 def test_table2_launch_configs(benchmark, results_dir):
-    result = benchmark.pedantic(experiments.table2, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_figure, args=("table2",), rounds=1,
+                                iterations=1)
     rendered = result.render()
     save_artifact(results_dir, "table2", rendered, data=dict(rows=result.rows))
     print("\n" + rendered)

@@ -29,16 +29,17 @@ import time
 from repro.common.fsio import atomic_write_json, atomic_write_text
 from repro.expdb.db import ExperimentDB, default_db_path
 from repro.expdb.recorder import SweepRecorder
+from repro.harness.experiments import TARGETS, run_figure
+from repro.harness.parallel import default_jobs
+from repro.harness.sweep import (
+    check_names,
+    csv_or_all,
+    print_failures,
+    worker_count,
+)
 
 #: default bundle directory
 DEFAULT_OUT_DIR = "reproduce-artifacts"
-
-
-def reproduce_targets():
-    """The figure/table drivers the bundle regenerates, by name."""
-    from repro.harness.__main__ import TARGETS
-
-    return dict(TARGETS)
 
 
 def _write_manifest(out_dir, manifest):
@@ -70,16 +71,8 @@ def run_reproduce(out_dir=DEFAULT_OUT_DIR, db_path=None, smoke=False,
     through the supervised pool and is recorded in the experiment
     database at ``db_path`` with its rendered artifact hash attached.
     """
-    from repro.harness.parallel import default_jobs
-
-    all_targets = reproduce_targets()
-    names = sorted(all_targets) if not targets else list(targets)
-    unknown = [name for name in names if name not in all_targets]
-    if unknown:
-        raise ValueError(
-            "unknown reproduce target(s) %s; expected a subset of %s"
-            % (", ".join(unknown), ", ".join(sorted(all_targets)))
-        )
+    names = list(TARGETS) if targets is None else list(targets)
+    check_names(names, TARGETS, "reproduce target")
     if jobs is None:
         jobs = default_jobs()
     db_path = db_path or default_db_path()
@@ -93,8 +86,8 @@ def run_reproduce(out_dir=DEFAULT_OUT_DIR, db_path=None, smoke=False,
         for name in names:
             started = time.time()
             recorder = SweepRecorder(db, name)
-            result = all_targets[name](
-                quick=smoke, jobs=jobs,
+            result = run_figure(
+                name, quick=smoke, jobs=jobs,
                 journal=os.path.join(journal_dir, "%s.journal" % name),
                 recorder=recorder,
             )
@@ -108,10 +101,7 @@ def run_reproduce(out_dir=DEFAULT_OUT_DIR, db_path=None, smoke=False,
                 "experiment": name,
                 "run_key": recorder.run_key,
             }
-            failures.extend(
-                (name, failure)
-                for failure in getattr(result, "failures", ())
-            )
+            failures.extend((name, failure) for failure in result.failures)
             if not quiet:
                 print("[%s -> %s in %.1fs, expdb run %d (%s)]" % (
                     name, artifact, time.time() - started,
@@ -142,7 +132,7 @@ def main(argv=None):
         help="quick (scaled-down) geometry for every target",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=worker_count, default=None, metavar="N",
         help="worker processes per sweep (default: $REPRO_JOBS or 1)",
     )
     parser.add_argument(
@@ -155,25 +145,15 @@ def main(argv=None):
         "expdb/experiments.sqlite)",
     )
     parser.add_argument(
-        "--targets", default=None, metavar="NAMES",
+        "--targets", default="all", metavar="NAMES",
         help="comma-separated subset of targets (default: all)",
     )
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    targets = None
-    if args.targets:
-        targets = [name.strip() for name in args.targets.split(",")
-                   if name.strip()]
-    try:
-        _manifest, failures = run_reproduce(
-            out_dir=args.out, db_path=args.db, smoke=args.smoke,
-            jobs=args.jobs, targets=targets,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    from repro.harness.sweep import print_failures
-
+    targets = csv_or_all(args.targets, TARGETS, "--targets", parser)
+    _manifest, failures = run_reproduce(
+        out_dir=args.out, db_path=args.db, smoke=args.smoke,
+        jobs=args.jobs, targets=targets,
+    )
     print_failures(failures, "the bundle")
     return 1 if failures else 0
 

@@ -69,7 +69,10 @@ transient failures, per-job wall-clock timeouts (``--jobs`` > 1), and a
 checkpoint journal at PATH so an interrupted sweep resumes where it
 stopped (``all`` suffixes the journal per target).  Jobs that still
 fail render as explicit FAILED gaps, a failure summary is printed, and
-the exit code is 1 — see ``docs/resilience.md``.
+the exit code is 1 — see ``docs/resilience.md``.  A sweep flag a target
+would ignore (``--resume``/``--retries``/``--timeout``/``--expdb`` on
+``trace``, ``fuzz`` and ``sanitize``; all but ``--timeout`` on
+``chaos``) is a usage error.
 
 The ``chaos`` target (:mod:`repro.harness.chaos`) is the supervision
 layer's own proving ground: a supervised happy-path sweep, a sweep with
@@ -84,7 +87,8 @@ import os
 import sys
 import time
 
-from repro.harness import configs, experiments
+from repro.harness import configs
+from repro.harness.experiments import TARGETS, run_figure
 from repro.harness.parallel import default_jobs
 from repro.harness.sweep import (
     SweepCommand,
@@ -95,14 +99,11 @@ from repro.harness.sweep import (
     supervision,
 )
 
-TARGETS = {
-    "table1": experiments.table1,
-    "fig2": experiments.fig2,
-    "fig3": experiments.fig3,
-    "fig4": experiments.fig4,
-    "fig5": experiments.fig5,
-    "table2": experiments.table2,
-}
+#: the sweep flags each non-figure target has no use for: passing one is
+#: a usage error rather than a silently ignored flag
+UNUSED_SWEEP_FLAGS = dict.fromkeys(
+    ("fuzz", "trace", "sanitize"), ("resume", "retries", "timeout", "expdb"))
+UNUSED_SWEEP_FLAGS["chaos"] = ("resume", "retries", "expdb")
 
 #: workload names the ``trace`` target accepts for single-run timelines —
 #: the registry's sorted roster, so new workloads are traceable on arrival
@@ -285,10 +286,8 @@ def run_trace(args, jobs, parser):
     started = time.time()
     if args.experiment in TARGETS:
         registry = MetricRegistry()
-        result = TARGETS[args.experiment](
-            quick=args.quick, jobs=jobs,
-            metrics=registry, timeline_dir=out_dir,
-        )
+        result = run_figure(args.experiment, quick=args.quick, jobs=jobs,
+                            metrics=registry, timeline_dir=out_dir)
         print(result.render())
         registry.write_json(metrics_path)
     elif args.experiment in TRACE_WORKLOADS:
@@ -378,6 +377,10 @@ def main(argv=None):
     jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.experiment is not None and args.target != "trace":
         parser.error("the experiment argument only applies to the trace target")
+    for flag in UNUSED_SWEEP_FLAGS.get(args.target, ()):
+        if getattr(args, flag) is not None:
+            parser.error("--%s does not apply to the %s target"
+                         % (flag, args.target))
 
     if args.target == "fuzz":
         return run_fuzz(args, jobs)
@@ -400,29 +403,21 @@ def main(argv=None):
     supervise = supervision(args)
     for name in names:
         started = time.time()
-        # only the flags given reach the driver, so drivers (and their
-        # test stubs) keep their plain signatures on the unsupervised
-        # path; targets sharing one --resume journal to PATH.<target>
-        extra = {}
-        if supervise is not None:
-            extra["supervise"] = supervise
-        if args.resume:
-            extra["journal"] = (args.resume if len(names) == 1
-                                else "%s.%s" % (args.resume, name))
+        # targets sharing one --resume journal to PATH.<target>
+        journal = args.resume or None
+        if journal and len(names) > 1:
+            journal = "%s.%s" % (journal, name)
         recorder = recorder_for(args, name)
-        if recorder is not None:
-            extra["recorder"] = recorder
-        result = TARGETS[name](quick=args.quick, jobs=jobs,
-                               metrics=registry, **extra)
+        result = run_figure(name, quick=args.quick, jobs=jobs,
+                            metrics=registry, supervise=supervise,
+                            journal=journal, recorder=recorder)
         print(result.render())
         print("[%s regenerated in %.1fs, jobs=%d]" % (name, time.time() - started, jobs))
         if recorder is not None and recorder.run_id is not None:
             print("[expdb run %d (%s)]"
                   % (recorder.run_id, recorder.run_key[:12]))
         print()
-        failures.extend(
-            (name, failure) for failure in getattr(result, "failures", ())
-        )
+        failures.extend((name, failure) for failure in result.failures)
     if registry is not None:
         registry.write_json(args.metrics)
         print("[metrics -> %s]" % args.metrics)

@@ -1,33 +1,50 @@
-"""Per-figure / per-table experiment drivers (DESIGN.md experiment index).
+"""Per-figure / per-table experiments (DESIGN.md experiment index).
 
-Every public function regenerates one evaluation artifact of the paper and
-returns a plain-data result object with a ``render()`` method producing the
-ASCII table the benchmark harness prints.  Scaled geometries are documented
-in :mod:`repro.harness.configs`; EXPERIMENTS.md records paper-vs-measured.
+Every evaluation artifact of the paper is a :class:`Figure`: a
+``grid(quick)`` listing its cells as :class:`~repro.harness.parallel.
+JobSpec` s, and a pure ``reduce(runs)`` turning the finished cells —
+``{spec key: RunResult}``, ``None`` for a failed cell — into a plain-data
+result whose ``render()`` produces the ASCII table the harness prints.
+Scaled geometries are documented in :mod:`repro.harness.configs`;
+EXPERIMENTS.md records paper-vs-measured.
 
-Each driver builds its sweep as a list of :class:`~repro.harness.parallel.
-JobSpec` cells and hands them to :func:`~repro.harness.sweep.run_sweep`,
-so any figure can fan out over worker processes (``jobs=N`` /
-``REPRO_JOBS``) without changing its results: runs are independent, results
-are filed by spec key, and assembly order is fixed by the spec list.
+:func:`run_figure` is the one entry point: it runs a grid through
+:func:`~repro.harness.sweep.run_sweep`, so any figure can fan out over
+worker processes (``jobs=N`` / ``REPRO_JOBS``) without changing its
+results — runs are independent, results are filed by spec key, and
+``runs`` keeps spec order.  A reduce reads nothing but ``runs`` (it
+builds no workload and no device), so a figure re-derives from stored
+cells, e.g. a sweep journal, without simulating.
 """
+
+from collections import namedtuple
 
 from repro.gpu.events import Phase
 from repro.harness import configs
 from repro.harness.parallel import JobSpec
-from repro.harness.sweep import failures_of, run_sweep
 from repro.harness.report import render_breakdown, render_series, render_table
-from repro.workloads import make_workload
+from repro.harness.sweep import run_sweep
 
 FIG2_WORKLOADS = ("ra", "ht", "gn", "lb", "km")
-FIG2_VARIANTS = (
-    "egpgv",
-    "vbv",
-    "tbv-sorting",
-    "hv-backoff",
-    "hv-sorting",
-    "optimized",
-)
+FIG2_VARIANTS = ("egpgv", "vbv", "tbv-sorting", "hv-backoff", "hv-sorting", "optimized")
+FIG3_VARIANTS = FIG2_VARIANTS
+FIG3_WORKLOAD = "ra"
+FIG3_THREAD_COUNTS = (8, 32, 128, 512, 2048)
+FIG3_TOTAL_TXS = 2048
+FIG4_SHARED_SIZES = (1024, 4096, 16384, 65536)
+FIG4_LOCK_SIZES = (1024, 4096, 16384)
+FIG4_THREAD_COUNTS = (256, 1024)
+FIG5_PHASES = (Phase.NATIVE, Phase.INIT, Phase.BUFFERING, Phase.CONSISTENCY,
+               Phase.LOCKS, Phase.COMMIT, Phase.ABORTED)
+TABLE1_WORKLOADS = ("ra", "ht", "eb", "lb", "gn", "km")
+#: workload -> the (grid, block) launch geometries Table 2 sweeps
+TABLE2_GEOMETRIES = {
+    "ra": [(8, 32), (16, 32), (16, 64), (32, 32)],
+    "ht": [(8, 32), (16, 32), (16, 64), (32, 32)],
+    "gn": [(8, 32), (16, 32), (16, 64)],
+    "lb": [(7, 32), (14, 32), (28, 32)],
+    "km": [(4, 32), (8, 32), (16, 32), (32, 32)],
+}
 
 
 def _scaled(params, factor):
@@ -46,6 +63,26 @@ def _params(name, quick):
     return _scaled(params, 4) if quick else params
 
 
+def _axis(keys, index):
+    """The distinct values of one position of tuple ``keys``, in order."""
+    return list(dict.fromkeys(key[index] for key in keys))
+
+
+def _read(run, value):
+    """``value(run)``, or :data:`GAP` for a failed cell (``None``)."""
+    return GAP if run is None else value(run)
+
+
+def _kernels(name, run):
+    """``(label, kernel result)`` per launch: ``name`` alone for a
+    single-kernel workload, else ``name-1``, ``name-2``, ..."""
+    kernels = run.kernel_results
+    if len(kernels) == 1:
+        return [(name, kernels[0])]
+    return [("%s-%d" % (name, index + 1), kernel)
+            for index, kernel in enumerate(kernels)]
+
+
 class _Gap:
     """Sentinel for a table/figure cell whose job failed (distinct from
     ``None``, which the figures use for a *simulated* crash)."""
@@ -59,29 +96,6 @@ class _Gap:
 GAP = _Gap()
 
 
-class SweepOutcomes(dict):
-    """``{spec key: JobResult}`` plus the sweep's failure roster.
-
-    ``run(key)`` is the degradation-aware accessor the drivers use in
-    place of ``outcomes[key].unwrap()``: a failed job yields ``None``
-    (the driver renders an explicit gap) instead of raising away the
-    rest of the figure.  ``failures`` lists every failed job's
-    :class:`~repro.harness.parallel.JobFailure` in spec order so the
-    drivers' render footers — and the CLI's exit code — can report them.
-    """
-
-    def __init__(self, results):
-        super().__init__((out.key, out) for out in results)
-        self.failures = failures_of(results)
-
-    def run(self, key):
-        """The job's ``RunResult``, or ``None`` when the job failed."""
-        out = self[key]
-        if out.failed:
-            return None
-        return out.run
-
-
 def _failures_note(failures):
     """Render footer listing a sweep's failed jobs (empty when clean)."""
     if not failures:
@@ -93,35 +107,27 @@ def _failures_note(failures):
     return "\n".join(lines)
 
 
-def _sweep(specs, jobs, metrics=None, timeline_dir=None, **sweep):
-    """Run a sweep's spec list and key the results by spec key.
+class FigureResult:
+    """What every reduce returns: ``body()`` is the figure's own table;
+    ``render()`` appends the roster of :attr:`failures`."""
 
-    ``metrics`` (a :class:`~repro.telemetry.MetricRegistry`) turns on
-    per-worker telemetry and merges every worker's registry into it —
-    the sweeps' single integration point with the telemetry layer.
-    ``timeline_dir`` additionally records one Chrome-trace file per run.
-    ``sweep`` (``supervise``/``journal``/``recorder``) goes to
-    :func:`~repro.harness.sweep.run_sweep` (timeouts, retry,
-    checkpoint/resume, the experiment DB — see docs/resilience.md).
-    """
-    if metrics is not None or timeline_dir is not None:
-        for spec in specs:
-            spec.telemetry = True
-            spec.timeline_dir = timeline_dir
-    return SweepOutcomes(
-        run_sweep(specs, jobs=jobs, metrics=metrics, **sweep).results)
+    #: :class:`~repro.harness.parallel.JobFailure` per failed cell, in spec
+    #: order (attached by :func:`run_figure`)
+    failures = ()
+
+    def render(self):
+        return self.body() + _failures_note(self.failures)
 
 
 # ----------------------------------------------------------------------
 # Figure 2 — overall speedup over CGL
 # ----------------------------------------------------------------------
-class Fig2Result:
+class Fig2Result(FigureResult):
     def __init__(self):
         self.speedups = {}  # workload -> {variant: speedup, None (crash) or GAP}
         self.cycles = {}
-        self.failures = []
 
-    def render(self):
+    def body(self):
         headers = ["workload"] + list(FIG2_VARIANTS)
         rows = []
         for workload in FIG2_WORKLOADS:
@@ -139,11 +145,11 @@ class Fig2Result:
             rows,
             note="paper shape: optimized fastest-or-tied; VBV poor at scale; "
             "EGPGV constrained; KM does not benefit",
-        ) + _failures_note(self.failures)
+        )
 
 
-def fig2(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
-    """Speedup of every STM variant over CGL on the five workloads."""
+def fig2_grid(quick):
+    """Every STM variant and its CGL baseline on the five workloads."""
     specs = []
     for name in FIG2_WORKLOADS:
         specs.append(JobSpec((name, "cgl"), name, _params(name, quick), "cgl"))
@@ -156,25 +162,23 @@ def fig2(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
                     params = _scaled(params, 4)
             else:
                 params = _params(name, quick)
-            specs.append(
-                JobSpec(
-                    (name, variant), name, params, variant,
-                    stm_overrides=configs.egpgv_capacity(),
-                    allow_crash=True,
-                )
-            )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
+            specs.append(JobSpec(
+                (name, variant), name, params, variant,
+                stm_overrides=configs.egpgv_capacity(), allow_crash=True))
+    return specs
 
+
+def fig2_reduce(runs):
+    """Speedup of every STM variant over CGL."""
     result = Fig2Result()
-    result.failures = outcomes.failures
     for name in FIG2_WORKLOADS:
         result.speedups[name] = {}
         result.cycles[name] = {}
-        baseline = outcomes.run((name, "cgl"))
+        baseline = runs[(name, "cgl")]
         if baseline is not None:
             result.cycles[name]["cgl"] = baseline.cycles
         for variant in FIG2_VARIANTS:
-            run = outcomes.run((name, variant))
+            run = runs[(name, variant)]
             if run is None or baseline is None:
                 result.speedups[name][variant] = GAP
             elif run.crashed:
@@ -188,12 +192,11 @@ def fig2(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
 # ----------------------------------------------------------------------
 # Figure 3 — scalability with thread count
 # ----------------------------------------------------------------------
-class Fig3Result:
+class Fig3Result(FigureResult):
     def __init__(self, workload, thread_counts):
         self.workload = workload
         self.thread_counts = thread_counts
         self.cycles = {}  # variant -> [cycles, None (crash) or GAP per count]
-        self.failures = []
 
     def normalized(self, variant):
         """Throughput speedup relative to the variant's smallest geometry."""
@@ -211,7 +214,7 @@ class Fig3Result:
                 out.append(base / c)
         return out
 
-    def render(self):
+    def body(self):
         series = {v: self.normalized(v) for v in self.cycles}
         return render_series(
             "Figure 3: scalability on %s (speedup vs own %d-thread run)"
@@ -219,58 +222,48 @@ class Fig3Result:
             "threads",
             self.thread_counts,
             series,
-        ) + _failures_note(self.failures)
+        )
 
 
-FIG3_VARIANTS = ("egpgv", "vbv", "tbv-sorting", "hv-backoff", "hv-sorting", "optimized")
-
-
-def fig3(workload_name="ra", thread_counts=(8, 32, 128, 512, 2048), total_txs=2048,
-         quick=False, jobs=None, metrics=None, timeline_dir=None,
-         **sweep):
-    """Fixed total work split over a swept number of threads.
-
-    Reproduces: EGPGV crashes early (static per-block metadata), VBV
-    flattens (single sequence lock), the lock-table variants scale.
-    """
-    if quick:
-        thread_counts = thread_counts[:3]
-        total_txs = total_txs // 4
+def fig3_grid(quick):
+    """Fixed total work split over a swept number of threads."""
+    thread_counts = FIG3_THREAD_COUNTS[:3] if quick else FIG3_THREAD_COUNTS
+    total_txs = FIG3_TOTAL_TXS // 4 if quick else FIG3_TOTAL_TXS
     specs = []
     for variant in FIG3_VARIANTS:
         for threads in thread_counts:
             block = min(32, threads)
             grid = max(1, threads // block)
             txs_per_thread = max(1, total_txs // (grid * block))
-            params = configs.bench_workload_params(workload_name)
+            params = configs.bench_workload_params(FIG3_WORKLOAD)
             params.update(grid=grid, block=block, txs_per_thread=txs_per_thread)
-            specs.append(
-                JobSpec(
-                    (variant, threads), workload_name, params, variant,
-                    stm_overrides=configs.egpgv_capacity(),
-                    allow_crash=True,
-                )
-            )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
+            specs.append(JobSpec(
+                (variant, threads), FIG3_WORKLOAD, params, variant,
+                stm_overrides=configs.egpgv_capacity(), allow_crash=True))
+    return specs
 
-    result = Fig3Result(workload_name, list(thread_counts))
-    result.failures = outcomes.failures
+
+def fig3_reduce(runs):
+    """Each variant's cycles per thread count.
+
+    Paper shape: EGPGV crashes early (static per-block metadata), VBV
+    flattens (single sequence lock), the lock-table variants scale.
+    """
+    thread_counts = _axis(runs, 1)
+    result = Fig3Result(FIG3_WORKLOAD, thread_counts)
     for variant in FIG3_VARIANTS:
-        series = []
-        for threads in thread_counts:
-            run = outcomes.run((variant, threads))
-            if run is None:
-                series.append(GAP)
-            else:
-                series.append(None if run.crashed else run.cycles)
-        result.cycles[variant] = series
+        result.cycles[variant] = [
+            _read(runs[(variant, threads)],
+                  lambda run: None if run.crashed else run.cycles)
+            for threads in thread_counts
+        ]
     return result
 
 
 # ----------------------------------------------------------------------
 # Figure 4 — HV vs TBV under swept shared data / lock counts
 # ----------------------------------------------------------------------
-class Fig4Result:
+class Fig4Result(FigureResult):
     def __init__(self, shared_sizes, lock_sizes, thread_counts):
         self.shared_sizes = shared_sizes
         self.lock_sizes = lock_sizes
@@ -278,7 +271,6 @@ class Fig4Result:
         # (shared, locks, threads, scheme) -> (speedup_vs_cgl, abort_rate),
         # or GAP when the point's job (or its CGL baseline) failed
         self.points = {}
-        self.failures = []
 
     @staticmethod
     def _cells(point):
@@ -286,7 +278,7 @@ class Fig4Result:
             return "FAILED", "FAILED"
         return "%.2fx" % point[0], "%.0f%%" % (100 * point[1])
 
-    def render(self):
+    def body(self):
         out = []
         for shared in self.shared_sizes:
             rows = []
@@ -298,16 +290,8 @@ class Fig4Result:
                     tbv_speedup, tbv_abort = self._cells(
                         self.points[(shared, locks, threads, "tbv")]
                     )
-                    rows.append(
-                        [
-                            locks,
-                            threads,
-                            hv_speedup,
-                            tbv_speedup,
-                            hv_abort,
-                            tbv_abort,
-                        ]
-                    )
+                    rows.append([locks, threads, hv_speedup, tbv_speedup,
+                                 hv_abort, tbv_abort])
             out.append(
                 render_table(
                     "Figure 4(%s): EigenBench, shared data = %d words"
@@ -317,25 +301,13 @@ class Fig4Result:
                     rows,
                 )
             )
-        return "\n\n".join(out) + _failures_note(self.failures)
+        return "\n\n".join(out)
 
 
-def fig4(
-    shared_sizes=(1024, 4096, 16384, 65536),
-    lock_sizes=(1024, 4096, 16384),
-    thread_counts=(256, 1024),
-    quick=False,
-    jobs=None,
-    metrics=None,
-    timeline_dir=None,
-    **sweep
-):
-    """EigenBench sweep: HV vs TBV across shared-data and lock-table sizes.
-
-    Paper shape: comparable when shared <= locks; when shared data is large,
-    TBV needs many locks to recover while HV reaches near-optimal speed with
-    few locks, and HV's abort rate stays far below TBV's.
-    """
+def fig4_grid(quick):
+    """EigenBench: CGL, HV and TBV across shared-data and lock-table sizes."""
+    shared_sizes, lock_sizes, thread_counts = (
+        FIG4_SHARED_SIZES, FIG4_LOCK_SIZES, FIG4_THREAD_COUNTS)
     if quick:
         shared_sizes = shared_sizes[:2]
         lock_sizes = lock_sizes[:2]
@@ -352,95 +324,76 @@ def fig4(
             specs.append(JobSpec(("cgl", shared, threads), "eb", params, "cgl"))
             for locks in lock_sizes:
                 for scheme, variant in (("hv", "hv-sorting"), ("tbv", "tbv-sorting")):
-                    specs.append(
-                        JobSpec(
-                            (shared, locks, threads, scheme), "eb", params,
-                            variant, num_locks=locks,
-                        )
-                    )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
+                    specs.append(JobSpec(
+                        (shared, locks, threads, scheme), "eb", params,
+                        variant, num_locks=locks))
+    return specs
 
-    result = Fig4Result(list(shared_sizes), list(lock_sizes), list(thread_counts))
-    result.failures = outcomes.failures
-    for shared in shared_sizes:
-        for threads in thread_counts:
-            baseline = outcomes.run(("cgl", shared, threads))
-            for locks in lock_sizes:
-                for scheme in ("hv", "tbv"):
-                    run = outcomes.run((shared, locks, threads, scheme))
-                    if run is None or baseline is None:
-                        result.points[(shared, locks, threads, scheme)] = GAP
-                    else:
-                        result.points[(shared, locks, threads, scheme)] = (
-                            baseline.cycles / run.cycles,
-                            run.abort_rate,
-                        )
+
+def fig4_reduce(runs):
+    """HV and TBV speedup over CGL and abort rate per point.
+
+    Paper shape: comparable when shared <= locks; when shared data is
+    large, TBV needs many locks to recover while HV reaches near-optimal
+    speed with few locks, and HV's abort rate stays far below TBV's.
+    """
+    points = [key for key in runs if key[0] != "cgl"]
+    result = Fig4Result(_axis(points, 0), _axis(points, 1), _axis(points, 2))
+    for point in points:
+        baseline = runs[("cgl", point[0], point[2])]
+        result.points[point] = _read(
+            runs[point] if baseline is not None else None,
+            lambda run: (baseline.cycles / run.cycles, run.abort_rate))
     return result
 
 
 # ----------------------------------------------------------------------
 # Figure 5 — single-thread execution time breakdown
 # ----------------------------------------------------------------------
-FIG5_PHASES = (
-    Phase.NATIVE,
-    Phase.INIT,
-    Phase.BUFFERING,
-    Phase.CONSISTENCY,
-    Phase.LOCKS,
-    Phase.COMMIT,
-    Phase.ABORTED,
-)
-
-
-class Fig5Result:
+class Fig5Result(FigureResult):
     def __init__(self):
         self.rows = []  # (kernel label, {phase: fraction})
-        self.failures = []
 
-    def render(self):
+    def body(self):
         return render_breakdown(
             "Figure 5: execution time breakdown under STM-Optimized",
             FIG5_PHASES,
             self.rows,
-        ) + _failures_note(self.failures)
+        )
 
 
-def fig5(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
-    """Phase breakdown of GN-1, GN-2, LB and KM under STM-Optimized.
+def fig5_grid(quick):
+    """GN, LB and KM under STM-Optimized."""
+    return [
+        JobSpec(name, name, _params(name, quick), "optimized")
+        for name in ("gn", "lb", "km")
+    ]
+
+
+def fig5_reduce(runs):
+    """Phase breakdown of GN-1, GN-2, LB and KM.
 
     Paper shape: GN-2 dominated by STM overhead (init/buffering); LB and KM
     carry large buffering shares (big read-/write-sets); LB has the largest
     native share (BFS planning); KM burns a visible share in aborted
     transactions.
     """
-    specs = [
-        JobSpec(name, name, _params(name, quick), "optimized")
-        for name in ("gn", "lb", "km")
-    ]
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
-
     result = Fig5Result()
-    result.failures = outcomes.failures
-    gn = outcomes.run("gn")
-    if gn is not None:
-        result.rows.append(("GN-1", gn.kernel_results[0].phases.fractions()))
-        result.rows.append(("GN-2", gn.kernel_results[1].phases.fractions()))
-    for name, label in (("lb", "LB"), ("km", "KM")):
-        run = outcomes.run(name)
+    for name, run in runs.items():
         if run is not None:
-            result.rows.append((label, run.kernel_results[0].phases.fractions()))
+            result.rows.extend((label.upper(), kernel.phases.fractions())
+                               for label, kernel in _kernels(name, run))
     return result
 
 
 # ----------------------------------------------------------------------
 # Table 1 — workload characteristics
 # ----------------------------------------------------------------------
-class Table1Result:
+class Table1Result(FigureResult):
     def __init__(self):
         self.rows = []  # dicts
-        self.failures = []
 
-    def render(self):
+    def body(self):
         headers = [
             "workload", "kernel", "shared data", "RD/TX", "WR/TX",
             "TX/kernel", "TX time", "conflicts",
@@ -456,36 +409,32 @@ class Table1Result:
         ]
         return render_table(
             "Table 1: transactional characteristics (measured)", headers, rows
-        ) + _failures_note(self.failures)
+        )
 
 
-def table1(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
-    """Measure the Table 1 columns for every workload under hv-sorting."""
-    names = ("ra", "ht", "eb", "lb", "gn", "km")
-    specs = [
-        JobSpec(name, name, _params(name, quick), "hv-sorting") for name in names
+def table1_grid(quick):
+    """Every workload under hv-sorting."""
+    return [
+        JobSpec(name, name, _params(name, quick), "hv-sorting")
+        for name in TABLE1_WORKLOADS
     ]
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
 
+
+def table1_reduce(runs):
+    """The Table 1 columns, one row per kernel."""
     result = Table1Result()
-    result.failures = outcomes.failures
-    for name in names:
-        run = outcomes.run(name)
+    for name, run in runs.items():
         if run is None:
             continue
-        # shared_data_size is a property of the constructed workload, not of
-        # the run; rebuild the (cheap) workload object to read it
-        workload = make_workload(name, **_params(name, quick))
-        attempts = run.stats.get("begins", run.commits)
-        for index, kernel_result in enumerate(run.kernel_results):
-            label = "%s-%d" % (name, index + 1) if len(run.kernel_results) > 1 else name
+        attempts = max(run.stats.get("begins", run.commits), 1)
+        for label, kernel_result in _kernels(name, run):
             result.rows.append(
                 dict(
                     workload=name,
                     kernel=label,
-                    shared=workload.shared_data_size,
-                    rd_tx=run.stats.get("tx_reads", 0) / max(attempts, 1),
-                    wr_tx=run.stats.get("tx_writes", 0) / max(attempts, 1),
+                    shared=run.shared_data_size,
+                    rd_tx=run.stats.get("tx_reads", 0) / attempts,
+                    wr_tx=run.stats.get("tx_writes", 0) / attempts,
                     tx_per_kernel=run.commits,
                     tx_time=kernel_result.tx_time_fraction(),
                     conflicts=run.abort_rate,
@@ -497,32 +446,62 @@ def table1(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
 # ----------------------------------------------------------------------
 # Table 2 — launch configurations at STM-Optimized's optimum
 # ----------------------------------------------------------------------
-class Table2Result:
+class Table2Result(FigureResult):
     def __init__(self):
         self.rows = []  # (workload, best_grid, best_block, cycles)
-        self.failures = []
 
-    def render(self):
+    def body(self):
         return render_table(
             "Table 2: launch configuration where STM-Optimized is fastest",
             ["workload", "thread-blocks", "threads/block", "cycles"],
             [[w, g, b, c] for w, g, b, c in self.rows],
-        ) + _failures_note(self.failures)
+        )
+
+
+def table2_grid(quick):
+    """Each workload under STM-Optimized at every swept launch geometry."""
+    specs = []
+    for name, geometries in TABLE2_GEOMETRIES.items():
+        for grid, block in geometries[:2] if quick else geometries:
+            params = _params(name, quick)
+            if name == "lb":
+                params.update(grid_blocks=grid, block_threads=block)
+            else:
+                params.update(grid=grid, block=block)
+            specs.append(JobSpec(
+                (name, grid, block), name, params, "optimized",
+                stm_overrides=configs.egpgv_capacity()))
+    return specs
+
+
+def table2_reduce(runs):
+    """The fastest geometry per workload."""
+    best = {}  # workload -> (grid, block, cycles), or None while all failed
+    for (name, grid, block), run in runs.items():
+        best.setdefault(name, None)
+        # strict < keeps the original tie-break: the earliest geometry
+        # in sweep order wins among equals
+        if run is not None and (best[name] is None or run.cycles < best[name][2]):
+            best[name] = (grid, block, run.cycles)
+    result = Table2Result()
+    for name, point in best.items():
+        result.rows.append((name, "-", "-", "FAILED") if point is None
+                           else (name,) + point)
+    return result
 
 
 # ----------------------------------------------------------------------
 # Ablations — the design choices of sections 3.1/4.2, isolated
 # ----------------------------------------------------------------------
-class AblationResult:
+class AblationResult(FigureResult):
     def __init__(self):
         self.sorting = {}       # livelock study
         self.locklog = {}       # hashed vs flat lock-log comparisons
         self.coalescing = {}    # coalesced vs scattered log cycles
         self.lock_attempts = {} # abort threshold sweep
         self.scheduler = {}     # warp-scheduling policy sensitivity
-        self.failures = []
 
-    def render(self):
+    def body(self):
         def fmt(template, *values):
             if any(value is GAP for value in values):
                 return "FAILED"
@@ -556,11 +535,16 @@ class AblationResult:
             "logs, lock-attempt threshold",
             ["design point", "outcome"],
             rows,
-        ) + _failures_note(self.failures)
+        )
 
 
-def ablations(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
-    """Isolate the paper's design decisions one at a time."""
+def sorting_study():
+    """Study 1: encounter-time lock-sorting vs none (livelock freedom).
+
+    It drives hand-built devices and inspects runtime objects, so it runs
+    serially in the driving process; its plain-data outcome joins the
+    ablations' ``runs`` under the key ``"sorting"``.
+    """
     from repro.gpu import Device, ProgressError
     from repro.gpu.config import GpuConfig
     from repro.stm import StmConfig, make_runtime
@@ -569,142 +553,127 @@ def ablations(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
         crossed_order_kernel,
     )
 
-    result = AblationResult()
-
-    # 1) encounter-time lock-sorting vs none (livelock freedom).  This study
-    # drives hand-built devices and inspects runtime objects, so it stays
-    # serial; studies 2-5 below are plain run_workload sweeps and fan out.
-    def crossed(device):
-        data = device.mem.alloc(8, "data")
-        return data
-
+    sorting = {}
     device = Device(GpuConfig(warp_size=2, num_sms=1, max_steps=40_000))
-    data = crossed(device)
+    data = device.mem.alloc(8, "data")
     runtime = UnsortedNoBackoffRuntime(device, num_locks=8)
     try:
         device.launch(crossed_order_kernel(data, 1), 1, 2, attach=runtime.attach)
-        result.sorting["unsorted_livelocks"] = False
+        sorting["unsorted_livelocks"] = False
     except ProgressError:
-        result.sorting["unsorted_livelocks"] = True
+        sorting["unsorted_livelocks"] = True
     device = Device(GpuConfig(warp_size=2, num_sms=1, max_steps=40_000))
-    data = crossed(device)
+    data = device.mem.alloc(8, "data")
     runtime = make_runtime("hv-sorting", device, StmConfig(num_locks=8))
     device.launch(crossed_order_kernel(data, 1), 1, 2, attach=runtime.attach)
-    result.sorting["sorted_commits"] = runtime.stats["commits"]
+    sorting["sorted_commits"] = runtime.stats["commits"]
+    return {"sorting": sorting}
 
-    # 2-5) one spec list: hashed vs flat lock-log, coalesced vs scattered
-    # logs, the lock-attempt threshold, and scheduler granularity
-    ra_params = _params("ra", quick=True)
-    km_params = _params("km", quick=True)
-    specs = []
-    for label, buckets in (("flat", 1), ("hashed", 16)):
-        specs.append(
-            JobSpec(
-                ("locklog", label), "ra", ra_params, "hv-sorting",
-                stm_overrides=dict(lock_log_buckets=buckets), verify=False,
-            )
-        )
-    for label, coalesced in (("coalesced", True), ("scattered", False)):
-        specs.append(
-            JobSpec(
-                ("coalescing", label), "ra", ra_params, "hv-sorting",
-                stm_overrides=dict(coalesced_logs=coalesced),
-            )
-        )
+
+def ablations_grid(quick):
+    """Studies 2-5, always at quick geometry: hashed vs flat lock-log,
+    coalesced vs scattered logs, the lock-attempt threshold, and
+    scheduler granularity."""
+    ra, km = ("ra", _params("ra", quick=True)), ("km", _params("km", quick=True))
+    cells = [(("locklog", label), ra, dict(
+        stm_overrides=dict(lock_log_buckets=buckets), verify=False))
+        for label, buckets in (("flat", 1), ("hashed", 16))]
+    cells += [(("coalescing", label), ra, dict(
+        stm_overrides=dict(coalesced_logs=coalesced)))
+        for label, coalesced in (("coalesced", True), ("scattered", False))]
+    cells += [(("lock_attempts", attempts), km, dict(
+        stm_overrides=dict(max_lock_attempts=attempts)))
+        for attempts in (1, 4, 16)]
+    cells += [(("scheduler", turn), km, dict(
+        gpu_overrides=dict(warp_steps_per_turn=turn))) for turn in (1, 8)]
+    return [JobSpec(key, workload, params, "hv-sorting", **fields)
+            for key, (workload, params), fields in cells]
+
+
+def ablations_reduce(runs):
+    """Isolate the paper's design decisions one at a time."""
+    def ratio(numerator, denominator):
+        if numerator is GAP or denominator is GAP:
+            return GAP
+        return max(numerator, 1) / max(denominator, 1)
+
+    def cycles_and_aborts(run):
+        return run.cycles, run.abort_rate
+
+    result = AblationResult()
+    result.sorting = runs["sorting"]
+    flat, hashed = (
+        _read(runs[("locklog", label)],
+              lambda run: run.stats.get("locklog_comparisons", 0))
+        for label in ("flat", "hashed"))
+    result.locklog = dict(
+        flat_comparisons=flat, hashed_comparisons=hashed,
+        ratio=ratio(flat, hashed))
+    coalesced, scattered = (
+        _read(runs[("coalescing", label)], lambda run: run.cycles)
+        for label in ("coalesced", "scattered"))
+    result.coalescing = dict(coalesced_cycles=coalesced,
+                             scattered_cycles=scattered,
+                             ratio=ratio(scattered, coalesced))
     for attempts in (1, 4, 16):
-        specs.append(
-            JobSpec(
-                ("lock_attempts", attempts), "km", km_params, "hv-sorting",
-                stm_overrides=dict(max_lock_attempts=attempts),
-            )
-        )
+        result.lock_attempts[attempts] = _read(
+            runs[("lock_attempts", attempts)], cycles_and_aborts)
     for turn in (1, 8):
-        specs.append(
-            JobSpec(
-                ("scheduler", turn), "km", km_params, "hv-sorting",
-                gpu_overrides=dict(warp_steps_per_turn=turn),
-            )
-        )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
-
-    result.failures = outcomes.failures
-    for label in ("flat", "hashed"):
-        run = outcomes.run(("locklog", label))
-        result.locklog["%s_comparisons" % label] = (
-            GAP if run is None else run.stats.get("locklog_comparisons", 0)
-        )
-    flat = result.locklog["flat_comparisons"]
-    hashed = result.locklog["hashed_comparisons"]
-    if flat is GAP or hashed is GAP:
-        result.locklog["ratio"] = GAP
-    else:
-        result.locklog["ratio"] = max(flat, 1) / max(hashed, 1)
-
-    for label in ("coalesced", "scattered"):
-        run = outcomes.run(("coalescing", label))
-        result.coalescing["%s_cycles" % label] = GAP if run is None else run.cycles
-    coalesced = result.coalescing["coalesced_cycles"]
-    scattered = result.coalescing["scattered_cycles"]
-    if coalesced is GAP or scattered is GAP:
-        result.coalescing["ratio"] = GAP
-    else:
-        result.coalescing["ratio"] = scattered / coalesced
-
-    for attempts in (1, 4, 16):
-        run = outcomes.run(("lock_attempts", attempts))
-        result.lock_attempts[attempts] = (
-            GAP if run is None else (run.cycles, run.abort_rate)
-        )
-
-    for turn in (1, 8):
-        run = outcomes.run(("scheduler", turn))
-        result.scheduler[turn] = GAP if run is None else (run.cycles, run.abort_rate)
+        result.scheduler[turn] = _read(runs[("scheduler", turn)],
+                                       cycles_and_aborts)
     return result
 
 
-def table2(quick=False, jobs=None, metrics=None, timeline_dir=None, **sweep):
-    """Sweep launch geometries per workload; report the optimum."""
-    sweeps = {
-        "ra": [(8, 32), (16, 32), (16, 64), (32, 32)],
-        "ht": [(8, 32), (16, 32), (16, 64), (32, 32)],
-        "gn": [(8, 32), (16, 32), (16, 64)],
-        "lb": [(7, 32), (14, 32), (28, 32)],
-        "km": [(4, 32), (8, 32), (16, 32), (32, 32)],
-    }
-    specs = []
-    for name, geometries in sweeps.items():
-        if quick:
-            geometries = geometries[:2]
-        for grid, block in geometries:
-            params = _params(name, quick)
-            if name == "lb":
-                params.update(grid_blocks=grid, block_threads=block)
-            else:
-                params.update(grid=grid, block=block)
-            specs.append(
-                JobSpec(
-                    (name, grid, block), name, params, "optimized",
-                    stm_overrides=configs.egpgv_capacity(),
-                )
-            )
-    outcomes = _sweep(specs, jobs, metrics, timeline_dir, **sweep)
+# ----------------------------------------------------------------------
+# The one entry point
+# ----------------------------------------------------------------------
+#: ``serial()``, when given, runs in the driving process and returns
+#: plain data merged into ``runs`` before the reduce
+Figure = namedtuple("Figure", "grid reduce serial", defaults=(None,))
 
-    result = Table2Result()
-    result.failures = outcomes.failures
-    for name, geometries in sweeps.items():
-        if quick:
-            geometries = geometries[:2]
-        best = None
-        for grid, block in geometries:
-            run = outcomes.run((name, grid, block))
-            if run is None:
-                continue
-            # strict < keeps the original tie-break: the earliest geometry
-            # in sweep order wins among equals
-            if best is None or run.cycles < best[2]:
-                best = (grid, block, run.cycles)
-        if best is None:
-            result.rows.append((name, "-", "-", "FAILED"))
-        else:
-            result.rows.append((name, best[0], best[1], best[2]))
+FIGURES = {
+    "fig2": Figure(fig2_grid, fig2_reduce),
+    "fig3": Figure(fig3_grid, fig3_reduce),
+    "fig4": Figure(fig4_grid, fig4_reduce),
+    "fig5": Figure(fig5_grid, fig5_reduce),
+    "table1": Figure(table1_grid, table1_reduce),
+    "table2": Figure(table2_grid, table2_reduce),
+    "ablations": Figure(ablations_grid, ablations_reduce, sorting_study),
+}
+
+#: the paper's tables and figures: what the harness CLI and ``reproduce``
+#: regenerate
+TARGETS = ("fig2", "fig3", "fig4", "fig5", "table1", "table2")
+
+
+def runs_of(results):
+    """``{key: RunResult}`` of job results in order, ``None`` for a
+    failed job: the ``runs`` a reduce takes."""
+    return {out.key: None if out.failed else out.run for out in results}
+
+
+def run_figure(name, quick=False, jobs=None, metrics=None, timeline_dir=None,
+               **sweep):
+    """Run figure ``name``'s grid and reduce it; returns its result with
+    ``failures`` attached.
+
+    ``metrics`` (a :class:`~repro.telemetry.MetricRegistry`) turns on
+    per-worker telemetry and merges every worker's registry into it;
+    ``timeline_dir`` additionally records one Chrome-trace file per run.
+    ``sweep`` (``supervise``/``journal``/``recorder``) goes to
+    :func:`~repro.harness.sweep.run_sweep` (timeouts, retry,
+    checkpoint/resume, the experiment DB — see docs/resilience.md).
+    """
+    figure = FIGURES[name]
+    specs = figure.grid(quick)
+    if metrics is not None or timeline_dir is not None:
+        for spec in specs:
+            spec.telemetry = True
+            spec.timeline_dir = timeline_dir
+    report = run_sweep(specs, jobs=jobs, metrics=metrics, **sweep)
+    runs = runs_of(report.results)
+    if figure.serial is not None:
+        runs.update(figure.serial())
+    result = figure.reduce(runs)
+    result.failures = report.failures
     return result

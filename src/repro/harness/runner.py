@@ -41,11 +41,14 @@ class RunResult:
     one recorded-schedule dict per recorded launch (the last one possibly
     partial on a progress failure); ``livelock`` narrows a progress
     failure to the watchdog's livelock classification.
+    ``shared_data_size`` is the workload's count of transactionally
+    shared words (Table 1's "shared data").
     """
 
     workload: str
     variant: str
     policy: object = None
+    shared_data_size: int = 0
     failure: str = None
     detail: str = None
     cycles: int = 0
@@ -254,7 +257,8 @@ def run_workload(
     specs = list(workload.kernels())
     policies, label = _launch_policies(policy, len(specs))
     result = RunResult(workload.name, variant,
-                       gpu_config.scheduler if label is None else label)
+                       gpu_config.scheduler if label is None else label,
+                       shared_data_size=workload.shared_data_size)
     initial = list(device.mem.words) if check_oracle else None
     completed = False
     try:

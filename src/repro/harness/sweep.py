@@ -133,7 +133,8 @@ def write_artifacts(report, out_dir):
 # The shared command-line front-end
 # ----------------------------------------------------------------------
 
-def _worker_count(text):
+def worker_count(text):
+    """``--jobs``: an integer >= 1, else a usage error."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("--jobs must be >= 1")
@@ -164,7 +165,7 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
     """
     execution = parser.add_argument_group("execution")
     execution.add_argument(
-        "--jobs", type=_worker_count, default=jobs_default, metavar="N",
+        "--jobs", type=worker_count, default=jobs_default, metavar="N",
         help="worker processes for the sweep (default: %s)"
         % ("$REPRO_JOBS or 1" if jobs_default is None else jobs_default),
     )

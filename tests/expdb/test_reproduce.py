@@ -70,3 +70,27 @@ class TestReproduce:
         out = capsys.readouterr().out
         assert "manifest" in out
         assert "expdb run" in out
+
+    @pytest.mark.parametrize("targets,message", [
+        (",", "--targets expects at least one name"),
+        (" , ", "--targets expects at least one name"),
+        ("fig5,fig9", "unknown target(s) fig9"),
+    ])
+    def test_cli_empty_or_unknown_targets_exit_2(self, targets, message,
+                                                 tmp_path, capsys):
+        from repro.expdb.reproduce import main
+
+        out = tmp_path / "b"
+        with pytest.raises(SystemExit) as exc:
+            main(["--smoke", "--targets", targets, "--out", str(out),
+                  "--db", str(tmp_path / "e.sqlite")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_bad_jobs_exit_2(self, tmp_path):
+        from repro.expdb.reproduce import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--smoke", "--jobs", "0", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2

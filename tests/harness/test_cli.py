@@ -53,13 +53,39 @@ class TestCli:
     def test_bad_timeout_or_retries_is_a_usage_error(self, flags, monkeypatch):
         from repro.harness import __main__ as cli
 
-        def must_not_run(**kwargs):
+        def must_not_run(name, **kwargs):
             raise AssertionError("a bad flag must stop the CLI before the sweep")
 
-        monkeypatch.setitem(cli.TARGETS, "fig5", must_not_run)
+        monkeypatch.setattr(cli, "run_figure", must_not_run)
         with pytest.raises(SystemExit) as exc:
             main(["fig5", "--quick", "--jobs", "2"] + flags)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,runner,flags", [
+        (["trace", "fig5", "--quick"], "run_trace",
+         ("--resume", "--retries", "--timeout", "--expdb")),
+        (["fuzz", "--variant", "cgl", "--seeds", "1"], "run_fuzz",
+         ("--resume", "--retries", "--timeout", "--expdb")),
+        (["sanitize", "--variant", "cgl"], "run_sanitize",
+         ("--resume", "--retries", "--timeout", "--expdb")),
+        # chaos reads --timeout as its hung-worker deadline
+        (["chaos"], "run_chaos", ("--resume", "--retries", "--expdb")),
+    ], ids=["trace", "fuzz", "sanitize", "chaos"])
+    def test_sweep_flags_a_target_ignores_are_usage_errors(
+            self, argv, runner, flags, tmp_path, monkeypatch, capsys):
+        from repro.harness import __main__ as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an ignored flag must stop the CLI first")
+
+        monkeypatch.setattr(cli, runner, must_not_run)
+        values = {"--resume": str(tmp_path / "j"), "--retries": "1",
+                  "--timeout": "5", "--expdb": str(tmp_path / "e.sqlite")}
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, values[flag]])
+            assert exc.value.code == 2
+            assert "%s does not apply" % flag in capsys.readouterr().err
 
     def test_experiment_argument_requires_trace_target(self):
         with pytest.raises(SystemExit):
@@ -119,14 +145,16 @@ class TestCli:
         from repro.harness import __main__ as cli
 
         class StubResult:
+            failures = ()
+
             def render(self):
                 return "stub"
 
-        def stub_target(quick=False, jobs=None, metrics=None, timeline_dir=None):
+        def stub_figure(name, quick=False, jobs=None, metrics=None, **sweep):
             metrics.add("stub.runs")
             return StubResult()
 
-        monkeypatch.setitem(cli.TARGETS, "fig2", stub_target)
+        monkeypatch.setattr(cli, "run_figure", stub_figure)
         path = os.path.join(str(tmp_path), "metrics.json")
         assert main(["fig2", "--quick", "--metrics", path]) == 0
         with open(path) as handle:
@@ -156,11 +184,10 @@ class TestResilienceFlags:
             def render(self):
                 return "stub"
 
-        def stub_target(quick=False, jobs=None, metrics=None,
-                        timeline_dir=None):
+        def stub_figure(name, quick=False, jobs=None, metrics=None, **sweep):
             return StubResult()
 
-        monkeypatch.setitem(cli.TARGETS, "fig2", stub_target)
+        monkeypatch.setattr(cli, "run_figure", stub_figure)
         assert main(["fig2", "--quick"]) == 1
         err = capsys.readouterr().err
         assert "1 job(s) failed" in err
@@ -174,15 +201,17 @@ class TestResilienceFlags:
         seen = {}
 
         class StubResult:
+            failures = ()
+
             def render(self):
                 return "stub"
 
-        def stub_target(quick=False, jobs=None, metrics=None,
-                        timeline_dir=None, supervise=None, journal=None):
+        def stub_figure(name, quick=False, jobs=None, metrics=None,
+                        supervise=None, journal=None, recorder=None):
             seen.update(supervise=supervise, journal=journal)
             return StubResult()
 
-        monkeypatch.setitem(cli.TARGETS, "fig2", stub_target)
+        monkeypatch.setattr(cli, "run_figure", stub_figure)
         path = os.path.join(str(tmp_path), "sweep.journal")
         assert main(["fig2", "--quick", "--retries", "3",
                      "--timeout", "7.5", "--resume", path]) == 0
@@ -198,18 +227,17 @@ class TestResilienceFlags:
         journals = {}
 
         class StubResult:
+            failures = ()
+
             def render(self):
                 return "stub"
 
-        def make_stub(name):
-            def stub_target(quick=False, jobs=None, metrics=None,
-                            timeline_dir=None, supervise=None, journal=None):
-                journals[name] = journal
-                return StubResult()
-            return stub_target
+        def stub_figure(name, quick=False, jobs=None, metrics=None,
+                        supervise=None, journal=None, recorder=None):
+            journals[name] = journal
+            return StubResult()
 
-        for name in cli.TARGETS:
-            monkeypatch.setitem(cli.TARGETS, name, make_stub(name))
+        monkeypatch.setattr(cli, "run_figure", stub_figure)
         path = os.path.join(str(tmp_path), "sweep.journal")
         assert main(["all", "--quick", "--resume", path]) == 0
         assert journals["fig2"] == "%s.fig2" % path

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.harness import configs
 from repro.harness.parallel import (
+    JobResult,
     JobSpec,
     default_jobs,
     execute_job,
@@ -99,6 +100,17 @@ class TestRunJobs:
         result = execute_job(_ra_spec("bad", gpu_overrides=dict(nonsense=1)))
         assert result.failed
         assert "nonsense" in result.error
+
+
+class TestJobResult:
+    def test_as_failure_synthesizes_failure_from_legacy_error(self):
+        # a result that kept only the traceback (older journals) still
+        # yields a structured failure for the figures' roster
+        legacy = JobResult("old", error="Traceback ...\nValueError: nope")
+        failure = legacy.as_failure()
+        assert failure.key == "old"
+        assert failure.message == "ValueError: nope"
+        assert JobResult("fine", run="payload").as_failure() is None
 
 
 def _tag_executor(spec):

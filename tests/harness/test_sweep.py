@@ -22,7 +22,8 @@ from repro.faults.campaign import (
     execute_campaign_job,
     run_campaign,
 )
-from repro.harness import configs, experiments
+from repro.harness import configs
+from repro.harness.experiments import run_figure
 from repro.harness.journal import spec_fingerprint
 from repro.harness.parallel import JobSpec, execute_job
 from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
@@ -41,7 +42,7 @@ MULTIGPU = dict(num_accounts=128, block=8, txs_per_thread=1)
 
 
 def _figure(**sweep):
-    return experiments.fig5(quick=True, **sweep).render()
+    return run_figure("fig5", quick=True, **sweep).render()
 
 
 def _service(**sweep):
