@@ -93,9 +93,3 @@ class PhaseCycles:
     def as_dict(self):
         """Return a snapshot copy of the per-phase cycles."""
         return dict(self.cycles)
-
-    def __repr__(self):
-        items = ", ".join(
-            "%s=%d" % (k, v) for k, v in sorted(self.cycles.items())
-        )
-        return "PhaseCycles(%s)" % items

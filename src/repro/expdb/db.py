@@ -149,11 +149,6 @@ class RunRecord:
         self.failures = dict(failures) if failures else {}
         self.artifacts = list(artifacts)
 
-    def __repr__(self):
-        return "RunRecord(%s, %s..., %d spec(s))" % (
-            self.experiment, self.run_key[:12], len(self.fingerprints)
-        )
-
 
 def _flatten_metrics(metrics):
     """(kind, name, value) rows from a registry ``as_dict`` payload.
@@ -423,6 +418,3 @@ class ExperimentDB:
 
     def __exit__(self, *exc_info):
         self.close()
-
-    def __repr__(self):
-        return "ExperimentDB(%r)" % (self.path,)

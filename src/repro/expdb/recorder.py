@@ -226,6 +226,3 @@ class SweepRecorder:
             if own:
                 db.close()
         return entries
-
-    def __repr__(self):
-        return "SweepRecorder(%r, run_id=%r)" % (self.experiment, self.run_id)

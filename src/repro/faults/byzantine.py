@@ -180,12 +180,6 @@ class ByzantineSpec:
     def as_dict(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
-    def __repr__(self):
-        parts = ["%s=%r" % (s, getattr(self, s))
-                 for s in self.__slots__[1:] if getattr(self, s) is not None]
-        return "ByzantineSpec(%s%s)" % (
-            self.behavior, ", " + ", ".join(parts) if parts else "")
-
 
 class ByzantinePlan(FaultPlan):
     """An unarmed bag of :class:`ByzantineSpec`; picklable, reusable.
@@ -224,29 +218,22 @@ class ByzantinePlan(FaultPlan):
             tids.update(spec.lanes(total_threads))
         return tids
 
-    def __repr__(self):
-        return "ByzantinePlan(%r)" % (self.specs,)
-
 
 class _ByzArmed:
     """One spec with its per-lane occurrence counters."""
 
-    __slots__ = ("spec", "seen", "fired")
+    __slots__ = ("spec", "seen")
 
     def __init__(self, spec):
         self.spec = spec
         self.seen = {}  # tid -> opportunities seen
-        self.fired = 0
 
     def take(self, tid):
         """Advance the lane's counter; True when inside its window."""
         index = self.seen.get(tid, 0)
         self.seen[tid] = index + 1
         spec = self.spec
-        if spec.skip <= index < spec.skip + spec.count:
-            self.fired += 1
-            return True
-        return False
+        return spec.skip <= index < spec.skip + spec.count
 
 
 class ByzantineInjector:
@@ -455,15 +442,6 @@ class ByzantineInjector:
             "detail": detail,
         })
 
-    def fired_count(self, behavior=None):
-        if behavior is None:
-            return len(self.fired)
-        return sum(1 for entry in self.fired if entry["kind"] == behavior)
-
-    def first_fired_cycle(self):
-        """Cycle of the first lying action; None when nothing fired."""
-        return self.fired[0]["cycle"] if self.fired else None
-
     def byz_tids(self, total_threads):
         tids = set()
         for group in (self._lie, self._torn, self._replay, self._hoard,
@@ -471,9 +449,3 @@ class ByzantineInjector:
             for armed in group:
                 tids.update(armed.spec.lanes(total_threads))
         return tids
-
-    def summary(self):
-        counts = {}
-        for entry in self.fired:
-            counts[entry["kind"]] = counts.get(entry["kind"], 0) + 1
-        return counts

@@ -425,7 +425,7 @@ def main(argv=None):
         parser.error("--link must be >= 0")
 
     command = SweepCommand(
-        args, "byz-campaign",
+        args, parser, "byz-campaign",
         summary={"workload": args.workload, "devices": args.devices},
     )
     report = run_byz_campaign(

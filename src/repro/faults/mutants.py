@@ -139,9 +139,6 @@ class Mutant:
         del runtime.__dict__["_mutant_saved"]
         return runtime
 
-    def __repr__(self):
-        return "Mutant(%s -> %s)" % (self.name, "/".join(self.variants))
-
 
 class MutantRuntimeFactory:
     """Picklable ``runtime_factory`` for :func:`repro.harness.runner
@@ -157,9 +154,6 @@ class MutantRuntimeFactory:
         runtime = make_runtime(variant, device, stm_config)
         MUTANTS[self.mutant_name].apply(runtime)
         return runtime
-
-    def __repr__(self):
-        return "MutantRuntimeFactory(%r)" % (self.mutant_name,)
 
 
 def _install_unsorted_locklog(runtime, tx):

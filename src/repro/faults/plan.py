@@ -130,11 +130,6 @@ class FaultSpec:
     def as_dict(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
-    def __repr__(self):
-        parts = ["%s=%r" % (s, getattr(self, s))
-                 for s in self.__slots__[1:] if getattr(self, s) is not None]
-        return "FaultSpec(%s%s)" % (self.kind, ", " + ", ".join(parts) if parts else "")
-
 
 class FaultPlan:
     """An unarmed bag of :class:`FaultSpec`; picklable, reusable."""
@@ -162,28 +157,19 @@ class FaultPlan:
         device.fault_injector = injector
         return injector
 
-    @staticmethod
-    def disarm(device):
-        """Remove any installed injector from ``device``."""
-        device.fault_injector = None
-
     def __len__(self):
         return len(self.specs)
 
-    def __repr__(self):
-        return "FaultPlan(%r)" % (self.specs,)
-
 
 class _Armed:
-    """One spec resolved to address ranges, with its occurrence counters."""
+    """One spec resolved to address ranges, with its occurrence counter."""
 
-    __slots__ = ("spec", "ranges", "seen", "fired")
+    __slots__ = ("spec", "ranges", "seen")
 
     def __init__(self, spec, ranges):
         self.spec = spec
         self.ranges = ranges  # list of (lo, hi) half-open; None = any addr
         self.seen = 0
-        self.fired = 0
 
     def matches_addr(self, addr):
         ranges = self.ranges
@@ -199,10 +185,7 @@ class _Armed:
         index = self.seen
         self.seen = index + 1
         spec = self.spec
-        if spec.skip <= index < spec.skip + spec.count:
-            self.fired += 1
-            return True
-        return False
+        return spec.skip <= index < spec.skip + spec.count
 
 
 class FaultInjector:
@@ -389,24 +372,9 @@ class FaultInjector:
             for offset in range(1, len(warps)):
                 redirect = (index + offset) % len(warps)
                 if warps[redirect].warp_id != spec.warp:
-                    armed.fired += 1
                     self._log(armed, -1, -1,
                               "sm %d decision %d: warp %d stalled, issued %d"
                               % (sm_index, seen, spec.warp,
                                  warps[redirect].warp_id))
                     return redirect
         return index
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def fired_count(self, kind=None):
-        return sum(1 for f in self.fired if kind is None or f["kind"] == kind)
-
-    def summary(self):
-        """One line per armed spec with its fired count."""
-        lines = []
-        for group in (self._reads, self._writes, self._atomics, self._stalls):
-            for armed in group:
-                lines.append("%r: fired %d" % (armed.spec, armed.fired))
-        return "\n".join(lines)

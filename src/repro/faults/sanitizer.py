@@ -185,13 +185,6 @@ class StmSanitizer:
             lines.append("... and %d more violations dropped" % self.dropped)
         return "\n".join(lines)
 
-    def as_dict(self):
-        return {
-            "ok": self.ok,
-            "violations": [v.as_dict() for v in self.violations],
-            "dropped": self.dropped,
-        }
-
     # ------------------------------------------------------------------
     # TxTracer-protocol events (fed by TmRuntime.note_commit/note_abort)
     # ------------------------------------------------------------------

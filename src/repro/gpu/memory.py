@@ -31,9 +31,6 @@ class Region:
     def __contains__(self, addr):
         return self.base <= addr < self.end
 
-    def __repr__(self):
-        return "Region(%r, base=%d, size=%d)" % (self.name, self.base, self.size)
-
 
 class GlobalMemory:
     """Device global memory: a growable flat array of Python integers."""
@@ -120,16 +117,6 @@ class GlobalMemory:
 
     def atomic_inc(self, addr):
         return self.atomic_add(addr, 1)
-
-    def atomic_sub(self, addr, value):
-        old = self.words[addr]
-        self.words[addr] = old - value
-        return old
-
-    def atomic_exch(self, addr, value):
-        old = self.words[addr]
-        self.words[addr] = value
-        return old
 
     def __len__(self):
         return len(self.words)

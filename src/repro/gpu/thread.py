@@ -160,35 +160,20 @@ class ThreadCtx:
             else:
                 phase_map[Phase.ABORTED] = total
 
-    def _record(self, kind, addr, phase):
+    def _account(self, kind, addr, phase, cycles):
+        """Record one operation and charge its latency in a single call.
+
+        Appends ``addr`` to the warp's ``(kind, phase)`` issue group, from
+        which the warp folds the step's cost, then charges ``cycles`` as
+        :meth:`charge` does, inlined — every globally-visible operation
+        funnels through here, so one call frame instead of two is a
+        measurable win.
+        """
         warp = self.warp
         warp.step_nops += 1
         if kind is warp.step_kind and phase is warp.step_phase:
             # same issue group as the previous record (the dominant case):
             # append to the cached bucket, no dict lookup, no tuple
-            warp.step_cur.append(addr)
-            return
-        groups = warp.step_groups
-        tag = (kind, phase)
-        bucket = groups.get(tag)
-        if bucket is None:
-            groups[tag] = bucket = [addr]
-        else:
-            bucket.append(addr)
-        warp.step_kind = kind
-        warp.step_phase = phase
-        warp.step_cur = bucket
-
-    def _account(self, kind, addr, phase, cycles):
-        """Record one operation and charge its latency in a single call.
-
-        This is :meth:`_record` + :meth:`charge` fused — every
-        globally-visible operation funnels through here, so one call frame
-        instead of two is a measurable win.
-        """
-        warp = self.warp
-        warp.step_nops += 1
-        if kind is warp.step_kind and phase is warp.step_phase:
             warp.step_cur.append(addr)
         else:
             groups = warp.step_groups
@@ -363,20 +348,6 @@ class ThreadCtx:
         """Atomic increment; returns the old value (Algorithm 3 line 41)."""
         return self.atomic_add(addr, 1, phase)
 
-    def atomic_sub(self, addr, value, phase=Phase.NATIVE):
-        """Atomic subtract; returns the old value."""
-        if self._check_bounds and not 0 <= addr < self._words_len:
-            self.mem.check(addr)  # raises with region diagnostics
-        self._account(OpKind.ATOMIC, addr, phase, self._atomic_latency)
-        return self.mem.atomic_sub(addr, value)
-
-    def atomic_exch(self, addr, value, phase=Phase.NATIVE):
-        """Atomic exchange; returns the old value."""
-        if self._check_bounds and not 0 <= addr < self._words_len:
-            self.mem.check(addr)  # raises with region diagnostics
-        self._account(OpKind.ATOMIC, addr, phase, self._atomic_latency)
-        return self.mem.atomic_exch(addr, value)
-
     def smem_read(self, offset, phase=Phase.NATIVE):
         """Read a word of the block's on-chip shared memory.
 
@@ -409,16 +380,6 @@ class ThreadCtx:
         sequentially-consistent interleaving, but the cost is still charged so
         the overhead breakdown accounts for it."""
         self._account(OpKind.FENCE, -1, phase, self._fence_latency)
-
-    def extra_cost(self, cycles, phase=Phase.BUFFERING):
-        """Charge ``cycles`` that *sum* across lanes in the warp-step cost.
-
-        Unlike :meth:`work` (parallel ALU, max across lanes), this models
-        serialized per-lane overhead such as scattered (uncoalesced) metadata
-        traffic: every lane's contribution adds to the step cost.
-        """
-        self.charge(phase, cycles)
-        self.warp.step_extra += cycles
 
     def scattered_meta_ops(self, count=1, phase=Phase.BUFFERING):
         """``count`` uncoalesced metadata accesses: each one is a full
@@ -730,12 +691,6 @@ class ProbedThreadCtx(ThreadCtx):
 
     def atomic_add(self, addr, value, phase=Phase.NATIVE):
         return self._rmw("add", addr, value, phase, self.mem.atomic_add)
-
-    def atomic_sub(self, addr, value, phase=Phase.NATIVE):
-        return self._rmw("sub", addr, value, phase, self.mem.atomic_sub)
-
-    def atomic_exch(self, addr, value, phase=Phase.NATIVE):
-        return self._rmw("exch", addr, value, phase, self.mem.atomic_exch)
 
     # ------------------------------------------------------------------
     # Fences and transaction windows

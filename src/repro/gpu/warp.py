@@ -425,13 +425,8 @@ class BlockState:
             self.barrier_gen += 1
             self.barrier_waiting = 0
 
-    def lane_finished(self):
-        """Bookkeeping when a lane of this block retires."""
-        self.live_lanes -= 1
-        self.maybe_release_barrier()
-
     def lanes_finished(self, count):
-        """Batch form of :meth:`lane_finished` for ``count`` retirements.
+        """Bookkeeping when ``count`` lanes of this block retire.
 
         One barrier check after the batch is equivalent to checking after
         every decrement: a waiting lane is live and unfinishable, so

@@ -72,7 +72,7 @@ fail render as explicit FAILED gaps, a failure summary is printed, and
 the exit code is 1 — see ``docs/resilience.md``.  A sweep flag a target
 would ignore (``--resume``/``--retries``/``--timeout``/``--expdb`` on
 ``trace``, ``fuzz`` and ``sanitize``; all but ``--timeout`` on
-``chaos``) is a usage error.
+``chaos``; ``--timeout`` with one worker) is a usage error.
 
 The ``chaos`` target (:mod:`repro.harness.chaos`) is the supervision
 layer's own proving ground: a supervised happy-path sweep, a sweep with
@@ -97,6 +97,7 @@ from repro.harness.sweep import (
     print_failures,
     recorder_for,
     supervision,
+    sweep_jobs,
 )
 
 #: the sweep flags each non-figure target has no use for: passing one is
@@ -155,12 +156,12 @@ def run_fuzz(args, jobs):
     return 1 if failed else 0
 
 
-def run_inject(args, jobs):
+def run_inject(args, parser):
     """Drive the mutant-efficacy campaign; returns an exit code."""
     # imported here: the figure targets must not pay for the faults stack
     from repro.faults.campaign import run_campaign
 
-    command = SweepCommand(args, "inject")
+    command = SweepCommand(args, parser, "inject")
     report = run_campaign(
         mutants=None if args.mutants == "all" else csv(args.mutants),
         checkers=csv(args.checkers),
@@ -374,24 +375,25 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.experiment is not None and args.target != "trace":
         parser.error("the experiment argument only applies to the trace target")
     for flag in UNUSED_SWEEP_FLAGS.get(args.target, ()):
         if getattr(args, flag) is not None:
             parser.error("--%s does not apply to the %s target"
                          % (flag, args.target))
+    if args.target == "chaos":
+        # chaos always runs max(2, --jobs) workers, so --timeout holds
+        return run_chaos(args, args.jobs or default_jobs())
+    jobs = sweep_jobs(args, parser)
 
     if args.target == "fuzz":
         return run_fuzz(args, jobs)
     if args.target == "trace":
         return run_trace(args, jobs, parser)
     if args.target == "inject":
-        return run_inject(args, jobs)
+        return run_inject(args, parser)
     if args.target == "sanitize":
         return run_sanitize(args)
-    if args.target == "chaos":
-        return run_chaos(args, jobs)
 
     registry = None
     if args.metrics:

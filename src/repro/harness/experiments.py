@@ -83,17 +83,9 @@ def _kernels(name, run):
             for index, kernel in enumerate(kernels)]
 
 
-class _Gap:
-    """Sentinel for a table/figure cell whose job failed (distinct from
-    ``None``, which the figures use for a *simulated* crash)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "GAP"
-
-
-GAP = _Gap()
+#: sentinel for a table/figure cell whose job failed (distinct from
+#: ``None``, which the figures use for a *simulated* crash)
+GAP = object()
 
 
 def _failures_note(failures):

@@ -173,6 +173,3 @@ class SweepJournal:
 
     def __exit__(self, *exc_info):
         self.close()
-
-    def __repr__(self):
-        return "SweepJournal(%r)" % (self.path,)

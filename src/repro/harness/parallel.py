@@ -129,9 +129,6 @@ class JobFailure:
             self.exception, self.category, self.attempts, self.message
         )
 
-    def __repr__(self):
-        return "JobFailure(%r, %s)" % (self.key, self.brief())
-
 
 def default_jobs():
     """Worker count from the ``REPRO_JOBS`` environment variable (>= 1)."""
@@ -309,11 +306,6 @@ class JobResult:
                 "experiment job %r failed in worker:\n%s" % (self.key, self.error)
             )
         return self.run
-
-    def __repr__(self):
-        if self.failed:
-            return "JobResult(%r, FAILED: %s)" % (self.key, self.brief_error())
-        return "JobResult(%r, %r)" % (self.key, self.run)
 
 
 def _slug(key):

@@ -123,22 +123,6 @@ class RunResult:
             "crash_reason": self.crash_reason,
         }
 
-    def __repr__(self):
-        if self.failure is not None:
-            return "RunResult(%s/%s FAIL[%s]: %s)" % (
-                self.workload,
-                self.variant,
-                self.failure,
-                (self.detail or "").splitlines()[0] if self.detail else "",
-            )
-        return "RunResult(%s/%s cycles=%d commits=%d abort_rate=%.2f)" % (
-            self.workload,
-            self.variant,
-            self.cycles,
-            self.commits,
-            self.abort_rate,
-        )
-
 
 def _launch_policies(policy, launches):
     """``(per-launch policies, label)`` for :func:`run_workload`.

@@ -181,9 +181,6 @@ class ChaosPlan:
     def __len__(self):
         return sum(len(events) for events in self.events.values())
 
-    def __repr__(self):
-        return "ChaosPlan(%d events over %d jobs)" % (len(self), len(self.events))
-
 
 def _apply_chaos(event, executor, spec, attempt):
     """Run one chaos event inside the worker.  Raises (or kills the
@@ -561,9 +558,10 @@ def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,
     journaled), so the experiment-DB record carries the same
     fingerprints a journal of this sweep checkpoints under.
 
-    ``jobs <= 1`` runs attempts in-process (no wall timeouts, and chaos
-    kinds that kill or hang the worker are rejected — they would take the
-    caller down with them).  ``jobs > 1`` runs attempts on
+    ``jobs <= 1`` runs attempts in-process, so a ``wall_timeout`` and
+    chaos kinds that kill or hang the worker are rejected with
+    ``ValueError`` (nothing could stop the attempt, or they would take
+    the caller down with it).  ``jobs > 1`` runs attempts on
     ``min(jobs, pending jobs)`` warm worker processes: each worker runs
     many attempts, so per-process state the executor keeps persists
     across the attempts one worker runs.  A timeout or a chaos kill
@@ -586,6 +584,11 @@ def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,
         journal = own_journal = SweepJournal(journal)
 
     serial = jobs <= 1
+    if serial and config.wall_timeout is not None:
+        raise ValueError(
+            "wall_timeout needs worker processes (jobs > 1): an in-process "
+            "attempt cannot be stopped"
+        )
     if chaos is not None:
         chaos.check(specs, serial)
 

@@ -213,6 +213,19 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
     )
 
 
+def sweep_jobs(args, parser):
+    """The worker count ``--jobs`` (else ``$REPRO_JOBS``) asks for.
+
+    ``--timeout`` with one worker is a usage error: cells then run in
+    this process, where no wall-clock timeout can stop them.
+    """
+    jobs = args.jobs if args.jobs is not None else default_jobs()
+    if jobs <= 1 and args.timeout is not None:
+        parser.error("--timeout needs --jobs 2 or more: one worker runs "
+                     "cells in-process, where no timeout can stop them")
+    return jobs
+
+
 def supervision(args):
     """The ``SupervisorConfig`` ``--retries``/``--timeout`` ask for, or
     ``None`` when neither was given."""
@@ -244,10 +257,10 @@ class SweepCommand:
     attaches the artifacts to the expdb run and returns the exit code.
     """
 
-    def __init__(self, args, experiment, seed=None, summary=None):
+    def __init__(self, args, parser, experiment, seed=None, summary=None):
         self.args = args
         self.started = time.time()
-        self.jobs = args.jobs if args.jobs is not None else default_jobs()
+        self.jobs = sweep_jobs(args, parser)
         self.metrics = None
         if args.metrics:
             from repro.telemetry import MetricRegistry

@@ -103,7 +103,7 @@ def main(argv=None):
         parser.error("--devices must be >= 2 (the single-device story is "
                      "the rest of the harness)")
 
-    command = SweepCommand(args, "multigpu-survival", seed=args.seed,
+    command = SweepCommand(args, parser, "multigpu-survival", seed=args.seed,
                            summary={"devices": args.devices})
     report = run_multigpu_sweep(
         variants, remote_fracs, latencies, devices=args.devices,

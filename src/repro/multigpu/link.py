@@ -19,9 +19,9 @@ Remote cost accounting per global operation:
 * ``warp.step_extra += link_latency + link_txn_cost`` — the synchronous
   round trip stalls the warp (this is what stretches lock hold times and
   bends the survival map), and link occupancy sums across lanes into the
-  warp-step cost (remote traffic does not coalesce).  Same contract as
-  :meth:`~repro.gpu.thread.ThreadCtx.extra_cost`, kept inline for the
-  per-operation hot path.
+  warp-step cost (remote traffic does not coalesce): the summed
+  ``step_extra`` that
+  :meth:`~repro.gpu.thread.ThreadCtx.scattered_meta_ops` also charges.
 * ``mg.*`` counters — per-kind (read/write/atomic) and per-device
   remote/local traffic, republished as ``multigpu.*`` registry metrics by
   the launcher.

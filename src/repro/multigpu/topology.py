@@ -137,8 +137,3 @@ class Topology:
             "link_txn_cost": link.link_txn_cost,
             "devices_per_switch": link.devices_per_switch,
         }
-
-    def __repr__(self):
-        return "Topology(devices=%d, interleave=%d, link=%r)" % (
-            self.devices, self.interleave_words, self.link_model,
-        )

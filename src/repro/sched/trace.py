@@ -52,12 +52,6 @@ class ScheduleTrace:
             and self.policy == other.policy
         )
 
-    def __repr__(self):
-        return "ScheduleTrace(policy=%r, decisions=%d)" % (
-            self.policy,
-            len(self.decisions),
-        )
-
     def total_steps(self):
         """Warp steps the recorded schedule issues in total."""
         return sum(steps for _sm, _warp, steps in self.decisions)

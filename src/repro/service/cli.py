@@ -140,7 +140,7 @@ def main(argv=None):
         if getattr(args, field) is not None
     }
 
-    command = SweepCommand(args, "ledger-service", seed=args.seed,
+    command = SweepCommand(args, parser, "ledger-service", seed=args.seed,
                            summary={"arrival": args.arrival})
     report = run_service_sweep(
         variants, loads, skews=skews, arrival=args.arrival, seed=args.seed,

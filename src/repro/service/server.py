@@ -82,9 +82,6 @@ class ServiceConfig:
         self.launch_overhead = launch_overhead
         self.num_locks = num_locks
 
-    def as_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
     @classmethod
     def from_dict(cls, data):
         config = cls()
@@ -166,10 +163,6 @@ class OpenLoopSource:
 
     def on_commit(self, record, now):
         """Open-loop clients never wait: commits schedule nothing."""
-
-    @property
-    def generated(self):
-        return len(self.pending)
 
 
 class ClosedLoopSource:
@@ -278,15 +271,6 @@ class ServiceOutcome:
             "queue_wait_cycles": self.queue_wait,
             "service_time_cycles": self.service_time,
         }
-
-    def __repr__(self):
-        return (
-            "ServiceOutcome(%s load=%s skew=%s: committed=%s/%s "
-            "abort_rate=%.2f p99=%s)"
-            % (self.variant, self.load, self.skew, self.committed,
-               self.offered, self.abort_rate or 0.0,
-               (self.latency or {}).get("p99"))
-        )
 
 
 class LedgerService:

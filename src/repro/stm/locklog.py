@@ -31,9 +31,6 @@ class LockEntry:
         self.write = write
         self.read = read
 
-    def __repr__(self):
-        return "LockEntry(%d, wr=%d, rd=%d)" % (self.lock_id, self.write, self.read)
-
 
 class LockLog:
     """Order-preserving hashed lock-log of one transaction."""
@@ -102,13 +99,6 @@ class LockLog:
     def __len__(self):
         return self.count
 
-    def __contains__(self, lock_id):
-        return lock_id in self._ids
-
-    def get(self, lock_id):
-        """Entry for ``lock_id`` or None."""
-        return self._ids.get(lock_id)
-
     def __iter__(self):
         """Iterate entries in globally sorted (ascending lock id) order."""
         flat = self._flat
@@ -117,10 +107,6 @@ class LockLog:
                 entry for bucket in self._buckets for entry in bucket
             ]
         return iter(flat)
-
-    def sorted_ids(self):
-        """All lock ids in acquisition order (for tests)."""
-        return [entry.lock_id for entry in self]
 
 
 class EncounterOrderLog:
@@ -161,18 +147,5 @@ class EncounterOrderLog:
         self._entries.clear()
         self._ids.clear()
 
-    def get(self, lock_id):
-        return self._ids.get(lock_id)
-
-    def __contains__(self, lock_id):
-        return lock_id in self._ids
-
-    def __len__(self):
-        return len(self._entries)
-
     def __iter__(self):
         return iter(self._entries)
-
-    def sorted_ids(self):
-        """Lock ids in acquisition (encounter) order."""
-        return [entry.lock_id for entry in self._entries]

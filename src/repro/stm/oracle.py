@@ -152,8 +152,3 @@ def attribute_history(history, initial_words, final_mem, byz_tids=(),
         "blast_radius": innocent_reads + innocent_divergence,
         "examples": examples,
     }
-
-
-def committed_writer_versions(history):
-    """All writer commit versions (used to assert uniqueness in tests)."""
-    return [record.version for record in history if record.writes]

@@ -41,14 +41,6 @@ class CommitRecord:
         self.reads = reads
         self.writes = writes
 
-    def __repr__(self):
-        return "CommitRecord(tid=%d, version=%s, reads=%d, writes=%d)" % (
-            self.tid,
-            self.version,
-            len(self.reads),
-            len(self.writes),
-        )
-
 
 class TmRuntime:
     """Base class of all TM runtimes."""

@@ -95,10 +95,14 @@ class CglTx(TxThread):
         runtime = self.runtime
         tc.fence(Phase.COMMIT)
         yield
+        # The sequence number is taken while the lock is still held: after
+        # the release another warp may run and commit a whole section
+        # before this lane resumes.
+        runtime._commit_seq += 1
+        version = runtime._commit_seq
         tc.gwrite(runtime.lock_addr, 0, Phase.LOCKS)
         yield
-        runtime._commit_seq += 1
-        runtime.note_commit(self, version=runtime._commit_seq)
+        runtime.note_commit(self, version=version)
         tc.tx_window_commit()
         return True
 

@@ -55,9 +55,6 @@ class Counter:
     def add(self, amount=1):
         self.value += amount
 
-    def __repr__(self):
-        return "Counter(%s=%d)" % (self.name, self.value)
-
 
 class Gauge:
     """A point-in-time value; ``None`` until first set."""
@@ -70,9 +67,6 @@ class Gauge:
 
     def set(self, value):
         self.value = value
-
-    def __repr__(self):
-        return "Gauge(%s=%r)" % (self.name, self.value)
 
 
 class Histogram:
@@ -146,9 +140,6 @@ class Histogram:
             int(k): v for k, v in data.get("buckets", {}).items()
         }
         return histogram
-
-    def __repr__(self):
-        return "Histogram(%s: n=%d mean=%.1f)" % (self.name, self.count, self.mean())
 
 
 class MetricRegistry:
@@ -293,10 +284,3 @@ class MetricRegistry:
                 % (name, histogram.count, histogram.mean(), histogram.max)
             )
         return "\n".join(lines) if lines else "  (no metrics recorded)"
-
-    def __repr__(self):
-        return "MetricRegistry(%d counters, %d gauges, %d histograms)" % (
-            len(self._counters),
-            len(self._gauges),
-            len(self._histograms),
-        )

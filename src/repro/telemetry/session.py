@@ -154,8 +154,3 @@ class Telemetry:
         if self.timeline is None:
             raise ValueError("telemetry session has no timeline recorder")
         return self.timeline.write(path)
-
-    def __repr__(self):
-        return "Telemetry(%r, timeline=%s)" % (
-            self.registry, self.timeline is not None
-        )

@@ -252,8 +252,3 @@ class TimelineRecorder:
         if not total:
             return {}
         return {phase: value / total for phase, value in totals.items()}
-
-    def __repr__(self):
-        return "TimelineRecorder(%d launches, %d tracks)" % (
-            self._launch + 1, len(self._tracks)
-        )

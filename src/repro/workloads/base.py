@@ -13,13 +13,6 @@ class KernelSpec:
         self.block = block
         self.args = args
 
-    @property
-    def threads(self):
-        return self.grid * self.block
-
-    def __repr__(self):
-        return "KernelSpec(%s, grid=%d, block=%d)" % (self.name, self.grid, self.block)
-
 
 class Workload:
     """Base class: allocate state, emit kernels, verify invariants.

@@ -87,9 +87,6 @@ class TransferRequest:
         self.dst = dst
         self.amount = amount
 
-    def __repr__(self):
-        return "TransferRequest(%d->%d, %d)" % (self.src, self.dst, self.amount)
-
 
 def sample_transfer(rng, sampler, max_amount):
     """Draw one transfer: Zipfian src/dst (forced distinct), bounded amount."""

@@ -5,8 +5,10 @@ import os
 
 import pytest
 
+from repro.faults import byzcampaign
 from repro.faults.byzcampaign import (
     device_lane_tids,
+    render_byz_matrix,
     run_byz_campaign,
 )
 
@@ -63,6 +65,29 @@ class TestMatrixShape:
             run_byz_campaign(behaviors=["lock_hoard"], variants=["zzz"])
 
 
+class TestErrorCells:
+    def test_crashed_cell_is_an_error_escapee(self, monkeypatch):
+        """A cell whose executor raises is an ``error`` cell, never a
+        contained one: it is an escapee and fails the matrix."""
+        attack = byzcampaign._attack
+
+        def crash_armed(job, telemetry):
+            if job.behavior is not None:
+                raise RuntimeError("simulated crash")
+            return attack(job, telemetry)
+
+        monkeypatch.setattr(byzcampaign, "_attack", crash_armed)
+        matrix = run_byz_campaign(behaviors=["lock_hoard"],
+                                  variants=["cgl"]).summary
+        cell = matrix["cells"]["lock_hoard"]["cgl"]
+        assert cell["classification"] == "error"
+        assert "simulated crash" in cell["error"]
+        assert matrix["baselines"]["cgl"]["classification"] == "contained"
+        assert matrix["escapees"] == ["lock_hoard/cgl"]
+        assert matrix["ok"] is False
+        assert "ERROR" in render_byz_matrix(matrix)
+
+
 class TestDeterminism:
     def test_bit_identical_across_jobs(self, small_matrix):
         wide = run_byz_campaign(jobs=2, **FAST).summary
@@ -112,6 +137,15 @@ class TestCli:
         assert matrix["cells"]["lock_hoard"]["cgl"]["classification"] == (
             "detected"
         )
+
+    def test_timeout_with_one_worker_is_a_usage_error(self, capsys):
+        from repro.faults.byzcampaign import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--behaviors", "lock_hoard", "--variants", "cgl",
+                  "--timeout", "5"])
+        assert exc.value.code == 2
+        assert "--timeout needs --jobs 2" in capsys.readouterr().err
 
     def test_dispatcher_knows_byz(self):
         from repro.__main__ import _SUBCOMMANDS

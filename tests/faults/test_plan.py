@@ -67,15 +67,13 @@ class TestFaultPlan:
         plan = FaultPlan().add("cas_fail", region="locks").add("clock_skew")
         assert [s.kind for s in plan.specs] == ["cas_fail", "clock_skew"]
 
-    def test_arm_installs_injector_and_disarm_removes_it(self):
+    def test_arm_installs_injector(self):
         dev = Device(small_config())
         dev.mem.alloc(8, "data")
         plan = FaultPlan(["dropped_write:region=data"])
         injector = plan.arm(dev)
         assert isinstance(injector, FaultInjector)
         assert dev.fault_injector is injector
-        FaultPlan.disarm(dev)
-        assert dev.fault_injector is None
 
     def test_arm_rejects_unknown_region(self):
         dev = Device(small_config())
@@ -98,7 +96,7 @@ class TestFaultPlan:
                 yield
 
             dev.launch(kernel, 1, 1)
-            results.append((injector.fired_count(), dev.mem.read(data)))
+            results.append((len(injector.fired), dev.mem.read(data)))
         assert results[0] == results[1] == (1, 0)
 
 

@@ -112,18 +112,11 @@ class TestAtomics:
         assert mem.atomic_inc(a) == 9
         assert mem.read(a) == 10
 
-    def test_atomic_add_sub(self):
+    def test_atomic_add(self):
         mem = GlobalMemory()
         a = mem.alloc(1, fill=10)
         assert mem.atomic_add(a, 5) == 10
-        assert mem.atomic_sub(a, 3) == 15
-        assert mem.read(a) == 12
-
-    def test_atomic_exch(self):
-        mem = GlobalMemory()
-        a = mem.alloc(1, fill=1)
-        assert mem.atomic_exch(a, 77) == 1
-        assert mem.read(a) == 77
+        assert mem.read(a) == 15
 
 
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 2**32 - 1)), max_size=50))
@@ -141,7 +134,7 @@ def test_memory_is_a_word_store(ops):
 
 @given(
     st.integers(0, 2**16),
-    st.lists(st.sampled_from(["or", "add", "inc", "exch", "cas"]), max_size=30),
+    st.lists(st.sampled_from(["or", "add", "inc", "cas"]), max_size=30),
     st.integers(1, 255),
 )
 def test_atomics_return_pre_state(initial, ops, operand):
@@ -156,8 +149,6 @@ def test_atomics_return_pre_state(initial, ops, operand):
             returned = mem.atomic_add(a, operand)
         elif op == "inc":
             returned = mem.atomic_inc(a)
-        elif op == "exch":
-            returned = mem.atomic_exch(a, operand)
         else:
             returned = mem.atomic_cas(a, before, operand)
         assert returned == before

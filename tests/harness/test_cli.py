@@ -61,6 +61,23 @@ class TestCli:
             main(["fig5", "--quick", "--jobs", "2"] + flags)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", [["--jobs", "1"], []])
+    def test_timeout_with_one_worker_is_a_usage_error(self, jobs, monkeypatch,
+                                                      capsys):
+        """One worker runs cells in-process, where a timeout cannot stop
+        them; the worker count includes ``$REPRO_JOBS``."""
+        from repro.harness import __main__ as cli
+
+        def must_not_run(name, **kwargs):
+            raise AssertionError("an ignored flag must stop the CLI first")
+
+        monkeypatch.setattr(cli, "run_figure", must_not_run)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--quick", "--timeout", "5"] + jobs)
+        assert exc.value.code == 2
+        assert "--timeout needs --jobs 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,runner,flags", [
         (["trace", "fig5", "--quick"], "run_trace",
          ("--resume", "--retries", "--timeout", "--expdb")),
@@ -213,7 +230,7 @@ class TestResilienceFlags:
 
         monkeypatch.setattr(cli, "run_figure", stub_figure)
         path = os.path.join(str(tmp_path), "sweep.journal")
-        assert main(["fig2", "--quick", "--retries", "3",
+        assert main(["fig2", "--quick", "--jobs", "2", "--retries", "3",
                      "--timeout", "7.5", "--resume", path]) == 0
         assert isinstance(seen["supervise"], SupervisorConfig)
         assert seen["supervise"].max_retries == 3

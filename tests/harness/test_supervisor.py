@@ -216,6 +216,11 @@ class TestChaosGuards:
         with pytest.raises(ValueError, match="worker processes"):
             run_supervised([_ra_spec("k")], jobs=1, chaos=plan)
 
+    def test_serial_mode_rejects_wall_timeout(self):
+        with pytest.raises(ValueError, match="worker processes"):
+            run_supervised([_ra_spec("k")], jobs=1,
+                           config=SupervisorConfig(wall_timeout=5.0))
+
     def test_unknown_chaos_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos kind"):
             ChaosPlan().add("k", "meteor-strike")

@@ -89,6 +89,21 @@ class TestSweep:
         assert "legend:" in rendered
         assert rendered.count("C") >= 2
 
+    def test_failed_cell_is_summarized_and_rendered_f(self):
+        """A cell whose job fails (its fault plan does not parse) is a
+        ``failed`` summary entry and an ``F`` on the map."""
+        report = run_multigpu_sweep(("vbv",), (0.0,), (40,),
+                                    num_accounts=128, grid=4, block=8,
+                                    txs_per_thread=1,
+                                    fault_plan=["no_such_fault"])
+        (cell,) = report.summary["cells"]
+        assert cell["key"] == "vbv/rf0/lat40" and cell["failed"] is True
+        assert "no_such_fault" in cell["failure"]
+        assert not report.ok
+        (row,) = [line for line in report.render().splitlines()
+                  if line.lstrip().startswith("40 ")]
+        assert row.split("|")[1].split() == ["F"]
+
 
 class TestCli:
     def run_cli(self, tmp_path, name, extra=()):

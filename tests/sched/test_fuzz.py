@@ -130,6 +130,18 @@ class TestFuzzSmoke:
             assert outcome.ledger_rows, "fuzz runs carry a TxTracer ledger"
             assert "commits" in outcome.ledger_summary
 
+    def test_cgl_commit_order_witness(self):
+        """``random:21`` lets another warp take CGL's lock and commit in
+        the step between a release and its commit record; the history
+        must still order the sections as the lock did."""
+        report = fuzz_schedules(
+            "ra", RA_PARAMS, "cgl", seeds=[21], policies=("random",),
+            shrink=False,
+        )
+        (outcome,) = report.outcomes
+        assert not report.found_violation, report.render()
+        assert outcome.checked == outcome.commits > 0
+
 
 class TestFuzzEfficacy:
     """The fuzzer must catch a deliberately broken runtime and shrink it."""

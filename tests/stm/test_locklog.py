@@ -6,33 +6,33 @@ from hypothesis import given, strategies as st
 from repro.stm.locklog import LockLog
 
 
+def lock_ids(log):
+    """Lock ids in the log's iteration (acquisition) order."""
+    return [entry.lock_id for entry in log]
+
+
 class TestInsertion:
     def test_iterates_in_sorted_order(self):
         log = LockLog(num_locks=64, num_buckets=4)
         for lock_id in [42, 7, 63, 0, 21]:
             log.insert(lock_id)
-        assert log.sorted_ids() == [0, 7, 21, 42, 63]
+        assert lock_ids(log) == [0, 7, 21, 42, 63]
 
     def test_duplicates_merge_bits(self):
         log = LockLog(num_locks=16)
         log.insert(3, read=True)
         log.insert(3, write=True)
+        (entry,) = log
         assert len(log) == 1
-        entry = log.get(3)
         assert entry.read and entry.write
 
     def test_read_write_bits_independent(self):
         log = LockLog(num_locks=16)
         log.insert(1, read=True)
         log.insert(2, write=True)
-        assert log.get(1).read and not log.get(1).write
-        assert log.get(2).write and not log.get(2).read
-
-    def test_contains(self):
-        log = LockLog(num_locks=16)
-        log.insert(5)
-        assert 5 in log
-        assert 6 not in log
+        first, second = log
+        assert first.read and not first.write
+        assert second.write and not second.read
 
     def test_out_of_range_rejected(self):
         log = LockLog(num_locks=16)
@@ -46,7 +46,7 @@ class TestInsertion:
         log.insert(3)
         log.clear()
         assert len(log) == 0
-        assert log.sorted_ids() == []
+        assert lock_ids(log) == []
 
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestInsertion:
         log = LockLog(num_locks=2, num_buckets=100)
         log.insert(0)
         log.insert(1)
-        assert log.sorted_ids() == [0, 1]
+        assert lock_ids(log) == [0, 1]
 
 
 class TestComparisonCounting:
@@ -71,7 +71,7 @@ class TestComparisonCounting:
             flat.insert(lock_id)
         for lock_id in reversed(ids):
             hashed.insert(lock_id)
-        assert flat.sorted_ids() == hashed.sorted_ids()
+        assert lock_ids(flat) == lock_ids(hashed)
         assert hashed.comparisons < flat.comparisons
 
     def test_single_bucket_quadratic_shape(self):
@@ -97,7 +97,7 @@ def test_sorted_order_and_merge_invariants(ops, num_buckets):
         log.insert(lock_id, write=write, read=read)
         prev_write, prev_read = expected.get(lock_id, (False, False))
         expected[lock_id] = (prev_write or write, prev_read or read)
-    ids = log.sorted_ids()
+    ids = lock_ids(log)
     assert ids == sorted(expected)
     for entry in log:
         want_write, want_read = expected[entry.lock_id]

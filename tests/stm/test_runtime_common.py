@@ -3,7 +3,7 @@ read-your-own-writes, clean metadata at kernel end."""
 
 import pytest
 
-from repro.stm.oracle import check_history, committed_writer_versions
+from repro.stm.oracle import check_history
 from tests.stm.helpers import (
     ALL_VARIANTS,
     TM_VARIANTS,
@@ -37,7 +37,8 @@ class TestAtomicity:
         device, runtime, data, _ = make_stm_device(variant, data_size=32)
         kernel = transfer_kernel(data, 32, txs_per_thread=2, moves_per_tx=1, seed=5)
         device.launch(kernel, 1, 8, attach=runtime.attach)
-        versions = committed_writer_versions(runtime.history)
+        versions = [record.version for record in runtime.history
+                    if record.writes]
         assert len(versions) == len(set(versions))
 
 

@@ -109,6 +109,26 @@ class TestTimelineContent:
         assert gauges["stm.hv_sorting.lock_table.num_locks"] > 0
         assert gauges["mem.words"] > 0
 
+    @pytest.mark.parametrize("variant,gauge,expected", [
+        ("hv-adaptive", "sorted_fraction",
+         lambda c: c("adaptive_sorted")
+         / (c("adaptive_sorted") + c("adaptive_unsorted"))),
+        ("hv-backoff", "phase2_fraction",
+         lambda c: c("backoff_phase2_entries") / c("begins")),
+        ("hv-unsorted-nobackoff", "sorting_disabled", lambda c: 1),
+    ])
+    def test_variant_gauges_published(self, variant, gauge, expected):
+        """Each variant's own gauge lands in the registry, derived from
+        the counters published beside it.  The strawman may livelock, so
+        the runs are captured."""
+        tel = Telemetry()
+        explore("ra", configs.test_workload_params("ra"), variant,
+                telemetry=tel)
+        namespace = "stm.%s." % variant.replace("-", "_")
+        counters = tel.registry.counters_dict()
+        value = tel.registry.gauges_dict()[namespace + gauge]
+        assert value == expected(lambda name: counters[namespace + name])
+
     def test_scheduled_run_feeds_session_tx_events(self):
         """A captured run keeps its own commit/abort ledger in the
         observer slot; the session must still see every commit and

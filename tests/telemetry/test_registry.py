@@ -131,6 +131,13 @@ class TestRegistry:
         text = registry.render()
         assert text.index("big") < text.index("small")
 
+    def test_render_digests_histograms(self):
+        registry = MetricRegistry()
+        registry.observe("latency", 3)
+        registry.observe("latency", 6)
+        assert "latency" in registry.render()
+        assert "n=2 mean=4.5 max=6" in registry.render()
+
 
 # property: merging any collection of registries sums every counter — the
 # cross-process aggregation invariant the sweeps rely on
