@@ -1,11 +1,12 @@
 """Byzantine-lane resilience campaigns: containment and detection proof.
 
 Where :mod:`repro.faults.campaign` seeds *protocol* bugs (a broken
-runtime), a byzantine campaign seeds *adversarial lanes*: a
-:class:`~repro.faults.byzantine.ByzantinePlan` designates a few threads
-that lie in validation, publish torn lock metadata, replay stale
-versions after abort, hoard locks, or poison the global clock — while
-the runtime stays correct.  The question the matrix answers is not
+runtime), a byzantine campaign seeds *adversarial lanes*: each cell
+arms one byzantine kind of :mod:`repro.faults.plan`
+(:data:`~repro.faults.plan.BYZ_KINDS`) on a few designated threads that
+lie in validation, publish torn lock metadata, replay stale versions
+after abort, hoard locks, or poison the global clock — while the
+runtime stays correct.  The question the matrix answers is not
 "does a checker catch the bug" but "what happens to everyone else":
 
 **contained**
@@ -39,7 +40,7 @@ the byzantine lanes are pinned to ``--byz-device`` (default: the last
 device), modelling a hostile *remote* accelerator.
 """
 
-from repro.faults.byzantine import BYZ_BEHAVIORS, ByzantinePlan
+from repro.faults.plan import BYZ_KINDS
 from repro.gpu.config import GpuConfig
 from repro.harness.parallel import Cell, capture, cell
 from repro.harness.sweep import (
@@ -91,17 +92,16 @@ def default_spec_text(behavior, block, *, tids=None):
 class ByzJob(Cell):
     """One (behavior-or-baseline, variant) campaign cell.
 
-    ``behavior`` is ``None`` for a disarmed baseline; ``spec_text`` then
-    stays empty.  ``key`` defaults to ``behavior/variant`` (``baseline/
-    variant``).  The device's one injector slot belongs to the
-    adversary, so the kind has no fault seam for ``fault_plan``.
+    ``behavior`` is ``None`` for a disarmed baseline; an armed cell's
+    ``fault_plan`` starts with its behavior's spec, and a chaos ``fault``
+    event appends its own specs to the same plan.  ``key`` defaults to
+    ``behavior/variant`` (``baseline/variant``).
     """
 
     behavior: str
     variant: str
     workload: str
     params: dict
-    spec_text: str
     devices: int = 1
     link_latency: int = 40
     num_locks: int = 16
@@ -109,7 +109,6 @@ class ByzJob(Cell):
     gpu_overrides: dict = None
     fault_plan: list = None
 
-    faultable = False
     key_fields = ("behavior", "variant")
 
 
@@ -122,7 +121,6 @@ def _attack(job, _telemetry):
     from repro.workloads import make_workload
 
     result = _cell(job)
-    plan = ByzantinePlan([job.spec_text]) if job.spec_text else None
     gpu_overrides = {"max_steps": MAX_STEPS}
     if job.devices > 1:
         gpu_overrides["devices"] = job.devices
@@ -136,7 +134,7 @@ def _attack(job, _telemetry):
         num_locks=job.num_locks,
         capture=True,
         sanitizer=StmSanitizer(),
-        fault_plan=plan,
+        fault_plan=job.fault_plan,
     )
     result["fired"] = len(outcome.fired)
     if outcome.fired:
@@ -167,7 +165,7 @@ def _cell(job):
         "behavior": job.behavior,
         "variant": job.variant,
         "workload": job.workload,
-        "spec": job.spec_text,
+        "spec": job.fault_plan[0] if job.behavior else "",
         "devices": job.devices,
         "classification": None,
         "detected_by": None,
@@ -221,11 +219,11 @@ def _byz_jobs(behaviors, variants, workload, params, devices, link_latency,
     for behavior in behaviors:
         spec = default_spec_text(behavior, block, tids=tids)
         for variant in variants:
-            jobs.append(ByzJob(behavior, variant, workload, params, spec,
+            jobs.append(ByzJob(behavior, variant, workload, params,
                                devices=devices, link_latency=link_latency,
-                               num_locks=num_locks))
+                               num_locks=num_locks, fault_plan=[spec]))
     for variant in variants:
-        jobs.append(ByzJob(None, variant, workload, params, "",
+        jobs.append(ByzJob(None, variant, workload, params,
                            devices=devices, link_latency=link_latency,
                            num_locks=num_locks))
     return jobs
@@ -249,7 +247,7 @@ def run_byz_campaign(
     resilience matrix.
 
     ``behaviors`` defaults to the full vocabulary
-    (:data:`~repro.faults.byzantine.BYZ_BEHAVIORS`), ``variants`` to
+    (:data:`~repro.faults.plan.BYZ_KINDS`), ``variants`` to
     every registered runtime, ``params`` to the workload's unit-test
     geometry.  ``sweep`` (``supervise``/``journal``/``metrics``/
     ``recorder``) goes to :func:`~repro.harness.sweep.run_sweep`; the
@@ -258,8 +256,8 @@ def run_byz_campaign(
     The matrix's ``ok`` is True iff no armed cell escaped and every
     disarmed baseline stayed clean; ``escapees`` names the offenders.
     """
-    behaviors = list(behaviors) if behaviors is not None else list(BYZ_BEHAVIORS)
-    check_names(behaviors, BYZ_BEHAVIORS, "behavior")
+    behaviors = list(behaviors) if behaviors is not None else list(BYZ_KINDS)
+    check_names(behaviors, BYZ_KINDS, "behavior")
     variants = list(variants) if variants is not None else list(ALL_VARIANTS)
     check_names(variants, ALL_VARIANTS, "variant")
     if params is None:
@@ -386,7 +384,7 @@ def build_parser():
     parser.add_argument(
         "--behaviors", default="all", metavar="NAMES",
         help="comma-separated byzantine behaviors, or 'all' (default: %s)"
-        % ",".join(BYZ_BEHAVIORS),
+        % ",".join(BYZ_KINDS),
     )
     parser.add_argument(
         "--variants", default="all", metavar="NAMES",
@@ -416,7 +414,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    behaviors = csv_or_all(args.behaviors, BYZ_BEHAVIORS, "--behaviors",
+    behaviors = csv_or_all(args.behaviors, BYZ_KINDS, "--behaviors",
                            parser)
     variants = csv_or_all(args.variants, ALL_VARIANTS, "--variants", parser)
     if args.devices < 1:

@@ -28,9 +28,6 @@ class Region:
     def end(self):
         return self.base + self.size
 
-    def __contains__(self, addr):
-        return self.base <= addr < self.end
-
 
 class GlobalMemory:
     """Device global memory: a growable flat array of Python integers."""
@@ -58,20 +55,20 @@ class GlobalMemory:
                 return region
         raise KeyError("no region named %r" % name)
 
-    def region_of(self, addr):
-        """Return the region containing ``addr``, or None."""
-        for region in self.regions:
-            if addr in region:
-                return region
-        return None
-
     def check(self, addr):
         """Raise :class:`MemoryFault` unless ``addr`` is a valid word address."""
         if not 0 <= addr < len(self.words):
-            region_hint = self.region_of(addr)
+            # no region contains an out-of-bounds address: name the one it
+            # overruns (a high address runs past the last allocation)
+            if addr < 0:
+                overrun = "negative"
+            elif self.regions:
+                overrun = self.regions[-1].name
+            else:
+                overrun = None
             raise MemoryFault(
                 "address %d out of bounds (device holds %d words, region=%r)"
-                % (addr, len(self.words), region_hint)
+                % (addr, len(self.words), overrun)
             )
 
     def snapshot(self, base, size):

@@ -54,9 +54,11 @@ code is 1 unless every mutant was caught and every baseline stayed clean.
 
 The ``sanitize`` target runs one workload per variant with the online
 :class:`~repro.faults.sanitizer.StmSanitizer` bound, optionally under
-injected faults (``--fault SPEC``, repeatable; see
-:meth:`repro.faults.plan.FaultSpec.parse`).  The first violation is
-printed and the exit code is 1 when any variant failed.
+injected faults (``--fault SPEC``, repeatable): any of the crash or
+byzantine kinds of :meth:`repro.faults.plan.FaultSpec.parse`, e.g.
+``lock_hoard:tids=0+3``.  A malformed SPEC is a usage error (exit 2)
+naming the rejected token.  The first violation is printed and the exit
+code is 1 when any variant failed.
 
 Artifact-producing targets (``trace``) validate what they wrote with
 :mod:`repro.telemetry.validate` and exit non-zero on the first invalid
@@ -191,6 +193,18 @@ def run_chaos(args, jobs):
     print(report.render())
     print("[chaos in %.1fs, jobs=%d]" % (time.time() - started, max(2, jobs)))
     return 0 if report.ok else 1
+
+
+def _fault_spec(text):
+    """``--fault`` type: a parsed spec, or a usage error naming the
+    rejected token."""
+    # imported here: the figure targets must not pay for the faults stack
+    from repro.faults.plan import FaultSpec
+
+    try:
+        return FaultSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def run_sanitize(args):
@@ -366,7 +380,7 @@ def build_parser():
         help="inject: skip the unmutated false-positive baseline runs",
     )
     fault_group.add_argument(
-        "--fault", action="append", metavar="SPEC",
+        "--fault", action="append", metavar="SPEC", type=_fault_spec,
         help="sanitize: fault spec 'kind:key=value,...' to inject; repeatable",
     )
     return parser

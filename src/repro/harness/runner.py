@@ -199,10 +199,11 @@ def run_workload(
     iterable of ``FaultSpec.parse`` strings — the form sweep cells carry
     across process boundaries) is armed after workload setup so
     region-relative fault addresses resolve; the faults that fired land in
-    ``fired``.  A byzantine plan also yields ``attribution`` (the oracle's
-    blast-radius split) on a completed run, and runs the sanitizer's exit
-    sweep even after a watchdog trip, so a hoarded lock is detected
-    rather than hidden behind the hang it caused.  All three instruments
+    ``fired``.  A plan arming a byzantine kind (``injector.byzantine``)
+    also yields ``attribution`` (the oracle's blast-radius split) on a
+    completed run, and runs the sanitizer's exit sweep even after a
+    watchdog trip, so a hoarded lock is detected rather than hidden behind
+    the hang it caused.  All three instruments
     combine on one run: each is a probe of every thread context
     (:class:`~repro.gpu.thread.ProbedThreadCtx`).
     """
@@ -233,10 +234,10 @@ def run_workload(
     injector = None
     if fault_plan is not None:
         # the injector is a device probe; in the observer slot it adds
-        # only the runtime seams it implements (a byzantine lane's lies)
+        # only the runtime seams its armed kinds bind (validation lies)
         injector = fault_plan.arm(device)
         runtime.observe(injector)
-    byzantine = hasattr(injector, "byz_addrs")
+    byzantine = injector is not None and injector.byzantine
 
     specs = list(workload.kernels())
     policies, label = _launch_policies(policy, len(specs))
@@ -317,7 +318,7 @@ def run_workload(
             total_threads = sum(spec.grid * spec.block for spec in specs)
             result.attribution = attribute_history(
                 runtime.history, initial, device.mem,
-                byz_tids=injector.byz_tids(total_threads),
+                byz_tids=fault_plan.byz_tids(total_threads),
                 byz_addrs=injector.byz_addrs,
             )
 

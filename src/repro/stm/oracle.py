@@ -31,6 +31,39 @@ def _sort_key(record):
     return (record.version, 1 if not record.writes else 0)
 
 
+def _replay(history, initial_words, final_mem, key):
+    """Replay ``history`` in ``key`` order over ``initial_words``; yield
+    every violation.
+
+    A transaction's first read that disagrees with the replayed state
+    yields ``("read", record, addr, observed, expected)``; one corrupts
+    the whole transaction, so its later reads go unchecked.  Reads of the
+    transaction's own write are fine: direct-update runtimes (CGL,
+    EGPGV-style re-reads) may legitimately observe their own earlier
+    write.  Then every written address whose replayed value the device
+    does not hold yields ``("final", tid, addr, replayed, device)``,
+    ``tid`` being its last replayed writer.
+    """
+    state = {}
+    last_writer = {}
+    size = len(initial_words)
+    for record in sorted(history, key=key):
+        own_writes = record.writes
+        for addr, observed in record.reads:
+            expected = state.get(addr, initial_words[addr] if addr < size else 0)
+            if observed != expected and not (
+                    addr in own_writes and observed == own_writes[addr]):
+                yield "read", record, addr, observed, expected
+                break
+        for addr, value in own_writes.items():
+            state[addr] = value
+            last_writer[addr] = record.tid
+    for addr, value in state.items():
+        device_value = final_mem.read(addr)
+        if device_value != value:
+            yield "final", last_writer[addr], addr, value, device_value
+
+
 def check_history(history, initial_words, final_mem):
     """Replay ``history`` over ``initial_words``; raise on any violation.
 
@@ -38,35 +71,18 @@ def check_history(history, initial_words, final_mem):
     kernel ran; ``final_mem`` is the device memory after.  Returns the
     number of checked transactions.
     """
-    state = {}
-
-    def current(addr):
-        return state.get(addr, initial_words[addr] if addr < len(initial_words) else 0)
-
-    for record in sorted(history, key=_sort_key):
-        own_writes = record.writes
-        for addr, observed in record.reads:
-            expected = current(addr)
-            if observed != expected:
-                if addr in own_writes and observed == own_writes[addr]:
-                    # Direct-update runtimes (CGL, EGPGV-style re-reads) may
-                    # legitimately observe their own earlier write.
-                    continue
-                raise SerializabilityViolation(
-                    "tx tid=%d version=%s read addr=%d value=%d but the "
-                    "serialized state holds %d"
-                    % (record.tid, record.version, addr, observed, expected)
-                )
-        for addr, value in own_writes.items():
-            state[addr] = value
-
-    for addr, value in state.items():
-        device_value = final_mem.read(addr)
-        if device_value != value:
+    for kind, who, addr, seen, expected in _replay(
+            history, initial_words, final_mem, _sort_key):
+        if kind == "read":
             raise SerializabilityViolation(
-                "final memory mismatch at addr=%d: replay gives %d, device "
-                "holds %d" % (addr, value, device_value)
+                "tx tid=%d version=%s read addr=%d value=%d but the "
+                "serialized state holds %d"
+                % (who.tid, who.version, addr, seen, expected)
             )
+        raise SerializabilityViolation(
+            "final memory mismatch at addr=%d: replay gives %d, device "
+            "holds %d" % (addr, seen, expected)
+        )
     return len(history)
 
 
@@ -90,65 +106,35 @@ def attribute_history(history, initial_words, final_mem, byz_tids=(),
     """
     byz_tids = frozenset(byz_tids)
     byz_addrs = frozenset(byz_addrs)
-    state = {}
-    last_writer = {}
-
-    def current(addr):
-        return state.get(addr, initial_words[addr] if addr < len(initial_words) else 0)
-
-    byz_reads = 0
-    innocent_reads = 0
+    counts = {"read": [0, 0], "final": [0, 0]}  # kind -> [innocent, byz]
     corrupted_tids = set()
     examples = []
-
-    def note(kind, is_byz, text):
+    for kind, who, addr, seen, expected in _replay(
+            history, initial_words, final_mem,
+            lambda r: _sort_key(r) + (r.tid,)):
+        if kind == "read":
+            is_byz = who.tid in byz_tids
+            if not is_byz:
+                corrupted_tids.add(who.tid)
+            text = ("tx tid=%d version=%s addr=%d saw %d, serialized "
+                    "state holds %d"
+                    % (who.tid, who.version, addr, seen, expected))
+        else:
+            is_byz = addr in byz_addrs or who in byz_tids
+            text = ("addr=%d: replay gives %d, device holds %d"
+                    % (addr, seen, expected))
+        counts[kind][is_byz] += 1
         if len(examples) < max_examples:
             examples.append("%s[%s]: %s"
                             % (kind, "byz" if is_byz else "innocent", text))
 
-    for record in sorted(history, key=lambda r: _sort_key(r) + (r.tid,)):
-        own_writes = record.writes
-        is_byz = record.tid in byz_tids
-        for addr, observed in record.reads:
-            expected = current(addr)
-            if observed != expected:
-                if addr in own_writes and observed == own_writes[addr]:
-                    continue
-                if is_byz:
-                    byz_reads += 1
-                else:
-                    innocent_reads += 1
-                    corrupted_tids.add(record.tid)
-                note("read", is_byz,
-                     "tx tid=%d version=%s addr=%d saw %d, serialized "
-                     "state holds %d"
-                     % (record.tid, record.version, addr, observed, expected))
-                break  # one violation corrupts the whole transaction
-        for addr, value in own_writes.items():
-            state[addr] = value
-            last_writer[addr] = record.tid
-
-    byz_divergence = 0
-    innocent_divergence = 0
-    for addr, value in state.items():
-        device_value = final_mem.read(addr)
-        if device_value != value:
-            is_byz = addr in byz_addrs or last_writer.get(addr) in byz_tids
-            if is_byz:
-                byz_divergence += 1
-            else:
-                innocent_divergence += 1
-            note("final", is_byz,
-                 "addr=%d: replay gives %d, device holds %d"
-                 % (addr, value, device_value))
-
     return {
         "checked": len(history),
-        "byz_read_violations": byz_reads,
-        "innocent_read_violations": innocent_reads,
-        "byz_divergence": byz_divergence,
-        "innocent_divergence": innocent_divergence,
+        "byz_read_violations": counts["read"][1],
+        "innocent_read_violations": counts["read"][0],
+        "byz_divergence": counts["final"][1],
+        "innocent_divergence": counts["final"][0],
         "corrupted_innocent_txs": len(corrupted_tids),
-        "blast_radius": innocent_reads + innocent_divergence,
+        "blast_radius": counts["read"][0] + counts["final"][0],
         "examples": examples,
     }

@@ -7,10 +7,15 @@ import pytest
 
 from repro.faults import byzcampaign
 from repro.faults.byzcampaign import (
+    ByzJob,
+    default_spec_text,
     device_lane_tids,
+    execute_byz_job,
     render_byz_matrix,
     run_byz_campaign,
 )
+from repro.harness import configs
+from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
 
 FAST = dict(behaviors=["lie_validation", "lock_hoard"],
             variants=["cgl", "hv-sorting"])
@@ -151,3 +156,32 @@ class TestCli:
         from repro.__main__ import _SUBCOMMANDS
 
         assert "byz" in {name for name, _m, _d in _SUBCOMMANDS}
+
+
+class TestChaosFault:
+    def test_fault_event_joins_the_cell_plan_and_retry_reproduces_it(
+            self, small_matrix):
+        """A chaos ``fault`` event on a byzantine cell arms its crash spec
+        beside the cell's own; the clean retry reproduces the matrix."""
+        params = configs.test_workload_params("cns")
+        spec = default_spec_text("lie_validation", params["block"])
+        job = ByzJob("lie_validation", "hv-sorting", "cns", params,
+                     fault_plan=[spec])
+        fault = "stale_read:region=cns_objects"
+        attempts = []
+
+        def recording(cell):
+            result = execute_byz_job(cell)
+            attempts.append((cell.fault_plan, result.run["fired"]))
+            return result
+
+        [result] = run_supervised(
+            [job], jobs=1, executor=recording,
+            config=SupervisorConfig(max_retries=1, backoff_base=0),
+            chaos=ChaosPlan().add(job.key, "fault", faults=[fault]),
+        )
+        (faulted, faulted_fired), (clean, clean_fired) = attempts
+        assert faulted == [spec, fault] and clean == [spec]
+        assert faulted_fired > clean_fired  # the stale reads fired too
+        assert result.run == small_matrix["cells"]["lie_validation"][
+            "hv-sorting"]

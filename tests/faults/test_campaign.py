@@ -150,6 +150,25 @@ class TestCli:
         # still trips clock_monotonicity in the full violation list
         assert "torn_version" in out or "clock_monotonicity" in out
 
+    def test_sanitize_bad_fault_spec_is_a_usage_error(self, capsys):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["sanitize", "--variant", "hv-backoff",
+                  "--fault", "clock_skew:region=g_clock,cuont=2"])
+        assert exc.value.code == 2
+        assert "unknown fault option 'cuont'" in capsys.readouterr().err
+
+    def test_sanitize_arms_a_byzantine_kind(self, capsys):
+        from repro.harness.__main__ import main
+
+        code = main(["sanitize", "--workload", "ra", "--variant",
+                     "hv-sorting", "--fault", "lock_hoard:tids=0+3"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "2 fault(s) fired" in out
+        assert "lock_leak" in out
+
 
 def test_default_checkers_cover_every_expectation():
     from repro.faults.mutants import MUTANTS

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from repro.faults.byzantine import ByzantinePlan
 from repro.faults.plan import FaultPlan
 from repro.faults.sanitizer import StmSanitizer
 from repro.gpu import Device
@@ -235,7 +234,7 @@ class TestInstrumentsCompose:
                 sanitize=True,
                 # lane 0 of both blocks on device 1 (explore geometry:
                 # 2 SMs per device, blocks round-robin over 4 SMs)
-                fault_plan=ByzantinePlan(["torn_publish:tids=32+48"]),
+                fault_plan=["torn_publish:tids=32+48"],
                 gpu_overrides=dict(devices=2, link_model="uniform:60",
                                    max_steps=400_000),
                 telemetry=telemetry,

@@ -45,22 +45,6 @@ class TestAlloc:
         with pytest.raises(KeyError):
             mem.region("nope")
 
-    def test_region_of_address(self):
-        mem = GlobalMemory()
-        mem.alloc(4, "a")
-        mem.alloc(4, "b")
-        assert mem.region_of(2).name == "a"
-        assert mem.region_of(5).name == "b"
-        assert mem.region_of(99) is None
-
-    def test_region_contains(self):
-        mem = GlobalMemory()
-        mem.alloc(4, "a")
-        region = mem.region("a")
-        assert 0 in region
-        assert 3 in region
-        assert 4 not in region
-
 
 class TestReadWrite:
     def test_read_after_write(self):
@@ -77,6 +61,14 @@ class TestReadWrite:
         with pytest.raises(MemoryFault):
             mem.check(-1)
         mem.check(3)  # in bounds: no raise
+
+    def test_check_names_the_overrun_region(self):
+        mem = GlobalMemory()
+        mem.alloc(4, "data")
+        with pytest.raises(MemoryFault, match="region='data'"):
+            mem.check(4)
+        with pytest.raises(MemoryFault, match="region='negative'"):
+            mem.check(-1)
 
     def test_snapshot_copies(self):
         mem = GlobalMemory()

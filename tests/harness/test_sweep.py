@@ -71,7 +71,7 @@ KINDS = {
     "service": (ServiceJobSpec("svc", "vbv", 2.0, **SERVICE), _service),
     "multigpu": (MgJobSpec("mg", "cgl", 0.3, 40, **MULTIGPU), _multigpu),
     "byz": (ByzJob(None, "hv-sorting", "cns",
-                   configs.test_workload_params("cns"), ""), _byz),
+                   configs.test_workload_params("cns")), _byz),
     "inject": (CampaignJob(None, "optimized", "oracle", "ra", BASE_PARAMS, 1),
                _inject),
 }
