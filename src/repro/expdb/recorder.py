@@ -93,14 +93,13 @@ def build_record(experiment, specs=(), results=(), metrics=None,
     jobs_failed = 0
     for spec, result in zip(specs, results):
         key = str(spec.key)
-        failure = getattr(result, "failure", None)
-        if getattr(result, "failed", False):
+        if result.failed:
             jobs_failed += 1
-            category = getattr(failure, "category", None) or "error"
+            category = result.as_failure().category
             failures[category] = failures.get(category, 0) + 1
             cells[key] = {"failed": True, "category": category}
             continue
-        run = getattr(result, "run", None)
+        run = result.run
         cycles = getattr(run, "cycles", None)
         if isinstance(cycles, int):
             sim_cycles += cycles
@@ -148,9 +147,8 @@ def _merged_metrics(results, metrics):
         payload = metrics.as_dict() if hasattr(metrics, "as_dict") else metrics
         merged.merge(MetricRegistry.from_dict(payload))
     for result in results:
-        worker = getattr(result, "metrics", None)
-        if worker:
-            merged.merge(MetricRegistry.from_dict(worker))
+        if result.metrics:
+            merged.merge(MetricRegistry.from_dict(result.metrics))
     payload = merged.as_dict()
     if not any(payload.get(kind) for kind in
                ("counters", "gauges", "histograms")):

@@ -23,10 +23,13 @@ Layers:
 * :mod:`repro.faults.sanitizer` — :class:`StmSanitizer`, the online
   invariant checker speaking the TxTracer event protocol.
 * :mod:`repro.faults.mutants` — the seeded-bug corpus, applied as
-  reversible patches to any runtime instance.
-* :mod:`repro.faults.campaign` — the mutant x checker efficacy matrix,
-  :class:`~repro.faults.campaign.CampaignJob` cells on the shared sweep
-  layer (:mod:`repro.harness.sweep`).
+  reversible patches to any runtime instance; a cell names one by its
+  ``mutant`` field and the worker applies it.
+* :mod:`repro.faults.campaign` — the mutant x checker efficacy matrix:
+  a grid of the one captured-run cell,
+  :class:`~repro.sched.fuzz.ExploreCell` (the cell ``fuzz`` and
+  ``sanitize`` run too), on the shared sweep layer
+  (:mod:`repro.harness.sweep`), folded into matrix cells by a reduce.
 * :mod:`repro.faults.byzcampaign` — the behavior x variant resilience
   matrix (containment, blast radius, detection latency) of
   :class:`~repro.faults.byzcampaign.ByzJob` cells on the same sweep

@@ -2,8 +2,7 @@
 
 A campaign runs every selected mutant (:data:`repro.faults.mutants.MUTANTS`)
 under every selected checker and assembles the **efficacy matrix** — the
-evidence the ISSUE asks for: each seeded protocol bug is detected by at
-least one of
+evidence that each seeded protocol bug is detected by at least one of
 
 ``oracle``
     one round-robin run through :func:`repro.harness.runner.run_workload`
@@ -15,22 +14,26 @@ least one of
     bound; detection = any sanitizer violation *or* any failure (the
     online checker also sees the run the oracle sees).
 ``fuzzer``
-    a short :func:`repro.sched.fuzz.fuzz_schedules` campaign (no
-    shrinking); detection = any failing schedule.
+    one recording run per ``random:i`` and ``adversarial:i`` seed (no
+    shrinking); detection = any failing schedule, the first of which
+    gives the cell's ``detail``.
 
 Alongside the mutants, the campaign runs every covered variant *unmutated*
 under every checker: the matrix is only ``ok`` when all mutants are caught
 **and** all baselines stay clean, so a checker cannot "win" by flagging
 everything.
 
-Jobs run through the shared sweep layer (:mod:`repro.harness.sweep`);
-:func:`execute_campaign_job` is the module-level executor that pickles into
-worker processes.  The ``inject`` CLI target (``python -m repro.harness
-inject``) drives :func:`run_campaign` and writes the JSON matrix.
+Every run is one :class:`~repro.sched.fuzz.ExploreCell` (the mutant
+named by its ``mutant`` field, the sanitizer by ``sanitize``) through the
+shared sweep layer (:mod:`repro.harness.sweep`) with
+:func:`~repro.sched.fuzz.execute_explore`, the executor ``fuzz`` and
+``sanitize`` use too; the reduce folds each (mutant, variant, checker)
+group of runs into one matrix cell.  The ``inject`` CLI target (``python
+-m repro.harness inject``) drives :func:`run_campaign` and writes the
+JSON matrix.
 """
 
-from repro.faults.mutants import MUTANTS, MutantRuntimeFactory
-from repro.harness.parallel import Cell, capture, cell
+from repro.faults.mutants import MUTANTS
 from repro.harness.sweep import check_names, run_sweep
 
 CHECKERS = ("oracle", "sanitizer", "fuzzer")
@@ -53,144 +56,74 @@ BASE_PARAMS = dict(
 MAX_STEPS = 120_000
 
 
-@cell
-class CampaignJob(Cell):
-    """One (mutant-or-baseline, variant, checker) unit of campaign work.
+def _campaign_cells(names, checkers, workload, seeds, include_baselines):
+    """The campaign's grid: ``(mutant, variant, checker, cells)`` groups
+    in matrix order, and their cells flattened in the same order."""
+    from repro.sched.fuzz import SEEDED_TEMPLATES, ExploreCell, policy_specs
 
-    ``mutant`` is ``None`` for a clean-baseline job; ``key`` defaults to
-    ``mutant/variant/checker`` (``baseline/...``).  The fuzzer checker
-    runs :func:`~repro.sched.fuzz.fuzz_schedules`, which has no seam for
-    ``fault_plan``; the oracle and sanitizer checkers arm it.
+    rows = [(name, variant) for name in names
+            for variant in MUTANTS[name].variants]
+    if include_baselines:
+        covered = []
+        for _name, variant in rows:
+            if variant not in covered:
+                covered.append(variant)
+        rows += [(None, variant) for variant in covered]
+    groups = []
+    for name, variant in rows:
+        params = dict(BASE_PARAMS)
+        if name is not None:
+            params.update(MUTANTS[name].workload_params)
+        for checker in checkers:
+            key = "%s/%s/%s" % (name or "baseline", variant, checker)
+            fuzzer = checker == "fuzzer"
+            policies = (policy_specs(SEEDED_TEMPLATES, range(seeds))
+                        if fuzzer else ["rr"])
+            cells = [
+                ExploreCell(workload, params, variant, policy,
+                            key="%s/%s" % (key, policy) if fuzzer else key,
+                            gpu_overrides={"max_steps": MAX_STEPS},
+                            mutant=name, sanitize=checker == "sanitizer",
+                            record=fuzzer)
+                for policy in policies
+            ]
+            groups.append((name, variant, checker, cells))
+    return groups, [spec for group in groups for spec in group[3]]
+
+
+def _matrix_cell(name, variant, checker, results):
+    """The matrix cell of one (mutant, variant, checker) group.
+
+    Detected when any of its runs failed (an oracle violation, a watchdog
+    trip or a sanitizer report); ``detail`` and ``livelock`` come from the
+    first such run.  A cell whose run failed instead of reporting is an
+    error cell: never a mutant caught, and on a baseline it poisons the
+    matrix's ``ok``.
     """
+    from repro.sched.fuzz import first_line
 
-    mutant: str
-    variant: str
-    checker: str
-    workload: str
-    params: dict
-    seeds: int
-    key: object = None
-    gpu_overrides: dict = None
-    fault_plan: list = None
-
-    key_fields = ("mutant", "variant", "checker")
-
-    @property
-    def faultable(self):
-        return self.checker != "fuzzer"
-
-
-def _check(job, _telemetry):
-    # imported here, not at module top: repro.faults must stay importable
-    # without dragging in the whole scheduling/workload stack
-    from repro.faults.sanitizer import StmSanitizer
-    from repro.harness import configs
-    from repro.harness.runner import run_workload
-    from repro.sched.fuzz import fuzz_schedules
-    from repro.workloads import make_workload
-
-    factory = MutantRuntimeFactory(job.mutant) if job.mutant else None
-    gpu_overrides = dict({"max_steps": MAX_STEPS}, **(job.gpu_overrides or {}))
-    result = _cell(job)
-    if job.checker == "fuzzer":
-        report = fuzz_schedules(
-            job.workload,
-            job.params,
-            job.variant,
-            seeds=job.seeds,
-            jobs=1,
-            shrink=False,
-            gpu_overrides=gpu_overrides,
-            runtime_factory=factory,
-        )
-        result["detected"] = report.found_violation
-        if report.failures:
-            first = report.failures[0].outcome
-            result["detail"] = "%s: %s" % (
-                first.failure, (first.detail or "").splitlines()[0],
-            )
-            result["livelock"] = first.livelock
-        return result
-    outcome = run_workload(
-        make_workload(job.workload, **job.params),
-        job.variant,
-        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
-        "rr",
-        num_locks=16,
-        capture=True,
-        runtime_factory=factory,
-        sanitizer=StmSanitizer() if job.checker == "sanitizer" else None,
-        fault_plan=job.fault_plan,
-    )
-    if job.checker == "sanitizer":
-        result["detected"] = (
-            bool(outcome.violations) or outcome.failure is not None
-        )
-    else:
-        result["detected"] = outcome.failure is not None
-    if outcome.failure is not None:
-        result["detail"] = "%s: %s" % (
-            outcome.failure, (outcome.detail or "").splitlines()[0],
-        )
-    elif outcome.violations:
-        result["detail"] = "%(check)s: %(detail)s" % outcome.violations[0]
-    result["livelock"] = outcome.livelock
-    return result
-
-
-def _cell(job):
-    """A matrix cell with no evidence yet."""
-    return {
-        "mutant": job.mutant,
-        "variant": job.variant,
-        "checker": job.checker,
+    cell = {
+        "mutant": name,
+        "variant": variant,
+        "checker": checker,
         "detected": False,
         "detail": None,
         "livelock": False,
         "error": None,
     }
-
-
-def execute_campaign_job(job):
-    """Run one campaign job; its ``JobResult.run`` is the matrix cell.
-    A failed job folds in as an error cell (see :func:`_error_cell`)."""
-    return capture(job, _check)
-
-
-def _error_cell(job, result):
-    """The matrix cell of a job that failed instead of reporting: never a
-    mutant caught, and on a baseline it poisons the matrix's ``ok``."""
-    failure = result.as_failure()
-    cell = _cell(job)
-    cell["detected"] = True
-    cell["error"] = cell["detail"] = "%s: %s" % (failure.exception,
-                                                 failure.message)
+    errors = [result.as_failure() for result in results if result.failed]
+    if errors:
+        cell["detected"] = True
+        cell["error"] = cell["detail"] = "%s: %s" % (errors[0].exception,
+                                                     errors[0].message)
+        return cell
+    hits = [result.run for result in results if not result.run.ok]
+    if hits:
+        cell["detected"] = True
+        cell["detail"] = "%s: %s" % (hits[0].failure,
+                                     first_line(hits[0].detail))
+        cell["livelock"] = hits[0].livelock
     return cell
-
-
-def _campaign_jobs(names, checkers, workload, seeds, include_baselines):
-    jobs = []
-    covered = []
-    for name in names:
-        mutant = MUTANTS[name]
-        params = dict(BASE_PARAMS)
-        params.update(mutant.workload_params)
-        for variant in mutant.variants:
-            if variant not in covered:
-                covered.append(variant)
-            for checker in checkers:
-                jobs.append(
-                    CampaignJob(name, variant, checker, workload, params, seeds)
-                )
-    if include_baselines:
-        for variant in covered:
-            for checker in checkers:
-                jobs.append(
-                    CampaignJob(
-                        None, variant, checker, workload, BASE_PARAMS, seeds
-                    )
-                )
-    return jobs
 
 
 def run_campaign(
@@ -208,7 +141,8 @@ def run_campaign(
 
     ``mutants`` is an iterable of mutant names (default: the whole corpus);
     ``checkers`` any subset of :data:`CHECKERS`; ``jobs`` the process-pool
-    width; ``seeds`` the per-fuzzer-job schedule count.  ``sweep``
+    width; ``seeds`` how many ``random:i`` and ``adversarial:i`` cells the
+    fuzzer checker runs per (mutant, variant).  ``sweep``
     (``supervise``/``journal``/``metrics``/``recorder``) goes to
     :func:`~repro.harness.sweep.run_sweep` (timeouts, retries,
     checkpoint/resume, the experiment DB; see docs/resilience.md).
@@ -221,8 +155,10 @@ def run_campaign(
     check_names(names, sorted(MUTANTS), "mutant")
     checkers = list(checkers)
     check_names(checkers, CHECKERS, "checker")
+    groups, cells = _campaign_cells(names, checkers, workload, seeds,
+                                    include_baselines)
 
-    def summarize(specs, results):
+    def summarize(_specs, results):
         matrix = {
             "workload": workload,
             "checkers": checkers,
@@ -239,17 +175,17 @@ def run_campaign(
                 "results": {},
                 "detected": False,
             }
-        for spec, result in zip(specs, results):
-            cell = _error_cell(spec, result) if result.failed else result.run
-            if spec.mutant is None:
-                matrix["baselines"].setdefault(spec.variant, {})[
-                    spec.checker] = cell
+        results = iter(results)
+        for name, variant, checker, group in groups:
+            cell = _matrix_cell(name, variant, checker,
+                                [next(results) for _ in group])
+            if name is None:
+                matrix["baselines"].setdefault(variant, {})[checker] = cell
                 if cell["detected"]:
                     matrix["ok"] = False
             else:
-                entry = matrix["mutants"][spec.mutant]
-                entry["results"].setdefault(spec.variant, {})[
-                    spec.checker] = cell
+                entry = matrix["mutants"][name]
+                entry["results"].setdefault(variant, {})[checker] = cell
                 if cell["detected"] and not cell["error"]:
                     entry["detected"] = True
         # escapees: mutants no checker caught, named explicitly in the JSON
@@ -261,9 +197,12 @@ def run_campaign(
             matrix["ok"] = False
         return matrix
 
+    # imported here: repro.faults must stay importable without dragging
+    # in the whole scheduling/workload stack
+    from repro.sched.fuzz import execute_explore
+
     return run_sweep(
-        _campaign_jobs(names, checkers, workload, seeds, include_baselines),
-        execute_campaign_job, summarize,
+        cells, execute_explore, summarize,
         lambda report: render_matrix(report.summary),
         ("efficacy_matrix.json", None), jobs=jobs, **sweep
     )

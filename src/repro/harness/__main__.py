@@ -40,11 +40,21 @@ sweep gets its own ``<out>/<key>.trace.json`` — or a single workload name
 default ``optimized``).  A merged ``metrics.json`` lands next to the
 traces; see ``docs/observability.md``.
 
+``fuzz``, ``sanitize`` and ``inject`` are grids of one captured-run
+cell (:class:`repro.sched.fuzz.ExploreCell`) on the shared sweep layer
+(:mod:`repro.harness.sweep`), so they run on the pool under ``--jobs``,
+take the sweep flags below and write a deterministic summary JSON plus
+``run_info.json`` under ``--out``.  A cell that errors is listed in the
+failure roster and exits 1.  ``--variant`` is one STM variant or ``all``
+(the paper's seven); an unknown variant, workload or mutant, or
+``--seeds`` below 1, is a usage error (exit 2) before any cell runs.
+
 The ``fuzz`` target runs the schedule-exploration fuzzer
 (:mod:`repro.sched.fuzz`): N seeded schedules per policy template per STM
 variant, every commit history checked by the strict-serializability
-oracle, failing schedules shrunk and written under ``--out``.  Exit code
-is 1 when any schedule produced a violation.
+oracle, failing schedules shrunk and written under ``--out`` (default
+``fuzz-artifacts``) next to ``fuzz_summary.json``.  Exit code is 1 when
+any schedule produced a violation.
 
 The ``inject`` target runs the mutant-efficacy campaign
 (:mod:`repro.faults.campaign`): each seeded protocol bug of
@@ -65,15 +75,15 @@ Artifact-producing targets (``trace``) validate what they wrote with
 artifact.
 
 ``--retries N`` / ``--timeout SECONDS`` / ``--resume PATH`` route the
-figure/table sweeps (and ``inject``) through the supervision layer
-(:mod:`repro.harness.supervisor`): bounded retry with backoff for
-transient failures, per-job wall-clock timeouts (``--jobs`` > 1), and a
-checkpoint journal at PATH so an interrupted sweep resumes where it
-stopped (``all`` suffixes the journal per target).  Jobs that still
-fail render as explicit FAILED gaps, a failure summary is printed, and
-the exit code is 1 — see ``docs/resilience.md``.  A sweep flag a target
-would ignore (``--resume``/``--retries``/``--timeout``/``--expdb`` on
-``trace``, ``fuzz`` and ``sanitize``; all but ``--timeout`` on
+figure/table sweeps (and ``fuzz``, ``sanitize`` and ``inject``) through
+the supervision layer (:mod:`repro.harness.supervisor`): bounded retry
+with backoff for transient failures, per-job wall-clock timeouts
+(``--jobs`` > 1), and a checkpoint journal at PATH so an interrupted
+sweep resumes where it stopped (``all`` suffixes the journal per
+target).  Jobs that still fail render as explicit FAILED gaps, a failure
+summary is printed, and the exit code is 1 — see ``docs/resilience.md``.
+A sweep flag a target would ignore (``--resume``/``--retries``/
+``--timeout``/``--expdb`` on ``trace``; all but ``--timeout`` on
 ``chaos``; ``--timeout`` with one worker) is a usage error.
 
 The ``chaos`` target (:mod:`repro.harness.chaos`) is the supervision
@@ -95,78 +105,73 @@ from repro.harness.parallel import default_jobs
 from repro.harness.sweep import (
     SweepCommand,
     add_sweep_flags,
-    csv,
+    check_names,
+    csv_or_all,
+    failed_cell,
     print_failures,
     recorder_for,
+    run_sweep,
     supervision,
     sweep_jobs,
 )
+from repro.workloads import workload_names
 
 #: the sweep flags each non-figure target has no use for: passing one is
 #: a usage error rather than a silently ignored flag
-UNUSED_SWEEP_FLAGS = dict.fromkeys(
-    ("fuzz", "trace", "sanitize"), ("resume", "retries", "timeout", "expdb"))
-UNUSED_SWEEP_FLAGS["chaos"] = ("resume", "retries", "expdb")
+UNUSED_SWEEP_FLAGS = {
+    "trace": ("resume", "retries", "timeout", "expdb"),
+    "chaos": ("resume", "retries", "expdb"),
+}
 
-#: workload names the ``trace`` target accepts for single-run timelines —
-#: the registry's sorted roster, so new workloads are traceable on arrival
-from repro.workloads import workload_names as _workload_names
+#: workload names ``trace`` (single-run timelines), ``fuzz``, ``sanitize``
+#: and ``inject`` accept: the registry's sorted roster, so new workloads
+#: are usable on arrival
+WORKLOADS = workload_names()
 
-TRACE_WORKLOADS = _workload_names()
 
-
-def run_fuzz(args, jobs):
-    """Drive the interleaving fuzzer from the CLI; returns an exit code."""
+def run_fuzz(args, parser, variants):
+    """Drive the interleaving fuzzer's grid; returns an exit code."""
     # imported here: the figure targets must not pay for the fuzz stack
-    from repro.stm import STM_VARIANTS
-    from repro.sched.fuzz import fuzz_schedules
+    from repro.sched.fuzz import SEEDED_TEMPLATES, fuzz_schedules
 
-    variants = STM_VARIANTS if args.variant == "all" else [args.variant]
-    policies = tuple(args.policy) if args.policy else ("random", "adversarial")
-    params = configs.test_workload_params(args.workload)
-    failed = False
-    reports = []
-    for variant in variants:
-        started = time.time()
-        report = fuzz_schedules(
-            args.workload,
-            params,
-            variant,
-            seeds=args.seeds if args.seeds is not None else 8,
-            policies=policies,
-            jobs=jobs,
-            artifact_dir=args.out,
-        )
-        print(report.render())
-        print("[fuzz %s/%s in %.1fs, jobs=%d]"
-              % (args.workload, variant, time.time() - started, jobs))
-        print()
-        reports.append(report)
-        failed = failed or report.found_violation
-    if args.metrics:
-        from repro.telemetry import MetricRegistry, metric_name
+    command = SweepCommand(args, parser, "fuzz")
+    out_dir = args.out or "fuzz-artifacts"
+    report = fuzz_schedules(
+        args.workload,
+        configs.test_workload_params(args.workload),
+        variants,
+        seeds=args.seeds if args.seeds is not None else 8,
+        policies=args.policy or SEEDED_TEMPLATES,
+        artifact_dir=out_dir,
+        **command.run_kwargs
+    )
+    if command.metrics is not None:
+        from repro.telemetry import metric_name
 
-        registry = MetricRegistry()
-        for report in reports:
-            prefix = metric_name("fuzz", report.workload, report.variant)
-            registry.add(metric_name(prefix, "schedules"), len(report.outcomes))
-            registry.add(metric_name(prefix, "failures"), len(report.failures))
-            registry.add(metric_name(prefix, "commits"),
-                         sum(o.commits for o in report.outcomes))
-        registry.write_json(args.metrics)
-        print("[metrics -> %s]" % args.metrics)
-    return 1 if failed else 0
+        for variant, entry in report.summary["variants"].items():
+            prefix = metric_name("fuzz", args.workload, variant)
+            command.metrics.add(metric_name(prefix, "schedules"),
+                                entry["schedules"])
+            command.metrics.add(metric_name(prefix, "failures"),
+                                len(entry["failures"]))
+            command.metrics.add(metric_name(prefix, "commits"),
+                                entry["commits"])
+    return command.finish(
+        report, "fuzz %s x %d variant(s)" % (args.workload, len(variants)),
+        out_dir=out_dir,
+    )
 
 
 def run_inject(args, parser):
     """Drive the mutant-efficacy campaign; returns an exit code."""
     # imported here: the figure targets must not pay for the faults stack
-    from repro.faults.campaign import run_campaign
+    from repro.faults.campaign import CHECKERS, run_campaign
+    from repro.faults.mutants import MUTANTS
 
     command = SweepCommand(args, parser, "inject")
     report = run_campaign(
-        mutants=None if args.mutants == "all" else csv(args.mutants),
-        checkers=csv(args.checkers),
+        mutants=csv_or_all(args.mutants, sorted(MUTANTS), "--mutants", parser),
+        checkers=csv_or_all(args.checkers, CHECKERS, "--checkers", parser),
         workload=args.workload,
         include_baselines=not args.no_baselines,
         seeds=args.seeds if args.seeds is not None else 2,
@@ -196,51 +201,81 @@ def run_chaos(args, jobs):
 
 
 def _fault_spec(text):
-    """``--fault`` type: a parsed spec, or a usage error naming the
-    rejected token."""
+    """``--fault`` type: the spec text once it parses, or a usage error
+    naming the rejected token."""
     # imported here: the figure targets must not pay for the faults stack
     from repro.faults.plan import FaultSpec
 
     try:
-        return FaultSpec.parse(text)
+        FaultSpec.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    return text
 
 
-def run_sanitize(args):
-    """Run workloads under the online sanitizer; returns an exit code."""
-    from repro.faults.sanitizer import StmSanitizer
-    from repro.harness.runner import run_workload
-    from repro.stm import STM_VARIANTS
-    from repro.workloads import make_workload
+def _sanitize_summary(specs, results):
+    """The sanitize grid's reduce: per variant, the run's verdict, counts
+    and first violation (or failure line); ``ok`` iff every run was
+    clean."""
+    from repro.sched.fuzz import first_line
 
-    variants = STM_VARIANTS if args.variant == "all" else [args.variant]
+    summary = {"workload": specs[0].workload, "variants": {}, "ok": True}
+    for spec, result in zip(specs, results):
+        if result.failed:
+            entry = failed_cell(spec, result)
+        else:
+            outcome = result.run
+            entry = {
+                "failure": outcome.failure,
+                "commits": outcome.commits,
+                "aborts": outcome.aborts,
+                "fired": len(outcome.fired),
+                "first_violation": (outcome.violations or [None])[0],
+                "detail": first_line(outcome.detail),
+            }
+        summary["variants"][spec.variant] = entry
+        summary["ok"] = summary["ok"] and not entry.get("failure")
+    return summary
+
+
+def _render_sanitize(summary):
+    """One line per variant, plus its first violation or failure."""
+    lines = []
+    for variant, entry in summary["variants"].items():
+        head = "sanitize %s/%s: " % (summary["workload"], variant)
+        if entry.get("failed"):
+            lines.append(head + "FAILED (%s)" % entry["failure"])
+            continue
+        lines.append(head + "%s (%d commits, %d aborts, %d fault(s) fired)" % (
+            "FAIL[%s]" % entry["failure"] if entry["failure"] else "clean",
+            entry["commits"], entry["aborts"], entry["fired"]))
+        if entry["first_violation"] is not None:
+            lines.append("  first violation: %(check)s (tid=%(tid)s "
+                         "addr=%(addr)s): %(detail)s"
+                         % entry["first_violation"])
+        elif entry["detail"]:
+            lines.append("  %s" % entry["detail"])
+    return "\n".join(lines)
+
+
+def run_sanitize(args, parser, variants):
+    """Run one sanitized cell per variant (under the ``--fault`` specs);
+    returns an exit code."""
+    from repro.sched.fuzz import ExploreCell, execute_explore
+
+    command = SweepCommand(args, parser, "sanitize")
     params = configs.test_workload_params(args.workload)
-    failed = False
-    for variant in variants:
-        outcome = run_workload(
-            make_workload(args.workload, **params),
-            variant,
-            configs.explore_gpu(),
-            "rr",
-            num_locks=16,
-            capture=True,
-            sanitizer=StmSanitizer(),
-            fault_plan=args.fault or None,
-        )
-        status = "clean" if outcome.ok else "FAIL[%s]" % outcome.failure
-        print("sanitize %s/%s: %s (%d commits, %d aborts, %d fault(s) fired)"
-              % (args.workload, variant, status, outcome.commits,
-                 outcome.aborts, len(outcome.fired)))
-        if not outcome.ok:
-            failed = True
-            if outcome.violations:
-                first = outcome.violations[0]
-                print("  first violation: %(check)s (tid=%(tid)s addr=%(addr)s): "
-                      "%(detail)s" % first)
-            elif outcome.detail:
-                print("  %s" % outcome.detail.splitlines()[0])
-    return 1 if failed else 0
+    report = run_sweep(
+        [ExploreCell(args.workload, params, variant, "rr", sanitize=True,
+                     fault_plan=args.fault) for variant in variants],
+        execute_explore, _sanitize_summary,
+        lambda report: _render_sanitize(report.summary),
+        ("sanitize_summary.json", None), **command.run_kwargs
+    )
+    return command.finish(
+        report, "sanitize %s x %d variant(s)" % (args.workload, len(variants)),
+        out_dir=args.out or "sanitize-artifacts",
+    )
 
 
 def _validate_artifacts(paths):
@@ -292,7 +327,7 @@ def run_trace(args, jobs, parser):
     if not args.experiment:
         parser.error(
             "trace needs an experiment: one of %s, or a workload (%s)"
-            % (", ".join(sorted(TARGETS)), " ".join(TRACE_WORKLOADS))
+            % (", ".join(sorted(TARGETS)), " ".join(WORKLOADS))
         )
     out_dir = args.out or "trace-artifacts"
     os.makedirs(out_dir, exist_ok=True)
@@ -305,14 +340,14 @@ def run_trace(args, jobs, parser):
                             metrics=registry, timeline_dir=out_dir)
         print(result.render())
         registry.write_json(metrics_path)
-    elif args.experiment in TRACE_WORKLOADS:
+    elif args.experiment in WORKLOADS:
         telemetry = _trace_workload(args, out_dir)
         telemetry.write_metrics(metrics_path)
     else:
         parser.error(
             "unknown trace experiment %r: expected one of %s, or a workload (%s)"
             % (args.experiment, ", ".join(sorted(TARGETS)),
-               " ".join(TRACE_WORKLOADS))
+               " ".join(WORKLOADS))
         )
     print("[metrics -> %s]" % metrics_path)
     print("[trace %s in %.1fs, artifacts in %s]"
@@ -323,6 +358,34 @@ def run_trace(args, jobs, parser):
         if name.endswith(".trace.json")
     )
     return _validate_artifacts(artifacts)
+
+
+def _check_name(parser, name, universe, what):
+    """``name`` when ``universe`` holds it, else a usage error."""
+    try:
+        check_names([name], universe, what)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return name
+
+
+def _variants(args, parser):
+    """The STM variants ``--variant`` names: ``all`` is the paper's seven
+    (trace reads it as ``optimized``)."""
+    from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
+
+    if args.variant == "all":
+        return list(STM_VARIANTS)
+    return [_check_name(parser, args.variant,
+                        STM_VARIANTS + EXTENSION_VARIANTS, "variant")]
+
+
+def _seed_count(text):
+    """``--seeds``: an integer >= 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("--seeds must be >= 1")
+    return value
 
 
 def build_parser():
@@ -356,7 +419,7 @@ def build_parser():
         "(default; trace reads it as 'optimized')",
     )
     fuzz_group.add_argument(
-        "--seeds", type=int, default=None, metavar="N",
+        "--seeds", type=_seed_count, default=None, metavar="N",
         help="seeds per seeded policy template (default: 8 for fuzz, "
         "2 for inject's fuzzer checker)",
     )
@@ -398,16 +461,19 @@ def main(argv=None):
     if args.target == "chaos":
         # chaos always runs max(2, --jobs) workers, so --timeout holds
         return run_chaos(args, args.jobs or default_jobs())
-    jobs = sweep_jobs(args, parser)
-
+    if args.target in ("fuzz", "sanitize", "inject"):
+        _check_name(parser, args.workload, WORKLOADS, "workload")
+    if args.target in ("fuzz", "sanitize", "trace"):
+        variants = _variants(args, parser)
     if args.target == "fuzz":
-        return run_fuzz(args, jobs)
-    if args.target == "trace":
-        return run_trace(args, jobs, parser)
+        return run_fuzz(args, parser, variants)
+    if args.target == "sanitize":
+        return run_sanitize(args, parser, variants)
     if args.target == "inject":
         return run_inject(args, parser)
-    if args.target == "sanitize":
-        return run_sanitize(args)
+    jobs = sweep_jobs(args, parser)
+    if args.target == "trace":
+        return run_trace(args, jobs, parser)
 
     registry = None
     if args.metrics:

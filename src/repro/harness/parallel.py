@@ -10,13 +10,15 @@ serialize on the GIL).
 The unit of work is a :class:`Cell` — a picklable, declarative dataclass
 describing one run.  Every sweep kind declares one (:class:`JobSpec` for
 the figures: workload name + constructor params, STM variant, lock-table
-size, config overrides; the service, multi-device, byzantine, mutant and
-fuzz kinds declare theirs next to their executors).  A worker process
-rebuilds the run from the cell inside :func:`capture` and ships back a
-:class:`JobResult`.  Exceptions inside a worker (``ProgressError``
-watchdog trips, ``EgpgvCapacityError`` past the crash-tolerant paths,
-verification failures) are captured into the result instead of killing
-the pool, so one diverging design point cannot take down a whole sweep.
+size, config overrides; the service, multi-device and byzantine kinds
+declare theirs next to their executors, and
+:class:`~repro.sched.fuzz.ExploreCell` serves the fuzz, sanitize and
+mutant-campaign targets).  A worker process rebuilds the run from the
+cell inside :func:`capture` and ships back a :class:`JobResult`.
+Exceptions inside a worker (``ProgressError`` watchdog trips,
+``EgpgvCapacityError`` past the crash-tolerant paths, verification
+failures) are captured into the result instead of killing the pool, so
+one diverging design point cannot take down a whole sweep.
 
 ``run_jobs(specs, jobs=n)`` preserves spec order in its result list, so a
 sweep assembled from the results is bit-identical to the serial run no
@@ -395,11 +397,12 @@ def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
              chaos=None, metrics=None, recorder=None):
     """Execute ``specs``; return the executor's results in spec order.
 
-    ``executor`` maps one spec to one result and must never raise; it
-    defaults to :func:`execute_job` (the figure sweeps' worker).  Other
-    sweeps — e.g. the schedule fuzzer's
-    :func:`repro.sched.fuzz.execute_fuzz_job` — pass their own; it must be
-    a module-level callable so it pickles into worker processes.
+    ``executor`` maps one spec to one :class:`JobResult` and must never
+    raise; it defaults to :func:`execute_job` (the figure sweeps'
+    worker).  Other sweeps — e.g. the captured runs'
+    :func:`repro.sched.fuzz.execute_explore` — pass their own, built on
+    :func:`capture`; it must be a module-level callable so it pickles
+    into worker processes.
 
     ``jobs=1`` (or a single spec) runs serially in-process with no
     worker processes.  With ``jobs > 1`` the specs fan out over the

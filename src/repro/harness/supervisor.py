@@ -209,7 +209,7 @@ def _apply_chaos(event, executor, spec, attempt):
         updates["gpu_overrides"] = overrides
     faulted = spec.clone(**updates)
     inner = executor(faulted)
-    if getattr(inner, "failed", False):
+    if inner.failed:
         detail = inner.brief_error()
     else:
         detail = "run completed despite the fault"
@@ -267,17 +267,6 @@ def _worker_main(conn, executor, chaos):
             conn.send(result)
         except Exception as exc:  # noqa: BLE001 - unpicklable result
             conn.send(_pipe_error_result(spec, exc))
-
-
-def _failure_of(result):
-    """The structured failure of a result, or ``None`` on success.
-
-    The fuzzer's executor returns bare ``RunResult`` payloads with no
-    ``failed`` notion — those count as successes.
-    """
-    if isinstance(result, JobResult):
-        return result.as_failure()
-    return None
 
 
 class _Job:
@@ -346,7 +335,7 @@ def _run_serial(sup, pending):
             sup.start_attempt(job)
             result = run_attempt(sup.executor, job.spec, sup.chaos,
                                  job.attempts - 1)
-            failure = _failure_of(result)
+            failure = result.as_failure()
             if failure is None or not sup.should_retry(job, failure):
                 sup.finish(job, result, failure)
                 break
@@ -433,7 +422,7 @@ class _Pool:
             return
         job, worker.job = worker.job, None
         self.idle.append(worker)
-        self.settle(job, result, _failure_of(result))
+        self.settle(job, result, result.as_failure())
 
     def replace(self, worker, category):
         """SIGKILL (a no-op on a dead process) and reap a worker, fail its

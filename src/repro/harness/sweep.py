@@ -1,7 +1,8 @@
 """The sweep layer: a grid of cells through the pool, one report, one CLI.
 
-Every figure of the paper and the service, multi-device, byzantine and
-mutant campaigns is a grid of independent
+Every figure of the paper, the service, multi-device and byzantine
+campaigns, and the captured-run targets (``fuzz``, ``sanitize``, the
+mutant campaign) is a grid of independent
 :class:`~repro.harness.parallel.Cell` s through the (optionally
 supervised, journaled, recorded) pool.  A sweep kind keeps its cell, axes,
 executor body, summary and renderer; :func:`run_sweep`,

@@ -11,11 +11,14 @@ space:
 * :mod:`repro.sched.trace` — :class:`ScheduleTrace` record/replay: any
   launch's issue trace serializes to JSON and re-executes deterministically
   through a :class:`ReplayPolicy`;
-* :mod:`repro.sched.fuzz` — the interleaving fuzzer: N seeded schedules
-  per (workload, runtime) pair, each a capture-mode
-  :func:`~repro.harness.runner.run_workload` (oracle check, transaction
-  ledger, recorded traces), and a delta-debugging shrinker producing a
-  minimal failing schedule.
+* :mod:`repro.sched.fuzz` — :class:`~repro.sched.fuzz.ExploreCell`, the
+  one captured-run sweep cell (a capture-mode
+  :func:`~repro.harness.runner.run_workload`: oracle check, transaction
+  ledger, optional recorded traces, mutant, sanitizer and fault plan)
+  that the ``fuzz``, ``sanitize`` and ``inject`` targets run as grids;
+  and the interleaving fuzzer: one grid of N seeded schedules per
+  (workload, variant), a resumable sweep with a summary JSON, whose
+  reduce delta-debugs each failure to a minimal failing schedule.
 
 ``fuzz`` pulls in the workload and harness layers; import it as a
 submodule (``from repro.sched import fuzz``) so that the GPU scheduler's

@@ -1,98 +1,101 @@
-"""Interleaving fuzzer: hunt schedule-dependent STM bugs, then shrink them.
+"""One captured exploration run as a sweep cell, and the interleaving fuzzer.
 
-``fuzz_schedules`` runs one (workload, runtime) pair under N seeded
-random/adversarial schedules, records every issue trace, feeds every
-commit history to the strict-serializability oracle
-(:func:`repro.stm.oracle.check_history`), and — on a violation or a
-watchdog-detected livelock — delta-debugs the recorded schedule down to a
-minimal failing one.  Both the full and the shrunk schedule (plus the
-transaction commit/abort ledger) are written as JSON/CSV artifacts, so a
-failure found in CI is reproducible from the artifact alone via
-:class:`~repro.sched.trace.ReplayPolicy`.
+:class:`ExploreCell` is the one captured-run cell: a capture-mode
+:func:`~repro.harness.runner.run_workload` on the exploration geometry
+(:func:`~repro.harness.configs.explore_gpu`), optionally under a seeded
+protocol bug (``mutant``, a :data:`repro.faults.mutants.MUTANTS` name),
+the online sanitizer and a fault plan.  :func:`execute_explore` is its
+executor.  Three harness targets are grids of these cells plus a reduce
+on the shared sweep layer (:mod:`repro.harness.sweep`): ``fuzz`` (here),
+``sanitize`` (:mod:`repro.harness.__main__`) and ``inject``
+(:mod:`repro.faults.campaign`).
 
-Seeds fan out over worker processes through
-:func:`repro.harness.parallel.run_jobs` with this module's
-:func:`execute_fuzz_job` as the executor, exactly like the figure sweeps;
-shrinking runs in the driving process (each probe is one serial replay).
+:func:`fuzz_schedules` runs one recording cell per (variant, policy
+spec) and feeds every commit history to the strict-serializability
+oracle (:func:`repro.stm.oracle.check_history`).  Its reduce
+delta-debugs each failing schedule (a violation or a watchdog-detected
+livelock) down to a minimal failing one in the driving process (each
+probe is one serial replay), writes the full and shrunk schedules plus
+the transaction commit/abort ledger as JSON/CSV artifacts, so a failure
+found in CI is reproducible from the artifact alone via
+:class:`~repro.sched.trace.ReplayPolicy`, and builds the deterministic
+summary written as ``fuzz_summary.json``.
 
 The harness exposes this as ``python -m repro.harness fuzz``.
 """
 
 import os
-import traceback
 
 from repro.common.fsio import atomic_open, atomic_write_json
 from repro.harness import configs
-from repro.harness.parallel import Cell, cell, run_jobs
-from repro.harness.runner import RunResult, run_workload
+from repro.harness.parallel import Cell, capture, cell
+from repro.harness.runner import run_workload
+from repro.harness.sweep import failed_cell, run_sweep
 from repro.workloads import make_workload
 
-#: policy templates whose spec incorporates the fuzz seed
+#: policy templates whose spec incorporates the fuzz seed (the default
+#: ``policies`` of :func:`fuzz_schedules`)
 SEEDED_TEMPLATES = ("random", "adversarial")
-
-#: templates accepted by ``fuzz_schedules(policies=...)``
-DEFAULT_TEMPLATES = ("random", "adversarial")
 
 
 @cell
-class FuzzJobSpec(Cell):
-    """Picklable description of one fuzz run (one policy spec).
+class ExploreCell(Cell):
+    """One captured run on the exploration geometry (plain data).
 
-    ``runtime_factory`` is a module-level callable ``(variant, device,
-    stm_config) -> runtime``, or ``None`` for
-    :func:`repro.stm.make_runtime`; it must be picklable for jobs > 1.
+    ``mutant`` names a :data:`~repro.faults.mutants.MUTANTS` entry the
+    worker applies to the runtime; ``sanitize`` binds a fresh
+    :class:`~repro.faults.sanitizer.StmSanitizer`; ``record`` records the
+    issue schedule (the fuzzer's cells do, to shrink and replay it).
     ``key`` defaults to ``workload/variant/policy``.
     """
 
-    seed: int
-    policy: object
     workload: str
     params: dict
     variant: str
+    policy: object
+    key: object = None
     num_locks: int = 16
     stm_overrides: dict = None
     gpu_overrides: dict = None
-    runtime_factory: object = None
-    key: object = None
     fault_plan: list = None
+    mutant: str = None
+    sanitize: bool = False
+    record: bool = False
 
     key_fields = ("workload", "variant", "policy")
 
 
-def _explore(workload, params, variant, policy, gpu_overrides=None,
-             **kwargs):
-    """One captured run of ``workload`` on :func:`configs.explore_gpu`
-    (with ``gpu_overrides``); ``kwargs`` go to :func:`run_workload`."""
+def _explore(spec, _telemetry=None):
+    """The captured run ``spec`` describes; returns its ``RunResult``."""
+    # imported here: the fuzzer must not pay for the faults stack
+    runtime_factory = sanitizer = None
+    if spec.mutant is not None:
+        from repro.faults.mutants import MutantRuntimeFactory
+
+        runtime_factory = MutantRuntimeFactory(spec.mutant)
+    if spec.sanitize:
+        from repro.faults.sanitizer import StmSanitizer
+
+        sanitizer = StmSanitizer()
     return run_workload(
-        make_workload(workload, **params),
-        variant,
-        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
-        policy,
+        make_workload(spec.workload, **spec.params),
+        spec.variant,
+        configs.override_gpu(configs.explore_gpu(), spec.gpu_overrides),
+        spec.policy,
+        num_locks=spec.num_locks,
+        stm_overrides=spec.stm_overrides,
         capture=True,
-        **kwargs
+        record=spec.record,
+        runtime_factory=runtime_factory,
+        sanitizer=sanitizer,
+        fault_plan=spec.fault_plan,
     )
 
 
-def execute_fuzz_job(spec):
-    """Run one fuzz spec; never raises (run_jobs executor contract)."""
-    try:
-        return _explore(
-            spec.workload,
-            spec.params,
-            spec.variant,
-            spec.policy,
-            spec.gpu_overrides,
-            num_locks=spec.num_locks,
-            stm_overrides=spec.stm_overrides,
-            record=True,
-            runtime_factory=spec.runtime_factory,
-            fault_plan=spec.fault_plan,
-        )
-    except Exception:
-        outcome = RunResult(spec.workload, spec.variant, spec.policy)
-        outcome.failure = "error"
-        outcome.detail = traceback.format_exc()
-        return outcome
+def execute_explore(spec):
+    """Run one :class:`ExploreCell`; its ``JobResult.run`` is the
+    ``RunResult`` (module-level, so it pickles into workers)."""
+    return capture(spec, _explore)
 
 
 def policy_specs(policies, seeds):
@@ -104,89 +107,11 @@ def policy_specs(policies, seeds):
     """
     expanded = []
     for template in policies:
-        head = template.partition(":")[0]
-        if template == head and head in SEEDED_TEMPLATES:
-            for seed in seeds:
-                expanded.append((seed, "%s:%d" % (head, seed)))
+        if template in SEEDED_TEMPLATES:
+            expanded.extend("%s:%d" % (template, seed) for seed in seeds)
         else:
-            expanded.append((None, template))
+            expanded.append(template)
     return expanded
-
-
-class FuzzFailure:
-    """One failing schedule: the outcome, its shrink, and its artifacts.
-
-    ``shrunk_decisions`` is the *prescription*: the minimal
-    ``(launch, sm, warp_id, steps)`` list that, replayed (with round-robin
-    fallback once exhausted), still fails — never larger than the recorded
-    original, possibly empty when the bug needs no specific schedule at
-    all.  ``shrunk_outcome`` is the verification replay of that
-    prescription.
-    """
-
-    __slots__ = (
-        "spec",
-        "outcome",
-        "shrunk_decisions",
-        "shrunk_outcome",
-        "shrink_evals",
-        "artifacts",
-    )
-
-    def __init__(self, spec, outcome):
-        self.spec = spec
-        self.outcome = outcome
-        self.shrunk_decisions = None
-        self.shrunk_outcome = None
-        self.shrink_evals = 0
-        self.artifacts = []
-
-    def describe(self):
-        lines = [
-            "policy=%s failure=%s" % (self.outcome.policy, self.outcome.failure),
-            "  %s" % (self.outcome.detail or "").splitlines()[0],
-            "  schedule: %d decisions" % len(self.outcome.decisions()),
-        ]
-        if self.shrunk_decisions is not None:
-            lines.append(
-                "  shrunk to %d decisions in %d replays"
-                % (len(self.shrunk_decisions), self.shrink_evals)
-            )
-        for path in self.artifacts:
-            lines.append("  artifact: %s" % path)
-        return "\n".join(lines)
-
-
-class FuzzReport:
-    """Outcome of a whole fuzz campaign over one (workload, variant)."""
-
-    __slots__ = ("workload", "variant", "outcomes", "failures")
-
-    def __init__(self, workload, variant):
-        self.workload = workload
-        self.variant = variant
-        self.outcomes = []
-        self.failures = []
-
-    @property
-    def found_violation(self):
-        return bool(self.failures)
-
-    def render(self):
-        lines = [
-            "fuzz %s/%s: %d schedules, %d failing"
-            % (self.workload, self.variant, len(self.outcomes), len(self.failures))
-        ]
-        for failure in self.failures:
-            lines.append(failure.describe())
-        if not self.failures:
-            commits = sum(o.commits for o in self.outcomes)
-            checked = sum(o.checked for o in self.outcomes)
-            lines.append(
-                "  all histories strictly serializable "
-                "(%d commits, %d oracle-checked)" % (commits, checked)
-            )
-        return "\n".join(lines)
 
 
 def ddmin(items, fails):
@@ -228,20 +153,19 @@ def unflatten_decisions(flat, num_launches):
     return per_launch
 
 
-def shrink_failure(failure, budget=160):
-    """Delta-debug a failing schedule down to a minimal failing one.
+def shrink_failure(spec, outcome, budget=160):
+    """Delta-debug ``outcome``, the failing run of cell ``spec``, down to
+    a minimal failing schedule.
 
-    Replays re-run ``failure.spec``'s workload, variant and geometry.
-    Flattens the recorded traces (all launches) into one decision list and
-    ddmin-minimizes it under "replay still fails".  ``budget`` bounds the
-    number of replay probes.  Returns ``(minimal_flat_decisions,
-    verification_outcome, evals)`` where the verification outcome is one
-    final replay of the minimal prescription; the prescription is never
-    longer than the recorded original (an empty one means the failure
-    reproduces under plain round-robin fallback).
+    Replays re-run ``spec`` under a replay policy.  Flattens the recorded
+    traces (all launches) into one decision list and ddmin-minimizes it
+    under "replay still fails".  ``budget`` bounds the number of replay
+    probes.  Returns ``(minimal_flat_decisions, verification_outcome,
+    evals)`` where the verification outcome is one final replay of the
+    minimal prescription; the prescription is never longer than the
+    recorded original (an empty one means the failure reproduces under
+    plain round-robin fallback).
     """
-    outcome = failure.outcome
-    spec = failure.spec
     num_launches = max(1, len(outcome.traces))
     flat = outcome.decisions()
     evals = [0]
@@ -251,12 +175,7 @@ def shrink_failure(failure, budget=160):
             {"type": "replay", "decisions": decisions}
             for decisions in unflatten_decisions(candidate, num_launches)
         ]
-        return _explore(
-            spec.workload, spec.params, spec.variant, policies,
-            spec.gpu_overrides, num_locks=spec.num_locks,
-            stm_overrides=spec.stm_overrides,
-            runtime_factory=spec.runtime_factory,
-        )
+        return _explore(spec.clone(policy=policies, record=False))
 
     def still_fails(candidate):
         if evals[0] >= budget:
@@ -275,109 +194,164 @@ def shrink_failure(failure, budget=160):
     return minimal, verification, evals[0]
 
 
-def _write_failure_artifacts(directory, tag, failure):
-    """Write full/shrunk schedules (JSON) and the tx ledger (CSV)."""
+def _write_failure_artifacts(directory, tag, outcome, shrunk):
+    """Write the full/shrunk schedules (JSON) and the tx ledger (CSV);
+    ``shrunk`` is ``(decisions, verification)`` or ``None``.  Returns
+    the file names written."""
     os.makedirs(directory, exist_ok=True)
-    written = []
-
-    def dump(name, outcome):
-        path = os.path.join(directory, "%s.%s.json" % (tag, name))
-        payload = {
+    names = ["%s.schedule.json" % tag]
+    atomic_write_json(os.path.join(directory, names[0]), {
+        "workload": outcome.workload,
+        "variant": outcome.variant,
+        "policy": outcome.policy,
+        "failure": outcome.failure,
+        "detail": outcome.detail,
+        "traces": outcome.traces,
+    })
+    if shrunk is not None:
+        decisions, verify = shrunk
+        names.append("%s.shrunk.json" % tag)
+        atomic_write_json(os.path.join(directory, names[-1]), {
             "workload": outcome.workload,
             "variant": outcome.variant,
             "policy": outcome.policy,
-            "failure": outcome.failure,
-            "detail": outcome.detail,
-            "traces": outcome.traces,
-        }
-        atomic_write_json(path, payload)
-        written.append(path)
-
-    dump("schedule", failure.outcome)
-    if failure.shrunk_decisions is not None:
-        verify = failure.shrunk_outcome
-        path = os.path.join(directory, "%s.shrunk.json" % tag)
-        num_launches = max(1, len(failure.outcome.traces))
-        payload = {
-            "workload": failure.outcome.workload,
-            "variant": failure.outcome.variant,
-            "policy": failure.outcome.policy,
-            "failure": verify.failure if verify is not None else None,
-            "detail": verify.detail if verify is not None else None,
+            "failure": verify.failure,
+            "detail": verify.detail,
             "decisions_per_launch": unflatten_decisions(
-                failure.shrunk_decisions, num_launches
+                decisions, max(1, len(outcome.traces))
             ),
-        }
-        atomic_write_json(path, payload)
-        written.append(path)
-    ledger_path = os.path.join(directory, "%s.ledger.csv" % tag)
-    with atomic_open(ledger_path) as handle:
+        })
+    names.append("%s.ledger.csv" % tag)
+    with atomic_open(os.path.join(directory, names[-1])) as handle:
         handle.write("sequence,tid,outcome,reason,reads,writes,version\n")
-        for row in failure.outcome.ledger_rows:
+        for row in outcome.ledger_rows:
             handle.write(",".join(str(x) for x in row) + "\n")
-    written.append(ledger_path)
-    failure.artifacts.extend(written)
-    return written
+    return names
+
+
+def first_line(text):
+    """The first line of ``text`` (``""`` when there is none)."""
+    return next(iter((text or "").splitlines()), "")
+
+
+def _failing_schedule(spec, outcome, shrink_budget, artifact_dir):
+    """The summary entry of one failing schedule: shrunk within
+    ``shrink_budget`` replays (none when 0) and written under
+    ``artifact_dir`` when given."""
+    entry = {
+        "policy": outcome.policy,
+        "failure": outcome.failure,
+        "detail": first_line(outcome.detail),
+        "decisions": len(outcome.decisions()),
+        "shrunk": None,
+        "artifacts": [],
+    }
+    shrunk = None
+    if shrink_budget:
+        decisions, verify, evals = shrink_failure(spec, outcome, shrink_budget)
+        shrunk = decisions, verify
+        entry["shrunk"] = {"decisions": len(decisions), "replays": evals,
+                           "failure": verify.failure}
+    if artifact_dir:
+        tag = "fuzz_%s_%s_%s" % (spec.workload, spec.variant,
+                                 str(outcome.policy).replace(":", "-"))
+        entry["artifacts"] = _write_failure_artifacts(
+            artifact_dir, tag, outcome, shrunk)
+    return entry
+
+
+def summarize_fuzz(workload, specs, results, shrink_budget=160,
+                   artifact_dir=None):
+    """The fuzz sweep's reduce: per variant, the schedule count, the
+    commits and oracle-checked histories, every failing schedule (see
+    :func:`_failing_schedule`) and every errored cell.  ``ok`` is False
+    on any failing or errored cell: an error is never a pass."""
+    summary = {"workload": workload, "variants": {}, "ok": True}
+    for spec, result in zip(specs, results):
+        entry = summary["variants"].setdefault(spec.variant, {
+            "schedules": 0, "commits": 0, "checked": 0,
+            "failures": [], "errors": [],
+        })
+        entry["schedules"] += 1
+        if result.failed:
+            entry["errors"].append(failed_cell(spec, result))
+            summary["ok"] = False
+            continue
+        outcome = result.run
+        entry["commits"] += outcome.commits
+        entry["checked"] += outcome.checked
+        if not outcome.ok:
+            entry["failures"].append(_failing_schedule(
+                spec, outcome, shrink_budget, artifact_dir))
+            summary["ok"] = False
+    return summary
+
+
+def render_fuzz(summary, artifact_dir=None):
+    """The fuzz report text: one block per variant."""
+    lines = []
+    for variant, entry in summary["variants"].items():
+        lines.append("fuzz %s/%s: %d schedules, %d failing" % (
+            summary["workload"], variant, entry["schedules"],
+            len(entry["failures"])))
+        for failure in entry["failures"]:
+            lines.append("policy=%(policy)s failure=%(failure)s" % failure)
+            lines.append("  %s" % failure["detail"])
+            lines.append("  schedule: %d decisions" % failure["decisions"])
+            if failure["shrunk"] is not None:
+                lines.append("  shrunk to %(decisions)d decisions in "
+                             "%(replays)d replays" % failure["shrunk"])
+            for name in failure["artifacts"]:
+                lines.append("  artifact: %s" % os.path.join(artifact_dir, name))
+        if entry["errors"]:
+            lines.append("  %d schedule(s) errored outside the oracle"
+                         % len(entry["errors"]))
+        elif not entry["failures"]:
+            lines.append("  all histories strictly serializable "
+                         "(%(commits)d commits, %(checked)d oracle-checked)"
+                         % entry)
+        lines.append("")
+    return "\n".join(lines)
 
 
 def fuzz_schedules(
     workload,
     params,
-    variant,
+    variants,
     *,
     seeds=8,
-    policies=DEFAULT_TEMPLATES,
-    jobs=1,
-    num_locks=16,
-    stm_overrides=None,
-    gpu_overrides=None,
-    runtime_factory=None,
-    shrink=True,
+    policies=SEEDED_TEMPLATES,
+    mutant=None,
     shrink_budget=160,
     artifact_dir=None,
+    **sweep
 ):
-    """Fuzz one (workload, runtime) pair across many schedules.
+    """Fuzz ``workload`` on every STM variant of ``variants`` in one grid.
 
     ``seeds`` is an int (meaning ``range(seeds)``) or an iterable of ints;
-    ``policies`` are templates expanded by :func:`policy_specs`.  Runs fan
-    out over ``jobs`` worker processes via :func:`run_jobs`.  Every failing
-    schedule is (optionally) shrunk and written to ``artifact_dir``.
-    Returns a :class:`FuzzReport`.
+    ``policies`` are templates expanded by :func:`policy_specs`;
+    ``mutant`` runs every cell under that seeded bug.  ``sweep``
+    (``jobs``/``supervise``/``journal``/``metrics``/``recorder``) goes to
+    :func:`~repro.harness.sweep.run_sweep`.  Every failing schedule is
+    shrunk within ``shrink_budget`` replays (0: not shrunk) and written
+    to ``artifact_dir`` when given.  Returns a
+    :class:`~repro.harness.sweep.SweepReport` whose summary is
+    :func:`summarize_fuzz`'s.
     """
     if isinstance(seeds, int):
         seeds = range(seeds)
     seeds = list(seeds)
-    specs = [
-        FuzzJobSpec(
-            seed, policy, workload, params, variant,
-            num_locks=num_locks, stm_overrides=stm_overrides,
-            gpu_overrides=gpu_overrides, runtime_factory=runtime_factory,
-        )
-        for seed, policy in policy_specs(policies, seeds)
-    ]
-    report = FuzzReport(workload, variant)
-    outcomes = run_jobs(specs, jobs=jobs, executor=execute_fuzz_job)
-    for spec, outcome in zip(specs, outcomes):
-        report.outcomes.append(outcome)
-        if outcome.ok:
-            continue
-        if outcome.failure == "error":
-            # infrastructure error, not a schedule finding: surface loudly
-            raise RuntimeError(
-                "fuzz job %r failed outside the oracle:\n%s"
-                % (spec, outcome.detail)
-            )
-        failure = FuzzFailure(spec, outcome)
-        if shrink:
-            (
-                failure.shrunk_decisions,
-                failure.shrunk_outcome,
-                failure.shrink_evals,
-            ) = shrink_failure(failure, shrink_budget)
-        if artifact_dir:
-            tag = "fuzz_%s_%s_%s" % (
-                workload, variant, str(outcome.policy).replace(":", "-")
-            )
-            _write_failure_artifacts(artifact_dir, tag, failure)
-        report.failures.append(failure)
-    return report
+    specs = [ExploreCell(workload, params, variant, policy, mutant=mutant,
+                         record=True)
+             for variant in variants
+             for policy in policy_specs(policies, seeds)]
+
+    def summarize(specs, results):
+        return summarize_fuzz(workload, specs, results, shrink_budget,
+                              artifact_dir)
+
+    return run_sweep(
+        specs, execute_explore, summarize,
+        lambda report: render_fuzz(report.summary, artifact_dir),
+        ("fuzz_summary.json", None), **sweep
+    )

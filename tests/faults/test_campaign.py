@@ -6,12 +6,13 @@ import pytest
 
 from repro.faults.campaign import (
     CHECKERS,
-    CampaignJob,
-    _error_cell,
-    execute_campaign_job,
+    _campaign_cells,
+    _matrix_cell,
     render_matrix,
     run_campaign,
 )
+from repro.harness.journal import spec_fingerprint
+from repro.sched.fuzz import ExploreCell, execute_explore
 
 FAST_MUTANTS = ["clock-stuck", "missing-writeback-fence"]
 
@@ -77,35 +78,47 @@ class TestRunCampaign:
 
 
 class TestExecuteCampaignJob:
+    """The campaign's cells are captured-run cells; the reduce folds each
+    (mutant, variant, checker) group into one matrix cell."""
+
     def test_fuzzer_checker_on_schedule_dependent_bug(self):
-        # the one mutant only the fuzzer catches (begin-time snapshot bug)
-        job = CampaignJob(
-            "vbv-snapshot-off-by-one", "vbv", "fuzzer", "ra",
-            dict(array_size=4, grid=2, block=16,
-                 txs_per_thread=4, actions_per_tx=4),
-            seeds=2,
-        )
-        result = execute_campaign_job(job)
-        assert not result.failed
-        assert result.run["error"] is None
-        assert result.run["detected"] is True
+        # the one mutant only the fuzzer catches (begin-time snapshot bug):
+        # one recording cell per random/adversarial seed
+        groups, cells = _campaign_cells(["vbv-snapshot-off-by-one"],
+                                        ["fuzzer"], "ra", 2, False)
+        ((name, variant, checker, group),) = groups
+        assert (name, variant, checker) == (
+            "vbv-snapshot-off-by-one", "vbv", "fuzzer")
+        assert group == cells
+        assert [spec.key for spec in cells] == [
+            "vbv-snapshot-off-by-one/vbv/fuzzer/%s" % policy for policy in (
+                "random:0", "random:1", "adversarial:0", "adversarial:1")]
+        assert all(spec.record and not spec.sanitize for spec in cells)
+        cell = _matrix_cell(name, variant, checker,
+                            [execute_explore(spec) for spec in cells])
+        assert cell["error"] is None
+        assert cell["detected"] is True
+        assert cell["detail"].startswith("serializability: ")
 
     def test_worker_never_raises(self):
-        job = CampaignJob(None, "vbv", "oracle", "no-such-workload", {}, 1)
-        result = execute_campaign_job(job)
+        job = ExploreCell("no-such-workload", {}, "vbv", "rr",
+                          key="baseline/vbv/oracle")
+        result = execute_explore(job)
         assert result.failed
-        cell = _error_cell(job, result)
+        cell = _matrix_cell(None, "vbv", "oracle", [result])
         assert "no-such-workload" in cell["error"]
         assert cell["detected"] is True  # poisons ok instead of vanishing
 
     def test_job_is_picklable(self):
         import pickle
 
-        job = CampaignJob("clock-stuck", "hv-backoff", "oracle", "ra",
-                          dict(array_size=8), 2)
+        (_group,), (job,) = _campaign_cells(["clock-stuck"], ["sanitizer"],
+                                            "ra", 2, False)
         clone = pickle.loads(pickle.dumps(job))
-        assert clone.mutant == job.mutant
+        assert clone.mutant == job.mutant == "clock-stuck"
+        assert clone.sanitize and not clone.record
         assert clone.params == job.params
+        assert spec_fingerprint(clone) == spec_fingerprint(job)
 
 
 class TestCli:
@@ -121,34 +134,44 @@ class TestCli:
         assert matrix["ok"] is True
         assert "matrix ok: yes" in capsys.readouterr().out
 
-    def test_inject_rejects_unknown_mutant(self, tmp_path):
+    def test_inject_rejects_unknown_mutant(self, tmp_path, capsys):
         from repro.harness.__main__ import main
 
-        with pytest.raises(ValueError, match="unknown mutant"):
+        with pytest.raises(SystemExit) as exc:
             main(["inject", "--mutants", "bogus", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unknown mutant(s) bogus" in capsys.readouterr().err
 
-    def test_sanitize_clean_variant_exits_zero(self, capsys):
+    def test_sanitize_clean_variant_exits_zero(self, tmp_path, capsys):
         from repro.harness.__main__ import main
 
-        code = main(["sanitize", "--workload", "ra", "--variant", "hv-backoff"])
+        code = main(["sanitize", "--workload", "ra", "--variant",
+                     "hv-backoff", "--out", str(tmp_path)])
         assert code == 0
-        assert "clean" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "sanitize ra/hv-backoff: clean (64 commits, 51 aborts, "
+            "0 fault(s) fired)")
+        summary = json.loads((tmp_path / "sanitize_summary.json").read_text())
+        assert summary["ok"] is True
 
-    def test_sanitize_exits_nonzero_and_prints_first_violation(self, capsys):
+    def test_sanitize_exits_nonzero_and_prints_first_violation(
+            self, tmp_path, capsys):
         from repro.harness.__main__ import main
 
         code = main([
             "sanitize", "--workload", "ra", "--variant", "hv-backoff",
             "--fault", "clock_skew:region=g_clock,count=2",
+            "--out", str(tmp_path),
         ])
         assert code == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "first violation" in out
         # the skewed clock makes the very next release publish a version
-        # "from the future" (torn_version fires first); the later reuse
-        # still trips clock_monotonicity in the full violation list
-        assert "torn_version" in out or "clock_monotonicity" in out
+        # "from the future": torn_version fires first
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "sanitize ra/hv-backoff: FAIL[sanitizer] (64 commits, "
+            "57 aborts, 2 fault(s) fired)",
+            "  first violation: torn_version (tid=10 addr=271): lock "
+            "release published version 1 beyond the global clock (0)",
+        ]
 
     def test_sanitize_bad_fault_spec_is_a_usage_error(self, capsys):
         from repro.harness.__main__ import main
@@ -159,15 +182,19 @@ class TestCli:
         assert exc.value.code == 2
         assert "unknown fault option 'cuont'" in capsys.readouterr().err
 
-    def test_sanitize_arms_a_byzantine_kind(self, capsys):
+    def test_sanitize_arms_a_byzantine_kind(self, tmp_path, capsys):
         from repro.harness.__main__ import main
 
         code = main(["sanitize", "--workload", "ra", "--variant",
-                     "hv-sorting", "--fault", "lock_hoard:tids=0+3"])
+                     "hv-sorting", "--fault", "lock_hoard:tids=0+3",
+                     "--out", str(tmp_path)])
         assert code == 1
-        out = capsys.readouterr().out
-        assert "2 fault(s) fired" in out
-        assert "lock_leak" in out
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "sanitize ra/hv-sorting: FAIL[progress] (42 commits, 58 aborts, "
+            "2 fault(s) fired)",
+            "  first violation: lock_leak (tid=None addr=258): 2 "
+            "version-lock(s) still held at kernel exit (indices 2, 5)",
+        ]
 
 
 def test_default_checkers_cover_every_expectation():

@@ -25,22 +25,106 @@ class TestCli:
         assert "Figure 5" in out
         assert "regenerated" in out
 
-    def test_fuzz_clean_variant_exits_zero(self, capsys):
+    def test_fuzz_clean_variant_exits_zero(self, tmp_path, capsys):
         assert main([
             "fuzz", "--workload", "ra", "--variant", "hv-sorting",
-            "--seeds", "1",
+            "--seeds", "1", "--out", str(tmp_path),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "fuzz ra/hv-sorting" in out
-        assert "0 failing" in out
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "fuzz ra/hv-sorting: 2 schedules, 0 failing",
+            "  all histories strictly serializable "
+            "(128 commits, 128 oracle-checked)",
+        ]
+        summary = json.loads((tmp_path / "fuzz_summary.json").read_text())
+        assert summary["ok"] is True
+        assert sorted(os.listdir(str(tmp_path))) == [
+            "fuzz_summary.json", "run_info.json"]
 
-    def test_fuzz_accepts_explicit_policies(self, capsys):
+    def test_fuzz_accepts_explicit_policies(self, tmp_path, capsys):
         assert main([
             "fuzz", "--workload", "ra", "--variant", "cgl",
             "--seeds", "1", "--policy", "rr", "--policy", "greedy:4",
+            "--out", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "2 schedules" in out
+
+    def test_fuzz_violation_exits_one_with_artifacts(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """A seeded bug the fuzzer catches: exit 1, the shrunk failures in
+        the text, their artifacts and counters under ``--out``."""
+        import functools
+
+        from repro.sched import fuzz
+
+        monkeypatch.setattr(fuzz, "fuzz_schedules", functools.partial(
+            fuzz.fuzz_schedules, mutant="skip-revalidation"))
+        metrics = str(tmp_path / "m.json")
+        assert main([
+            "fuzz", "--variant", "hv-sorting", "--seeds", "2", "--policy",
+            "random", "--out", str(tmp_path), "--metrics", metrics,
+        ]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "fuzz ra/hv-sorting: 2 schedules, 2 failing"
+        assert lines.count("  shrunk to 1 decisions in 11 replays") == 2
+        assert len(os.listdir(str(tmp_path))) == 2 * 3 + 3
+        with open(metrics) as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["fuzz.ra.hv_sorting.failures"] == 2
+        assert counters["fuzz.ra.hv_sorting.schedules"] == 2
+
+    def test_fuzz_errored_cell_fails_the_run(self, tmp_path, monkeypatch,
+                                             capsys):
+        """An errored cell is never a pass: roster on stderr, exit 1."""
+        monkeypatch.setattr(configs, "test_workload_params",
+                            lambda name: {"bogus": 1})
+        assert main(["fuzz", "--variant", "cgl", "--seeds", "1",
+                     "--policy", "random", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "strictly serializable" not in captured.out
+        assert "1 job(s) failed" in captured.err
+        assert "'ra/cgl/random:0'" in captured.err
+
+    def test_fuzz_sweep_resumes_from_its_journal(self, tmp_path, capsys):
+        argv = ["fuzz", "--variant", "all", "--seeds", "1", "--policy",
+                "random", "--jobs", "2", "--resume", str(tmp_path / "j"),
+                "--metrics", str(tmp_path / "m.json"), "--out"]
+        summaries = []
+        for out in ("first", "second"):
+            assert main(argv + [str(tmp_path / out)]) == 0
+            summaries.append((tmp_path / out / "fuzz_summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        with open(str(tmp_path / "m.json")) as handle:
+            counters = json.load(handle)["counters"]
+        assert counters.get("supervisor.jobs.executed", 0) == 0
+        assert counters["supervisor.jobs.resumed"] == 7
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--seeds", "0"], ["fuzz", "--seeds", "-3"],
+        ["inject", "--checkers", "fuzzer", "--seeds", "0"],
+        ["fuzz", "--variant", "bogus"], ["sanitize", "--variant", "bogus"],
+        ["trace", "ra", "--variant", "bogus"],
+        ["fuzz", "--workload", "bogus"], ["sanitize", "--workload", "bogus"],
+        ["inject", "--mutants", "bogus"],
+    ], ids=["fuzz-seeds0", "fuzz-seeds-3", "inject-seeds0", "fuzz-variant",
+            "sanitize-variant", "trace-variant", "fuzz-workload",
+            "sanitize-workload", "inject-mutants"])
+    def test_bad_names_and_seeds_are_usage_errors(self, argv, monkeypatch,
+                                                  capsys):
+        """Rejected before any cell runs (no executor is entered)."""
+        from repro.harness import __main__ as cli
+        from repro.harness import sweep
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a bad flag must stop the CLI first")
+
+        monkeypatch.setattr(sweep, "run_jobs", must_not_run)
+        monkeypatch.setattr(cli, "_trace_workload", must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err or "--seeds must be >= 1" in err
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(SystemExit):
@@ -81,13 +165,9 @@ class TestCli:
     @pytest.mark.parametrize("argv,runner,flags", [
         (["trace", "fig5", "--quick"], "run_trace",
          ("--resume", "--retries", "--timeout", "--expdb")),
-        (["fuzz", "--variant", "cgl", "--seeds", "1"], "run_fuzz",
-         ("--resume", "--retries", "--timeout", "--expdb")),
-        (["sanitize", "--variant", "cgl"], "run_sanitize",
-         ("--resume", "--retries", "--timeout", "--expdb")),
         # chaos reads --timeout as its hung-worker deadline
         (["chaos"], "run_chaos", ("--resume", "--retries", "--expdb")),
-    ], ids=["trace", "fuzz", "sanitize", "chaos"])
+    ], ids=["trace", "chaos"])
     def test_sweep_flags_a_target_ignores_are_usage_errors(
             self, argv, runner, flags, tmp_path, monkeypatch, capsys):
         from repro.harness import __main__ as cli
@@ -181,12 +261,27 @@ class TestCli:
         path = os.path.join(str(tmp_path), "fuzz.json")
         assert main([
             "fuzz", "--workload", "ra", "--variant", "hv-sorting",
-            "--seeds", "1", "--metrics", path,
+            "--seeds", "1", "--metrics", path, "--out", str(tmp_path),
         ]) == 0
         with open(path) as handle:
             data = json.load(handle)
-        assert data["counters"]["fuzz.ra.hv_sorting.schedules"] > 0
-        assert data["counters"]["fuzz.ra.hv_sorting.failures"] == 0
+        assert data["counters"] == {
+            "fuzz.ra.hv_sorting.commits": 128,
+            "fuzz.ra.hv_sorting.failures": 0,
+            "fuzz.ra.hv_sorting.schedules": 2,
+        }
+
+    @pytest.mark.parametrize("target", ["fuzz", "sanitize"])
+    def test_fuzz_and_sanitize_take_the_sweep_flags(self, target, tmp_path,
+                                                    capsys):
+        """Both run on the shared sweep front-end: retried, journaled and
+        recorded like any other sweep."""
+        from repro.expdb import ExperimentDB
+
+        db = str(tmp_path / "e.sqlite")
+        assert main([target, "--variant", "cgl", "--retries", "1", "--resume", str(tmp_path / "j"),
+                     "--expdb", db, "--out", str(tmp_path)]) == 0
+        assert len(ExperimentDB(db).runs(experiment=target)) == 1
 
 
 class TestResilienceFlags:

@@ -115,21 +115,20 @@ class TestJobResult:
 
 def _tag_executor(spec):
     """Module-level so it pickles into worker processes."""
-    return ("tagged", spec.key)
+    return JobResult(spec.key, run=("tagged", spec.key))
 
 
 class TestCustomExecutor:
     def test_serial_path_uses_custom_executor(self):
         specs = [_ra_spec("a"), _ra_spec("b")]
-        assert run_jobs(specs, jobs=1, executor=_tag_executor) == [
-            ("tagged", "a"),
-            ("tagged", "b"),
-        ]
+        results = run_jobs(specs, jobs=1, executor=_tag_executor)
+        assert [r.run for r in results] == [("tagged", "a"), ("tagged", "b")]
 
     @pytest.mark.slow
     def test_pool_path_uses_custom_executor(self):
         specs = [_ra_spec(k) for k in ("a", "b", "c")]
-        assert run_jobs(specs, jobs=2, executor=_tag_executor) == [
+        results = run_jobs(specs, jobs=2, executor=_tag_executor)
+        assert [r.run for r in results] == [
             ("tagged", "a"),
             ("tagged", "b"),
             ("tagged", "c"),
@@ -138,7 +137,7 @@ class TestCustomExecutor:
 
 def _unpicklable_result_executor(spec):
     """Module-level executor whose *result* cannot cross the pipe."""
-    return lambda: spec.key
+    return JobResult(spec.key, run=lambda: spec.key)
 
 
 class TestPoolFailures:

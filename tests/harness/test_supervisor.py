@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness import configs
 from repro.harness.journal import SweepJournal, spec_fingerprint
-from repro.harness.parallel import JobSpec, run_jobs
+from repro.harness.parallel import JobResult, JobSpec, run_jobs
 from repro.harness.supervisor import (
     ChaosPlan,
     SupervisorConfig,
@@ -33,8 +33,8 @@ def _no_sleep(_):
 
 
 def _tuple_executor(spec):
-    """Module-level custom executor returning a bare (non-JobResult) value."""
-    return ("done", spec.key)
+    """Module-level custom executor: a ``JobResult`` whose run is a tuple."""
+    return JobResult(spec.key, run=("done", spec.key))
 
 
 def _explode(spec):
@@ -43,12 +43,12 @@ def _explode(spec):
 
 def _lambda_executor(spec):
     """Module-level executor whose result cannot cross the worker pipe."""
-    return lambda: spec.key
+    return JobResult(spec.key, run=lambda: spec.key)
 
 
 def _pid_executor(spec):
     """Module-level executor reporting which process ran the attempt."""
-    return os.getpid()
+    return JobResult(spec.key, run=os.getpid())
 
 
 class _ExplodingJournal(SweepJournal):
@@ -227,13 +227,13 @@ class TestChaosGuards:
 
 
 class TestCustomExecutor:
-    def test_bare_results_count_as_success(self):
+    def test_custom_executor_results_pass_through(self):
         specs = [_ra_spec("a"), _ra_spec("b")]
         registry = MetricRegistry()
         results = run_supervised(
             specs, jobs=1, executor=_tuple_executor, metrics=registry,
         )
-        assert results == [("done", "a"), ("done", "b")]
+        assert [r.run for r in results] == [("done", "a"), ("done", "b")]
         assert _counters(registry)["supervisor.jobs.succeeded"] == 2
 
 
@@ -366,8 +366,8 @@ class TestProcessMode:
     def test_one_warm_worker_serves_several_attempts(self):
         specs = [_ra_spec(i) for i in range(6)]
         registry = MetricRegistry()
-        pids = run_supervised(specs, jobs=2, executor=_pid_executor,
-                              metrics=registry)
+        pids = [r.run for r in run_supervised(
+            specs, jobs=2, executor=_pid_executor, metrics=registry)]
         assert len(set(pids)) <= 2 < len(pids)
         assert os.getpid() not in pids
         assert _counters(registry)["supervisor.workers.started"] == 2

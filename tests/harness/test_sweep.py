@@ -1,34 +1,32 @@
 """The sweep layer's contract, held by every sweep kind.
 
 Each kind — the figure sweeps, the ledger service, the multi-device
-survival map, the byzantine and the mutant campaigns (plus the fuzzer's
-cells where the supervisor's overlays are concerned) — declares a
+survival map, the byzantine campaign and the captured-run cell the
+mutant campaign and the fuzzer share — declares a
 :class:`~repro.harness.parallel.Cell` and runs through
 :func:`~repro.harness.sweep.run_sweep`, so one set of tests pins what
-they all promise: pickling, cloning, ``--jobs`` independence, journal
-resume, and the supervisor's cycle-budget and chaos-fault overlays.
+they all promise: pickling, cloning, stable fingerprints, ``--jobs``
+independence, journal resume, and the supervisor's cycle-budget and
+chaos-fault overlays.
 """
 
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.faults.byzcampaign import ByzJob, execute_byz_job, run_byz_campaign
-from repro.faults.campaign import (
-    BASE_PARAMS,
-    CampaignJob,
-    execute_campaign_job,
-    run_campaign,
-)
+from repro.faults.campaign import BASE_PARAMS, run_campaign
 from repro.harness import configs
 from repro.harness.experiments import run_figure
 from repro.harness.journal import spec_fingerprint
 from repro.harness.parallel import JobSpec, execute_job
 from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
 from repro.multigpu.sweep import MgJobSpec, execute_mg_job, run_multigpu_sweep
-from repro.sched.fuzz import FuzzJobSpec, execute_fuzz_job
+from repro.sched.fuzz import ExploreCell, execute_explore, fuzz_schedules
 from repro.service.sweep import (
     ServiceJobSpec,
     execute_service_job,
@@ -64,6 +62,12 @@ def _inject(**sweep):
                         **sweep).summary
 
 
+def _fuzz(**sweep):
+    return fuzz_schedules("ra", configs.test_workload_params("ra"),
+                          ["cgl", "hv-sorting"], seeds=1,
+                          policies=("random",), **sweep).summary
+
+
 #: kind -> (one cell, its sweep driver)
 KINDS = {
     "figure": (JobSpec("fig", "ra", configs.test_workload_params("ra"),
@@ -72,8 +76,12 @@ KINDS = {
     "multigpu": (MgJobSpec("mg", "cgl", 0.3, 40, **MULTIGPU), _multigpu),
     "byz": (ByzJob(None, "hv-sorting", "cns",
                    configs.test_workload_params("cns")), _byz),
-    "inject": (CampaignJob(None, "optimized", "oracle", "ra", BASE_PARAMS, 1),
+    "inject": (ExploreCell("ra", BASE_PARAMS, "optimized", "rr",
+                           key="baseline/optimized/sanitizer", sanitize=True),
                _inject),
+    "fuzz": (ExploreCell("ra", configs.test_workload_params("ra"),
+                         "hv-sorting", "random:0", mutant="skip-revalidation",
+                         record=True), _fuzz),
 }
 
 
@@ -115,6 +123,27 @@ class TestSweepContract:
             counters["supervisor.jobs.total"]
 
 
+def test_fingerprint_is_stable_across_interpreters():
+    """A cell's fingerprint is plain data: a fresh interpreter building
+    the same cells computes the same journal keys (a callable field would
+    fingerprint by its ``repr``, which names a memory address)."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    code = (
+        "from repro.harness.journal import spec_fingerprint\n"
+        "from tests.harness.test_sweep import KINDS\n"
+        "for kind in sorted(KINDS):\n"
+        "    print(kind, spec_fingerprint(KINDS[kind][0]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert KINDS["fuzz"][0].mutant is not None
+    assert out.split() == [item for kind in sorted(KINDS) for item in
+                           (kind, spec_fingerprint(KINDS[kind][0]))]
+
+
 def _livelocked(result):
     return result.failed and result.failure.category in ("livelock", "deadlock")
 
@@ -127,11 +156,10 @@ OVERLAY_KINDS = {
                  lambda r: r.run["outcome"] in ("livelock", "deadlock")),
     "byz": (KINDS["byz"][0], execute_byz_job,
             lambda r: r.run["failure"] == "progress"),
-    "inject": (KINDS["inject"][0], execute_campaign_job,
-               lambda r: r.run["detail"].startswith("progress")),
-    "fuzz": (FuzzJobSpec(0, "rr", "ra", configs.test_workload_params("ra"),
-                         "hv-sorting"), execute_fuzz_job,
-             lambda outcome: outcome.failure == "progress"),
+    "inject": (KINDS["inject"][0], execute_explore,
+               lambda r: r.run.failure == "progress"),
+    "fuzz": (KINDS["fuzz"][0], execute_explore,
+             lambda r: r.run.failure == "progress"),
 }
 
 FAULT = "warp_stall:sm=0,warp=0,after=0,duration=5"
@@ -166,7 +194,7 @@ class TestSupervisorOverlays:
                                   config=config, chaos=chaos,
                                   metrics=registry)
         assert seen == [[FAULT], None]  # faulted attempt, then clean retry
-        assert not getattr(result, "failed", False)
+        assert not result.failed
         assert registry.as_dict()["counters"]["supervisor.retries"] == 1
 
 

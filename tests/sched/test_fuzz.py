@@ -2,50 +2,29 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
 from repro.harness import configs
+from repro.harness.journal import spec_fingerprint
 from repro.sched.fuzz import (
-    FuzzJobSpec,
+    ExploreCell,
     ddmin,
-    execute_fuzz_job,
+    execute_explore,
     fuzz_schedules,
     policy_specs,
     unflatten_decisions,
 )
-from repro.stm import make_runtime
-from repro.stm.runtime.locksorting import LockSortingTx
+from repro.telemetry import MetricRegistry
 from tests.stm.helpers import ALL_VARIANTS
 
 RA_PARAMS = configs.test_workload_params("ra")
 
-
-class NoRevalidateTx(LockSortingTx):
-    """Deliberately broken: skips read-set revalidation entirely.
-
-    Reads never notice concurrent committers and timestamp validation is
-    forced to pass, so stale snapshots reach commit — a schedule-dependent
-    serializability bug only specific interleavings expose.
-    """
-
-    def _post_validation(self, version):
-        self.snapshot = version
-        return True
-        yield  # generator protocol; unreachable
-
-    def _get_locks_and_tbv(self):
-        ok = yield from super()._get_locks_and_tbv()
-        if ok:
-            self.pass_tbv = True
-        return ok
-
-
-def broken_runtime_factory(variant, device, stm_config):
-    """Module-level (hence picklable) factory injecting the broken tx."""
-    runtime = make_runtime(variant, device, stm_config)
-    runtime.make_thread = lambda tc: NoRevalidateTx(runtime, tc)
-    return runtime
+#: skips read-set revalidation (post-validation) and forces the
+#: commit-time TBV verdict to pass: stale snapshots reach commit, a
+#: schedule-dependent serializability bug only some interleavings expose
+BROKEN = "skip-revalidation"
 
 
 class TestDdmin:
@@ -80,12 +59,12 @@ class TestHelpers:
     def test_policy_specs_expand_seeded_templates(self):
         expanded = policy_specs(("random", "adversarial", "rr", "random:7"), [0, 1])
         assert expanded == [
-            (0, "random:0"),
-            (1, "random:1"),
-            (0, "adversarial:0"),
-            (1, "adversarial:1"),
-            (None, "rr"),
-            (None, "random:7"),
+            "random:0",
+            "random:1",
+            "adversarial:0",
+            "adversarial:1",
+            "rr",
+            "random:7",
         ]
 
     def test_unflatten_decisions(self):
@@ -96,21 +75,24 @@ class TestHelpers:
         ]
 
     def test_job_spec_pickles(self):
-        import pickle
-
-        spec = FuzzJobSpec(
-            3, "random:3", "ra", RA_PARAMS, "hv-sorting",
-            runtime_factory=broken_runtime_factory,
-        )
+        spec = ExploreCell("ra", RA_PARAMS, "hv-sorting", "random:3",
+                           mutant=BROKEN, record=True)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.policy == "random:3"
-        assert clone.runtime_factory is broken_runtime_factory
+        assert clone.mutant == BROKEN
+        assert clone.key == "ra/hv-sorting/random:3"
+        assert spec_fingerprint(clone) == spec_fingerprint(spec)
 
     def test_execute_fuzz_job_captures_errors(self):
-        spec = FuzzJobSpec(0, "random:0", "ra", {"bogus": 1}, "hv-sorting")
-        outcome = execute_fuzz_job(spec)
-        assert outcome.failure == "error"
-        assert "bogus" in outcome.detail
+        spec = ExploreCell("ra", {"bogus": 1}, "hv-sorting", "random:0")
+        result = execute_explore(spec)
+        assert result.failed
+        assert "bogus" in result.error
+        assert result.failure.key == "ra/hv-sorting/random:0"
+
+
+def _outcomes(report):
+    return [result.run for result in report.results]
 
 
 class TestFuzzSmoke:
@@ -119,28 +101,43 @@ class TestFuzzSmoke:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_variant_survives_seeded_schedules(self, variant):
         report = fuzz_schedules(
-            "ra", RA_PARAMS, variant, seeds=[0],
-            policies=("random", "adversarial"), shrink=False,
+            "ra", RA_PARAMS, [variant], seeds=[0],
+            policies=("random", "adversarial"), shrink_budget=0,
         )
-        assert not report.found_violation, report.render()
-        assert len(report.outcomes) == 2
-        for outcome in report.outcomes:
+        assert report.ok, report.render()
+        assert len(report.results) == 2
+        for outcome in _outcomes(report):
             assert outcome.checked > 0, "oracle must check every history"
             assert outcome.commits > 0
             assert outcome.ledger_rows, "fuzz runs carry a TxTracer ledger"
             assert "commits" in outcome.ledger_summary
+            assert outcome.traces, "fuzz cells record their schedule"
 
     def test_cgl_commit_order_witness(self):
         """``random:21`` lets another warp take CGL's lock and commit in
         the step between a release and its commit record; the history
         must still order the sections as the lock did."""
         report = fuzz_schedules(
-            "ra", RA_PARAMS, "cgl", seeds=[21], policies=("random",),
-            shrink=False,
+            "ra", RA_PARAMS, ["cgl"], seeds=[21], policies=("random",),
+            shrink_budget=0,
         )
-        (outcome,) = report.outcomes
-        assert not report.found_violation, report.render()
+        (outcome,) = _outcomes(report)
+        assert report.ok, report.render()
         assert outcome.checked == outcome.commits > 0
+
+    def test_variants_share_one_grid(self):
+        """Every variant's cells run as one sweep, in variant order."""
+        report = fuzz_schedules(
+            "ra", RA_PARAMS, ["cgl", "vbv"], seeds=[0], policies=("random",),
+            shrink_budget=0,
+        )
+        assert [spec.key for spec in report.specs] == [
+            "ra/cgl/random:0", "ra/vbv/random:0"]
+        assert list(report.summary["variants"]) == ["cgl", "vbv"]
+        assert report.render().splitlines()[::3] == [
+            "fuzz ra/cgl: 1 schedules, 0 failing",
+            "fuzz ra/vbv: 1 schedules, 0 failing",
+        ]
 
 
 class TestFuzzEfficacy:
@@ -148,62 +145,99 @@ class TestFuzzEfficacy:
 
     def run_broken(self, tmp_path, **kwargs):
         return fuzz_schedules(
-            "ra", RA_PARAMS, "hv-sorting",
+            "ra", RA_PARAMS, ["hv-sorting"],
             seeds=2,
             policies=("random",),
-            runtime_factory=broken_runtime_factory,
+            mutant=BROKEN,
             artifact_dir=str(tmp_path),
             **kwargs,
         )
 
+    @staticmethod
+    def failures(report):
+        return report.summary["variants"]["hv-sorting"]["failures"]
+
     def test_broken_runtime_caught_and_shrunk(self, tmp_path):
         report = self.run_broken(tmp_path, shrink_budget=80)
-        assert report.found_violation, "bounded seed budget must expose the bug"
-        for failure in report.failures:
-            assert failure.outcome.failure == "serializability"
-            original = len(failure.outcome.decisions())
-            assert failure.shrunk_decisions is not None
-            assert len(failure.shrunk_decisions) <= original
-            assert failure.shrink_evals <= 80
-            # the minimal prescription must itself still fail
-            assert failure.shrunk_outcome is not None
-            assert not failure.shrunk_outcome.ok
+        assert not report.ok, "bounded seed budget must expose the bug"
+        failures = self.failures(report)
+        assert [f["policy"] for f in failures] == ["random:0:4", "random:1:4"]
+        for failure in failures:
+            assert failure["failure"] == "serializability"
+            # the minimal prescription must itself still fail, and both
+            # seeds shrink to one decision within the budget
+            assert failure["shrunk"] == {"decisions": 1, "replays": 11,
+                                         "failure": "serializability"}
+            assert failure["decisions"] > 1000
 
     def test_artifacts_written_and_replayable(self, tmp_path):
-        report = self.run_broken(tmp_path, shrink=False)
-        failure = report.failures[0]
-        names = {os.path.basename(p).split(".", 1)[1] for p in failure.artifacts}
+        report = self.run_broken(tmp_path, shrink_budget=0)
+        failure = self.failures(report)[0]
+        names = {name.split(".", 1)[1] for name in failure["artifacts"]}
         assert names == {"schedule.json", "ledger.csv"}
-        schedule_path = [p for p in failure.artifacts if p.endswith("schedule.json")][0]
-        with open(schedule_path) as handle:
+        with open(tmp_path / failure["artifacts"][0]) as handle:
             payload = json.load(handle)
         assert payload["failure"] == "serializability"
         assert payload["traces"], "artifact must carry the recorded schedule"
-        ledger_path = [p for p in failure.artifacts if p.endswith("ledger.csv")][0]
-        with open(ledger_path) as handle:
+        with open(tmp_path / failure["artifacts"][-1]) as handle:
             lines = handle.read().strip().splitlines()
         assert lines[0].startswith("sequence,")
         assert len(lines) > 1
 
     def test_shrunk_artifact_carries_the_prescription(self, tmp_path):
         report = self.run_broken(tmp_path, shrink_budget=80)
-        failure = report.failures[0]
-        shrunk_path = [p for p in failure.artifacts if p.endswith("shrunk.json")][0]
-        with open(shrunk_path) as handle:
+        failure = self.failures(report)[0]
+        assert failure["artifacts"][1].endswith("shrunk.json")
+        with open(tmp_path / failure["artifacts"][1]) as handle:
             payload = json.load(handle)
         flattened = sum(len(d) for d in payload["decisions_per_launch"])
-        assert flattened == len(failure.shrunk_decisions)
+        assert flattened == failure["shrunk"]["decisions"]
         assert payload["failure"] == "serializability"
 
     def test_infrastructure_errors_surface_loudly(self):
-        with pytest.raises(RuntimeError, match="outside the oracle"):
-            fuzz_schedules(
-                "ra", {"bogus": 1}, "hv-sorting", seeds=1, policies=("random",)
-            )
+        """An errored cell is never a pass: it fails the sweep and joins
+        the failure roster."""
+        report = fuzz_schedules(
+            "ra", {"bogus": 1}, ["hv-sorting"], seeds=1, policies=("random",)
+        )
+        assert not report.ok
+        (failure,) = report.failures
+        assert failure.key == "ra/hv-sorting/random:0"
+        assert "bogus" in failure.message
+        (error,) = report.summary["variants"]["hv-sorting"]["errors"]
+        assert error["key"] == failure.key
+        assert "errored outside the oracle" in report.render()
+        assert "strictly serializable" not in report.render()
 
     def test_report_render_mentions_the_shrink(self, tmp_path):
         report = self.run_broken(tmp_path, shrink_budget=80)
-        rendered = report.render()
-        assert "failing" in rendered
-        assert "shrunk to" in rendered
-        assert "artifact:" in rendered
+        lines = report.render().splitlines()
+        assert lines[:8] == [
+            "fuzz ra/hv-sorting: 2 schedules, 2 failing",
+            "policy=random:0:4 failure=serializability",
+            "  tx tid=22 version=4 read addr=71 value=1000 but the "
+            "serialized state holds 999",
+            "  schedule: 1294 decisions",
+            "  shrunk to 1 decisions in 11 replays",
+            "  artifact: %s" % os.path.join(
+                str(tmp_path), "fuzz_ra_hv-sorting_random-0-4.schedule.json"),
+            "  artifact: %s" % os.path.join(
+                str(tmp_path), "fuzz_ra_hv-sorting_random-0-4.shrunk.json"),
+            "  artifact: %s" % os.path.join(
+                str(tmp_path), "fuzz_ra_hv-sorting_random-0-4.ledger.csv"),
+        ]
+
+    def test_resumed_sweep_replays_every_cell_and_the_summary(self, tmp_path):
+        """A journal resume executes no cell; the reduce still shrinks
+        and rewrites the same summary and artifacts."""
+        journal = str(tmp_path / "fuzz.journal")
+        summaries = []
+        for _ in range(2):
+            registry = MetricRegistry()
+            report = self.run_broken(tmp_path, shrink_budget=80,
+                                     journal=journal, metrics=registry)
+            summaries.append(json.dumps(report.summary, sort_keys=True))
+        counters = registry.as_dict()["counters"]
+        assert counters.get("supervisor.jobs.executed", 0) == 0
+        assert counters["supervisor.jobs.resumed"] == 2
+        assert summaries[0] == summaries[1]
