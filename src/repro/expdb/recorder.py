@@ -52,10 +52,10 @@ def _cell_summary(run):
     """A compact deterministic summary of one job's payload, or ``None``.
 
     Understands the two payload shapes the sweeps produce:
-    :class:`~repro.harness.runner.RunResult` (via ``as_summary``) and the
-    service's ``ServiceOutcome`` (same method).  Anything else — fuzz
-    reports, campaign dicts — is skipped; those sweeps carry their
-    summaries in the run-level ``summary`` blob instead.
+    :class:`~repro.harness.runner.RunResult` (via ``as_summary``; every
+    figure and captured-run cell) and the service's ``ServiceOutcome``
+    (same method).  Any other payload (a custom executor's) is
+    skipped.
     """
     as_summary = getattr(run, "as_summary", None)
     if as_summary is None:

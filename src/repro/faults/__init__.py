@@ -27,14 +27,14 @@ Layers:
   ``mutant`` field and the worker applies it.
 * :mod:`repro.faults.campaign` — the mutant x checker efficacy matrix:
   a grid of the one captured-run cell,
-  :class:`~repro.sched.fuzz.ExploreCell` (the cell ``fuzz`` and
-  ``sanitize`` run too), on the shared sweep layer
-  (:mod:`repro.harness.sweep`), folded into matrix cells by a reduce.
+  :class:`~repro.harness.parallel.ExploreCell` (the cell ``fuzz``,
+  ``sanitize``, ``byz`` and ``multigpu`` run too), on the shared sweep
+  layer (:mod:`repro.harness.sweep`), folded into matrix cells by a
+  reduce.
 * :mod:`repro.faults.byzcampaign` — the behavior x variant resilience
-  matrix (containment, blast radius, detection latency) of
-  :class:`~repro.faults.byzcampaign.ByzJob` cells on the same sweep
-  layer, each arming one byzantine kind; ``python -m repro byz`` runs
-  it.
+  matrix (containment, blast radius, detection latency): a grid of the
+  same cell, each armed one with one byzantine kind, folded into
+  matrix cells by a pure reduce; ``python -m repro byz`` runs it.
 
 The injector and the sanitizer are *probes* of
 :class:`~repro.gpu.thread.ProbedThreadCtx`: each implements the seams it

@@ -31,9 +31,14 @@ Alongside the armed cells, every variant runs once *disarmed* under the
 sanitizer: the matrix is only ``ok`` when no cell escaped **and** every
 baseline stayed clean, so detection cannot "win" by flagging everything.
 
-Cells run through the shared sweep layer (:mod:`repro.harness.sweep`) —
-the same supervised pool, checkpoint journal, and experiment-database
-recorder every sweep uses — so ``python -m repro byz`` supports
+Each cell is one sanitized captured run
+(:class:`~repro.harness.parallel.ExploreCell`, armed through its
+``fault_plan``; the cell ``fuzz``, ``sanitize``, ``inject`` and
+``multigpu`` run too) and a pure reduce folds each run into its matrix
+cell.  Cells run through the shared sweep layer
+(:mod:`repro.harness.sweep`) — the same supervised pool, checkpoint
+journal, and experiment-database recorder every sweep uses — so
+``python -m repro byz`` supports
 ``--jobs``/``--retries``/``--timeout``/``--resume``/``--expdb``.  With
 ``--devices N`` the whole campaign runs on a multi-device topology and
 the byzantine lanes are pinned to ``--byz-device`` (default: the last
@@ -42,7 +47,7 @@ device), modelling a hostile *remote* accelerator.
 
 from repro.faults.plan import BYZ_KINDS
 from repro.gpu.config import GpuConfig
-from repro.harness.parallel import Cell, capture, cell
+from repro.harness.parallel import ExploreCell, execute_explore
 from repro.harness.sweep import (
     SweepCommand,
     add_sweep_flags,
@@ -88,54 +93,10 @@ def default_spec_text(behavior, block, *, tids=None):
     return "%s:stride=%d,offset=0" % (behavior, block)
 
 
-@cell
-class ByzJob(Cell):
-    """One (behavior-or-baseline, variant) campaign cell.
-
-    ``behavior`` is ``None`` for a disarmed baseline; an armed cell's
-    ``fault_plan`` starts with its behavior's spec, and a chaos ``fault``
-    event appends its own specs to the same plan.  ``key`` defaults to
-    ``behavior/variant`` (``baseline/variant``).
-    """
-
-    behavior: str
-    variant: str
-    workload: str
-    params: dict
-    devices: int = 1
-    link_latency: int = 40
-    num_locks: int = 16
-    key: object = None
-    gpu_overrides: dict = None
-    fault_plan: list = None
-
-    key_fields = ("behavior", "variant")
-
-
-def _attack(job, _telemetry):
-    # imported here, not at module top: repro.faults must stay importable
-    # without dragging in the whole scheduling/workload stack
-    from repro.faults.sanitizer import StmSanitizer
-    from repro.harness import configs
-    from repro.harness.runner import run_workload
-    from repro.workloads import make_workload
-
-    result = _cell(job)
-    gpu_overrides = {"max_steps": MAX_STEPS}
-    if job.devices > 1:
-        gpu_overrides["devices"] = job.devices
-        gpu_overrides["link_model"] = "uniform:%d" % job.link_latency
-    gpu_overrides.update(job.gpu_overrides or {})
-    outcome = run_workload(
-        make_workload(job.workload, **job.params),
-        job.variant,
-        configs.override_gpu(configs.explore_gpu(), gpu_overrides),
-        "rr",
-        num_locks=job.num_locks,
-        capture=True,
-        sanitizer=StmSanitizer(),
-        fault_plan=job.fault_plan,
-    )
+def _attack_cell(behavior, spec, outcome):
+    """The matrix cell of ``behavior`` (``None``: a disarmed baseline)
+    from cell ``spec``'s captured run ``outcome``."""
+    result = _cell(behavior, spec)
     result["fired"] = len(outcome.fired)
     if outcome.fired:
         result["first_fired_cycle"] = outcome.fired[0]["cycle"]
@@ -155,18 +116,18 @@ def _attack(job, _telemetry):
         if result["first_fired_cycle"] is not None:
             latency -= result["first_fired_cycle"]
         result["detection_latency"] = max(0, latency)
-    result["classification"] = _classify(job, result)
+    result["classification"] = _classify(behavior, result)
     return result
 
 
-def _cell(job):
+def _cell(behavior, spec):
     """A matrix cell with no evidence yet."""
     return {
-        "behavior": job.behavior,
-        "variant": job.variant,
-        "workload": job.workload,
-        "spec": job.fault_plan[0] if job.behavior else "",
-        "devices": job.devices,
+        "behavior": behavior,
+        "variant": spec.variant,
+        "workload": spec.workload,
+        "spec": spec.fault_plan[0] if behavior else "",
+        "devices": (spec.gpu_overrides or {}).get("devices", 1),
         "classification": None,
         "detected_by": None,
         "detection_latency": None,
@@ -181,16 +142,9 @@ def _cell(job):
     }
 
 
-def execute_byz_job(job):
-    """Run one byzantine cell; its ``JobResult.run`` is the matrix cell.
-    A failed cell folds in as an ``error`` escapee (see
-    :func:`_error_cell`), so a crash never reads as "contained"."""
-    return capture(job, _attack)
-
-
-def _classify(job, result):
+def _classify(behavior, result):
     """Fold one cell's evidence into a :data:`CLASSIFICATIONS` verdict."""
-    if job.behavior is None:
+    if behavior is None:
         # baseline: any evidence at all is a false positive
         clean = (result["failure"] is None and not result["checks"]
                  and not result["fired"])
@@ -209,24 +163,31 @@ def _classify(job, result):
 
 def _byz_jobs(behaviors, variants, workload, params, devices, link_latency,
               byz_device, num_sms, num_locks):
+    """The campaign's grid: ``(behavior, cell)`` pairs, every armed
+    (behavior, variant) cell in matrix order, then one disarmed baseline
+    (behavior ``None``) per variant."""
     block = params["block"]
     tids = None
+    gpu_overrides = {"max_steps": MAX_STEPS}
     if devices > 1:
         tids = device_lane_tids(
             params["grid"], block, byz_device, devices, num_sms
         )
-    jobs = []
-    for behavior in behaviors:
-        spec = default_spec_text(behavior, block, tids=tids)
-        for variant in variants:
-            jobs.append(ByzJob(behavior, variant, workload, params,
-                               devices=devices, link_latency=link_latency,
-                               num_locks=num_locks, fault_plan=[spec]))
-    for variant in variants:
-        jobs.append(ByzJob(None, variant, workload, params,
-                           devices=devices, link_latency=link_latency,
-                           num_locks=num_locks))
-    return jobs
+        gpu_overrides["devices"] = devices
+        gpu_overrides["link_model"] = "uniform:%d" % link_latency
+    grid = [(behavior, variant, [default_spec_text(behavior, block,
+                                                   tids=tids)])
+            for behavior in behaviors for variant in variants]
+    grid += [(None, variant, None) for variant in variants]
+    return [
+        (behavior, ExploreCell(
+            workload, params, variant, "rr",
+            key="%s/%s" % (behavior or "baseline", variant),
+            num_locks=num_locks, gpu_overrides=gpu_overrides,
+            fault_plan=plan, sanitize=True,
+        ))
+        for behavior, variant, plan in grid
+    ]
 
 
 def run_byz_campaign(
@@ -270,6 +231,10 @@ def run_byz_campaign(
         raise ValueError("byz_device %d outside topology of %d device(s)"
                          % (byz_device, devices))
 
+    grid = _byz_jobs(behaviors, variants, workload, params, devices,
+                     link_latency, byz_device, num_sms, num_locks)
+    behaviors_of = [behavior for behavior, _spec in grid]
+
     def summarize(specs, results):
         matrix = {
             "workload": workload,
@@ -282,33 +247,32 @@ def run_byz_campaign(
             "escapees": [],
             "ok": True,
         }
-        for spec, result in zip(specs, results):
-            cell = _error_cell(spec, result) if result.failed else result.run
-            if spec.behavior is None:
+        for behavior, spec, result in zip(behaviors_of, specs, results):
+            cell = (_error_cell(behavior, spec, result) if result.failed
+                    else _attack_cell(behavior, spec, result.run))
+            if behavior is None:
                 matrix["baselines"][spec.variant] = cell
                 if cell["classification"] != "contained":
                     matrix["ok"] = False
                     matrix["escapees"].append(spec.key)
             else:
-                matrix["cells"][spec.behavior][spec.variant] = cell
+                matrix["cells"][behavior][spec.variant] = cell
                 if cell["classification"] in ("escaped", "error"):
                     matrix["ok"] = False
                     matrix["escapees"].append(spec.key)
         return matrix
 
     return run_sweep(
-        _byz_jobs(behaviors, variants, workload, params, devices,
-                  link_latency, byz_device, num_sms, num_locks),
-        execute_byz_job, summarize,
+        [spec for _behavior, spec in grid], execute_explore, summarize,
         lambda report: render_byz_matrix(report.summary),
         ("byz_matrix.json", None), jobs=jobs, **sweep
     )
 
 
-def _error_cell(job, result):
+def _error_cell(behavior, spec, result):
     """The matrix cell of a cell that failed instead of reporting."""
     failure = result.as_failure()
-    cell = _cell(job)
+    cell = _cell(behavior, spec)
     cell["classification"] = "error"
     cell["error"] = "%s: %s" % (failure.exception, failure.message)
     return cell

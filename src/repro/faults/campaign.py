@@ -23,11 +23,12 @@ under every checker: the matrix is only ``ok`` when all mutants are caught
 **and** all baselines stay clean, so a checker cannot "win" by flagging
 everything.
 
-Every run is one :class:`~repro.sched.fuzz.ExploreCell` (the mutant
-named by its ``mutant`` field, the sanitizer by ``sanitize``) through the
-shared sweep layer (:mod:`repro.harness.sweep`) with
-:func:`~repro.sched.fuzz.execute_explore`, the executor ``fuzz`` and
-``sanitize`` use too; the reduce folds each (mutant, variant, checker)
+Every run is one :class:`~repro.harness.parallel.ExploreCell` (the
+mutant named by its ``mutant`` field, the sanitizer by ``sanitize``)
+through the shared sweep layer (:mod:`repro.harness.sweep`) with
+:func:`~repro.harness.parallel.execute_explore`, the one captured-run
+cell and executor ``fuzz``, ``sanitize``, ``byz`` and ``multigpu`` use
+too; the reduce folds each (mutant, variant, checker)
 group of runs into one matrix cell.  The ``inject`` CLI target (``python
 -m repro.harness inject``) drives :func:`run_campaign` and writes the
 JSON matrix.
@@ -59,7 +60,8 @@ MAX_STEPS = 120_000
 def _campaign_cells(names, checkers, workload, seeds, include_baselines):
     """The campaign's grid: ``(mutant, variant, checker, cells)`` groups
     in matrix order, and their cells flattened in the same order."""
-    from repro.sched.fuzz import SEEDED_TEMPLATES, ExploreCell, policy_specs
+    from repro.harness.parallel import ExploreCell
+    from repro.sched.fuzz import SEEDED_TEMPLATES, policy_specs
 
     rows = [(name, variant) for name in names
             for variant in MUTANTS[name].variants]
@@ -199,7 +201,7 @@ def run_campaign(
 
     # imported here: repro.faults must stay importable without dragging
     # in the whole scheduling/workload stack
-    from repro.sched.fuzz import execute_explore
+    from repro.harness.parallel import execute_explore
 
     return run_sweep(
         cells, execute_explore, summarize,

@@ -40,14 +40,20 @@ sweep gets its own ``<out>/<key>.trace.json`` — or a single workload name
 default ``optimized``).  A merged ``metrics.json`` lands next to the
 traces; see ``docs/observability.md``.
 
-``fuzz``, ``sanitize`` and ``inject`` are grids of one captured-run
-cell (:class:`repro.sched.fuzz.ExploreCell`) on the shared sweep layer
-(:mod:`repro.harness.sweep`), so they run on the pool under ``--jobs``,
-take the sweep flags below and write a deterministic summary JSON plus
-``run_info.json`` under ``--out``.  A cell that errors is listed in the
-failure roster and exits 1.  ``--variant`` is one STM variant or ``all``
-(the paper's seven); an unknown variant, workload or mutant, or
-``--seeds`` below 1, is a usage error (exit 2) before any cell runs.
+Each target has its own subcommand parser declaring only the flags it
+reads, with its own defaults; a flag the target does not read is a usage
+error (exit 2) naming that flag (``python -m repro.harness <target>
+--help`` lists a target's flags).
+
+``fuzz``, ``sanitize`` and ``inject`` are grids of the one captured-run
+cell (:class:`repro.harness.parallel.ExploreCell`) on the shared sweep
+layer (:mod:`repro.harness.sweep`), so they run on the pool under
+``--jobs``, take the sweep flags below and write a deterministic summary
+JSON plus ``run_info.json`` under ``--out``.  A cell that errors is
+listed in the failure roster and exits 1.  ``--variant`` is one STM
+variant or ``all`` (the paper's seven); an unknown variant, workload or
+mutant, or ``--seeds`` below 1, is a usage error (exit 2) before any
+cell runs.
 
 The ``fuzz`` target runs the schedule-exploration fuzzer
 (:mod:`repro.sched.fuzz`): N seeded schedules per policy template per STM
@@ -82,9 +88,8 @@ with backoff for transient failures, per-job wall-clock timeouts
 sweep resumes where it stopped (``all`` suffixes the journal per
 target).  Jobs that still fail render as explicit FAILED gaps, a failure
 summary is printed, and the exit code is 1 — see ``docs/resilience.md``.
-A sweep flag a target would ignore (``--resume``/``--retries``/
-``--timeout``/``--expdb`` on ``trace``; all but ``--timeout`` on
-``chaos``; ``--timeout`` with one worker) is a usage error.
+``trace`` takes none of these four flags and ``chaos`` only
+``--timeout``; ``--timeout`` with one worker is a usage error.
 
 The ``chaos`` target (:mod:`repro.harness.chaos`) is the supervision
 layer's own proving ground: a supervised happy-path sweep, a sweep with
@@ -105,7 +110,6 @@ from repro.harness.parallel import default_jobs
 from repro.harness.sweep import (
     SweepCommand,
     add_sweep_flags,
-    check_names,
     csv_or_all,
     failed_cell,
     print_failures,
@@ -113,15 +117,11 @@ from repro.harness.sweep import (
     run_sweep,
     supervision,
     sweep_jobs,
+    timeout_seconds,
+    worker_count,
 )
+from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 from repro.workloads import workload_names
-
-#: the sweep flags each non-figure target has no use for: passing one is
-#: a usage error rather than a silently ignored flag
-UNUSED_SWEEP_FLAGS = {
-    "trace": ("resume", "retries", "timeout", "expdb"),
-    "chaos": ("resume", "retries", "expdb"),
-}
 
 #: workload names ``trace`` (single-run timelines), ``fuzz``, ``sanitize``
 #: and ``inject`` accept: the registry's sorted roster, so new workloads
@@ -129,20 +129,26 @@ UNUSED_SWEEP_FLAGS = {
 WORKLOADS = workload_names()
 
 
-def run_fuzz(args, parser, variants):
+def _variants(args):
+    """The STM variants ``--variant`` names: ``all`` is the paper's
+    seven."""
+    return list(STM_VARIANTS) if args.variant == "all" else [args.variant]
+
+
+def run_fuzz(args, parser):
     """Drive the interleaving fuzzer's grid; returns an exit code."""
     # imported here: the figure targets must not pay for the fuzz stack
     from repro.sched.fuzz import SEEDED_TEMPLATES, fuzz_schedules
 
+    variants = _variants(args)
     command = SweepCommand(args, parser, "fuzz")
-    out_dir = args.out or "fuzz-artifacts"
     report = fuzz_schedules(
         args.workload,
         configs.test_workload_params(args.workload),
         variants,
-        seeds=args.seeds if args.seeds is not None else 8,
+        seeds=args.seeds,
         policies=args.policy or SEEDED_TEMPLATES,
-        artifact_dir=out_dir,
+        artifact_dir=args.out,
         **command.run_kwargs
     )
     if command.metrics is not None:
@@ -157,9 +163,7 @@ def run_fuzz(args, parser, variants):
             command.metrics.add(metric_name(prefix, "commits"),
                                 entry["commits"])
     return command.finish(
-        report, "fuzz %s x %d variant(s)" % (args.workload, len(variants)),
-        out_dir=out_dir,
-    )
+        report, "fuzz %s x %d variant(s)" % (args.workload, len(variants)))
 
 
 def run_inject(args, parser):
@@ -174,29 +178,26 @@ def run_inject(args, parser):
         checkers=csv_or_all(args.checkers, CHECKERS, "--checkers", parser),
         workload=args.workload,
         include_baselines=not args.no_baselines,
-        seeds=args.seeds if args.seeds is not None else 2,
+        seeds=args.seeds,
         **command.run_kwargs
     )
     return command.finish(
         report, "inject %d mutant(s) x %d checker(s)"
-        % (len(report.summary["mutants"]), len(report.summary["checkers"])),
-        out_dir=args.out or "fault-artifacts",
-    )
+        % (len(report.summary["mutants"]), len(report.summary["checkers"])))
 
 
-def run_chaos(args, jobs):
+def run_chaos(args, parser):
     """Drive the chaos harness; returns an exit code."""
     # imported here: the figure targets must not pay for the chaos stack
     from repro.harness.chaos import run_chaos as chaos_harness
 
+    # chaos always runs at least two workers, so --timeout holds
+    jobs = max(2, args.jobs or default_jobs())
     started = time.time()
-    report = chaos_harness(
-        jobs=max(2, jobs),
-        out_dir=args.out or "chaos-artifacts",
-        wall_timeout=args.timeout if args.timeout is not None else 20.0,
-    )
+    report = chaos_harness(jobs=jobs, out_dir=args.out,
+                           wall_timeout=args.timeout)
     print(report.render())
-    print("[chaos in %.1fs, jobs=%d]" % (time.time() - started, max(2, jobs)))
+    print("[chaos in %.1fs, jobs=%d]" % (time.time() - started, jobs))
     return 0 if report.ok else 1
 
 
@@ -258,11 +259,12 @@ def _render_sanitize(summary):
     return "\n".join(lines)
 
 
-def run_sanitize(args, parser, variants):
+def run_sanitize(args, parser):
     """Run one sanitized cell per variant (under the ``--fault`` specs);
     returns an exit code."""
-    from repro.sched.fuzz import ExploreCell, execute_explore
+    from repro.harness.parallel import ExploreCell, execute_explore
 
+    variants = _variants(args)
     command = SweepCommand(args, parser, "sanitize")
     params = configs.test_workload_params(args.workload)
     report = run_sweep(
@@ -273,9 +275,7 @@ def run_sanitize(args, parser, variants):
         ("sanitize_summary.json", None), **command.run_kwargs
     )
     return command.finish(
-        report, "sanitize %s x %d variant(s)" % (args.workload, len(variants)),
-        out_dir=args.out or "sanitize-artifacts",
-    )
+        report, "sanitize %s x %d variant(s)" % (args.workload, len(variants)))
 
 
 def _validate_artifacts(paths):
@@ -297,7 +297,7 @@ def _trace_workload(args, out_dir):
     from repro.telemetry import Telemetry
     from repro.workloads import make_workload
 
-    variant = "optimized" if args.variant == "all" else args.variant
+    variant = args.variant
     params = (configs.test_workload_params(args.experiment) if args.quick
               else configs.bench_workload_params(args.experiment))
     telemetry = Telemetry(
@@ -320,16 +320,12 @@ def _trace_workload(args, out_dir):
     return telemetry
 
 
-def run_trace(args, jobs, parser):
+def run_trace(args, parser):
     """Record Chrome-trace timelines + metrics; returns an exit code."""
     from repro.telemetry import MetricRegistry
 
-    if not args.experiment:
-        parser.error(
-            "trace needs an experiment: one of %s, or a workload (%s)"
-            % (", ".join(sorted(TARGETS)), " ".join(WORKLOADS))
-        )
-    out_dir = args.out or "trace-artifacts"
+    jobs = args.jobs or default_jobs()
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = args.metrics or os.path.join(out_dir, "metrics.json")
 
@@ -340,15 +336,9 @@ def run_trace(args, jobs, parser):
                             metrics=registry, timeline_dir=out_dir)
         print(result.render())
         registry.write_json(metrics_path)
-    elif args.experiment in WORKLOADS:
+    else:
         telemetry = _trace_workload(args, out_dir)
         telemetry.write_metrics(metrics_path)
-    else:
-        parser.error(
-            "unknown trace experiment %r: expected one of %s, or a workload (%s)"
-            % (args.experiment, ", ".join(sorted(TARGETS)),
-               " ".join(WORKLOADS))
-        )
     print("[metrics -> %s]" % metrics_path)
     print("[trace %s in %.1fs, artifacts in %s]"
           % (args.experiment, time.time() - started, out_dir))
@@ -360,26 +350,6 @@ def run_trace(args, jobs, parser):
     return _validate_artifacts(artifacts)
 
 
-def _check_name(parser, name, universe, what):
-    """``name`` when ``universe`` holds it, else a usage error."""
-    try:
-        check_names([name], universe, what)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return name
-
-
-def _variants(args, parser):
-    """The STM variants ``--variant`` names: ``all`` is the paper's seven
-    (trace reads it as ``optimized``)."""
-    from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
-
-    if args.variant == "all":
-        return list(STM_VARIANTS)
-    return [_check_name(parser, args.variant,
-                        STM_VARIANTS + EXTENSION_VARIANTS, "variant")]
-
-
 def _seed_count(text):
     """``--seeds``: an integer >= 1, else a usage error."""
     value = int(text)
@@ -388,93 +358,10 @@ def _seed_count(text):
     return value
 
 
-def build_parser():
-    """The harness CLI's argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
-        description="Regenerate the paper's evaluation tables and figures, "
-        "record telemetry timelines, or fuzz schedule interleavings.",
-    )
-    parser.add_argument(
-        "target",
-        choices=sorted(TARGETS)
-        + ["all", "fuzz", "trace", "inject", "sanitize", "chaos"],
-    )
-    parser.add_argument(
-        "experiment", nargs="?", default=None,
-        help="for the trace target: a figure/table name or a workload name",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="scaled-down geometry for a fast pass"
-    )
-    add_sweep_flags(parser, None, jobs_default=None, metrics_file=True)
-    fuzz_group = parser.add_argument_group("fuzz target")
-    fuzz_group.add_argument(
-        "--workload", default="ra",
-        help="workload to fuzz (default: ra; uses unit-test geometry)",
-    )
-    fuzz_group.add_argument(
-        "--variant", default="all",
-        help="STM variant to fuzz or trace, or 'all' "
-        "(default; trace reads it as 'optimized')",
-    )
-    fuzz_group.add_argument(
-        "--seeds", type=_seed_count, default=None, metavar="N",
-        help="seeds per seeded policy template (default: 8 for fuzz, "
-        "2 for inject's fuzzer checker)",
-    )
-    fuzz_group.add_argument(
-        "--policy", action="append", metavar="SPEC",
-        help="policy template(s) to fuzz with; repeatable "
-        "(default: random + adversarial)",
-    )
-    fault_group = parser.add_argument_group("inject / sanitize targets")
-    fault_group.add_argument(
-        "--mutants", default="all", metavar="NAMES",
-        help="comma-separated mutant names for inject, or 'all' (default)",
-    )
-    fault_group.add_argument(
-        "--checkers", default="oracle,sanitizer,fuzzer", metavar="NAMES",
-        help="comma-separated checker subset for inject "
-        "(default: oracle,sanitizer,fuzzer)",
-    )
-    fault_group.add_argument(
-        "--no-baselines", action="store_true",
-        help="inject: skip the unmutated false-positive baseline runs",
-    )
-    fault_group.add_argument(
-        "--fault", action="append", metavar="SPEC", type=_fault_spec,
-        help="sanitize: fault spec 'kind:key=value,...' to inject; repeatable",
-    )
-    return parser
-
-
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.experiment is not None and args.target != "trace":
-        parser.error("the experiment argument only applies to the trace target")
-    for flag in UNUSED_SWEEP_FLAGS.get(args.target, ()):
-        if getattr(args, flag) is not None:
-            parser.error("--%s does not apply to the %s target"
-                         % (flag, args.target))
-    if args.target == "chaos":
-        # chaos always runs max(2, --jobs) workers, so --timeout holds
-        return run_chaos(args, args.jobs or default_jobs())
-    if args.target in ("fuzz", "sanitize", "inject"):
-        _check_name(parser, args.workload, WORKLOADS, "workload")
-    if args.target in ("fuzz", "sanitize", "trace"):
-        variants = _variants(args, parser)
-    if args.target == "fuzz":
-        return run_fuzz(args, parser, variants)
-    if args.target == "sanitize":
-        return run_sanitize(args, parser, variants)
-    if args.target == "inject":
-        return run_inject(args, parser)
+def run_figures(args, parser):
+    """Regenerate the figure/table target (every one for ``all``);
+    returns an exit code."""
     jobs = sweep_jobs(args, parser)
-    if args.target == "trace":
-        return run_trace(args, jobs, parser)
-
     registry = None
     if args.metrics:
         from repro.telemetry import MetricRegistry
@@ -505,6 +392,117 @@ def main(argv=None):
         print("[metrics -> %s]" % args.metrics)
     print_failures(failures, ", ".join(names))
     return 1 if failures else 0
+
+
+def _add_workload(parser):
+    parser.add_argument("--workload", default="ra", choices=WORKLOADS,
+                        metavar="NAME", help="workload, at unit-test "
+                        "geometry (default: ra)")
+
+
+def _add_variant(parser, what, default="all"):
+    """``--variant``: one STM variant, or ``all`` (the paper's seven)
+    where that is the default."""
+    parser.add_argument(
+        "--variant", default=default, metavar="NAME",
+        choices=STM_VARIANTS + EXTENSION_VARIANTS
+        + (("all",) if default == "all" else ()),
+        help="STM variant to %s (default: %s)" % (what, default),
+    )
+
+
+def build_parser():
+    """The harness CLI's argument parser: one subcommand parser per
+    target, each declaring only the flags that target reads."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness",
+        description="Regenerate the paper's evaluation tables and figures, "
+        "record telemetry timelines, or fuzz schedule interleavings.",
+    )
+    targets = parser.add_subparsers(dest="target", metavar="target",
+                                    required=True)
+    for name in sorted(TARGETS) + ["all"]:
+        figure = targets.add_parser(name, help="regenerate %s" % name)
+        figure.add_argument("--quick", action="store_true",
+                            help="scaled-down geometry for a fast pass")
+        add_sweep_flags(figure, None, jobs_default=None, metrics_file=True)
+        figure.set_defaults(run=run_figures)
+
+    trace = targets.add_parser("trace", help="record timelines + metrics")
+    trace.add_argument("experiment", metavar="experiment",
+                       choices=sorted(TARGETS) + list(WORKLOADS),
+                       help="a figure/table or a workload name")
+    trace.add_argument("--quick", action="store_true",
+                       help="scaled-down geometry for a fast pass")
+    _add_variant(trace, "trace a workload under", default="optimized")
+    trace.add_argument("--jobs", type=worker_count, default=None,
+                       metavar="N", help="figure sweep workers "
+                       "(default: $REPRO_JOBS or 1)")
+    trace.add_argument("--out", default="trace-artifacts", metavar="DIR",
+                       help="artifact directory (default: %(default)s)")
+    trace.add_argument("--metrics", default=None, metavar="FILE",
+                       help="metrics JSON (default: DIR/metrics.json)")
+    trace.set_defaults(run=run_trace)
+
+    fuzz = targets.add_parser("fuzz", help="fuzz schedule interleavings")
+    _add_workload(fuzz)
+    _add_variant(fuzz, "fuzz")
+    fuzz.add_argument("--seeds", type=_seed_count, default=8, metavar="N",
+                      help="seeds per seeded policy template (default: 8)")
+    fuzz.add_argument("--policy", action="append", metavar="SPEC",
+                      help="policy template(s) to fuzz with; repeatable "
+                      "(default: random + adversarial)")
+    add_sweep_flags(fuzz, "fuzz-artifacts", jobs_default=None,
+                    metrics_file=True)
+    fuzz.set_defaults(run=run_fuzz)
+
+    sanitize = targets.add_parser("sanitize", help="run workloads under "
+                                  "the online STM sanitizer")
+    _add_workload(sanitize)
+    _add_variant(sanitize, "sanitize")
+    sanitize.add_argument("--fault", action="append", metavar="SPEC",
+                          type=_fault_spec, help="fault spec "
+                          "'kind:key=value,...' to inject; repeatable")
+    add_sweep_flags(sanitize, "sanitize-artifacts", jobs_default=None,
+                    metrics_file=True)
+    sanitize.set_defaults(run=run_sanitize)
+
+    inject = targets.add_parser("inject", help="mutant-efficacy campaign")
+    _add_workload(inject)
+    inject.add_argument("--mutants", default="all", metavar="NAMES",
+                        help="comma-separated mutant names, or 'all' "
+                        "(default)")
+    inject.add_argument("--checkers", default="oracle,sanitizer,fuzzer",
+                        metavar="NAMES", help="comma-separated checker "
+                        "subset (default: %(default)s)")
+    inject.add_argument("--no-baselines", action="store_true",
+                        help="skip the unmutated baseline runs")
+    inject.add_argument("--seeds", type=_seed_count, default=2, metavar="N",
+                        help="seeds per policy template of the fuzzer "
+                        "checker (default: 2)")
+    add_sweep_flags(inject, "fault-artifacts", jobs_default=None,
+                    metrics_file=True)
+    inject.set_defaults(run=run_inject)
+
+    chaos = targets.add_parser("chaos", help="the supervision self-test")
+    chaos.add_argument("--jobs", type=worker_count, default=None,
+                       metavar="N", help="workers, at least 2 "
+                       "(default: $REPRO_JOBS)")
+    chaos.add_argument("--timeout", type=timeout_seconds, default=20.0,
+                       metavar="SECONDS", help="hung-worker reaping "
+                       "deadline (default: 20)")
+    chaos.add_argument("--out", default="chaos-artifacts", metavar="DIR",
+                       help="artifact directory (default: %(default)s)")
+    chaos.set_defaults(run=run_chaos)
+    for sub in targets.choices.values():
+        # a target's usage errors print that target's usage
+        sub.set_defaults(parser=sub)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return args.run(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -8,13 +8,15 @@ parallel across *processes* (the simulator is pure Python, so threads would
 serialize on the GIL).
 
 The unit of work is a :class:`Cell` — a picklable, declarative dataclass
-describing one run.  Every sweep kind declares one (:class:`JobSpec` for
-the figures: workload name + constructor params, STM variant, lock-table
-size, config overrides; the service, multi-device and byzantine kinds
-declare theirs next to their executors, and
-:class:`~repro.sched.fuzz.ExploreCell` serves the fuzz, sanitize and
-mutant-campaign targets).  A worker process rebuilds the run from the
-cell inside :func:`capture` and ships back a :class:`JobResult`.
+describing one run.  There are three kinds, each with one executor:
+:class:`JobSpec` (:func:`execute_job`) is a raise-mode run on the bench
+geometry, the figures' cell; :class:`ExploreCell`
+(:func:`execute_explore`) is a captured run on the exploration
+geometry, serving the ``fuzz``, ``sanitize``, ``inject``, ``byz`` and
+``multigpu`` targets; the ledger service declares
+``ServiceJobSpec`` next to its executor.  A worker process rebuilds the
+run from the cell inside :func:`capture` and ships back a
+:class:`JobResult`.
 Exceptions inside a worker (``ProgressError`` watchdog trips,
 ``EgpgvCapacityError`` past the crash-tolerant paths, verification
 failures) are captured into the result instead of killing the pool, so
@@ -162,12 +164,10 @@ class Cell:
     copied, and stored as ``None`` when empty; a required dict field is
     copied.  So a clone never aliases the original's containers.  A kind
     naming ``key_fields`` lets ``key`` default to those fields joined by
-    ``/`` (``None`` reads ``baseline``).
+    ``/``.
     """
 
-    #: capture settings for kinds that record no telemetry; kinds that do
-    #: declare them as fields
-    telemetry = False
+    #: for kinds that record no timeline; a kind that does declares it
     timeline_dir = None
     #: False for kinds whose executor has no seam to arm ``fault_plan``
     faultable = True
@@ -183,10 +183,8 @@ class Cell:
                 value = list(value) if value else None
             setattr(self, field.name, value)
         if self.key is None and self.key_fields:
-            self.key = "/".join(
-                "baseline" if getattr(self, name) is None
-                else str(getattr(self, name)) for name in self.key_fields
-            )
+            self.key = "/".join(str(getattr(self, name))
+                                for name in self.key_fields)
 
     def __getstate__(self):
         return {field.name: getattr(self, field.name)
@@ -377,6 +375,71 @@ def execute_job(spec):
     return capture(spec, _run_job)
 
 
+@cell
+class ExploreCell(Cell):
+    """One captured run on the exploration geometry (plain data).
+
+    ``gpu_overrides`` apply to :func:`configs.explore_gpu`.  ``mutant``
+    names a :data:`~repro.faults.mutants.MUTANTS` entry the worker applies
+    to the runtime; ``sanitize`` binds a fresh
+    :class:`~repro.faults.sanitizer.StmSanitizer`; ``record`` records the
+    issue schedule (the fuzzer's cells do, to shrink and replay it);
+    ``telemetry`` runs the cell under a fresh telemetry session whose
+    registry ships back as ``JobResult.metrics``.  ``key`` defaults to
+    ``workload/variant/policy``.
+    """
+
+    workload: str
+    params: dict
+    variant: str
+    policy: object
+    key: object = None
+    num_locks: int = 16
+    stm_overrides: dict = None
+    gpu_overrides: dict = None
+    fault_plan: list = None
+    mutant: str = None
+    sanitize: bool = False
+    record: bool = False
+    telemetry: bool = False
+
+    key_fields = ("workload", "variant", "policy")
+
+
+def _explore(spec, telemetry=None):
+    """The captured run ``spec`` describes; returns its ``RunResult``."""
+    # imported here: the figure sweeps must not pay for the faults stack
+    runtime_factory = sanitizer = None
+    if spec.mutant is not None:
+        from repro.faults.mutants import MutantRuntimeFactory
+
+        runtime_factory = MutantRuntimeFactory(spec.mutant)
+    if spec.sanitize:
+        from repro.faults.sanitizer import StmSanitizer
+
+        sanitizer = StmSanitizer()
+    return run_workload(
+        make_workload(spec.workload, **spec.params),
+        spec.variant,
+        configs.override_gpu(configs.explore_gpu(), spec.gpu_overrides),
+        spec.policy,
+        num_locks=spec.num_locks,
+        stm_overrides=spec.stm_overrides,
+        capture=True,
+        record=spec.record,
+        runtime_factory=runtime_factory,
+        telemetry=telemetry,
+        sanitizer=sanitizer,
+        fault_plan=spec.fault_plan,
+    )
+
+
+def execute_explore(spec):
+    """Run one :class:`ExploreCell`; its ``JobResult.run`` is the
+    ``RunResult`` (module-level, so it pickles into workers)."""
+    return capture(spec, _explore)
+
+
 def merge_job_metrics(results, into=None):
     """Merge the per-worker registries of ``results`` into one registry.
 
@@ -400,7 +463,7 @@ def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
     ``executor`` maps one spec to one :class:`JobResult` and must never
     raise; it defaults to :func:`execute_job` (the figure sweeps'
     worker).  Other sweeps — e.g. the captured runs'
-    :func:`repro.sched.fuzz.execute_explore` — pass their own, built on
+    :func:`execute_explore` — pass their own, built on
     :func:`capture`; it must be a module-level callable so it pickles
     into worker processes.
 

@@ -39,7 +39,8 @@ class RunResult:
     the commit history) or ``"sanitizer"`` (the online invariant checker
     recorded violations), with ``detail`` its message.  ``traces`` holds
     one recorded-schedule dict per recorded launch (the last one possibly
-    partial on a progress failure); ``livelock`` narrows a progress
+    partial on a progress failure), the run's only copy of its schedule
+    (``kernel_results`` carry none); ``livelock`` narrows a progress
     failure to the watchdog's livelock classification.
     ``shared_data_size`` is the workload's count of transactionally
     shared words (Table 1's "shared data").
@@ -256,8 +257,11 @@ def run_workload(
             result.kernel_results.append(kernel_result)
             result.cycles += kernel_result.cycles
             result.steps += kernel_result.steps
-            if kernel_result.schedule_trace is not None:
-                result.traces.append(kernel_result.schedule_trace.as_dict())
+            trace = kernel_result.schedule_trace
+            if trace is not None:
+                # the run keeps one copy of its schedule: the dict form
+                kernel_result.schedule_trace = None
+                result.traces.append(trace.as_dict())
         completed = True
     except EgpgvCapacityError as exc:
         if not allow_crash:

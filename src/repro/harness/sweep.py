@@ -1,11 +1,12 @@
 """The sweep layer: a grid of cells through the pool, one report, one CLI.
 
-Every figure of the paper, the service, multi-device and byzantine
-campaigns, and the captured-run targets (``fuzz``, ``sanitize``, the
-mutant campaign) is a grid of independent
-:class:`~repro.harness.parallel.Cell` s through the (optionally
-supervised, journaled, recorded) pool.  A sweep kind keeps its cell, axes,
-executor body, summary and renderer; :func:`run_sweep`,
+Every figure of the paper, the ledger service, and the captured-run
+targets (``fuzz``, ``sanitize``, ``inject``, ``byz``, ``multigpu``) is a
+grid of independent :class:`~repro.harness.parallel.Cell` s through the
+(optionally supervised, journaled, recorded) pool.  There are three
+cells, each with one executor: the figures' ``JobSpec``, the captured
+runs' ``ExploreCell`` and the service's ``ServiceJobSpec``.  A sweep
+keeps its grid, summary (the reduce) and renderer; :func:`run_sweep`,
 :class:`SweepReport`, :func:`write_artifacts` and the CLI front-end
 (:func:`add_sweep_flags`, :class:`SweepCommand`) are shared.  See
 docs/resilience.md, "The sweep layer".
@@ -149,7 +150,7 @@ def _retry_count(text):
     return value
 
 
-def _timeout_seconds(text):
+def timeout_seconds(text):
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError("--timeout must be > 0")
@@ -160,9 +161,11 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
                     timeline=False):
     """Add the execution and artifact flag groups every sweep CLI shares.
 
-    ``jobs_default=None`` defers to ``$REPRO_JOBS``; ``metrics_file``
-    makes ``--metrics`` take a FILE instead of writing DIR/metrics.json;
-    ``timeline`` adds ``--timeline`` (per-cell Chrome traces).
+    ``out_default=None`` adds no ``--out`` (the target writes no
+    artifacts); ``jobs_default=None`` defers to ``$REPRO_JOBS``;
+    ``metrics_file`` makes ``--metrics`` take a FILE instead of writing
+    DIR/metrics.json; ``timeline`` adds ``--timeline`` (per-cell Chrome
+    traces).
     """
     execution = parser.add_argument_group("execution")
     execution.add_argument(
@@ -176,7 +179,7 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
         "(routes the sweep through the supervisor)",
     )
     execution.add_argument(
-        "--timeout", type=_timeout_seconds, default=None, metavar="SECONDS",
+        "--timeout", type=timeout_seconds, default=None, metavar="SECONDS",
         help="per-cell wall-clock timeout; the worker is killed and the "
         "attempt retried as transient (needs --jobs > 1)",
     )
@@ -186,10 +189,11 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
         "served back bit-identically on re-run",
     )
     artifacts = parser.add_argument_group("artifacts")
-    artifacts.add_argument(
-        "--out", default=out_default, metavar="DIR",
-        help="artifact directory (default: %s)" % (out_default or "per target"),
-    )
+    if out_default is not None:
+        artifacts.add_argument(
+            "--out", default=out_default, metavar="DIR",
+            help="artifact directory (default: %s)" % out_default,
+        )
     if metrics_file:
         artifacts.add_argument(
             "--metrics", default=None, metavar="FILE",
@@ -272,8 +276,8 @@ class SweepCommand:
                                journal=args.resume, metrics=self.metrics,
                                recorder=self.recorder)
 
-    def finish(self, report, label, out_dir=None):
-        out_dir = out_dir or self.args.out
+    def finish(self, report, label):
+        out_dir = self.args.out
         print(report.render())
         paths = write_artifacts(report, out_dir)
         print("[artifacts -> %s]" % ", ".join(paths))

@@ -16,9 +16,9 @@ replayable like everything else in the repo.
 Entry points: ``repro.gpu.make_device`` builds a
 :class:`~repro.multigpu.device.MultiDevice` whenever ``GpuConfig.devices
 > 1``; ``python -m repro multigpu`` drives the variant-survival sweep
-(:mod:`repro.multigpu.sweep`'s ``MgJobSpec`` cells on the shared sweep
-layer, :mod:`repro.harness.sweep`); docs/multigpu.md walks through the
-model.
+(:mod:`repro.multigpu.sweep`: a grid of captured-run
+:class:`~repro.harness.parallel.ExploreCell` s on the shared sweep layer,
+:mod:`repro.harness.sweep`); docs/multigpu.md walks through the model.
 """
 
 from repro.multigpu.device import MultiDevice

@@ -16,16 +16,18 @@ classifies the outcome:
 The per-variant outcome grid is the *survival map*
 (``survival_map.json`` + a rendered ``survival_map.txt``), the
 multi-GPU analogue of the service layer's collapse-knee artifacts.
-Cells run through the shared sweep layer (:mod:`repro.harness.sweep`)
-exactly like every other sweep: journaled, resumable, bit-identical on
-replay.
+Each cell is one captured run
+(:class:`~repro.harness.parallel.ExploreCell`, the cell ``fuzz``,
+``sanitize``, ``inject`` and ``byz`` run too) through the shared sweep
+layer (:mod:`repro.harness.sweep`): journaled, resumable, bit-identical
+on replay.  The reduce builds each survival-map entry from its grid
+point and the cell's ``RunResult``.
 """
 
-from repro.harness import configs
-from repro.harness.parallel import Cell, capture, cell
-from repro.harness.runner import run_workload
+import itertools
+
+from repro.harness.parallel import ExploreCell, execute_explore
 from repro.harness.sweep import failed_cell, run_sweep
-from repro.workloads import make_workload
 
 #: default artifact directory of the ``multigpu`` CLI target
 DEFAULT_OUT_DIR = "multigpu-artifacts"
@@ -40,30 +42,35 @@ OUTCOME_LETTERS = {
     "failed": "F",
 }
 
+#: the settings every survival cell shares, with their defaults
+CELL_DEFAULTS = dict(
+    devices=2,
+    skew=0.6,
+    shard_skew=0.0,
+    seed=2026,
+    num_accounts=256,
+    grid=4,
+    block=16,
+    txs_per_thread=2,
+    num_locks=64,
+    max_steps=400_000,
+    gpu_overrides=None,
+    fault_plan=None,
+)
 
-@cell
-class MgJobSpec(Cell):
-    """One survival-map cell: picklable, journal-fingerprintable."""
+#: the settings that are ``mg`` workload parameters
+WORKLOAD_FIELDS = ("num_accounts", "grid", "block", "txs_per_thread", "skew",
+                   "shard_skew", "seed")
 
-    key: object
-    variant: str
-    remote_frac: float
-    link_latency: int
-    devices: int = 2
-    skew: float = 0.6
-    shard_skew: float = 0.0
-    seed: int = 2026
-    num_accounts: int = 256
-    grid: int = 4
-    block: int = 16
-    txs_per_thread: int = 2
-    num_locks: int = 64
-    max_steps: int = 400_000
-    telemetry: bool = False
-    gpu_overrides: dict = None
-    fault_plan: list = None
 
-    workload = "mg"
+def _settings(fields):
+    """``fields`` over :data:`CELL_DEFAULTS`; an unknown name is a
+    ``TypeError``."""
+    unknown = sorted(set(fields) - set(CELL_DEFAULTS))
+    if unknown:
+        raise TypeError("unknown survival-cell setting(s): %s"
+                        % ", ".join(unknown))
+    return dict(CELL_DEFAULTS, **fields)
 
 
 def classify_outcome(outcome):
@@ -76,45 +83,55 @@ def classify_outcome(outcome):
     return outcome.failure  # "serializability" | "sanitizer"
 
 
-def _survive(spec, telemetry):
-    # imported here: the faults package must not load with the CLI
-    from repro.faults.sanitizer import StmSanitizer
+def _grid(variants, remote_fracs, link_latencies):
+    """The sweep's grid points ``(variant, remote_frac, link_latency)``,
+    variant-major (deterministic)."""
+    return list(itertools.product(variants, remote_fracs, link_latencies))
 
-    gpu = configs.explore_gpu(max_steps=spec.max_steps, warp_size=8,
-                              devices=spec.devices,
-                              link_model="uniform:%d" % spec.link_latency)
-    outcome = run_workload(
-        make_workload(
-            "mg",
-            num_accounts=spec.num_accounts,
-            grid=spec.grid,
-            block=spec.block,
-            txs_per_thread=spec.txs_per_thread,
-            skew=spec.skew,
-            shard_skew=spec.shard_skew,
-            remote_frac=spec.remote_frac,
-            seed=spec.seed,
-        ),
-        spec.variant,
-        configs.override_gpu(gpu, spec.gpu_overrides),
-        "rr",
-        num_locks=spec.num_locks,
-        stm_overrides=dict(
-            egpgv_max_blocks=spec.grid,
-            egpgv_max_threads_per_block=spec.block,
-        ),
-        capture=True,
-        telemetry=telemetry,
-        sanitizer=StmSanitizer(),
-        fault_plan=spec.fault_plan,
-    )
+
+def build_mg_specs(variants, remote_fracs, link_latencies, telemetry=False,
+                   **fields):
+    """The sweep's cells, one sanitized captured run of the sharded
+    ledger per grid point; ``fields`` override :data:`CELL_DEFAULTS`."""
+    settings = _settings(fields)
+    specs = []
+    for variant, frac, latency in _grid(variants, remote_fracs,
+                                        link_latencies):
+        gpu_overrides = {
+            "max_steps": settings["max_steps"],
+            "warp_size": 8,
+            "devices": settings["devices"],
+            "link_model": "uniform:%d" % latency,
+        }
+        gpu_overrides.update(settings["gpu_overrides"] or {})
+        params = {name: settings[name] for name in WORKLOAD_FIELDS}
+        params["remote_frac"] = frac
+        specs.append(ExploreCell(
+            "mg", params, variant, "rr",
+            key="%s/rf%g/lat%d" % (variant, frac, latency),
+            num_locks=settings["num_locks"],
+            stm_overrides=dict(
+                egpgv_max_blocks=settings["grid"],
+                egpgv_max_threads_per_block=settings["block"],
+            ),
+            gpu_overrides=gpu_overrides,
+            fault_plan=settings["fault_plan"],
+            sanitize=True,
+            telemetry=telemetry,
+        ))
+    return specs
+
+
+def survival_cell(key, point, devices, outcome):
+    """The survival-map entry of grid ``point`` from its captured run."""
+    variant, frac, latency = point
     counters = outcome.counters
     return {
-        "key": spec.key,
-        "variant": spec.variant,
-        "remote_frac": spec.remote_frac,
-        "link_latency": spec.link_latency,
-        "devices": spec.devices,
+        "key": key,
+        "variant": variant,
+        "remote_frac": frac,
+        "link_latency": latency,
+        "devices": devices,
         "outcome": classify_outcome(outcome),
         "commits": outcome.commits,
         "aborts": outcome.aborts,
@@ -130,24 +147,6 @@ def _survive(spec, telemetry):
         + counters.get("mg.remote.atomic", 0),
         "link_cycles": counters.get("mg.link.cycles", 0),
     }
-
-
-def execute_mg_job(spec):
-    """Run one survival cell; never raises.  A watchdog trip is *data* (a
-    livelock/deadlock cell), not a job failure."""
-    return capture(spec, _survive)
-
-
-def build_mg_specs(variants, remote_fracs, link_latencies, **fields):
-    """The sweep's cell grid, ordered variant-major (deterministic);
-    ``fields`` are the :class:`MgJobSpec` fields every cell shares."""
-    return [
-        MgJobSpec("%s/rf%g/lat%d" % (variant, frac, latency), variant, frac,
-                  latency, **fields)
-        for variant in variants
-        for frac in remote_fracs
-        for latency in link_latencies
-    ]
 
 
 def render_survival_map(summary):
@@ -186,7 +185,7 @@ def render_survival_map(summary):
     return "\n".join(lines) + "\n"
 
 
-#: the shared cell fields the survival-map summary states
+#: the shared settings the survival-map summary states
 SUMMARY_FIELDS = ("devices", "seed", "skew", "shard_skew", "num_accounts",
                   "grid", "block", "txs_per_thread", "max_steps")
 
@@ -197,22 +196,25 @@ def run_multigpu_sweep(variants, remote_fracs, link_latencies, jobs=None,
     """Run the survival sweep; returns a
     :class:`~repro.harness.sweep.SweepReport` rendering the survival map.
 
-    ``fields`` are the :class:`MgJobSpec` fields every cell shares; the
+    ``fields`` override the :data:`CELL_DEFAULTS` every cell shares; the
     rest go to :func:`~repro.harness.sweep.run_sweep`, and a ``metrics``
     registry also turns on per-cell telemetry.
     """
-    proto = MgJobSpec(None, None, None, None, **fields)
+    settings = _settings(fields)
+    points = _grid(variants, remote_fracs, link_latencies)
 
     def summarize(specs, results):
-        summary = {name: getattr(proto, name) for name in SUMMARY_FIELDS}
+        summary = {name: settings[name] for name in SUMMARY_FIELDS}
         summary.update(
             experiment="multigpu-survival",
             variants=list(variants),
             remote_fracs=list(remote_fracs),
             link_latencies=list(link_latencies),
             cells=[
-                failed_cell(spec, result) if result.failed else result.run
-                for spec, result in zip(specs, results)
+                failed_cell(spec, result) if result.failed
+                else survival_cell(spec.key, point, settings["devices"],
+                                   result.run)
+                for point, spec, result in zip(points, specs, results)
             ],
         )
         return summary
@@ -220,7 +222,7 @@ def run_multigpu_sweep(variants, remote_fracs, link_latencies, jobs=None,
     return run_sweep(
         build_mg_specs(variants, remote_fracs, link_latencies,
                        telemetry=metrics is not None, **fields),
-        execute_mg_job, summarize,
+        execute_explore, summarize,
         lambda report: render_survival_map(report.summary),
         ("survival_map.json", "survival_map.txt"), jobs=jobs,
         supervise=supervise, journal=journal, metrics=metrics,

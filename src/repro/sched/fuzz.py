@@ -1,25 +1,18 @@
-"""One captured exploration run as a sweep cell, and the interleaving fuzzer.
+"""The interleaving fuzzer: a grid of recording captured runs plus a reduce.
 
-:class:`ExploreCell` is the one captured-run cell: a capture-mode
-:func:`~repro.harness.runner.run_workload` on the exploration geometry
-(:func:`~repro.harness.configs.explore_gpu`), optionally under a seeded
-protocol bug (``mutant``, a :data:`repro.faults.mutants.MUTANTS` name),
-the online sanitizer and a fault plan.  :func:`execute_explore` is its
-executor.  Three harness targets are grids of these cells plus a reduce
-on the shared sweep layer (:mod:`repro.harness.sweep`): ``fuzz`` (here),
-``sanitize`` (:mod:`repro.harness.__main__`) and ``inject``
-(:mod:`repro.faults.campaign`).
-
-:func:`fuzz_schedules` runs one recording cell per (variant, policy
-spec) and feeds every commit history to the strict-serializability
-oracle (:func:`repro.stm.oracle.check_history`).  Its reduce
-delta-debugs each failing schedule (a violation or a watchdog-detected
-livelock) down to a minimal failing one in the driving process (each
-probe is one serial replay), writes the full and shrunk schedules plus
-the transaction commit/abort ledger as JSON/CSV artifacts, so a failure
-found in CI is reproducible from the artifact alone via
-:class:`~repro.sched.trace.ReplayPolicy`, and builds the deterministic
-summary written as ``fuzz_summary.json``.
+:func:`fuzz_schedules` runs one recording
+:class:`~repro.harness.parallel.ExploreCell` per (variant, policy spec)
+— the one captured-run cell, which ``sanitize``, ``inject``, ``byz`` and
+``multigpu`` also run — on the shared sweep layer
+(:mod:`repro.harness.sweep`) and feeds every commit history to the
+strict-serializability oracle (:func:`repro.stm.oracle.check_history`).
+Its reduce delta-debugs each failing schedule (a violation or a
+watchdog-detected livelock) down to a minimal failing one in the driving
+process (each probe is one serial replay), writes the full and shrunk
+schedules plus the transaction commit/abort ledger as JSON/CSV
+artifacts, so a failure found in CI is reproducible from the artifact
+alone via :class:`~repro.sched.trace.ReplayPolicy`, and builds the
+deterministic summary written as ``fuzz_summary.json``.
 
 The harness exposes this as ``python -m repro.harness fuzz``.
 """
@@ -27,75 +20,12 @@ The harness exposes this as ``python -m repro.harness fuzz``.
 import os
 
 from repro.common.fsio import atomic_open, atomic_write_json
-from repro.harness import configs
-from repro.harness.parallel import Cell, capture, cell
-from repro.harness.runner import run_workload
+from repro.harness.parallel import ExploreCell, _explore, execute_explore
 from repro.harness.sweep import failed_cell, run_sweep
-from repro.workloads import make_workload
 
 #: policy templates whose spec incorporates the fuzz seed (the default
 #: ``policies`` of :func:`fuzz_schedules`)
 SEEDED_TEMPLATES = ("random", "adversarial")
-
-
-@cell
-class ExploreCell(Cell):
-    """One captured run on the exploration geometry (plain data).
-
-    ``mutant`` names a :data:`~repro.faults.mutants.MUTANTS` entry the
-    worker applies to the runtime; ``sanitize`` binds a fresh
-    :class:`~repro.faults.sanitizer.StmSanitizer`; ``record`` records the
-    issue schedule (the fuzzer's cells do, to shrink and replay it).
-    ``key`` defaults to ``workload/variant/policy``.
-    """
-
-    workload: str
-    params: dict
-    variant: str
-    policy: object
-    key: object = None
-    num_locks: int = 16
-    stm_overrides: dict = None
-    gpu_overrides: dict = None
-    fault_plan: list = None
-    mutant: str = None
-    sanitize: bool = False
-    record: bool = False
-
-    key_fields = ("workload", "variant", "policy")
-
-
-def _explore(spec, _telemetry=None):
-    """The captured run ``spec`` describes; returns its ``RunResult``."""
-    # imported here: the fuzzer must not pay for the faults stack
-    runtime_factory = sanitizer = None
-    if spec.mutant is not None:
-        from repro.faults.mutants import MutantRuntimeFactory
-
-        runtime_factory = MutantRuntimeFactory(spec.mutant)
-    if spec.sanitize:
-        from repro.faults.sanitizer import StmSanitizer
-
-        sanitizer = StmSanitizer()
-    return run_workload(
-        make_workload(spec.workload, **spec.params),
-        spec.variant,
-        configs.override_gpu(configs.explore_gpu(), spec.gpu_overrides),
-        spec.policy,
-        num_locks=spec.num_locks,
-        stm_overrides=spec.stm_overrides,
-        capture=True,
-        record=spec.record,
-        runtime_factory=runtime_factory,
-        sanitizer=sanitizer,
-        fault_plan=spec.fault_plan,
-    )
-
-
-def execute_explore(spec):
-    """Run one :class:`ExploreCell`; its ``JobResult.run`` is the
-    ``RunResult`` (module-level, so it pickles into workers)."""
-    return capture(spec, _explore)
 
 
 def policy_specs(policies, seeds):

@@ -5,16 +5,15 @@ import os
 
 import pytest
 
-from repro.faults import byzcampaign
 from repro.faults.byzcampaign import (
-    ByzJob,
+    _attack_cell,
+    _byz_jobs,
     default_spec_text,
     device_lane_tids,
-    execute_byz_job,
     render_byz_matrix,
     run_byz_campaign,
 )
-from repro.harness import configs
+from repro.harness import configs, parallel
 from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
 
 FAST = dict(behaviors=["lie_validation", "lock_hoard"],
@@ -74,14 +73,14 @@ class TestErrorCells:
     def test_crashed_cell_is_an_error_escapee(self, monkeypatch):
         """A cell whose executor raises is an ``error`` cell, never a
         contained one: it is an escapee and fails the matrix."""
-        attack = byzcampaign._attack
+        explore = parallel._explore
 
-        def crash_armed(job, telemetry):
-            if job.behavior is not None:
+        def crash_armed(cell, telemetry=None):
+            if cell.fault_plan:
                 raise RuntimeError("simulated crash")
-            return attack(job, telemetry)
+            return explore(cell, telemetry)
 
-        monkeypatch.setattr(byzcampaign, "_attack", crash_armed)
+        monkeypatch.setattr(parallel, "_explore", crash_armed)
         matrix = run_byz_campaign(behaviors=["lock_hoard"],
                                   variants=["cgl"]).summary
         cell = matrix["cells"]["lock_hoard"]["cgl"]
@@ -91,6 +90,29 @@ class TestErrorCells:
         assert matrix["escapees"] == ["lock_hoard/cgl"]
         assert matrix["ok"] is False
         assert "ERROR" in render_byz_matrix(matrix)
+
+
+class TestExpdb:
+    def test_recorded_run_has_sim_cycles_and_cell_summaries(self, tmp_path):
+        """Each byz cell returns its captured ``RunResult``, so the
+        recorded run sums simulated cycles and keeps one per-cell summary
+        per cell, like every other sweep of ``RunResult`` s."""
+        from repro.expdb import ExperimentDB, SweepRecorder
+
+        db_path = str(tmp_path / "e.sqlite")
+        report = run_byz_campaign(
+            behaviors=["lock_hoard"], variants=["cgl"],
+            recorder=SweepRecorder(db_path, "byz-campaign"))
+        keys = [spec.key for spec in report.specs]
+        assert keys == ["lock_hoard/cgl", "baseline/cgl"]
+        with ExperimentDB(db_path) as db:
+            [run] = db.runs(experiment="byz-campaign")
+            assert run["sim_cycles"] == sum(r.run.cycles
+                                            for r in report.results) > 0
+            cells = db.run_summary(run["id"])["cells"]
+        assert sorted(cells) == sorted(keys)
+        for key, result in zip(keys, report.results):
+            assert cells[key] == result.run.as_summary()
 
 
 class TestDeterminism:
@@ -165,14 +187,16 @@ class TestChaosFault:
         beside the cell's own; the clean retry reproduces the matrix."""
         params = configs.test_workload_params("cns")
         spec = default_spec_text("lie_validation", params["block"])
-        job = ByzJob("lie_validation", "hv-sorting", "cns", params,
-                     fault_plan=[spec])
+        behavior, job = _byz_jobs(["lie_validation"], ["hv-sorting"], "cns",
+                                  params, 1, 40, None, 2, 16)[0]
+        assert (behavior, job.key, job.fault_plan) == (
+            "lie_validation", "lie_validation/hv-sorting", [spec])
         fault = "stale_read:region=cns_objects"
         attempts = []
 
         def recording(cell):
-            result = execute_byz_job(cell)
-            attempts.append((cell.fault_plan, result.run["fired"]))
+            result = parallel.execute_explore(cell)
+            attempts.append((cell.fault_plan, len(result.run.fired)))
             return result
 
         [result] = run_supervised(
@@ -183,5 +207,5 @@ class TestChaosFault:
         (faulted, faulted_fired), (clean, clean_fired) = attempts
         assert faulted == [spec, fault] and clean == [spec]
         assert faulted_fired > clean_fired  # the stale reads fired too
-        assert result.run == small_matrix["cells"]["lie_validation"][
-            "hv-sorting"]
+        assert _attack_cell(behavior, job, result.run) == small_matrix[
+            "cells"]["lie_validation"]["hv-sorting"]

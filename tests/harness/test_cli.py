@@ -164,25 +164,32 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,runner,flags", [
         (["trace", "fig5", "--quick"], "run_trace",
-         ("--resume", "--retries", "--timeout", "--expdb")),
+         {"--resume": "j", "--retries": "1", "--timeout": "5",
+          "--expdb": "e.sqlite"}),
         # chaos reads --timeout as its hung-worker deadline
-        (["chaos"], "run_chaos", ("--resume", "--retries", "--expdb")),
-    ], ids=["trace", "chaos"])
+        (["chaos"], "run_chaos",
+         {"--resume": "j", "--retries": "1", "--expdb": "e.sqlite"}),
+        (["sanitize", "--variant", "cgl"], "run_sanitize",
+         {"--seeds": "1", "--policy": "rr"}),
+        (["fig5", "--quick", "--jobs", "1"], "run_figure",
+         {"--seeds": "3", "--workload": "km"}),
+        (["fuzz"], "run_fuzz", {"--mutants": "x", "--checkers": "y"}),
+    ], ids=["trace", "chaos", "sanitize", "fig5", "fuzz"])
     def test_sweep_flags_a_target_ignores_are_usage_errors(
-            self, argv, runner, flags, tmp_path, monkeypatch, capsys):
+            self, argv, runner, flags, monkeypatch, capsys):
+        """Each target declares only the flags it reads; any other is
+        rejected before the target runs, by name."""
         from repro.harness import __main__ as cli
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("an ignored flag must stop the CLI first")
 
         monkeypatch.setattr(cli, runner, must_not_run)
-        values = {"--resume": str(tmp_path / "j"), "--retries": "1",
-                  "--timeout": "5", "--expdb": str(tmp_path / "e.sqlite")}
-        for flag in flags:
+        for flag, value in flags.items():
             with pytest.raises(SystemExit) as exc:
-                main(argv + [flag, values[flag]])
+                main(argv + [flag, value])
             assert exc.value.code == 2
-            assert "%s does not apply" % flag in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
 
     def test_experiment_argument_requires_trace_target(self):
         with pytest.raises(SystemExit):

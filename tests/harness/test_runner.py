@@ -90,6 +90,27 @@ class TestRunWorkload:
         assert result.crashed
         assert "block" in result.crash_reason
 
+    def test_recorded_run_stores_its_schedule_once(self):
+        """A recorded run's schedule lives in ``traces`` alone: no launch
+        result keeps a second copy, so a recorded cell ships and journals
+        it once."""
+        result = run_workload(
+            make_workload("ra", **tiny_params("ra")), "hv-sorting",
+            explore_gpu(), "random:0", num_locks=16, capture=True,
+            record=True,
+        )
+        assert result.ok and result.traces and result.kernel_results
+        assert len(result.traces) == len(result.kernel_results)
+        assert [k.schedule_trace for k in result.kernel_results] == \
+            [None] * len(result.kernel_results)
+        replayed = run_workload(
+            make_workload("ra", **tiny_params("ra")), "hv-sorting",
+            explore_gpu(), result.replay_policies(), num_locks=16,
+            capture=True,
+        )
+        assert (replayed.cycles, replayed.steps) == (result.cycles,
+                                                     result.steps)
+
     def test_locklog_comparisons_surfaced(self):
         workload = make_workload("ra", **tiny_params("ra"))
         result = run_workload(workload, "hv-sorting", unit_gpu(), num_locks=64)

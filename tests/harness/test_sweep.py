@@ -1,8 +1,8 @@
 """The sweep layer's contract, held by every sweep kind.
 
-Each kind — the figure sweeps, the ledger service, the multi-device
-survival map, the byzantine campaign and the captured-run cell the
-mutant campaign and the fuzzer share — declares a
+Each kind — the figure sweeps, the ledger service, and the captured-run
+cell the fuzzer, the mutant and byzantine campaigns and the multi-device
+survival map share — declares a
 :class:`~repro.harness.parallel.Cell` and runs through
 :func:`~repro.harness.sweep.run_sweep`, so one set of tests pins what
 they all promise: pickling, cloning, stable fingerprints, ``--jobs``
@@ -18,15 +18,20 @@ import sys
 
 import pytest
 
-from repro.faults.byzcampaign import ByzJob, execute_byz_job, run_byz_campaign
+from repro.faults.byzcampaign import _byz_jobs, run_byz_campaign
 from repro.faults.campaign import BASE_PARAMS, run_campaign
 from repro.harness import configs
 from repro.harness.experiments import run_figure
 from repro.harness.journal import spec_fingerprint
-from repro.harness.parallel import JobSpec, execute_job
+from repro.harness.parallel import (
+    ExploreCell,
+    JobSpec,
+    execute_explore,
+    execute_job,
+)
 from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
-from repro.multigpu.sweep import MgJobSpec, execute_mg_job, run_multigpu_sweep
-from repro.sched.fuzz import ExploreCell, execute_explore, fuzz_schedules
+from repro.multigpu.sweep import build_mg_specs, run_multigpu_sweep
+from repro.sched.fuzz import fuzz_schedules
 from repro.service.sweep import (
     ServiceJobSpec,
     execute_service_job,
@@ -37,6 +42,8 @@ from repro.telemetry import MetricRegistry
 SERVICE = dict(duration_cycles=15_000, num_accounts=128,
                service_overrides={"num_locks": 64})
 MULTIGPU = dict(num_accounts=128, block=8, txs_per_thread=1)
+MULTIGPU_GRID = (("cgl", "vbv"), (0.0, 0.5), (40,))
+BYZ = dict(behaviors=["lie_validation"], variants=["cgl"])
 
 
 def _figure(**sweep):
@@ -48,13 +55,11 @@ def _service(**sweep):
 
 
 def _multigpu(**sweep):
-    return run_multigpu_sweep(("cgl", "vbv"), (0.0, 0.5), (40,), **MULTIGPU,
-                              **sweep).summary
+    return run_multigpu_sweep(*MULTIGPU_GRID, **MULTIGPU, **sweep).summary
 
 
 def _byz(**sweep):
-    return run_byz_campaign(behaviors=["lie_validation"], variants=["cgl"],
-                            **sweep).summary
+    return run_byz_campaign(**BYZ, **sweep).summary
 
 
 def _inject(**sweep):
@@ -73,9 +78,11 @@ KINDS = {
     "figure": (JobSpec("fig", "ra", configs.test_workload_params("ra"),
                        "hv-sorting", num_locks=64), _figure),
     "service": (ServiceJobSpec("svc", "vbv", 2.0, **SERVICE), _service),
-    "multigpu": (MgJobSpec("mg", "cgl", 0.3, 40, **MULTIGPU), _multigpu),
-    "byz": (ByzJob(None, "hv-sorting", "cns",
-                   configs.test_workload_params("cns")), _byz),
+    # the first cell of each driver's grid
+    "multigpu": (build_mg_specs(*MULTIGPU_GRID, **MULTIGPU)[0], _multigpu),
+    "byz": (_byz_jobs(BYZ["behaviors"], BYZ["variants"], "cns",
+                      configs.test_workload_params("cns"), 1, 40, None, 2,
+                      16)[0][1], _byz),
     "inject": (ExploreCell("ra", BASE_PARAMS, "optimized", "rr",
                            key="baseline/optimized/sanitizer", sanitize=True),
                _inject),
@@ -97,6 +104,7 @@ class TestSweepContract:
     def test_clone_keeps_fingerprint_and_applies_updates(self, kind):
         spec = KINDS[kind][0]
         assert spec_fingerprint(spec.clone()) == spec_fingerprint(spec)
+        original = pickle.loads(pickle.dumps(spec.gpu_overrides))
         overrides = {"max_steps": 77}
         budgeted = spec.clone(gpu_overrides=overrides)
         assert budgeted.gpu_overrides == {"max_steps": 77}
@@ -105,7 +113,7 @@ class TestSweepContract:
         overrides["max_steps"] = 78
         budgeted.clone().gpu_overrides["max_steps"] = 79
         assert budgeted.gpu_overrides == {"max_steps": 77}
-        assert spec.gpu_overrides is None
+        assert spec.gpu_overrides == original
         assert spec.key is not None
 
     def test_jobs_width_and_journal_resume(self, kind, tmp_path):
@@ -152,10 +160,10 @@ def _livelocked(result):
 OVERLAY_KINDS = {
     "figure": (KINDS["figure"][0], execute_job, _livelocked),
     "service": (KINDS["service"][0], execute_service_job, _livelocked),
-    "multigpu": (KINDS["multigpu"][0], execute_mg_job,
-                 lambda r: r.run["outcome"] in ("livelock", "deadlock")),
-    "byz": (KINDS["byz"][0], execute_byz_job,
-            lambda r: r.run["failure"] == "progress"),
+    "multigpu": (KINDS["multigpu"][0], execute_explore,
+                 lambda r: r.run.failure == "progress"),
+    "byz": (KINDS["byz"][0], execute_explore,
+            lambda r: r.run.failure == "progress"),
     "inject": (KINDS["inject"][0], execute_explore,
                lambda r: r.run.failure == "progress"),
     "fuzz": (KINDS["fuzz"][0], execute_explore,
@@ -168,10 +176,19 @@ FAULT = "warp_stall:sm=0,warp=0,after=0,duration=5"
 @pytest.mark.parametrize("kind", sorted(OVERLAY_KINDS))
 class TestSupervisorOverlays:
     def test_cycle_budget_trips_the_watchdog(self, kind):
+        """The budget overlays a cell that pins no ``max_steps``; a cell
+        that pins one (the byzantine and survival cells do) keeps it."""
         spec, executor, tripped = OVERLAY_KINDS[kind]
-        [result] = run_supervised([spec], jobs=1, executor=executor,
-                                  config=SupervisorConfig(cycle_budget=10))
+        overrides = dict(spec.gpu_overrides or {})
+        pinned = overrides.pop("max_steps", None)
+        budget = SupervisorConfig(cycle_budget=10)
+        [result] = run_supervised([spec.clone(gpu_overrides=overrides)],
+                                  jobs=1, executor=executor, config=budget)
         assert tripped(result)
+        if pinned is not None:
+            [result] = run_supervised([spec], jobs=1, executor=executor,
+                                      config=budget)
+            assert not result.failed and not tripped(result)
 
     def test_fault_event_arms_or_is_rejected_up_front(self, kind):
         spec, executor, _tripped = OVERLAY_KINDS[kind]
@@ -193,7 +210,9 @@ class TestSupervisorOverlays:
         [result] = run_supervised([spec], jobs=1, executor=recording,
                                   config=config, chaos=chaos,
                                   metrics=registry)
-        assert seen == [[FAULT], None]  # faulted attempt, then clean retry
+        # faulted attempt (the event's spec joins the cell's own plan),
+        # then a clean retry on the cell's own plan
+        assert seen == [(spec.fault_plan or []) + [FAULT], spec.fault_plan]
         assert not result.failed
         assert registry.as_dict()["counters"]["supervisor.retries"] == 1
 

@@ -7,14 +7,22 @@ import os
 import pytest
 
 from repro.multigpu.cli import main as multigpu_main
+from repro.harness.parallel import execute_explore
 from repro.multigpu.sweep import (
-    MgJobSpec,
     build_mg_specs,
     classify_outcome,
-    execute_mg_job,
     render_survival_map,
     run_multigpu_sweep,
+    survival_cell,
 )
+
+
+def _survive(variant, frac, latency, **fields):
+    """One grid point's cell run and reduced to its survival-map entry."""
+    [spec] = build_mg_specs((variant,), (frac,), (latency,), **fields)
+    result = execute_explore(spec)
+    assert not result.failed, result.error
+    return survival_cell(spec.key, (variant, frac, latency), 2, result.run)
 
 
 class TestSpecs:
@@ -33,10 +41,9 @@ class TestSpecs:
 
 class TestClassification:
     def test_commit_cell(self):
-        spec = MgJobSpec("vbv/rf0.3/lat40", "vbv", 0.3, 40)
-        result = execute_mg_job(spec)
-        assert not result.failed
-        cell = result.run
+        cell = _survive("vbv", 0.3, 40)
+        assert (cell["key"], cell["remote_frac"], cell["link_latency"]) == \
+            ("vbv/rf0.3/lat40", 0.3, 40)
         assert cell["outcome"] == "commit"
         assert cell["commits"] > 0
         assert cell["violations"] == 0
@@ -46,10 +53,8 @@ class TestClassification:
     def test_watchdog_trip_is_data_not_failure(self):
         """A starved budget classifies as livelock/deadlock; the job
         itself succeeds — survival maps need the cell, not a traceback."""
-        spec = MgJobSpec("vbv/rf0.5/lat400", "vbv", 0.5, 400, max_steps=200)
-        result = execute_mg_job(spec)
-        assert not result.failed
-        assert result.run["outcome"] in ("livelock", "deadlock")
+        cell = _survive("vbv", 0.5, 400, max_steps=200)
+        assert cell["outcome"] in ("livelock", "deadlock")
 
     def test_classify_outcome_mapping(self):
         class Fake:

@@ -5,8 +5,9 @@ Every CI sweep smoke writes a deterministic JSON (or text) artifact:
 the reproduce bundle's ``manifest.json`` (which itself holds the SHA-256
 of each rendered ``*.txt`` table), the ledger service's
 ``service_summary.json``, the multi-device ``survival_map.{json,txt}``,
-the byzantine ``byz_matrix.json`` on one and on two devices, and a
-3-mutant ``efficacy_matrix.json``.  This test regenerates each one and
+the byzantine ``byz_matrix.json`` on one and on two devices, a
+3-mutant ``efficacy_matrix.json``, and the captured-run targets'
+``fuzz_summary.json`` and ``sanitize_summary.json``.  This test regenerates each one and
 compares its SHA-256 against ``tests/goldens/artifacts.json``, so a
 refactor that claims "nothing changed" is checked by the suite instead
 of by hand against a copy of its parent.
@@ -32,7 +33,8 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 #: (run name, CLI argv after ``python -m``, artifacts it must write), with
 #: ``{out}`` the run's output directory; the sweep argv mirror the
 #: matching CI job (`expdb-smoke`, `sweep-smoke`), while ``inject`` keeps
-#: a 3-mutant, 2-checker slice of the campaign `smokes` runs in full
+#: a 3-mutant, 2-checker slice of the campaign `smokes` runs in full and
+#: ``fuzz`` two ``random`` seeds of CI's four per policy
 RUNS = (
     ("reproduce",
      ["repro", "reproduce", "--smoke", "--jobs", "2", "--out", "{out}",
@@ -66,6 +68,14 @@ RUNS = (
       "missing-writeback-fence,egpgv-release-before-writeback,clock-stuck",
       "--checkers", "oracle,sanitizer", "--jobs", "2", "--out", "{out}"],
      ["efficacy_matrix.json"]),
+    ("fuzz",
+     ["repro.harness", "fuzz", "--workload", "ra", "--variant", "all",
+      "--seeds", "2", "--policy", "random", "--jobs", "2", "--out", "{out}"],
+     ["fuzz_summary.json"]),
+    ("sanitize",
+     ["repro.harness", "sanitize", "--workload", "ra", "--variant", "all",
+      "--out", "{out}"],
+     ["sanitize_summary.json"]),
 )
 
 
