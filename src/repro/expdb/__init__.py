@@ -14,7 +14,8 @@ hash-pinned record.  Three layers:
 
 ``python -m repro db`` (:mod:`repro.expdb.cli`) queries, diffs and
 reports; ``python -m repro reproduce`` (:mod:`repro.expdb.reproduce`)
-regenerates every figure/table through the supervised pool and records
+regenerates every figure/table through the journaled, retried sweep
+executor and records
 the whole bundle.
 
 The database records what a sweep computed, not how fast the simulator

@@ -1,7 +1,7 @@
 """Build experiment-DB run records from finished sweeps.
 
 :class:`SweepRecorder` is the seam the execution layer calls: every
-``run_jobs``/``run_supervised`` invocation given a ``recorder`` hands it
+:func:`~repro.harness.parallel.run_jobs` call given a ``recorder`` hands it
 ``(specs, results, metrics)`` once, at sweep completion, and the recorder
 turns that into one :class:`~repro.expdb.db.RunRecord` — per-spec journal
 fingerprints, merged telemetry, the failure taxonomy, summed simulated
@@ -157,7 +157,7 @@ def _merged_metrics(results, metrics):
 
 
 class SweepRecorder:
-    """The callable ``recorder=`` hook of ``run_jobs``/``run_supervised``.
+    """The callable ``recorder=`` hook of ``run_jobs``.
 
     Construct one per sweep with the database path (or an open
     :class:`~repro.expdb.db.ExperimentDB`) and the experiment name; the

@@ -1,8 +1,8 @@
 """``python -m repro reproduce`` — regenerate the full artifact bundle.
 
 One command re-derives every figure and table of the paper through the
-supervised pool, records each sweep in the experiment database, and
-leaves a verifiable bundle under ``--out``:
+sweep executor (journaled, with two retries), records each sweep in the
+experiment database, and leaves a verifiable bundle under ``--out``:
 
 * ``<target>.txt`` — the rendered ASCII table/figure for each target;
 * ``journals/<target>.journal`` — the sweep journals, so an interrupted
@@ -30,10 +30,10 @@ from repro.common.fsio import atomic_write_json, atomic_write_text
 from repro.expdb.db import ExperimentDB, default_db_path
 from repro.expdb.recorder import SweepRecorder
 from repro.harness.experiments import TARGETS, run_figure
-from repro.harness.parallel import default_jobs
 from repro.harness.sweep import (
     check_names,
     csv_or_all,
+    jobs_of,
     print_failures,
     worker_count,
 )
@@ -67,14 +67,13 @@ def run_reproduce(out_dir=DEFAULT_OUT_DIR, db_path=None, smoke=False,
     """Regenerate ``targets`` (default: all); returns ``(manifest,
     failures)`` where ``failures`` is a list of ``(target, JobFailure)``.
 
-    Every target runs journaled (``<out>/journals/<target>.journal``)
-    through the supervised pool and is recorded in the experiment
-    database at ``db_path`` with its rendered artifact hash attached.
+    Every target runs journaled (``<out>/journals/<target>.journal``),
+    with transient failures retried twice, and is recorded in the
+    experiment database at ``db_path`` with its rendered artifact hash
+    attached.
     """
     names = list(TARGETS) if targets is None else list(targets)
     check_names(names, TARGETS, "reproduce target")
-    if jobs is None:
-        jobs = default_jobs()
     db_path = db_path or default_db_path()
 
     journal_dir = os.path.join(out_dir, "journals")
@@ -87,7 +86,7 @@ def run_reproduce(out_dir=DEFAULT_OUT_DIR, db_path=None, smoke=False,
             started = time.time()
             recorder = SweepRecorder(db, name)
             result = run_figure(
-                name, quick=smoke, jobs=jobs,
+                name, quick=smoke, jobs=jobs, retries=2,
                 journal=os.path.join(journal_dir, "%s.journal" % name),
                 recorder=recorder,
             )
@@ -152,7 +151,7 @@ def main(argv=None):
     targets = csv_or_all(args.targets, TARGETS, "--targets", parser)
     _manifest, failures = run_reproduce(
         out_dir=args.out, db_path=args.db, smoke=args.smoke,
-        jobs=args.jobs, targets=targets,
+        jobs=jobs_of(args, parser), targets=targets,
     )
     print_failures(failures, "the bundle")
     return 1 if failures else 0

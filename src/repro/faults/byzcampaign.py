@@ -36,7 +36,7 @@ Each cell is one sanitized captured run
 ``fault_plan``; the cell ``fuzz``, ``sanitize``, ``inject`` and
 ``multigpu`` run too) and a pure reduce folds each run into its matrix
 cell.  Cells run through the shared sweep layer
-(:mod:`repro.harness.sweep`) — the same supervised pool, checkpoint
+(:mod:`repro.harness.sweep`) — the same executor, checkpoint
 journal, and experiment-database recorder every sweep uses — so
 ``python -m repro byz`` supports
 ``--jobs``/``--retries``/``--timeout``/``--resume``/``--expdb``.  With
@@ -210,8 +210,8 @@ def run_byz_campaign(
     ``behaviors`` defaults to the full vocabulary
     (:data:`~repro.faults.plan.BYZ_KINDS`), ``variants`` to
     every registered runtime, ``params`` to the workload's unit-test
-    geometry.  ``sweep`` (``supervise``/``journal``/``metrics``/
-    ``recorder``) goes to :func:`~repro.harness.sweep.run_sweep`; the
+    geometry.  ``sweep`` (``jobs``/``retries``/``timeout``/``journal``/
+    ``metrics``/``recorder``) goes to :func:`~repro.harness.sweep.run_sweep`; the
     matrix is bit-identical across ``jobs`` widths and journal resume.
 
     The matrix's ``ok`` is True iff no armed cell escaped and every

@@ -145,8 +145,8 @@ def run_campaign(
     ``checkers`` any subset of :data:`CHECKERS`; ``jobs`` the process-pool
     width; ``seeds`` how many ``random:i`` and ``adversarial:i`` cells the
     fuzzer checker runs per (mutant, variant).  ``sweep``
-    (``supervise``/``journal``/``metrics``/``recorder``) goes to
-    :func:`~repro.harness.sweep.run_sweep` (timeouts, retries,
+    (``retries``/``timeout``/``journal``/``metrics``/``recorder``) goes to
+    :func:`~repro.harness.sweep.run_sweep` (retries, timeouts,
     checkpoint/resume, the experiment DB; see docs/resilience.md).
 
     The matrix's ``ok`` is True iff every mutant was detected by at least

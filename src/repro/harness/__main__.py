@@ -21,10 +21,11 @@ Usage::
         --timeout 300 --resume out/fig2.journal
     python -m repro.harness chaos --jobs 2 --out chaos-artifacts
 
-``--jobs N`` (or the ``REPRO_JOBS`` environment variable) fans the
-independent runs of each sweep out over N worker processes; results are
-identical to a serial run.  To profile the driving process, run the
-module under cProfile with ``--jobs 1``::
+``--jobs N`` (else the ``REPRO_JOBS`` environment variable, else 1) fans
+the independent runs of each sweep out over N worker processes; results
+are identical to a serial run.  A ``REPRO_JOBS`` that is not an integer
+>= 1 is a usage error (exit 2), as ``--jobs 0`` is.  To profile the
+driving process, run the module under cProfile with ``--jobs 1``::
 
     python -m cProfile -o run.prof -m repro.harness fig2 --quick --jobs 1
 
@@ -80,22 +81,23 @@ Artifact-producing targets (``trace``) validate what they wrote with
 :mod:`repro.telemetry.validate` and exit non-zero on the first invalid
 artifact.
 
-``--retries N`` / ``--timeout SECONDS`` / ``--resume PATH`` route the
-figure/table sweeps (and ``fuzz``, ``sanitize`` and ``inject``) through
-the supervision layer (:mod:`repro.harness.supervisor`): bounded retry
-with backoff for transient failures, per-job wall-clock timeouts
-(``--jobs`` > 1), and a checkpoint journal at PATH so an interrupted
-sweep resumes where it stopped (``all`` suffixes the journal per
-target).  Jobs that still fail render as explicit FAILED gaps, a failure
-summary is printed, and the exit code is 1 — see ``docs/resilience.md``.
+``--retries N`` / ``--timeout SECONDS`` / ``--resume PATH`` set the
+figure/table sweeps' (and ``fuzz``'s, ``sanitize``'s and ``inject``'s)
+execution (:func:`repro.harness.parallel.run_jobs`): bounded retry with
+backoff for transient failures (default: none), per-job wall-clock
+timeouts (``--jobs`` > 1), and a checkpoint journal at PATH so an
+interrupted sweep resumes where it stopped (``all`` suffixes the journal
+per target).  Jobs that still fail render as explicit FAILED gaps, a
+failure summary is printed, and the exit code is 1 — see
+``docs/resilience.md``.
 ``trace`` takes none of these four flags and ``chaos`` only
 ``--timeout``; ``--timeout`` with one worker is a usage error.
 
-The ``chaos`` target (:mod:`repro.harness.chaos`) is the supervision
-layer's own proving ground: a supervised happy-path sweep, a sweep with
+The ``chaos`` target (:mod:`repro.harness.chaos`) is the executor's own
+proving ground: a happy-path sweep with retries on, a sweep with
 injected worker failures (error, SIGKILL, hang, armed fault), and a
-kill-and-resume round-trip, each checked bit-identical against an
-unsupervised reference run; ``--timeout`` is its hung-worker reaping
+kill-and-resume round-trip, each checked bit-identical against a plain
+serial reference run; ``--timeout`` is its hung-worker reaping
 deadline (default 20 s).  Exit code 1 when any phase fails.
 """
 
@@ -106,16 +108,15 @@ import time
 
 from repro.harness import configs
 from repro.harness.experiments import TARGETS, run_figure
-from repro.harness.parallel import default_jobs
 from repro.harness.sweep import (
     SweepCommand,
     add_sweep_flags,
     csv_or_all,
     failed_cell,
+    jobs_of,
     print_failures,
     recorder_for,
     run_sweep,
-    supervision,
     sweep_jobs,
     timeout_seconds,
     worker_count,
@@ -192,7 +193,7 @@ def run_chaos(args, parser):
     from repro.harness.chaos import run_chaos as chaos_harness
 
     # chaos always runs at least two workers, so --timeout holds
-    jobs = max(2, args.jobs or default_jobs())
+    jobs = max(2, jobs_of(args, parser))
     started = time.time()
     report = chaos_harness(jobs=jobs, out_dir=args.out,
                            wall_timeout=args.timeout)
@@ -324,7 +325,7 @@ def run_trace(args, parser):
     """Record Chrome-trace timelines + metrics; returns an exit code."""
     from repro.telemetry import MetricRegistry
 
-    jobs = args.jobs or default_jobs()
+    jobs = jobs_of(args, parser)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = args.metrics or os.path.join(out_dir, "metrics.json")
@@ -369,7 +370,6 @@ def run_figures(args, parser):
         registry = MetricRegistry()
     names = sorted(TARGETS) if args.target == "all" else [args.target]
     failures = []
-    supervise = supervision(args)
     for name in names:
         started = time.time()
         # targets sharing one --resume journal to PATH.<target>
@@ -378,8 +378,9 @@ def run_figures(args, parser):
             journal = "%s.%s" % (journal, name)
         recorder = recorder_for(args, name)
         result = run_figure(name, quick=args.quick, jobs=jobs,
-                            metrics=registry, supervise=supervise,
-                            journal=journal, recorder=recorder)
+                            metrics=registry, retries=args.retries,
+                            timeout=args.timeout, journal=journal,
+                            recorder=recorder)
         print(result.render())
         print("[%s regenerated in %.1fs, jobs=%d]" % (name, time.time() - started, jobs))
         if recorder is not None and recorder.run_id is not None:
@@ -425,7 +426,7 @@ def build_parser():
         figure = targets.add_parser(name, help="regenerate %s" % name)
         figure.add_argument("--quick", action="store_true",
                             help="scaled-down geometry for a fast pass")
-        add_sweep_flags(figure, None, jobs_default=None, metrics_file=True)
+        add_sweep_flags(figure, None, metrics_file=True)
         figure.set_defaults(run=run_figures)
 
     trace = targets.add_parser("trace", help="record timelines + metrics")
@@ -452,8 +453,7 @@ def build_parser():
     fuzz.add_argument("--policy", action="append", metavar="SPEC",
                       help="policy template(s) to fuzz with; repeatable "
                       "(default: random + adversarial)")
-    add_sweep_flags(fuzz, "fuzz-artifacts", jobs_default=None,
-                    metrics_file=True)
+    add_sweep_flags(fuzz, "fuzz-artifacts", metrics_file=True)
     fuzz.set_defaults(run=run_fuzz)
 
     sanitize = targets.add_parser("sanitize", help="run workloads under "
@@ -463,8 +463,7 @@ def build_parser():
     sanitize.add_argument("--fault", action="append", metavar="SPEC",
                           type=_fault_spec, help="fault spec "
                           "'kind:key=value,...' to inject; repeatable")
-    add_sweep_flags(sanitize, "sanitize-artifacts", jobs_default=None,
-                    metrics_file=True)
+    add_sweep_flags(sanitize, "sanitize-artifacts", metrics_file=True)
     sanitize.set_defaults(run=run_sanitize)
 
     inject = targets.add_parser("inject", help="mutant-efficacy campaign")
@@ -480,8 +479,7 @@ def build_parser():
     inject.add_argument("--seeds", type=_seed_count, default=2, metavar="N",
                         help="seeds per policy template of the fuzzer "
                         "checker (default: 2)")
-    add_sweep_flags(inject, "fault-artifacts", jobs_default=None,
-                    metrics_file=True)
+    add_sweep_flags(inject, "fault-artifacts", metrics_file=True)
     inject.set_defaults(run=run_inject)
 
     chaos = targets.add_parser("chaos", help="the supervision self-test")

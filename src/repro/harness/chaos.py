@@ -1,17 +1,16 @@
-"""Chaos harness: prove the supervision layer survives what it claims to.
+"""Chaos harness: prove the sweep executor survives what it claims to.
 
 ``python -m repro.harness chaos`` runs three phases against one small
-reference sweep and checks each against the uninterrupted, unsupervised
+reference sweep and checks each against the uninterrupted, plain serial
 run of the same specs:
 
-1. **supervised happy path** — the supervisor adds retries, timeouts and
-   a journal *capability* but must not change a clean sweep's output:
+1. **happy path** — retries on must not change a clean sweep's output:
    results bit-identical, every job a first-attempt success, zero
    retries.
 2. **worker chaos** — a :class:`~repro.harness.supervisor.ChaosPlan`
    makes four jobs misbehave on their first attempt (raise, SIGKILL
    the worker, hang past the wall timeout, run with an armed
-   ``warp_stall`` fault and a tight cycle budget).  Every job must
+   ``warp_stall`` fault and a tight ``max_steps``).  Every job must
    still converge to the reference result via retry, and the
    ``supervisor.*`` counters must account for each injected failure —
    including the worker processes: the warm pool starts ``workers``
@@ -32,7 +31,7 @@ import signal
 from repro.harness import configs
 from repro.harness.journal import SweepJournal
 from repro.harness.parallel import JobSpec, execute_job, merge_job_metrics, run_jobs
-from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
+from repro.harness.supervisor import ChaosPlan
 from repro.telemetry import MetricRegistry
 
 #: (workload, variant) pairs of the reference sweep — small unit-test
@@ -133,7 +132,7 @@ class _KillAfter:
 
 def _killed_sweep(journal_path, kill_after):
     """Child-process main for phase 3: journal the sweep, die mid-way."""
-    run_supervised(
+    run_jobs(
         chaos_specs(), jobs=1, journal=journal_path,
         executor=_KillAfter(kill_after),
     )
@@ -141,10 +140,7 @@ def _killed_sweep(journal_path, kill_after):
 
 def _phase_happy_path(report, reference, specs):
     registry = MetricRegistry()
-    results = run_supervised(
-        specs, jobs=1, config=SupervisorConfig(max_retries=2),
-        metrics=registry,
-    )
+    results = run_jobs(specs, jobs=1, retries=2, metrics=registry)
     bad = _diff(reference, results)
     counters = registry.as_dict()["counters"]
     clean = (
@@ -153,7 +149,7 @@ def _phase_happy_path(report, reference, specs):
         and counters.get("supervisor.jobs.succeeded") == len(specs)
     )
     report.add(
-        "supervised happy path",
+        "happy path",
         not bad and clean,
         "results match reference, %d/%d first-attempt successes, 0 retries"
         % (counters.get("supervisor.first_attempt_successes", 0), len(specs))
@@ -174,13 +170,10 @@ def _phase_worker_chaos(report, reference, specs, jobs, wall_timeout):
         )
     )
     registry = MetricRegistry()
-    config = SupervisorConfig(
-        wall_timeout=wall_timeout, max_retries=2,
-        backoff_base=0.01, backoff_cap=0.05,
-    )
     workers = min(max(2, jobs), len(specs))
-    results = run_supervised(
-        specs, jobs=workers, config=config, chaos=plan, metrics=registry,
+    results = run_jobs(
+        specs, jobs=workers, retries=2, timeout=wall_timeout, chaos=plan,
+        metrics=registry,
     )
     bad = _diff(reference, results)
     counters = registry.as_dict()["counters"]
@@ -222,9 +215,7 @@ def _phase_kill_and_resume(report, reference, specs, journal_path, kill_after):
         return
     journaled = len(SweepJournal(journal_path).load())
     registry = MetricRegistry()
-    results = run_supervised(
-        specs, jobs=1, journal=journal_path, metrics=registry,
-    )
+    results = run_jobs(specs, jobs=1, journal=journal_path, metrics=registry)
     bad = _diff(reference, results)
     counters = registry.as_dict()["counters"]
     resumed = counters.get("supervisor.jobs.resumed", 0)
@@ -272,7 +263,7 @@ def run_chaos(jobs=2, out_dir="chaos-artifacts", kill_after=2,
                    "reference jobs failed: %s" % failed_reference)
         return report
     report.add("reference sweep", True,
-               "%d jobs clean (unsupervised serial)" % len(reference))
+               "%d jobs clean (plain serial)" % len(reference))
 
     _phase_happy_path(report, reference, specs)
     _phase_worker_chaos(report, reference, chaos_specs(), jobs, wall_timeout)

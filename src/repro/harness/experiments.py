@@ -652,8 +652,8 @@ def run_figure(name, quick=False, jobs=None, metrics=None, timeline_dir=None,
     ``metrics`` (a :class:`~repro.telemetry.MetricRegistry`) turns on
     per-worker telemetry and merges every worker's registry into it;
     ``timeline_dir`` additionally records one Chrome-trace file per run.
-    ``sweep`` (``supervise``/``journal``/``recorder``) goes to
-    :func:`~repro.harness.sweep.run_sweep` (timeouts, retry,
+    ``sweep`` (``retries``/``timeout``/``journal``/``recorder``) goes to
+    :func:`~repro.harness.sweep.run_sweep` (retry, timeouts,
     checkpoint/resume, the experiment DB — see docs/resilience.md).
     """
     figure = FIGURES[name]

@@ -22,20 +22,23 @@ Exceptions inside a worker (``ProgressError`` watchdog trips,
 failures) are captured into the result instead of killing the pool, so
 one diverging design point cannot take down a whole sweep.
 
-``run_jobs(specs, jobs=n)`` preserves spec order in its result list, so a
+:func:`run_jobs` is the one way cells run: journal resume, retries,
+wall-clock timeouts, chaos and the ``supervisor.*`` counters apply at
+every worker count.  It preserves spec order in its result list, so a
 sweep assembled from the results is bit-identical to the serial run no
-matter how many workers raced, and ``jobs=1`` bypasses process creation
-entirely (the default: correct everywhere, including environments where
+matter how many workers raced, and ``jobs=1`` runs every attempt in this
+process (the default: correct everywhere, including environments where
 multiprocessing is restricted).
 
 The worker count comes from, in order: the ``jobs`` argument, the
-``REPRO_JOBS`` environment variable, else 1.
+``REPRO_JOBS`` environment variable (an integer >= 1), else 1.
 """
 
 import dataclasses
 import os
 import pickle
 import re
+import time
 import traceback
 
 from repro.gpu.errors import LivelockError, ProgressError
@@ -87,7 +90,7 @@ class JobFailure:
     by :func:`classify_exception` plus the supervisor-level categories
     (``timeout``, ``worker-lost``).  ``transient`` records whether the
     supervisor considered the failure retryable; ``attempts`` how many
-    attempts were made in total (1 when unsupervised).
+    attempts were made in total.
     """
 
     __slots__ = (
@@ -135,16 +138,15 @@ class JobFailure:
 
 
 def default_jobs():
-    """Worker count from the ``REPRO_JOBS`` environment variable (>= 1)."""
+    """Worker count from the ``REPRO_JOBS`` environment variable, else 1;
+    ``ValueError`` naming the variable unless it is an integer >= 1."""
     value = os.environ.get(DEFAULT_JOBS_ENV, "").strip()
     if not value:
         return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ValueError(
-            "%s must be an integer, got %r" % (DEFAULT_JOBS_ENV, value)
-        )
+    if not value.isdigit() or int(value) < 1:
+        raise ValueError("%s must be an integer >= 1, got %r"
+                         % (DEFAULT_JOBS_ENV, value))
+    return int(value)
 
 
 class Cell:
@@ -154,8 +156,8 @@ class Cell:
     subclassing this; state, ``clone`` and ``repr`` are shared.  Every
     kind's fields include ``key`` (files the result, names the cell to a
     :class:`~repro.harness.supervisor.ChaosPlan` and the experiment DB),
-    ``gpu_overrides`` (``GpuConfig`` attribute overrides, where the
-    supervisor overlays its cycle budget) and ``fault_plan`` (a list of
+    ``gpu_overrides`` (``GpuConfig`` attribute overrides, where a chaos
+    ``fault`` event's overrides land) and ``fault_plan`` (a list of
     ``FaultSpec.parse`` strings armed on the cell's device, where chaos
     ``fault`` events land).  The state — what the journal fingerprints —
     is exactly the declared fields.
@@ -191,9 +193,8 @@ class Cell:
                 for field in dataclasses.fields(self)}
 
     def clone(self, **updates):
-        """A copy with ``updates`` applied (supervision overlays cycle
-        budgets and chaos fault plans this way, never mutating the
-        caller's cell list)."""
+        """A copy with ``updates`` applied (a chaos ``fault`` event arms
+        its attempt this way, never mutating the caller's cell list)."""
         return dataclasses.replace(self, **updates)
 
     def __repr__(self):
@@ -456,67 +457,89 @@ def merge_job_metrics(results, into=None):
     return merged
 
 
-def run_jobs(specs, jobs=None, executor=None, supervise=None, journal=None,
-             chaos=None, metrics=None, recorder=None):
+def run_jobs(specs, jobs=None, executor=None, retries=0, timeout=None,
+             journal=None, chaos=None, metrics=None, recorder=None,
+             sleep=time.sleep):
     """Execute ``specs``; return the executor's results in spec order.
 
-    ``executor`` maps one spec to one :class:`JobResult` and must never
-    raise; it defaults to :func:`execute_job` (the figure sweeps'
-    worker).  Other sweeps — e.g. the captured runs'
-    :func:`execute_explore` — pass their own, built on
-    :func:`capture`; it must be a module-level callable so it pickles
-    into worker processes.
+    The one sweep executor.  ``executor`` maps one spec to one
+    :class:`JobResult` and must never raise; it defaults to
+    :func:`execute_job` (the figure sweeps' worker).  Other sweeps —
+    e.g. the captured runs' :func:`execute_explore` — pass their own,
+    built on :func:`capture`; at ``jobs > 1`` it must be a module-level
+    callable so it pickles into worker processes.
 
-    ``jobs=1`` (or a single spec) runs serially in-process with no
-    worker processes.  With ``jobs > 1`` the specs fan out over the
-    supervisor's warm pool (:func:`repro.harness.supervisor.run_pool`):
-    ``min(jobs, len(specs))`` long-lived workers, one attempt per spec
-    and no deadline.  A worker runs many specs, so per-process state an
-    executor keeps (caches, counters) persists across the specs one
-    worker runs.  A spec or result that cannot cross the worker pipe
-    fails that spec alone as ``unpicklable``; a worker that dies fails
-    its spec as ``worker-lost`` and is replaced.  Ordering, and
-    therefore every figure built from the results, is identical either
-    way.
+    In order, ``run_jobs``:
 
-    ``supervise`` (a :class:`~repro.harness.supervisor.SupervisorConfig`
-    or a kwargs dict for one), ``journal`` (a path or
-    :class:`~repro.harness.journal.SweepJournal`) and ``chaos`` (a
-    :class:`~repro.harness.supervisor.ChaosPlan`) route execution through
-    :func:`repro.harness.supervisor.run_supervised` — per-job timeouts,
-    bounded retry with backoff, checkpoint/resume.  All three default to
-    ``None``: no retries, journal or counters on the happy path.
-    ``metrics`` (a ``MetricRegistry``) receives the ``supervisor.*``
-    counters when supervision is active.
+    * loads ``journal`` (a path, closed on return, or a
+      :class:`~repro.harness.journal.SweepJournal`) and serves every spec
+      whose fingerprint it already holds without running it;
+    * counts ``supervisor.*`` into ``metrics`` (a ``MetricRegistry``),
+      else into a throwaway registry;
+    * runs attempts in this process when ``jobs <= 1``, else on
+      ``min(jobs, pending specs)`` warm worker processes
+      (:mod:`repro.harness.supervisor`).  A worker runs many specs, so
+      per-process state an executor keeps persists across them.  A spec
+      or result that cannot cross the worker pipe fails that spec alone
+      as ``unpicklable``; a worker that dies fails its attempt as
+      ``worker-lost`` and is replaced; ``timeout`` (seconds) SIGKILLs a
+      worker whose attempt outlives it;
+    * retries transient failures up to ``retries`` times with backoff
+      (``sleep`` is injectable so tests skip the wait); deterministic
+      failures never retry;
+    * journals every finished spec;
+    * calls ``recorder(specs, results, registry)`` — typically a
+      :class:`~repro.expdb.recorder.SweepRecorder` — once.
 
-    ``recorder`` — a callable ``(specs, results, metrics)``, typically a
-    :class:`~repro.expdb.recorder.SweepRecorder` — is invoked exactly
-    once with the finished sweep so the invocation lands in the
-    experiment database; ``None`` (the default) records nothing.
+    ``jobs`` defaults to ``$REPRO_JOBS``, else 1.  At ``jobs <= 1`` a
+    ``timeout``, or a ``chaos`` plan (a
+    :class:`~repro.harness.supervisor.ChaosPlan`) with kill or hang
+    events, raises ``ValueError``: nothing could stop the attempt, or it
+    would take this process down.  Ordering, and therefore every figure
+    built from the results, is identical at every width.
     """
-    if supervise is not None or journal is not None or chaos is not None:
-        # imported lazily: the unsupervised path must not pay for (or
-        # depend on) the supervision stack
-        from repro.harness.supervisor import run_supervised
+    # imported here: importing this module must not pay for the
+    # supervision stack
+    from repro.harness.journal import SweepJournal, spec_fingerprint
+    from repro.harness.supervisor import Job, Supervisor
 
-        return run_supervised(
-            specs, jobs=jobs, config=supervise, journal=journal,
-            chaos=chaos, executor=executor, metrics=metrics,
-            recorder=recorder,
-        )
     specs = list(specs)
-    if executor is None:
-        executor = execute_job
     if jobs is None:
         jobs = default_jobs()
-    if jobs <= 1 or len(specs) <= 1:
-        results = [executor(spec) for spec in specs]
-    else:
-        # imported lazily: the serial path must work even where process
-        # spawning is unavailable (sandboxes, some CI runners)
-        from repro.harness.supervisor import run_pool
-
-        results = run_pool(specs, jobs, executor)
+    serial = jobs <= 1
+    if serial and timeout is not None:
+        raise ValueError(
+            "timeout needs worker processes (jobs > 1): an in-process "
+            "attempt cannot be stopped"
+        )
+    if chaos is not None:
+        chaos.check(specs, serial)
+    registry = metrics if metrics is not None else MetricRegistry()
+    own_journal = journal is not None and not isinstance(journal, SweepJournal)
+    if own_journal:
+        journal = SweepJournal(journal)
+    try:
+        completed = journal.load() if journal is not None else {}
+        results = [None] * len(specs)
+        pending = []
+        for index, spec in enumerate(specs):
+            fingerprint = spec_fingerprint(spec)
+            if fingerprint in completed:
+                results[index] = completed[fingerprint]
+                registry.add("supervisor.jobs.resumed")
+            else:
+                pending.append(Job(index, spec, fingerprint))
+        registry.add("supervisor.jobs.total", len(specs))
+        registry.add("supervisor.jobs.executed", len(pending))
+        sup = Supervisor(executor or execute_job, retries, timeout, journal,
+                         chaos, registry, sleep, results)
+        if serial:
+            sup.run_in_process(pending)
+        elif pending:
+            sup.run_on_workers(pending, min(jobs, len(pending)))
+    finally:
+        if own_journal:
+            journal.close()
     if recorder is not None:
-        recorder(specs, results, metrics)
+        recorder(specs, results, registry)
     return results

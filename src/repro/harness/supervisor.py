@@ -1,47 +1,29 @@
-"""Supervised job execution: timeouts, retry with backoff, chaos injection.
+"""The sweep executor's machinery: warm workers, retry, chaos injection.
 
-:func:`run_supervised` wraps the same (specs -> results in spec order)
-contract as :func:`~repro.harness.parallel.run_jobs` in a supervision
-layer that keeps a sweep alive through the failures a long experiment
-campaign actually meets:
+:func:`~repro.harness.parallel.run_jobs` is the one way cells run; this
+module holds what it runs them with, imported when a sweep starts:
 
-* **wall-clock timeouts** — a worker that stops making wall-clock
-  progress (infinite loop outside the simulator, chaos-injected hang) is
-  SIGKILLed at ``wall_timeout`` seconds, replaced, and the attempt
-  classified ``timeout`` (transient: the same spec normally finishes in
-  time);
-* **simulated-cycle timeouts** — ``cycle_budget`` overlays ``max_steps``
-  on every spec's GPU config, so the scheduler's own watchdog trips
-  inside the worker and its :class:`~repro.gpu.errors.LivelockError` /
-  :class:`~repro.gpu.errors.ProgressError` classification (spinning vs
-  parked lanes) arrives as a structured, *deterministic* failure;
+* **per-job bookkeeping** (:class:`Supervisor`, :class:`Job`) — the
+  ``supervisor.*`` counters, the retry decision and the journal record of
+  every finished job;
 * **bounded retry with backoff** — transient failures (see
   :func:`~repro.harness.parallel.classify_exception`) are retried up to
-  ``max_retries`` times with exponential backoff and deterministic
-  jitter; deterministic failures (livelock, deadlock, verification
-  errors) fail immediately, because replaying the same simulation
-  replays the same outcome;
-* **checkpoint/resume** — with a ``journal`` (a
-  :class:`~repro.harness.journal.SweepJournal` or path), every finished
-  job is durably recorded, and a re-run against the same journal skips
-  completed jobs and merges to output bit-identical to an uninterrupted
-  sweep;
+  ``retries`` times after :func:`backoff_delay`; deterministic failures
+  (livelock, deadlock, verification errors) fail at once, because
+  replaying the same simulation replays the same outcome;
+* **the warm pool** (:class:`_Pool`) — ``jobs > 1`` runs attempts on
+  long-lived worker processes, SIGKILLs a worker whose attempt passes
+  the wall-clock ``timeout`` and replaces any worker that dies;
 * **chaos injection** — a :class:`ChaosPlan` makes workers misbehave on
   purpose (raise, SIGKILL themselves, hang, run with an armed fault
   plan) on chosen attempts, which is how the chaos harness proves the
   above actually works.
 
-Everything the supervisor does is observable: it fills ``supervisor.*``
-counters in a :class:`~repro.telemetry.MetricRegistry` (jobs total /
-resumed / succeeded / failed, attempts, retries, first-attempt
-successes, wall and cycle timeouts, failures by category) with the exact
-arithmetic ``first_attempt_successes + retries + failures-after-retry``
-accounting the acceptance tests pin down.
-
-Process mode runs on a pool of warm worker processes (:func:`_run_pool`),
-which ``run_jobs`` without supervision arguments also uses at
-``jobs > 1`` (:func:`run_pool`: one attempt per spec, nothing else).
-Serial ``run_jobs`` does not import this module.
+The counters (jobs total / resumed / executed / succeeded / failed,
+attempts, retries, first-attempt successes, wall and cycle timeouts,
+failures by category, workers started) satisfy the exact arithmetic
+``first_attempt_successes + retries + failures-after-retry`` the
+acceptance tests pin down.
 """
 
 import dataclasses
@@ -50,56 +32,34 @@ import signal
 import time
 import traceback
 
-from repro.harness.journal import SweepJournal, spec_fingerprint
 from repro.harness.parallel import (
     JobFailure,
     JobResult,
     TransientJobError,
     classify_exception,
-    default_jobs,
-    execute_job,
 )
-from repro.telemetry import MetricRegistry
 
 #: chaos kinds that only make sense against a real worker process
 _PROCESS_ONLY_CHAOS = ("sigkill", "hang")
 
 CHAOS_KINDS = ("error", "sigkill", "hang", "fault")
 
+#: retry backoff: ``BACKOFF_BASE * 2**(n-1)`` seconds after ``n``
+#: attempts, capped at ``BACKOFF_CAP``, plus up to ``BACKOFF_JITTER`` of
+#: that delay again
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 8.0
+BACKOFF_JITTER = 0.5
 
-@dataclasses.dataclass
-class SupervisorConfig:
-    """Tuning knobs for :func:`run_supervised`; plain picklable data.
 
-    ``wall_timeout`` (seconds, process mode only) and ``cycle_budget``
-    (simulated warp-steps, overlaid as ``max_steps`` on every spec)
-    default to ``None`` — no limit.  ``max_retries`` bounds *re*-runs: a
-    job gets at most ``1 + max_retries`` attempts, and only transient
-    failures are retried.  Backoff before attempt ``n+1`` is
-    ``backoff_base * 2**(n-1)`` seconds, capped at ``backoff_cap``, plus
-    a deterministic jitter fraction (up to ``jitter`` of the delay)
-    derived from the job fingerprint and attempt number — stable across
-    runs, but de-synchronized across jobs.
-    """
-
-    wall_timeout: float = None
-    cycle_budget: int = None
-    max_retries: int = 2
-    backoff_base: float = 0.25
-    backoff_cap: float = 8.0
-    jitter: float = 0.5
-
-    def backoff_delay(self, fingerprint, attempts):
-        """Delay before the next attempt, given ``attempts`` already made."""
-        if self.backoff_base <= 0:
-            return 0.0
-        delay = min(self.backoff_base * (2.0 ** (attempts - 1)), self.backoff_cap)
-        if self.jitter > 0:
-            # deterministic jitter: hash of (fingerprint, attempt) — no
-            # global RNG, so supervised sweeps stay reproducible
-            seed = (int(fingerprint[:8], 16) ^ (attempts * 0x9E3779B1)) & 0xFFFFFFFF
-            delay += delay * self.jitter * ((seed % 1024) / 1024.0)
-        return delay
+def backoff_delay(fingerprint, attempts):
+    """Delay before the next attempt of the job ``fingerprint`` names,
+    given ``attempts`` already made.  The jitter is a hash of (fingerprint,
+    attempt) — no global RNG, so reruns space their retries identically
+    while different jobs de-synchronize."""
+    delay = min(BACKOFF_BASE * (2.0 ** (attempts - 1)), BACKOFF_CAP)
+    seed = (int(fingerprint[:8], 16) ^ (attempts * 0x9E3779B1)) & 0xFFFFFFFF
+    return delay + delay * BACKOFF_JITTER * ((seed % 1024) / 1024.0)
 
 
 @dataclasses.dataclass
@@ -269,8 +229,8 @@ def _worker_main(conn, executor, chaos):
             conn.send(_pipe_error_result(spec, exc))
 
 
-class _Job:
-    """Supervisor-internal bookkeeping for one pending spec."""
+class Job:
+    """Bookkeeping for one pending spec."""
 
     __slots__ = ("index", "spec", "fingerprint", "attempts", "not_before")
 
@@ -282,17 +242,20 @@ class _Job:
         self.not_before = 0.0   # monotonic time gate for backoff
 
 
-class _Supervisor:
-    """State shared by the serial and process execution modes."""
+class Supervisor:
+    """One sweep's execution state: how to run an attempt, when to retry,
+    where results, counters and journal records go."""
 
-    def __init__(self, config, journal, chaos, executor, registry, sleep):
-        self.config = config
+    def __init__(self, executor, retries, timeout, journal, chaos, registry,
+                 sleep, results):
+        self.executor = executor
+        self.retries = retries
+        self.timeout = timeout
         self.journal = journal
         self.chaos = chaos
-        self.executor = executor
         self.registry = registry
         self.sleep = sleep
-        self.results = None
+        self.results = results
 
     # -- counters ------------------------------------------------------
     def count(self, name, amount=1):
@@ -322,24 +285,28 @@ class _Supervisor:
             self.journal.record(job.fingerprint, job.spec.key, result)
 
     def should_retry(self, job, failure):
-        return failure.transient and job.attempts <= self.config.max_retries
+        return failure.transient and job.attempts <= self.retries
 
     def backoff(self, job):
-        return self.config.backoff_delay(job.fingerprint, job.attempts)
+        return backoff_delay(job.fingerprint, job.attempts)
 
+    # -- the two modes -------------------------------------------------
+    def run_in_process(self, pending):
+        """Run every attempt in this process; backoff via ``sleep``."""
+        for job in pending:
+            while True:
+                self.start_attempt(job)
+                result = run_attempt(self.executor, job.spec, self.chaos,
+                                     job.attempts - 1)
+                failure = result.as_failure()
+                if failure is None or not self.should_retry(job, failure):
+                    self.finish(job, result, failure)
+                    break
+                self.sleep(self.backoff(job))
 
-def _run_serial(sup, pending):
-    """In-process execution: retries loop inline, backoff via ``sleep``."""
-    for job in pending:
-        while True:
-            sup.start_attempt(job)
-            result = run_attempt(sup.executor, job.spec, sup.chaos,
-                                 job.attempts - 1)
-            failure = result.as_failure()
-            if failure is None or not sup.should_retry(job, failure):
-                sup.finish(job, result, failure)
-                break
-            sup.sleep(sup.backoff(job))
+    def run_on_workers(self, pending, workers):
+        """Run every attempt on ``workers`` warm worker processes."""
+        _Pool(self, list(pending)).run(workers)
 
 
 class _Worker:
@@ -408,8 +375,8 @@ class _Pool:
             result = _pipe_error_result(job.spec, exc)
             self.settle(job, result, result.failure)
             return
-        if self.sup.config.wall_timeout is not None:
-            worker.deadline = time.monotonic() + self.sup.config.wall_timeout
+        if self.sup.timeout is not None:
+            worker.deadline = time.monotonic() + self.sup.timeout
         self.busy[worker.conn] = worker
 
     def receive(self, worker):
@@ -436,8 +403,8 @@ class _Pool:
         job = worker.job
         if category == "timeout":
             self.sup.count("timeouts.wall")
-            detail = ("exceeded wall_timeout=%.1fs; worker SIGKILLed"
-                      % self.sup.config.wall_timeout)
+            detail = ("exceeded timeout=%.1fs; worker SIGKILLed"
+                      % self.sup.timeout)
             exception = "SupervisorTimeout"
         else:
             detail = ("worker died without a result (exitcode %r)"
@@ -467,154 +434,50 @@ class _Pool:
             worker.proc.join()
             worker.conn.close()
 
+    def run(self, workers):
+        """Start ``workers`` warm workers and run the queue dry.
 
-def _run_pool(sup, pending, workers):
-    """Process-mode execution on ``workers`` warm worker processes.
+        The parent blocks in ``multiprocessing.connection.wait`` on the
+        busy workers' pipes until a result (or a dead worker's EOF)
+        arrives, a wall deadline passes, or — only while a worker sits
+        idle — a queued retry's backoff gate opens.  A worker is
+        SIGKILLed only on its wall timeout; a killed or dead worker is
+        replaced while work remains.
+        """
+        import multiprocessing.connection as mpc
 
-    The parent blocks in ``multiprocessing.connection.wait`` on the busy
-    workers' pipes until a result (or a dead worker's EOF) arrives, a
-    wall deadline passes, or — only while a worker sits idle — a queued
-    retry's backoff gate opens.  A worker is SIGKILLed only on its wall
-    timeout; a killed or dead worker is replaced while work remains.
-    """
-    import multiprocessing.connection as mpc
+        queue = self.queue
+        clean = False
+        try:
+            for _ in range(workers):
+                self.spawn()
+            while queue or self.busy:
+                now = time.monotonic()
+                for job in [job for job in queue if job.not_before <= now]:
+                    if not self.idle:
+                        break
+                    queue.remove(job)
+                    self.dispatch(job)
+                if not self.busy:
+                    if queue:
+                        # everything queued is backing off: sleep to the gate
+                        gate = min(job.not_before for job in queue)
+                        self.sup.sleep(max(0.0, gate - time.monotonic()))
+                    continue
 
-    queue = list(pending)
-    pool = _Pool(sup, queue)
-    clean = False
-    try:
-        for _ in range(workers):
-            pool.spawn()
-        while queue or pool.busy:
-            now = time.monotonic()
-            for job in [job for job in queue if job.not_before <= now]:
-                if not pool.idle:
-                    break
-                queue.remove(job)
-                pool.dispatch(job)
-            if not pool.busy:
-                if queue:
-                    # everything queued is backing off: sleep to the gate
-                    gate = min(job.not_before for job in queue)
-                    sup.sleep(max(0.0, gate - time.monotonic()))
-                continue
-
-            deadlines = [worker.deadline for worker in pool.busy.values()
-                         if worker.deadline is not None]
-            if pool.idle and queue:
-                deadlines.append(min(job.not_before for job in queue))
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines) - time.monotonic())
-            for conn in mpc.wait(list(pool.busy), timeout):
-                pool.receive(pool.busy[conn])
-            now = time.monotonic()
-            for worker in list(pool.busy.values()):
-                if worker.deadline is not None and now >= worker.deadline:
-                    pool.replace(worker, "timeout")
-        clean = True
-    finally:
-        pool.shutdown(clean)
-
-
-def run_pool(specs, jobs, executor):
-    """``run_jobs``' unsupervised ``jobs > 1`` path: the same warm pool,
-    one attempt per spec, no deadline, no journal, no counters kept."""
-    sup = _Supervisor(SupervisorConfig(max_retries=0), None, None, executor,
-                      MetricRegistry(), time.sleep)
-    sup.results = [None] * len(specs)
-    _run_pool(sup, [_Job(index, spec, None) for index, spec in enumerate(specs)],
-              min(jobs, len(specs)))
-    return sup.results
-
-
-def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,
-                   executor=None, metrics=None, sleep=time.sleep,
-                   recorder=None):
-    """Execute ``specs`` under supervision; results in spec order.
-
-    The entry point behind ``run_jobs(..., supervise=..., journal=...,
-    chaos=...)``.  ``config`` is a :class:`SupervisorConfig` or a kwargs
-    dict for one; ``journal`` a :class:`~repro.harness.journal.
-    SweepJournal` or a path (a path-journal is closed on return);
-    ``metrics`` a :class:`~repro.telemetry.MetricRegistry` receiving the
-    ``supervisor.*`` counters (a throwaway registry is used when absent).
-    ``sleep`` is injectable so tests assert backoff schedules without
-    waiting them out.  ``recorder`` — a ``(specs, results, metrics)``
-    callable, typically a :class:`~repro.expdb.recorder.SweepRecorder` —
-    is invoked once at sweep completion with the *effective* specs (the
-    cycle budget overlaid, i.e. exactly what was fingerprinted and
-    journaled), so the experiment-DB record carries the same
-    fingerprints a journal of this sweep checkpoints under.
-
-    ``jobs <= 1`` runs attempts in-process, so a ``wall_timeout`` and
-    chaos kinds that kill or hang the worker are rejected with
-    ``ValueError`` (nothing could stop the attempt, or they would take
-    the caller down with it).  ``jobs > 1`` runs attempts on
-    ``min(jobs, pending jobs)`` warm worker processes: each worker runs
-    many attempts, so per-process state the executor keeps persists
-    across the attempts one worker runs.  A timeout or a chaos kill
-    costs only that attempt and its worker, which is replaced
-    (``supervisor.workers.started`` counts every worker started).
-    """
-    specs = list(specs)
-    if executor is None:
-        executor = execute_job
-    if config is None:
-        config = SupervisorConfig()
-    elif isinstance(config, dict):
-        config = SupervisorConfig(**config)
-    if jobs is None:
-        jobs = default_jobs()
-    registry = metrics if metrics is not None else MetricRegistry()
-
-    own_journal = None
-    if journal is not None and not isinstance(journal, SweepJournal):
-        journal = own_journal = SweepJournal(journal)
-
-    serial = jobs <= 1
-    if serial and config.wall_timeout is not None:
-        raise ValueError(
-            "wall_timeout needs worker processes (jobs > 1): an in-process "
-            "attempt cannot be stopped"
-        )
-    if chaos is not None:
-        chaos.check(specs, serial)
-
-    # overlay the cycle budget *before* fingerprinting, so a journal
-    # written under one budget is not resumed under another
-    effective = []
-    for spec in specs:
-        if config.cycle_budget is not None:
-            overrides = dict(spec.gpu_overrides or {})
-            overrides.setdefault("max_steps", config.cycle_budget)
-            spec = spec.clone(gpu_overrides=overrides)
-        effective.append(spec)
-
-    fingerprints = [spec_fingerprint(spec) for spec in effective]
-    completed = journal.load() if journal is not None else {}
-
-    results = [None] * len(effective)
-    pending = []
-    for index, fingerprint in enumerate(fingerprints):
-        if fingerprint in completed:
-            results[index] = completed[fingerprint]
-            registry.add("supervisor.jobs.resumed")
-        else:
-            pending.append(_Job(index, effective[index], fingerprint))
-    registry.add("supervisor.jobs.total", len(effective))
-    registry.add("supervisor.jobs.executed", len(pending))
-
-    sup = _Supervisor(config, journal, chaos, executor, registry, sleep)
-    sup.results = results
-    try:
-        if serial:
-            _run_serial(sup, pending)
-        elif pending:
-            _run_pool(sup, pending, min(jobs, len(pending)))
-    finally:
-        if own_journal is not None:
-            own_journal.close()
-    if recorder is not None:
-        recorder(effective, results, registry)
-    return results
+                deadlines = [worker.deadline for worker in self.busy.values()
+                             if worker.deadline is not None]
+                if self.idle and queue:
+                    deadlines.append(min(job.not_before for job in queue))
+                timeout = None
+                if deadlines:
+                    timeout = max(0.0, min(deadlines) - time.monotonic())
+                for conn in mpc.wait(list(self.busy), timeout):
+                    self.receive(self.busy[conn])
+                now = time.monotonic()
+                for worker in list(self.busy.values()):
+                    if worker.deadline is not None and now >= worker.deadline:
+                        self.replace(worker, "timeout")
+            clean = True
+        finally:
+            self.shutdown(clean)

@@ -3,7 +3,8 @@
 Every figure of the paper, the ledger service, and the captured-run
 targets (``fuzz``, ``sanitize``, ``inject``, ``byz``, ``multigpu``) is a
 grid of independent :class:`~repro.harness.parallel.Cell` s through the
-(optionally supervised, journaled, recorded) pool.  There are three
+one executor, :func:`~repro.harness.parallel.run_jobs` (optionally
+retried, journaled, recorded).  There are three
 cells, each with one executor: the figures' ``JobSpec``, the captured
 runs' ``ExploreCell`` and the service's ``ServiceJobSpec``.  A sweep
 keeps its grid, summary (the reduce) and renderer; :func:`run_sweep`,
@@ -58,11 +59,11 @@ def failures_of(results):
 
 
 def run_sweep(specs, executor=None, summarize=None, render=None,
-              files=(None, None), jobs=None, supervise=None, journal=None,
-              metrics=None, recorder=None):
+              files=(None, None), metrics=None, **run):
     """Run ``specs`` through the pool; returns a :class:`SweepReport`.
 
-    ``executor``/``jobs``/``supervise``/``journal``/``recorder`` go to
+    ``executor`` and ``run`` (``jobs``/``retries``/``timeout``/
+    ``journal``/``recorder``) go to
     :func:`~repro.harness.parallel.run_jobs`.  ``metrics`` (a
     ``MetricRegistry``) receives the supervisor's counters and, after the
     sweep, every cell's worker registry.  ``summarize(specs, results)``
@@ -71,10 +72,7 @@ def run_sweep(specs, executor=None, summarize=None, render=None,
     """
     specs = list(specs)
     started = time.perf_counter()
-    results = run_jobs(
-        specs, jobs=jobs, executor=executor, supervise=supervise,
-        journal=journal, metrics=metrics, recorder=recorder,
-    )
+    results = run_jobs(specs, executor=executor, metrics=metrics, **run)
     wall = time.perf_counter() - started
     if metrics is not None:
         merge_job_metrics(results, into=metrics)
@@ -157,26 +155,23 @@ def timeout_seconds(text):
     return value
 
 
-def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
-                    timeline=False):
+def add_sweep_flags(parser, out_default, metrics_file=False, timeline=False):
     """Add the execution and artifact flag groups every sweep CLI shares.
 
     ``out_default=None`` adds no ``--out`` (the target writes no
-    artifacts); ``jobs_default=None`` defers to ``$REPRO_JOBS``;
-    ``metrics_file`` makes ``--metrics`` take a FILE instead of writing
-    DIR/metrics.json; ``timeline`` adds ``--timeline`` (per-cell Chrome
-    traces).
+    artifacts); ``metrics_file`` makes ``--metrics`` take a FILE instead
+    of writing DIR/metrics.json; ``timeline`` adds ``--timeline``
+    (per-cell Chrome traces).
     """
     execution = parser.add_argument_group("execution")
     execution.add_argument(
-        "--jobs", type=worker_count, default=jobs_default, metavar="N",
-        help="worker processes for the sweep (default: %s)"
-        % ("$REPRO_JOBS or 1" if jobs_default is None else jobs_default),
+        "--jobs", type=worker_count, default=None, metavar="N",
+        help="worker processes for the sweep (default: $REPRO_JOBS or 1)",
     )
     execution.add_argument(
-        "--retries", type=_retry_count, default=None, metavar="N",
+        "--retries", type=_retry_count, default=0, metavar="N",
         help="retry transient cell failures up to N times with backoff "
-        "(routes the sweep through the supervisor)",
+        "(default: 0)",
     )
     execution.add_argument(
         "--timeout", type=timeout_seconds, default=None, metavar="SECONDS",
@@ -218,30 +213,28 @@ def add_sweep_flags(parser, out_default, jobs_default=1, metrics_file=False,
     )
 
 
+def jobs_of(args, parser):
+    """The worker count ``--jobs``, else ``$REPRO_JOBS``, else 1; a
+    ``$REPRO_JOBS`` that is not an integer >= 1 is a usage error."""
+    if args.jobs is not None:
+        return args.jobs
+    try:
+        return default_jobs()
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def sweep_jobs(args, parser):
-    """The worker count ``--jobs`` (else ``$REPRO_JOBS``) asks for.
+    """The worker count :func:`jobs_of` resolves, for a sweep.
 
     ``--timeout`` with one worker is a usage error: cells then run in
     this process, where no wall-clock timeout can stop them.
     """
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = jobs_of(args, parser)
     if jobs <= 1 and args.timeout is not None:
         parser.error("--timeout needs --jobs 2 or more: one worker runs "
                      "cells in-process, where no timeout can stop them")
     return jobs
-
-
-def supervision(args):
-    """The ``SupervisorConfig`` ``--retries``/``--timeout`` ask for, or
-    ``None`` when neither was given."""
-    settings = {name: value for name, value in (
-        ("max_retries", args.retries), ("wall_timeout", args.timeout))
-        if value is not None}
-    if not settings:
-        return None
-    from repro.harness.supervisor import SupervisorConfig
-
-    return SupervisorConfig(**settings)
 
 
 def recorder_for(args, experiment, seed=None, summary=None):
@@ -272,9 +265,9 @@ class SweepCommand:
 
             self.metrics = MetricRegistry()
         self.recorder = recorder_for(args, experiment, seed, summary)
-        self.run_kwargs = dict(jobs=self.jobs, supervise=supervision(args),
-                               journal=args.resume, metrics=self.metrics,
-                               recorder=self.recorder)
+        self.run_kwargs = dict(jobs=self.jobs, retries=args.retries,
+                               timeout=args.timeout, journal=args.resume,
+                               metrics=self.metrics, recorder=self.recorder)
 
     def finish(self, report, label):
         out_dir = self.args.out

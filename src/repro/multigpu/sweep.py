@@ -191,7 +191,7 @@ SUMMARY_FIELDS = ("devices", "seed", "skew", "shard_skew", "num_accounts",
 
 
 def run_multigpu_sweep(variants, remote_fracs, link_latencies, jobs=None,
-                       supervise=None, journal=None, metrics=None,
+                       retries=0, timeout=None, journal=None, metrics=None,
                        recorder=None, **fields):
     """Run the survival sweep; returns a
     :class:`~repro.harness.sweep.SweepReport` rendering the survival map.
@@ -225,6 +225,6 @@ def run_multigpu_sweep(variants, remote_fracs, link_latencies, jobs=None,
         execute_explore, summarize,
         lambda report: render_survival_map(report.summary),
         ("survival_map.json", "survival_map.txt"), jobs=jobs,
-        supervise=supervise, journal=journal, metrics=metrics,
+        retries=retries, timeout=timeout, journal=journal, metrics=metrics,
         recorder=recorder,
     )

@@ -261,7 +261,7 @@ def fuzz_schedules(
     ``seeds`` is an int (meaning ``range(seeds)``) or an iterable of ints;
     ``policies`` are templates expanded by :func:`policy_specs`;
     ``mutant`` runs every cell under that seeded bug.  ``sweep``
-    (``jobs``/``supervise``/``journal``/``metrics``/``recorder``) goes to
+    (``jobs``/``retries``/``timeout``/``journal``/``metrics``/``recorder``) goes to
     :func:`~repro.harness.sweep.run_sweep`.  Every failing schedule is
     shrunk within ``shrink_budget`` replays (0: not shrunk) and written
     to ``artifact_dir`` when given.  Returns a

@@ -3,8 +3,8 @@
 Each cell of the sweep is one :class:`ServiceJobSpec` — a picklable,
 fingerprintable description of one open- or closed-loop service run.  The
 cells run through :func:`repro.harness.sweep.run_sweep` with
-:func:`execute_service_job` as the executor, so they get the supervised
-pool, the journal and the experiment-DB recorder exactly like every other
+:func:`execute_service_job` as the executor, so they get the worker
+pool, retries, the journal and the experiment-DB recorder exactly like every other
 sweep (docs/resilience.md, "The sweep layer"): a sweep killed mid-run and
 resumed against the same journal converges to a byte-identical summary
 artifact, because every cell's outcome is a deterministic function of its
@@ -81,7 +81,7 @@ def _serve(spec, telemetry):
 def execute_service_job(spec):
     """Run one service cell in the current process; never raises.
 
-    Module-level so it pickles into the supervised pool's workers.
+    Module-level so it pickles into the pool's workers.
     """
     return capture(spec, _serve)
 
@@ -137,7 +137,7 @@ def render_service_sweep(report):
 
 
 def run_service_sweep(variants, loads, skews=(0.8,), jobs=None,
-                      supervise=None, journal=None, metrics=None,
+                      retries=0, timeout=None, journal=None, metrics=None,
                       recorder=None, **fields):
     """Run the full sweep; returns a :class:`~repro.harness.sweep.SweepReport`.
 
@@ -165,6 +165,6 @@ def run_service_sweep(variants, loads, skews=(0.8,), jobs=None,
         build_specs(variants, loads, skews, telemetry=metrics is not None,
                     **fields),
         execute_service_job, summarize, render_service_sweep,
-        ("service_summary.json", None), jobs=jobs, supervise=supervise,
-        journal=journal, metrics=metrics, recorder=recorder,
+        ("service_summary.json", None), jobs=jobs, retries=retries,
+        timeout=timeout, journal=journal, metrics=metrics, recorder=recorder,
     )

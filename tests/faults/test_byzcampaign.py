@@ -14,7 +14,7 @@ from repro.faults.byzcampaign import (
     run_byz_campaign,
 )
 from repro.harness import configs, parallel
-from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
+from repro.harness.supervisor import ChaosPlan
 
 FAST = dict(behaviors=["lie_validation", "lock_hoard"],
             variants=["cgl", "hv-sorting"])
@@ -199,10 +199,10 @@ class TestChaosFault:
             attempts.append((cell.fault_plan, len(result.run.fired)))
             return result
 
-        [result] = run_supervised(
-            [job], jobs=1, executor=recording,
-            config=SupervisorConfig(max_retries=1, backoff_base=0),
+        [result] = parallel.run_jobs(
+            [job], jobs=1, executor=recording, retries=1,
             chaos=ChaosPlan().add(job.key, "fault", faults=[fault]),
+            sleep=lambda _delay: None,
         )
         (faulted, faulted_fired), (clean, clean_fired) = attempts
         assert faulted == [spec, fault] and clean == [spec]

@@ -10,7 +10,6 @@ import pytest
 from repro.harness import chaos, configs
 from repro.harness.journal import SweepJournal
 from repro.harness.parallel import JobSpec, run_jobs
-from repro.harness.supervisor import run_supervised
 from repro.telemetry import MetricRegistry
 
 
@@ -23,8 +22,8 @@ def _specs():
 
 
 def _killed_child(journal_path):
-    run_supervised(_specs(), jobs=1, journal=journal_path,
-                   executor=chaos._KillAfter(1))
+    run_jobs(_specs(), jobs=1, journal=journal_path,
+             executor=chaos._KillAfter(1))
 
 
 class TestChaosReport:
@@ -71,8 +70,7 @@ class TestKillAndResume:
         assert len(SweepJournal(path).load()) == 1
 
         registry = MetricRegistry()
-        resumed = run_supervised(_specs(), jobs=1, journal=path,
-                                 metrics=registry)
+        resumed = run_jobs(_specs(), jobs=1, journal=path, metrics=registry)
         counters = registry.as_dict()["counters"]
         assert counters["supervisor.jobs.resumed"] == 1
         assert counters["supervisor.jobs.executed"] == 2

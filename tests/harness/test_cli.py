@@ -162,6 +162,28 @@ class TestCli:
         assert exc.value.code == 2
         assert "--timeout needs --jobs 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["fig5", "--quick"], ["fuzz", "--variant", "cgl"],
+        ["trace", "fig5", "--quick"], ["chaos"], ["service"], ["multigpu"],
+        ["byz"], ["reproduce", "--smoke"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_repro_jobs_is_a_usage_error(self, argv, value,
+                                                   monkeypatch, capsys,
+                                                   tmp_path):
+        """Every CLI that defaults ``--jobs`` to ``$REPRO_JOBS`` rejects a
+        value ``--jobs`` would reject, naming the variable, before any
+        cell runs."""
+        from repro.__main__ import main as repro_main
+
+        monkeypatch.setenv("REPRO_JOBS", value)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        assert "REPRO_JOBS must be an integer >= 1" in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
+
     @pytest.mark.parametrize("argv,runner,flags", [
         (["trace", "fig5", "--quick"], "run_trace",
          {"--resume": "j", "--retries": "1", "--timeout": "5",
@@ -268,14 +290,21 @@ class TestCli:
         path = os.path.join(str(tmp_path), "fuzz.json")
         assert main([
             "fuzz", "--workload", "ra", "--variant", "hv-sorting",
-            "--seeds", "1", "--metrics", path, "--out", str(tmp_path),
+            "--seeds", "1", "--jobs", "1", "--metrics", path,
+            "--out", str(tmp_path),
         ]) == 0
         with open(path) as handle:
             data = json.load(handle)
+        # the executor counts every sweep, retries or not
         assert data["counters"] == {
             "fuzz.ra.hv_sorting.commits": 128,
             "fuzz.ra.hv_sorting.failures": 0,
             "fuzz.ra.hv_sorting.schedules": 2,
+            "supervisor.attempts": 2,
+            "supervisor.first_attempt_successes": 2,
+            "supervisor.jobs.executed": 2,
+            "supervisor.jobs.succeeded": 2,
+            "supervisor.jobs.total": 2,
         }
 
     @pytest.mark.parametrize("target", ["fuzz", "sanitize"])
@@ -315,7 +344,6 @@ class TestResilienceFlags:
     def test_retries_and_resume_flags_reach_the_driver(self, tmp_path,
                                                        capsys, monkeypatch):
         from repro.harness import __main__ as cli
-        from repro.harness.supervisor import SupervisorConfig
 
         seen = {}
 
@@ -326,18 +354,15 @@ class TestResilienceFlags:
                 return "stub"
 
         def stub_figure(name, quick=False, jobs=None, metrics=None,
-                        supervise=None, journal=None, recorder=None):
-            seen.update(supervise=supervise, journal=journal)
+                        retries=0, timeout=None, journal=None, recorder=None):
+            seen.update(retries=retries, timeout=timeout, journal=journal)
             return StubResult()
 
         monkeypatch.setattr(cli, "run_figure", stub_figure)
         path = os.path.join(str(tmp_path), "sweep.journal")
         assert main(["fig2", "--quick", "--jobs", "2", "--retries", "3",
                      "--timeout", "7.5", "--resume", path]) == 0
-        assert isinstance(seen["supervise"], SupervisorConfig)
-        assert seen["supervise"].max_retries == 3
-        assert seen["supervise"].wall_timeout == 7.5
-        assert seen["journal"] == path
+        assert seen == dict(retries=3, timeout=7.5, journal=path)
 
     def test_multi_target_resume_journals_per_target(self, tmp_path,
                                                      capsys, monkeypatch):
@@ -352,7 +377,7 @@ class TestResilienceFlags:
                 return "stub"
 
         def stub_figure(name, quick=False, jobs=None, metrics=None,
-                        supervise=None, journal=None, recorder=None):
+                        retries=0, timeout=None, journal=None, recorder=None):
             journals[name] = journal
             return StubResult()
 

@@ -121,13 +121,15 @@ class TestGracefulDegradation:
 
     @pytest.mark.slow
     def test_fig5_survives_an_all_failed_sweep(self):
-        # a starvation-tight cycle budget fails every job; the figure
-        # still renders — with gaps and a failure footer — instead of
-        # raising away the whole sweep
-        from repro.harness.supervisor import SupervisorConfig
+        # a chaos error fails every job; the figure still renders — with
+        # gaps and a failure footer — instead of raising away the whole
+        # sweep
+        from repro.harness.supervisor import ChaosPlan
 
-        result = run_figure(
-            "fig5", quick=True, supervise=SupervisorConfig(cycle_budget=50))
+        chaos = ChaosPlan()
+        for spec in experiments.fig5_grid(True):
+            chaos.add(spec.key, "error")
+        result = run_figure("fig5", quick=True, chaos=chaos)
         assert result.rows == []
         assert len(result.failures) == 3
         rendered = result.render()

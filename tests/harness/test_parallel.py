@@ -57,6 +57,12 @@ class TestDefaultJobs:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             default_jobs()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_below_one_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
+
 
 class TestRunJobs:
     def test_results_in_spec_order_with_keys(self):

@@ -1,4 +1,5 @@
-"""Supervision layer: retry/backoff, timeouts, chaos, checkpoint/resume."""
+"""The sweep executor's supervision: retry/backoff, timeouts, chaos,
+checkpoint/resume and the ``supervisor.*`` counters, at every width."""
 
 import multiprocessing
 import multiprocessing.connection
@@ -8,12 +9,8 @@ import pytest
 
 from repro.harness import configs
 from repro.harness.journal import SweepJournal, spec_fingerprint
-from repro.harness.parallel import JobResult, JobSpec, run_jobs
-from repro.harness.supervisor import (
-    ChaosPlan,
-    SupervisorConfig,
-    run_supervised,
-)
+from repro.harness.parallel import JobResult, JobSpec, execute_job, run_jobs
+from repro.harness.supervisor import ChaosPlan, backoff_delay
 from repro.telemetry import MetricRegistry
 
 
@@ -30,6 +27,10 @@ def _counters(registry):
 
 def _no_sleep(_):
     raise AssertionError("supervisor slept on a path that must not back off")
+
+
+def _skip_sleep(_):
+    """Backoff without the wait."""
 
 
 def _tuple_executor(spec):
@@ -65,10 +66,8 @@ class TestHappyPath:
         specs = [_ra_spec(("ra", v), variant=v) for v in ("cgl", "hv-sorting")]
         plain = run_jobs(specs, jobs=1)
         registry = MetricRegistry()
-        supervised = run_supervised(
-            specs, jobs=1, config=SupervisorConfig(max_retries=3),
-            metrics=registry, sleep=_no_sleep,
-        )
+        supervised = run_jobs(specs, jobs=1, retries=3, metrics=registry,
+                              sleep=_no_sleep)
         assert [r.key for r in supervised] == [r.key for r in plain]
         assert [r.run.cycles for r in supervised] == [r.run.cycles for r in plain]
         assert [r.run.commits for r in supervised] == [r.run.commits for r in plain]
@@ -76,7 +75,7 @@ class TestHappyPath:
     def test_counters_exact_on_clean_sweep(self):
         specs = [_ra_spec(("ra", v), variant=v) for v in ("cgl", "hv-sorting")]
         registry = MetricRegistry()
-        run_supervised(specs, jobs=1, metrics=registry, sleep=_no_sleep)
+        run_jobs(specs, jobs=1, metrics=registry, sleep=_no_sleep)
         counters = _counters(registry)
         assert counters["supervisor.jobs.total"] == 2
         assert counters["supervisor.jobs.executed"] == 2
@@ -89,10 +88,56 @@ class TestHappyPath:
     def test_run_jobs_routes_to_supervisor(self):
         specs = [_ra_spec("one")]
         registry = MetricRegistry()
-        results = run_jobs(specs, jobs=1, supervise=dict(max_retries=1),
-                           metrics=registry)
+        results = run_jobs(specs, jobs=1, retries=1, metrics=registry)
         assert not results[0].failed
         assert _counters(registry)["supervisor.jobs.total"] == 1
+
+
+#: the counters a clean sweep leaves, at every width, journal or not
+CLEAN_COUNTERS = {
+    "supervisor.jobs.total", "supervisor.jobs.executed",
+    "supervisor.jobs.succeeded", "supervisor.first_attempt_successes",
+    "supervisor.attempts",
+}
+
+
+@pytest.mark.parametrize("retries", [0, 2])
+@pytest.mark.parametrize("journaled", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_executor_contract(jobs, journaled, retries, tmp_path):
+    """Width, journal and retries change how cells run, never what they
+    return or which counters the sweep leaves."""
+    specs = [_ra_spec(("ra", v), variant=v) for v in ("cgl", "hv-sorting")]
+    reference = [execute_job(spec) for spec in specs]
+    registry = MetricRegistry()
+    journal = str(tmp_path / "sweep.journal") if journaled else None
+    results = run_jobs(specs, jobs=jobs, retries=retries, journal=journal,
+                       metrics=registry, sleep=_no_sleep)
+    assert [r.key for r in results] == [r.key for r in reference]
+    assert [r.run.cycles for r in results] == [r.run.cycles for r in reference]
+    assert [r.run.stats for r in results] == [r.run.stats for r in reference]
+    counters = _counters(registry)
+    workers = counters.pop("supervisor.workers.started", None)
+    assert set(counters) == CLEAN_COUNTERS
+    assert counters["supervisor.jobs.succeeded"] == len(specs)
+    assert workers == (min(jobs, len(specs)) if jobs > 1 else None)
+
+
+def test_chaos_error_under_a_journal_without_retries_fails_its_cell(tmp_path):
+    # a journal asks for a checkpoint, not for retries
+    registry = MetricRegistry()
+    flaky, calm = run_jobs(
+        [_ra_spec("flaky"), _ra_spec("calm")], jobs=1,
+        journal=str(tmp_path / "sweep.journal"),
+        chaos=ChaosPlan().add("flaky", "error"), metrics=registry,
+        sleep=_no_sleep,
+    )
+    assert flaky.failed and flaky.failure.category == "transient"
+    assert flaky.failure.attempts == 1
+    assert not calm.failed
+    counters = _counters(registry)
+    assert counters["supervisor.failures.transient"] == 1
+    assert "supervisor.retries" not in counters
 
 
 class TestRetry:
@@ -102,10 +147,8 @@ class TestRetry:
         plan = ChaosPlan().add("flaky", "error")
         registry = MetricRegistry()
         delays = []
-        results = run_supervised(
-            specs, jobs=1, config=SupervisorConfig(max_retries=2),
-            chaos=plan, metrics=registry, sleep=delays.append,
-        )
+        results = run_jobs(specs, jobs=1, retries=2, chaos=plan,
+                           metrics=registry, sleep=delays.append)
         assert not any(r.failed for r in results)
         assert [r.run.cycles for r in results] == [r.run.cycles for r in plain]
         counters = _counters(registry)
@@ -119,29 +162,26 @@ class TestRetry:
     def test_retries_exhausted_is_structured_failure(self):
         plan = ChaosPlan().add("flaky", "error", attempts=(0, 1, 2, 3, 4))
         registry = MetricRegistry()
-        results = run_supervised(
-            [_ra_spec("flaky")], jobs=1,
-            config=SupervisorConfig(max_retries=2, backoff_base=0),
-            chaos=plan, metrics=registry,
-        )
+        results = run_jobs([_ra_spec("flaky")], jobs=1, retries=2,
+                           chaos=plan, metrics=registry, sleep=_skip_sleep)
         failure = results[0].failure
         assert results[0].failed
         assert failure.category == "transient"
         assert failure.transient
-        assert failure.attempts == 3  # 1 + max_retries
+        assert failure.attempts == 3  # 1 + retries
         counters = _counters(registry)
         assert counters["supervisor.jobs.failed"] == 1
         assert counters["supervisor.failures.transient"] == 1
         assert counters["supervisor.retries"] == 2
 
     def test_backoff_is_deterministic_and_capped(self):
-        config = SupervisorConfig(backoff_base=0.5, backoff_cap=2.0, jitter=0.5)
         fp = "deadbeef" * 8
-        first = config.backoff_delay(fp, 1)
-        assert first == config.backoff_delay(fp, 1)
-        assert 0.5 <= first <= 0.75
-        # attempt 10 is capped at backoff_cap plus at most jitter of it
-        assert config.backoff_delay(fp, 10) <= 2.0 * 1.5
+        first = backoff_delay(fp, 1)
+        assert first == backoff_delay(fp, 1)
+        assert 0.25 <= first <= 0.375
+        assert backoff_delay("0badf00d" * 8, 1) != first
+        # attempt 10 is capped at 8 s plus at most half of it in jitter
+        assert 8.0 <= backoff_delay(fp, 10) <= 8.0 * 1.5
 
 
 class TestWatchdogClassification:
@@ -150,12 +190,12 @@ class TestWatchdogClassification:
         # the watchdog trips with all stuck lanes still stepping, the
         # failure is classified `livelock`, and — because replaying a
         # deterministic simulation replays the livelock — it is NOT
-        # retried despite max_retries
+        # retried despite retries=3
         registry = MetricRegistry()
-        results = run_supervised(
-            [_ra_spec("doomed", variant="unsorted")], jobs=1,
-            config=SupervisorConfig(max_retries=3, cycle_budget=200),
-            metrics=registry, sleep=_no_sleep,
+        results = run_jobs(
+            [_ra_spec("doomed", variant="unsorted",
+                      gpu_overrides=dict(max_steps=200))],
+            jobs=1, retries=3, metrics=registry, sleep=_no_sleep,
         )
         failure = results[0].failure
         assert results[0].failed
@@ -179,11 +219,8 @@ class TestWatchdogClassification:
             gpu_overrides=dict(max_steps=2000),
         )
         registry = MetricRegistry()
-        results = run_supervised(
-            [spec], jobs=1,
-            config=SupervisorConfig(max_retries=2, backoff_base=0),
-            chaos=plan, metrics=registry,
-        )
+        results = run_jobs([spec], jobs=1, retries=2, chaos=plan,
+                           metrics=registry, sleep=_skip_sleep)
         assert not results[0].failed
         assert results[0].run.cycles == plain.run.cycles
         assert results[0].run.commits == plain.run.commits
@@ -191,35 +228,16 @@ class TestWatchdogClassification:
         assert counters["supervisor.retries"] == 1
         assert counters["supervisor.jobs.succeeded"] == 1
 
-    def test_cycle_budget_overlays_max_steps(self):
-        registry = MetricRegistry()
-        results = run_supervised(
-            [_ra_spec("budgeted")], jobs=1,
-            config=SupervisorConfig(cycle_budget=50), metrics=registry,
-        )
-        failure = results[0].failure
-        assert results[0].failed
-        assert failure.category in ("livelock", "deadlock")
-        assert _counters(registry)["supervisor.timeouts.cycle"] == 1
-
-    def test_explicit_gpu_override_wins_over_cycle_budget(self):
-        spec = _ra_spec("explicit", gpu_overrides=dict(max_steps=2_000_000))
-        results = run_supervised(
-            [spec], jobs=1, config=SupervisorConfig(cycle_budget=50),
-        )
-        assert not results[0].failed
-
 
 class TestChaosGuards:
     def test_serial_mode_rejects_process_chaos(self):
         plan = ChaosPlan().add("k", "sigkill")
         with pytest.raises(ValueError, match="worker processes"):
-            run_supervised([_ra_spec("k")], jobs=1, chaos=plan)
+            run_jobs([_ra_spec("k")], jobs=1, chaos=plan)
 
     def test_serial_mode_rejects_wall_timeout(self):
         with pytest.raises(ValueError, match="worker processes"):
-            run_supervised([_ra_spec("k")], jobs=1,
-                           config=SupervisorConfig(wall_timeout=5.0))
+            run_jobs([_ra_spec("k")], jobs=1, timeout=5.0)
 
     def test_unknown_chaos_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos kind"):
@@ -230,9 +248,8 @@ class TestCustomExecutor:
     def test_custom_executor_results_pass_through(self):
         specs = [_ra_spec("a"), _ra_spec("b")]
         registry = MetricRegistry()
-        results = run_supervised(
-            specs, jobs=1, executor=_tuple_executor, metrics=registry,
-        )
+        results = run_jobs(specs, jobs=1, executor=_tuple_executor,
+                           metrics=registry)
         assert [r.run for r in results] == [("done", "a"), ("done", "b")]
         assert _counters(registry)["supervisor.jobs.succeeded"] == 2
 
@@ -241,13 +258,12 @@ class TestJournalResume:
     def test_resume_skips_completed_jobs_bit_identically(self, tmp_path):
         path = str(tmp_path / "sweep.journal")
         specs = [_ra_spec(("ra", v), variant=v) for v in ("cgl", "hv-sorting")]
-        first = run_supervised(specs, jobs=1, journal=path)
+        first = run_jobs(specs, jobs=1, journal=path)
         # resume with an executor that refuses to run: every job must be
         # served from the journal, and the merged output must match
         registry = MetricRegistry()
-        resumed = run_supervised(
-            specs, jobs=1, journal=path, executor=_explode, metrics=registry,
-        )
+        resumed = run_jobs(specs, jobs=1, journal=path, executor=_explode,
+                           metrics=registry)
         counters = _counters(registry)
         assert counters["supervisor.jobs.resumed"] == 2
         assert counters["supervisor.jobs.executed"] == 0
@@ -259,11 +275,11 @@ class TestJournalResume:
     def test_partial_journal_reruns_only_missing_jobs(self, tmp_path):
         path = str(tmp_path / "sweep.journal")
         specs = [_ra_spec(("ra", v), variant=v) for v in ("cgl", "hv-sorting")]
-        full = run_supervised(specs, jobs=1)
+        full = run_jobs(specs, jobs=1)
         with SweepJournal(path) as journal:
             journal.record(spec_fingerprint(specs[0]), specs[0].key, full[0])
         registry = MetricRegistry()
-        resumed = run_supervised(specs, jobs=1, journal=path, metrics=registry)
+        resumed = run_jobs(specs, jobs=1, journal=path, metrics=registry)
         counters = _counters(registry)
         assert counters["supervisor.jobs.resumed"] == 1
         assert counters["supervisor.jobs.executed"] == 1
@@ -272,34 +288,17 @@ class TestJournalResume:
     def test_failed_jobs_are_journaled_too(self, tmp_path):
         # a deterministic failure is durable: resuming does not re-run it
         path = str(tmp_path / "sweep.journal")
-        spec = _ra_spec("doomed", variant="unsorted")
-        config = SupervisorConfig(cycle_budget=200)
-        first = run_supervised([spec], jobs=1, config=config, journal=path)
+        spec = _ra_spec("doomed", variant="unsorted",
+                        gpu_overrides=dict(max_steps=200))
+        first = run_jobs([spec], jobs=1, journal=path)
         assert first[0].failed
         registry = MetricRegistry()
-        resumed = run_supervised(
-            [spec], jobs=1, config=config, journal=path,
-            executor=_explode, metrics=registry,
-        )
+        resumed = run_jobs([spec], jobs=1, journal=path, executor=_explode,
+                           metrics=registry)
         assert _counters(registry)["supervisor.jobs.resumed"] == 1
         assert resumed[0].failed
         assert resumed[0].failure.category == "livelock"
 
-    def test_cycle_budget_changes_invalidate_journal_entries(self, tmp_path):
-        path = str(tmp_path / "sweep.journal")
-        spec = _ra_spec("one")
-        run_supervised([spec], jobs=1, journal=path)
-        registry = MetricRegistry()
-        run_supervised(
-            [spec], jobs=1, journal=path,
-            config=SupervisorConfig(cycle_budget=2_000_000),
-            metrics=registry,
-        )
-        # the budget is overlaid before fingerprinting, so the budget-less
-        # journal entry must not be reused
-        counters = _counters(registry)
-        assert "supervisor.jobs.resumed" not in counters
-        assert counters["supervisor.jobs.executed"] == 1
 
 
 @pytest.mark.slow
@@ -309,12 +308,8 @@ class TestProcessMode:
         plain = run_jobs(specs, jobs=1)
         plan = ChaosPlan().add("victim", "sigkill")
         registry = MetricRegistry()
-        results = run_supervised(
-            specs, jobs=2,
-            config=SupervisorConfig(max_retries=2, backoff_base=0.01,
-                                    backoff_cap=0.05),
-            chaos=plan, metrics=registry,
-        )
+        results = run_jobs(specs, jobs=2, retries=2, chaos=plan,
+                           metrics=registry)
         assert not any(r.failed for r in results)
         assert [r.run.cycles for r in results] == [r.run.cycles for r in plain]
         counters = _counters(registry)
@@ -327,12 +322,8 @@ class TestProcessMode:
         specs = [_ra_spec("sleeper")]
         plan = ChaosPlan().add("sleeper", "hang", hang_seconds=60.0)
         registry = MetricRegistry()
-        results = run_supervised(
-            specs, jobs=2,
-            config=SupervisorConfig(wall_timeout=3.0, max_retries=1,
-                                    backoff_base=0.01, backoff_cap=0.05),
-            chaos=plan, metrics=registry,
-        )
+        results = run_jobs(specs, jobs=2, retries=1, timeout=3.0,
+                           chaos=plan, metrics=registry)
         assert not results[0].failed
         counters = _counters(registry)
         assert counters["supervisor.timeouts.wall"] == 1
@@ -342,11 +333,8 @@ class TestProcessMode:
 
     def test_unpicklable_result_is_terminal_not_retried(self):
         registry = MetricRegistry()
-        results = run_supervised(
-            [_ra_spec("opaque")], jobs=2,
-            config=SupervisorConfig(max_retries=2, backoff_base=0),
-            executor=_lambda_executor, metrics=registry,
-        )
+        results = run_jobs([_ra_spec("opaque")], jobs=2, retries=2,
+                           executor=_lambda_executor, metrics=registry)
         failure = results[0].failure
         assert results[0].failed
         assert failure.category == "unpicklable"
@@ -358,15 +346,15 @@ class TestProcessMode:
     def test_pool_results_match_serial_supervised(self):
         specs = [_ra_spec(("ra", v), variant=v)
                  for v in ("cgl", "hv-sorting", "optimized")]
-        serial = run_supervised(specs, jobs=1)
-        pooled = run_supervised(specs, jobs=2)
+        serial = run_jobs(specs, jobs=1, retries=2)
+        pooled = run_jobs(specs, jobs=2, retries=2)
         assert [r.key for r in pooled] == [r.key for r in serial]
         assert [r.run.cycles for r in pooled] == [r.run.cycles for r in serial]
 
     def test_one_warm_worker_serves_several_attempts(self):
         specs = [_ra_spec(i) for i in range(6)]
         registry = MetricRegistry()
-        pids = [r.run for r in run_supervised(
+        pids = [r.run for r in run_jobs(
             specs, jobs=2, executor=_pid_executor, metrics=registry)]
         assert len(set(pids)) <= 2 < len(pids)
         assert os.getpid() not in pids
@@ -375,9 +363,8 @@ class TestProcessMode:
 
     def test_unretried_sigkill_is_worker_lost(self):
         registry = MetricRegistry()
-        results = run_supervised(
+        results = run_jobs(
             [_ra_spec("victim")], jobs=2,
-            config=SupervisorConfig(max_retries=0),
             chaos=ChaosPlan().add("victim", "sigkill"), metrics=registry,
         )
         assert results[0].failure.category == "worker-lost"
@@ -389,8 +376,8 @@ class TestProcessMode:
     def test_no_children_survive_a_parent_exception(self, tmp_path):
         journal = _ExplodingJournal(str(tmp_path / "sweep.journal"))
         with pytest.raises(RuntimeError, match="disk full"):
-            run_supervised([_ra_spec(i) for i in range(4)], jobs=2,
-                           journal=journal)
+            run_jobs([_ra_spec(i) for i in range(4)], jobs=2,
+                     journal=journal)
         journal.close()
         assert multiprocessing.active_children() == []
 
@@ -406,6 +393,6 @@ class TestProcessMode:
 
         monkeypatch.setattr(multiprocessing.connection, "wait", counting_wait)
         specs = [_ra_spec(i) for i in range(8)]
-        results = run_supervised(specs, jobs=2, config=SupervisorConfig())
+        results = run_jobs(specs, jobs=2, retries=2)
         assert not any(r.failed for r in results)
         assert len(calls) <= 4 * len(specs)

@@ -6,8 +6,8 @@ survival map share — declares a
 :class:`~repro.harness.parallel.Cell` and runs through
 :func:`~repro.harness.sweep.run_sweep`, so one set of tests pins what
 they all promise: pickling, cloning, stable fingerprints, ``--jobs``
-independence, journal resume, and the supervisor's cycle-budget and
-chaos-fault overlays.
+independence, journal resume, a ``max_steps`` override tripping the
+watchdog, and the chaos-fault overlay.
 """
 
 import json
@@ -28,8 +28,9 @@ from repro.harness.parallel import (
     JobSpec,
     execute_explore,
     execute_job,
+    run_jobs,
 )
-from repro.harness.supervisor import ChaosPlan, SupervisorConfig, run_supervised
+from repro.harness.supervisor import ChaosPlan
 from repro.multigpu.sweep import build_mg_specs, run_multigpu_sweep
 from repro.sched.fuzz import fuzz_schedules
 from repro.service.sweep import (
@@ -173,22 +174,20 @@ OVERLAY_KINDS = {
 FAULT = "warp_stall:sm=0,warp=0,after=0,duration=5"
 
 
+def _skip_sleep(_):
+    """Backoff without the wait."""
+
+
 @pytest.mark.parametrize("kind", sorted(OVERLAY_KINDS))
 class TestSupervisorOverlays:
-    def test_cycle_budget_trips_the_watchdog(self, kind):
-        """The budget overlays a cell that pins no ``max_steps``; a cell
-        that pins one (the byzantine and survival cells do) keeps it."""
+    def test_max_steps_override_trips_the_watchdog(self, kind):
+        """Every kind's ``gpu_overrides`` reach its device: a tight
+        ``max_steps`` trips the watchdog, classified per kind."""
         spec, executor, tripped = OVERLAY_KINDS[kind]
-        overrides = dict(spec.gpu_overrides or {})
-        pinned = overrides.pop("max_steps", None)
-        budget = SupervisorConfig(cycle_budget=10)
-        [result] = run_supervised([spec.clone(gpu_overrides=overrides)],
-                                  jobs=1, executor=executor, config=budget)
+        overrides = dict(spec.gpu_overrides or {}, max_steps=10)
+        [result] = run_jobs([spec.clone(gpu_overrides=overrides)], jobs=1,
+                            executor=executor)
         assert tripped(result)
-        if pinned is not None:
-            [result] = run_supervised([spec], jobs=1, executor=executor,
-                                      config=budget)
-            assert not result.failed and not tripped(result)
 
     def test_fault_event_arms_or_is_rejected_up_front(self, kind):
         spec, executor, _tripped = OVERLAY_KINDS[kind]
@@ -200,16 +199,14 @@ class TestSupervisorOverlays:
 
         chaos = ChaosPlan().add(spec.key, "fault", faults=[FAULT])
         registry = MetricRegistry()
-        config = SupervisorConfig(max_retries=1, backoff_base=0)
         if not spec.faultable:
             with pytest.raises(ValueError, match=type(spec).__name__):
-                run_supervised([spec], jobs=1, executor=recording,
-                               config=config, chaos=chaos)
+                run_jobs([spec], jobs=1, executor=recording, retries=1,
+                         chaos=chaos)
             assert seen == []
             return
-        [result] = run_supervised([spec], jobs=1, executor=recording,
-                                  config=config, chaos=chaos,
-                                  metrics=registry)
+        [result] = run_jobs([spec], jobs=1, executor=recording, retries=1,
+                            chaos=chaos, metrics=registry, sleep=_skip_sleep)
         # faulted attempt (the event's spec joins the cell's own plan),
         # then a clean retry on the cell's own plan
         assert seen == [(spec.fault_plan or []) + [FAULT], spec.fault_plan]

@@ -77,11 +77,7 @@ def test_journal_resume_converges_after_partial_sweep(tmp_path):
 
 
 def test_supervised_sweep_matches_unsupervised():
-    from repro.harness.supervisor import SupervisorConfig
-
     plain = run_service_sweep(("vbv",), (2.0,), **quick_kwargs()).summary
-    supervised = run_service_sweep(
-        ("vbv",), (2.0,), supervise=SupervisorConfig(max_retries=2),
-        **quick_kwargs()
-    ).summary
+    supervised = run_service_sweep(("vbv",), (2.0,), retries=2,
+                                   **quick_kwargs()).summary
     assert plain == supervised
