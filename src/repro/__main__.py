@@ -44,7 +44,6 @@ _HARNESS_TARGETS = (
     ("inject", "mutant-efficacy campaign: seeded protocol bugs x "
                "checkers"),
     ("sanitize", "run workloads with the online STM sanitizer armed"),
-    ("chaos", "supervised sweep under injected worker-level chaos"),
 )
 
 

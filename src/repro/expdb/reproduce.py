@@ -35,6 +35,7 @@ from repro.harness.sweep import (
     csv_or_all,
     jobs_of,
     print_failures,
+    sweep_main,
     worker_count,
 )
 
@@ -120,6 +121,7 @@ def run_reproduce(out_dir=DEFAULT_OUT_DIR, db_path=None, smoke=False,
     return manifest, failures
 
 
+@sweep_main
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro reproduce",

@@ -54,6 +54,7 @@ from repro.harness.sweep import (
     check_names,
     csv_or_all,
     run_sweep,
+    sweep_main,
 )
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
 
@@ -375,6 +376,7 @@ def build_parser():
     return parser
 
 
+@sweep_main
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -19,7 +19,6 @@ Usage::
         --fault "clock_skew:region=g_clock,count=2"
     python -m repro.harness fig2 --quick --jobs 4 --retries 2 \\
         --timeout 300 --resume out/fig2.journal
-    python -m repro.harness chaos --jobs 2 --out chaos-artifacts
 
 ``--jobs N`` (else the ``REPRO_JOBS`` environment variable, else 1) fans
 the independent runs of each sweep out over N worker processes; results
@@ -90,15 +89,8 @@ interrupted sweep resumes where it stopped (``all`` suffixes the journal
 per target).  Jobs that still fail render as explicit FAILED gaps, a
 failure summary is printed, and the exit code is 1 — see
 ``docs/resilience.md``.
-``trace`` takes none of these four flags and ``chaos`` only
-``--timeout``; ``--timeout`` with one worker is a usage error.
-
-The ``chaos`` target (:mod:`repro.harness.chaos`) is the executor's own
-proving ground: a happy-path sweep with retries on, a sweep with
-injected worker failures (error, SIGKILL, hang, armed fault), and a
-kill-and-resume round-trip, each checked bit-identical against a plain
-serial reference run; ``--timeout`` is its hung-worker reaping
-deadline (default 20 s).  Exit code 1 when any phase fails.
+``trace`` takes none of these four flags; ``--timeout`` with one
+worker is a usage error.
 """
 
 import argparse
@@ -118,7 +110,7 @@ from repro.harness.sweep import (
     recorder_for,
     run_sweep,
     sweep_jobs,
-    timeout_seconds,
+    sweep_main,
     worker_count,
 )
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
@@ -185,21 +177,6 @@ def run_inject(args, parser):
     return command.finish(
         report, "inject %d mutant(s) x %d checker(s)"
         % (len(report.summary["mutants"]), len(report.summary["checkers"])))
-
-
-def run_chaos(args, parser):
-    """Drive the chaos harness; returns an exit code."""
-    # imported here: the figure targets must not pay for the chaos stack
-    from repro.harness.chaos import run_chaos as chaos_harness
-
-    # chaos always runs at least two workers, so --timeout holds
-    jobs = max(2, jobs_of(args, parser))
-    started = time.time()
-    report = chaos_harness(jobs=jobs, out_dir=args.out,
-                           wall_timeout=args.timeout)
-    print(report.render())
-    print("[chaos in %.1fs, jobs=%d]" % (time.time() - started, jobs))
-    return 0 if report.ok else 1
 
 
 def _fault_spec(text):
@@ -482,22 +459,13 @@ def build_parser():
     add_sweep_flags(inject, "fault-artifacts", metrics_file=True)
     inject.set_defaults(run=run_inject)
 
-    chaos = targets.add_parser("chaos", help="the supervision self-test")
-    chaos.add_argument("--jobs", type=worker_count, default=None,
-                       metavar="N", help="workers, at least 2 "
-                       "(default: $REPRO_JOBS)")
-    chaos.add_argument("--timeout", type=timeout_seconds, default=20.0,
-                       metavar="SECONDS", help="hung-worker reaping "
-                       "deadline (default: 20)")
-    chaos.add_argument("--out", default="chaos-artifacts", metavar="DIR",
-                       help="artifact directory (default: %(default)s)")
-    chaos.set_defaults(run=run_chaos)
     for sub in targets.choices.values():
         # a target's usage errors print that target's usage
         sub.set_defaults(parser=sub)
     return parser
 
 
+@sweep_main
 def main(argv=None):
     args = build_parser().parse_args(argv)
     return args.run(args, args.parser)

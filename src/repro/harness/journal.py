@@ -27,10 +27,17 @@ of the journal.
 
 Crash consistency comes from the append-only discipline rather than from
 temp-file swaps: each record is a single line, flushed and ``fsync``\\ ed
-before the supervisor moves on, and :meth:`SweepJournal.load` tolerates a
-truncated or garbled final line (the job it described simply re-runs).
-A journal can therefore never poison a resume — the worst a crash can do
+before the supervisor moves on.  :meth:`SweepJournal.load` tolerates a
+truncated or garbled final line (the job it described simply re-runs),
+and the first append of a resumed sweep ends an unterminated final line
+before it writes, so the torn tail cannot swallow the next record.  A
+journal can therefore never poison a resume — the worst a crash can do
 is lose the one job that was mid-append.
+
+A file whose first line is not this build's header — not a journal, or
+one of another version — raises :class:`JournalError` before anything is
+written to it.  An unterminated first line that is a prefix of the
+header is a header torn mid-write: a fresh journal.
 
 Fingerprints
 ============
@@ -48,6 +55,35 @@ import os
 import pickle
 
 JOURNAL_VERSION = 1
+
+#: the first line of every journal, as written
+HEADER_LINE = json.dumps({"kind": "header", "version": JOURNAL_VERSION},
+                         sort_keys=True) + "\n"
+
+
+class JournalError(ValueError):
+    """The file at a journal path is not a journal this build resumes:
+    no header line, or another version.  Nothing was written to it."""
+
+
+def _has_header(path, first):
+    """Whether ``first``, the first line of the file at ``path``, is this
+    build's header; ``False`` for a fresh journal (an empty file, or a
+    header torn mid-write).  Anything else raises :class:`JournalError`."""
+    if not first.endswith("\n") and HEADER_LINE.startswith(first):
+        return False
+    try:
+        record = json.loads(first)
+    except ValueError:
+        record = None
+    if not isinstance(record, dict) or record.get("kind") != "header":
+        raise JournalError("%s is not a sweep journal (its first line is "
+                           "no journal header)" % path)
+    version = record.get("version")
+    if version != JOURNAL_VERSION:
+        raise JournalError("journal %s has version %r; this build reads %d"
+                           % (path, version, JOURNAL_VERSION))
+    return True
 
 
 def _spec_state(spec):
@@ -99,35 +135,24 @@ class SweepJournal:
 
         Missing file means a fresh sweep (empty dict).  A torn final line
         — the signature of a process killed mid-append — is skipped, as is
-        any record whose payload fails to unpickle; those jobs re-run.
+        any record whose payload fails to unpickle; those jobs re-run.  A
+        file that is not a journal of this version raises
+        :class:`JournalError`.
         """
         completed = {}
         self.skipped_lines = 0
         if not os.path.exists(self.path):
             return completed
-        with open(self.path, "r") as handle:
+        with open(self.path, "r", errors="replace") as handle:
+            if not _has_header(self.path, handle.readline()):
+                return completed
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
                     record = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                kind = record.get("kind")
-                if kind == "header":
-                    version = record.get("version")
-                    if version != JOURNAL_VERSION:
-                        raise ValueError(
-                            "journal %s has version %r; this build reads %d"
-                            % (self.path, version, JOURNAL_VERSION)
-                        )
-                    continue
-                if kind != "job":
-                    self.skipped_lines += 1
-                    continue
-                try:
+                    if record["kind"] != "job":
+                        raise ValueError("not a job record")
                     payload = base64.b64decode(record["payload"])
                     completed[record["fingerprint"]] = pickle.loads(payload)
                 except Exception:  # noqa: BLE001 - any torn record re-runs
@@ -141,27 +166,32 @@ class SweepJournal:
         if self._handle is None:
             directory = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(directory, exist_ok=True)
-            fresh = not os.path.exists(self.path)
+            with open(self.path, "a+b") as handle:
+                handle.seek(0)
+                first = handle.readline().decode("utf-8", "replace")
+                if not _has_header(self.path, first):
+                    handle.truncate(0)
+                    handle.write(HEADER_LINE.encode("ascii"))
+                else:
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")  # ends a killed run's torn line
+                handle.flush()
+                os.fsync(handle.fileno())
             self._handle = open(self.path, "a")
-            if fresh:
-                self._append({"kind": "header", "version": JOURNAL_VERSION})
         return self._handle
-
-    def _append(self, record):
-        handle = self._handle
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
 
     def record(self, fingerprint, key, result):
         """Durably append one completed job before the sweep moves on."""
-        self._open_for_append()
-        self._append({
+        handle = self._open_for_append()
+        handle.write(json.dumps({
             "kind": "job",
             "fingerprint": fingerprint,
             "key": repr(key),
             "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-        })
+        }, sort_keys=True) + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
 
     def close(self):
         if self._handle is not None:

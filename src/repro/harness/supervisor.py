@@ -16,8 +16,8 @@ module holds what it runs them with, imported when a sweep starts:
   the wall-clock ``timeout`` and replaces any worker that dies;
 * **chaos injection** — a :class:`ChaosPlan` makes workers misbehave on
   purpose (raise, SIGKILL themselves, hang, run with an armed fault
-  plan) on chosen attempts, which is how the chaos harness proves the
-  above actually works.
+  plan) on chosen attempts, which is how the executor's tests prove the
+  above actually works (``tests/harness/test_supervisor.py``).
 
 The counters (jobs total / resumed / executed / succeeded / failed,
 attempts, retries, first-attempt successes, wall and cycle timeouts,
@@ -137,9 +137,6 @@ class ChaosPlan:
                     "chaos fault event on %r: %s cells have no fault seam"
                     % (spec.key, type(spec).__name__)
                 )
-
-    def __len__(self):
-        return sum(len(events) for events in self.events.values())
 
 
 def _apply_chaos(event, executor, spec, attempt):

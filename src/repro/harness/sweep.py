@@ -14,10 +14,12 @@ docs/resilience.md, "The sweep layer".
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
 
+from repro.harness.journal import JournalError
 from repro.harness.parallel import default_jobs, merge_job_metrics, run_jobs
 
 
@@ -148,7 +150,7 @@ def _retry_count(text):
     return value
 
 
-def timeout_seconds(text):
+def _timeout_seconds(text):
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError("--timeout must be > 0")
@@ -174,7 +176,7 @@ def add_sweep_flags(parser, out_default, metrics_file=False, timeline=False):
         "(default: 0)",
     )
     execution.add_argument(
-        "--timeout", type=timeout_seconds, default=None, metavar="SECONDS",
+        "--timeout", type=_timeout_seconds, default=None, metavar="SECONDS",
         help="per-cell wall-clock timeout; the worker is killed and the "
         "attempt retried as transient (needs --jobs > 1)",
     )
@@ -245,6 +247,22 @@ def recorder_for(args, experiment, seed=None, summary=None):
 
     db_path = default_db_path() if args.expdb == "default" else args.expdb
     return SweepRecorder(db_path, experiment, seed=seed, summary=summary)
+
+
+def sweep_main(main):
+    """Decorate a sweep CLI's ``main(argv=None)``: a journal path holding a
+    file that is no journal of this build is a one-line error naming the
+    path, exit 2, and the file is left as it was."""
+
+    @functools.wraps(main)
+    def checked(argv=None):
+        try:
+            return main(argv)
+        except JournalError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+
+    return checked
 
 
 class SweepCommand:

@@ -15,6 +15,7 @@ from repro.harness.sweep import (
     add_sweep_flags,
     csv_or_all,
     number_list,
+    sweep_main,
 )
 from repro.multigpu.sweep import DEFAULT_OUT_DIR, run_multigpu_sweep
 from repro.stm import EXTENSION_VARIANTS, STM_VARIANTS
@@ -84,6 +85,7 @@ def build_parser():
     return parser
 
 
+@sweep_main
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)

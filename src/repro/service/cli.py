@@ -17,6 +17,7 @@ from repro.harness.sweep import (
     add_sweep_flags,
     csv_or_all,
     number_list,
+    sweep_main,
 )
 from repro.service.arrivals import ARRIVAL_KINDS
 from repro.service.sweep import DEFAULT_OUT_DIR, run_service_sweep
@@ -112,6 +113,7 @@ def build_parser():
     return parser
 
 
+@sweep_main
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -16,8 +16,11 @@ serialization order against the pre-kernel memory image and verifies:
 2. **Final-state agreement** — the replayed writes produce exactly the
    post-kernel memory image on every written address.
 
-Any opacity or atomicity violation in a runtime shows up as a counterexample
-here, which is what the randomized (hypothesis) tests hunt for.
+A violation among *committed* transactions shows up as a counterexample
+here, which is what the randomized (hypothesis) tests hunt for.  That is
+less than opacity: only ``TmRuntime.note_commit`` writes the history, so
+an aborted attempt's reads are not checked, and a read-time-only
+validation lie on ``tbv-sorting`` passes every checker (ROADMAP item 25).
 """
 
 

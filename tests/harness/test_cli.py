@@ -165,7 +165,7 @@ class TestCli:
     @pytest.mark.parametrize("value", ["-5", "abc"])
     @pytest.mark.parametrize("argv", [
         ["fig5", "--quick"], ["fuzz", "--variant", "cgl"],
-        ["trace", "fig5", "--quick"], ["chaos"], ["service"], ["multigpu"],
+        ["trace", "fig5", "--quick"], ["sanitize"], ["service"], ["multigpu"],
         ["byz"], ["reproduce", "--smoke"],
     ], ids=lambda argv: argv[0])
     def test_malformed_repro_jobs_is_a_usage_error(self, argv, value,
@@ -188,15 +188,13 @@ class TestCli:
         (["trace", "fig5", "--quick"], "run_trace",
          {"--resume": "j", "--retries": "1", "--timeout": "5",
           "--expdb": "e.sqlite"}),
-        # chaos reads --timeout as its hung-worker deadline
-        (["chaos"], "run_chaos",
-         {"--resume": "j", "--retries": "1", "--expdb": "e.sqlite"}),
+        (["inject"], "run_inject", {"--variant": "cgl", "--policy": "rr"}),
         (["sanitize", "--variant", "cgl"], "run_sanitize",
          {"--seeds": "1", "--policy": "rr"}),
         (["fig5", "--quick", "--jobs", "1"], "run_figure",
          {"--seeds": "3", "--workload": "km"}),
         (["fuzz"], "run_fuzz", {"--mutants": "x", "--checkers": "y"}),
-    ], ids=["trace", "chaos", "sanitize", "fig5", "fuzz"])
+    ], ids=["trace", "inject", "sanitize", "fig5", "fuzz"])
     def test_sweep_flags_a_target_ignores_are_usage_errors(
             self, argv, runner, flags, monkeypatch, capsys):
         """Each target declares only the flags it reads; any other is
@@ -388,23 +386,41 @@ class TestResilienceFlags:
         assert journals["fig5"] == "%s.fig5" % path
         assert len(set(journals.values())) == len(cli.TARGETS)
 
-    def test_chaos_is_an_accepted_target(self, capsys, monkeypatch):
-        from repro.harness import __main__ as cli
+    @pytest.mark.parametrize("text", [
+        "meeting notes\n",
+        json.dumps({"kind": "header", "version": 99}) + "\n",
+    ], ids=["not-a-journal", "other-version"])
+    @pytest.mark.parametrize("argv,journal", [
+        (["sanitize", "--variant", "cgl", "--resume", "notes.txt"],
+         "notes.txt"),
+        (["all", "--quick", "--resume", "notes.txt"], "notes.txt.fig2"),
+        (["reproduce", "--smoke", "--targets", "fig2", "--out", "bundle",
+          "--db", "x.sqlite"], os.path.join("bundle", "journals",
+                                            "fig2.journal")),
+    ], ids=["resume", "all", "reproduce"])
+    def test_a_journal_path_holding_no_journal_is_refused(
+            self, argv, journal, text, monkeypatch, tmp_path, capsys):
+        """Every sweep CLI refuses to resume from, or append to, a file
+        that is not a journal of this build: one line naming the path,
+        exit 2, the file untouched."""
+        from repro.__main__ import main as repro_main
 
-        calls = {}
+        monkeypatch.chdir(tmp_path)
+        os.makedirs(os.path.dirname(journal) or ".", exist_ok=True)
+        with open(journal, "w") as handle:
+            handle.write(text)
+        assert repro_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and journal in err
+        with open(journal) as handle:
+            assert handle.read() == text
 
-        def stub_chaos(jobs=2, out_dir="x", wall_timeout=20.0, kill_after=2):
-            class Report:
-                ok = True
+    def test_chaos_is_not_a_target(self, capsys):
+        """The executor's self-test is a tier-1 test, not a CLI target."""
+        from repro.__main__ import main as repro_main
 
-                def render(self):
-                    return "chaos stub"
-            calls.update(jobs=jobs, out_dir=out_dir, wall_timeout=wall_timeout)
-            return Report()
-
-        import repro.harness.chaos as chaos_mod
-        monkeypatch.setattr(chaos_mod, "run_chaos", stub_chaos)
-        assert main(["chaos", "--jobs", "3", "--out", "somewhere",
-                     "--timeout", "5"]) == 0
-        assert calls == dict(jobs=3, out_dir="somewhere", wall_timeout=5.0)
-        assert "chaos stub" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos"])
+        assert exc.value.code == 2
+        assert repro_main(["chaos"]) == 2
+        assert "unknown subcommand 'chaos'" in capsys.readouterr().err

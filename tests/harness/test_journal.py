@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.harness import configs
-from repro.harness.journal import JOURNAL_VERSION, SweepJournal, spec_fingerprint
+from repro.harness.journal import (
+    HEADER_LINE,
+    JOURNAL_VERSION,
+    JournalError,
+    SweepJournal,
+    spec_fingerprint,
+)
 from repro.harness.parallel import JobResult, JobSpec
 
 
@@ -84,6 +90,36 @@ class TestSweepJournal:
         loaded = journal.load()
         assert list(loaded) == [fp]
         assert journal.skipped_lines == 1
+        # the resumed sweep's first record must not land on the torn line
+        with journal:
+            journal.record("fp2", "k2", JobResult("k2", run=2))
+        journal = SweepJournal(path)
+        assert list(journal.load()) == [fp, "fp2"]
+        assert journal.skipped_lines == 1
+
+    def test_header_torn_mid_write_is_a_fresh_journal(self, tmp_path):
+        path = tmp_path / "sweep.journal"
+        path.write_text(HEADER_LINE[:9])
+        assert SweepJournal(str(path)).load() == {}
+        with SweepJournal(str(path)) as journal:
+            journal.record("fp", "k", JobResult("k", run=1))
+        assert path.read_text().startswith(HEADER_LINE)
+        assert list(SweepJournal(str(path)).load()) == ["fp"]
+
+    @pytest.mark.parametrize("text", [
+        "meeting notes\n", "notes without a newline",
+        json.dumps({"kind": "job", "fingerprint": "x"}) + "\n",
+    ])
+    def test_a_file_that_is_not_a_journal_is_refused_untouched(
+            self, tmp_path, text):
+        path = tmp_path / "notes.txt"
+        path.write_text(text)
+        with pytest.raises(JournalError, match="notes.txt is not a sweep "
+                           "journal"):
+            SweepJournal(str(path)).load()
+        with pytest.raises(JournalError):
+            SweepJournal(str(path)).record("fp", "k", JobResult("k", run=1))
+        assert path.read_text() == text
 
     def test_garbled_payload_reruns_that_job_only(self, tmp_path):
         path = str(tmp_path / "sweep.journal")
@@ -103,7 +139,7 @@ class TestSweepJournal:
         with open(path, "w") as handle:
             handle.write(json.dumps(
                 {"kind": "header", "version": JOURNAL_VERSION + 1}) + "\n")
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(JournalError, match="version"):
             SweepJournal(path).load()
 
     def test_append_preserves_existing_records(self, tmp_path):

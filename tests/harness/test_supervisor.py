@@ -4,12 +4,19 @@ checkpoint/resume and the ``supervisor.*`` counters, at every width."""
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 
 import pytest
 
 from repro.harness import configs
 from repro.harness.journal import SweepJournal, spec_fingerprint
-from repro.harness.parallel import JobResult, JobSpec, execute_job, run_jobs
+from repro.harness.parallel import (
+    JobResult,
+    JobSpec,
+    execute_job,
+    merge_job_metrics,
+    run_jobs,
+)
 from repro.harness.supervisor import ChaosPlan, backoff_delay
 from repro.telemetry import MetricRegistry
 
@@ -50,6 +57,62 @@ def _lambda_executor(spec):
 def _pid_executor(spec):
     """Module-level executor reporting which process ran the attempt."""
     return JobResult(spec.key, run=os.getpid())
+
+
+class _KillAfter:
+    """Executor that SIGKILLs its own process after ``n`` completed jobs:
+    an operator or OOM killer taking a sweep down mid-way."""
+
+    def __init__(self, n):
+        self.n = n
+        self.done = 0
+
+    def __call__(self, spec):
+        if self.done >= self.n:
+            os.kill(os.getpid(), signal.SIGKILL)
+        result = execute_job(spec)
+        self.done += 1
+        return result
+
+
+def _sweep_specs():
+    """A six-cell sweep over three runtime families, telemetry on, so
+    every result carries its worker registry."""
+    return [
+        JobSpec((workload, variant), workload,
+                configs.test_workload_params(workload), variant,
+                num_locks=64, telemetry=True)
+        for workload in ("ra", "ht")
+        for variant in ("cgl", "hv-sorting", "optimized")
+    ]
+
+
+def _killed_sweep(journal_path, kill_after):
+    """Child-process main: journal the sweep serially, die mid-way."""
+    run_jobs(_sweep_specs(), jobs=1, journal=journal_path,
+             executor=_KillAfter(kill_after))
+
+
+@pytest.fixture(scope="module")
+def sweep_reference():
+    """The plain serial run of :func:`_sweep_specs`."""
+    reference = run_jobs(_sweep_specs(), jobs=1)
+    assert not any(r.failed for r in reference)
+    return reference
+
+
+def _assert_bit_identical(results, reference):
+    """Every result equals its reference: run fields, per-kernel cycles
+    and worker metrics."""
+    assert [r.key for r in results] == [r.key for r in reference]
+    for out, ref in zip(results, reference):
+        assert not out.failed, out.key
+        assert (out.run.cycles, out.run.commits, out.run.abort_rate) == (
+            ref.run.cycles, ref.run.commits, ref.run.abort_rate)
+        assert out.run.stats == ref.run.stats
+        assert [k.cycles for k in out.run.kernel_results] == [
+            k.cycles for k in ref.run.kernel_results]
+        assert out.metrics == ref.metrics
 
 
 class _ExplodingJournal(SweepJournal):
@@ -396,3 +459,60 @@ class TestProcessMode:
         results = run_jobs(specs, jobs=2, retries=2)
         assert not any(r.failed for r in results)
         assert len(calls) <= 4 * len(specs)
+
+
+@pytest.mark.slow
+class TestWorkerChaos:
+    def test_every_injected_failure_converges_to_the_reference(
+            self, sweep_reference):
+        # one sweep, four first-attempt failures: a raise, a worker
+        # SIGKILL, a hang past the wall timeout and an armed warp_stall
+        # under a tight step budget; each is retried once, to the result
+        # of the undisturbed serial run
+        specs = _sweep_specs()
+        plan = (
+            ChaosPlan()
+            .add(specs[0].key, "error")
+            .add(specs[1].key, "sigkill")
+            .add(specs[2].key, "hang", hang_seconds=30)
+            .add(specs[3].key, "fault",
+                 faults=["warp_stall:sm=0,warp=0,after=10,duration=2000000"],
+                 gpu_overrides=dict(max_steps=20_000))
+        )
+        registry = MetricRegistry()
+        results = run_jobs(specs, jobs=2, retries=2, timeout=3.0,
+                           chaos=plan, metrics=registry)
+        _assert_bit_identical(results, sweep_reference)
+        counters = _counters(registry)
+        assert counters["supervisor.retries"] == 4
+        assert counters["supervisor.timeouts.wall"] == 1
+        assert counters["supervisor.jobs.succeeded"] == len(specs)
+        # two warm workers, plus one replacement each for the SIGKILLed
+        # and the hung one
+        assert counters["supervisor.workers.started"] == 2 + 2
+        assert "supervisor.failures.worker-lost" not in counters
+
+
+@pytest.mark.slow
+class TestKillAndResume:
+    def test_sigkilled_sweep_resumes_bit_identically(self, tmp_path,
+                                                     sweep_reference):
+        path = str(tmp_path / "sweep.journal")
+        child = multiprocessing.get_context().Process(
+            target=_killed_sweep, args=(path, 2))
+        child.start()
+        child.join()
+        assert child.exitcode == -signal.SIGKILL
+
+        # exactly the two jobs finished before the kill are journaled
+        assert len(SweepJournal(path).load()) == 2
+
+        registry = MetricRegistry()
+        resumed = run_jobs(_sweep_specs(), jobs=1, journal=path,
+                           metrics=registry)
+        counters = _counters(registry)
+        assert counters["supervisor.jobs.resumed"] == 2
+        assert counters["supervisor.jobs.executed"] == 4
+        _assert_bit_identical(resumed, sweep_reference)
+        assert (merge_job_metrics(resumed).as_dict()
+                == merge_job_metrics(sweep_reference).as_dict())
