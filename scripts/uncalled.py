@@ -2,10 +2,45 @@
 
     python scripts/uncalled.py                       # tier-1
     python scripts/uncalled.py "python -m pytest -x -q" \\
-        "PYTHONPATH=src python -m repro.harness all --quick --jobs 2"
+        "python -m repro.harness all --quick --jobs 2"
 
 Each argument is one shell command, run from the repository root; the
-default is the tier-1 suite.  ``uncalled_sitecustomize.py`` is installed
+default is the tier-1 suite.  The script puts the hook and ``src`` on
+``PYTHONPATH`` itself: a command that sets ``PYTHONPATH`` (CI's
+``PYTHONPATH=src python ...``) drops the hook, and every function it
+runs reads as never entered.
+
+Product traffic, without tier-1: each CI ``run:`` command (sweep smokes
+twice against one journal, as CI runs them), the examples and the
+benchmark's own test::
+
+    python scripts/uncalled.py \\
+      "python -m repro.harness all --quick --jobs 2" \\
+      'for w in ht eb gn km lb lg cns; do python -m repro.harness fuzz
+         --workload $w --seeds 4 --jobs 2 --out fuzz-artifacts/$w; done' \\
+      "python -m repro.harness inject --mutants all
+         --checkers oracle,sanitizer,fuzzer --jobs 2 --out fault-artifacts" \\
+      "python -m repro.harness trace ra --quick --variant hv-sorting
+         --out telemetry-artifacts" \\
+      "python -m repro.harness trace fig5 --quick --jobs 2
+         --out telemetry-artifacts/fig5" \\
+      "python -m repro.telemetry.validate telemetry-artifacts/*.json
+         telemetry-artifacts/fig5/*.json" \\
+      "python -m pytest benchmarks/ --benchmark-disable -q" \\
+      "python -m pytest perfbench/test_bench_run.py -q" \\
+      "SWEEP ... --resume DIR/JOURNAL --expdb DIR/experiments.sqlite
+         --out DIR && SWEEP ... --resume DIR/JOURNAL --out DIR" \\
+      ...                        # one per sweep-smoke entry, its
+      ...                        # validate and its db report
+      "for i in 1 2; do python -m repro reproduce --smoke --jobs 2
+         --out repro-bundle --db repro-bundle/experiments.sqlite; done" \\
+      "python -m repro db --db repro-bundle/experiments.sqlite report
+         --out repro-bundle/db-report.md" \\
+      'for f in examples/*.py; do python $f; done'
+
+(each quoted command on one line).
+
+``uncalled_sitecustomize.py`` is installed
 as ``sitecustomize`` on ``PYTHONPATH``, so every Python process the
 commands start logs the first call of each ``repro`` function.  The
 report is every ``def`` (nested ones too) that no process of any

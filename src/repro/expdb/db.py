@@ -305,9 +305,12 @@ class ExperimentDB:
             if row is None:
                 raise KeyError("no run with id %s in %s" % (ref, self.path))
             return dict(row)
+        # a case-blind prefix comparison: LIKE would read % and _ as
+        # wildcards
         rows = self._conn.execute(
-            "SELECT * FROM runs WHERE run_key LIKE ? ORDER BY id DESC",
-            (ref + "%",),
+            "SELECT * FROM runs WHERE lower(substr(run_key, 1, ?)) = lower(?)"
+            " ORDER BY id DESC",
+            (len(ref), ref),
         ).fetchall()
         if not rows:
             raise KeyError("no run with key %r in %s" % (ref, self.path))

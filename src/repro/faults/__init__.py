@@ -21,7 +21,7 @@ Layers:
   form a :class:`~repro.gpu.scheduler.Device` consults.  Zero cost when no
   plan is armed (the golden-cycle tests pin bit-identical cycles).
 * :mod:`repro.faults.sanitizer` — :class:`StmSanitizer`, the online
-  invariant checker speaking the TxTracer event protocol.
+  invariant checker in the runtime's observer slot (:mod:`repro.stm.trace`).
 * :mod:`repro.faults.mutants` — the seeded-bug corpus, applied as
   reversible patches to any runtime instance; a cell names one by its
   ``mutant`` field and the worker applies it.

@@ -14,9 +14,9 @@ evidence that each seeded protocol bug is detected by at least one of
     bound; detection = any sanitizer violation *or* any failure (the
     online checker also sees the run the oracle sees).
 ``fuzzer``
-    one recording run per ``random:i`` and ``adversarial:i`` seed (no
-    shrinking); detection = any failing schedule, the first of which
-    gives the cell's ``detail``.
+    one run per ``random:i`` and ``adversarial:i`` seed (no schedule
+    recorded, no shrinking); detection = any failing schedule, the first
+    of which gives the cell's ``detail``.
 
 Alongside the mutants, the campaign runs every covered variant *unmutated*
 under every checker: the matrix is only ``ok`` when all mutants are caught
@@ -85,8 +85,7 @@ def _campaign_cells(names, checkers, workload, seeds, include_baselines):
                 ExploreCell(workload, params, variant, policy,
                             key="%s/%s" % (key, policy) if fuzzer else key,
                             gpu_overrides={"max_steps": MAX_STEPS},
-                            mutant=name, sanitize=checker == "sanitizer",
-                            record=fuzzer)
+                            mutant=name, sanitize=checker == "sanitizer")
                 for policy in policies
             ]
             groups.append((name, variant, checker, cells))

@@ -186,7 +186,7 @@ class StmSanitizer:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # TxTracer-protocol events (fed by TmRuntime.note_commit/note_abort)
+    # observer-slot seams (fed by TmRuntime.note_commit/note_abort)
     # ------------------------------------------------------------------
     def on_commit(self, tx, version):
         self.now = tx.tc.cycles_total

@@ -246,10 +246,12 @@ class JobResult:
     spec requested telemetry; ``trace_path`` points at the per-run timeline
     artifact when one was recorded.  ``failure`` is the structured
     :class:`JobFailure` companion of ``error`` (the raw traceback string):
-    always set together for a failed job.
+    always set together for a failed job.  ``wall_seconds`` is the time
+    :func:`capture` spent in the cell's body (``None`` when no body ran).
     """
 
-    __slots__ = ("key", "run", "error", "metrics", "trace_path", "failure")
+    __slots__ = ("key", "run", "error", "metrics", "trace_path", "failure",
+                 "wall_seconds")
 
     def __init__(self, key, run=None, error=None, metrics=None,
                  trace_path=None, failure=None):
@@ -259,6 +261,7 @@ class JobResult:
         self.metrics = metrics
         self.trace_path = trace_path
         self.failure = failure
+        self.wall_seconds = None
 
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -267,6 +270,7 @@ class JobResult:
         self.metrics = None
         self.trace_path = None
         self.failure = None
+        self.wall_seconds = None
         for slot, value in state.items():
             setattr(self, slot, value)
 
@@ -323,7 +327,8 @@ def capture(spec, body):
     ``timeline_dir``) opens a fresh :class:`~repro.telemetry.Telemetry`
     session for the body, whose registry ships back as
     ``JobResult.metrics``; ``timeline_dir`` also writes the run's
-    Chrome-trace timeline there and sets ``JobResult.trace_path``.
+    Chrome-trace timeline there and sets ``JobResult.trace_path``.  The
+    body's wall time lands in ``JobResult.wall_seconds``.
     """
     tel = None
     if spec.telemetry or spec.timeline_dir is not None:
@@ -335,6 +340,7 @@ def capture(spec, body):
                 "variant": spec.variant,
             },
         )
+    started = time.perf_counter()
     try:
         if spec.fault_plan and not spec.faultable:
             raise ValueError("%s cells have no fault seam; cannot arm %r"
@@ -342,6 +348,7 @@ def capture(spec, body):
         result = JobResult(spec.key, run=body(spec, tel))
     except Exception as exc:  # noqa: BLE001 - captured per cell
         result = JobResult.from_exception(spec.key, exc)
+    result.wall_seconds = time.perf_counter() - started
     if tel is not None:
         result.metrics = tel.registry.as_dict()
         if spec.timeline_dir is not None and tel.timeline is not None:
@@ -383,11 +390,9 @@ class ExploreCell(Cell):
     ``gpu_overrides`` apply to :func:`configs.explore_gpu`.  ``mutant``
     names a :data:`~repro.faults.mutants.MUTANTS` entry the worker applies
     to the runtime; ``sanitize`` binds a fresh
-    :class:`~repro.faults.sanitizer.StmSanitizer`; ``record`` records the
-    issue schedule (the fuzzer's cells do, to shrink and replay it);
-    ``telemetry`` runs the cell under a fresh telemetry session whose
-    registry ships back as ``JobResult.metrics``.  ``key`` defaults to
-    ``workload/variant/policy``.
+    :class:`~repro.faults.sanitizer.StmSanitizer`; ``telemetry`` runs the
+    cell under a fresh telemetry session whose registry ships back as
+    ``JobResult.metrics``.  ``key`` defaults to ``workload/variant/policy``.
     """
 
     workload: str
@@ -401,14 +406,17 @@ class ExploreCell(Cell):
     fault_plan: list = None
     mutant: str = None
     sanitize: bool = False
-    record: bool = False
     telemetry: bool = False
 
     key_fields = ("workload", "variant", "policy")
 
 
-def _explore(spec, telemetry=None):
-    """The captured run ``spec`` describes; returns its ``RunResult``."""
+def _explore(spec, telemetry=None, record=False):
+    """The captured run ``spec`` describes; returns its ``RunResult``.
+
+    No sweep records: ``record=True`` (the fuzzer re-running a failing
+    cell to shrink and replay it) keeps the issue schedule in ``traces``.
+    """
     # imported here: the figure sweeps must not pay for the faults stack
     runtime_factory = sanitizer = None
     if spec.mutant is not None:
@@ -427,7 +435,7 @@ def _explore(spec, telemetry=None):
         num_locks=spec.num_locks,
         stm_overrides=spec.stm_overrides,
         capture=True,
-        record=spec.record,
+        record=record,
         runtime_factory=runtime_factory,
         telemetry=telemetry,
         sanitizer=sanitizer,

@@ -6,7 +6,7 @@ survival map and the ``sanitize`` target all call it.  The caller picks
 what a failure does: by default (the figures) any anomaly raises; with
 ``capture=True`` (exploration) an oracle violation, a watchdog trip or a
 sanitizer report becomes data on the returned :class:`RunResult`,
-together with the recorded schedule, so the run can be diagnosed and
+together with its schedule when recorded, so the run can be diagnosed and
 replayed from its artifacts alone.
 """
 
@@ -23,10 +23,6 @@ from repro.stm.oracle import (
     attribute_history,
     check_history,
 )
-from repro.stm.trace import TxTracer
-
-#: commit/abort events a captured run keeps in its ledger
-LEDGER_CAPACITY = 4096
 
 
 @dataclass(repr=False, eq=False)
@@ -63,8 +59,6 @@ class RunResult:
     traces: list = field(default_factory=list)
     #: histories the oracle replayed (0 when it did not run)
     checked: int = 0
-    ledger_summary: str = ""
-    ledger_rows: list = field(default_factory=list)
     final_words: list = None
     violations: list = field(default_factory=list)
     #: sanitizer check name -> simulated cycle of its first violation
@@ -122,6 +116,7 @@ class RunResult:
             "abort_rate": round(self.abort_rate, 6),
             "crashed": self.crashed,
             "crash_reason": self.crash_reason,
+            "failure": self.failure,
         }
 
 
@@ -178,10 +173,8 @@ def run_workload(
 
     Capture mode (``capture=True``, exploration): the oracle always runs
     and ``verify`` does not; a watchdog trip, an oracle violation or a
-    sanitizer report sets ``failure``/``detail`` instead of raising; the
-    run's commit/abort ledger (a :class:`~repro.stm.trace.TxTracer`)
-    lands in ``ledger_summary``/``ledger_rows`` and its final memory image
-    in ``final_words``.
+    sanitizer report sets ``failure``/``detail`` instead of raising, and
+    the run's final memory image lands in ``final_words``.
 
     ``policy`` is anything :func:`make_policy` accepts, or a list of such
     specs, one per kernel launch; ``None`` keeps the config's scheduler.
@@ -225,9 +218,6 @@ def run_workload(
         overrides["record_history"] = True
     runtime = (runtime_factory or make_runtime)(
         variant, device, StmConfig(**overrides))
-    if capture:
-        ledger = TxTracer(capacity=LEDGER_CAPACITY)
-        runtime.observe(ledger)
     if telemetry is not None:
         runtime.observe(telemetry)
     if sanitizer is not None:
@@ -335,8 +325,6 @@ def run_workload(
     if injector is not None:
         result.fired = list(injector.fired)
     if capture:
-        result.ledger_summary = ledger.summary()
-        result.ledger_rows = [event.as_row() for event in ledger.events]
         result.final_words = list(device.mem.words)
     return result
 

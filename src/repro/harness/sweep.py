@@ -118,8 +118,7 @@ def write_artifacts(report, out_dir):
         atomic_write_text(paths[1], report.render())
     cells = {}
     for spec, result in zip(report.specs, report.results):
-        seconds = None if result.failed else getattr(
-            result.run, "wall_seconds", None)
+        seconds = result.wall_seconds
         cells[str(spec.key)] = {
             "wall_seconds": None if seconds is None else round(seconds, 6)
         }

@@ -1,15 +1,17 @@
-"""The interleaving fuzzer: a grid of recording captured runs plus a reduce.
+"""The interleaving fuzzer: a grid of captured runs plus a reduce.
 
-:func:`fuzz_schedules` runs one recording
+:func:`fuzz_schedules` runs one
 :class:`~repro.harness.parallel.ExploreCell` per (variant, policy spec)
 — the one captured-run cell, which ``sanitize``, ``inject``, ``byz`` and
 ``multigpu`` also run — on the shared sweep layer
 (:mod:`repro.harness.sweep`) and feeds every commit history to the
 strict-serializability oracle (:func:`repro.stm.oracle.check_history`).
-Its reduce delta-debugs each failing schedule (a violation or a
-watchdog-detected livelock) down to a minimal failing one in the driving
-process (each probe is one serial replay), writes the full and shrunk
-schedules plus the transaction commit/abort ledger as JSON/CSV
+No cell records its schedule: the reduce re-runs each failing cell (a
+violation or a watchdog-detected livelock) once in the driving process,
+recording its schedule and telemetry timeline (the policy specs are
+seeded, so the re-run is the same run), delta-debugs that schedule down
+to a minimal failing one (each probe is one serial replay), writes the
+full and shrunk schedules plus the re-run's Chrome-trace timeline as
 artifacts, so a failure found in CI is reproducible from the artifact
 alone via :class:`~repro.sched.trace.ReplayPolicy`, and builds the
 deterministic summary written as ``fuzz_summary.json``.
@@ -19,9 +21,10 @@ The harness exposes this as ``python -m repro.harness fuzz``.
 
 import os
 
-from repro.common.fsio import atomic_open, atomic_write_json
+from repro.common.fsio import atomic_write_json
 from repro.harness.parallel import ExploreCell, _explore, execute_explore
 from repro.harness.sweep import failed_cell, run_sweep
+from repro.telemetry import Telemetry
 
 #: policy templates whose spec incorporates the fuzz seed (the default
 #: ``policies`` of :func:`fuzz_schedules`)
@@ -84,8 +87,8 @@ def unflatten_decisions(flat, num_launches):
 
 
 def shrink_failure(spec, outcome, budget=160):
-    """Delta-debug ``outcome``, the failing run of cell ``spec``, down to
-    a minimal failing schedule.
+    """Delta-debug ``outcome``, the recorded failing run of cell
+    ``spec``, down to a minimal failing schedule.
 
     Replays re-run ``spec`` under a replay policy.  Flattens the recorded
     traces (all launches) into one decision list and ddmin-minimizes it
@@ -105,7 +108,7 @@ def shrink_failure(spec, outcome, budget=160):
             {"type": "replay", "decisions": decisions}
             for decisions in unflatten_decisions(candidate, num_launches)
         ]
-        return _explore(spec.clone(policy=policies, record=False))
+        return _explore(spec.clone(policy=policies))
 
     def still_fails(candidate):
         if evals[0] >= budget:
@@ -124,10 +127,11 @@ def shrink_failure(spec, outcome, budget=160):
     return minimal, verification, evals[0]
 
 
-def _write_failure_artifacts(directory, tag, outcome, shrunk):
-    """Write the full/shrunk schedules (JSON) and the tx ledger (CSV);
-    ``shrunk`` is ``(decisions, verification)`` or ``None``.  Returns
-    the file names written."""
+def _write_failure_artifacts(directory, tag, outcome, telemetry, shrunk):
+    """Write the full/shrunk schedules (JSON) and the recorded run's
+    Chrome-trace timeline (``telemetry``'s); ``shrunk`` is
+    ``(decisions, verification)`` or ``None``.  Returns the file names
+    written."""
     os.makedirs(directory, exist_ok=True)
     names = ["%s.schedule.json" % tag]
     atomic_write_json(os.path.join(directory, names[0]), {
@@ -151,11 +155,8 @@ def _write_failure_artifacts(directory, tag, outcome, shrunk):
                 decisions, max(1, len(outcome.traces))
             ),
         })
-    names.append("%s.ledger.csv" % tag)
-    with atomic_open(os.path.join(directory, names[-1])) as handle:
-        handle.write("sequence,tid,outcome,reason,reads,writes,version\n")
-        for row in outcome.ledger_rows:
-            handle.write(",".join(str(x) for x in row) + "\n")
+    names.append("%s.timeline.json" % tag)
+    telemetry.write_timeline(os.path.join(directory, names[-1]))
     return names
 
 
@@ -165,20 +166,33 @@ def first_line(text):
 
 
 def _failing_schedule(spec, outcome, shrink_budget, artifact_dir):
-    """The summary entry of one failing schedule: shrunk within
-    ``shrink_budget`` replays (none when 0) and written under
-    ``artifact_dir`` when given."""
+    """The summary entry of one failing schedule.
+
+    The cell ran unrecorded; it is re-run once here with its schedule and
+    a telemetry timeline recorded.  When the re-run reproduces the
+    failure, its schedule is shrunk within ``shrink_budget`` replays
+    (none when 0) and written under ``artifact_dir`` when given;
+    otherwise ``reproduced`` is False and nothing is shrunk or written.
+    """
+    telemetry = Telemetry(timeline=True, meta={"job": str(spec.key)})
+    recorded = _explore(spec, telemetry, record=True)
+    reproduced = ((recorded.failure, recorded.detail)
+                  == (outcome.failure, outcome.detail))
     entry = {
         "policy": outcome.policy,
         "failure": outcome.failure,
         "detail": first_line(outcome.detail),
-        "decisions": len(outcome.decisions()),
+        "decisions": len(recorded.decisions()),
+        "reproduced": reproduced,
         "shrunk": None,
         "artifacts": [],
     }
+    if not reproduced:
+        return entry
     shrunk = None
     if shrink_budget:
-        decisions, verify, evals = shrink_failure(spec, outcome, shrink_budget)
+        decisions, verify, evals = shrink_failure(spec, recorded,
+                                                  shrink_budget)
         shrunk = decisions, verify
         entry["shrunk"] = {"decisions": len(decisions), "replays": evals,
                            "failure": verify.failure}
@@ -186,7 +200,7 @@ def _failing_schedule(spec, outcome, shrink_budget, artifact_dir):
         tag = "fuzz_%s_%s_%s" % (spec.workload, spec.variant,
                                  str(outcome.policy).replace(":", "-"))
         entry["artifacts"] = _write_failure_artifacts(
-            artifact_dir, tag, outcome, shrunk)
+            artifact_dir, tag, recorded, telemetry, shrunk)
     return entry
 
 
@@ -227,6 +241,8 @@ def render_fuzz(summary, artifact_dir=None):
         for failure in entry["failures"]:
             lines.append("policy=%(policy)s failure=%(failure)s" % failure)
             lines.append("  %s" % failure["detail"])
+            if not failure["reproduced"]:
+                lines.append("  NOT reproduced by the recorded re-run")
             lines.append("  schedule: %d decisions" % failure["decisions"])
             if failure["shrunk"] is not None:
                 lines.append("  shrunk to %(decisions)d decisions in "
@@ -271,8 +287,7 @@ def fuzz_schedules(
     if isinstance(seeds, int):
         seeds = range(seeds)
     seeds = list(seeds)
-    specs = [ExploreCell(workload, params, variant, policy, mutant=mutant,
-                         record=True)
+    specs = [ExploreCell(workload, params, variant, policy, mutant=mutant)
              for variant in variants
              for policy in policy_specs(policies, seeds)]
 

@@ -1,5 +1,7 @@
 """``python -m repro db``: record, query, diff stability, verify."""
 
+import pytest
+
 from repro.expdb.cli import main
 from repro.expdb.db import ExperimentDB, RunRecord
 
@@ -36,6 +38,16 @@ class TestRecordAndQuery:
     def test_unknown_ref_exits_2(self, tmp_path, capsys):
         assert main(["--db", str(tmp_path / "e.sqlite"), "show", "7"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref", ["%", "_"])
+    def test_sql_wildcards_are_not_prefixes(self, ref, tmp_path, capsys):
+        """No run key starts with ``%`` or ``_``: the ref matches nothing
+        rather than every run."""
+        db_path = str(tmp_path / "e.sqlite")
+        with ExperimentDB(db_path) as db:
+            db.record_run(_seeded_record(1, 100))
+        assert main(["--db", db_path, "show", ref]) == 2
+        assert "no run with key %r" % ref in capsys.readouterr().err
 
 
 class TestDiff:

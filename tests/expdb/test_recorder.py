@@ -75,6 +75,19 @@ class TestBuildRecord:
         assert record.fingerprints == [spec_fingerprint(s) for s in specs]
 
 
+    def test_captured_cell_verdict_is_recorded(self):
+        """A captured cell that failed its check (here the watchdog) is
+        recorded with its verdict, not like a clean cell."""
+        specs = [_spec(key="clean"), _spec(key="hoard")]
+        results = [_ok_result(spec) for spec in specs]
+        results[1].run.failure = "progress"
+        record = build_record("byz", specs, results, provenance={})
+        cells = record.summary["cells"]
+        assert cells["clean"]["failure"] is None
+        assert cells["hoard"]["failure"] == "progress"
+        assert record.jobs_failed == 0
+
+
 class TestSweepRecorder:
     def test_records_through_run_jobs(self, tmp_path):
         db_path = str(tmp_path / "e.sqlite")

@@ -1,5 +1,6 @@
 """Campaign driver: matrix shape, parallel determinism, CLI exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,8 +12,9 @@ from repro.faults.campaign import (
     render_matrix,
     run_campaign,
 )
+from repro.harness import configs
 from repro.harness.journal import spec_fingerprint
-from repro.sched.fuzz import ExploreCell, execute_explore
+from repro.sched.fuzz import ExploreCell, execute_explore, fuzz_schedules
 
 FAST_MUTANTS = ["clock-stuck", "missing-writeback-fence"]
 
@@ -83,7 +85,7 @@ class TestExecuteCampaignJob:
 
     def test_fuzzer_checker_on_schedule_dependent_bug(self):
         # the one mutant only the fuzzer catches (begin-time snapshot bug):
-        # one recording cell per random/adversarial seed
+        # one cell per random/adversarial seed
         groups, cells = _campaign_cells(["vbv-snapshot-off-by-one"],
                                         ["fuzzer"], "ra", 2, False)
         ((name, variant, checker, group),) = groups
@@ -93,7 +95,7 @@ class TestExecuteCampaignJob:
         assert [spec.key for spec in cells] == [
             "vbv-snapshot-off-by-one/vbv/fuzzer/%s" % policy for policy in (
                 "random:0", "random:1", "adversarial:0", "adversarial:1")]
-        assert all(spec.record and not spec.sanitize for spec in cells)
+        assert not any(spec.sanitize for spec in cells)
         cell = _matrix_cell(name, variant, checker,
                             [execute_explore(spec) for spec in cells])
         assert cell["error"] is None
@@ -116,9 +118,28 @@ class TestExecuteCampaignJob:
                                             "ra", 2, False)
         clone = pickle.loads(pickle.dumps(job))
         assert clone.mutant == job.mutant == "clock-stuck"
-        assert clone.sanitize and not clone.record
+        assert clone.sanitize
         assert clone.params == job.params
         assert spec_fingerprint(clone) == spec_fingerprint(job)
+
+
+class TestNoGridRecords:
+    """A captured cell carries only what its sweep's reduce reads: no
+    grid records a schedule (the fuzzer re-runs a failing cell to record
+    one), and the cell has no field asking it to."""
+
+    def test_cells_ship_no_schedule(self):
+        assert "record" not in {f.name for f in dataclasses.fields(ExploreCell)}
+        campaign = run_campaign(mutants=["clock-stuck"], checkers=CHECKERS,
+                                seeds=1)
+        fuzz = fuzz_schedules("ra", configs.test_workload_params("ra"),
+                              ["hv-sorting"], seeds=1, policies=("random",),
+                              mutant="skip-revalidation", shrink_budget=0)
+        results = campaign.results + fuzz.results
+        assert not any(result.failed for result in results)
+        assert any(not result.run.ok for result in fuzz.results)
+        assert [result.run.traces for result in results] == \
+            [[]] * len(results)
 
 
 class TestCli:

@@ -317,6 +317,15 @@ class TestCli:
                      "--expdb", db, "--out", str(tmp_path)]) == 0
         assert len(ExperimentDB(db).runs(experiment=target)) == 1
 
+    def test_sanitize_run_info_times_every_cell(self, tmp_path, capsys):
+        """``run_info.json`` holds each cell's wall time, measured where
+        every executor runs its body."""
+        assert main(["sanitize", "--variant", "all", "--out",
+                     str(tmp_path)]) == 0
+        cells = json.loads((tmp_path / "run_info.json").read_text())["cells"]
+        assert len(cells) == 7
+        assert all(cell["wall_seconds"] > 0 for cell in cells.values())
+
 
 class TestResilienceFlags:
     def test_sweep_failures_exit_nonzero_with_summary(self, capsys, monkeypatch):

@@ -56,7 +56,7 @@ class TestRaiseAndCaptureAgree:
                 captured.aborts) == (raised.cycles, raised.steps,
                                      raised.commits, raised.aborts)
         assert captured.checked == raised.checked
-        assert captured.ledger_rows and not raised.ledger_rows
+        assert captured.final_words and raised.final_words is None
 
 
 class TestRunWorkload:

@@ -88,8 +88,8 @@ KINDS = {
                            key="baseline/optimized/sanitizer", sanitize=True),
                _inject),
     "fuzz": (ExploreCell("ra", configs.test_workload_params("ra"),
-                         "hv-sorting", "random:0", mutant="skip-revalidation",
-                         record=True), _fuzz),
+                         "hv-sorting", "random:0", mutant="skip-revalidation"),
+             _fuzz),
 }
 
 

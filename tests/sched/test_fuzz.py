@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness import configs
 from repro.harness.journal import spec_fingerprint
+from repro.sched import fuzz
 from repro.sched.fuzz import (
     ExploreCell,
     ddmin,
@@ -17,6 +18,7 @@ from repro.sched.fuzz import (
     unflatten_decisions,
 )
 from repro.telemetry import MetricRegistry
+from repro.telemetry.validate import validate_file
 from tests.stm.helpers import ALL_VARIANTS
 
 RA_PARAMS = configs.test_workload_params("ra")
@@ -76,7 +78,7 @@ class TestHelpers:
 
     def test_job_spec_pickles(self):
         spec = ExploreCell("ra", RA_PARAMS, "hv-sorting", "random:3",
-                           mutant=BROKEN, record=True)
+                           mutant=BROKEN)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.policy == "random:3"
         assert clone.mutant == BROKEN
@@ -109,9 +111,9 @@ class TestFuzzSmoke:
         for outcome in _outcomes(report):
             assert outcome.checked > 0, "oracle must check every history"
             assert outcome.commits > 0
-            assert outcome.ledger_rows, "fuzz runs carry a TxTracer ledger"
-            assert "commits" in outcome.ledger_summary
-            assert outcome.traces, "fuzz cells record their schedule"
+            # a passing cell ships no schedule and no ledger
+            assert outcome.traces == []
+            assert not hasattr(outcome, "ledger_rows")
 
     def test_cgl_commit_order_witness(self):
         """``random:21`` lets another warp take CGL's lock and commit in
@@ -174,15 +176,58 @@ class TestFuzzEfficacy:
         report = self.run_broken(tmp_path, shrink_budget=0)
         failure = self.failures(report)[0]
         names = {name.split(".", 1)[1] for name in failure["artifacts"]}
-        assert names == {"schedule.json", "ledger.csv"}
+        assert names == {"schedule.json", "timeline.json"}
+        assert failure["reproduced"] is True
         with open(tmp_path / failure["artifacts"][0]) as handle:
             payload = json.load(handle)
         assert payload["failure"] == "serializability"
         assert payload["traces"], "artifact must carry the recorded schedule"
-        with open(tmp_path / failure["artifacts"][-1]) as handle:
-            lines = handle.read().strip().splitlines()
-        assert lines[0].startswith("sequence,")
-        assert len(lines) > 1
+        flattened = sum(len(trace["decisions"]) for trace in payload["traces"])
+        assert flattened == failure["decisions"]
+
+    def test_failing_schedule_explains_itself_on_the_timeline(self, tmp_path):
+        """The failing schedule's timeline is a valid Chrome trace with
+        one ``tx`` slice per attempt of the failing run, every abort
+        carrying its reason."""
+        report = self.run_broken(tmp_path, shrink_budget=0)
+        failure = self.failures(report)[0]
+        outcome = report.results[0].run
+        assert outcome.policy == failure["policy"] and not outcome.ok
+        (timeline,) = [name for name in failure["artifacts"]
+                       if name.endswith(".timeline.json")]
+        path = str(tmp_path / timeline)
+        assert "valid Chrome trace" in validate_file(path)
+        with open(path) as handle:
+            events = json.load(handle)["traceEvents"]
+        slices = [e for e in events if e.get("cat") == "tx"]
+        assert len(slices) == outcome.commits + outcome.aborts
+        aborts = [e for e in slices if e["args"]["outcome"] == "abort"]
+        assert len(aborts) == outcome.aborts > 0
+        assert all(e["args"]["reason"] for e in aborts)
+
+    def test_unreproduced_failure_is_reported_not_shrunk(self, tmp_path,
+                                                         monkeypatch):
+        """A recorded re-run that does not reproduce the cell's failure
+        is named in the entry and the render; nothing is shrunk or
+        written, and the sweep still fails."""
+        explore = fuzz._explore
+
+        def drifting(spec, telemetry=None, record=False):
+            run = explore(spec, telemetry, record)
+            if record:
+                run.detail = "another failure"
+            return run
+
+        monkeypatch.setattr(fuzz, "_explore", drifting)
+        report = fuzz_schedules(
+            "ra", RA_PARAMS, ["hv-sorting"], seeds=[0], policies=("random",),
+            mutant=BROKEN, artifact_dir=str(tmp_path))
+        (failure,) = self.failures(report)
+        assert failure["reproduced"] is False
+        assert (failure["shrunk"], failure["artifacts"]) == (None, [])
+        assert os.listdir(str(tmp_path)) == []
+        assert not report.ok
+        assert "  NOT reproduced by the recorded re-run" in report.render()
 
     def test_shrunk_artifact_carries_the_prescription(self, tmp_path):
         report = self.run_broken(tmp_path, shrink_budget=80)
@@ -224,7 +269,7 @@ class TestFuzzEfficacy:
             "  artifact: %s" % os.path.join(
                 str(tmp_path), "fuzz_ra_hv-sorting_random-0-4.shrunk.json"),
             "  artifact: %s" % os.path.join(
-                str(tmp_path), "fuzz_ra_hv-sorting_random-0-4.ledger.csv"),
+                str(tmp_path), "fuzz_ra_hv-sorting_random-0-4.timeline.json"),
         ]
 
     def test_resumed_sweep_replays_every_cell_and_the_summary(self, tmp_path):

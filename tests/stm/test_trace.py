@@ -1,148 +1,63 @@
-"""TxTracer: the transaction-event tracing facility."""
+"""The runtime's observer slot, and the transaction events its telemetry
+session puts on the timeline."""
 
-import os
-
-from repro.stm.trace import TxEvent, TxTracer, observer_seams
+from repro.gpu import Device
+from repro.gpu.config import small_config
+from repro.stm import StmConfig, make_runtime
+from repro.stm.trace import observer_seams
+from repro.telemetry import Telemetry
 from tests.stm.helpers import counter_kernel, make_stm_device
 
 
-def traced_run(variant="hv-sorting", capacity=None):
-    device, runtime, data, _ = make_stm_device(variant, data_size=4)
-    tracer = TxTracer(capacity=capacity)
-    runtime.tracer = tracer
+def traced_run(variant="hv-sorting"):
+    """A contended counter run with a timeline session in the observer
+    slot; returns the runtime and the run's ``tx`` slices."""
+    tel = Telemetry(timeline=True)
+    device = Device(small_config(warp_size=4, num_sms=2), telemetry=tel)
+    data = device.mem.alloc(4, "data", fill=100)
+    runtime = make_runtime(variant, device, StmConfig(num_locks=16,
+                                                      shared_data_size=4))
+    runtime.tracer = tel
     device.launch(counter_kernel(data, 3), 1, 8, attach=runtime.attach)
-    return runtime, tracer
+    return runtime, [e for e in tel.timeline.events() if e.get("cat") == "tx"]
+
+
+def _outcome(slices, outcome):
+    return [e for e in slices if e["args"]["outcome"] == outcome]
 
 
 class TestTracer:
     def test_commit_events_match_stats(self):
-        runtime, tracer = traced_run()
-        assert len(tracer.commits()) == runtime.stats["commits"]
-        assert len(tracer.aborts()) == runtime.stats["aborts"]
+        runtime, slices = traced_run()
+        assert len(_outcome(slices, "commit")) == runtime.stats["commits"]
+        assert len(_outcome(slices, "abort")) == runtime.stats["aborts"]
+        assert runtime.stats["aborts"] > 0
 
     def test_abort_reason_histogram(self):
-        runtime, tracer = traced_run()
-        histogram = tracer.abort_reasons()
+        runtime, slices = traced_run()
+        histogram = {}
+        for event in _outcome(slices, "abort"):
+            reason = event["args"]["reason"]
+            histogram[reason] = histogram.get(reason, 0) + 1
         assert sum(histogram.values()) == runtime.stats["aborts"]
         for reason, count in histogram.items():
             assert runtime.stats["aborts.%s" % reason] == count
 
     def test_events_are_ordered(self):
-        _runtime, tracer = traced_run()
-        sequences = [event.sequence for event in tracer.events]
-        assert sequences == sorted(sequences)
+        """Each thread's attempts follow one another on its track."""
+        _runtime, slices = traced_run()
+        per_thread = {}
+        for event in slices:
+            per_thread.setdefault(event["tid"], []).append(event)
+        for attempts in per_thread.values():
+            for before, after in zip(attempts, attempts[1:]):
+                assert before["ts"] + before["dur"] <= after["ts"]
 
     def test_commit_events_carry_versions(self):
-        _runtime, tracer = traced_run()
-        versions = [event.version for event in tracer.commits()]
-        assert all(v is not None for v in versions)
-
-    def test_capacity_limits_and_counts_drops(self):
-        _runtime, tracer = traced_run(capacity=5)
-        assert len(tracer.events) == 5
-        assert tracer.dropped > 0
-
-    def test_hottest_threads_ranked(self):
-        _runtime, tracer = traced_run()
-        ranking = tracer.hottest_threads(top=3)
-        counts = [count for _tid, count in ranking]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_summary_mentions_counts(self):
-        runtime, tracer = traced_run()
-        summary = tracer.summary()
-        assert "%d commits" % runtime.stats["commits"] in summary
-
-    def test_to_csv_roundtrip(self, tmp_path):
-        _runtime, tracer = traced_run()
-        path = os.path.join(str(tmp_path), "trace.csv")
-        rows = tracer.to_csv(path)
-        with open(path) as handle:
-            lines = handle.read().strip().splitlines()
-        assert lines[0] == TxTracer.CSV_HEADER
-        assert len(lines) == rows + 1
-
-    def test_empty_tracer_edges(self):
-        tracer = TxTracer()
-        assert tracer.commits() == []
-        assert tracer.aborts() == []
-        assert tracer.abort_reasons() == {}
-        assert tracer.hottest_threads() == []
-        assert "0 commits, 0 aborts" in tracer.summary()
-
-    def test_empty_tracer_csv_is_header_only(self, tmp_path):
-        tracer = TxTracer()
-        path = os.path.join(str(tmp_path), "empty.csv")
-        assert tracer.to_csv(path) == 0
-        with open(path) as handle:
-            assert handle.read().strip() == TxTracer.CSV_HEADER
-
-    def test_zero_capacity_drops_everything_but_keeps_counting(self):
-        _runtime, tracer = traced_run(capacity=0)
-        assert tracer.events == []
-        assert tracer.dropped > 0
-        assert "dropped" in tracer.summary()
-
-    def test_aborts_filter_by_reason(self):
-        runtime, tracer = traced_run()
-        for reason in tracer.abort_reasons():
-            filtered = tracer.aborts(reason)
-            assert filtered
-            assert all(e.reason == reason for e in filtered)
-        assert tracer.aborts("no-such-reason") == []
-
-    def test_hottest_threads_top_bounds_result(self):
-        _runtime, tracer = traced_run()
-        assert len(tracer.hottest_threads(top=1)) <= 1
-
-    def test_csv_quotes_reasons_containing_commas(self, tmp_path):
-        import csv
-
-        class FakeTc:
-            tid = 1
-
-        class FakeTx:
-            tc = FakeTc()
-
-            def read_entries(self):
-                return []
-
-            def write_entries(self):
-                return {}
-
-        tracer = TxTracer()
-        tracer.on_abort(FakeTx(), "conflict at 3, retried")
-        path = os.path.join(str(tmp_path), "quoted.csv")
-        tracer.to_csv(path)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == TxTracer.CSV_HEADER.split(",")
-        assert rows[1][3] == "conflict at 3, retried"  # one field, not two
-
-    def test_as_row_substitutes_empty_strings(self):
-        event = TxEvent(1, 2, "abort", None, 3, 4, None)
-        row = event.as_row()
-        assert row[3] == "" and row[6] == ""
-
-    def test_event_repr(self):
-        class FakeTc:
-            tid = 3
-
-        class FakeTx:
-            tc = FakeTc()
-
-            def read_entries(self):
-                return [(1, 2)]
-
-            def write_entries(self):
-                return {5: 6}
-
-        tracer = TxTracer()
-        tracer.on_abort(FakeTx(), "validation")
-        event = tracer.events[0]
-        assert isinstance(event, TxEvent)
-        assert "abort:validation" in repr(event)
-        assert event.reads == 1 and event.writes == 1
+        _runtime, slices = traced_run()
+        commits = _outcome(slices, "commit")
+        assert commits
+        assert all(e["args"]["version"] is not None for e in commits)
 
 
 class _Recorder:
@@ -166,16 +81,29 @@ class _Recorder:
         return verdict
 
 
+class _Counter:
+    """A stub observer implementing the commit and abort seams only."""
+
+    def __init__(self):
+        self.commits = self.aborts = 0
+
+    def on_commit(self, tx, version):
+        self.commits += 1
+
+    def on_abort(self, tx, reason):
+        self.aborts += 1
+
+
 class TestObserverSlot:
     def test_empty_slot_resolves_no_seams(self):
         assert observer_seams(None) == (None, None, None, None)
 
     def test_one_observer_seams_are_its_bound_methods(self):
-        tracer = TxTracer()
+        counter = _Counter()
         on_commit, on_abort, on_tx_read, filter_validation = \
-            observer_seams(tracer)
-        assert on_commit == tracer.on_commit
-        assert on_abort == tracer.on_abort
+            observer_seams(counter)
+        assert on_commit == counter.on_commit
+        assert on_abort == counter.on_abort
         assert on_tx_read is None and filter_validation is None
 
     def test_observe_appends_and_fans_out_in_slot_order(self):
@@ -209,16 +137,16 @@ class TestObserverSlot:
 
     def test_tracer_and_sanitizer_share_the_slot(self):
         """``runtime.tracer = x`` then ``sanitizer.bind(runtime)``: both
-        observers see every commit and abort, tracer first."""
+        observers see every commit and abort, ``x`` first."""
         from repro.faults.sanitizer import StmSanitizer
 
         device, runtime, data, _ = make_stm_device("hv-sorting", data_size=4)
-        tracer = TxTracer()
-        runtime.tracer = tracer
+        counter = _Counter()
+        runtime.tracer = counter
         sanitizer = StmSanitizer().bind(runtime)
-        assert runtime.tracer == (tracer, sanitizer)
+        assert runtime.tracer == (counter, sanitizer)
         device.launch(counter_kernel(data, 3), 1, 8, attach=runtime.attach)
-        assert len(tracer.commits()) == runtime.stats["commits"]
-        assert len(tracer.aborts()) == runtime.stats["aborts"]
+        assert counter.commits == runtime.stats["commits"]
+        assert counter.aborts == runtime.stats["aborts"]
         assert sanitizer._total_commits == runtime.stats["commits"]
         assert sanitizer.ok, sanitizer.report()
