@@ -287,7 +287,8 @@ class ExperimentDB:
 
     def resolve(self, ref, experiment=None):
         """A run row from a ref: a numeric id, a run_key (prefix), or
-        ``"last"`` (newest, optionally within ``experiment``).
+        ``"last"`` (newest, optionally within ``experiment``).  An
+        all-digit ref is an id when a run has that id, else a key prefix.
 
         Raises :class:`KeyError` when nothing (or more than one run key)
         matches.
@@ -302,9 +303,8 @@ class ExperimentDB:
             row = self._conn.execute(
                 "SELECT * FROM runs WHERE id = ?", (int(ref),)
             ).fetchone()
-            if row is None:
-                raise KeyError("no run with id %s in %s" % (ref, self.path))
-            return dict(row)
+            if row is not None:
+                return dict(row)
         # a case-blind prefix comparison: LIKE would read % and _ as
         # wildcards
         rows = self._conn.execute(

@@ -38,14 +38,16 @@ def _git(args, cwd=None):
 def git_info(cwd=None):
     """``{"sha": ..., "dirty": ...}`` for the tree at ``cwd`` (or CWD).
 
-    Outside a git checkout (an unpacked release tarball, a stripped CI
-    image) both fields are ``None`` — provenance degrades, it never
-    raises.
+    ``dirty`` is ``git describe --dirty``'s rule: a tracked file differs
+    from HEAD.  Untracked files — a run's own artifacts among them —
+    leave the tree clean.  Outside a git checkout (an unpacked release
+    tarball, a stripped CI image) both fields are ``None`` — provenance
+    degrades, it never raises.
     """
     sha = _git(["rev-parse", "HEAD"], cwd=cwd)
     if sha is None:
         return {"sha": None, "dirty": None}
-    status = _git(["status", "--porcelain"], cwd=cwd)
+    status = _git(["status", "--porcelain", "--untracked-files=no"], cwd=cwd)
     return {"sha": sha, "dirty": None if status is None else bool(status)}
 
 

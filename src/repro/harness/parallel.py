@@ -23,7 +23,7 @@ failures) are captured into the result instead of killing the pool, so
 one diverging design point cannot take down a whole sweep.
 
 :func:`run_jobs` is the one way cells run: journal resume, retries,
-wall-clock timeouts, chaos and the ``supervisor.*`` counters apply at
+wall-clock timeouts and the ``supervisor.*`` counters apply at
 every worker count.  It preserves spec order in its result list, so a
 sweep assembled from the results is bit-identical to the serial run no
 matter how many workers raced, and ``jobs=1`` runs every attempt in this
@@ -51,11 +51,11 @@ DEFAULT_JOBS_ENV = "REPRO_JOBS"
 
 
 class TransientJobError(RuntimeError):
-    """A job failure the supervisor may retry (chaos-injected or
-    environment-induced: a starved worker, a stalled warp window, memory
-    pressure).  Raising it — or wrapping another exception in it — marks
-    the attempt transient; everything else is treated as deterministic and
-    fails without retry."""
+    """A job failure the supervisor may retry (environment-induced: a
+    starved worker, a stalled warp window, memory pressure).  Raising it
+    — or wrapping another exception in it — marks the attempt transient;
+    everything else is treated as deterministic and fails without
+    retry."""
 
 
 def classify_exception(exc):
@@ -154,13 +154,10 @@ class Cell:
 
     A sweep kind declares its cell once, as a :func:`cell` dataclass
     subclassing this; state, ``clone`` and ``repr`` are shared.  Every
-    kind's fields include ``key`` (files the result, names the cell to a
-    :class:`~repro.harness.supervisor.ChaosPlan` and the experiment DB),
-    ``gpu_overrides`` (``GpuConfig`` attribute overrides, where a chaos
-    ``fault`` event's overrides land) and ``fault_plan`` (a list of
-    ``FaultSpec.parse`` strings armed on the cell's device, where chaos
-    ``fault`` events land).  The state — what the journal fingerprints —
-    is exactly the declared fields.
+    kind's fields include ``key`` (files the result and names the cell to
+    the experiment DB) and ``gpu_overrides`` (``GpuConfig`` attribute
+    overrides).  The state — what the journal fingerprints — is exactly
+    the declared fields.
 
     On construction an optional dict/list field (default ``None``) is
     copied, and stored as ``None`` when empty; a required dict field is
@@ -171,8 +168,6 @@ class Cell:
 
     #: for kinds that record no timeline; a kind that does declares it
     timeline_dir = None
-    #: False for kinds whose executor has no seam to arm ``fault_plan``
-    faultable = True
     key_fields = ()
 
     def __post_init__(self):
@@ -193,8 +188,8 @@ class Cell:
                 for field in dataclasses.fields(self)}
 
     def clone(self, **updates):
-        """A copy with ``updates`` applied (a chaos ``fault`` event arms
-        its attempt this way, never mutating the caller's cell list)."""
+        """A copy with ``updates`` applied, never mutating the caller's
+        cell."""
         return dataclasses.replace(self, **updates)
 
     def __repr__(self):
@@ -342,9 +337,6 @@ def capture(spec, body):
         )
     started = time.perf_counter()
     try:
-        if spec.fault_plan and not spec.faultable:
-            raise ValueError("%s cells have no fault seam; cannot arm %r"
-                             % (type(spec).__name__, spec.fault_plan))
         result = JobResult(spec.key, run=body(spec, tel))
     except Exception as exc:  # noqa: BLE001 - captured per cell
         result = JobResult.from_exception(spec.key, exc)
@@ -466,8 +458,7 @@ def merge_job_metrics(results, into=None):
 
 
 def run_jobs(specs, jobs=None, executor=None, retries=0, timeout=None,
-             journal=None, chaos=None, metrics=None, recorder=None,
-             sleep=time.sleep):
+             journal=None, metrics=None, recorder=None, sleep=time.sleep):
     """Execute ``specs``; return the executor's results in spec order.
 
     The one sweep executor.  ``executor`` maps one spec to one
@@ -500,11 +491,9 @@ def run_jobs(specs, jobs=None, executor=None, retries=0, timeout=None,
       :class:`~repro.expdb.recorder.SweepRecorder` — once.
 
     ``jobs`` defaults to ``$REPRO_JOBS``, else 1.  At ``jobs <= 1`` a
-    ``timeout``, or a ``chaos`` plan (a
-    :class:`~repro.harness.supervisor.ChaosPlan`) with kill or hang
-    events, raises ``ValueError``: nothing could stop the attempt, or it
-    would take this process down.  Ordering, and therefore every figure
-    built from the results, is identical at every width.
+    ``timeout`` raises ``ValueError``: nothing could stop an in-process
+    attempt.  Ordering, and therefore every figure built from the
+    results, is identical at every width.
     """
     # imported here: importing this module must not pay for the
     # supervision stack
@@ -520,8 +509,6 @@ def run_jobs(specs, jobs=None, executor=None, retries=0, timeout=None,
             "timeout needs worker processes (jobs > 1): an in-process "
             "attempt cannot be stopped"
         )
-    if chaos is not None:
-        chaos.check(specs, serial)
     registry = metrics if metrics is not None else MetricRegistry()
     own_journal = journal is not None and not isinstance(journal, SweepJournal)
     if own_journal:
@@ -540,7 +527,7 @@ def run_jobs(specs, jobs=None, executor=None, retries=0, timeout=None,
         registry.add("supervisor.jobs.total", len(specs))
         registry.add("supervisor.jobs.executed", len(pending))
         sup = Supervisor(executor or execute_job, retries, timeout, journal,
-                         chaos, registry, sleep, results)
+                         registry, sleep, results)
         if serial:
             sup.run_in_process(pending)
         elif pending:

@@ -1,4 +1,4 @@
-"""The sweep executor's machinery: warm workers, retry, chaos injection.
+"""The sweep executor's machinery: warm workers and retry.
 
 :func:`~repro.harness.parallel.run_jobs` is the one way cells run; this
 module holds what it runs them with, imported when a sweep starts:
@@ -13,11 +13,10 @@ module holds what it runs them with, imported when a sweep starts:
   replaying the same simulation replays the same outcome;
 * **the warm pool** (:class:`_Pool`) — ``jobs > 1`` runs attempts on
   long-lived worker processes, SIGKILLs a worker whose attempt passes
-  the wall-clock ``timeout`` and replaces any worker that dies;
-* **chaos injection** — a :class:`ChaosPlan` makes workers misbehave on
-  purpose (raise, SIGKILL themselves, hang, run with an armed fault
-  plan) on chosen attempts, which is how the executor's tests prove the
-  above actually works (``tests/harness/test_supervisor.py``).
+  the wall-clock ``timeout`` and replaces any worker that dies.
+
+The executor's tests prove the above works by passing ``run_jobs`` an
+``executor`` that misbehaves on purpose (``tests/harness/misbehave.py``).
 
 The counters (jobs total / resumed / executed / succeeded / failed,
 attempts, retries, first-attempt successes, wall and cycle timeouts,
@@ -26,9 +25,6 @@ failures by category, workers started) satisfy the exact arithmetic
 acceptance tests pin down.
 """
 
-import dataclasses
-import os
-import signal
 import time
 import traceback
 
@@ -38,11 +34,6 @@ from repro.harness.parallel import (
     TransientJobError,
     classify_exception,
 )
-
-#: chaos kinds that only make sense against a real worker process
-_PROCESS_ONLY_CHAOS = ("sigkill", "hang")
-
-CHAOS_KINDS = ("error", "sigkill", "hang", "fault")
 
 #: retry backoff: ``BACKOFF_BASE * 2**(n-1)`` seconds after ``n``
 #: attempts, capped at ``BACKOFF_CAP``, plus up to ``BACKOFF_JITTER`` of
@@ -62,128 +53,10 @@ def backoff_delay(fingerprint, attempts):
     return delay + delay * BACKOFF_JITTER * ((seed % 1024) / 1024.0)
 
 
-@dataclasses.dataclass
-class ChaosEvent:
-    """One planned misbehaviour for a job: *what* goes wrong and *when*.
-
-    ``kind`` is one of :data:`CHAOS_KINDS`; ``attempts`` the zero-based
-    attempt numbers the event fires on (default: first attempt only), so
-    a job can be made to fail exactly N times and then succeed.
-
-    * ``error`` — raise :class:`TransientJobError` inside the worker;
-    * ``sigkill`` — the worker SIGKILLs itself (supervisor sees a dead
-      process with no result: ``worker-lost``);
-    * ``hang`` — the worker sleeps ``hang_seconds`` (supervisor's wall
-      timeout must reap it);
-    * ``fault`` — the attempt runs with ``faults`` (``FaultSpec.parse``
-      strings) armed and ``gpu_overrides`` applied (e.g. a tight
-      ``max_steps``), then the attempt is *always* failed with a
-      :class:`TransientJobError` describing what the injected fault did.
-      The faulted attempt's result is discarded, so the clean retry keeps
-      the sweep's merged output bit-identical.
-    """
-
-    kind: str
-    attempts: tuple = (0,)
-    faults: list = None
-    gpu_overrides: dict = None
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self):
-        if self.kind not in CHAOS_KINDS:
-            raise ValueError("unknown chaos kind %r (one of %s)"
-                             % (self.kind, ", ".join(CHAOS_KINDS)))
-        self.attempts = tuple(self.attempts)
-
-    def fires_on(self, attempt):
-        return attempt in self.attempts
-
-
-class ChaosPlan:
-    """Per-job chaos schedule, keyed by ``spec.key``.  Picklable: the plan
-    ships into worker processes alongside the executor."""
-
-    def __init__(self):
-        self.events = {}
-
-    def add(self, key, kind, **kwargs):
-        self.events.setdefault(key, []).append(ChaosEvent(kind, **kwargs))
-        return self
-
-    def for_job(self, key, attempt):
-        """The event firing for (job, attempt), or ``None``."""
-        for event in self.events.get(key, ()):
-            if event.fires_on(attempt):
-                return event
-        return None
-
-    def check(self, specs, serial):
-        """Reject, before any attempt, a plan this sweep cannot honour:
-        sigkill/hang events without killable workers (``serial``), and
-        ``fault`` events on cells whose kind has no fault seam."""
-        if serial and any(event.kind in _PROCESS_ONLY_CHAOS
-                          for events in self.events.values()
-                          for event in events):
-            raise ValueError(
-                "chaos plan includes sigkill/hang events; they need worker "
-                "processes (jobs > 1) or they would kill/hang this process"
-            )
-        for spec in specs:
-            if spec.faultable:
-                continue
-            if any(event.kind == "fault"
-                   for event in self.events.get(spec.key, ())):
-                raise ValueError(
-                    "chaos fault event on %r: %s cells have no fault seam"
-                    % (spec.key, type(spec).__name__)
-                )
-
-
-def _apply_chaos(event, executor, spec, attempt):
-    """Run one chaos event inside the worker.  Raises (or kills the
-    process); for ``fault`` it runs the faulted attempt first so the
-    injected failure is *real*, then fails the attempt as transient."""
-    if event.kind == "error":
-        raise TransientJobError(
-            "chaos: injected error on attempt %d of %r" % (attempt, spec.key)
-        )
-    if event.kind == "sigkill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    if event.kind == "hang":
-        time.sleep(event.hang_seconds)
-        raise TransientJobError(
-            "chaos: hang of %r outlived its %.1fs nap (no wall timeout?)"
-            % (spec.key, event.hang_seconds)
-        )
-    # kind == "fault": run with the fault plan armed, then discard
-    updates = {}
-    if event.faults:
-        combined = list(spec.fault_plan or []) + list(event.faults)
-        updates["fault_plan"] = combined
-    if event.gpu_overrides:
-        overrides = dict(spec.gpu_overrides or {})
-        overrides.update(event.gpu_overrides)
-        updates["gpu_overrides"] = overrides
-    faulted = spec.clone(**updates)
-    inner = executor(faulted)
-    if inner.failed:
-        detail = inner.brief_error()
-    else:
-        detail = "run completed despite the fault"
-    raise TransientJobError(
-        "chaos: faulted attempt %d of %r (%s) -- %s"
-        % (attempt, spec.key, ",".join(event.faults or []), detail)
-    )
-
-
-def run_attempt(executor, spec, chaos, attempt):
-    """One attempt of one job, chaos applied; returns a result, never
-    raises.  Shared by the serial path and the worker-process entry."""
+def run_attempt(executor, spec):
+    """One attempt of one job; returns a result, never raises.  Shared by
+    the serial path and the worker-process entry."""
     try:
-        if chaos is not None:
-            event = chaos.for_job(spec.key, attempt)
-            if event is not None:
-                _apply_chaos(event, executor, spec, attempt)
         return executor(spec)
     except Exception as exc:  # noqa: BLE001 - captured into the result
         return JobResult.from_exception(spec.key, exc)
@@ -208,18 +81,17 @@ def _pipe_error_result(spec, exc):
     return JobResult(spec.key, error=message, failure=failure)
 
 
-def _worker_main(conn, executor, chaos):
-    """Warm-worker main: run ``(spec, attempt)`` tasks off the pipe and
-    ship each result back, until the parent sends ``None``."""
+def _worker_main(conn, executor):
+    """Warm-worker main: run the specs the pipe delivers and ship each
+    result back, until the parent sends ``None``."""
     while True:
         try:
-            task = conn.recv()
+            spec = conn.recv()
         except EOFError:  # the parent is gone
             return
-        if task is None:
+        if spec is None:
             return
-        spec, attempt = task
-        result = run_attempt(executor, spec, chaos, attempt)
+        result = run_attempt(executor, spec)
         try:
             conn.send(result)
         except Exception as exc:  # noqa: BLE001 - unpicklable result
@@ -243,13 +115,12 @@ class Supervisor:
     """One sweep's execution state: how to run an attempt, when to retry,
     where results, counters and journal records go."""
 
-    def __init__(self, executor, retries, timeout, journal, chaos, registry,
-                 sleep, results):
+    def __init__(self, executor, retries, timeout, journal, registry, sleep,
+                 results):
         self.executor = executor
         self.retries = retries
         self.timeout = timeout
         self.journal = journal
-        self.chaos = chaos
         self.registry = registry
         self.sleep = sleep
         self.results = results
@@ -293,8 +164,7 @@ class Supervisor:
         for job in pending:
             while True:
                 self.start_attempt(job)
-                result = run_attempt(self.executor, job.spec, self.chaos,
-                                     job.attempts - 1)
+                result = run_attempt(self.executor, job.spec)
                 failure = result.as_failure()
                 if failure is None or not self.should_retry(job, failure):
                     self.finish(job, result, failure)
@@ -334,12 +204,12 @@ class _Pool:
         self.busy = {}
 
     def spawn(self):
-        """Start one warm worker; the executor and chaos plan ride along as
-        process arguments, so the worker's copy persists across its tasks."""
+        """Start one warm worker; the executor rides along as a process
+        argument, so the worker's copy persists across its tasks."""
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.sup.executor, self.sup.chaos), daemon=True,
+            args=(child_conn, self.sup.executor), daemon=True,
         )
         proc.start()
         child_conn.close()
@@ -362,7 +232,7 @@ class _Pool:
         self.sup.start_attempt(job)
         worker.job = job
         try:
-            worker.conn.send((job.spec, job.attempts - 1))
+            worker.conn.send(job.spec)
         except OSError:
             self.replace(worker, "worker-lost")  # died while idle
             return

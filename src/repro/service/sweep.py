@@ -27,8 +27,8 @@ DEFAULT_OUT_DIR = "service-artifacts"
 
 @cell
 class ServiceJobSpec(Cell):
-    """One service cell.  ``LedgerService`` has no fault seam, so a
-    ``fault_plan`` (or a chaos ``fault`` event) is rejected."""
+    """One service cell.  ``LedgerService`` has no fault seam, so the
+    cell has no ``fault_plan``."""
 
     key: object
     variant: str
@@ -46,10 +46,8 @@ class ServiceJobSpec(Cell):
     telemetry: bool = False
     timeline_dir: str = None
     verify: bool = True
-    fault_plan: list = None
 
     workload = "lg-service"
-    faultable = False
 
 
 def _serve(spec, telemetry):

@@ -66,6 +66,19 @@ class TestRoundtrip:
             with pytest.raises(KeyError):
                 db.resolve("ffff")
 
+    def test_digit_ref_falls_back_to_a_key_prefix(self, tmp_path):
+        # an all-digit ref is an id only when a run has that id
+        with ExperimentDB(str(tmp_path / "e.sqlite")) as db:
+            first = db.record_run(_record(run_key="4242" + "a" * 60))
+            second = db.record_run(_record(run_key="1" + "b" * 63))
+            assert db.resolve("4242")["id"] == first
+            assert db.resolve("4242a")["id"] == first
+            # run 1 exists: the id wins over the key starting with "1"
+            assert db.resolve(str(first))["id"] == first == 1
+            assert db.resolve("1b")["id"] == second
+            with pytest.raises(KeyError):
+                db.resolve("4243")
+
     def test_prefix_matching_two_keys_is_ambiguous(self, tmp_path):
         with ExperimentDB(str(tmp_path / "e.sqlite")) as db:
             db.record_run(_record(run_key="ab" + "0" * 62))

@@ -14,7 +14,7 @@ from repro.faults.byzcampaign import (
     run_byz_campaign,
 )
 from repro.harness import configs, parallel
-from repro.harness.supervisor import ChaosPlan
+from tests.harness.misbehave import Event, Misbehaving
 
 FAST = dict(behaviors=["lie_validation", "lock_hoard"],
             variants=["cgl", "hv-sorting"])
@@ -182,8 +182,8 @@ class TestCli:
 
 class TestChaosFault:
     def test_fault_event_joins_the_cell_plan_and_retry_reproduces_it(
-            self, small_matrix):
-        """A chaos ``fault`` event on a byzantine cell arms its crash spec
+            self, small_matrix, tmp_path):
+        """A stalled attempt of a byzantine cell arms its extra fault
         beside the cell's own; the clean retry reproduces the matrix."""
         params = configs.test_workload_params("cns")
         spec = default_spec_text("lie_validation", params["block"])
@@ -199,9 +199,10 @@ class TestChaosFault:
             attempts.append((cell.fault_plan, len(result.run.fired)))
             return result
 
+        stalling = Misbehaving(tmp_path, {job.key: Event(
+            "stall", faults=(fault,), max_steps=None)}, recording)
         [result] = parallel.run_jobs(
-            [job], jobs=1, executor=recording, retries=1,
-            chaos=ChaosPlan().add(job.key, "fault", faults=[fault]),
+            [job], jobs=1, executor=stalling, retries=1,
             sleep=lambda _delay: None,
         )
         (faulted, faulted_fired), (clean, clean_fired) = attempts

@@ -120,16 +120,15 @@ class TestGracefulDegradation:
         assert result.rows == [("ra", "-", "-", "FAILED")]
 
     @pytest.mark.slow
-    def test_fig5_survives_an_all_failed_sweep(self):
-        # a chaos error fails every job; the figure still renders — with
-        # gaps and a failure footer — instead of raising away the whole
-        # sweep
-        from repro.harness.supervisor import ChaosPlan
+    def test_fig5_survives_an_all_failed_sweep(self, tmp_path):
+        # an injected error fails every job; the figure still renders —
+        # with gaps and a failure footer — instead of raising away the
+        # whole sweep
+        from tests.harness.misbehave import Event, Misbehaving
 
-        chaos = ChaosPlan()
-        for spec in experiments.fig5_grid(True):
-            chaos.add(spec.key, "error")
-        result = run_figure("fig5", quick=True, chaos=chaos)
+        executor = Misbehaving(tmp_path, {
+            spec.key: Event("error") for spec in experiments.fig5_grid(True)})
+        result = run_figure("fig5", quick=True, executor=executor)
         assert result.rows == []
         assert len(result.failures) == 3
         rendered = result.render()

@@ -1,8 +1,12 @@
 """Sweep journal: fingerprints, durable records, torn-tail tolerance."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness import configs
 from repro.harness.journal import (
@@ -12,7 +16,7 @@ from repro.harness.journal import (
     SweepJournal,
     spec_fingerprint,
 )
-from repro.harness.parallel import JobResult, JobSpec
+from repro.harness.parallel import JobResult, JobSpec, run_jobs
 
 
 def _spec(key="k", **kwargs):
@@ -152,3 +156,74 @@ class TestSweepJournal:
         assert sorted(loaded) == ["fp1", "fp2"]
         header = json.loads(open(path).readline())
         assert header == {"kind": "header", "version": JOURNAL_VERSION}
+
+
+#: one line of arbitrary text: no line break (file iteration splits on
+#: ``\n`` and ``\r``) and no lone surrogate (not encodable)
+_LINE = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\r\n"))
+
+
+def _key_run(spec):
+    """Module-level executor: no simulation, the run is the cell's key."""
+    return JobResult(spec.key, run=spec.key)
+
+
+class TestJournalLines:
+    """Whatever a crash, a disk or a hand edit leaves in a journal's
+    lines, ``load`` degrades to re-running cells; it never fails a
+    resume."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_LINE, max_size=6))
+    def test_bad_lines_after_a_record_are_counted_and_skipped(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.journal")
+            with SweepJournal(path) as journal:
+                journal.record("fp", "k", JobResult("k", run=1))
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("".join(line + "\n" for line in lines))
+            journal = SweepJournal(path)
+            loaded = journal.load()
+        assert list(loaded) == ["fp"] and loaded["fp"].run == 1
+        assert journal.skipped_lines == sum(1 for line in lines
+                                            if line.strip())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.none(), _LINE), min_size=1, max_size=6))
+    def test_resume_reruns_exactly_the_lost_cells(self, damage):
+        # cell i's record survives when damage[i] is None, else its line
+        # is replaced by that text
+        specs = [_spec(key=index) for index in range(len(damage))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.journal")
+            first = run_jobs(specs, jobs=1, executor=_key_run, journal=path)
+            with open(path, encoding="utf-8") as handle:
+                header, *records = handle.readlines()
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(header + "".join(
+                    record if text is None else text + "\n"
+                    for record, text in zip(records, damage)))
+            ran = []
+
+            def counting(spec):
+                ran.append(spec.key)
+                return _key_run(spec)
+
+            resumed = run_jobs(specs, jobs=1, executor=counting, journal=path)
+        assert ran == [index for index, text in enumerate(damage)
+                       if text is not None]
+        assert [r.run for r in resumed] == [r.run for r in first]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(), st.booleans())
+    def test_any_first_line_is_fresh_refused_or_loaded(self, first, ended):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.journal")
+            with open(path, "wb") as handle:
+                handle.write(first + (b"\n" if ended else b""))
+            try:
+                loaded = SweepJournal(path).load()
+            except JournalError:
+                return
+        assert isinstance(loaded, dict)

@@ -1,5 +1,7 @@
-"""The sweep executor's supervision: retry/backoff, timeouts, chaos,
-checkpoint/resume and the ``supervisor.*`` counters, at every width."""
+"""The sweep executor's supervision: retry/backoff, timeouts, worker
+replacement, checkpoint/resume and the ``supervisor.*`` counters, at
+every width.  Failures are injected through ``executor=`` with the
+misbehaving wrapper of :mod:`tests.harness.misbehave`."""
 
 import multiprocessing
 import multiprocessing.connection
@@ -17,8 +19,9 @@ from repro.harness.parallel import (
     merge_job_metrics,
     run_jobs,
 )
-from repro.harness.supervisor import ChaosPlan, backoff_delay
+from repro.harness.supervisor import backoff_delay
 from repro.telemetry import MetricRegistry
+from tests.harness.misbehave import Event, Misbehaving
 
 
 def _ra_spec(key, variant="hv-sorting", **kwargs):
@@ -192,8 +195,8 @@ def test_chaos_error_under_a_journal_without_retries_fails_its_cell(tmp_path):
     flaky, calm = run_jobs(
         [_ra_spec("flaky"), _ra_spec("calm")], jobs=1,
         journal=str(tmp_path / "sweep.journal"),
-        chaos=ChaosPlan().add("flaky", "error"), metrics=registry,
-        sleep=_no_sleep,
+        executor=Misbehaving(tmp_path, {"flaky": Event("error")}),
+        metrics=registry, sleep=_no_sleep,
     )
     assert flaky.failed and flaky.failure.category == "transient"
     assert flaky.failure.attempts == 1
@@ -204,13 +207,13 @@ def test_chaos_error_under_a_journal_without_retries_fails_its_cell(tmp_path):
 
 
 class TestRetry:
-    def test_transient_chaos_error_is_retried_to_success(self):
+    def test_transient_chaos_error_is_retried_to_success(self, tmp_path):
         specs = [_ra_spec("flaky"), _ra_spec("calm")]
         plain = run_jobs(specs, jobs=1)
-        plan = ChaosPlan().add("flaky", "error")
+        executor = Misbehaving(tmp_path, {"flaky": Event("error")})
         registry = MetricRegistry()
         delays = []
-        results = run_jobs(specs, jobs=1, retries=2, chaos=plan,
+        results = run_jobs(specs, jobs=1, retries=2, executor=executor,
                            metrics=registry, sleep=delays.append)
         assert not any(r.failed for r in results)
         assert [r.run.cycles for r in results] == [r.run.cycles for r in plain]
@@ -222,11 +225,13 @@ class TestRetry:
                 + counters["supervisor.retries"]) == counters["supervisor.jobs.total"]
         assert len(delays) == 1 and delays[0] > 0
 
-    def test_retries_exhausted_is_structured_failure(self):
-        plan = ChaosPlan().add("flaky", "error", attempts=(0, 1, 2, 3, 4))
+    def test_retries_exhausted_is_structured_failure(self, tmp_path):
+        executor = Misbehaving(
+            tmp_path, {"flaky": Event("error", attempts=(0, 1, 2, 3, 4))})
         registry = MetricRegistry()
         results = run_jobs([_ra_spec("flaky")], jobs=1, retries=2,
-                           chaos=plan, metrics=registry, sleep=_skip_sleep)
+                           executor=executor, metrics=registry,
+                           sleep=_skip_sleep)
         failure = results[0].failure
         assert results[0].failed
         assert failure.category == "transient"
@@ -270,19 +275,19 @@ class TestWatchdogClassification:
         assert counters["supervisor.timeouts.cycle"] == 1
         assert counters["supervisor.failures.livelock"] == 1
 
-    def test_warp_stall_transient_is_retried_and_succeeds(self):
-        # a chaos-armed warp_stall fault (plus a tight step budget) fails
-        # the first attempt as transient; the clean retry must converge
-        # to the same result as an undisturbed run
+    def test_warp_stall_transient_is_retried_and_succeeds(self, tmp_path):
+        # an armed warp_stall fault (plus a tight step budget) fails the
+        # first attempt as transient; the clean retry must converge to
+        # the same result as an undisturbed run
         spec = _ra_spec("stalled")
         plain = run_jobs([_ra_spec("stalled")], jobs=1)[0]
-        plan = ChaosPlan().add(
-            "stalled", "fault",
-            faults=["warp_stall:sm=0,warp=0,after=5,duration=1000000"],
-            gpu_overrides=dict(max_steps=2000),
-        )
+        executor = Misbehaving(tmp_path, {"stalled": Event(
+            "stall",
+            faults=("warp_stall:sm=0,warp=0,after=5,duration=1000000",),
+            max_steps=2000,
+        )})
         registry = MetricRegistry()
-        results = run_jobs([spec], jobs=1, retries=2, chaos=plan,
+        results = run_jobs([spec], jobs=1, retries=2, executor=executor,
                            metrics=registry, sleep=_skip_sleep)
         assert not results[0].failed
         assert results[0].run.cycles == plain.run.cycles
@@ -293,18 +298,24 @@ class TestWatchdogClassification:
 
 
 class TestChaosGuards:
-    def test_serial_mode_rejects_process_chaos(self):
-        plan = ChaosPlan().add("k", "sigkill")
-        with pytest.raises(ValueError, match="worker processes"):
-            run_jobs([_ra_spec("k")], jobs=1, chaos=plan)
+    def test_serial_mode_rejects_process_chaos(self, tmp_path):
+        # the misbehaving executor never kills or hangs the test process:
+        # in it, those events fail their cell for good
+        executor = Misbehaving(tmp_path, {kind: Event(kind)
+                                          for kind in ("sigkill", "hang")})
+        results = run_jobs([_ra_spec("sigkill"), _ra_spec("hang")], jobs=1,
+                           retries=2, executor=executor, sleep=_no_sleep)
+        for kind, result in zip(("sigkill", "hang"), results):
+            assert result.failed and result.failure.category == "error"
+            assert "refusing to %s the test process" % kind in result.error
 
     def test_serial_mode_rejects_wall_timeout(self):
         with pytest.raises(ValueError, match="worker processes"):
             run_jobs([_ra_spec("k")], jobs=1, timeout=5.0)
 
     def test_unknown_chaos_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos kind"):
-            ChaosPlan().add("k", "meteor-strike")
+        with pytest.raises(ValueError, match="unknown misbehaviour"):
+            Event("meteor-strike")
 
 
 class TestCustomExecutor:
@@ -366,12 +377,12 @@ class TestJournalResume:
 
 @pytest.mark.slow
 class TestProcessMode:
-    def test_sigkilled_worker_is_retried_as_worker_lost(self):
+    def test_sigkilled_worker_is_retried_as_worker_lost(self, tmp_path):
         specs = [_ra_spec("victim"), _ra_spec("bystander")]
         plain = run_jobs(specs, jobs=1)
-        plan = ChaosPlan().add("victim", "sigkill")
+        executor = Misbehaving(tmp_path, {"victim": Event("sigkill")})
         registry = MetricRegistry()
-        results = run_jobs(specs, jobs=2, retries=2, chaos=plan,
+        results = run_jobs(specs, jobs=2, retries=2, executor=executor,
                            metrics=registry)
         assert not any(r.failed for r in results)
         assert [r.run.cycles for r in results] == [r.run.cycles for r in plain]
@@ -381,12 +392,13 @@ class TestProcessMode:
         assert counters["supervisor.workers.started"] == 2 + 1
         assert "supervisor.failures.worker-lost" not in counters
 
-    def test_hung_worker_is_reaped_at_wall_timeout(self):
+    def test_hung_worker_is_reaped_at_wall_timeout(self, tmp_path):
         specs = [_ra_spec("sleeper")]
-        plan = ChaosPlan().add("sleeper", "hang", hang_seconds=60.0)
+        executor = Misbehaving(
+            tmp_path, {"sleeper": Event("hang", hang_seconds=60.0)})
         registry = MetricRegistry()
         results = run_jobs(specs, jobs=2, retries=1, timeout=3.0,
-                           chaos=plan, metrics=registry)
+                           executor=executor, metrics=registry)
         assert not results[0].failed
         counters = _counters(registry)
         assert counters["supervisor.timeouts.wall"] == 1
@@ -424,11 +436,12 @@ class TestProcessMode:
         assert _counters(registry)["supervisor.workers.started"] == 2
         assert multiprocessing.active_children() == []
 
-    def test_unretried_sigkill_is_worker_lost(self):
+    def test_unretried_sigkill_is_worker_lost(self, tmp_path):
         registry = MetricRegistry()
         results = run_jobs(
             [_ra_spec("victim")], jobs=2,
-            chaos=ChaosPlan().add("victim", "sigkill"), metrics=registry,
+            executor=Misbehaving(tmp_path, {"victim": Event("sigkill")}),
+            metrics=registry,
         )
         assert results[0].failure.category == "worker-lost"
         counters = _counters(registry)
@@ -464,24 +477,21 @@ class TestProcessMode:
 @pytest.mark.slow
 class TestWorkerChaos:
     def test_every_injected_failure_converges_to_the_reference(
-            self, sweep_reference):
-        # one sweep, four first-attempt failures: a raise, a worker
-        # SIGKILL, a hang past the wall timeout and an armed warp_stall
-        # under a tight step budget; each is retried once, to the result
-        # of the undisturbed serial run
+            self, sweep_reference, tmp_path):
+        # one sweep, four first-attempt failures: a transient error, a
+        # worker SIGKILL, a hang past the wall timeout and an armed
+        # warp_stall under a tight step budget; each is retried once, to
+        # the result of the undisturbed serial run
         specs = _sweep_specs()
-        plan = (
-            ChaosPlan()
-            .add(specs[0].key, "error")
-            .add(specs[1].key, "sigkill")
-            .add(specs[2].key, "hang", hang_seconds=30)
-            .add(specs[3].key, "fault",
-                 faults=["warp_stall:sm=0,warp=0,after=10,duration=2000000"],
-                 gpu_overrides=dict(max_steps=20_000))
-        )
+        executor = Misbehaving(tmp_path, {
+            specs[0].key: Event("error"),
+            specs[1].key: Event("sigkill"),
+            specs[2].key: Event("hang", hang_seconds=30),
+            specs[3].key: Event("stall"),
+        })
         registry = MetricRegistry()
         results = run_jobs(specs, jobs=2, retries=2, timeout=3.0,
-                           chaos=plan, metrics=registry)
+                           executor=executor, metrics=registry)
         _assert_bit_identical(results, sweep_reference)
         counters = _counters(registry)
         assert counters["supervisor.retries"] == 4

@@ -7,7 +7,7 @@ survival map share — declares a
 :func:`~repro.harness.sweep.run_sweep`, so one set of tests pins what
 they all promise: pickling, cloning, stable fingerprints, ``--jobs``
 independence, journal resume, a ``max_steps`` override tripping the
-watchdog, and the chaos-fault overlay.
+watchdog, and a stalled attempt's fault plan reaching the cell's device.
 """
 
 import json
@@ -30,7 +30,6 @@ from repro.harness.parallel import (
     execute_job,
     run_jobs,
 )
-from repro.harness.supervisor import ChaosPlan
 from repro.multigpu.sweep import build_mg_specs, run_multigpu_sweep
 from repro.sched.fuzz import fuzz_schedules
 from repro.service.sweep import (
@@ -39,6 +38,7 @@ from repro.service.sweep import (
     run_service_sweep,
 )
 from repro.telemetry import MetricRegistry
+from tests.harness.misbehave import Event, Misbehaving
 
 SERVICE = dict(duration_cycles=15_000, num_accounts=128,
                service_overrides={"num_locks": 64})
@@ -189,7 +189,7 @@ class TestSupervisorOverlays:
                             executor=executor)
         assert tripped(result)
 
-    def test_fault_event_arms_or_is_rejected_up_front(self, kind):
+    def test_fault_event_arms_or_is_rejected_up_front(self, kind, tmp_path):
         spec, executor, _tripped = OVERLAY_KINDS[kind]
         seen = []
 
@@ -197,28 +197,33 @@ class TestSupervisorOverlays:
             seen.append(cell.fault_plan)
             return executor(cell)
 
-        chaos = ChaosPlan().add(spec.key, "fault", faults=[FAULT])
+        stalling = Misbehaving(tmp_path, {spec.key: Event(
+            "stall", faults=(FAULT,), max_steps=None)}, recording)
         registry = MetricRegistry()
-        if not spec.faultable:
-            with pytest.raises(ValueError, match=type(spec).__name__):
-                run_jobs([spec], jobs=1, executor=recording, retries=1,
-                         chaos=chaos)
-            assert seen == []
+        [result] = run_jobs([spec], jobs=1, executor=stalling, retries=1,
+                            metrics=registry, sleep=_skip_sleep)
+        counters = registry.as_dict()["counters"]
+        if kind == "service":
+            # a cell with no fault_plan field cannot be stalled: the
+            # attempt fails before any run, and is not retried
+            assert seen == [] and result.failure.category == "error"
+            assert "fault_plan" in result.error
+            assert "supervisor.retries" not in counters
             return
-        [result] = run_jobs([spec], jobs=1, executor=recording, retries=1,
-                            chaos=chaos, metrics=registry, sleep=_skip_sleep)
-        # faulted attempt (the event's spec joins the cell's own plan),
-        # then a clean retry on the cell's own plan
+        # stalled attempt (the fault joins the cell's own plan), then a
+        # clean retry on the cell's own plan
         assert seen == [(spec.fault_plan or []) + [FAULT], spec.fault_plan]
         assert not result.failed
-        assert registry.as_dict()["counters"]["supervisor.retries"] == 1
+        assert counters["supervisor.retries"] == 1
 
 
 def test_unfaultable_cell_refuses_a_fault_plan():
-    spec = KINDS["service"][0].clone(fault_plan=[FAULT])
-    result = execute_service_job(spec)
-    assert result.failed
-    assert "ServiceJobSpec cells have no fault seam" in result.error
+    # the ledger service has no fault seam, so its cell has no field to
+    # carry a plan
+    spec = KINDS["service"][0]
+    assert not hasattr(spec, "fault_plan")
+    with pytest.raises(TypeError, match="fault_plan"):
+        spec.clone(fault_plan=[FAULT])
 
 
 def test_inject_records_expdb_run_and_metrics(tmp_path, capsys):
