@@ -8,6 +8,8 @@ a silent forward.
 
 import sys
 
+from repro.common.cli import run_main
+
 #: subcommands with their own CLI module, in help order
 _SUBCOMMANDS = (
     ("service", "repro.service.cli",
@@ -87,4 +89,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

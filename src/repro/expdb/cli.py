@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 
+from repro.common.cli import run_main
 from repro.expdb.db import ExperimentDB, RunRecord, default_db_path
 from repro.expdb.provenance import provenance_snapshot
 from repro.expdb.recorder import hash_file
@@ -390,4 +391,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

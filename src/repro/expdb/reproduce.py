@@ -23,9 +23,9 @@ shape CI's ``expdb-smoke`` job drives twice and diffs.
 
 import argparse
 import os
-import sys
 import time
 
+from repro.common.cli import run_main
 from repro.common.fsio import atomic_write_json, atomic_write_text
 from repro.expdb.db import ExperimentDB, default_db_path
 from repro.expdb.recorder import SweepRecorder
@@ -160,4 +160,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -45,6 +45,7 @@ the byzantine lanes are pinned to ``--byz-device`` (default: the last
 device), modelling a hostile *remote* accelerator.
 """
 
+from repro.common.cli import run_main
 from repro.faults.plan import BYZ_KINDS
 from repro.gpu.config import GpuConfig
 from repro.harness.parallel import ExploreCell, execute_explore
@@ -404,6 +405,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+    run_main(main)

@@ -34,29 +34,25 @@ import sys
 import textwrap
 import types
 
-from repro.stm.locklog import EncounterOrderLog
-
 
 class Mutant:
     """One reversible seeded protocol bug.
 
     ``edits`` are ``(method, old, new)`` source edits of the transaction
     thread's live methods (several may edit one method, applied in
-    order); ``init_patch`` (``f(runtime, tx)``) mutates freshly-created
-    thread state; ``runtime_attrs`` overrides runtime attributes for the
+    order); ``runtime_attrs`` overrides runtime attributes for the
     mutant's lifetime; ``workload_params`` are campaign workload-parameter
     overrides that raise the collision density a data race needs to
     manifest.
     """
 
     def __init__(self, name, variants, description, expected, edits=(),
-                 init_patch=None, runtime_attrs=None, workload_params=None):
+                 runtime_attrs=None, workload_params=None):
         self.name = name
         self.variants = tuple(variants)
         self.description = description
         self.expected = tuple(expected)
         self.edits = tuple(edits)
-        self.init_patch = init_patch
         self.runtime_attrs = dict(runtime_attrs or {})
         self.workload_params = dict(workload_params or {})
         # transaction class -> {method name: edited function}
@@ -108,14 +104,11 @@ class Mutant:
                 % (self.name, "/".join(self.variants), runtime.name)
             )
         original_make = runtime.make_thread
-        init_patch = self.init_patch
 
         def make_mutated_thread(tc):
             tx = original_make(tc)
             for method_name, func in self.methods(type(tx)).items():
                 setattr(tx, method_name, types.MethodType(func, tx))
-            if init_patch is not None:
-                init_patch(runtime, tx)
             return tx
 
         saved = {}
@@ -154,12 +147,6 @@ class MutantRuntimeFactory:
         runtime = make_runtime(variant, device, stm_config)
         MUTANTS[self.mutant_name].apply(runtime)
         return runtime
-
-
-def _install_unsorted_locklog(runtime, tx):
-    # BUG: the encounter-order log drops the paper's global acquisition
-    # order; crossed lockstep transactions retry forever (section 2.2).
-    tx.locklog = EncounterOrderLog(runtime.lock_table.num_locks)
 
 
 # ======================================================================
@@ -208,8 +195,11 @@ MUTANTS = {
                         "crossed lockstep transactions livelock (paper "
                         "section 2.2)",
             expected=("oracle", "fuzzer"),
-            init_patch=_install_unsorted_locklog,
-            runtime_attrs={"max_lock_attempts": 10 ** 9, "abort_jitter": 0},
+            # BUG: encounter-order lock logs drop the paper's global
+            # acquisition order; crossed lockstep transactions retry
+            # forever (section 2.2)
+            runtime_attrs={"sort_locks": False,
+                           "max_lock_attempts": 10 ** 9, "abort_jitter": 0},
             workload_params={"array_size": 4, "actions_per_tx": 4},
         ),
         Mutant(

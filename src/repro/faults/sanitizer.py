@@ -99,7 +99,6 @@ class StmSanitizer:
         self.max_violations = max_violations
         self.violations = []
         self.dropped = 0
-        self.runtime = None
         # metadata resolved by bind()
         self._mem = None
         self._lock_table = None
@@ -126,8 +125,8 @@ class StmSanitizer:
         runtime's observer slot (after any observer already there) so
         commit/abort/read events flow here, and install this checker on
         the runtime's device so every launch gives its threads this
-        checker as a probe.  Returns ``self``."""
-        self.runtime = runtime
+        checker as a probe.  Keeps no reference to the runtime, which
+        holds this checker in its observer slot.  Returns ``self``."""
         runtime.observe(self)
         runtime.device.sanitizer = self
         self._mem = runtime.mem

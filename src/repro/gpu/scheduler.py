@@ -34,7 +34,7 @@ from repro.gpu.errors import LaunchError, LivelockError, ProgressError
 from repro.gpu.kernel import KernelResult
 from repro.gpu.memory import GlobalMemory
 from repro.gpu.thread import ProbedThreadCtx, probe_seams
-from repro.gpu.warp import build_block
+from repro.gpu.warp import BlockState, build_block
 from repro.sched.policy import RoundRobin, make_policy
 from repro.sched.trace import ScheduleTrace
 
@@ -151,31 +151,34 @@ class Device:
                                        probes, found)
 
         blocks = []
-        for index in range(grid_blocks):
-            first_tid = index * block_threads
-            blocks.append(
+        try:
+            for index in range(grid_blocks):
+                block = BlockState(index, block_threads, smem_words)
+                blocks.append(block)
                 build_block(
-                    index, block_threads, first_tid, self.mem, config, kernel,
-                    args, attach, smem_words=smem_words, ctx_factory=ctx_factory
+                    block, index * block_threads, self.mem, config, kernel,
+                    args, attach, ctx_factory=ctx_factory
                 )
-            )
 
-        sms = [_Sm(i) for i in range(num_sms)]
-        for index, block in enumerate(blocks):
-            sms[index % num_sms].pending.append(block)
+            sms = [_Sm(i) for i in range(num_sms)]
+            for index, block in enumerate(blocks):
+                sms[index % num_sms].pending.append(block)
 
-        policy = make_policy(config.scheduler if policy is None else policy)
-        if record_schedule is None:
-            record_schedule = config.record_schedule
-        trace = None
-        if record_schedule:
-            spec = policy.spec()
-            trace = ScheduleTrace(policy=spec if isinstance(spec, str) else policy.name)
+            policy = make_policy(config.scheduler if policy is None else policy)
+            if record_schedule is None:
+                record_schedule = config.record_schedule
+            trace = None
+            if record_schedule:
+                spec = policy.spec()
+                trace = ScheduleTrace(
+                    policy=spec if isinstance(spec, str) else policy.name)
 
-        policy.reset(config)
-        total_steps = self._issue(sms, policy, trace, tel)
+            policy.reset(config)
+            total_steps = self._issue(sms, policy, trace, tel)
 
-        result = self._collect(kernel_name, blocks, sms, total_steps)
+            result = self._collect(kernel_name, blocks, sms, total_steps)
+        finally:
+            _dismantle(blocks)
         if tel is not None:
             self._publish(tel, result, sms)
         if trace is not None:
@@ -291,25 +294,24 @@ class Device:
                 # watchdog, checked per issued turn: a livelocked kernel
                 # overshoots max_steps by at most one turn quota
                 if total_steps > max_steps:
-                    error = self._watchdog_error(total_steps, sms)
-                    if tel is not None:
-                        tel.publish_snapshot(error.snapshot)
-                    # keep the partial trace reachable: a schedule that
-                    # *causes* a livelock is itself the repro artifact
-                    error.schedule_trace = trace
-                    raise error
+                    raise self._watchdog_error(total_steps, sms, trace, tel)
             if drained:
                 active_sms = [sm for sm in active_sms if sm.busy()]
         return total_steps
 
-    def _watchdog_error(self, total_steps, sms):
+    def _watchdog_error(self, total_steps, sms, trace, tel):
         """Build the watchdog error, classifying livelock vs deadlock.
 
         Lanes parked at a reconvergence point or a block barrier cannot
         step again without outside help — their presence means a deadlock
         is (at least partly) suspected, reported as the base
         :class:`ProgressError`.  When every stuck lane is still stepping,
-        the kernel is spinning: :class:`LivelockError`.
+        the kernel is spinning: :class:`LivelockError`.  The partial
+        schedule ``trace`` rides on the error (a schedule that *causes* a
+        livelock is itself the repro artifact) and ``tel`` gets the
+        snapshot.  Built here, not in the issue loop, so no frame of the
+        raising traceback holds the error: it dies with its last handler
+        instead of in a reference cycle.
         """
         snapshot = self._snapshot(sms)
         parked = any(entry["waiting"] for entry in snapshot["live_warps"])
@@ -318,20 +320,25 @@ class Device:
             for sm in sms
             for warp in sm.resident_warps
         )
+        if tel is not None:
+            tel.publish_snapshot(snapshot)
         if parked or barrier:
-            return ProgressError(
+            error = ProgressError(
                 "watchdog: %d warp steps without kernel completion "
                 "(deadlock suspected: parked lanes present; see snapshot)"
                 % total_steps,
                 steps=total_steps,
                 snapshot=snapshot,
             )
-        return LivelockError(
-            "watchdog: %d warp steps without kernel completion (livelock: "
-            "all stuck lanes still stepping; see snapshot)" % total_steps,
-            steps=total_steps,
-            snapshot=snapshot,
-        )
+        else:
+            error = LivelockError(
+                "watchdog: %d warp steps without kernel completion (livelock: "
+                "all stuck lanes still stepping; see snapshot)" % total_steps,
+                steps=total_steps,
+                snapshot=snapshot,
+            )
+        error.schedule_trace = trace
+        return error
 
     @staticmethod
     def _snapshot(sms):
@@ -429,3 +436,26 @@ def make_device(config=None, telemetry=None):
 
         return MultiDevice(config, telemetry=telemetry)
     return Device(config, telemetry=telemetry)
+
+
+def _dismantle(blocks):
+    """Break the reference cycles of a finished launch's object graph.
+
+    Warps and their lanes, thread contexts and the transaction state the
+    ``attach`` callback installed as ``tc.stm`` point at each other; left
+    alone, a launch would linger as cyclic garbage until a full collection.
+    Emptying every block's warps, every warp's lanes and every lane's
+    references (its generator, its stepper, its context's ``stm``) lets
+    reference counting free the launch as soon as nothing else holds it.
+    A generator still suspended (a watchdog trip) is closed here.  What
+    the launch reports — the :class:`KernelResult`, the memory, the
+    runtime's statistics and history — holds none of these objects.
+    """
+    for block in blocks:
+        for warp in block.warps:
+            for lane in warp.lanes:
+                lane.tc.stm = None
+                lane.gen_next = lane.resume = lane.stepper = None
+            warp.lanes.clear()
+            warp.active.clear()
+        block.warps.clear()

@@ -70,7 +70,7 @@ class LaneStepper:
     """Lane binding, probe target and deferred-charge bookkeeping."""
 
     __slots__ = ("tc", "warp", "lane", "fast", "addr", "mask", "phase",
-                 "probes", "_step", "_words", "_own", "_quiet_base", "_polls")
+                 "probes", "_words", "_own", "_quiet_base", "_polls")
 
     def __init__(self, tc):
         # nothing else is touched until a first probe fails: runtimes make
@@ -87,7 +87,6 @@ class LaneStepper:
             # their next step is a pure probe (TtasAcquire: except when it
             # is the CAS)
             self.fast = self._polls = not tc.probes
-            self._step = self.step
             self._own = 0
         self.addr = addr
         self.mask = mask
@@ -102,7 +101,9 @@ class LaneStepper:
         through :meth:`step` from the next warp step on."""
         self.lane = lane
         lane.stepper = self
-        lane.resume = self._step
+        # a fresh bound method per episode: one cached on the stepper
+        # would be a reference cycle outliving the launch
+        lane.resume = self.step
         warp = self.warp
         self._quiet_base = warp.quiet_steps
         if self._polls:

@@ -438,21 +438,26 @@ class BlockState:
             self.maybe_release_barrier()
 
 
-def build_block(index, block_threads, first_tid, mem, config, kernel, args, attach,
-                smem_words=0, ctx_factory=None):
-    """Construct the warps and lane generators of one thread block.
+def build_block(block, first_tid, mem, config, kernel, args, attach,
+                ctx_factory=None):
+    """Construct the warps and lane generators of thread block ``block``.
 
-    ``ctx_factory`` substitutes the thread-context constructor (same
-    signature as :class:`ThreadCtx`); the launcher passes one that builds
-    a :class:`~repro.gpu.thread.ProbedThreadCtx` when an instrument is
+    Each warp joins ``block.warps`` before its lanes are built, so a
+    launch that fails half-way through building still reaches every lane
+    it made when it dismantles its blocks.  ``ctx_factory`` substitutes
+    the thread-context constructor (same signature as :class:`ThreadCtx`);
+    the launcher passes one that builds a
+    :class:`~repro.gpu.thread.ProbedThreadCtx` when an instrument is
     attached, so the bare hot paths stay uninstrumented.
     """
     make_ctx = ThreadCtx if ctx_factory is None else ctx_factory
-    block = BlockState(index, block_threads, smem_words)
+    index = block.index
+    block_threads = block.block_threads
     warp_size = config.warp_size
     num_warps = (block_threads + warp_size - 1) // warp_size
     for warp_idx in range(num_warps):
         warp = Warp(index * num_warps + warp_idx, block, config, mem.words)
+        block.warps.append(warp)
         lanes_in_warp = min(warp_size, block_threads - warp_idx * warp_size)
         for lane_id in range(lanes_in_warp):
             tid = first_tid + warp_idx * warp_size + lane_id
@@ -466,6 +471,4 @@ def build_block(index, block_threads, first_tid, mem, config, kernel, args, atta
                     % (getattr(kernel, "__name__", kernel), LOCKSTEP_PROTOCOL_HINT)
                 )
             warp.add_lane(gen, tc)
-        block.warps.append(warp)
         block.live_lanes += lanes_in_warp
-    return block

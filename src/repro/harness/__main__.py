@@ -98,6 +98,7 @@ import os
 import sys
 import time
 
+from repro.common.cli import run_main
 from repro.harness import configs
 from repro.harness.experiments import TARGETS, run_figure
 from repro.harness.sweep import (
@@ -472,4 +473,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

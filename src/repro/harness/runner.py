@@ -271,10 +271,9 @@ def run_workload(
         if partial is not None:
             result.traces.append(partial.as_dict())
 
-    for tx in runtime.threads:
-        locklog = getattr(tx, "locklog", None)
-        if locklog is not None:
-            runtime.stats.add("locklog_comparisons", locklog.comparisons)
+    tally = runtime.locklog_tally
+    if tally is not None:
+        runtime.stats.add("locklog_comparisons", tally.comparisons)
     stats = runtime.stats
     result.stats = stats.as_dict()
     result.commits = stats["commits"]

@@ -8,8 +8,8 @@ front-end of :mod:`repro.harness.sweep`.
 """
 
 import argparse
-import sys
 
+from repro.common.cli import run_main
 from repro.harness.sweep import (
     SweepCommand,
     add_sweep_flags,
@@ -118,4 +118,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -16,9 +16,22 @@ in-bucket yields the globally sorted sequence.
 The log also carries the paper's per-entry read-bit and write-bit
 (Algorithm 2's two low bits of each local lock-table entry), and merges
 duplicates so each lock is acquired at most once.  ``comparisons`` counts
-insertion comparisons so the ablation benchmark can show the hashed layout's
-win over a single sorted list.
+the insertion comparisons a linear in-bucket scan makes, so the ablation
+benchmark can show the hashed layout's win over a single sorted list; the
+logs of one runtime share one :class:`ComparisonTally`, so the runtime
+reads its total without keeping its threads.
 """
+
+from bisect import bisect_left
+
+
+class ComparisonTally:
+    """Insertion comparisons summed over the lock logs that share it."""
+
+    __slots__ = ("comparisons",)
+
+    def __init__(self):
+        self.comparisons = 0
 
 
 class LockEntry:
@@ -33,30 +46,33 @@ class LockEntry:
 
 
 class LockLog:
-    """Order-preserving hashed lock-log of one transaction."""
+    """Order-preserving hashed lock-log of one transaction.
 
-    __slots__ = (
-        "num_locks", "num_buckets", "_buckets", "_ids", "comparisons", "count",
-        "_flat",
-    )
+    A bucket is made when the first id lands in it, so a thread whose
+    transactions never touch a lock allocates none.  ``tally`` is the
+    :class:`ComparisonTally` the log counts into (its own by default).
+    """
 
-    def __init__(self, num_locks, num_buckets=16):
+    __slots__ = ("num_locks", "num_buckets", "_buckets", "_ids", "tally", "_flat")
+
+    def __init__(self, num_locks, num_buckets=16, tally=None):
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
         self.num_locks = num_locks
         self.num_buckets = min(num_buckets, num_locks)
-        self._buckets = [[] for _ in range(self.num_buckets)]
+        # bucket index -> its lock ids, ascending
+        self._buckets = {}
         self._ids = {}
-        self.comparisons = 0
-        self.count = 0
+        self.tally = ComparisonTally() if tally is None else tally
         # cached flattened (sorted) entry list; commit-time lock walks
         # iterate the log once per acquisition attempt, so the flatten is
         # done once per mutation instead of once per walk
         self._flat = None
 
-    def _bucket_of(self, lock_id):
-        # Order-preserving partition of [0, num_locks) into num_buckets ranges.
-        return lock_id * self.num_buckets // self.num_locks
+    @property
+    def comparisons(self):
+        """Comparisons counted into this log's tally."""
+        return self.tally.comparisons
 
     def insert(self, lock_id, write=False, read=False):
         """Insert ``lock_id`` keeping sorted order; merge duplicate entries.
@@ -67,44 +83,49 @@ class LockLog:
             raise ValueError(
                 "lock id %d out of range [0, %d)" % (lock_id, self.num_locks)
             )
-        entry = self._ids.get(lock_id)
+        ids = self._ids
+        entry = ids.get(lock_id)
         if entry is not None:
             entry.write = entry.write or write
             entry.read = entry.read or read
             return entry
-        entry = LockEntry(lock_id, write, read)
-        bucket = self._buckets[self._bucket_of(lock_id)]
-        # Insertion sort within the bucket (the paper's "inserted into a
-        # corresponding position"); count comparisons for the ablation.
-        position = len(bucket)
-        for i, existing in enumerate(bucket):
-            self.comparisons += 1
-            if existing.lock_id > lock_id:
-                position = i
-                break
-        bucket.insert(position, entry)
-        self._ids[lock_id] = entry
-        self.count += 1
+        ids[lock_id] = entry = LockEntry(lock_id, write, read)
+        # order-preserving partition of [0, num_locks) into num_buckets ranges
+        index = lock_id * self.num_buckets // self.num_locks
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            self._buckets[index] = [lock_id]
+        else:
+            # Insertion sort within the bucket (the paper's "inserted into
+            # a corresponding position"), counted as the linear scan
+            # compares: up to and including the first larger id, or the
+            # whole bucket when none is larger.
+            size = len(bucket)
+            position = bisect_left(bucket, lock_id)
+            bucket.insert(position, lock_id)
+            self.tally.comparisons += position + 1 if position < size else size
         self._flat = None
         return entry
 
     def clear(self):
         """Reset to empty (transaction begin)."""
-        for bucket in self._buckets:
-            bucket.clear()
+        self._buckets.clear()
         self._ids.clear()
-        self.count = 0
         self._flat = None
 
     def __len__(self):
-        return self.count
+        return len(self._ids)
 
     def __iter__(self):
         """Iterate entries in globally sorted (ascending lock id) order."""
         flat = self._flat
         if flat is None:
+            ids = self._ids
+            buckets = self._buckets
             self._flat = flat = [
-                entry for bucket in self._buckets for entry in bucket
+                ids[lock_id]
+                for index in sorted(buckets)
+                for lock_id in buckets[index]
             ]
         return iter(flat)
 
@@ -119,13 +140,12 @@ class EncounterOrderLog:
     comparisons are spent.
     """
 
-    __slots__ = ("num_locks", "_entries", "_ids", "comparisons")
+    __slots__ = ("num_locks", "_entries", "_ids")
 
     def __init__(self, num_locks):
         self.num_locks = num_locks
         self._entries = []
         self._ids = {}
-        self.comparisons = 0
 
     def insert(self, lock_id, write=False, read=False):
         """Append ``lock_id`` (merging duplicates); returns the entry."""

@@ -43,13 +43,26 @@ class CommitRecord:
 
 
 class TmRuntime:
-    """Base class of all TM runtimes."""
+    """Base class of all TM runtimes.
+
+    A runtime outlives its launches and keeps only what they report:
+    ``stats``, ``history`` and, for lock-sorting runtimes, the lock logs'
+    comparison total (``locklog_tally``).  It holds no per-thread state:
+    ``threads`` counts the contexts :meth:`attach` has served, and each
+    :class:`TxThread` is reachable only through its context's ``tc.stm``,
+    which ``Device.launch`` clears when the launch ends, so a finished
+    launch's threads are freed at once however many launches one runtime
+    serves.
+    """
 
     #: registry name; subclasses override
     name = "abstract"
     #: True when transactions of this runtime execute per thread (the paper's
     #: distinguishing feature vs. EGPGV's per-thread-block transactions)
     per_thread_transactions = True
+    #: the :class:`~repro.stm.locklog.ComparisonTally` its threads' lock
+    #: logs count into; None when its threads keep no lock log
+    locklog_tally = None
 
     def __init__(self, device, record_history=False):
         self.device = device
@@ -58,7 +71,9 @@ class TmRuntime:
         self.stats = Counters()
         self.record_history = record_history
         self.history = []
-        self.threads = []
+        #: thread contexts attached so far, over every launch (a count:
+        #: the runtime holds no per-thread state past a launch)
+        self.threads = 0
         self.tracer = None
 
     @property
@@ -92,7 +107,7 @@ class TmRuntime:
         ``Device.launch``.
         """
         tc.stm = self.make_thread(tc)
-        self.threads.append(tc.stm)
+        self.threads += 1
 
     def make_thread(self, tc):
         """Create the per-thread :class:`TxThread`; subclasses implement."""
@@ -149,7 +164,7 @@ class TmRuntime:
         rounded to a fixed 6 decimals so artifacts diff clean.
         """
         return {
-            "threads": len(self.threads),
+            "threads": self.threads,
             "abort_rate": round(self.abort_rate(), 6),
         }
 

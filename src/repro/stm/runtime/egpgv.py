@@ -79,8 +79,7 @@ class EgpgvRuntime(TmRuntime):
                 "capacity of %d threads"
                 % (tc.block.block_threads, self.max_threads_per_block)
             )
-        tc.stm = self.make_thread(tc)
-        self.threads.append(tc.stm)
+        super().attach(tc)
 
     def make_thread(self, tc):
         return EgpgvTx(self, tc)

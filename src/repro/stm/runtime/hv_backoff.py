@@ -18,12 +18,15 @@ the low-conflict workloads.
 """
 
 from repro.gpu.events import Phase
-from repro.stm.locklog import EncounterOrderLog
 from repro.stm.runtime.locksorting import LockSortingRuntime, LockSortingTx
 
 
 class HvBackoffRuntime(LockSortingRuntime):
     """Runtime of STM-HV-Backoff (always hierarchical validation)."""
+
+    # raw encounter-order lock logs: the warp backoff, not sorting,
+    # prevents intra-warp livelock
+    sort_locks = False
 
     def __init__(self, device, **kwargs):
         kwargs.setdefault("use_vbv", True)
@@ -51,11 +54,6 @@ class HvBackoffTx(LockSortingTx):
     """Transaction with encounter-order locks and two-phase warp backoff."""
 
     _QUEUE_KEY = "hv_backoff_queue"
-
-    def __init__(self, runtime, tc):
-        super().__init__(runtime, tc)
-        # Replace the sorted log with a raw encounter-order log.
-        self.locklog = EncounterOrderLog(runtime.lock_table.num_locks)
 
     def _acquire_phase(self):
         tc = self.tc

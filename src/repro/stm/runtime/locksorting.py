@@ -27,14 +27,22 @@ from repro.gpu.events import Phase
 from repro.gpu.steppers import PollL2
 from repro.stm.bloom import BloomFilter
 from repro.stm.clock import GlobalClock
-from repro.stm.locklog import LockLog
+from repro.stm.locklog import ComparisonTally, EncounterOrderLog, LockLog
 from repro.stm.runtime.base import TmRuntime, TxThread
 from repro.stm.rwset import LogCosting, ReadSet, WriteSet
 from repro.stm.versionlock import GlobalLockTable
 
 
 class LockSortingRuntime(TmRuntime):
-    """Runtime for STM-HV-Sorting (``use_vbv=True``) and STM-TBV-Sorting."""
+    """Runtime for STM-HV-Sorting (``use_vbv=True``) and STM-TBV-Sorting.
+
+    ``sort_locks`` picks each thread's lock log: the order-preserving
+    sorted :class:`LockLog` (the paper's design), or, where a subclass or
+    a mutant turns it off, the raw :class:`EncounterOrderLog`.  Sorted
+    logs count their insertion comparisons into ``locklog_tally``.
+    """
+
+    sort_locks = True
 
     def __init__(
         self,
@@ -61,6 +69,7 @@ class LockSortingRuntime(TmRuntime):
         # cross-warp retry patterns, standing in for the timing noise of
         # real hardware.
         self.abort_jitter = abort_jitter
+        self.locklog_tally = ComparisonTally()
 
     @property
     def name(self):
@@ -89,9 +98,12 @@ class LockSortingTx(TxThread):
         self.reads = ReadSet(costing)
         self.writes = WriteSet(costing)
         self.bloom = BloomFilter()
-        self.locklog = LockLog(
-            runtime.lock_table.num_locks, num_buckets=runtime.lock_log_buckets
-        )
+        num_locks = runtime.lock_table.num_locks
+        if runtime.sort_locks:
+            self.locklog = LockLog(num_locks, runtime.lock_log_buckets,
+                                   runtime.locklog_tally)
+        else:
+            self.locklog = EncounterOrderLog(num_locks)
         self.snapshot = 0
         self.pass_tbv = True
         # version-lock words observed when acquiring, for exact release

@@ -12,20 +12,13 @@ Used by the livelock tests and the lock-sorting ablation benchmark.  Never
 use it for real work.
 """
 
-from repro.stm.locklog import EncounterOrderLog
-from repro.stm.runtime.locksorting import LockSortingRuntime, LockSortingTx
-
-
-class UnsortedNoBackoffTx(LockSortingTx):
-    """GPU-STM transaction with the sorting removed."""
-
-    def __init__(self, runtime, tc):
-        super().__init__(runtime, tc)
-        self.locklog = EncounterOrderLog(runtime.lock_table.num_locks)
+from repro.stm.runtime.locksorting import LockSortingRuntime
 
 
 class UnsortedNoBackoffRuntime(LockSortingRuntime):
     """Hierarchical validation, encounter-order locking, unbounded retries."""
+
+    sort_locks = False
 
     def __init__(self, device, **kwargs):
         kwargs.setdefault("max_lock_attempts", 10**9)
@@ -34,9 +27,6 @@ class UnsortedNoBackoffRuntime(LockSortingRuntime):
     @property
     def name(self):
         return "hv-unsorted-nobackoff"
-
-    def make_thread(self, tc):
-        return UnsortedNoBackoffTx(self, tc)
 
     def metric_gauges(self):
         gauges = super().metric_gauges()

@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+from repro.common.cli import run_main
+
 _NUMBER = (int, float)
 
 
@@ -155,4 +157,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

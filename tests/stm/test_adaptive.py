@@ -3,6 +3,7 @@
 from repro.gpu import Device
 from repro.gpu.config import small_config
 from repro.stm import StmConfig, make_runtime, run_transaction
+from repro.stm.runtime.adaptive import HvAdaptiveTx
 from repro.stm.runtime.unsorted import crossed_order_kernel
 from tests.stm.helpers import counter_kernel, make_stm_device, transfer_kernel
 
@@ -67,9 +68,15 @@ class TestCorrectnessAndProgress:
     def test_active_counter_returns_to_zero(self):
         device, runtime, data, _ = make_stm_device("hv-adaptive", data_size=16)
         kernel = transfer_kernel(data, 16, txs_per_thread=2, moves_per_tx=2, seed=7)
-        device.launch(kernel, 2, 8, attach=runtime.attach)
-        for tx in runtime.threads:
-            assert tx.tc.warp.shared.get(tx._ACTIVE_KEY, 0) == 0
+        contexts = []
+
+        def attach(tc):
+            runtime.attach(tc)
+            contexts.append(tc)
+
+        device.launch(kernel, 2, 8, attach=attach)
+        for tc in contexts:
+            assert tc.warp.shared.get(HvAdaptiveTx._ACTIVE_KEY, 0) == 0
 
     def test_serializable_history(self):
         from repro.stm.oracle import check_history

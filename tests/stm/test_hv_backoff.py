@@ -4,7 +4,7 @@ from repro.gpu import Device
 from repro.gpu.config import small_config
 from repro.stm import StmConfig, make_runtime
 from repro.stm.locklog import EncounterOrderLog
-from repro.stm.runtime.hv_backoff import HvBackoffRuntime
+from repro.stm.runtime.hv_backoff import HvBackoffRuntime, HvBackoffTx
 from tests.stm.helpers import counter_kernel, make_stm_device, transfer_kernel
 
 
@@ -53,8 +53,14 @@ class TestBehaviour:
     def test_queue_left_empty_after_kernel(self):
         device, runtime, data, _ = make_stm_device("hv-backoff", data_size=16)
         kernel = transfer_kernel(data, 16, txs_per_thread=2, moves_per_tx=2, seed=5)
-        device.launch(kernel, 1, 8, attach=runtime.attach)
+        contexts = []
+
+        def attach(tc):
+            runtime.attach(tc)
+            contexts.append(tc)
+
+        device.launch(kernel, 1, 8, attach=attach)
         # every phase-2 entrant popped itself off the warp queue
-        for tx in runtime.threads:
-            queue = tx.tc.warp.shared.get(tx._QUEUE_KEY)
+        for tc in contexts:
+            queue = tc.warp.shared.get(HvBackoffTx._QUEUE_KEY)
             assert not queue

@@ -15,7 +15,6 @@ from repro.gpu.config import small_config
 from repro.stm import StmConfig, make_runtime, run_transaction
 from repro.stm.runtime.unsorted import (
     UnsortedNoBackoffRuntime,
-    UnsortedNoBackoffTx,
     crossed_order_kernel,
 )
 from repro.stm.locklog import EncounterOrderLog

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stm.locklog import LockLog
+from repro.stm.locklog import ComparisonTally, LockLog
 
 
 def lock_ids(log):
@@ -103,3 +103,83 @@ def test_sorted_order_and_merge_invariants(ops, num_buckets):
         want_write, want_read = expected[entry.lock_id]
         assert entry.write == want_write
         assert entry.read == want_read
+
+
+class _InsertionSortLog:
+    """Reference: the lock log as a linear insertion sort over eagerly
+    built buckets, counting one comparison per scanned entry."""
+
+    def __init__(self, num_locks, num_buckets):
+        self.num_locks = num_locks
+        self.num_buckets = min(num_buckets, num_locks)
+        self.buckets = [[] for _ in range(self.num_buckets)]
+        self.bits = {}
+        self.comparisons = 0
+
+    def insert(self, lock_id, write=False, read=False):
+        if lock_id in self.bits:
+            old_write, old_read = self.bits[lock_id]
+            self.bits[lock_id] = (old_write or write, old_read or read)
+            return
+        self.bits[lock_id] = (write, read)
+        bucket = self.buckets[lock_id * self.num_buckets // self.num_locks]
+        position = len(bucket)
+        for i, existing in enumerate(bucket):
+            self.comparisons += 1
+            if existing > lock_id:
+                position = i
+                break
+        bucket.insert(position, lock_id)
+
+    def clear(self):
+        for bucket in self.buckets:
+            bucket.clear()
+        self.bits.clear()
+
+    def entries(self):
+        return [(lock_id,) + self.bits[lock_id]
+                for bucket in self.buckets for lock_id in bucket]
+
+
+@given(
+    st.integers(1, 300).flatmap(lambda num_locks: st.tuples(
+        st.just(num_locks),
+        st.integers(1, 40),
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, num_locks - 1), st.booleans(),
+                          st.booleans()),
+                st.just("clear"),
+            ),
+            max_size=120,
+        ),
+    ))
+)
+def test_matches_the_insertion_sort_reference(case):
+    """Property: lazily made buckets and bisection give exactly the eager
+    insertion sort's iteration, merged bits and comparison count, across
+    transaction boundaries (``clear``) too."""
+    num_locks, num_buckets, ops = case
+    log = LockLog(num_locks=num_locks, num_buckets=num_buckets)
+    reference = _InsertionSortLog(num_locks, num_buckets)
+    for op in ops:
+        if op == "clear":
+            log.clear()
+            reference.clear()
+        else:
+            lock_id, write, read = op
+            log.insert(lock_id, write=write, read=read)
+            reference.insert(lock_id, write=write, read=read)
+        assert [(e.lock_id, e.write, e.read) for e in log] == reference.entries()
+        assert log.comparisons == reference.comparisons
+        assert len(log) == len(reference.bits)
+
+
+def test_logs_sharing_a_tally_sum_their_comparisons():
+    tally = ComparisonTally()
+    first = LockLog(num_locks=64, num_buckets=1, tally=tally)
+    second = LockLog(num_locks=64, num_buckets=1, tally=tally)
+    for lock_id in range(5):
+        first.insert(lock_id)
+        second.insert(lock_id)
+    assert tally.comparisons == 2 * sum(range(5))
