@@ -1,12 +1,12 @@
-"""The seeded protocol-bug corpus (mutants) and their reversible patches.
+"""The seeded protocol-bug corpus (mutants).
 
-Each :class:`Mutant` is a named, documented protocol bug applied to a
-*runtime instance* — never to the classes — by wrapping the runtime's
-``make_thread`` so every transaction thread it creates gets the buggy
-method bodies bound as instance attributes.  :meth:`Mutant.revert`
-removes the wrapper and restores any runtime attributes, leaving the
-shared classes untouched, so mutants are safe to apply inside a process
-that also runs clean baselines.
+Each :class:`Mutant` is a named, documented protocol bug.  It is a
+generated subclass of a runtime's transaction class whose buggy methods
+override the live ones (:meth:`Mutant.subclass`, built once per
+transaction class), installed as the ``tx_class`` of *one runtime
+instance*: that runtime's threads run the bug, and the shared classes are
+never touched, so mutants are safe to apply inside a process that also
+runs clean baselines.
 
 The corpus seeds one bug per protocol obligation the paper's design
 carries (Algorithm 3 and section 3): hierarchical re-validation, the
@@ -32,16 +32,15 @@ one fails loudly instead of leaving a stale mutant behind.
 import inspect
 import sys
 import textwrap
-import types
 
 
 class Mutant:
-    """One reversible seeded protocol bug.
+    """One seeded protocol bug.
 
     ``edits`` are ``(method, old, new)`` source edits of the transaction
     thread's live methods (several may edit one method, applied in
-    order); ``runtime_attrs`` overrides runtime attributes for the
-    mutant's lifetime; ``workload_params`` are campaign workload-parameter
+    order); ``runtime_attrs`` overrides attributes of the runtime it is
+    applied to; ``workload_params`` are campaign workload-parameter
     overrides that raise the collision density a data race needs to
     manifest.
     """
@@ -55,11 +54,12 @@ class Mutant:
         self.edits = tuple(edits)
         self.runtime_attrs = dict(runtime_attrs or {})
         self.workload_params = dict(workload_params or {})
-        # transaction class -> {method name: edited function}
-        self._methods = {}
+        # transaction class -> its mutated subclass
+        self._subclasses = {}
 
-    def methods(self, tx_class):
-        """The edited methods for threads of ``tx_class``, by name.
+    def subclass(self, tx_class):
+        """``tx_class`` with this mutant's edits: a subclass of the same
+        name whose edited methods override the live ones.
 
         Each method is resolved on ``tx_class`` (so inherited methods are
         edited where they are defined), its source edited, and the result
@@ -67,8 +67,8 @@ class Mutant:
         Raises ``ValueError`` when an ``old`` snippet does not occur in the
         source exactly once.
         """
-        methods = self._methods.get(tx_class)
-        if methods is None:
+        subclass = self._subclasses.get(tx_class)
+        if subclass is None:
             sources = {}
             for method, old, new in self.edits:
                 if method not in sources:
@@ -89,11 +89,14 @@ class Mutant:
                              "<mutant %s>" % self.name, "exec"),
                      vars(module), namespace)
                 methods[method] = namespace[method]
-            self._methods[tx_class] = methods
-        return methods
+            subclass = type(tx_class.__name__, (tx_class,), methods)
+            self._subclasses[tx_class] = subclass
+        return subclass
 
     def apply(self, runtime):
-        """Install this mutant on ``runtime`` (instance-level only)."""
+        """Install this mutant on ``runtime``: its ``tx_class`` becomes
+        :meth:`subclass` of the runtime's and ``runtime_attrs`` are set,
+        on this instance only."""
         if getattr(runtime, "_mutant", None) is not None:
             raise RuntimeError(
                 "runtime already carries mutant %r" % runtime._mutant.name
@@ -103,33 +106,11 @@ class Mutant:
                 "mutant %r targets %s, not %r"
                 % (self.name, "/".join(self.variants), runtime.name)
             )
-        original_make = runtime.make_thread
-
-        def make_mutated_thread(tc):
-            tx = original_make(tc)
-            for method_name, func in self.methods(type(tx)).items():
-                setattr(tx, method_name, types.MethodType(func, tx))
-            return tx
-
-        saved = {}
-        for attr, value in self.runtime_attrs.items():
-            saved[attr] = getattr(runtime, attr)
+        attrs = dict(self.runtime_attrs,
+                     tx_class=self.subclass(runtime.tx_class))
+        for attr, value in attrs.items():
             setattr(runtime, attr, value)
-        runtime.make_thread = make_mutated_thread
         runtime._mutant = self
-        runtime._mutant_saved = saved
-        return runtime
-
-    def revert(self, runtime):
-        """Remove this mutant from ``runtime``; already-created threads
-        keep their patched methods (create transactions after apply)."""
-        if getattr(runtime, "_mutant", None) is not self:
-            raise RuntimeError("runtime does not carry mutant %r" % self.name)
-        del runtime.__dict__["make_thread"]
-        for attr, value in runtime._mutant_saved.items():
-            setattr(runtime, attr, value)
-        del runtime.__dict__["_mutant"]
-        del runtime.__dict__["_mutant_saved"]
         return runtime
 
 

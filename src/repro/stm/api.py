@@ -120,11 +120,7 @@ def make_runtime(name, device, config=None):
     if name in ("unsorted", "hv-unsorted-nobackoff"):
         from repro.stm.runtime.unsorted import UnsortedNoBackoffRuntime
 
-        # the strawman's defining property is unbounded symmetric retries
-        # with no backoff: lock acquisition never gives up, so crossed
-        # lock orders livelock instead of aborting their way to progress
-        common["max_lock_attempts"] = 10**9
-        return UnsortedNoBackoffRuntime(device, use_vbv=True, **common)
+        return UnsortedNoBackoffRuntime(device, **common)
     if name == "optimized":
         return OptimizedRuntime(
             device, shared_data_size=config.shared_data_size, **common

@@ -27,30 +27,6 @@ from repro.stm.locklog import EncounterOrderLog, LockLog
 from repro.stm.runtime.locksorting import LockSortingRuntime, LockSortingTx
 
 
-class HvAdaptiveRuntime(LockSortingRuntime):
-    """Hierarchical validation with per-transaction sorting/backoff choice."""
-
-    def __init__(self, device, **kwargs):
-        kwargs.setdefault("use_vbv", True)
-        # jitter covers the unsorted path's cross-warp retry symmetry
-        kwargs.setdefault("abort_jitter", 4)
-        super().__init__(device, **kwargs)
-
-    @property
-    def name(self):
-        return "hv-adaptive"
-
-    def make_thread(self, tc):
-        return HvAdaptiveTx(self, tc)
-
-    def metric_gauges(self):
-        gauges = super().metric_gauges()
-        sorted_picks = self.stats["adaptive_sorted"]
-        total = sorted_picks + self.stats["adaptive_unsorted"]
-        gauges["sorted_fraction"] = sorted_picks / total if total else 0.0
-        return gauges
-
-
 class HvAdaptiveTx(LockSortingTx):
     """Transaction that picks its lock-log organization at begin time."""
 
@@ -94,3 +70,23 @@ class HvAdaptiveTx(LockSortingTx):
     def _abort(self, reason):
         self._leave_tx()
         return (yield from super()._abort(reason))
+
+
+class HvAdaptiveRuntime(LockSortingRuntime):
+    """Hierarchical validation with per-transaction sorting/backoff choice."""
+
+    name = "hv-adaptive"
+    tx_class = HvAdaptiveTx
+
+    def __init__(self, device, **kwargs):
+        kwargs.setdefault("use_vbv", True)
+        # jitter covers the unsorted path's cross-warp retry symmetry
+        kwargs.setdefault("abort_jitter", 4)
+        super().__init__(device, **kwargs)
+
+    def metric_gauges(self):
+        gauges = super().metric_gauges()
+        sorted_picks = self.stats["adaptive_sorted"]
+        total = sorted_picks + self.stats["adaptive_unsorted"]
+        gauges["sorted_fraction"] = sorted_picks / total if total else 0.0
+        return gauges

@@ -1,10 +1,10 @@
 """Common interface of every TM runtime and baseline.
 
 A :class:`TmRuntime` owns the global metadata of one STM instance (lock
-table, clock, statistics) and hands every simulated thread a
-:class:`TxThread` via :meth:`TmRuntime.attach` (passed as the ``attach``
-callback of :meth:`repro.gpu.Device.launch`, which installs it as
-``tc.stm``).
+table, clock, statistics) and hands every simulated thread an instance of
+its ``tx_class``, a :class:`TxThread` subclass, via
+:meth:`TmRuntime.attach` (passed as the ``attach`` callback of
+:meth:`repro.gpu.Device.launch`, which installs it as ``tc.stm``).
 
 A :class:`TxThread` exposes the paper's programming interface as generator
 methods driven with ``yield from``:
@@ -57,6 +57,10 @@ class TmRuntime:
 
     #: registry name; subclasses override
     name = "abstract"
+    #: the :class:`TxThread` subclass :meth:`attach` gives every thread;
+    #: each runtime class names its own, and a seeded protocol bug
+    #: (:mod:`repro.faults.mutants`) overrides it on one runtime instance
+    tx_class = None
     #: True when transactions of this runtime execute per thread (the paper's
     #: distinguishing feature vs. EGPGV's per-thread-block transactions)
     per_thread_transactions = True
@@ -101,17 +105,13 @@ class TmRuntime:
             self.tracer = (current, observer)
 
     def attach(self, tc):
-        """Install this runtime's per-thread transaction state on ``tc``.
+        """Install a :attr:`tx_class` transaction thread on ``tc``.
 
         Pass ``runtime.attach`` as the ``attach=`` argument of
         ``Device.launch``.
         """
-        tc.stm = self.make_thread(tc)
+        tc.stm = self.tx_class(self, tc)
         self.threads += 1
-
-    def make_thread(self, tc):
-        """Create the per-thread :class:`TxThread`; subclasses implement."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Statistics helpers

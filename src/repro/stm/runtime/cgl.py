@@ -14,28 +14,6 @@ from repro.gpu.steppers import TtasAcquire
 from repro.stm.runtime.base import TmRuntime, TxThread
 
 
-class CglRuntime(TmRuntime):
-    """Single-global-lock critical-section runtime."""
-
-    name = "cgl"
-
-    def __init__(self, device, record_history=False):
-        super().__init__(device, record_history)
-        self.lock_addr = device.mem.alloc(1, "cgl_lock")
-        # Host-side commit sequencing for the oracle: the global lock
-        # already totally orders critical sections.
-        self._commit_seq = 0
-
-    def make_thread(self, tc):
-        return CglTx(self, tc)
-
-    def metric_gauges(self):
-        gauges = super().metric_gauges()
-        gauges["lock_word"] = self.mem.read(self.lock_addr)
-        gauges["commit_seq"] = self._commit_seq
-        return gauges
-
-
 class CglTx(TxThread):
     """One critical section presented through the TxThread interface."""
 
@@ -125,3 +103,23 @@ class CglTx(TxThread):
         yield
         runtime.note_abort("giveup", tx=self)
         tc.tx_window_abort()
+
+
+class CglRuntime(TmRuntime):
+    """Single-global-lock critical-section runtime."""
+
+    name = "cgl"
+    tx_class = CglTx
+
+    def __init__(self, device, record_history=False):
+        super().__init__(device, record_history)
+        self.lock_addr = device.mem.alloc(1, "cgl_lock")
+        # Host-side commit sequencing for the oracle: the global lock
+        # already totally orders critical sections.
+        self._commit_seq = 0
+
+    def metric_gauges(self):
+        gauges = super().metric_gauges()
+        gauges["lock_word"] = self.mem.read(self.lock_addr)
+        gauges["commit_seq"] = self._commit_seq
+        return gauges

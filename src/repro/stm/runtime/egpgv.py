@@ -31,70 +31,6 @@ from repro.stm.rwset import LogCosting, ReadSet, WriteSet
 from repro.stm.versionlock import GlobalLockTable
 
 
-class EgpgvRuntime(TmRuntime):
-    """Runtime of the per-thread-block blocking STM."""
-
-    name = "egpgv"
-    per_thread_transactions = False
-
-    def __init__(
-        self,
-        device,
-        num_locks=1024,
-        max_blocks=64,
-        max_threads_per_block=128,
-        max_accesses=256,
-        max_lock_attempts=64,
-        object_overhead=120,
-        coalesced_logs=True,
-        record_history=False,
-    ):
-        super().__init__(device, record_history)
-        self.lock_table = GlobalLockTable(device.mem, num_locks, name="egpgv_locks")
-        self.clock = GlobalClock(device.mem, name="egpgv_clock")
-        # One device-resident slot flag per block: lanes waiting for their
-        # block's transaction slot poll it in global memory, paying real
-        # traffic for the serialization (this is what makes EGPGV's limited
-        # concurrency show up as limited performance).
-        self.block_flags = device.mem.alloc(max_blocks, "egpgv_block_flags")
-        self.max_blocks = max_blocks
-        self.max_threads_per_block = max_threads_per_block
-        self.max_accesses = max_accesses
-        self.max_lock_attempts = max_lock_attempts
-        # Cederman's STM is object-based: opening an object copies it and
-        # registers it with the block-wide transaction descriptor.  This
-        # models that fixed management cost at begin and commit.
-        self.object_overhead = object_overhead
-        self.coalesced_logs = coalesced_logs
-
-    def attach(self, tc):
-        if tc.block.index >= self.max_blocks:
-            raise EgpgvCapacityError(
-                "launch uses block %d but STM-EGPGV metadata is statically "
-                "sized for %d blocks" % (tc.block.index, self.max_blocks)
-            )
-        if tc.block.block_threads > self.max_threads_per_block:
-            raise EgpgvCapacityError(
-                "block width %d exceeds STM-EGPGV's static per-block "
-                "capacity of %d threads"
-                % (tc.block.block_threads, self.max_threads_per_block)
-            )
-        super().attach(tc)
-
-    def make_thread(self, tc):
-        return EgpgvTx(self, tc)
-
-    def metric_gauges(self):
-        gauges = super().metric_gauges()
-        gauges["clock"] = self.clock.peek(self.mem)
-        gauges["max_blocks"] = self.max_blocks
-        gauges["max_threads_per_block"] = self.max_threads_per_block
-        gauges["max_accesses"] = self.max_accesses
-        for key, value in self.lock_table.metrics_summary().items():
-            gauges["lock_table.%s" % key] = value
-        return gauges
-
-
 class EgpgvTx(TxThread):
     """One logical transaction, serialized with its block-mates."""
 
@@ -249,3 +185,65 @@ class EgpgvTx(TxThread):
         runtime.note_abort("blocking_conflict", tx=self)
         self.tc.tx_window_abort()
         self.is_opaque = True
+
+
+class EgpgvRuntime(TmRuntime):
+    """Runtime of the per-thread-block blocking STM."""
+
+    name = "egpgv"
+    tx_class = EgpgvTx
+    per_thread_transactions = False
+
+    def __init__(
+        self,
+        device,
+        num_locks=1024,
+        max_blocks=64,
+        max_threads_per_block=128,
+        max_accesses=256,
+        max_lock_attempts=64,
+        object_overhead=120,
+        coalesced_logs=True,
+        record_history=False,
+    ):
+        super().__init__(device, record_history)
+        self.lock_table = GlobalLockTable(device.mem, num_locks, name="egpgv_locks")
+        self.clock = GlobalClock(device.mem, name="egpgv_clock")
+        # One device-resident slot flag per block: lanes waiting for their
+        # block's transaction slot poll it in global memory, paying real
+        # traffic for the serialization (this is what makes EGPGV's limited
+        # concurrency show up as limited performance).
+        self.block_flags = device.mem.alloc(max_blocks, "egpgv_block_flags")
+        self.max_blocks = max_blocks
+        self.max_threads_per_block = max_threads_per_block
+        self.max_accesses = max_accesses
+        self.max_lock_attempts = max_lock_attempts
+        # Cederman's STM is object-based: opening an object copies it and
+        # registers it with the block-wide transaction descriptor.  This
+        # models that fixed management cost at begin and commit.
+        self.object_overhead = object_overhead
+        self.coalesced_logs = coalesced_logs
+
+    def attach(self, tc):
+        if tc.block.index >= self.max_blocks:
+            raise EgpgvCapacityError(
+                "launch uses block %d but STM-EGPGV metadata is statically "
+                "sized for %d blocks" % (tc.block.index, self.max_blocks)
+            )
+        if tc.block.block_threads > self.max_threads_per_block:
+            raise EgpgvCapacityError(
+                "block width %d exceeds STM-EGPGV's static per-block "
+                "capacity of %d threads"
+                % (tc.block.block_threads, self.max_threads_per_block)
+            )
+        super().attach(tc)
+
+    def metric_gauges(self):
+        gauges = super().metric_gauges()
+        gauges["clock"] = self.clock.peek(self.mem)
+        gauges["max_blocks"] = self.max_blocks
+        gauges["max_threads_per_block"] = self.max_threads_per_block
+        gauges["max_accesses"] = self.max_accesses
+        for key, value in self.lock_table.metrics_summary().items():
+            gauges["lock_table.%s" % key] = value
+        return gauges

@@ -21,35 +21,6 @@ from repro.gpu.events import Phase
 from repro.stm.runtime.locksorting import LockSortingRuntime, LockSortingTx
 
 
-class HvBackoffRuntime(LockSortingRuntime):
-    """Runtime of STM-HV-Backoff (always hierarchical validation)."""
-
-    # raw encounter-order lock logs: the warp backoff, not sorting,
-    # prevents intra-warp livelock
-    sort_locks = False
-
-    def __init__(self, device, **kwargs):
-        kwargs.setdefault("use_vbv", True)
-        kwargs.setdefault("abort_jitter", 4)
-        super().__init__(device, **kwargs)
-
-    @property
-    def name(self):
-        return "hv-backoff"
-
-    def make_thread(self, tc):
-        return HvBackoffTx(self, tc)
-
-    def metric_gauges(self):
-        gauges = super().metric_gauges()
-        # fraction of attempts that escalated to the queueing phase: the
-        # contention signal this variant's two-phase backoff responds to
-        attempts = self.stats["begins"]
-        entries = self.stats["backoff_phase2_entries"]
-        gauges["phase2_fraction"] = entries / attempts if attempts else 0.0
-        return gauges
-
-
 class HvBackoffTx(LockSortingTx):
     """Transaction with encounter-order locks and two-phase warp backoff."""
 
@@ -85,3 +56,28 @@ class HvBackoffTx(LockSortingTx):
                 yield self._wait_lock_free(self._failed_lock)
         finally:
             queue.pop(0)
+
+
+class HvBackoffRuntime(LockSortingRuntime):
+    """Runtime of STM-HV-Backoff (always hierarchical validation)."""
+
+    name = "hv-backoff"
+    tx_class = HvBackoffTx
+
+    # raw encounter-order lock logs: the warp backoff, not sorting,
+    # prevents intra-warp livelock
+    sort_locks = False
+
+    def __init__(self, device, **kwargs):
+        kwargs.setdefault("use_vbv", True)
+        kwargs.setdefault("abort_jitter", 4)
+        super().__init__(device, **kwargs)
+
+    def metric_gauges(self):
+        gauges = super().metric_gauges()
+        # fraction of attempts that escalated to the queueing phase: the
+        # contention signal this variant's two-phase backoff responds to
+        attempts = self.stats["begins"]
+        entries = self.stats["backoff_phase2_entries"]
+        gauges["phase2_fraction"] = entries / attempts if attempts else 0.0
+        return gauges

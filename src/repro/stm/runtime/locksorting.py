@@ -33,62 +33,6 @@ from repro.stm.rwset import LogCosting, ReadSet, WriteSet
 from repro.stm.versionlock import GlobalLockTable
 
 
-class LockSortingRuntime(TmRuntime):
-    """Runtime for STM-HV-Sorting (``use_vbv=True``) and STM-TBV-Sorting.
-
-    ``sort_locks`` picks each thread's lock log: the order-preserving
-    sorted :class:`LockLog` (the paper's design), or, where a subclass or
-    a mutant turns it off, the raw :class:`EncounterOrderLog`.  Sorted
-    logs count their insertion comparisons into ``locklog_tally``.
-    """
-
-    sort_locks = True
-
-    def __init__(
-        self,
-        device,
-        num_locks=1024,
-        stripe_words=1,
-        use_vbv=True,
-        lock_log_buckets=16,
-        max_lock_attempts=16,
-        coalesced_logs=True,
-        record_history=False,
-        abort_jitter=0,
-    ):
-        super().__init__(device, record_history)
-        self.lock_table = GlobalLockTable(device.mem, num_locks, stripe_words)
-        self.clock = GlobalClock(device.mem)
-        self.use_vbv = use_vbv
-        self.lock_log_buckets = lock_log_buckets
-        self.max_lock_attempts = max_lock_attempts
-        self.coalesced_logs = coalesced_logs
-        # Post-abort restart jitter (steps).  Zero for the sorted variants:
-        # the global lock order makes livelock impossible by construction.
-        # Non-sorted strategies (STM-HV-Backoff) set this to break symmetric
-        # cross-warp retry patterns, standing in for the timing noise of
-        # real hardware.
-        self.abort_jitter = abort_jitter
-        self.locklog_tally = ComparisonTally()
-
-    @property
-    def name(self):
-        return "hv-sorting" if self.use_vbv else "tbv-sorting"
-
-    def make_thread(self, tc):
-        return LockSortingTx(self, tc)
-
-    def metric_gauges(self):
-        gauges = super().metric_gauges()
-        gauges["clock"] = self.clock.peek(self.mem)
-        gauges["use_vbv"] = int(self.use_vbv)
-        gauges["max_lock_attempts"] = self.max_lock_attempts
-        gauges["abort_jitter"] = self.abort_jitter
-        for key, value in self.lock_table.metrics_summary().items():
-            gauges["lock_table.%s" % key] = value
-        return gauges
-
-
 class LockSortingTx(TxThread):
     """Per-thread transaction state and barriers of Algorithm 3."""
 
@@ -406,3 +350,57 @@ class LockSortingTx(TxThread):
         """Explicit abort after the program saw ``is_opaque == False``
         (the Figure 1 pattern)."""
         yield from self._abort("opacity")
+
+
+class LockSortingRuntime(TmRuntime):
+    """Runtime for STM-HV-Sorting (``use_vbv=True``) and STM-TBV-Sorting.
+
+    ``sort_locks`` picks each thread's lock log: the order-preserving
+    sorted :class:`LockLog` (the paper's design), or, where a subclass or
+    a mutant turns it off, the raw :class:`EncounterOrderLog`.  Sorted
+    logs count their insertion comparisons into ``locklog_tally``.
+    """
+
+    tx_class = LockSortingTx
+    sort_locks = True
+
+    def __init__(
+        self,
+        device,
+        num_locks=1024,
+        stripe_words=1,
+        use_vbv=True,
+        lock_log_buckets=16,
+        max_lock_attempts=16,
+        coalesced_logs=True,
+        record_history=False,
+        abort_jitter=0,
+    ):
+        super().__init__(device, record_history)
+        self.lock_table = GlobalLockTable(device.mem, num_locks, stripe_words)
+        self.clock = GlobalClock(device.mem)
+        self.use_vbv = use_vbv
+        self.lock_log_buckets = lock_log_buckets
+        self.max_lock_attempts = max_lock_attempts
+        self.coalesced_logs = coalesced_logs
+        # Post-abort restart jitter (steps).  Zero for the sorted variants:
+        # the global lock order makes livelock impossible by construction.
+        # Non-sorted strategies (STM-HV-Backoff) set this to break symmetric
+        # cross-warp retry patterns, standing in for the timing noise of
+        # real hardware.
+        self.abort_jitter = abort_jitter
+        self.locklog_tally = ComparisonTally()
+
+    @property
+    def name(self):
+        return "hv-sorting" if self.use_vbv else "tbv-sorting"
+
+    def metric_gauges(self):
+        gauges = super().metric_gauges()
+        gauges["clock"] = self.clock.peek(self.mem)
+        gauges["use_vbv"] = int(self.use_vbv)
+        gauges["max_lock_attempts"] = self.max_lock_attempts
+        gauges["abort_jitter"] = self.abort_jitter
+        for key, value in self.lock_table.metrics_summary().items():
+            gauges["lock_table.%s" % key] = value
+        return gauges

@@ -18,6 +18,8 @@ from repro.stm.runtime.locksorting import LockSortingRuntime
 class OptimizedRuntime(LockSortingRuntime):
     """Adaptive HV/TBV runtime with lock-sorting."""
 
+    name = "optimized"
+
     def __init__(self, device, shared_data_size, num_locks=1024, **kwargs):
         if shared_data_size < 0:
             raise ValueError("shared_data_size must be non-negative")
@@ -26,10 +28,6 @@ class OptimizedRuntime(LockSortingRuntime):
         super().__init__(device, num_locks=num_locks, use_vbv=use_vbv, **kwargs)
         self.shared_data_size = shared_data_size
         self.stats.add("selected_hv" if use_vbv else "selected_tbv")
-
-    @property
-    def name(self):
-        return "optimized"
 
     @property
     def selected(self):

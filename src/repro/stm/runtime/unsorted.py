@@ -18,15 +18,15 @@ from repro.stm.runtime.locksorting import LockSortingRuntime
 class UnsortedNoBackoffRuntime(LockSortingRuntime):
     """Hierarchical validation, encounter-order locking, unbounded retries."""
 
+    name = "hv-unsorted-nobackoff"
     sort_locks = False
 
     def __init__(self, device, **kwargs):
-        kwargs.setdefault("max_lock_attempts", 10**9)
+        # the strawman's defining property is unbounded symmetric retries
+        # with no backoff: lock acquisition never gives up, so crossed
+        # lock orders livelock instead of aborting their way to progress
+        kwargs["max_lock_attempts"] = 10**9
         super().__init__(device, **kwargs)
-
-    @property
-    def name(self):
-        return "hv-unsorted-nobackoff"
 
     def metric_gauges(self):
         gauges = super().metric_gauges()

@@ -21,26 +21,6 @@ from repro.stm.runtime.base import TmRuntime, TxThread
 from repro.stm.rwset import LogCosting, ReadSet, WriteSet
 
 
-class VbvRuntime(TmRuntime):
-    """Runtime of the NOrec-like single-sequence-lock STM."""
-
-    name = "vbv"
-
-    def __init__(self, device, coalesced_logs=True, record_history=False):
-        super().__init__(device, record_history)
-        self.seq_addr = device.mem.alloc(1, "g_seqlock")
-        self.coalesced_logs = coalesced_logs
-
-    def make_thread(self, tc):
-        return VbvTx(self, tc)
-
-    def metric_gauges(self):
-        gauges = super().metric_gauges()
-        gauges["seqlock"] = self.mem.read(self.seq_addr)
-        gauges["bloom_bits"] = BLOOM_BITS
-        return gauges
-
-
 class VbvTx(TxThread):
     """Per-thread NOrec transaction."""
 
@@ -181,3 +161,21 @@ class VbvTx(TxThread):
 
     def tx_abort(self):
         yield from self._abort("opacity")
+
+
+class VbvRuntime(TmRuntime):
+    """Runtime of the NOrec-like single-sequence-lock STM."""
+
+    name = "vbv"
+    tx_class = VbvTx
+
+    def __init__(self, device, coalesced_logs=True, record_history=False):
+        super().__init__(device, record_history)
+        self.seq_addr = device.mem.alloc(1, "g_seqlock")
+        self.coalesced_logs = coalesced_logs
+
+    def metric_gauges(self):
+        gauges = super().metric_gauges()
+        gauges["seqlock"] = self.mem.read(self.seq_addr)
+        gauges["bloom_bits"] = BLOOM_BITS
+        return gauges

@@ -1,8 +1,8 @@
-"""The seeded-bug corpus: reversibility, pickling, edits of the live
-runtime, pinned outcomes and per-mutant efficacy."""
+"""The seeded-bug corpus: confinement to one runtime, pickling, edits of
+the live runtime, pinned outcomes and per-mutant efficacy."""
 
+import inspect
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +13,14 @@ from repro.faults.mutants import MUTANTS, Mutant, MutantRuntimeFactory
 from repro.gpu import Device
 from repro.harness.configs import explore_gpu
 from repro.stm import STM_VARIANTS, EXTENSION_VARIANTS, StmConfig, make_runtime
+from repro.stm.runtime.adaptive import HvAdaptiveRuntime, HvAdaptiveTx
+from repro.stm.runtime.cgl import CglRuntime, CglTx
+from repro.stm.runtime.egpgv import EgpgvRuntime, EgpgvTx
+from repro.stm.runtime.hv_backoff import HvBackoffRuntime, HvBackoffTx
+from repro.stm.runtime.locksorting import LockSortingRuntime, LockSortingTx
+from repro.stm.runtime.optimized import OptimizedRuntime
+from repro.stm.runtime.unsorted import UnsortedNoBackoffRuntime
+from repro.stm.runtime.vbv import VbvRuntime, VbvTx
 
 from tests.helpers import explore
 
@@ -43,17 +51,8 @@ def _fresh_runtime(variant):
 
 
 class TestApplyRevert:
-    def test_apply_marks_and_revert_restores(self):
-        mutant = MUTANTS["skip-revalidation"]
-        runtime = _fresh_runtime("hv-sorting")
-        original_make = runtime.make_thread
-        mutant.apply(runtime)
-        assert runtime._mutant is mutant
-        assert runtime.make_thread is not original_make
-        mutant.revert(runtime)
-        assert not hasattr(runtime, "_mutant")
-        # instance attribute gone: class-level make_thread is live again
-        assert "make_thread" not in vars(runtime)
+    """Applying a mutant, and the property a revert would protect: a
+    mutant lives on the one runtime it was applied to."""
 
     def test_apply_rejects_wrong_variant(self):
         runtime = _fresh_runtime("cgl")
@@ -66,42 +65,37 @@ class TestApplyRevert:
         with pytest.raises(RuntimeError, match="already carries"):
             MUTANTS["lost-lock-release"].apply(runtime)
 
-    def test_runtime_attrs_are_saved_and_restored(self):
-        mutant = MUTANTS["unsorted-lock-acquisition"]
-        runtime = _fresh_runtime("hv-sorting")
-        before = runtime.max_lock_attempts
-        mutant.apply(runtime)
-        assert runtime.max_lock_attempts != before
-        mutant.revert(runtime)
-        assert runtime.max_lock_attempts == before
-
-    def test_reverted_runtime_behaves_identically(self):
-        """A mutated-then-reverted runtime must be indistinguishable from
-        a fresh one — same cycles, same commits, no violations."""
-
-        def run(pre_mutate):
-            def factory(variant, device, stm_config):
-                runtime = make_runtime(variant, device, stm_config)
-                if pre_mutate:
-                    mutant = MUTANTS["forgotten-version-update"]
-                    mutant.apply(runtime)
-                    mutant.revert(runtime)
-                return runtime
-
-            return explore(
-                "ra", BASE_PARAMS, "hv-sorting", runtime_factory=factory,
-            )
-
-        clean, reverted = run(False), run(True)
-        assert reverted.failure is None
-        assert reverted.cycles == clean.cycles
-        assert reverted.commits == clean.commits
+    def test_mutant_stays_on_its_runtime(self):
+        """A fresh runtime built after mutants were applied in the same
+        process runs cycle- and commit-identical to one built before, and
+        every runtime class still names its live transaction class."""
+        baseline = explore("ra", BASE_PARAMS, "hv-sorting")
+        for mutant in MUTANTS.values():
+            for variant in mutant.variants:
+                runtime = mutant.apply(_fresh_runtime(variant))
+                live = type(runtime).tx_class
+                assert runtime.tx_class.__bases__ == (live,)
+                for attr, value in mutant.runtime_attrs.items():
+                    assert getattr(runtime, attr) == value
+        fresh = explore("ra", BASE_PARAMS, "hv-sorting")
+        assert fresh.failure is None
+        assert (fresh.cycles, fresh.commits) == (
+            baseline.cycles, baseline.commits)
+        assert {cls: cls.tx_class for cls in LIVE_TX_CLASSES} == \
+            LIVE_TX_CLASSES
 
 
-def _tx_class(variant):
-    """The transaction class ``variant``'s runtime builds, found without a
-    launch: a thread's constructor only keeps its context and tid."""
-    return type(_fresh_runtime(variant).make_thread(SimpleNamespace(tid=0)))
+#: every runtime class -> the transaction class it declares or inherits
+LIVE_TX_CLASSES = {
+    CglRuntime: CglTx,
+    EgpgvRuntime: EgpgvTx,
+    HvAdaptiveRuntime: HvAdaptiveTx,
+    HvBackoffRuntime: HvBackoffTx,
+    LockSortingRuntime: LockSortingTx,
+    OptimizedRuntime: LockSortingTx,
+    UnsortedNoBackoffRuntime: LockSortingTx,
+    VbvRuntime: VbvTx,
+}
 
 
 def _semantics(func):
@@ -124,8 +118,13 @@ class TestEdits:
     )
     def test_edits_build_against_live_methods(self, name, variant):
         mutant = MUTANTS[name]
-        tx_class = _tx_class(variant)
-        methods = mutant.methods(tx_class)
+        tx_class = _fresh_runtime(variant).tx_class
+        subclass = mutant.subclass(tx_class)
+        assert subclass.__bases__ == (tx_class,)
+        methods = {
+            method: func for method, func in vars(subclass).items()
+            if inspect.isfunction(func)
+        }
         assert set(methods) == {method for method, _old, _new in mutant.edits}
         for method, func in methods.items():
             # each edit changes what runs, not just comments
@@ -139,7 +138,7 @@ class TestEdits:
         mutant = Mutant("bad-edit", ("hv-sorting",), "", ("oracle",),
                         edits=[("tx_commit", old, "pass")])
         with pytest.raises(ValueError) as info:
-            mutant.methods(_tx_class("hv-sorting"))
+            mutant.subclass(_fresh_runtime("hv-sorting").tx_class)
         message = str(info.value)
         assert "'bad-edit'" in message and ".tx_commit" in message, message
         assert "%d times" % count in message, message

@@ -13,6 +13,7 @@ import gc
 
 import pytest
 
+from repro.faults.mutants import MUTANTS, MutantRuntimeFactory
 from repro.faults.plan import FaultPlan
 from repro.faults.sanitizer import StmSanitizer
 from repro.gpu import Device, ProgressError
@@ -84,6 +85,18 @@ def test_each_variant(variant):
     def run():
         run_ra(variant, gpu=configs.explore_gpu(max_steps=200_000),
                capture=True)
+
+    assert cyclic_repro_garbage(run) == []
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_each_mutant(name):
+    # a mutant is its runtime's transaction class, so a mutated run is
+    # freed like any other
+    def run():
+        run_ra(MUTANTS[name].variants[0],
+               gpu=configs.explore_gpu(max_steps=200_000), capture=True,
+               runtime_factory=MutantRuntimeFactory(name))
 
     assert cyclic_repro_garbage(run) == []
 

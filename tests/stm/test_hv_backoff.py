@@ -20,7 +20,7 @@ class TestStructure:
             class warp:
                 shared = {}
 
-        tx = runtime.make_thread(FakeTc())
+        tx = runtime.tx_class(runtime, FakeTc())
         assert isinstance(tx.locklog, EncounterOrderLog)
 
     def test_always_hierarchical_validation(self):

@@ -58,5 +58,5 @@ class TestSelection:
             class warp:
                 shared = {}
 
-        tx = runtime.make_thread(FakeTc())
+        tx = runtime.tx_class(runtime, FakeTc())
         assert isinstance(tx.locklog, LockLog)

@@ -2,6 +2,7 @@
 
 from repro.gpu import Device
 from repro.gpu.config import small_config
+from repro.stm import StmConfig, make_runtime
 from repro.stm.locklog import EncounterOrderLog
 from repro.stm.runtime.unsorted import (
     UnsortedNoBackoffRuntime,
@@ -20,6 +21,17 @@ class TestUnsortedRuntime:
         runtime = UnsortedNoBackoffRuntime(device, num_locks=8)
         assert runtime.max_lock_attempts >= 10**9
 
+    def test_class_forces_unbounded_attempts(self):
+        """The unbounded retry bound is the class's, whatever bound the
+        caller or the STM config passes."""
+        device = Device(small_config())
+        config = StmConfig(num_locks=8, max_lock_attempts=16)
+        for runtime in (
+            make_runtime("hv-unsorted-nobackoff", device, config),
+            UnsortedNoBackoffRuntime(device, num_locks=8, max_lock_attempts=16),
+        ):
+            assert runtime.max_lock_attempts == 10**9
+
     def test_encounter_order_log(self):
         device = Device(small_config())
         runtime = UnsortedNoBackoffRuntime(device, num_locks=8)
@@ -31,7 +43,7 @@ class TestUnsortedRuntime:
             class warp:
                 shared = {}
 
-        tx = runtime.make_thread(FakeTc())
+        tx = runtime.tx_class(runtime, FakeTc())
         assert isinstance(tx.locklog, EncounterOrderLog)
 
     def test_works_fine_without_contention(self):
