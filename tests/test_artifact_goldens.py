@@ -7,10 +7,12 @@ of each rendered ``*.txt`` table), the ledger service's
 ``service_summary.json``, the multi-device ``survival_map.{json,txt}``,
 the byzantine ``byz_matrix.json`` on one and on two devices, a
 3-mutant ``efficacy_matrix.json``, and the captured-run targets'
-``fuzz_summary.json`` and ``sanitize_summary.json``.  This test regenerates each one and
-compares its SHA-256 against ``tests/goldens/artifacts.json``, so a
-refactor that claims "nothing changed" is checked by the suite instead
-of by hand against a copy of its parent.
+``fuzz_summary.json`` and ``sanitize_summary.json``, plus the Chrome-trace
+timelines of the service run and of one ``trace`` of a workload.  This
+test regenerates each one and compares its SHA-256 against
+``tests/goldens/artifacts.json``, so a refactor that claims "nothing
+changed" is checked by the suite instead of by hand against a copy of its
+parent.
 
 If an intentional behaviour change moves an artifact, regenerate the
 ledger and say so in the change description::
@@ -32,9 +34,10 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 
 #: (run name, CLI argv after ``python -m``, artifacts it must write), with
 #: ``{out}`` the run's output directory; the sweep argv mirror the
-#: matching CI job (`expdb-smoke`, `sweep-smoke`), while ``inject`` keeps
-#: a 3-mutant, 2-checker slice of the campaign `smokes` runs in full and
-#: ``fuzz`` two ``random`` seeds of CI's four per policy
+#: matching CI job (`expdb-smoke`, `sweep-smoke`, and `smokes`' one-workload
+#: ``trace``), while ``inject`` keeps a 3-mutant, 2-checker slice of the
+#: campaign `smokes` runs in full and ``fuzz`` two ``random`` seeds of CI's
+#: four per policy
 RUNS = (
     ("reproduce",
      ["repro", "reproduce", "--smoke", "--jobs", "2", "--out", "{out}",
@@ -45,7 +48,9 @@ RUNS = (
       "--duration-cycles", "50000", "--seed", "7", "--retries", "2",
       "--metrics", "--timeline", "--resume", "{out}/sweep.journal",
       "--out", "{out}"],
-     ["service_summary.json"]),
+     ["service_summary.json",
+      "timelines/cgl_poisson_load2_skew0.8.trace.json",
+      "timelines/vbv_poisson_load2_skew0.8.trace.json"]),
     ("multigpu",
      ["repro", "multigpu", "--variants", "cgl,vbv", "--remote-frac", "0,0.5",
       "--link-latency", "40,160", "--retries", "2", "--metrics",
@@ -76,6 +81,10 @@ RUNS = (
      ["repro.harness", "sanitize", "--workload", "ra", "--variant", "all",
       "--out", "{out}"],
      ["sanitize_summary.json"]),
+    ("trace",
+     ["repro.harness", "trace", "ra", "--quick", "--variant", "hv-sorting",
+      "--out", "{out}"],
+     ["ra-hv-sorting.trace.json"]),
 )
 
 
