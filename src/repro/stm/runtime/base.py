@@ -196,7 +196,8 @@ class TxThread:
     # and the history accessors read_entries() / write_entries().
 
     def read_entries(self):
-        """Iterable of (addr, value) transactional reads (for history)."""
+        """Sized collection of (addr, value) transactional reads (for
+        history); ``len()`` of it is the read-set size."""
         return ()
 
     def write_entries(self):

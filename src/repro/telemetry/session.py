@@ -73,7 +73,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def on_commit(self, tx, version):
         registry = self.registry
-        registry.observe("stm.tx.read_set", len(list(tx.read_entries())))
+        registry.observe("stm.tx.read_set", len(tx.read_entries()))
         registry.observe("stm.tx.write_set", len(tx.write_entries()))
         if self.timeline is not None:
             self._commit_versions[tx.tc.tid] = version
