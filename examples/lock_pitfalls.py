@@ -65,6 +65,21 @@ def demo_scheme2():
     )
 
 
+def demo_scheme3_one_lock():
+    device = Device(tiny_device(200_000))
+    lock = device.mem.alloc(1)
+    counter = device.mem.alloc(1)
+
+    def kernel(tc, lock):
+        yield from locks.scheme3_section(tc, lock, increment_body(counter))
+
+    device.launch(kernel, 2, 4, args=(lock,))
+    print(
+        "scheme #3 (divergent):       correct with one lock, counter=%d — "
+        "losers retry while the winner runs" % device.mem.read(counter)
+    )
+
+
 def demo_scheme3_livelock():
     device = Device(tiny_device())
     lock_base = device.mem.alloc(2)
@@ -123,6 +138,7 @@ def demo_lock_sorting_fix():
 def main():
     demo_scheme1()
     demo_scheme2()
+    demo_scheme3_one_lock()
     demo_scheme3_livelock()
     demo_lock_sorting_fix()
 

@@ -22,7 +22,7 @@ _SUBCOMMANDS = (
      "byzantine-lane resilience campaign: adversarial behaviors x STM "
      "variants, containment and detection-latency matrix"),
     ("db", "repro.expdb.cli",
-     "query the experiment database: runs, diffs, reports, artifact "
+     "query the experiment database: runs, reports, artifact "
      "re-hashing"),
     ("reproduce", "repro.expdb.reproduce",
      "regenerate the full artifact bundle and record it in the "

@@ -24,10 +24,6 @@ class Counters:
         counts = self._counts
         counts[name] = counts.get(name, 0) + amount
 
-    def get(self, name):
-        """Return the value of counter ``name`` (0 if never incremented)."""
-        return self._counts.get(name, 0)
-
     def merge(self, other):
         """Accumulate every counter of ``other`` into this bag."""
         counts = self._counts
@@ -45,13 +41,8 @@ class Counters:
         return dict(sorted(self._counts.items()))
 
     def __getitem__(self, name):
+        """The value of counter ``name`` (0 if never incremented)."""
         return self._counts.get(name, 0)
-
-    def __repr__(self):
-        items = ", ".join(
-            "%s=%d" % (k, v) for k, v in sorted(self._counts.items())
-        )
-        return "Counters(%s)" % items
 
 
 class PhaseCycles:
@@ -67,11 +58,6 @@ class PhaseCycles:
 
     def __init__(self):
         self.cycles = {}
-
-    def add(self, phase, amount):
-        """Attribute ``amount`` cycles to ``phase``."""
-        cycles = self.cycles
-        cycles[phase] = cycles.get(phase, 0) + amount
 
     def merge(self, other):
         """Accumulate another breakdown into this one."""

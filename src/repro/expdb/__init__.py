@@ -12,8 +12,8 @@ hash-pinned record.  Three layers:
   failure taxonomy, and SHA-256s of every emitted artifact;
 * :mod:`repro.expdb.recorder` — builds those rows from a finished sweep.
 
-``python -m repro db`` (:mod:`repro.expdb.cli`) queries, diffs and
-reports; ``python -m repro reproduce`` (:mod:`repro.expdb.reproduce`)
+``python -m repro db`` (:mod:`repro.expdb.cli`) shows, reports on and
+verifies runs; ``python -m repro reproduce`` (:mod:`repro.expdb.reproduce`)
 regenerates every figure/table through the journaled, retried sweep
 executor and records
 the whole bundle.

@@ -15,8 +15,7 @@ Schema (one database file, created on first open):
     makes journal↔DB consistency checkable;
 ``metrics``
     the run's merged :class:`~repro.telemetry.MetricRegistry`, flattened
-    to (kind, name, value) rows so ``db diff`` can compare runs
-    metric-by-metric in SQL;
+    to (kind, name, value) rows so runs compare metric-by-metric in SQL;
 ``failures``
     the run's failure-taxonomy counts (livelock/deadlock/transient/
     timeout/worker-lost/oom/unpicklable/error);
@@ -33,8 +32,8 @@ the schema version.
 
 Everything stored is plain data; reads return dicts.  Timestamps are
 recorded (UTC ISO-8601) but kept out of every deterministic surface —
-``run_key``, spec fingerprints, artifact hashes and ``db diff`` output
-depend only on what was computed, never on when.
+``run_key``, spec fingerprints and artifact hashes depend only on what
+was computed, never on when.
 """
 
 import datetime
@@ -115,7 +114,7 @@ def _utcnow():
 class RunRecord:
     """Everything :meth:`ExperimentDB.record_run` stores for one run.
 
-    Plain data, built either by hand (tests, ``db record``) or by
+    Plain data, built either by hand (tests) or by
     :class:`~repro.expdb.recorder.SweepRecorder` from a finished sweep.
     ``fingerprints`` is the ordered list of per-spec sha256 hashes
     (``spec_keys`` the human-readable reprs riding along); ``metrics`` a
@@ -361,14 +360,6 @@ class ExperimentDB:
                 " ORDER BY path", (run_id,),
             )
         ]
-
-    def run_summary(self, run_id):
-        row = self._conn.execute(
-            "SELECT summary FROM runs WHERE id = ?", (run_id,)
-        ).fetchone()
-        if row is None or row["summary"] is None:
-            return None
-        return json.loads(row["summary"])
 
     def experiments(self):
         """Distinct experiment names with run counts, sorted by name."""

@@ -13,9 +13,9 @@ The run key is :func:`sweep_run_key`: sha256 over the experiment name and
 the ordered per-spec fingerprints (the same
 :func:`~repro.harness.journal.spec_fingerprint` hashes the sweep journal
 checkpoints under).  Identical work therefore records an identical key in
-every process on every machine — that is what lets ``db diff`` line two
-runs up and the CI smoke assert a journal-resumed rerun recorded against
-the same fingerprints.
+every process on every machine — that is what lets ``db report`` line
+two runs up and the CI smoke assert a journal-resumed rerun recorded
+against the same fingerprints.
 """
 
 import hashlib

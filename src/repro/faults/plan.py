@@ -234,11 +234,6 @@ class FaultPlan:
             for spec in specs
         ]
 
-    def add(self, kind, **kwargs):
-        """Append a spec; returns ``self`` for chaining."""
-        self.specs.append(FaultSpec(kind, **kwargs))
-        return self
-
     def arm(self, device):
         """Resolve the plan against ``device`` and install the injector.
 
@@ -259,9 +254,6 @@ class FaultPlan:
             if spec.kind in BYZ_KINDS:
                 tids.update(spec.lanes(total_threads))
         return tids
-
-    def __len__(self):
-        return len(self.specs)
 
 
 class _Armed:

@@ -69,12 +69,12 @@ class GpuConfig:
     smem_banks: int = 32
     # Warp scheduling: how many consecutive steps one warp is issued before
     # the SM rotates to the next resident warp.  1 = fine-grained round
-    # robin (loose interleaving, Fermi-like); larger values approximate a
-    # greedy-then-oldest scheduler (coarser interleaving, which changes how
-    # often transactions overlap — see the scheduler-policy ablation).
+    # robin (loose interleaving, Fermi-like); larger values keep issuing one
+    # warp for several steps (coarser interleaving, which changes how often
+    # transactions overlap — see the scheduler-policy ablation).
     warp_steps_per_turn: int = 1
     # Warp-selection policy spec resolved by repro.sched.policy.make_policy
-    # ("rr", "random:SEED", "greedy:TURN", "adversarial:SEED", a policy
+    # ("rr", "random:SEED", "adversarial:SEED", a policy
     # instance, or a recorded-trace dict).  "rr" preserves the historical
     # fixed round-robin issue bit-identically.  An explicit ``policy=``
     # argument to Device.launch overrides this.
@@ -130,7 +130,8 @@ class GpuConfig:
 
 
 def small_config(warp_size=4, num_sms=2, max_steps=2_000_000):
-    """A small geometry used throughout the unit tests."""
+    """A small, strict geometry: schedule exploration's
+    (:func:`repro.harness.configs.explore_gpu`) and the unit tests'."""
     return GpuConfig(
         warp_size=warp_size,
         num_sms=num_sms,

@@ -59,10 +59,3 @@ class KernelResult:
             return 0.0
         return self.thread_cycles_in_tx / self.thread_cycles_total
 
-    def __repr__(self):
-        return "KernelResult(%s, cycles=%d, threads=%d, steps=%d)" % (
-            self.kernel_name,
-            self.cycles,
-            self.threads,
-            self.steps,
-        )

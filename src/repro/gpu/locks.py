@@ -28,13 +28,6 @@ def divergent_acquire(tc, lock_addr, phase=Phase.NATIVE):
             return
 
 
-def try_acquire(tc, lock_addr, phase=Phase.NATIVE):
-    """Single CAS attempt; generator returning True on success."""
-    old = tc.atomic_cas(lock_addr, 0, 1, phase)
-    yield
-    return old == 0
-
-
 def release(tc, lock_addr, phase=Phase.NATIVE):
     """Release a spinlock (plain store, like Algorithm 1 line 4)."""
     tc.gwrite(lock_addr, 0, phase)

@@ -48,13 +48,6 @@ class GlobalMemory:
         self.regions.append(Region(name, base, size))
         return base
 
-    def region(self, name):
-        """Return the first region allocated under ``name``."""
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError("no region named %r" % name)
-
     def check(self, addr):
         """Raise :class:`MemoryFault` unless ``addr`` is a valid word address."""
         if not 0 <= addr < len(self.words):
@@ -95,13 +88,6 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     # Atomic primitives (CUDA semantics: return the OLD value)
     # ------------------------------------------------------------------
-    def atomic_cas(self, addr, expected, new):
-        """Compare-and-swap; returns the value observed before the swap."""
-        old = self.words[addr]
-        if old == expected:
-            self.words[addr] = new
-        return old
-
     def atomic_or(self, addr, value):
         old = self.words[addr]
         self.words[addr] = old | value
@@ -111,9 +97,3 @@ class GlobalMemory:
         old = self.words[addr]
         self.words[addr] = old + value
         return old
-
-    def atomic_inc(self, addr):
-        return self.atomic_add(addr, 1)
-
-    def __len__(self):
-        return len(self.words)

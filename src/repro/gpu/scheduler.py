@@ -7,8 +7,8 @@ The scheduling model mirrors how a Fermi-class GPU executes a kernel grid:
   limits (``max_blocks_per_sm`` / ``max_warps_per_sm``);
 * each SM issues its resident warps one at a time, the *selection* being
   delegated to a :class:`~repro.sched.policy.SchedulingPolicy` (fixed round
-  robin by default; seeded-random, greedy-then-oldest and adversarial
-  policies explore other interleavings of the same kernel);
+  robin by default; seeded-random and adversarial policies explore other
+  interleavings of the same kernel);
 * kernel time is the maximum SM time (SMs run in parallel).
 
 Every launch — single- or multi-device, bare or instrumented — issues

@@ -4,8 +4,7 @@ The warp stepper records one *issue group* per distinct (operation kind,
 phase) pair of a step; each group's pending addresses accumulate in a flat
 array (struct-of-arrays layout: one parallel address array per group
 rather than one record object per lane).  This module supplies the batched
-reductions the cost fold runs over those arrays, plus an on-demand
-:class:`LaneArrays` snapshot of per-lane state as parallel columns.
+reductions the cost fold runs over those arrays.
 
 The reductions are specialized Python set/dict folds: at warp-sized inputs
 they beat any array-library round-trip, whose list-to-ndarray conversion
@@ -44,33 +43,3 @@ def max_bank_conflicts(addrs, banks):
         per_bank[bank] = get(bank, 0) + 1
     return max(per_bank.values())
 
-
-class LaneArrays:
-    """Struct-of-arrays snapshot of one warp's lane state.
-
-    Materialized on demand (watchdog snapshots, microbenchmarks) rather
-    than maintained per operation: the per-op hot path appends to plain
-    group arrays, and this view batches the per-lane columns — program
-    counter (resumptions survived), active mask, accumulated latency
-    cycles, cycles inside transactions — into parallel lists.
-    """
-
-    __slots__ = ("lane_id", "active", "pc", "cycles", "in_tx")
-
-    def __init__(self, warp):
-        lanes = warp.lanes
-        self.lane_id = [lane.tc.lane_id for lane in lanes]
-        self.active = [not lane.done for lane in lanes]
-        self.pc = [warp.steps] * len(lanes)
-        self.cycles = [lane.tc.cycles_total for lane in lanes]
-        self.in_tx = [lane.tc.cycles_in_tx for lane in lanes]
-
-    def as_dict(self):
-        """JSON-friendly column dump (diagnostic snapshots)."""
-        return {
-            "lane_id": list(self.lane_id),
-            "active": list(self.active),
-            "pc": list(self.pc),
-            "cycles": list(self.cycles),
-            "in_tx": list(self.in_tx),
-        }

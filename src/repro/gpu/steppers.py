@@ -29,7 +29,8 @@ Two modes, one call-site form.  On a context without instrument probes
 stepper is **fast**: the probe is recorded inline, its latency charge is
 deferred and settled in one multiplication at hand-back (nothing can
 observe a polling lane's phase map in between — it runs no code, and
-``lane_snapshot()`` and the watchdog snapshot settle first), and the lane
+``Warp.settle_polling()``, which the watchdog snapshot calls, settles it
+first), and the lane
 counts toward the warp's quiet-step test (see ``Warp.step``).  On a
 :class:`~repro.gpu.thread.ProbedThreadCtx` (timeline, sanitizer, fault
 injector, multi-device link) it is **exact**: every probe is a real

@@ -295,8 +295,8 @@ class ThreadCtx:
     def atomic_cas(self, addr, expected, new, phase=Phase.NATIVE):
         """Atomic compare-and-swap; returns the old value.
 
-        Inlined like the loads and stores above (``_account`` plus
-        ``GlobalMemory.atomic_cas``): lock acquisition — the spinlock
+        Inlined like the loads and stores above (``_account`` plus the
+        swap on the word array): lock acquisition — the spinlock
         baselines' every hand-over, EGPGV's encounter-time locks, the
         sequence-lock commit — is a CAS per contending lane per attempt.
         """

@@ -23,7 +23,7 @@ throughput cost (DESIGN.md section 4):
 
 from repro.gpu.errors import GpuError
 from repro.gpu.events import OpKind
-from repro.gpu.soa import LaneArrays, distinct_lines, max_bank_conflicts, max_multiplicity
+from repro.gpu.soa import distinct_lines, max_bank_conflicts, max_multiplicity
 from repro.gpu.steppers import LaneStepper
 from repro.gpu.thread import ThreadCtx
 
@@ -386,12 +386,6 @@ class Warp:
                 stepper.settle()
                 polling.setdefault(stepper.addr, []).append(lane.tc.lane_id)
         return polling
-
-    def lane_snapshot(self):
-        """Struct-of-arrays view of this warp's per-lane state
-        (:class:`repro.gpu.soa.LaneArrays`), materialized on demand."""
-        self.settle_polling()
-        return LaneArrays(self)
 
 
 class BlockState:

@@ -7,7 +7,9 @@ with 1M-64M words of shared data and up to 65,536 threads.  We keep every
 has Mi.
 """
 
-from repro.gpu.config import GpuConfig
+import dataclasses
+
+from repro.gpu.config import GpuConfig, small_config
 
 #: default version-lock table (paper: 1 Mi; here 8 Ki — scaled so that a
 #: warp's commit-time lock footprint relative to the table, which is what
@@ -34,15 +36,7 @@ def explore_gpu(max_steps=2_000_000, **overrides):
     tight watchdog turns schedule-induced livelock into a fast, structured
     failure instead of a long spin.
     """
-    params = dict(
-        warp_size=4,
-        num_sms=2,
-        max_steps=max_steps,
-        strict_lockstep=True,
-        check_bounds=True,
-    )
-    params.update(overrides)
-    return GpuConfig(**params)
+    return dataclasses.replace(small_config(max_steps=max_steps), **overrides)
 
 
 def override_gpu(gpu, overrides):
@@ -58,13 +52,7 @@ def override_gpu(gpu, overrides):
 
 def unit_gpu(max_steps=8_000_000):
     """Small device for workload unit tests."""
-    return GpuConfig(
-        warp_size=8,
-        num_sms=4,
-        max_steps=max_steps,
-        strict_lockstep=True,
-        check_bounds=True,
-    )
+    return small_config(warp_size=8, num_sms=4, max_steps=max_steps)
 
 
 # ----------------------------------------------------------------------

@@ -197,9 +197,3 @@ class SweepJournal:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()

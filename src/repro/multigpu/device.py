@@ -101,8 +101,3 @@ class MultiDevice(Device):
             if name.startswith("mg."):
                 registry.add("multigpu." + name[3:], value)
         registry.set_gauge("multigpu.devices", self.config.devices)
-
-    def _trace_meta(self, result):
-        meta = super()._trace_meta(result)
-        meta["devices"] = self.config.devices
-        return meta

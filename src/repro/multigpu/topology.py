@@ -118,22 +118,7 @@ class Topology:
         """Home device of global address ``addr``."""
         return (addr >> self._shift) % self.devices
 
-    def latency(self, src, dst):
-        """Link latency between two devices (0 on-device)."""
-        return self._rows[src][dst]
-
     def latency_row(self, src):
         """All-destination latency tuple for ``src`` (hot-path cache)."""
         return self._rows[src]
 
-    def describe(self):
-        """JSON-friendly summary (survival-map / run_info provenance)."""
-        link = self.link_model
-        return {
-            "devices": self.devices,
-            "interleave_words": self.interleave_words,
-            "same_switch_latency": link.same_switch_latency,
-            "cross_switch_latency": link.cross_switch_latency,
-            "link_txn_cost": link.link_txn_cost,
-            "devices_per_switch": link.devices_per_switch,
-        }

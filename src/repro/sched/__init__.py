@@ -6,8 +6,8 @@ This package turns the simulator's single fixed schedule into an explorable
 space:
 
 * :mod:`repro.sched.policy` — the :class:`SchedulingPolicy` interface and
-  the built-in policies (round robin, seeded random, greedy-then-oldest,
-  adversarial lock-holder starvation);
+  the built-in policies (round robin, seeded random, adversarial
+  lock-holder starvation);
 * :mod:`repro.sched.trace` — :class:`ScheduleTrace` record/replay: any
   launch's issue trace serializes to JSON and re-executes deterministically
   through a :class:`ReplayPolicy`;
@@ -25,7 +25,6 @@ dependency on :mod:`repro.sched.policy` stays feather-light.
 from repro.sched.policy import (
     POLICIES,
     Adversarial,
-    GreedyThenOldest,
     RoundRobin,
     SchedulingPolicy,
     SeededRandom,
@@ -36,7 +35,6 @@ from repro.sched.trace import ReplayPolicy, ScheduleTrace
 __all__ = [
     "POLICIES",
     "Adversarial",
-    "GreedyThenOldest",
     "ReplayPolicy",
     "RoundRobin",
     "SchedulingPolicy",

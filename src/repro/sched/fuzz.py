@@ -35,8 +35,8 @@ def policy_specs(policies, seeds):
     """Expand policy templates over the seed list.
 
     Seeded templates ("random", "adversarial") produce one spec per seed;
-    fully-parameterized or deterministic specs ("rr", "greedy:8",
-    "random:7") run once, since repeating them explores nothing new.
+    fully-parameterized or deterministic specs ("rr", "random:7") run
+    once, since repeating them explores nothing new.
     """
     expanded = []
     for template in policies:

@@ -15,15 +15,12 @@ can execute many different interleavings of the *same* kernel:
   ``tests/test_golden_cycles.py``);
 * :class:`SeededRandom` — uniform random warp choice with a randomized
   per-turn step quota, fully determined by its seed;
-* :class:`GreedyThenOldest` — GTO-style: keep issuing the same warp until
-  its quota expires or it retires, then fall back to the oldest resident
-  warp;
 * :class:`Adversarial` — preferentially starves warps whose lanes hold
   version locks (i.e. delays committers mid-commit), maximizing the
   window in which other warps observe locked or stale stripes.
 
 Policies are addressed by compact *specs* — strings like ``"rr"``,
-``"random:7"``, ``"greedy:8"``, ``"adversarial:3"`` — so they travel
+``"random:7"``, ``"adversarial:3"`` — so they travel
 through :class:`~repro.harness.parallel.JobSpec` GPU-config overrides and
 JSON artifacts unchanged.  :func:`make_policy` resolves a spec (or a
 policy instance, or a recorded-trace dict) into a policy object.
@@ -126,48 +123,6 @@ class SeededRandom(SchedulingPolicy):
         return 1 + self._rng.randrange(self.max_turn)
 
 
-class GreedyThenOldest(SchedulingPolicy):
-    """GTO-style scheduling: stick with one warp, then take the oldest.
-
-    The simulator has no stall signal, so "until it stalls" is
-    approximated by a per-turn step quota; when the sticky warp retires
-    (or on first selection) the policy falls back to the oldest resident
-    warp, which is index 0 of the admission-ordered resident list.
-    """
-
-    name = "greedy"
-
-    def __init__(self, turn=16):
-        if turn < 1:
-            raise ValueError("turn quota must be >= 1")
-        self.turn = turn
-        self._sticky = {}
-
-    def spec(self):
-        return "greedy:%d" % self.turn
-
-    def reset(self, config):
-        super().reset(config)
-        self._sticky.clear()
-
-    def select(self, sm):
-        warps = sm.resident_warps
-        sticky = self._sticky.get(sm.index)
-        if sticky is not None:
-            for index, warp in enumerate(warps):
-                if warp is sticky:
-                    return index
-        self._sticky[sm.index] = warps[0]
-        return 0
-
-    def quota(self, sm, warp):
-        return self.turn
-
-    def issued(self, sm, index, retired):
-        if retired:
-            self._sticky.pop(sm.index, None)
-
-
 class Adversarial(SchedulingPolicy):
     """Starve lock holders: schedule around committing transactions.
 
@@ -237,8 +192,6 @@ POLICIES = {
     RoundRobin.name: RoundRobin,
     "round-robin": RoundRobin,
     SeededRandom.name: SeededRandom,
-    GreedyThenOldest.name: GreedyThenOldest,
-    "gto": GreedyThenOldest,
     Adversarial.name: Adversarial,
 }
 
@@ -248,7 +201,7 @@ def make_policy(spec):
 
     Accepts a policy instance (returned unchanged), ``None`` (round
     robin), a spec string (``"rr"``, ``"random:SEED[:MAXTURN]"``,
-    ``"greedy[:TURN]"``, ``"adversarial[:SEED]"``), or a recorded-trace
+    ``"adversarial[:SEED]"``), or a recorded-trace
     dict (``{"type": "replay", "decisions": [...]}``) which yields a
     :class:`~repro.sched.trace.ReplayPolicy`.
     """

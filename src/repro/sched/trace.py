@@ -1,10 +1,11 @@
 """Schedule record & replay.
 
 Any launch can capture its issue trace — one ``[sm, warp_id, steps]``
-entry per scheduling decision — into a :class:`ScheduleTrace`.  The trace
-serializes to JSON, so a failing interleaving found by the fuzzer is
-reproducible from the artifact alone: feed it back through a
-:class:`ReplayPolicy` and the device re-executes the identical schedule,
+entry per scheduling decision — into a :class:`ScheduleTrace`.  Its
+:meth:`~ScheduleTrace.as_dict` is a replay policy spec, plain JSON, so a
+failing interleaving found by the fuzzer is reproducible from the
+artifact alone: ``json.load`` it, pass it as ``policy=`` (which builds a
+:class:`ReplayPolicy`) and the device re-executes the identical schedule,
 producing identical cycles, steps and final memory (the replay-determinism
 property pinned in ``tests/sched/test_trace_replay.py``).
 
@@ -14,8 +15,6 @@ is not currently resident are skipped, and an exhausted trace falls back to
 round-robin issue, so any subsequence of a recorded trace is itself a
 valid, deterministic schedule.
 """
-
-import json
 
 from repro.sched.policy import SchedulingPolicy
 
@@ -42,28 +41,9 @@ class ScheduleTrace:
         """Append one scheduling decision (called by the issue loop)."""
         self.decisions.append([sm_index, warp_id, steps])
 
-    def __len__(self):
-        return len(self.decisions)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScheduleTrace)
-            and self.decisions == other.decisions
-            and self.policy == other.policy
-        )
-
-    def total_steps(self):
-        """Warp steps the recorded schedule issues in total."""
-        return sum(steps for _sm, _warp, steps in self.decisions)
-
-    def replay_policy(self):
-        """A policy that re-executes this trace deterministically."""
-        return ReplayPolicy(self.decisions)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
     def as_dict(self):
+        """The trace as plain JSON data that is also a replay policy spec
+        (``make_policy`` builds its :class:`ReplayPolicy`)."""
         return {
             "version": self.VERSION,
             "type": "replay",
@@ -71,42 +51,6 @@ class ScheduleTrace:
             "meta": dict(self.meta),
             "decisions": [list(d) for d in self.decisions],
         }
-
-    def to_json(self, path=None, indent=None):
-        """Serialize; write to ``path`` when given, else return the string.
-
-        File writes are atomic (temp file + ``os.replace``) so an
-        interrupted dump cannot leave a truncated replay artifact.
-        """
-        payload = json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-        if path is None:
-            return payload
-        from repro.common.fsio import atomic_write_text
-
-        atomic_write_text(path, payload + "\n")
-        return payload
-
-    @classmethod
-    def from_dict(cls, data):
-        version = data.get("version", cls.VERSION)
-        if version != cls.VERSION:
-            raise ValueError(
-                "unsupported schedule trace version %r (supported: %d)"
-                % (version, cls.VERSION)
-            )
-        return cls(
-            policy=data.get("policy"),
-            decisions=data.get("decisions", []),
-            meta=data.get("meta"),
-        )
-
-    @classmethod
-    def from_json(cls, source):
-        """Load from a JSON string or a file path."""
-        if "\n" not in source and not source.lstrip().startswith("{"):
-            with open(source) as handle:
-                source = handle.read()
-        return cls.from_dict(json.loads(source))
 
 
 class ReplayPolicy(SchedulingPolicy):

@@ -41,8 +41,6 @@ def summarize(samples, percentiles=(50, 95, 99)):
         "max": max(samples) if samples else None,
         "mean": round(sum(samples) / n, 3) if n else None,
     }
-    ordered = sorted(samples)
     for q in percentiles:
-        rank = math.ceil(q / 100.0 * n) if n else 0
-        block["p%g" % q] = ordered[rank - 1] if n else None
+        block["p%g" % q] = percentile(samples, q)
     return block

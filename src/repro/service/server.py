@@ -384,7 +384,7 @@ class LedgerService:
                 now += cycles
                 for record in batch:
                     record.commit_cycle = now
-                    latencies.append(record.commit_cycle - record.arrival_cycle)
+                    latencies.append(record.latency)
                     queue_waits.append(record.launch_cycle - record.arrival_cycle)
                     service_times.append(record.commit_cycle - record.launch_cycle)
                     outcome.committed += 1

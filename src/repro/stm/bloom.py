@@ -50,6 +50,3 @@ class BloomFilter:
     def clear(self):
         """Reset to empty (transaction begin)."""
         self.word = 0
-
-    def __bool__(self):
-        return self.word != 0

@@ -69,11 +69,6 @@ class LockLog:
         # done once per mutation instead of once per walk
         self._flat = None
 
-    @property
-    def comparisons(self):
-        """Comparisons counted into this log's tally."""
-        return self.tally.comparisons
-
     def insert(self, lock_id, write=False, read=False):
         """Insert ``lock_id`` keeping sorted order; merge duplicate entries.
 

@@ -50,13 +50,6 @@ class ReadSet:
     def clear(self):
         self.entries.clear()
 
-    def addresses(self):
-        """Distinct addresses in the read-set."""
-        return {addr for addr, _value in self.entries}
-
-    def __len__(self):
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 

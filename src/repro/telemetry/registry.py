@@ -105,9 +105,6 @@ class Histogram:
         buckets = self.buckets
         buckets[bucket] = buckets.get(bucket, 0) + 1
 
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
     def merge(self, other):
         self.count += other.count
         self.total += other.total
@@ -220,15 +217,6 @@ class MetricRegistry:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def total(self, prefix):
-        """Sum of all counters at or below ``prefix`` in the hierarchy."""
-        dotted = prefix + "."
-        return sum(
-            counter.value
-            for name, counter in self._counters.items()
-            if name == prefix or name.startswith(dotted)
-        )
-
     def counters_dict(self):
         return {name: c.value for name, c in sorted(self._counters.items())}
 
@@ -267,20 +255,3 @@ class MetricRegistry:
         from repro.common.fsio import atomic_write_json
 
         return atomic_write_json(path, self.as_dict())
-
-    def render(self, limit=30):
-        """One-screen text digest: the largest counters, then the gauges."""
-        lines = []
-        ranked = sorted(
-            self._counters.values(), key=lambda c: (-c.value, c.name)
-        )
-        for counter in ranked[:limit]:
-            lines.append("  %-48s %d" % (counter.name, counter.value))
-        if len(ranked) > limit:
-            lines.append("  ... %d more counters" % (len(ranked) - limit))
-        for name, histogram in sorted(self._histograms.items()):
-            lines.append(
-                "  %-48s n=%d mean=%.1f max=%s"
-                % (name, histogram.count, histogram.mean(), histogram.max)
-            )
-        return "\n".join(lines) if lines else "  (no metrics recorded)"

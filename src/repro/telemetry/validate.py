@@ -32,6 +32,70 @@ def _fail(message, *args):
     raise ValidationError(message % args if args else message)
 
 
+_METADATA_NAMES = ("process_name", "thread_name", "process_labels",
+                   "process_sort_index", "thread_sort_index")
+
+
+class _Valid:
+    """Stands in for a decoded object that passed the event checks, so a
+    trace validates without holding its events.  It keeps only whether
+    the object had a ``name`` key: a metadata event's ``args`` needs one."""
+
+    __slots__ = ("named",)
+
+    def __init__(self, named):
+        self.named = named
+
+
+_VALID = (_Valid(False), _Valid(True))
+
+
+def _event_problem(event):
+    """What is wrong with one trace event, as the tail of an ``event N``
+    message, or None when it is valid."""
+    if not isinstance(event, dict):
+        return " is not an object"
+    ph = event.get("ph")
+    if not isinstance(ph, str) or not ph:
+        return " has no phase type 'ph'"
+    if ph == "X":
+        for field in ("ts", "dur"):
+            value = event.get(field)
+            if not isinstance(value, _NUMBER) or value < 0:
+                return ": %r must be a non-negative number, got %r" % (field, value)
+        for field in ("pid", "tid"):
+            if not isinstance(event.get(field), int):
+                return ": %r must be an integer" % field
+        if not isinstance(event.get("name"), str):
+            return ": complete events need a string name"
+    elif ph == "i":
+        if not isinstance(event.get("ts"), _NUMBER):
+            return ": instants need a numeric ts"
+        if not isinstance(event.get("name"), str):
+            return ": instants need a string name"
+    elif ph == "M":
+        if event.get("name") not in _METADATA_NAMES:
+            return ": unknown metadata event %r" % (event.get("name"),)
+        args = event.get("args")
+        if isinstance(args, _Valid):
+            named = args.named
+        else:
+            named = isinstance(args, dict) and "name" in args
+        if not named:
+            return ": metadata events need args.name"
+    return None
+
+
+def _stand_in(obj):
+    """``json.load`` object hook: a decoded object that passes the event
+    checks becomes a shared :class:`_Valid`.  Objects are decoded
+    innermost first, so an event's ``args`` is replaced before the event
+    is checked; a root object (one with ``traceEvents``) is kept."""
+    if "ph" in obj and "traceEvents" not in obj and _event_problem(obj) is None:
+        return _VALID["name" in obj]
+    return obj
+
+
 def validate_chrome_trace(data):
     """Validate a Chrome Trace Event Format object; returns the event count.
 
@@ -39,7 +103,8 @@ def validate_chrome_trace(data):
     ``traceEvents`` list of objects, each with a string ``ph``; complete
     events (``X``) carry numeric non-negative ``ts``/``dur`` plus
     ``pid``/``tid``/``name``; instants (``i``) carry ``ts``; metadata
-    events (``M``) carry a known ``name`` and an ``args.name``.
+    events (``M``) carry a known ``name`` and an ``args.name``.  The
+    first invalid event is reported with its index.
     """
     if not isinstance(data, dict):
         _fail("trace root must be an object, got %s", type(data).__name__)
@@ -47,35 +112,11 @@ def validate_chrome_trace(data):
     if not isinstance(events, list):
         _fail("traceEvents must be a list")
     for index, event in enumerate(events):
-        if not isinstance(event, dict):
-            _fail("event %d is not an object", index)
-        ph = event.get("ph")
-        if not isinstance(ph, str) or not ph:
-            _fail("event %d has no phase type 'ph'", index)
-        if ph == "X":
-            for field in ("ts", "dur"):
-                value = event.get(field)
-                if not isinstance(value, _NUMBER) or value < 0:
-                    _fail("event %d: %r must be a non-negative number, got %r",
-                          index, field, value)
-            for field in ("pid", "tid"):
-                if not isinstance(event.get(field), int):
-                    _fail("event %d: %r must be an integer", index, field)
-            if not isinstance(event.get("name"), str):
-                _fail("event %d: complete events need a string name", index)
-        elif ph == "i":
-            if not isinstance(event.get("ts"), _NUMBER):
-                _fail("event %d: instants need a numeric ts", index)
-            if not isinstance(event.get("name"), str):
-                _fail("event %d: instants need a string name", index)
-        elif ph == "M":
-            if event.get("name") not in ("process_name", "thread_name",
-                                         "process_labels", "process_sort_index",
-                                         "thread_sort_index"):
-                _fail("event %d: unknown metadata event %r", index, event.get("name"))
-            args = event.get("args")
-            if not isinstance(args, dict) or "name" not in args:
-                _fail("event %d: metadata events need args.name", index)
+        if isinstance(event, _Valid):
+            continue
+        problem = _event_problem(event)
+        if problem is not None:
+            _fail("event %d%s", index, problem)
     return len(events)
 
 
@@ -104,12 +145,19 @@ def validate_metrics(data):
 
 
 def validate_file(path):
-    """Validate one artifact, dispatching on its shape; returns a summary."""
+    """Validate one artifact, dispatching on its shape; returns a summary.
+
+    A trace's events are checked as they are decoded (:func:`_stand_in`),
+    so only the invalid ones stay in memory; anything else is read again
+    plainly and checked as a metrics dump.
+    """
     with open(path) as handle:
-        data = json.load(handle)
+        data = json.load(handle, object_hook=_stand_in)
     if isinstance(data, dict) and "traceEvents" in data:
         count = validate_chrome_trace(data)
         return "%s: valid Chrome trace (%d events)" % (path, count)
+    with open(path) as handle:
+        data = json.load(handle)
     count = validate_metrics(data)
     return "%s: valid metrics dump (%d counters)" % (path, count)
 

@@ -6,7 +6,6 @@ from repro.common.stats import Counters, PhaseCycles
 class TestCounters:
     def test_default_zero(self):
         c = Counters()
-        assert c.get("x") == 0
         assert c["x"] == 0
 
     def test_add_and_get(self):
@@ -43,24 +42,21 @@ class TestCounters:
             late.add(name)
         assert list(early.as_dict()) == list(late.as_dict()) == sorted(early.as_dict())
 
-    def test_repr_sorted(self):
-        c = Counters()
-        c.add("b")
-        c.add("a")
-        assert repr(c) == "Counters(a=1, b=1)"
+
+def _phases(**cycles):
+    """A breakdown holding ``cycles``; thread contexts charge through the
+    same ``cycles`` map."""
+    phases = PhaseCycles()
+    phases.cycles.update(cycles)
+    return phases
 
 
 class TestPhaseCycles:
     def test_add_total(self):
-        p = PhaseCycles()
-        p.add("native", 10)
-        p.add("commit", 30)
-        assert p.total() == 40
+        assert _phases(native=10, commit=30).total() == 40
 
     def test_fractions(self):
-        p = PhaseCycles()
-        p.add("native", 25)
-        p.add("commit", 75)
+        p = _phases(native=25, commit=75)
         fr = p.fractions()
         assert fr == {"native": 0.25, "commit": 0.75}
 
@@ -68,19 +64,6 @@ class TestPhaseCycles:
         assert PhaseCycles().fractions() == {}
 
     def test_merge(self):
-        a = PhaseCycles()
-        b = PhaseCycles()
-        a.add("native", 1)
-        b.add("native", 2)
-        b.add("locks", 3)
-        a.merge(b)
+        a = _phases(native=1)
+        a.merge(_phases(native=2, locks=3))
         assert a.as_dict() == {"native": 3, "locks": 3}
-
-    def test_negative_adjustment(self):
-        """Abort reclassification subtracts from phases."""
-        p = PhaseCycles()
-        p.add("commit", 10)
-        p.add("commit", -10)
-        p.add("aborted", 10)
-        assert p.as_dict()["commit"] == 0
-        assert p.as_dict()["aborted"] == 10

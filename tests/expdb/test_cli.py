@@ -1,9 +1,10 @@
-"""``python -m repro db``: record, query, diff stability, verify."""
+"""``python -m repro db``: show, last, report, verify."""
 
 import pytest
 
 from repro.expdb.cli import main
 from repro.expdb.db import ExperimentDB, RunRecord
+from repro.expdb.recorder import hash_file
 
 
 def _seeded_record(seed, cycles):
@@ -17,23 +18,32 @@ def _seeded_record(seed, cycles):
     )
 
 
+def _record_with_artifact(db_path, experiment, artifact, **kwargs):
+    sha, size = hash_file(str(artifact))
+    with ExperimentDB(db_path) as db:
+        return db.record_run(RunRecord(
+            experiment, "ab" * 32, artifacts=[(str(artifact), sha, size)],
+            **kwargs))
+
+
 class TestRecordAndQuery:
     def test_record_query_show_last(self, tmp_path, capsys):
+        """A recorded run reads back through ``last`` and ``show``."""
         db_path = str(tmp_path / "e.sqlite")
         artifact = tmp_path / "table.txt"
         artifact.write_text("| data |\n")
-        assert main(["--db", db_path, "record", "adhoc",
-                     "--artifact", str(artifact), "--seed", "5"]) == 0
-        assert main(["--db", db_path, "query"]) == 0
+        run_id = _record_with_artifact(db_path, "adhoc", artifact, seed=5)
         assert main(["--db", db_path, "last"]) == 0
-        out = capsys.readouterr().out
-        assert "adhoc" in out
-        assert "seed:        5" in out
-        assert str(artifact) in out
+        last = capsys.readouterr().out
+        assert main(["--db", db_path, "show", str(run_id)]) == 0
+        assert capsys.readouterr().out == last
+        assert "adhoc" in last
+        assert "seed:        5" in last
+        assert str(artifact) in last
 
     def test_query_empty_db(self, tmp_path, capsys):
-        assert main(["--db", str(tmp_path / "e.sqlite"), "query"]) == 0
-        assert "no recorded runs" in capsys.readouterr().out
+        assert main(["--db", str(tmp_path / "e.sqlite"), "report"]) == 0
+        assert "_No recorded runs._" in capsys.readouterr().out
 
     def test_unknown_ref_exits_2(self, tmp_path, capsys):
         assert main(["--db", str(tmp_path / "e.sqlite"), "show", "7"]) == 2
@@ -50,40 +60,12 @@ class TestRecordAndQuery:
         assert "no run with key %r" % ref in capsys.readouterr().err
 
 
-class TestDiff:
-    def test_diff_two_seeded_runs_is_bit_stable(self, tmp_path, capsys):
-        db_path = str(tmp_path / "e.sqlite")
-        with ExperimentDB(db_path) as db:
-            db.record_run(_seeded_record(1, 100))
-            db.record_run(_seeded_record(2, 140))
-        assert main(["--db", db_path, "diff", "1", "2"]) == 0
-        first = capsys.readouterr().out
-        assert main(["--db", db_path, "diff", "1", "2"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert "seed: 1 -> 2" in first
-        assert "different run_key" in first
-        assert "tx.commits" in first and "(+10)" in first
-        assert "cells" in first and "cycles" in first
-
-    def test_diff_identical_runs(self, tmp_path, capsys):
-        db_path = str(tmp_path / "e.sqlite")
-        with ExperimentDB(db_path) as db:
-            db.record_run(_seeded_record(1, 100))
-            db.record_run(_seeded_record(1, 100))
-        assert main(["--db", db_path, "diff", "1", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "identical run_key" in out
-        assert "all identical" in out
-
-
 class TestVerify:
     def test_verify_catches_tampering(self, tmp_path, capsys):
         db_path = str(tmp_path / "e.sqlite")
         artifact = tmp_path / "out.txt"
         artifact.write_text("original\n")
-        assert main(["--db", db_path, "record", "exp",
-                     "--artifact", str(artifact)]) == 0
+        _record_with_artifact(db_path, "exp", artifact)
         assert main(["--db", db_path, "verify", "last"]) == 0
         artifact.write_text("tampered\n")
         assert main(["--db", db_path, "verify", "last"]) == 1
@@ -107,5 +89,5 @@ class TestDispatcher:
         from repro.__main__ import main as top_main
 
         assert top_main(["db", "--db", str(tmp_path / "e.sqlite"),
-                         "query"]) == 0
-        assert "no recorded runs" in capsys.readouterr().out
+                         "report"]) == 0
+        assert "_No recorded runs._" in capsys.readouterr().out

@@ -6,6 +6,8 @@ import pytest
 
 from repro.expdb.db import ExperimentDB, RunRecord, _flatten_metrics, default_db_path
 
+from tests.helpers import stored_summary
+
 
 def _record(experiment="exp", run_key="a" * 64, **kwargs):
     kwargs.setdefault("provenance", {"git": {"sha": "s" * 40, "dirty": False}})
@@ -14,7 +16,8 @@ def _record(experiment="exp", run_key="a" * 64, **kwargs):
 
 class TestRoundtrip:
     def test_record_and_read_back(self, tmp_path):
-        db = ExperimentDB(str(tmp_path / "e.sqlite"))
+        path = str(tmp_path / "e.sqlite")
+        db = ExperimentDB(path)
         run_id = db.record_run(_record(
             seed=7, jobs_total=4, jobs_failed=1, wall_seconds=1.5,
             sim_cycles=1234,
@@ -42,8 +45,8 @@ class TestRoundtrip:
         assert db.run_artifacts(run_id) == [
             {"path": "out.txt", "sha256": "d" * 64, "bytes": 17}
         ]
-        assert db.run_summary(run_id) == {"cells": {"ra": {"cycles": 10}}}
         db.close()
+        assert stored_summary(path, run_id) == {"cells": {"ra": {"cycles": 10}}}
 
     def test_reopen_sees_data(self, tmp_path):
         path = str(tmp_path / "e.sqlite")
@@ -115,7 +118,7 @@ class TestOlderDatabases:
 
         with ExperimentDB(path) as db:
             assert db.experiments() == [("legacy", 1)]
-        assert main(["db", "--db", path, "query"]) == 0
+        assert main(["db", "--db", path, "last"]) == 0
         assert main(["db", "--db", path, "report"]) == 0
         out = capsys.readouterr().out
         assert "legacy" in out

@@ -12,6 +12,8 @@ from repro.harness.journal import SweepJournal, spec_fingerprint
 from repro.harness.parallel import JobFailure, JobResult, JobSpec, run_jobs
 from repro.harness.runner import RunResult
 
+from tests.helpers import stored_summary
+
 
 def _spec(key="k", workload="ra", **kwargs):
     kwargs.setdefault("params", {"grid": 1, "block": 4})
@@ -184,8 +186,8 @@ class TestJournalDbConsistency:
             run = db.resolve("last")
             ref_run = refdb.resolve("last")
             assert db.run_specs(run["id"]) == refdb.run_specs(ref_run["id"])
-            assert (db.run_summary(run["id"])["cells"]
-                    == refdb.run_summary(ref_run["id"])["cells"])
+            assert (stored_summary(db_path, run["id"])["cells"]
+                    == stored_summary(ref_db, ref_run["id"])["cells"])
             # the journal's fingerprints are exactly the DB's spec rows
             journal = SweepJournal(journal_path)
             checkpointed = set(journal.load())

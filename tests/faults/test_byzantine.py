@@ -94,10 +94,6 @@ class TestByzantinePlan:
             "lock_hoard", "clock_poison",
         ]
 
-    def test_add_chains(self):
-        plan = FaultPlan().add("lie_validation", tids=(1,))
-        assert plan.specs[0].tids == (1,)
-
     def test_byz_tids_is_union_of_lanes(self):
         plan = FaultPlan(["lock_hoard:tids=1+5", "clock_poison:tids=5+9"])
         assert plan.byz_tids(32) == {1, 5, 9}

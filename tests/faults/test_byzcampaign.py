@@ -15,6 +15,7 @@ from repro.faults.byzcampaign import (
 )
 from repro.harness import configs, parallel
 from tests.harness.misbehave import Event, Misbehaving
+from tests.helpers import stored_summary
 
 FAST = dict(behaviors=["lie_validation", "lock_hoard"],
             variants=["cgl", "hv-sorting"])
@@ -109,7 +110,7 @@ class TestExpdb:
             [run] = db.runs(experiment="byz-campaign")
             assert run["sim_cycles"] == sum(r.run.cycles
                                             for r in report.results) > 0
-            cells = db.run_summary(run["id"])["cells"]
+        cells = stored_summary(db_path, run["id"])["cells"]
         assert sorted(cells) == sorted(keys)
         for key, result in zip(keys, report.results):
             assert cells[key] == result.run.as_summary()

@@ -6,18 +6,6 @@ from repro.gpu.events import Phase
 
 
 class TestKernelResult:
-    def test_repr_mentions_kernel_and_cycles(self):
-        dev = Device(small_config(warp_size=2))
-
-        def my_kernel(tc):
-            tc.work(5)
-            yield
-
-        result = dev.launch(my_kernel, 1, 2)
-        text = repr(result)
-        assert "my_kernel" in text
-        assert "cycles" in text
-
     def test_tx_time_fraction_zero_without_transactions(self):
         dev = Device(small_config(warp_size=2))
 

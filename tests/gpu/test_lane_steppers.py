@@ -12,8 +12,8 @@ Three layers of evidence, all "exactly equal":
   the same run with an armed-empty fault plan (instrumented context, so
   exact steppers): identical digests and identical spin counters;
 * a word that never clears is still a livelock at the plain loop's step
-  count, whether or not the spinning warps went quiet, and a
-  ``lane_snapshot()`` taken mid-spin shows the deferred charges settled.
+  count, whether or not the spinning warps went quiet, and lane cycles
+  read mid-spin after ``settle_polling()`` show the deferred charges.
 """
 
 import pytest
@@ -317,7 +317,8 @@ def observer_kernel(tc, spin, base, log):
             tc.work(1)
             yield
         watched = tc.block.warps[1]
-        log.append((watched.steps, watched.lane_snapshot().as_dict()))
+        watched.settle_polling()
+        log.append((watched.steps, [lane.tc.cycles_total for lane in watched.lanes]))
         tc.gwrite(base, 0)
         yield
         return
@@ -330,7 +331,7 @@ def test_lane_snapshot_mid_spin_shows_settled_cycles():
     config = small_config(warp_size=4, num_sms=1)
     plain, stepped = run_both(observer_kernel, 1, 8, [1], None, config)
     assert stepped == plain
-    (steps, columns), = stepped["log"]
+    (steps, cycles), = stepped["log"]
     latency = config.costs.l2_read_latency
     assert steps > 10
-    assert columns["cycles"] == [steps * latency] * 4
+    assert cycles == [steps * latency] * 4

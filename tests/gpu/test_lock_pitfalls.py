@@ -134,18 +134,6 @@ class TestScheme3Divergent:
 
 
 class TestTryAcquireRelease:
-    def test_try_acquire_reports_failure(self):
-        dev = Device(small_config(warp_size=2))
-        lock = dev.mem.alloc(1, fill=1)  # already held
-        outcome = {}
-
-        def kernel(tc, lock):
-            got = yield from locks.try_acquire(tc, lock)
-            outcome[tc.lane_id] = got
-
-        dev.launch(kernel, 1, 2, args=(lock,))
-        assert outcome == {0: False, 1: False}
-
     def test_release_frees_lock(self):
         dev = Device(small_config(warp_size=1))
         lock = dev.mem.alloc(1, fill=1)

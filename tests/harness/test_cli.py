@@ -43,7 +43,7 @@ class TestCli:
     def test_fuzz_accepts_explicit_policies(self, tmp_path, capsys):
         assert main([
             "fuzz", "--workload", "ra", "--variant", "cgl",
-            "--seeds", "1", "--policy", "rr", "--policy", "greedy:4",
+            "--seeds", "1", "--policy", "rr", "--policy", "random:4:8",
             "--out", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out

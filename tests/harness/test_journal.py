@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +76,7 @@ class TestSweepJournal:
         spec = _spec()
         fp = spec_fingerprint(spec)
         result = JobResult(spec.key, run="payload")
-        with SweepJournal(path) as journal:
+        with closing(SweepJournal(path)) as journal:
             journal.record(fp, spec.key, result)
         loaded = SweepJournal(path).load()
         assert list(loaded) == [fp]
@@ -85,7 +86,7 @@ class TestSweepJournal:
     def test_torn_final_line_is_skipped_not_fatal(self, tmp_path):
         path = str(tmp_path / "sweep.journal")
         fp = spec_fingerprint(_spec())
-        with SweepJournal(path) as journal:
+        with closing(SweepJournal(path)) as journal:
             journal.record(fp, "k", JobResult("k", run=1))
         # simulate a SIGKILL mid-append: a truncated JSON line at the tail
         with open(path, "a") as handle:
@@ -95,7 +96,7 @@ class TestSweepJournal:
         assert list(loaded) == [fp]
         assert journal.skipped_lines == 1
         # the resumed sweep's first record must not land on the torn line
-        with journal:
+        with closing(journal):
             journal.record("fp2", "k2", JobResult("k2", run=2))
         journal = SweepJournal(path)
         assert list(journal.load()) == [fp, "fp2"]
@@ -105,7 +106,7 @@ class TestSweepJournal:
         path = tmp_path / "sweep.journal"
         path.write_text(HEADER_LINE[:9])
         assert SweepJournal(str(path)).load() == {}
-        with SweepJournal(str(path)) as journal:
+        with closing(SweepJournal(str(path))) as journal:
             journal.record("fp", "k", JobResult("k", run=1))
         assert path.read_text().startswith(HEADER_LINE)
         assert list(SweepJournal(str(path)).load()) == ["fp"]
@@ -127,7 +128,7 @@ class TestSweepJournal:
 
     def test_garbled_payload_reruns_that_job_only(self, tmp_path):
         path = str(tmp_path / "sweep.journal")
-        with SweepJournal(path) as journal:
+        with closing(SweepJournal(path)) as journal:
             journal.record("good", "k1", JobResult("k1", run=1))
         with open(path, "a") as handle:
             handle.write(json.dumps({
@@ -148,9 +149,9 @@ class TestSweepJournal:
 
     def test_append_preserves_existing_records(self, tmp_path):
         path = str(tmp_path / "sweep.journal")
-        with SweepJournal(path) as journal:
+        with closing(SweepJournal(path)) as journal:
             journal.record("fp1", "k1", JobResult("k1", run=1))
-        with SweepJournal(path) as journal:
+        with closing(SweepJournal(path)) as journal:
             journal.record("fp2", "k2", JobResult("k2", run=2))
         loaded = SweepJournal(path).load()
         assert sorted(loaded) == ["fp1", "fp2"]
@@ -179,7 +180,7 @@ class TestJournalLines:
     def test_bad_lines_after_a_record_are_counted_and_skipped(self, lines):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sweep.journal")
-            with SweepJournal(path) as journal:
+            with closing(SweepJournal(path)) as journal:
                 journal.record("fp", "k", JobResult("k", run=1))
             with open(path, "a", encoding="utf-8") as handle:
                 handle.write("".join(line + "\n" for line in lines))

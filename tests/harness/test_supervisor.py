@@ -7,6 +7,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+from contextlib import closing
 
 import pytest
 
@@ -350,7 +351,7 @@ class TestJournalResume:
         path = str(tmp_path / "sweep.journal")
         specs = [_ra_spec(("ra", v), variant=v) for v in ("cgl", "hv-sorting")]
         full = run_jobs(specs, jobs=1)
-        with SweepJournal(path) as journal:
+        with closing(SweepJournal(path)) as journal:
             journal.record(spec_fingerprint(specs[0]), specs[0].key, full[0])
         registry = MetricRegistry()
         resumed = run_jobs(specs, jobs=1, journal=path, metrics=registry)

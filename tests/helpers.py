@@ -1,5 +1,8 @@
 """Shared driver for the scheduling, fault and multi-device tests."""
 
+import json
+import sqlite3
+
 from repro.faults.sanitizer import StmSanitizer
 from repro.harness import configs
 from repro.harness.runner import run_workload
@@ -24,3 +27,15 @@ def explore(workload, params, variant, policy="rr", *, gpu=None,
         sanitizer=StmSanitizer() if sanitize else None,
         **kwargs
     )
+
+
+def stored_summary(db_path, run_id):
+    """The summary blob the experiment DB at ``db_path`` holds for run
+    ``run_id``, read straight from its ``runs`` table."""
+    conn = sqlite3.connect(db_path)
+    try:
+        (text,) = conn.execute(
+            "SELECT summary FROM runs WHERE id = ?", (run_id,)).fetchone()
+    finally:
+        conn.close()
+    return json.loads(text)

@@ -11,7 +11,6 @@ from repro.gpu.errors import LaunchError
 from repro.sched.policy import (
     POLICIES,
     Adversarial,
-    GreedyThenOldest,
     RoundRobin,
     SchedulingPolicy,
     SeededRandom,
@@ -38,15 +37,11 @@ class TestMakePolicy:
         assert type(make_policy("rr")) is RoundRobin
         assert type(make_policy("round-robin")) is RoundRobin
         assert type(make_policy("random")) is SeededRandom
-        assert type(make_policy("greedy")) is GreedyThenOldest
-        assert type(make_policy("gto")) is GreedyThenOldest
         assert type(make_policy("adversarial")) is Adversarial
 
     def test_parameters_parsed(self):
         random = make_policy("random:7:2")
         assert (random.seed, random.max_turn) == (7, 2)
-        greedy = make_policy("greedy:8")
-        assert greedy.turn == 8
         adversarial = make_policy("adversarial:3")
         assert adversarial.seed == 3
 
@@ -56,7 +51,7 @@ class TestMakePolicy:
         assert policy.decisions == [[0, 1, 2]]
 
     def test_spec_round_trips(self):
-        for spec in ("rr", "random:7:2", "greedy:8", "adversarial:3"):
+        for spec in ("rr", "random:7:2", "adversarial:3"):
             policy = make_policy(spec)
             clone = make_policy(policy.spec())
             assert type(clone) is type(policy)
@@ -73,7 +68,7 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="no parameters"):
             make_policy("rr:1")
         with pytest.raises(ValueError, match="too many parameters"):
-            make_policy("greedy:1:2")
+            make_policy("adversarial:1:2")
         with pytest.raises(ValueError, match="too many parameters"):
             make_policy("random:1:2:3")
         with pytest.raises(ValueError, match="non-integer"):
@@ -160,24 +155,6 @@ class TestSelectionBehaviour:
         assert quotas <= {1, 2, 3}
         assert len(quotas) > 1
 
-    def test_greedy_sticks_until_retire(self):
-        policy = make_policy("greedy:4")
-        policy.reset(self.config)
-        warps = [_FakeWarp(0), _FakeWarp(1)]
-        sm = _FakeSm(warps)
-        assert policy.select(sm) == 0
-        policy.issued(sm, 0, retired=False)
-        # still sticky even after the warp list shifts underneath it
-        sm.resident_warps = [warps[1], warps[0]]
-        assert policy.select(sm) == 1
-        policy.issued(sm, 1, retired=True)
-        assert policy.select(sm) == 0  # falls back to the oldest resident
-
-    def test_greedy_quota_is_turn(self):
-        policy = make_policy("greedy:7")
-        policy.reset(self.config)
-        assert policy.quota(_FakeSm([]), None) == 7
-
     def test_adversarial_starves_lock_holders(self):
         policy = make_policy("adversarial:0")
         policy.reset(self.config)
@@ -225,9 +202,9 @@ class TestDeviceWiring:
         rr = launch(policy="rr", record_schedule=True)
         trace = rr.schedule_trace
         assert trace.policy == "rr"
-        assert trace.total_steps() == rr.steps
+        assert sum(steps for _sm, _warp, steps in trace.decisions) == rr.steps
         assert trace.meta["cycles"] == rr.cycles
-        replay = launch(policy=trace.replay_policy(), record_schedule=True)
+        replay = launch(policy=trace.as_dict(), record_schedule=True)
         assert replay.schedule_trace.decisions == trace.decisions
         assert replay.cycles == rr.cycles
         assert replay.steps == rr.steps
@@ -249,7 +226,7 @@ class TestDeviceWiring:
         ).steps
 
     def test_every_policy_completes_the_kernel(self):
-        for spec in ("rr", "random:1", "greedy:4", "adversarial:2"):
+        for spec in ("rr", "random:1", "random:4:8", "adversarial:2"):
             device = Device(small_config())
             counter = device.mem.alloc(1)
 

@@ -9,13 +9,13 @@ class TestBasics:
     def test_empty_contains_nothing(self):
         bloom = BloomFilter()
         assert not bloom.might_contain(42)
-        assert not bloom
+        assert bloom.word == 0
 
     def test_added_key_found(self):
         bloom = BloomFilter()
         bloom.add(42)
         assert bloom.might_contain(42)
-        assert bloom
+        assert bloom.word != 0
 
     def test_clear_resets(self):
         bloom = BloomFilter()

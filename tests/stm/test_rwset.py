@@ -22,8 +22,6 @@ class TestReadSet:
             reads.append(tc, base + 1, 11)
             yield
             assert list(reads) == [(base, 10), (base + 1, 11)]
-            assert len(reads) == 2
-            assert reads.addresses() == {base, base + 1}
 
         run_one_thread(kernel)
 
@@ -35,8 +33,7 @@ class TestReadSet:
             reads.append(tc, base, 1)
             reads.append(tc, base, 2)
             yield
-            assert len(reads) == 2
-            assert reads.addresses() == {base}
+            assert list(reads) == [(base, 1), (base, 2)]
 
         run_one_thread(kernel)
 
@@ -46,7 +43,7 @@ class TestReadSet:
             reads.append(tc, base, 1)
             reads.clear()
             yield
-            assert len(reads) == 0
+            assert list(reads) == []
 
         run_one_thread(kernel)
 

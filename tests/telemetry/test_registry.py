@@ -77,14 +77,6 @@ class TestRegistry:
         registry.add("a.b", 3)
         assert registry.counters_dict() == {"a.b": 5}
 
-    def test_total_prefix_respects_boundaries(self):
-        registry = MetricRegistry()
-        registry.add("stm.aborts", 2)
-        registry.add("stm.aborts.lock_conflict", 3)
-        registry.add("stmx.other", 100)
-        assert registry.total("stm.aborts") == 5
-        assert registry.total("stm") == 5
-
     def test_absorb_counters_prefixes(self):
         registry = MetricRegistry()
         registry.absorb_counters("stm.hv_sorting", {"commits": 7, "aborts": 2})
@@ -123,20 +115,6 @@ class TestRegistry:
         with open(path) as handle:
             data = json.load(handle)
         assert data["counters"] == {"k": 1}
-
-    def test_render_is_sorted_by_value(self):
-        registry = MetricRegistry()
-        registry.add("small", 1)
-        registry.add("big", 100)
-        text = registry.render()
-        assert text.index("big") < text.index("small")
-
-    def test_render_digests_histograms(self):
-        registry = MetricRegistry()
-        registry.observe("latency", 3)
-        registry.observe("latency", 6)
-        assert "latency" in registry.render()
-        assert "n=2 mean=4.5 max=6" in registry.render()
 
 
 # property: merging any collection of registries sums every counter — the

@@ -96,3 +96,60 @@ class TestCli:
         assert main([]) == 2
         captured = capsys.readouterr()
         assert "INVALID" in captured.err
+
+
+def _plain_verdict(data):
+    """The verdict of checking a fully decoded artifact."""
+    try:
+        if isinstance(data, dict) and "traceEvents" in data:
+            validate_chrome_trace(data)
+        else:
+            validate_metrics(data)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+#: artifacts whose verdict must not depend on checking events as they
+#: are decoded: event-shaped objects in places that are not events
+STREAMING_CASES = {
+    "good": good_trace(),
+    "event-shaped args": {"traceEvents": [
+        {"ph": "M", "name": "thread_name", "args": {"ph": "i", "ts": 0,
+                                                    "name": "main"}}]},
+    "event-shaped args without a name": {"traceEvents": [
+        {"ph": "M", "name": "thread_name", "args": {"ph": "B"}}]},
+    "not an object": {"traceEvents": [{"ph": "B"}, 7, {"ph": "B"}]},
+    "no ph": {"traceEvents": [{"ph": "B"}, {"name": "x"}]},
+    "root with ph": {"ph": "B", "traceEvents": [{"ph": "B"}]},
+    "events not a list": {"traceEvents": {"ph": "B"}},
+    "counter named ph": {"counters": {"ph": "i", "ts": 1, "name": "n"}},
+    "metrics": {"counters": {"a": 1}, "histograms": {"h": {"count": 1}}},
+}
+
+
+class TestValidateFileStreams:
+    @pytest.mark.parametrize("name", sorted(STREAMING_CASES))
+    def test_same_verdict_as_a_decoded_check(self, name, tmp_path):
+        data = STREAMING_CASES[name]
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(data))
+        try:
+            validate_file(str(path))
+            verdict = None
+        except ValidationError as exc:
+            verdict = str(exc)
+        assert verdict == _plain_verdict(data)
+
+    def test_bad_event_deep_in_a_trace_reports_its_index(self, tmp_path):
+        events = [{"ph": "X", "pid": 0, "tid": 1, "name": "tx", "ts": index,
+                   "dur": 1, "args": {"attempt": index}}
+                  for index in range(5000)]
+        events[3717]["dur"] = -2
+        events[4200]["pid"] = "gpu"
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        with pytest.raises(ValidationError) as exc:
+            validate_file(str(path))
+        assert str(exc.value) == (
+            "event 3717: 'dur' must be a non-negative number, got -2")

@@ -27,6 +27,7 @@ class TestExamples:
         load_example("lock_pitfalls").main()
         out = capsys.readouterr().out
         assert "DEADLOCK" in out
+        assert "correct with one lock, counter=8" in out
         assert "LIVELOCK" in out
         assert "commits" in out
 
